@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -12,7 +13,7 @@ import (
 	"amdgpubench/internal/core"
 )
 
-// The campaign subcommand: plan several figures as one deduplicated DAG
+// The campaign subcommand: plan several figures as one deduplicated set
 // of launch units (internal/campaign) and execute them as a single
 // resilient sweep — shared work runs once, its result fans out to every
 // subscribing figure, and one checkpoint covers the whole bundle.
@@ -197,22 +198,16 @@ func runCampaignCmd(argv []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
+	res, err := plan.RunCtx(context.Background(), s, campaign.RunOptions{Shard: shard, Shards: shards})
+	if err != nil {
+		fmt.Fprintf(stderr, "amdmb campaign: %v\n", err)
+		return 1
+	}
 	if shards > 1 {
-		res, err := plan.RunShard(s, shard, shards)
-		if err != nil {
-			fmt.Fprintf(stderr, "amdmb campaign: %v\n", err)
-			return 1
-		}
 		fmt.Fprintf(stderr, "campaign shard %d/%d: units=%d scheduled=%d executed=%d restored=%d failed=%d\n",
 			shard, shards, len(plan.Units), res.Scheduled, res.Executed,
 			res.Scheduled-res.Executed, res.Failed())
 		return c.epilogue(s)
-	}
-
-	res, err := plan.Run(s)
-	if err != nil {
-		fmt.Fprintf(stderr, "amdmb campaign: %v\n", err)
-		return 1
 	}
 	for _, fig := range res.Figures {
 		if err := c.emitFigure(fig); err != nil {
@@ -221,7 +216,7 @@ func runCampaignCmd(argv []string, stdout, stderr io.Writer) int {
 		}
 	}
 	fmt.Fprintf(stderr, "campaign: figures=%d points=%d units=%d deduped=%d executed=%d restored=%d failed=%d\n",
-		res.Stats.Figures, res.Stats.Points, len(plan.Units), res.Stats.DedupedTotal(),
+		res.Stats.Figures, res.Stats.Points, len(plan.Units), res.Stats.Deduped,
 		res.Executed, len(plan.Units)-res.Executed, res.Failed())
 	return c.epilogue(s)
 }

@@ -3,8 +3,6 @@ package main
 import (
 	"os"
 	"path/filepath"
-	"regexp"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -14,7 +12,7 @@ import (
 // disabled so the scheduler's dedup is the only sharing in play, must
 // write to stdout exactly the concatenation of the four golden CSVs —
 // the bytes `amdmb fig7`, `amdmb fig8`, ... produce one at a time —
-// while its summary reports a nonzero dedup count.
+// while its summary reports the bundle's launch-level dedup count.
 func TestCampaignMatchesGoldens(t *testing.T) {
 	code, out, stderr := runCLI(t,
 		"campaign", "-figs", strings.Join(goldenFigures, ","), "-iters", "1", "-csv", "-no-cache")
@@ -34,14 +32,10 @@ func TestCampaignMatchesGoldens(t *testing.T) {
 		t.Errorf("campaign stdout is not the concatenation of the goldens:\n%s", firstDiff(want.String(), out))
 	}
 
-	m := regexp.MustCompile(`deduped=(\d+)`).FindStringSubmatch(stderr)
-	if m == nil {
-		t.Fatalf("no dedup count in summary: %s", stderr)
-	}
-	if n, _ := strconv.Atoi(m[1]); n == 0 {
-		t.Errorf("flagship bundle campaign reported deduped=0: %s", stderr)
-	}
-	for _, want := range []string{"restored=0", "failed=0"} {
+	// The bundle shares no whole launches (fig8 reuses fig7's kernels
+	// under another block shape: same compile, different launch), so
+	// the launch-level dedup count is zero.
+	for _, want := range []string{"deduped=0", "restored=0", "failed=0"} {
 		if !strings.Contains(stderr, want) {
 			t.Errorf("summary missing %q: %s", want, stderr)
 		}

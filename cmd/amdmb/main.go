@@ -13,7 +13,7 @@
 // fig15a fig15b fig16 fig17 clausectl trans blocks consts summary ablate
 // all
 //
-// The campaign subcommand plans several figures as one deduplicated DAG
+// The campaign subcommand plans several figures as one deduplicated set
 // of launch units and executes them as a single resilient sweep, so
 // work shared between figures runs once and a checkpoint spans the
 // whole bundle; `-plan` prints the schedule and dedup statistics
@@ -80,6 +80,7 @@ import (
 	"sort"
 	"strings"
 
+	"amdgpubench/internal/campaign"
 	"amdgpubench/internal/core"
 	"amdgpubench/internal/device"
 	"amdgpubench/internal/fault"
@@ -124,9 +125,17 @@ type experiment struct {
 	run  func(s *core.Suite) error
 }
 
-func (c *cli) figExperiment(name, desc string, f func(s *core.Suite) (*report.Figure, []core.Run, error)) experiment {
+// figExperiment runs one registry figure on its own. campaign.Specs
+// builds it, so each figure's configuration lives in one place
+// (internal/campaign/registry.go) and `amdmb fig7` runs exactly the
+// sweep `amdmb campaign -figs fig7` plans.
+func (c *cli) figExperiment(name, desc string) experiment {
 	return experiment{name: name, desc: desc, run: func(s *core.Suite) error {
-		fig, runs, err := f(s)
+		specs, err := campaign.Specs(s, []string{name})
+		if err != nil {
+			return err
+		}
+		fig, runs, err := s.RunFigureSpec(specs[0].Figure)
 		if err != nil {
 			return err
 		}
@@ -149,28 +158,22 @@ func (c *cli) experiments() []experiment {
 		{"fig2", "example ISA disassembly", func(s *core.Suite) error {
 			return c.printFig2()
 		}},
-		c.figExperiment("fig7", "ALU:Fetch ratio, texture reads", (*core.Suite).Fig7),
-		c.figExperiment("fig8", "ALU:Fetch ratio, 4x16 block", (*core.Suite).Fig8),
-		c.figExperiment("fig9", "ALU:Fetch ratio, global read + stream write", (*core.Suite).Fig9),
-		c.figExperiment("fig10", "ALU:Fetch ratio, global read + global write", (*core.Suite).Fig10),
-		c.figExperiment("fig11", "texture fetch latency", (*core.Suite).Fig11),
-		c.figExperiment("fig12", "global read latency", (*core.Suite).Fig12),
-		c.figExperiment("fig13", "streaming store latency", (*core.Suite).Fig13),
-		c.figExperiment("fig14", "global write latency", (*core.Suite).Fig14),
-		c.figExperiment("fig15a", "domain size, pixel shader", (*core.Suite).Fig15Pixel),
-		c.figExperiment("fig15b", "domain size, compute shader", (*core.Suite).Fig15Compute),
-		c.figExperiment("fig16", "register pressure", (*core.Suite).Fig16),
-		c.figExperiment("fig17", "register pressure, 4x16 block", (*core.Suite).Fig17),
-		c.figExperiment("clausectl", "clause usage control (flat)", (*core.Suite).ClauseControl),
-		c.figExperiment("trans", "extension: transcendental vs basic ALU chains", func(s *core.Suite) (*report.Figure, []core.Run, error) {
-			return s.TransThroughput(core.TransThroughputConfig{Arch: device.RV770})
-		}),
-		c.figExperiment("blocks", "extension: compute block-size sweep", func(s *core.Suite) (*report.Figure, []core.Run, error) {
-			return s.BlockSizeSweep(core.BlockSizeConfig{})
-		}),
-		c.figExperiment("consts", "extension: constant count sweep (flat)", func(s *core.Suite) (*report.Figure, []core.Run, error) {
-			return s.ConstantsSweep(core.ConstantsConfig{Arch: device.RV770})
-		}),
+		c.figExperiment("fig7", "ALU:Fetch ratio, texture reads"),
+		c.figExperiment("fig8", "ALU:Fetch ratio, 4x16 block"),
+		c.figExperiment("fig9", "ALU:Fetch ratio, global read + stream write"),
+		c.figExperiment("fig10", "ALU:Fetch ratio, global read + global write"),
+		c.figExperiment("fig11", "texture fetch latency"),
+		c.figExperiment("fig12", "global read latency"),
+		c.figExperiment("fig13", "streaming store latency"),
+		c.figExperiment("fig14", "global write latency"),
+		c.figExperiment("fig15a", "domain size, pixel shader"),
+		c.figExperiment("fig15b", "domain size, compute shader"),
+		c.figExperiment("fig16", "register pressure"),
+		c.figExperiment("fig17", "register pressure, 4x16 block"),
+		c.figExperiment("clausectl", "clause usage control (flat)"),
+		c.figExperiment("trans", "extension: transcendental vs basic ALU chains"),
+		c.figExperiment("blocks", "extension: compute block-size sweep"),
+		c.figExperiment("consts", "extension: constant count sweep (flat)"),
 		{"summary", "one-screen paper-vs-measured reproduction digest", c.runSummary},
 		{"ablate", "extension: hardware-mechanism ablation study", func(s *core.Suite) error {
 			res, err := s.AblationStudy()

@@ -1,26 +1,20 @@
 // Package campaign is the suite's campaign scheduler: it accepts
 // declarative figure specs (core.FigureSpec, the same specs the figure
-// methods run one at a time), expands them into a deduplicated DAG of
-// work units, schedules the units as one batch on the resilient sweep
-// runner, and fans each unit's result back out to every subscribing
-// figure point.
+// methods run one at a time), expands them into deduplicated launch
+// units, schedules the units as one batch on the resilient sweep runner,
+// and fans each unit's result back out to every subscribing figure
+// point.
 //
-// The DAG has three levels, mirroring the pipeline's artifact identity:
-//
-//	kernel units   — one per distinct il.Kernel.Hash (Generate stage)
-//	compile units  — one per (kernel hash, arch) (Compile stage)
-//	launch units   — one per (kernel hash, arch, walk order, domain):
-//	                 the full execution identity of a sweep point, since
-//	                 a Run is a deterministic function of exactly those
-//	                 coordinates plus the suite's iteration count
-//
-// Only launch units are scheduled; the kernel and compile levels exist
-// because cross-figure sharing mostly happens there (Fig. 8's kernels
-// are Fig. 7's compute kernels under a different block shape — a
-// different walk order, so a different launch, but the same compiled
-// artifact). The plan's dedup statistics count, per level, how many
-// pipeline executions the campaign avoids versus running each figure's
-// sweep on its own; `campaign.points.deduped` surfaces the total.
+// The unit of dedup is the launch: one unit per (kernel hash, arch, walk
+// order, domain) — the full execution identity of a sweep point, since a
+// Run is a deterministic function of exactly those coordinates plus the
+// suite's iteration count. Sharing below the launch (Fig. 8's kernels
+// are Fig. 7's compute kernels under a different block shape: a
+// different launch, but the same compiled artifact) needs no bookkeeping
+// here — the pipeline's content-addressed stores already dedup it, and
+// the pipeline.compile.hits counter reports it. The plan's Deduped
+// statistic counts the launches the campaign avoids versus running each
+// figure's sweep on its own; `campaign.points.deduped` surfaces it.
 //
 // Scheduling a campaign as ONE sweep also makes checkpointing campaign-
 // granular for free: the whole multi-figure unit sequence runs through a
@@ -68,13 +62,6 @@ type launchKey struct {
 	w, h  int
 }
 
-// compileKey is a compile unit's identity, matching the pipeline's
-// compile-stage artifact key.
-type compileKey struct {
-	hash [sha256.Size]byte
-	arch device.Arch
-}
-
 // Ref is one subscribing figure point: Plan.Specs[Spec].Figure.Points[Point].
 type Ref struct {
 	Spec  int
@@ -90,32 +77,18 @@ type Unit struct {
 	key   launchKey
 }
 
-// LevelStats summarizes one DAG level.
-type LevelStats struct {
-	// Unique is the number of distinct units across the whole campaign —
-	// what actually executes (launch level) or materializes through the
-	// artifact cache (compile/kernel levels).
-	Unique int
-	// Deduped is the cross-figure saving at this level: the sum over
-	// figures of each figure's own distinct units, minus Unique — the
-	// executions running the figures sequentially on cold caches would
-	// have performed that the campaign provably does not.
-	Deduped int
-}
-
 // Stats are a plan's headline numbers.
 type Stats struct {
 	Figures int
 	Points  int
-	Launch  LevelStats
-	Compile LevelStats
-	Kernel  LevelStats
-}
-
-// DedupedTotal is the cross-figure pipeline executions avoided across
-// every DAG level — the value of the campaign.points.deduped counter.
-func (st Stats) DedupedTotal() int {
-	return st.Launch.Deduped + st.Compile.Deduped + st.Kernel.Deduped
+	// Units is the number of distinct launches across the whole
+	// campaign — what actually executes.
+	Units int
+	// Deduped is the cross-figure saving: the sum over figures of each
+	// figure's own distinct launches, minus Units — the launches running
+	// the figures sequentially would have performed that the campaign
+	// does not.
+	Deduped int
 }
 
 // Plan is a scheduled campaign: the input specs, the deduplicated launch
@@ -146,14 +119,9 @@ func NewPlan(specs []Spec, opts Options) (*Plan, error) {
 	p.Stats.Figures = len(specs)
 
 	launchIdx := make(map[launchKey]int)
-	compileAcross := make(map[compileKey]struct{})
-	kernelAcross := make(map[[sha256.Size]byte]struct{})
-	launchWithin, compileWithin, kernelWithin := 0, 0, 0
-
+	within := 0
 	for si, sp := range specs {
 		figLaunch := make(map[launchKey]struct{})
-		figCompile := make(map[compileKey]struct{})
-		figKernel := make(map[[sha256.Size]byte]struct{})
 		p.unitOf[si] = make([]int, len(sp.Figure.Points))
 		for pi, pt := range sp.Figure.Points {
 			if pt.K == nil {
@@ -165,15 +133,9 @@ func NewPlan(specs []Spec, opts Options) (*Plan, error) {
 			}
 			w, h := pt.W, pt.H
 			if opts.MaxDomain > 0 {
-				if w > opts.MaxDomain {
-					w = opts.MaxDomain
-				}
-				if h > opts.MaxDomain {
-					h = opts.MaxDomain
-				}
+				w, h = min(w, opts.MaxDomain), min(h, opts.MaxDomain)
 			}
-			sum := pt.K.Hash()
-			lk := launchKey{hash: sum, arch: pt.Card.Arch, order: order, w: w, h: h}
+			lk := launchKey{hash: pt.K.Hash(), arch: pt.Card.Arch, order: order, w: w, h: h}
 			ui, ok := launchIdx[lk]
 			if !ok {
 				ui = len(p.Units)
@@ -184,23 +146,13 @@ func NewPlan(specs []Spec, opts Options) (*Plan, error) {
 			}
 			p.Units[ui].Refs = append(p.Units[ui].Refs, Ref{Spec: si, Point: pi})
 			p.unitOf[si][pi] = ui
-
-			ck := compileKey{hash: sum, arch: pt.Card.Arch}
 			figLaunch[lk] = struct{}{}
-			figCompile[ck] = struct{}{}
-			figKernel[sum] = struct{}{}
-			compileAcross[ck] = struct{}{}
-			kernelAcross[sum] = struct{}{}
-			p.Stats.Points++
 		}
-		launchWithin += len(figLaunch)
-		compileWithin += len(figCompile)
-		kernelWithin += len(figKernel)
+		within += len(figLaunch)
+		p.Stats.Points += len(sp.Figure.Points)
 	}
-
-	p.Stats.Launch = LevelStats{Unique: len(p.Units), Deduped: launchWithin - len(p.Units)}
-	p.Stats.Compile = LevelStats{Unique: len(compileAcross), Deduped: compileWithin - len(compileAcross)}
-	p.Stats.Kernel = LevelStats{Unique: len(kernelAcross), Deduped: kernelWithin - len(kernelAcross)}
+	p.Stats.Units = len(p.Units)
+	p.Stats.Deduped = within - len(p.Units)
 
 	p.prioritize()
 	return p, nil

@@ -24,7 +24,7 @@ import (
 // pipeline's content-addressed stores dedup artifacts ACROSS concurrent
 // jobs (two clients sweeping overlapping figures compile and simulate
 // shared points once), and per-job contexts cancel one campaign without
-// touching its neighbors (Plan.RunCtx / RunKernelPointsShardedCtx).
+// touching its neighbors (Plan.RunCtx / core.Suite.RunKernelPoints).
 //
 // Job metrics, on the suite's shared registry:
 //
@@ -76,7 +76,7 @@ type JobStatus struct {
 	Units       int `json:"units"`
 	Executed    int `json:"executed"`
 	FailedUnits int `json:"failed_units"`
-	// Deduped is the plan's cross-figure dedup total (see Stats).
+	// Deduped is the plan's cross-figure launch dedup (Stats.Deduped).
 	Deduped int `json:"deduped"`
 }
 
@@ -118,7 +118,7 @@ func (j *Job) Status() JobStatus {
 		Units:       len(j.plan.Units),
 		Executed:    j.executed,
 		FailedUnits: j.failedU,
-		Deduped:     j.plan.Stats.DedupedTotal(),
+		Deduped:     j.plan.Stats.Deduped,
 	}
 }
 
@@ -312,11 +312,11 @@ func (js *Jobs) Submit(req Request) (*Job, error) {
 func (js *Jobs) run(ctx context.Context, j *Job) {
 	defer close(j.done)
 	defer js.running.Add(-1)
-	res, err := j.plan.RunCtx(ctx, js.suite, func(executed, failed int) {
+	res, err := j.plan.RunCtx(ctx, js.suite, RunOptions{Progress: func(executed, failed int) {
 		j.mu.Lock()
 		j.executed, j.failedU = executed, failed
 		j.mu.Unlock()
-	})
+	}})
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	switch {

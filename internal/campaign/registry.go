@@ -10,10 +10,11 @@ import (
 	"amdgpubench/internal/hier"
 )
 
-// The name registry maps the CLI's figure names to their spec builders,
-// with the same canonical configurations cmd/amdmb's per-figure
-// experiments use — `amdmb campaign -figs fig7,fig8` must plan exactly
-// the sweeps `amdmb fig7 fig8` would run.
+// The name registry maps the CLI's figure names to their spec builders
+// and is the one place each figure's configuration lives: cmd/amdmb's
+// per-figure experiments build their figures through Specs too, so
+// `amdmb campaign -figs fig7,fig8` plans exactly the sweeps
+// `amdmb fig7 fig8` runs.
 
 // Builder plans one figure on a suite.
 type Builder func(*core.Suite) (core.FigureSpec, error)

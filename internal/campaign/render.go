@@ -14,10 +14,7 @@ import (
 func RenderPlan(w io.Writer, p *Plan) {
 	st := p.Stats
 	fmt.Fprintf(w, "campaign plan: %d figures, %d points\n", st.Figures, st.Points)
-	fmt.Fprintf(w, "  launch units:  %4d scheduled   %4d deduped across figures\n", st.Launch.Unique, st.Launch.Deduped)
-	fmt.Fprintf(w, "  compile units: %4d distinct    %4d deduped across figures\n", st.Compile.Unique, st.Compile.Deduped)
-	fmt.Fprintf(w, "  kernel units:  %4d distinct    %4d deduped across figures\n", st.Kernel.Unique, st.Kernel.Deduped)
-	fmt.Fprintf(w, "  dedup savings: %d pipeline executions avoided vs sequential figures\n", st.DedupedTotal())
+	fmt.Fprintf(w, "  launch units:  %4d scheduled   %4d deduped across figures\n", st.Units, st.Deduped)
 	fmt.Fprintln(w, "figures:")
 	for si, sp := range p.Specs {
 		fmt.Fprintf(w, "  %-10s %4d points, %4d on shared units\n",

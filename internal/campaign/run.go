@@ -15,8 +15,8 @@ import (
 //
 //	campaign.figures.planned  — figures in the plan
 //	campaign.points.planned   — figure points before dedup
-//	campaign.points.deduped   — cross-figure pipeline executions avoided
-//	                            (all three DAG levels; Stats.DedupedTotal)
+//	campaign.points.deduped   — cross-figure launches avoided
+//	                            (Stats.Deduped)
 //	campaign.points.fanout    — figure points served by fanning units out
 //	campaign.units.planned    — launch units scheduled
 //	campaign.units.executed   — units that actually ran (not restored
@@ -41,9 +41,6 @@ type Result struct {
 	// Scheduled counts the units this invocation was responsible for:
 	// every unit when unsharded, the shard's interleaved slice otherwise.
 	Scheduled int
-	// Shard/Shards record the partition this result covers; 0/1 means
-	// the whole campaign.
-	Shard, Shards int
 }
 
 // Failed counts units that resolved to failure records.
@@ -57,7 +54,34 @@ func (r *Result) Failed() int {
 	return n
 }
 
-// Run executes the plan on the suite as ONE resilient sweep over the
+// RunOptions tunes one RunCtx invocation. The zero value runs the whole
+// campaign unobserved.
+type RunOptions struct {
+	// Progress, when non-nil, is called from worker goroutines after each
+	// executed unit resolves, with the cumulative executed and failed
+	// unit counts — it must be safe for concurrent calls.
+	Progress func(executed, failed int)
+	// Shard and Shards run one shard of the plan: of the scheduled unit
+	// sequence, only units with index i%Shards == Shard run. The shard's
+	// checkpoint (the suite's, when armed) records its runs at their
+	// GLOBAL unit indices under the full campaign's signature, so shard
+	// files merge (core.MergeCheckpoints) into a checkpoint the
+	// unsharded run restores completely — producing figures
+	// byte-identical to a run that never sharded. Because one shard holds
+	// only a slice of every figure's points, a sharded run assembles no
+	// figures: Result.Figures and Result.Runs stay nil, and the caller
+	// combines shards through the checkpoint, not by stitching partial
+	// figures. Shards <= 1 runs everything.
+	Shard, Shards int
+}
+
+// Run executes the whole plan on the suite; it is RunCtx with a
+// background context and zero options.
+func (p *Plan) Run(s *core.Suite) (*Result, error) {
+	return p.RunCtx(context.Background(), s, RunOptions{})
+}
+
+// RunCtx executes the plan on the suite as ONE resilient sweep over the
 // deduplicated units, then fans every unit's run back out to its
 // subscribing figure points and finishes each spec's figure. Because the
 // whole campaign is a single sweep, the suite's checkpoint (when armed)
@@ -72,44 +96,15 @@ func (r *Result) Failed() int {
 // way, so per-figure failure accounting matches a sequential run. The
 // returned error is the sweep's own (fatal pipeline errors, or
 // core.ErrSweepInterrupted verbatim so callers can errors.Is on it).
-func (p *Plan) Run(s *core.Suite) (*Result, error) {
-	return p.runShard(context.Background(), s, 0, 1, nil)
-}
-
-// RunCtx is Run bound to a context and an optional progress callback,
-// for callers running several campaigns on ONE shared suite — the
-// daemon above all. Cancelling ctx interrupts just this campaign's
-// sweep (core.ErrSweepInterrupted comes back verbatim), unlike
-// Suite.Interrupt which stops every sweep in flight. progress, when
-// non-nil, is called from worker goroutines after each executed unit
-// resolves, with the cumulative executed and failed unit counts — it
-// must be safe for concurrent calls.
-func (p *Plan) RunCtx(ctx context.Context, s *core.Suite, progress func(executed, failed int)) (*Result, error) {
-	return p.runShard(ctx, s, 0, 1, progress)
-}
-
-// RunShard executes one shard of the plan: of the scheduled unit
-// sequence, only units with index i%shards == shard run. The shard's
-// checkpoint (the suite's, when armed) records its runs at their GLOBAL
-// unit indices under the full campaign's signature, so shard files
-// merge (core.MergeCheckpoints) into a checkpoint the unsharded run
-// restores completely — producing figures byte-identical to a run that
-// never sharded. Because one shard holds only a slice of every figure's
-// points, RunShard assembles no figures: Result.Figures and Result.Runs
-// stay nil, and the caller combines shards through the checkpoint, not
-// by stitching partial figures.
-func (p *Plan) RunShard(s *core.Suite, shard, shards int) (*Result, error) {
-	if shards < 1 || shard < 0 || shard >= shards {
-		return nil, fmt.Errorf("campaign: shard %d/%d out of range", shard, shards)
-	}
-	return p.runShard(context.Background(), s, shard, shards, nil)
-}
-
-func (p *Plan) runShard(ctx context.Context, s *core.Suite, shard, shards int, progress func(executed, failed int)) (*Result, error) {
+//
+// Cancelling ctx interrupts just this campaign's sweep, unlike
+// Suite.Interrupt which stops every sweep in flight — what callers
+// running several campaigns on ONE shared suite (the daemon) need.
+func (p *Plan) RunCtx(ctx context.Context, s *core.Suite, opts RunOptions) (*Result, error) {
 	m := s.Metrics()
 	m.Counter("campaign.figures.planned").Add(int64(p.Stats.Figures))
 	m.Counter("campaign.points.planned").Add(int64(p.Stats.Points))
-	m.Counter("campaign.points.deduped").Add(int64(p.Stats.DedupedTotal()))
+	m.Counter("campaign.points.deduped").Add(int64(p.Stats.Deduped))
 	m.Counter("campaign.units.planned").Add(int64(len(p.Units)))
 	unitsExecuted := m.Counter("campaign.units.executed")
 	unitsCompleted := m.Counter("campaign.units.completed")
@@ -120,9 +115,10 @@ func (p *Plan) runShard(ctx context.Context, s *core.Suite, shard, shards int, p
 		Arg("figures", strconv.Itoa(p.Stats.Figures)).
 		Arg("points", strconv.Itoa(p.Stats.Points)).
 		Arg("units", strconv.Itoa(len(p.Units))).
-		Arg("deduped", strconv.Itoa(p.Stats.DedupedTotal()))
-	if shards > 1 {
-		root.Arg("shard", fmt.Sprintf("%d/%d", shard, shards))
+		Arg("deduped", strconv.Itoa(p.Stats.Deduped))
+	sharded := opts.Shards > 1
+	if sharded {
+		root.Arg("shard", fmt.Sprintf("%d/%d", opts.Shard, opts.Shards))
 	}
 	defer root.End()
 
@@ -134,7 +130,7 @@ func (p *Plan) runShard(ctx context.Context, s *core.Suite, shard, shards int, p
 	}
 	scheduled := 0
 	for i := range kps {
-		if shards <= 1 || i%shards == shard {
+		if !sharded || i%opts.Shards == opts.Shard {
 			scheduled++
 		}
 	}
@@ -160,13 +156,13 @@ func (p *Plan) runShard(ctx context.Context, s *core.Suite, shard, shards int, p
 				unitsCompleted.Inc()
 			}
 			sp.End()
-			if progress != nil {
-				progress(int(executed.Load()), int(failedUnits.Load()))
+			if opts.Progress != nil {
+				opts.Progress(int(executed.Load()), int(failedUnits.Load()))
 			}
 		}
 	}
 
-	unitRuns, err := s.RunKernelPointsShardedCtx(ctx, kps, observe, shard, shards)
+	unitRuns, err := s.RunKernelPoints(ctx, kps, core.SweepOptions{Observe: observe, Shard: opts.Shard, Shards: opts.Shards})
 	if err != nil {
 		return nil, err
 	}
@@ -176,10 +172,8 @@ func (p *Plan) runShard(ctx context.Context, s *core.Suite, shard, shards int, p
 		Stats:     p.Stats,
 		Executed:  int(executed.Load()),
 		Scheduled: scheduled,
-		Shard:     shard,
-		Shards:    shards,
 	}
-	if shards > 1 {
+	if sharded {
 		// A shard holds only a slice of every figure; figures assemble
 		// from the merged checkpoint in the follow-up unsharded run.
 		return res, nil

@@ -13,7 +13,7 @@ import (
 	"amdgpubench/internal/obs"
 )
 
-// Sweep checkpointing: runPoints records every completed point into a
+// Sweep checkpointing: RunKernelPoints records every completed point into a
 // JSON file as it finishes, so a campaign killed mid-sweep (the paper's
 // figures are thousands of launches) resumes from the last completed
 // point instead of starting over. The file is bound to its sweep by a
@@ -57,16 +57,16 @@ const defaultFlushEvery = 8
 // two generator versions can emit different bodies under the same name,
 // and resuming the new sweep from the old sweep's checkpoint would
 // silently splice stale timings into the figure.
-func sweepSignature(pts []point, iterations int) string {
+func sweepSignature(pts []KernelPoint, iterations int) string {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "iters=%d;n=%d;", iterations, len(pts))
 	for _, p := range pts {
 		var kid string
-		if p.k != nil {
-			sum := p.k.Hash()
+		if p.K != nil {
+			sum := p.K.Hash()
 			kid = fmt.Sprintf("%x", sum[:8])
 		}
-		fmt.Fprintf(h, "%s|%s|%g|%dx%d;", p.card.Label(), kid, p.x, p.w, p.h)
+		fmt.Fprintf(h, "%s|%s|%g|%dx%d;", p.Card.Label(), kid, p.X, p.W, p.H)
 	}
 	return fmt.Sprintf("%016x", h.Sum64())
 }
@@ -168,7 +168,7 @@ func (c *checkpoint) flushLocked() error {
 	if err != nil {
 		return fmt.Errorf("core: checkpoint: %w", err)
 	}
-	if err := WriteFileAtomic(c.path, data); err != nil {
+	if err := fsatomic.WriteFile(c.path, data); err != nil {
 		return fmt.Errorf("core: checkpoint: %w", err)
 	}
 	c.dirty = 0
@@ -248,20 +248,8 @@ func MergeCheckpoints(dst string, srcs ...string) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("core: merge: %w", err)
 	}
-	if err := WriteFileAtomic(dst, data); err != nil {
+	if err := fsatomic.WriteFile(dst, data); err != nil {
 		return 0, fmt.Errorf("core: merge: %w", err)
 	}
 	return len(merged.Runs), nil
-}
-
-// WriteFileAtomic writes data to path crash-atomically AND safely under
-// concurrent writers to the same path; it is fsatomic.WriteFile under
-// the name higher layers persisting campaign state have always used.
-// (An earlier version used a fixed path+".tmp" temp name, which was
-// crash-atomic for one writer but let two concurrent writers — the
-// multi-client daemon case — rename each other's half-written temps
-// into place; internal/fsatomic documents the race and carries the
-// regression test.)
-func WriteFileAtomic(path string, data []byte) error {
-	return fsatomic.WriteFile(path, data)
 }

@@ -167,7 +167,7 @@ type Suite struct {
 	Tracer *obs.Tracer
 	// Progress, when non-nil, receives a live single-line sweep progress
 	// report (points done/total, failures, cache hit rate, ETA) during
-	// runPoints (`amdmb -progress`).
+	// every sweep (`amdmb -progress`).
 	Progress io.Writer
 	// MaxDomain, when positive, clamps every sweep point's domain to at
 	// most MaxDomain x MaxDomain. Figures shrink accordingly; the knob
@@ -206,7 +206,7 @@ type Suite struct {
 	ctr     *sweepCounters
 	// testHookBeforeRun, when set, runs before every kernel launch; tests
 	// use it to inject panics into the sweep.
-	testHookBeforeRun func(p point, attempt int)
+	testHookBeforeRun func(p KernelPoint, attempt int)
 }
 
 // NewSuite constructs a suite.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,14 +23,6 @@ import (
 // for transient launch faults, cancellation of the remaining points on
 // the first fatal error, and JSON checkpointing so an interrupted sweep
 // resumes instead of recomputing.
-
-// point is one sweep job: a kernel to time on a card at an x coordinate.
-type point struct {
-	card Card
-	x    float64
-	k    *il.Kernel
-	w, h int
-}
 
 // Workers sets the sweep parallelism; zero means GOMAXPROCS. It is a
 // Suite field so tests can force serial execution.
@@ -52,7 +45,7 @@ var errLaunchPanic = errors.New("panic during launch")
 var ErrSweepInterrupted = errors.New("core: sweep interrupted")
 
 // Interrupt cancels every in-flight sweep on the suite: undispatched
-// points are abandoned and runPoints returns ErrSweepInterrupted.
+// points are abandoned and RunKernelPoints returns ErrSweepInterrupted.
 // Points already dispatched complete (and checkpoint) normally, so an
 // interrupted sweep's checkpoint is always a consistent prefix of the
 // campaign. Safe from any goroutine; a suite with no sweep in flight
@@ -96,59 +89,34 @@ type KernelPoint struct {
 	W, H int
 }
 
-// RunKernelPoints times every point and returns the runs in input order,
-// with the same failure policy as the figure sweeps.
-func (s *Suite) RunKernelPoints(kps []KernelPoint) ([]Run, error) {
-	return s.RunKernelPointsObserved(kps, nil)
+// SweepOptions tunes one RunKernelPoints sweep. The zero value runs the
+// whole sweep unobserved.
+type SweepOptions struct {
+	// Observe, when non-nil, is called on the worker goroutine just
+	// before point i's first launch attempt; the function it returns is
+	// called right after the point resolves (completed or failure
+	// record). Points restored from a checkpoint are never observed —
+	// they do not execute. The campaign scheduler uses the hook for
+	// per-unit spans and counters without a second accounting path
+	// inside the sweep runner.
+	Observe func(i int) func(Run)
+	// Shard and Shards restrict execution to one shard of a
+	// deterministic interleaved partition: only points with index
+	// i%Shards == Shard execute, and the other entries of the returned
+	// slice are zero Runs. The domain clamp and the checkpoint signature
+	// still cover the FULL point list, so every shard of a campaign
+	// binds to the same sweep identity: shard checkpoint files record
+	// runs at their global indices and merge cleanly (MergeCheckpoints)
+	// into a checkpoint an unsharded run resumes from. Shards <= 1 runs
+	// everything; a Shard outside 0..Shards-1 fails the sweep.
+	Shard, Shards int
 }
 
-// RunKernelPointsObserved is RunKernelPoints with a per-point observation
-// hook: when observe is non-nil, it is called on the worker goroutine
-// just before point i's first launch attempt, and the function it
-// returns is called right after the point resolves (completed or failure
-// record). Points restored from a checkpoint are never observed — they
-// do not execute. The campaign scheduler uses the hook for per-unit
-// spans and unit-level counters without a second accounting path inside
-// the sweep runner.
-func (s *Suite) RunKernelPointsObserved(kps []KernelPoint, observe func(i int) func(Run)) ([]Run, error) {
-	return s.RunKernelPointsSharded(kps, observe, 0, 1)
-}
-
-// RunKernelPointsSharded is RunKernelPointsObserved restricted to one
-// shard of a deterministic interleaved partition: of the shared point
-// list, only points with index i%shards == shard execute. The returned
-// slice still has one entry per input point — non-shard entries are
-// zero Runs — and the checkpoint signature is computed over the FULL
-// point list, so every shard of a campaign binds to the same sweep
-// identity: shard checkpoint files record runs at their global indices
-// and merge cleanly (MergeCheckpoints) into a checkpoint an unsharded
-// run resumes from. shards <= 1 runs everything.
-func (s *Suite) RunKernelPointsSharded(kps []KernelPoint, observe func(i int) func(Run), shard, shards int) ([]Run, error) {
-	return s.RunKernelPointsShardedCtx(context.Background(), kps, observe, shard, shards)
-}
-
-// RunKernelPointsShardedCtx is RunKernelPointsSharded bound to a parent
-// context: cancelling ctx stops the sweep exactly like Suite.Interrupt —
-// undispatched points are abandoned, dispatched points complete and
-// checkpoint, and the sweep returns ErrSweepInterrupted. It exists for
-// callers multiplexing several independent sweeps over ONE shared suite
-// (the campaign daemon): Interrupt cancels every sweep in flight, a
-// context cancels just its own.
-func (s *Suite) RunKernelPointsShardedCtx(ctx context.Context, kps []KernelPoint, observe func(i int) func(Run), shard, shards int) ([]Run, error) {
-	if shards > 1 && (shard < 0 || shard >= shards) {
-		return nil, fmt.Errorf("core: shard %d out of range 0..%d", shard, shards-1)
-	}
-	pts := make([]point, len(kps))
-	for i, kp := range kps {
-		pts[i] = point{card: kp.Card, x: kp.X, k: kp.K, w: kp.W, h: kp.H}
-	}
-	return s.runPointsSharded(ctx, pts, observe, shard, shards)
-}
-
-// runPoints times every point and returns the runs in input order.
-// Device contexts are created up front so a bad card fails the sweep
-// before any worker starts; the context map itself is safe for
-// concurrent lookup and the contexts are read-only during launches.
+// RunKernelPoints is the suite's one sweep entry point: it times every
+// point (of opts' shard) and returns the runs in input order. Device
+// contexts are created up front so a bad card fails the sweep before any
+// worker starts; the context map itself is safe for concurrent lookup
+// and the contexts are read-only during launches.
 //
 // Failure policy, per the cal taxonomy: transient launch failures retry
 // up to s.Retries times with doubling backoff; timeouts, exhausted
@@ -156,30 +124,29 @@ func (s *Suite) RunKernelPointsShardedCtx(ctx context.Context, kps []KernelPoint
 // (Run.Err) and the sweep continues; anything else — a lost device, a
 // compile or configuration error — is fatal, cancels the undispatched
 // points and fails the sweep.
-func (s *Suite) runPoints(pts []point, observe func(i int) func(Run)) ([]Run, error) {
-	return s.runPointsSharded(context.Background(), pts, observe, 0, 1)
-}
-
-// runPointsSharded is runPoints over one shard of an interleaved
-// partition (shards <= 1 means the whole sweep). The domain clamp and
-// the checkpoint signature cover every point — identical across shards
-// — while dispatch, checkpoint restore and progress accounting cover
-// only the shard's own indices. Cancelling parent interrupts the sweep
-// the same way Suite.Interrupt does, but scoped to this sweep alone.
-func (s *Suite) runPointsSharded(parent context.Context, pts []point, observe func(i int) func(Run), shard, shards int) ([]Run, error) {
-	mine := func(i int) bool { return shards <= 1 || i%shards == shard }
+//
+// Cancelling parent stops the sweep exactly like Suite.Interrupt —
+// undispatched points are abandoned, dispatched points complete and
+// checkpoint, and the sweep returns ErrSweepInterrupted — but scoped to
+// this sweep alone. Callers multiplexing several independent sweeps over
+// ONE shared suite (the campaign daemon) cancel just their own.
+func (s *Suite) RunKernelPoints(parent context.Context, kps []KernelPoint, opts SweepOptions) ([]Run, error) {
+	shard, shards := opts.Shard, max(opts.Shards, 1)
+	if shard < 0 || shard >= shards {
+		return nil, fmt.Errorf("core: shard %d out of range 0..%d", shard, shards-1)
+	}
+	mine := func(i int) bool { return i%shards == shard }
+	pts := kps
 	if s.MaxDomain > 0 {
+		// Clamp a copy: the caller's points are never rewritten.
+		pts = slices.Clone(kps)
 		for i := range pts {
-			if pts[i].w > s.MaxDomain {
-				pts[i].w = s.MaxDomain
-			}
-			if pts[i].h > s.MaxDomain {
-				pts[i].h = s.MaxDomain
-			}
+			pts[i].W = min(pts[i].W, s.MaxDomain)
+			pts[i].H = min(pts[i].H, s.MaxDomain)
 		}
 	}
 	for _, p := range pts {
-		if _, err := s.context(p.card.Arch); err != nil {
+		if _, err := s.context(p.Card.Arch); err != nil {
 			return nil, err
 		}
 	}
@@ -264,8 +231,8 @@ func (s *Suite) runPointsSharded(parent context.Context, pts []point, observe fu
 			defer wg.Done()
 			for i := range jobs {
 				var end func(Run)
-				if observe != nil {
-					end = observe(i)
+				if opts.Observe != nil {
+					end = opts.Observe(i)
 				}
 				run, err := s.runPointResilient(ctx, pts[i])
 				if err != nil {
@@ -340,7 +307,7 @@ feed:
 // runPointResilient drives one point through the retry policy. A non-nil
 // error is fatal for the sweep; recoverable failures come back as a Run
 // failure record.
-func (s *Suite) runPointResilient(ctx context.Context, p point) (Run, error) {
+func (s *Suite) runPointResilient(ctx context.Context, p KernelPoint) (Run, error) {
 	ctr := s.counters()
 	backoff := s.RetryBackoff
 	if backoff <= 0 {
@@ -351,7 +318,7 @@ func (s *Suite) runPointResilient(ctx context.Context, p point) (Run, error) {
 		run, err := s.runKernelSafe(p, attempt)
 		attempt++
 		if err == nil {
-			run.X = p.x
+			run.X = p.X
 			run.Attempts = attempt
 			return run, nil
 		}
@@ -373,17 +340,17 @@ func (s *Suite) runPointResilient(ctx context.Context, p point) (Run, error) {
 		}
 		if cal.IsRecoverable(err) || errors.Is(err, errLaunchPanic) {
 			return Run{
-				Card: p.card, X: p.x, Attempts: attempt,
-				Err: fmt.Sprintf("%s at x=%g: %v", p.card.Label(), p.x, err),
+				Card: p.Card, X: p.X, Attempts: attempt,
+				Err: fmt.Sprintf("%s at x=%g: %v", p.Card.Label(), p.X, err),
 			}, nil
 		}
-		return Run{}, fmt.Errorf("core: %s at x=%g: %w", p.card.Label(), p.x, err)
+		return Run{}, fmt.Errorf("core: %s at x=%g: %w", p.Card.Label(), p.X, err)
 	}
 }
 
 // runKernelSafe is runKernel behind a panic fence: a panicking launch on
 // a worker must fail its point, not the process.
-func (s *Suite) runKernelSafe(p point, attempt int) (run Run, err error) {
+func (s *Suite) runKernelSafe(p KernelPoint, attempt int) (run Run, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			err = fmt.Errorf("%w: %v", errLaunchPanic, rec)
@@ -395,5 +362,5 @@ func (s *Suite) runKernelSafe(p point, attempt int) (run Run, err error) {
 	if s.testHookBeforeRun != nil {
 		s.testHookBeforeRun(p, attempt)
 	}
-	return s.runKernel(p.card, p.k, p.w, p.h, attempt)
+	return s.runKernel(p.Card, p.K, p.W, p.H, attempt)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"os"
@@ -72,8 +73,8 @@ func TestSweepRecordsTimeoutFailure(t *testing.T) {
 
 func TestSweepPanicRecoveredIntoPointError(t *testing.T) {
 	s := quickSuite()
-	s.testHookBeforeRun = func(p point, attempt int) {
-		if p.x == 0.75 {
+	s.testHookBeforeRun = func(p KernelPoint, attempt int) {
+		if p.X == 0.75 {
 			panic("injected test panic")
 		}
 	}
@@ -325,8 +326,8 @@ func TestSweepSignatureKeysOnKernelBodyNotName(t *testing.T) {
 		t.Fatal("precondition broken: kernel bodies identical")
 	}
 	card := Card{Arch: device.RV770, Mode: il.Pixel, Type: il.Float}
-	ptsA := []point{{card: card, x: 1, k: ka, w: 64, h: 64}}
-	ptsB := []point{{card: card, x: 1, k: kb, w: 64, h: 64}}
+	ptsA := []KernelPoint{{Card: card, X: 1, K: ka, W: 64, H: 64}}
+	ptsB := []KernelPoint{{Card: card, X: 1, K: kb, W: 64, H: 64}}
 	if sweepSignature(ptsA, 1) == sweepSignature(ptsB, 1) {
 		t.Fatal("sweep signature ignores the kernel body: different kernels under one name share a signature")
 	}
@@ -471,7 +472,7 @@ func TestCheckpointQuarantineCollisionIsError(t *testing.T) {
 // started its nth launch, returning a counter of launches seen.
 func interruptAfter(s *Suite, n int64) *atomic.Int64 {
 	var seen atomic.Int64
-	s.testHookBeforeRun = func(p point, attempt int) {
+	s.testHookBeforeRun = func(p KernelPoint, attempt int) {
 		if seen.Add(1) == n {
 			s.Interrupt()
 		}
@@ -559,7 +560,7 @@ func TestRunKernelPointsMatchesFigureSweep(t *testing.T) {
 		}
 		kps = append(kps, KernelPoint{Card: card, X: r, K: k, W: 64, H: 64})
 	}
-	runs2, err := s2.RunKernelPoints(kps)
+	runs2, err := s2.RunKernelPoints(context.Background(), kps, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -569,6 +570,69 @@ func TestRunKernelPointsMatchesFigureSweep(t *testing.T) {
 	for i := range runs {
 		if runs[i] != runs2[i] {
 			t.Errorf("run %d differs: %+v vs %+v", i, runs[i], runs2[i])
+		}
+	}
+}
+
+func TestSweepSignaturePinned(t *testing.T) {
+	// The signature is the identity checkpoints and shard files resume
+	// under: if it drifts, files written by an earlier build silently
+	// stop resuming. Pin it over a fixed three-point list covering two
+	// kernel bodies, a nil kernel, two cards, a fractional x and a
+	// non-square domain.
+	s := quickSuite()
+	p := kerngen.Params{
+		Mode: il.Pixel, Type: il.Float, Inputs: 4, Outputs: 1,
+		ALUFetchRatio: 1.0, Name: "sig_pin",
+	}
+	ka, err := s.generate(pipeline.GenALUFetch, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Inputs = 8
+	kb, err := s.generate(pipeline.GenALUFetch, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rv770 := Card{Arch: device.RV770, Mode: il.Pixel, Type: il.Float}
+	rv870 := Card{Arch: device.RV870, Mode: il.Compute, Type: il.Float4, BlockW: 64, BlockH: 1}
+	pts := []KernelPoint{
+		{Card: rv770, X: 0.25, K: ka, W: 64, H: 64},
+		{Card: rv870, X: 8, K: kb, W: 256, H: 32},
+		{Card: rv770, X: 1e-3, W: 16, H: 16},
+	}
+	const want = "1b6a82a1195e7508"
+	if got := sweepSignature(pts, 3); got != want {
+		t.Fatalf("sweepSignature = %s, pinned %s", got, want)
+	}
+}
+
+func TestRunKernelPointsClampsACopy(t *testing.T) {
+	// The MaxDomain clamp must not rewrite the caller's points: the
+	// campaign scheduler keeps its units' points and fans them out later.
+	s := quickSuite()
+	s.MaxDomain = 16
+	card := sweepCfg().Cards[0]
+	p := card.params(4, 1, il.TextureSpace, il.TextureSpace)
+	p.ALUFetchRatio = 1
+	k, err := s.generate(pipeline.GenALUFetch, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kps := []KernelPoint{{Card: card, X: 1, K: k, W: 64, H: 32}}
+	if _, err := s.RunKernelPoints(context.Background(), kps, SweepOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if kps[0].W != 64 || kps[0].H != 32 {
+		t.Fatalf("caller's point clamped in place to %dx%d", kps[0].W, kps[0].H)
+	}
+}
+
+func TestRunKernelPointsRejectsBadShard(t *testing.T) {
+	s := quickSuite()
+	for _, o := range []SweepOptions{{Shard: 2, Shards: 2}, {Shard: -1, Shards: 2}, {Shard: 1}} {
+		if _, err := s.RunKernelPoints(context.Background(), nil, o); err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("shard %d/%d: err = %v, want out of range", o.Shard, o.Shards, err)
 		}
 	}
 }

@@ -1,13 +1,17 @@
 package core
 
-import "amdgpubench/internal/report"
+import (
+	"context"
+
+	"amdgpubench/internal/report"
+)
 
 // A FigureSpec is a declaratively planned figure: the figure template,
 // the exact sweep points that produce it, and how completed runs fold
 // into the template's series. Every figure method on Suite (Fig7..Fig17,
 // the extensions) is a spec builder plus RunFigureSpec; the campaign
 // scheduler (internal/campaign) consumes the same specs to plan several
-// figures as one deduplicated DAG of work units.
+// figures as one set of deduplicated launch units.
 type FigureSpec struct {
 	// Fig is the figure template the spec's runs assemble into. It is
 	// single-use: Finish appends series to it. Nil means the spec has no
@@ -39,7 +43,7 @@ func (sp FigureSpec) FinishInto(runs []Run) {
 // assembly. Multi-spec runs with cross-figure deduplication live in
 // internal/campaign.
 func (s *Suite) RunFigureSpec(spec FigureSpec) (*report.Figure, []Run, error) {
-	runs, err := s.RunKernelPoints(spec.Points)
+	runs, err := s.RunKernelPoints(context.Background(), spec.Points, SweepOptions{})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -1,6 +1,7 @@
 package hier
 
 import (
+	"context"
 	"fmt"
 
 	"amdgpubench/internal/core"
@@ -103,10 +104,10 @@ func SuiteMeasurer(s *core.Suite, arch device.Arch) Measurer {
 			return 0, err
 		}
 		card := core.Card{Arch: arch, Mode: il.Pixel, Type: p.Type}
-		runs, err := s.RunKernelPoints([]core.KernelPoint{{
+		runs, err := s.RunKernelPoints(context.Background(), []core.KernelPoint{{
 			Card: card, X: float64(p.FootprintBytes()),
 			K: k, W: p.Width(), H: p.Height(),
-		}})
+		}}, core.SweepOptions{})
 		if err != nil {
 			return 0, err
 		}

@@ -189,45 +189,33 @@ const (
 	GenClauseUsage
 )
 
+// generators is the one name+func table, indexed by Generator.
+var generators = [...]struct {
+	name string
+	fn   func(kerngen.Params) (*il.Kernel, error)
+}{
+	GenGeneric:       {"generic", kerngen.Generic},
+	GenALUFetch:      {"alufetch", kerngen.ALUFetch},
+	GenReadLatency:   {"readlatency", kerngen.ReadLatency},
+	GenWriteLatency:  {"writelatency", kerngen.WriteLatency},
+	GenDomain:        {"domain", kerngen.Domain},
+	GenRegisterUsage: {"registerusage", kerngen.RegisterUsage},
+	GenClauseUsage:   {"clauseusage", kerngen.ClauseUsage},
+}
+
 // String names the generator.
 func (g Generator) String() string {
-	switch g {
-	case GenGeneric:
-		return "generic"
-	case GenALUFetch:
-		return "alufetch"
-	case GenReadLatency:
-		return "readlatency"
-	case GenWriteLatency:
-		return "writelatency"
-	case GenDomain:
-		return "domain"
-	case GenRegisterUsage:
-		return "registerusage"
-	case GenClauseUsage:
-		return "clauseusage"
+	if g < 0 || int(g) >= len(generators) {
+		return "?"
 	}
-	return "?"
+	return generators[g].name
 }
 
 func (g Generator) fn() (func(kerngen.Params) (*il.Kernel, error), error) {
-	switch g {
-	case GenGeneric:
-		return kerngen.Generic, nil
-	case GenALUFetch:
-		return kerngen.ALUFetch, nil
-	case GenReadLatency:
-		return kerngen.ReadLatency, nil
-	case GenWriteLatency:
-		return kerngen.WriteLatency, nil
-	case GenDomain:
-		return kerngen.Domain, nil
-	case GenRegisterUsage:
-		return kerngen.RegisterUsage, nil
-	case GenClauseUsage:
-		return kerngen.ClauseUsage, nil
+	if g < 0 || int(g) >= len(generators) {
+		return nil, fmt.Errorf("pipeline: unknown generator %d", int(g))
 	}
-	return nil, fmt.Errorf("pipeline: unknown generator %d", int(g))
+	return generators[g].fn, nil
 }
 
 type generateKey struct {

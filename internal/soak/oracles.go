@@ -1,6 +1,7 @@
 package soak
 
 import (
+	"context"
 	"fmt"
 
 	"amdgpubench/internal/conformance"
@@ -110,7 +111,7 @@ func (c *campaign) checkDeterminism(st step, runs []core.Run) {
 func (c *campaign) referenceRun(p core.KernelPoint) (core.Run, error) {
 	s := newSuite(c.cfg)
 	s.DisableArtifactCache = true
-	runs, err := s.RunKernelPoints([]core.KernelPoint{p})
+	runs, err := s.RunKernelPoints(context.Background(), []core.KernelPoint{p}, core.SweepOptions{})
 	if err != nil {
 		return core.Run{}, err
 	}
@@ -125,7 +126,7 @@ func (c *campaign) determinismPred(p core.KernelPoint) conformance.Pred {
 		q := p
 		q.K = k
 		cached := newSuite(c.cfg)
-		a, err := cached.RunKernelPoints([]core.KernelPoint{q})
+		a, err := cached.RunKernelPoints(context.Background(), []core.KernelPoint{q}, core.SweepOptions{})
 		if err != nil {
 			return false
 		}
@@ -217,7 +218,7 @@ func (c *campaign) checkTrace(st step) {
 // fresh suite: resuming from a checkpoint must be invisible in the
 // output, bit for bit, Run for Run.
 func (c *campaign) checkCheckpointIdentity(st step, runs []core.Run) {
-	ref, err := newSuite(c.cfg).RunKernelPoints(st.points)
+	ref, err := newSuite(c.cfg).RunKernelPoints(context.Background(), st.points, core.SweepOptions{})
 	if err != nil {
 		c.record(Violation{
 			Oracle: OracleCheckpoint, Step: st.Index,

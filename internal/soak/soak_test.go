@@ -2,6 +2,7 @@ package soak
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"amdgpubench/internal/core"
 	"amdgpubench/internal/fault"
 	"amdgpubench/internal/il"
 )
@@ -220,7 +222,7 @@ func TestMetricsOracleCatchesSkew(t *testing.T) {
 	cfg := Config{Seed: 8, Steps: 1, KernelsPerStep: 2, Workers: 1}.withDefaults()
 	c := &campaign{cfg: cfg, suite: newSuite(cfg), report: &Report{Seed: cfg.Seed}}
 	st := planStep(cfg, 0)
-	runs, err := c.suite.RunKernelPoints(st.points)
+	runs, err := c.suite.RunKernelPoints(context.Background(), st.points, core.SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

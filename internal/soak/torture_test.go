@@ -2,6 +2,7 @@ package soak
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -55,7 +56,7 @@ func tortureChild() int {
 	// final cycle's kill misses the child entirely.
 	s.CheckpointFlushEvery = 1
 	s.BeforeLaunch = func() { time.Sleep(3 * time.Millisecond) }
-	runs, err := s.RunKernelPoints(childPoints())
+	runs, err := s.RunKernelPoints(context.Background(), childPoints(), core.SweepOptions{})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
