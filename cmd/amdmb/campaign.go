@@ -5,33 +5,31 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"path/filepath"
-	"sort"
 	"strings"
 
 	"amdgpubench/internal/campaign"
-	"amdgpubench/internal/core"
 )
 
 // The campaign subcommand: plan several figures as one deduplicated set
 // of launch units (internal/campaign) and execute them as a single
-// resilient sweep — shared work runs once, its result fans out to every
-// subscribing figure, and one checkpoint covers the whole bundle.
+// resilient sweep — shared work runs once and its result fans out to
+// every subscribing figure.
 //
 //	amdmb campaign -figs fig7,fig8,fig11,fig16 -csv
 //	amdmb campaign -figs fig16,clausectl -plan     # schedule + dedup stats, run nothing
 //
-// A campaign partitions across processes with -shard i/n: each shard
-// runs the units whose scheduled index is congruent to i mod n, records
-// them in its own checkpoint file (<checkpoint>.shard<i>of<n>, derived
-// from the required -checkpoint flag) under the FULL campaign's
-// signature, and emits no figures. The follow-up unsharded run with the
-// same -checkpoint merges every shard file it finds and restores the
-// union, emitting figures byte-identical to a run that never sharded:
+// The persistent -cache-dir is the campaign's only durable store: a
+// campaign killed midway resumes by rerunning it over the same
+// directory, which serves every launch it finished from disk. Sharding
+// is processes sharing one -cache-dir: with -shard i/n a process runs
+// the units whose scheduled index is congruent to i mod n, writes their
+// results into the directory, and emits no figures. The follow-up
+// unsharded run over the same directory serves every unit from disk,
+// emitting figures byte-identical to a run that never sharded:
 //
-//	amdmb campaign -figs fig7,fig8 -checkpoint ck.json -shard 0/2 &
-//	amdmb campaign -figs fig7,fig8 -checkpoint ck.json -shard 1/2 &
-//	wait; amdmb campaign -figs fig7,fig8 -checkpoint ck.json -csv
+//	amdmb campaign -figs fig7,fig8 -cache-dir cache -shard 0/2 &
+//	amdmb campaign -figs fig7,fig8 -cache-dir cache -shard 1/2 &
+//	wait; amdmb campaign -figs fig7,fig8 -cache-dir cache -csv
 //
 // With -remote the campaign runs on an amdmbd daemon instead of
 // in-process: the request (figures, -max-domain, -iters, optionally
@@ -66,7 +64,7 @@ func runCampaignCmd(argv []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&figs, "figs", "", "comma-separated figures to schedule together (required)")
 	fs.BoolVar(&planOnly, "plan", false, "print the deduped schedule and dedup statistics, run nothing")
 	fs.IntVar(&workers, "workers", 0, "sweep parallelism (0 = GOMAXPROCS)")
-	fs.StringVar(&shardSpec, "shard", "", "run shard i of n (format i/n, requires -checkpoint); shards merge into the unsharded run")
+	fs.StringVar(&shardSpec, "shard", "", "run shard i of n (format i/n, requires -cache-dir); an unsharded run over the same -cache-dir combines the shards")
 	fs.StringVar(&remote, "remote", "", "run the campaign on an amdmbd daemon at this address instead of in-process (requires -csv)")
 	fs.StringVar(&archsSpec, "archs", "", "comma-separated architectures to restrict every figure to, e.g. 4870,RV870 (remote only)")
 	c.commonFlags(fs)
@@ -80,8 +78,12 @@ func runCampaignCmd(argv []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	}
-	if shards > 1 && c.checkpoint == "" {
-		fmt.Fprintln(stderr, "amdmb campaign: -shard requires -checkpoint (shards combine through checkpoint files)")
+	if shards > 1 && c.cacheDir == "" {
+		fmt.Fprintln(stderr, "amdmb campaign: -shard requires -cache-dir (shards combine through the persistent cache)")
+		return 2
+	}
+	if shards > 1 && c.noCache {
+		fmt.Fprintln(stderr, "amdmb campaign: -shard cannot combine with -no-cache (it turns off the persistent cache the shards combine through)")
 		return 2
 	}
 	if len(fs.Args()) != 0 {
@@ -122,9 +124,8 @@ func runCampaignCmd(argv []string, stdout, stderr io.Writer) int {
 		// remote meaning; failing beats silently ignoring them. -iters
 		// and -max-domain travel in the request instead.
 		localOnly := map[string]bool{
-			"plan": true, "shard": true, "workers": true, "checkpoint": true,
-			"checkpoint-flush": true,
-			"faults":           true, "no-cache": true, "cache-dir": true, "trace": true,
+			"plan": true, "shard": true, "workers": true,
+			"faults": true, "no-cache": true, "cache-dir": true, "trace": true,
 			"cache-stats": true, "metrics": true, "metrics-json": true,
 			"progress": true, "o": true, "timeout": true, "retries": true,
 		}
@@ -154,24 +155,6 @@ func runCampaignCmd(argv []string, stdout, stderr io.Writer) int {
 	if archsSpec != "" {
 		fmt.Fprintln(stderr, "amdmb campaign: -archs requires -remote (local campaigns sweep every architecture a figure defines)")
 		return 2
-	}
-
-	// A shard writes to its own checkpoint file; the unsharded run first
-	// merges any shard files present so their work restores instead of
-	// recomputing.
-	if shards > 1 {
-		c.checkpoint = fmt.Sprintf("%s.shard%dof%d", c.checkpoint, shard, shards)
-	} else if c.checkpoint != "" {
-		if files, _ := filepath.Glob(c.checkpoint + ".shard*of*"); len(files) > 0 {
-			sort.Strings(files)
-			n, err := core.MergeCheckpoints(c.checkpoint, files...)
-			if err != nil {
-				fmt.Fprintf(stderr, "amdmb campaign: %v\n", err)
-				return 1
-			}
-			fmt.Fprintf(stderr, "campaign: merged %d runs from %d shard checkpoints into %s\n",
-				n, len(files), c.checkpoint)
-		}
 	}
 
 	s, err := c.newSuite()
@@ -204,9 +187,8 @@ func runCampaignCmd(argv []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	if shards > 1 {
-		fmt.Fprintf(stderr, "campaign shard %d/%d: units=%d scheduled=%d executed=%d restored=%d failed=%d\n",
-			shard, shards, len(plan.Units), res.Scheduled, res.Executed,
-			res.Scheduled-res.Executed, res.Failed())
+		fmt.Fprintf(stderr, "campaign shard %d/%d: units=%d executed=%d failed=%d\n",
+			shard, shards, len(plan.Units), res.Executed, res.Failed())
 		return c.epilogue(s)
 	}
 	for _, fig := range res.Figures {
@@ -215,8 +197,8 @@ func runCampaignCmd(argv []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 	}
-	fmt.Fprintf(stderr, "campaign: figures=%d points=%d units=%d deduped=%d executed=%d restored=%d failed=%d\n",
+	fmt.Fprintf(stderr, "campaign: figures=%d points=%d units=%d deduped=%d executed=%d failed=%d\n",
 		res.Stats.Figures, res.Stats.Points, len(plan.Units), res.Stats.Deduped,
-		res.Executed, len(plan.Units)-res.Executed, res.Failed())
+		res.Executed, res.Failed())
 	return c.epilogue(s)
 }

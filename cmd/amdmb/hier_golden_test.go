@@ -77,29 +77,29 @@ func TestHierCampaignGlobCacheIdentity(t *testing.T) {
 }
 
 // TestHierCampaignShardsMergeToGoldens splits the dissection bundle
-// across two shard processes and merges: the unsharded follow-up must
-// restore everything (executed=0) and emit the goldens bit-exactly.
+// across two shard processes sharing one -cache-dir: the unsharded
+// follow-up must serve everything from disk (pipeline.persist.misses 0)
+// and emit the goldens bit-exactly.
 func TestHierCampaignShardsMergeToGoldens(t *testing.T) {
-	ck := filepath.Join(t.TempDir(), "ck.json")
+	cache := filepath.Join(t.TempDir(), "cache")
 	for shard := 0; shard < 2; shard++ {
 		spec := fmt.Sprintf("%d/2", shard)
 		code, out, stderr := runCLI(t,
-			"campaign", "-figs", "hier-*", "-iters", "1", "-checkpoint", ck, "-shard", spec)
+			"campaign", "-figs", "hier-*", "-iters", "1", "-cache-dir", cache, "-shard", spec)
 		if code != 0 {
 			t.Fatalf("shard %s: exit %d, stderr: %s", spec, code, stderr)
 		}
 		if out != "" {
-			t.Errorf("shard %s emitted figures; shards must only checkpoint:\n%s", spec, out)
+			t.Errorf("shard %s emitted figures; shards must only persist:\n%s", spec, out)
 		}
 	}
 	code, out, stderr := runCLI(t,
-		"campaign", "-figs", "hier-*", "-iters", "1", "-csv", "-checkpoint", ck)
+		"campaign", "-figs", "hier-*", "-iters", "1", "-csv", "-cache-dir", cache, "-metrics")
 	if code != 0 {
 		t.Fatalf("merge run: exit %d, stderr: %s", code, stderr)
 	}
-	if !strings.Contains(stderr, "executed=0") {
-		t.Errorf("merge run re-executed units: %s", stderr)
-	}
+	out, metrics := cutMetrics(t, out)
+	requireAllPersisted(t, metrics)
 	if want := concatenatedHierGoldens(t); out != want {
 		t.Errorf("sharded+merged campaign stdout diverges from goldens:\n%s", firstDiff(want, out))
 	}

@@ -15,9 +15,8 @@
 //
 // The campaign subcommand plans several figures as one deduplicated set
 // of launch units and executes them as a single resilient sweep, so
-// work shared between figures runs once and a checkpoint spans the
-// whole bundle; `-plan` prints the schedule and dedup statistics
-// without running. See campaign.go and internal/campaign; `amdmb
+// work shared between figures runs once; `-plan` prints the schedule
+// and dedup statistics without running. See campaign.go and internal/campaign; `amdmb
 // campaign -h` lists its flags. Beyond the paper's figures, the
 // campaign registry includes the memory-hierarchy dissection figures
 // hier-lat, hier-wset, hier-line and hier-stride (internal/hier); a
@@ -31,8 +30,8 @@
 // and internal/hier; `amdmb infer -h` lists its flags.
 //
 // The soak subcommand runs seeded adversarial stress campaigns —
-// generated kernels under fault injection, kill/checkpoint/resume
-// cycles and cache churn, with continuous invariant oracles and
+// generated kernels under fault injection, kill/resume cycles and
+// cache churn, with continuous invariant oracles and
 // crash-torture of child amdmb processes; see soak.go and
 // internal/soak. `amdmb soak -h` lists its flags.
 //
@@ -44,14 +43,14 @@
 //	-o dir             also write <dir>/<figure>.csv and a matching gnuplot script
 //	-timeout N         per-launch watchdog budget in simulated cycles (0 = default)
 //	-retries N         retry attempts for transient launch failures (default 2)
-//	-checkpoint file   record completed sweep points; re-running resumes from it
 //	-faults plan       arm deterministic fault injection, e.g.
 //	                   'seed=42;hang:prob=0.01;transient:prob=0.05'
 //	-cache-stats       print the pipeline's per-stage artifact-cache counters
 //	-no-cache          disable content-addressed artifact caching (recompute all)
 //	-cache-dir dir     persistent on-disk simulate-result cache: results load
-//	                   from dir before computing and write through, so repeat
-//	                   runs (and daemon restarts) replay instead of recompute
+//	                   from dir before computing and write through, so an
+//	                   interrupted run resumes and repeat runs (and daemon
+//	                   restarts) replay instead of recompute
 //	-trace file        record per-launch spans (with the pipeline stages nested
 //	                   inside) as Chrome trace_event JSON; open in Perfetto or
 //	                   chrome://tracing
@@ -101,8 +100,6 @@ type cli struct {
 	outDir      string
 	timeout     uint64
 	retries     int
-	checkpoint  string
-	ckptFlush   int
 	faults      string
 	cacheStats  bool
 	noCache     bool
@@ -272,12 +269,10 @@ func (c *cli) commonFlags(fs *flag.FlagSet) {
 	fs.StringVar(&c.outDir, "o", "", "also write <dir>/<figure>.csv and a matching gnuplot script")
 	fs.Uint64Var(&c.timeout, "timeout", 0, "per-launch watchdog budget in simulated cycles (0 = simulator default)")
 	fs.IntVar(&c.retries, "retries", 2, "retry attempts for transient launch failures")
-	fs.StringVar(&c.checkpoint, "checkpoint", "", "JSON file recording completed sweep points; re-running resumes from it")
-	fs.IntVar(&c.ckptFlush, "checkpoint-flush", 0, "save the checkpoint every N completed points (0 = default batching; 1 = every point)")
 	fs.StringVar(&c.faults, "faults", "", "deterministic fault-injection plan, e.g. 'seed=42;hang:prob=0.01;transient:prob=0.05'")
 	fs.BoolVar(&c.cacheStats, "cache-stats", false, "print the pipeline's per-stage artifact-cache counters after the experiments")
 	fs.BoolVar(&c.noCache, "no-cache", false, "disable content-addressed artifact caching (every stage recomputes)")
-	fs.StringVar(&c.cacheDir, "cache-dir", "", "persistent on-disk simulate-result cache directory (survives restarts; -no-cache disables it)")
+	fs.StringVar(&c.cacheDir, "cache-dir", "", "persistent on-disk simulate-result cache directory; rerunning over it resumes an interrupted run (-no-cache disables it)")
 	fs.StringVar(&c.tracePath, "trace", "", "write per-launch spans as Chrome trace_event JSON to this file")
 	fs.BoolVar(&c.metrics, "metrics", false, "print the suite's metrics registry after the experiments")
 	fs.BoolVar(&c.metricsJSON, "metrics-json", false, "print the metrics registry as JSON (implies -metrics)")
@@ -292,8 +287,6 @@ func (c *cli) newSuite() (*core.Suite, error) {
 	s.Iterations = c.iters
 	s.Retries = c.retries
 	s.DeadlineCycles = c.timeout
-	s.Checkpoint = c.checkpoint
-	s.CheckpointFlushEvery = c.ckptFlush
 	s.DisableArtifactCache = c.noCache
 	s.PersistDir = c.cacheDir
 	s.MaxDomain = c.maxDomain

@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -115,26 +116,30 @@ func TestInjectedHangProducesFailureSummary(t *testing.T) {
 }
 
 func TestCheckpointResumeEndToEnd(t *testing.T) {
-	ck := filepath.Join(t.TempDir(), "ck.json")
-	// First run records a timeout failure; completed points checkpoint.
+	// Resume is a rerun over the same -cache-dir.
+	cache := filepath.Join(t.TempDir(), "cache")
+	// First run records a timeout failure; completed points persist.
 	code, _, stderr := runCLI(t,
-		"-iters", "1", "-timeout", "1048576", "-checkpoint", ck,
+		"-iters", "1", "-timeout", "1048576", "-cache-dir", cache,
 		"-faults", "hang:prob=1,match=writelat_o3",
 		"fig13")
 	if code != 3 {
 		t.Fatalf("first run exit %d, stderr: %s", code, stderr)
 	}
 	// Re-run without faults resumes and fills in the failed points.
-	code, out, stderr := runCLI(t, "-iters", "1", "-checkpoint", ck, "fig13")
+	code, out, stderr := runCLI(t, "-iters", "1", "-cache-dir", cache, "fig13")
 	if code != 0 {
 		t.Fatalf("resume exit %d, stderr: %s", code, stderr)
 	}
 	if strings.Contains(out, "Failure summary") {
 		t.Errorf("resume still reports failures:\n%s", out)
 	}
-	// The resumed figure is identical to a clean run's.
+	// The resumed figure is identical to a clean run's, and now comes
+	// entirely from disk.
 	_, clean, _ := runCLI(t, "-iters", "1", "-csv", "fig13")
-	_, resumed, _ := runCLI(t, "-iters", "1", "-csv", "-checkpoint", ck, "fig13")
+	_, resumed, _ := runCLI(t, "-iters", "1", "-csv", "-cache-dir", cache, "-metrics", "fig13")
+	resumed, metrics := cutMetrics(t, resumed)
+	requireAllPersisted(t, metrics)
 	if clean != resumed {
 		t.Errorf("resumed CSV differs from clean run:\n%s\nvs\n%s", resumed, clean)
 	}
@@ -347,13 +352,22 @@ func TestMaxDomainClampsSweeps(t *testing.T) {
 	if len(lines) < 33 {
 		t.Fatalf("clamped fig7 CSV has %d lines, want >= 33:\n%s", len(lines), out)
 	}
-	// A clamped domain must not resume a full-domain checkpoint.
-	ck := filepath.Join(t.TempDir(), "ck.json")
-	if code, _, stderr := runCLI(t, "-iters", "1", "-checkpoint", ck, "fig13"); code != 0 {
+	// A clamped domain must not resume full-domain results: over the
+	// same -cache-dir it computes, and matches a clamped run without one.
+	cache := filepath.Join(t.TempDir(), "cache")
+	if code, _, stderr := runCLI(t, "-iters", "1", "-cache-dir", cache, "fig13"); code != 0 {
 		t.Fatalf("full-domain run exit %d, stderr: %s", code, stderr)
 	}
-	if code, _, stderr := runCLI(t, "-iters", "1", "-checkpoint", ck, "-max-domain", "16", "-metrics", "fig13"); code != 0 {
+	code, clamped, stderr := runCLI(t, "-iters", "1", "-csv", "-cache-dir", cache, "-max-domain", "16", "-metrics", "fig13")
+	if code != 0 {
 		t.Fatalf("clamped run exit %d, stderr: %s", code, stderr)
+	}
+	clamped, metrics := cutMetrics(t, clamped)
+	if !regexp.MustCompile(`(?m)^pipeline\.persist\.hits +0$`).MatchString(metrics) {
+		t.Errorf("clamped run served full-domain results from the cache:\n%s", metrics)
+	}
+	if _, fresh, _ := runCLI(t, "-iters", "1", "-csv", "-max-domain", "16", "fig13"); clamped != fresh {
+		t.Errorf("clamped run over a full-domain cache differs from a fresh clamped run")
 	}
 }
 

@@ -60,9 +60,9 @@ func TestRemoteUsage(t *testing.T) {
 		wantCode int
 		want     string
 	}{
-		{"checkpoint is local-only",
-			[]string{"campaign", "-figs", "fig7", "-csv", "-remote", ts.URL, "-checkpoint", "ck.json"},
-			2, "-checkpoint"},
+		{"cache-dir is local-only",
+			[]string{"campaign", "-figs", "fig7", "-csv", "-remote", ts.URL, "-cache-dir", "cache"},
+			2, "-cache-dir"},
 		{"plan is local-only",
 			[]string{"campaign", "-figs", "fig7", "-csv", "-remote", ts.URL, "-plan"},
 			2, "-plan"},

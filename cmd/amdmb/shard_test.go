@@ -4,29 +4,50 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
 
+// cutMetrics splits a run's stdout into the figure output and the
+// -metrics table the epilogue prints after it.
+func cutMetrics(t *testing.T, out string) (figures, metrics string) {
+	t.Helper()
+	i := strings.Index(out, "\nMetrics\n")
+	if i < 0 {
+		t.Fatalf("stdout has no -metrics table:\n%s", out)
+	}
+	return out[:i+1], out[i+1:]
+}
+
+// requireAllPersisted fails unless a -metrics table shows the run
+// computed no simulate result: every launch was served from the
+// persistent cache.
+func requireAllPersisted(t *testing.T, metrics string) {
+	t.Helper()
+	if !regexp.MustCompile(`(?m)^pipeline\.persist\.misses +0$`).MatchString(metrics) {
+		t.Errorf("final run missed the persistent cache:\n%s", metrics)
+	}
+}
+
 // TestCampaignShardsMergeToGoldens is the sharding acceptance test: the
-// golden bundle split across two shard processes, each writing its own
-// checkpoint under the full campaign's signature, then an unsharded run
-// that merges the shard files and restores everything — emitting stdout
-// byte-identical to the concatenated golden CSVs while executing zero
-// units itself.
+// golden bundle split across two shard processes sharing one -cache-dir,
+// then an unsharded run over the same directory that serves every
+// launch from disk — emitting stdout byte-identical to the concatenated
+// golden CSVs while computing nothing itself.
 func TestCampaignShardsMergeToGoldens(t *testing.T) {
-	ck := filepath.Join(t.TempDir(), "ck.json")
+	cache := filepath.Join(t.TempDir(), "cache")
 	figs := strings.Join(goldenFigures, ",")
 
 	for shard := 0; shard < 2; shard++ {
 		spec := fmt.Sprintf("%d/2", shard)
 		code, out, stderr := runCLI(t,
-			"campaign", "-figs", figs, "-iters", "1", "-checkpoint", ck, "-shard", spec)
+			"campaign", "-figs", figs, "-iters", "1", "-cache-dir", cache, "-shard", spec)
 		if code != 0 {
 			t.Fatalf("shard %s: exit %d, stderr: %s", spec, code, stderr)
 		}
 		if out != "" {
-			t.Errorf("shard %s emitted figures; shards must only checkpoint:\n%s", spec, out)
+			t.Errorf("shard %s emitted figures; shards must only persist:\n%s", spec, out)
 		}
 		if !strings.Contains(stderr, "campaign shard "+spec+":") {
 			t.Errorf("shard %s summary missing: %s", spec, stderr)
@@ -34,23 +55,15 @@ func TestCampaignShardsMergeToGoldens(t *testing.T) {
 		if !strings.Contains(stderr, "failed=0") {
 			t.Errorf("shard %s recorded failures: %s", spec, stderr)
 		}
-		if _, err := os.Stat(fmt.Sprintf("%s.shard%dof2", ck, shard)); err != nil {
-			t.Fatalf("shard %s wrote no checkpoint: %v", spec, err)
-		}
 	}
 
 	code, out, stderr := runCLI(t,
-		"campaign", "-figs", figs, "-iters", "1", "-csv", "-checkpoint", ck)
+		"campaign", "-figs", figs, "-iters", "1", "-csv", "-cache-dir", cache, "-metrics")
 	if code != 0 {
 		t.Fatalf("merge run: exit %d, stderr: %s", code, stderr)
 	}
-	if !strings.Contains(stderr, "shard checkpoints into") {
-		t.Errorf("merge run did not report merging: %s", stderr)
-	}
-	// Everything restores from the merged shards; nothing re-executes.
-	if !strings.Contains(stderr, "executed=0") {
-		t.Errorf("merge run re-executed units: %s", stderr)
-	}
+	out, metrics := cutMetrics(t, out)
+	requireAllPersisted(t, metrics)
 
 	var want strings.Builder
 	for _, fig := range goldenFigures {
@@ -72,10 +85,11 @@ func TestCampaignShardUsage(t *testing.T) {
 		args []string
 		want string
 	}{
-		{"no checkpoint", []string{"campaign", "-figs", "fig16", "-shard", "0/2"}, "requires -checkpoint"},
-		{"bad format", []string{"campaign", "-figs", "fig16", "-checkpoint", "x", "-shard", "2"}, "bad -shard"},
-		{"out of range", []string{"campaign", "-figs", "fig16", "-checkpoint", "x", "-shard", "2/2"}, "bad -shard"},
-		{"negative", []string{"campaign", "-figs", "fig16", "-checkpoint", "x", "-shard", "-1/2"}, "bad -shard"},
+		{"no cache dir", []string{"campaign", "-figs", "fig16", "-shard", "0/2"}, "requires -cache-dir"},
+		{"no cache", []string{"campaign", "-figs", "fig16", "-cache-dir", "x", "-no-cache", "-shard", "0/2"}, "cannot combine with -no-cache"},
+		{"bad format", []string{"campaign", "-figs", "fig16", "-cache-dir", "x", "-shard", "2"}, "bad -shard"},
+		{"out of range", []string{"campaign", "-figs", "fig16", "-cache-dir", "x", "-shard", "2/2"}, "bad -shard"},
+		{"negative", []string{"campaign", "-figs", "fig16", "-cache-dir", "x", "-shard", "-1/2"}, "bad -shard"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -12,11 +12,14 @@
 // The iteration count is fixed per daemon (-iters; 0 means the paper's
 // 5000) because it is part of every cache identity — clients asking for
 // a different count are rejected with 400 rather than silently served
-// mismatched numbers. The daemon runs with no checkpoint file (the
-// persistent pipeline cache is its durability story — unlike a
-// checkpoint, it is keyed per simulate config, so any mix of concurrent
-// campaigns shares it safely) and no tracer (unbounded on a long-lived
-// process).
+// mismatched numbers. The persistent -cache-dir is the daemon's
+// durability story, as it is the suite's: it is keyed per simulate
+// config, so any mix of concurrent campaigns shares it safely. The
+// daemon runs no tracer (unbounded on a long-lived process).
+//
+// The daemon owns its -cache-dir: at boot it removes the temp files a
+// crashed writer left there (fsatomic.CleanOrphans). Do not point it at
+// a directory that amdmb shard processes are writing into concurrently.
 //
 // Exit status: 0 after a clean signal-driven shutdown, 1 on a fatal
 // serve error, 2 on usage errors.

@@ -16,11 +16,10 @@
 // statistic counts the launches the campaign avoids versus running each
 // figure's sweep on its own; `campaign.points.deduped` surfaces it.
 //
-// Scheduling a campaign as ONE sweep also makes checkpointing campaign-
-// granular for free: the whole multi-figure unit sequence runs through a
-// single core.Suite sweep, so the existing crash-atomic, quarantining
-// JSON checkpoint covers the campaign end to end — there is no second,
-// weaker checkpoint writer in this package.
+// Durability is not this package's business either: with a PersistDir
+// every unit's launch result lands in the pipeline's persistent tier, so
+// a killed campaign resumes — and shard processes combine — by rerunning
+// over the same directory.
 package campaign
 
 import (
@@ -46,8 +45,8 @@ type Spec struct {
 type Options struct {
 	// MaxDomain, when positive, clamps every point's domain to at most
 	// MaxDomain x MaxDomain at plan time — before dedup keys and the
-	// scheduled order (hence the checkpoint signature) are computed, so a
-	// clamped campaign dedups collapsed domains and resumes consistently.
+	// scheduled order are computed, so a clamped campaign dedups
+	// collapsed domains and its shards partition the same unit list.
 	// Run the plan on a suite with the same MaxDomain; the suite-level
 	// clamp is then a no-op.
 	MaxDomain int
@@ -163,9 +162,9 @@ func NewPlan(specs []Spec, opts Options) (*Plan, error) {
 // and the most-reused compile artifacts warm the cache first), then
 // arch-major batches for device-context locality, then a total
 // deterministic order over the remaining key fields. Determinism is
-// load-bearing, not cosmetic: the scheduled sequence is what the
-// campaign checkpoint signature fingerprints, so replanning the same
-// specs must reproduce the same order for a resume to attach.
+// load-bearing, not cosmetic: shards partition units by scheduled
+// index, so every shard process replanning the same specs must
+// reproduce the same order or the shards would overlap and leave gaps.
 func (p *Plan) prioritize() {
 	idx := make([]int, len(p.Units))
 	for i := range idx {

@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"errors"
-	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -139,8 +138,9 @@ func TestPlanLaunchDedup(t *testing.T) {
 }
 
 // TestPlanDeterministic replans the same bundle on fresh suites and
-// demands an identical rendered schedule — the property the campaign
-// checkpoint signature stands on.
+// demands an identical rendered schedule — the property sharding stands
+// on: shard processes partition units by scheduled index, so every one
+// of them must plan the same order.
 func TestPlanDeterministic(t *testing.T) {
 	render := func() string {
 		var b strings.Builder
@@ -207,7 +207,7 @@ func TestCampaignMatchesSequential(t *testing.T) {
 		t.Errorf("clausectl diverged from sequential run:\ncampaign:\n%s\nsequential:\n%s", got, want)
 	}
 	if res.Executed != len(p.Units) {
-		t.Fatalf("executed %d of %d units with no checkpoint armed", res.Executed, len(p.Units))
+		t.Fatalf("executed %d of %d units", res.Executed, len(p.Units))
 	}
 }
 
@@ -242,16 +242,21 @@ func TestCampaignCounters(t *testing.T) {
 }
 
 // TestCampaignCheckpointResume kills a campaign mid-flight and resumes
-// it: the resumed invocation must restore the finished units from the
-// (single, crash-atomic) sweep checkpoint, execute strictly fewer units
-// than the plan, and still produce sequential-identical figures.
+// it on a fresh suite over the same persistent cache dir: the resumed
+// invocation must serve the units the victim finished from disk and
+// still produce sequential-identical figures.
 func TestCampaignCheckpointResume(t *testing.T) {
 	const clamp = 64
-	ckpt := filepath.Join(t.TempDir(), "campaign.ckpt")
+	dir := t.TempDir()
+	persisted := func() *core.Suite {
+		s := testSuite(clamp)
+		s.DisableArtifactCache = false
+		s.PersistDir = dir
+		return s
+	}
 
-	victim := testSuite(clamp)
+	victim := persisted()
 	victim.Workers = 2
-	victim.Checkpoint = ckpt
 	var launches atomic.Int64
 	victim.BeforeLaunch = func() {
 		if launches.Add(1) == 6 {
@@ -263,23 +268,29 @@ func TestCampaignCheckpointResume(t *testing.T) {
 		t.Fatalf("victim campaign: got %v, want ErrSweepInterrupted", err)
 	}
 
-	resumed := testSuite(clamp)
-	resumed.Checkpoint = ckpt
+	resumed := persisted()
 	rp := mustPlan(t, resumed, Options{MaxDomain: clamp}, "fig16", "clausectl")
 	res, err := rp.Run(resumed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Executed >= len(rp.Units) {
-		t.Fatalf("resume executed all %d units — checkpoint restored nothing", len(rp.Units))
+	if hits := resumed.Metrics().Snapshot().Get("pipeline.persist.hits"); hits == 0 {
+		t.Fatal("resume served nothing from the persistent tier")
 	}
 
 	direct16, _, err := testSuite(clamp).Fig16()
 	if err != nil {
 		t.Fatal(err)
 	}
+	directCtl, _, err := testSuite(clamp).ClauseControl()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Figures[0].CSV() != direct16.CSV() {
 		t.Error("resumed campaign fig16 diverged from sequential run")
+	}
+	if res.Figures[1].CSV() != directCtl.CSV() {
+		t.Error("resumed campaign clausectl diverged from sequential run")
 	}
 }
 

@@ -19,8 +19,8 @@ import (
 //	                            (Stats.Deduped)
 //	campaign.points.fanout    — figure points served by fanning units out
 //	campaign.units.planned    — launch units scheduled
-//	campaign.units.executed   — units that actually ran (not restored
-//	                            from the campaign checkpoint)
+//	campaign.units.executed   — units this invocation ran (its shard's
+//	                            slice when sharded)
 //	campaign.units.completed  — executed units that resolved cleanly
 //	campaign.units.failed     — executed units that resolved to a
 //	                            failure record
@@ -35,12 +35,9 @@ type Result struct {
 	// and X are the representative subscriber's.
 	UnitRuns []core.Run
 	Stats    Stats
-	// Executed counts units that ran this invocation; Scheduled minus
-	// Executed were restored from the campaign checkpoint.
+	// Executed counts units that ran this invocation: every unit when
+	// unsharded, the shard's interleaved slice otherwise.
 	Executed int
-	// Scheduled counts the units this invocation was responsible for:
-	// every unit when unsharded, the shard's interleaved slice otherwise.
-	Scheduled int
 }
 
 // Failed counts units that resolved to failure records.
@@ -62,16 +59,14 @@ type RunOptions struct {
 	// unit counts — it must be safe for concurrent calls.
 	Progress func(executed, failed int)
 	// Shard and Shards run one shard of the plan: of the scheduled unit
-	// sequence, only units with index i%Shards == Shard run. The shard's
-	// checkpoint (the suite's, when armed) records its runs at their
-	// GLOBAL unit indices under the full campaign's signature, so shard
-	// files merge (core.MergeCheckpoints) into a checkpoint the
-	// unsharded run restores completely — producing figures
-	// byte-identical to a run that never sharded. Because one shard holds
-	// only a slice of every figure's points, a sharded run assembles no
-	// figures: Result.Figures and Result.Runs stay nil, and the caller
-	// combines shards through the checkpoint, not by stitching partial
-	// figures. Shards <= 1 runs everything.
+	// sequence, only units with index i%Shards == Shard run. Shards
+	// combine through the suite's persistent tier: shard processes
+	// sharing one PersistDir write every launch they finish into it, and
+	// an unsharded run over the same directory serves them all from disk
+	// — producing figures byte-identical to a run that never sharded.
+	// Because one shard holds only a slice of every figure's points, a
+	// sharded run assembles no figures: Result.Figures and Result.Runs
+	// stay nil. Shards <= 1 runs everything.
 	Shard, Shards int
 }
 
@@ -83,12 +78,9 @@ func (p *Plan) Run(s *core.Suite) (*Result, error) {
 
 // RunCtx executes the plan on the suite as ONE resilient sweep over the
 // deduplicated units, then fans every unit's run back out to its
-// subscribing figure points and finishes each spec's figure. Because the
-// whole campaign is a single sweep, the suite's checkpoint (when armed)
-// is campaign-granular: a kill mid-campaign resumes across figure
-// boundaries through the existing crash-atomic save path, and the
-// deterministic unit order keeps the sweep signature stable between the
-// killed and resumed invocations.
+// subscribing figure points and finishes each spec's figure. A campaign
+// killed midway resumes by rerunning it over the same PersistDir: every
+// unit it finished is served from the persistent tier.
 //
 // Fan-out copies the unit's run per subscriber, overriding Card and X
 // with the subscriber's own coordinates (dedup must not relabel a
@@ -122,23 +114,15 @@ func (p *Plan) RunCtx(ctx context.Context, s *core.Suite, opts RunOptions) (*Res
 	}
 	defer root.End()
 
-	// Every shard builds the FULL unit list: the sweep signature — hence
-	// the checkpoint identity — must cover the whole campaign.
+	// Every shard builds the FULL unit list: the sweep runner partitions
+	// it by global index.
 	kps := make([]core.KernelPoint, len(p.Units))
 	for i, u := range p.Units {
 		kps[i] = u.Point
 	}
-	scheduled := 0
-	for i := range kps {
-		if !sharded || i%opts.Shards == opts.Shard {
-			scheduled++
-		}
-	}
 
 	// The observe hook runs on worker goroutines: counters are atomic and
-	// the tracer is concurrency-safe, so no extra locking here. Restored
-	// units are never observed, which is exactly what makes
-	// campaign.units.executed the "ran this invocation" count.
+	// the tracer is concurrency-safe, so no extra locking here.
 	var executed, failedUnits atomic.Int64
 	observe := func(i int) func(core.Run) {
 		executed.Add(1)
@@ -168,14 +152,13 @@ func (p *Plan) RunCtx(ctx context.Context, s *core.Suite, opts RunOptions) (*Res
 	}
 
 	res := &Result{
-		UnitRuns:  unitRuns,
-		Stats:     p.Stats,
-		Executed:  int(executed.Load()),
-		Scheduled: scheduled,
+		UnitRuns: unitRuns,
+		Stats:    p.Stats,
+		Executed: int(executed.Load()),
 	}
 	if sharded {
 		// A shard holds only a slice of every figure; figures assemble
-		// from the merged checkpoint in the follow-up unsharded run.
+		// from the shared cache dir in the follow-up unsharded run.
 		return res, nil
 	}
 	for si := range p.Specs {

@@ -21,8 +21,10 @@ import (
 // (never more goroutines than workers, however large the sweep), panic
 // recovery into per-point failure records, bounded retry with backoff
 // for transient launch faults, cancellation of the remaining points on
-// the first fatal error, and JSON checkpointing so an interrupted sweep
-// resumes instead of recomputing.
+// the first fatal error. Durability lives one layer down: with a
+// PersistDir every completed launch is in the pipeline's on-disk simulate
+// tier, so an interrupted sweep rerun over the same directory serves its
+// finished points from disk instead of recomputing them.
 
 // Workers sets the sweep parallelism; zero means GOMAXPROCS. It is a
 // Suite field so tests can force serial execution.
@@ -39,17 +41,15 @@ var errLaunchPanic = errors.New("panic during launch")
 
 // ErrSweepInterrupted reports that Interrupt cancelled the sweep before
 // every point completed. Points finished up to that moment are already
-// in the checkpoint (when one is armed), so a re-run with the same
-// configuration resumes rather than recomputes — the in-process half of
-// the kill/checkpoint/resume cycles the soak campaigns exercise.
+// in the persistent tier (when the suite has a PersistDir), so a re-run
+// with the same configuration resumes rather than recomputes — the
+// in-process half of the kill/resume cycles the soak campaigns exercise.
 var ErrSweepInterrupted = errors.New("core: sweep interrupted")
 
 // Interrupt cancels every in-flight sweep on the suite: undispatched
 // points are abandoned and RunKernelPoints returns ErrSweepInterrupted.
-// Points already dispatched complete (and checkpoint) normally, so an
-// interrupted sweep's checkpoint is always a consistent prefix of the
-// campaign. Safe from any goroutine; a suite with no sweep in flight
-// ignores it.
+// Points already dispatched complete (and persist) normally. Safe from
+// any goroutine; a suite with no sweep in flight ignores it.
 func (s *Suite) Interrupt() {
 	s.intrMu.Lock()
 	defer s.intrMu.Unlock()
@@ -81,7 +81,7 @@ func (s *Suite) registerSweep(stop func()) (unregister func()) {
 // soak campaigns above all — put arbitrary generated kernels through the
 // resilient sweep runner with everything the paper sweeps get: worker
 // pool, retries with backoff, fault injection, panic fences, failure
-// records and checkpoint/resume.
+// records and resume through the persistent tier.
 type KernelPoint struct {
 	Card Card
 	X    float64
@@ -95,19 +95,16 @@ type SweepOptions struct {
 	// Observe, when non-nil, is called on the worker goroutine just
 	// before point i's first launch attempt; the function it returns is
 	// called right after the point resolves (completed or failure
-	// record). Points restored from a checkpoint are never observed —
-	// they do not execute. The campaign scheduler uses the hook for
-	// per-unit spans and counters without a second accounting path
-	// inside the sweep runner.
+	// record). The campaign scheduler uses the hook for per-unit spans
+	// and counters without a second accounting path inside the sweep
+	// runner.
 	Observe func(i int) func(Run)
 	// Shard and Shards restrict execution to one shard of a
 	// deterministic interleaved partition: only points with index
 	// i%Shards == Shard execute, and the other entries of the returned
-	// slice are zero Runs. The domain clamp and the checkpoint signature
-	// still cover the FULL point list, so every shard of a campaign
-	// binds to the same sweep identity: shard checkpoint files record
-	// runs at their global indices and merge cleanly (MergeCheckpoints)
-	// into a checkpoint an unsharded run resumes from. Shards <= 1 runs
+	// slice are zero Runs. Shards combine through a shared PersistDir:
+	// each writes its launches into the tier, and an unsharded run over
+	// the same directory serves them all from disk. Shards <= 1 runs
 	// everything; a Shard outside 0..Shards-1 fails the sweep.
 	Shard, Shards int
 }
@@ -126,10 +123,10 @@ type SweepOptions struct {
 // points and fails the sweep.
 //
 // Cancelling parent stops the sweep exactly like Suite.Interrupt —
-// undispatched points are abandoned, dispatched points complete and
-// checkpoint, and the sweep returns ErrSweepInterrupted — but scoped to
-// this sweep alone. Callers multiplexing several independent sweeps over
-// ONE shared suite (the campaign daemon) cancel just their own.
+// undispatched points are abandoned, dispatched points complete, and
+// the sweep returns ErrSweepInterrupted — but scoped to this sweep
+// alone. Callers multiplexing several independent sweeps over ONE
+// shared suite (the campaign daemon) cancel just their own.
 func (s *Suite) RunKernelPoints(parent context.Context, kps []KernelPoint, opts SweepOptions) ([]Run, error) {
 	shard, shards := opts.Shard, max(opts.Shards, 1)
 	if shard < 0 || shard >= shards {
@@ -151,23 +148,7 @@ func (s *Suite) RunKernelPoints(parent context.Context, kps []KernelPoint, opts 
 		}
 	}
 	runs := make([]Run, len(pts))
-	done := make([]bool, len(pts))
 	ctr := s.counters()
-
-	var ck *checkpoint
-	if s.Checkpoint != "" {
-		var err error
-		ck, err = openCheckpoint(s.Checkpoint, sweepSignature(pts, s.Iterations), s.CheckpointFlushEvery, ctr.quarantined)
-		if err != nil {
-			return nil, err
-		}
-		for i := range pts {
-			if r, ok := ck.get(i); ok && mine(i) {
-				runs[i] = r
-				done[i] = true
-			}
-		}
-	}
 
 	scheduled := 0
 	for i := range pts {
@@ -180,16 +161,6 @@ func (s *Suite) RunKernelPoints(parent context.Context, kps []KernelPoint, opts 
 	if s.Progress != nil {
 		prog = obs.NewProgress(s.Progress, "sweep", scheduled)
 		defer prog.Finish()
-	}
-	restored := 0
-	for _, d := range done {
-		if d {
-			restored++
-		}
-	}
-	if restored > 0 {
-		ctr.restored.Add(int64(restored))
-		prog.Restored(restored)
 	}
 
 	ctx, cancel := context.WithCancel(parent)
@@ -251,17 +222,12 @@ func (s *Suite) RunKernelPoints(parent context.Context, kps []KernelPoint, opts 
 				if prog != nil {
 					prog.Point(run.Failed(), s.cacheHitRate())
 				}
-				if ck != nil && !run.Failed() {
-					if err := ck.put(i, run); err != nil {
-						fatal(err)
-					}
-				}
 			}
 		}()
 	}
 feed:
 	for i := range pts {
-		if done[i] || !mine(i) {
+		if !mine(i) {
 			continue
 		}
 		select {
@@ -273,16 +239,7 @@ feed:
 	close(jobs)
 	wg.Wait()
 
-	// Flush on every exit path: at rest the checkpoint always holds the
-	// full completed set, whether the sweep finished, died fatally, or
-	// was interrupted — the resume contract batched saves must keep.
-	// (Workers are drained, so fatalErr needs no lock from here on.)
-	if ck != nil {
-		if err := ck.flush(); err != nil && fatalErr == nil {
-			fatalErr = err
-		}
-	}
-
+	// Workers are drained, so fatalErr needs no lock from here on.
 	if fatalErr != nil {
 		return nil, fatalErr
 	}

@@ -140,7 +140,8 @@ func Key(kernel, arch string, w, h, attempt int) uint64 {
 	return fnv64(fmt.Sprintf("%s|%s|%dx%d|a%d", kernel, arch, w, h, attempt))
 }
 
-// fnv64 is FNV-1a, the stable hash the checkpoint signatures use too.
+// fnv64 is FNV-1a: stable across builds and platforms, so a launch key
+// (hence every fault draw) reproduces on any rerun.
 func fnv64(s string) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(s); i++ {

@@ -1,9 +1,8 @@
-// Package fsatomic is the suite's one crash-atomic file writer. Every
-// layer that persists state — sweep checkpoints, merged shard files, the
-// pipeline's on-disk artifact tier — writes through WriteFile, so the
-// durability discipline (unique temp, fsync data, rename, fsync parent
-// directory) lives in exactly one place instead of accreting weaker
-// copies per subsystem.
+// Package fsatomic is the suite's one crash-atomic file writer. The
+// pipeline's on-disk artifact tier — the suite's only durable store —
+// writes through WriteFile, so the durability discipline (unique temp,
+// fsync data, rename, fsync parent directory) lives in exactly one place
+// instead of accreting weaker copies per subsystem.
 //
 // The writer must hold up under two distinct adversaries:
 //
@@ -11,7 +10,8 @@
 //     the old complete file or the new complete file (the soak crash
 //     torture exercises this); and
 //   - CONCURRENT writers to the same path — the situation a multi-client
-//     daemon creates — which must never be able to rename each other's
+//     daemon or shard processes sharing one cache dir create — which
+//     must never be able to rename each other's
 //     half-written temp files into place. A fixed "path+.tmp" temp name
 //     fails exactly here: writer B truncates and rewrites the temp while
 //     writer A is between its fsync and its rename, and A then renames
@@ -100,12 +100,14 @@ func IsTemp(name string) bool {
 }
 
 // CleanOrphans walks root and removes every temp file a crashed writer
-// left behind, returning how many were removed. A long-lived daemon runs
-// it once at startup over its state directory: orphans are dead weight —
-// no writer will ever rename them — and a bounded store should not leak
-// disk across crash/restart cycles. Files still being written by a LIVE
-// writer are at risk only if two processes share one state directory,
-// which the daemon's single-writer ownership of -cache-dir rules out.
+// left behind, returning how many were removed. Orphans are dead weight
+// — no writer will ever rename them — and a bounded store should not
+// leak disk across crash/restart cycles. But CleanOrphans cannot tell an
+// orphan from a temp a LIVE writer is still filling, and shard processes
+// legitimately share one cache dir. So only amdmbd calls it, once at
+// boot, over the -cache-dir it owns; amdmb never does. A leftover temp
+// is harmless meanwhile: readers only ever open final entry names, so a
+// temp is never loaded, and the crash torture tolerates them.
 func CleanOrphans(root string) (int, error) {
 	removed := 0
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {

@@ -9,7 +9,6 @@ import (
 
 func TestNilProgressNoOps(t *testing.T) {
 	var p *Progress
-	p.Restored(3)
 	p.Point(false, 0.5)
 	p.Point(true, 0.5)
 	p.Finish()
@@ -52,25 +51,6 @@ func TestProgressETAAppearsOnlyMidSweep(t *testing.T) {
 	p.Finish()
 	if strings.Contains(buf.String(), "ETA") {
 		t.Errorf("completed sweep still shows an ETA: %q", buf.String())
-	}
-}
-
-func TestProgressRestoredCountsAsDone(t *testing.T) {
-	var buf bytes.Buffer
-	p := NewProgress(&buf, "resume", 10)
-	p.renderEvery = 0
-	p.Restored(9)
-	if !strings.Contains(buf.String(), "9/10") {
-		t.Errorf("restored points not reported: %q", buf.String())
-	}
-	// With zero computed points there is no rate to project an ETA from.
-	if strings.Contains(buf.String(), "ETA") {
-		t.Errorf("restore-only progress invented an ETA: %q", buf.String())
-	}
-	p.Point(false, 1)
-	p.Finish()
-	if !strings.Contains(buf.String(), "10/10") {
-		t.Errorf("final count wrong: %q", buf.String())
 	}
 }
 

@@ -154,23 +154,105 @@ func TestPersistTierDisabledWithCache(t *testing.T) {
 	}
 }
 
-func TestPersistTierKeySeparatesConfigs(t *testing.T) {
-	// Different iteration counts must land in different entries: the
-	// second config computes rather than serving the first's result.
+func TestPersistHitSkipsTraceAndReplay(t *testing.T) {
+	// A disk hit serves the launch before trace or replay run: a restart
+	// over a filled cache dir pays for neither.
 	dir := t.TempDir()
-	p := New(Options{PersistDir: dir})
-	cfg := persistConfig(t, p)
-	if _, err := p.Simulate(cfg); err != nil {
+	p1 := New(Options{PersistDir: dir})
+	if _, err := p1.Simulate(persistConfig(t, p1)); err != nil {
 		t.Fatal(err)
 	}
-	cfg.Iterations = 2
-	if _, err := p.Simulate(cfg); err != nil {
+	if got := p1.Metrics().Snapshot().Get("pipeline.replay.misses"); got != 1 {
+		t.Fatalf("cold launch replay.misses = %d, want 1 (a config with no replay makes this test vacuous)", got)
+	}
+
+	p2 := New(Options{PersistDir: dir})
+	if _, err := p2.Simulate(persistConfig(t, p2)); err != nil {
 		t.Fatal(err)
 	}
-	if got := persistCount(t, p, "writes"); got != 2 {
-		t.Fatalf("persist.writes = %d, want 2 distinct entries", got)
+	snap := p2.Metrics().Snapshot()
+	for name, want := range map[string]int64{
+		"pipeline.persist.hits":        1,
+		"pipeline.trace.derivations":   0,
+		"pipeline.replay.misses":       0,
+		"pipeline.replay.hits":         0,
+		"pipeline.simulate.bypassed":   0,
+		"pipeline.simulate.compute_ns": 0,
+	} {
+		if got := snap.Get(name); got != want {
+			t.Errorf("%s = %d on a disk hit, want %d", name, got, want)
+		}
 	}
-	if got := persistCount(t, p, "hits"); got != 0 {
-		t.Fatalf("persist.hits = %d, want 0 (configs must not collide)", got)
+}
+
+func TestPersistTierKeySeparatesConfigs(t *testing.T) {
+	// Each case is a pair of configs the tier must keep apart: with one
+	// persisted, a fresh pipeline simulating the other misses and
+	// computes, in either order. Resume runs through the tier, so these
+	// are what stop a rerun from splicing stale timings into a figure.
+	withParams := func(mut func(*kerngen.Params)) func(*testing.T, *Pipeline) sim.Config {
+		return func(t *testing.T, p *Pipeline) sim.Config {
+			params := kerngen.Params{
+				Mode: il.Pixel, Type: il.Float, Inputs: 4, Outputs: 1,
+				ALUFetchRatio: 1.0, Name: "same_name",
+			}
+			mut(&params)
+			k, err := p.Generate(GenALUFetch, params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if k.Name != "same_name" {
+				t.Fatalf("kernel named %q, want the pinned name", k.Name)
+			}
+			spec := device.Lookup(device.RV770)
+			prog, err := p.Compile(k, spec, ilc.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sim.Config{
+				Prog: prog, Spec: spec, Order: raster.PixelOrder(),
+				W: 64, H: 64, Iterations: 1,
+			}
+		}
+	}
+	base := withParams(func(*kerngen.Params) {})
+	with := func(mut func(*sim.Config)) func(*testing.T, *Pipeline) sim.Config {
+		return func(t *testing.T, p *Pipeline) sim.Config {
+			cfg := base(t, p)
+			mut(&cfg)
+			return cfg
+		}
+	}
+	cases := []struct {
+		name string
+		b    func(*testing.T, *Pipeline) sim.Config
+	}{
+		// Same kernel name, different IL body (8 inputs, not 4).
+		{"same_name_different_body", withParams(func(p *kerngen.Params) { p.Inputs = 8 })},
+		{"iterations", with(func(c *sim.Config) { c.Iterations = 2 })},
+		// A -max-domain clamp against the full domain.
+		{"clamped_domain", with(func(c *sim.Config) { c.W, c.H = 16, 16 })},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			pair := [2]func(*testing.T, *Pipeline) sim.Config{base, c.b}
+			for first := range pair {
+				dir := t.TempDir()
+				p1 := New(Options{PersistDir: dir})
+				if _, err := p1.Simulate(pair[first](t, p1)); err != nil {
+					t.Fatal(err)
+				}
+				p2 := New(Options{PersistDir: dir})
+				if _, err := p2.Simulate(pair[1-first](t, p2)); err != nil {
+					t.Fatal(err)
+				}
+				if got := persistCount(t, p2, "hits"); got != 0 {
+					t.Errorf("config %d served config %d's entry (persist.hits = %d)", 1-first, first, got)
+				}
+				if got := persistCount(t, p2, "writes"); got != 1 {
+					t.Errorf("persist.writes = %d, want 1 distinct entry", got)
+				}
+			}
+		})
 	}
 }

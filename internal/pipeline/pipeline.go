@@ -20,6 +20,11 @@
 // twice at the same time. Every stage carries hit/miss/latency counters,
 // surfaced through Stats and `amdmb -cache-stats`.
 //
+// The Simulate key does not depend on the trace, so Simulate looks its
+// result up first and runs Trace and Replay only on a miss: a launch
+// served from memory or from the persistent tier below it derives no
+// trace and touches no replay store.
+//
 // Because every stage is a pure function of its key, serving an artifact
 // from the store is bit-identical to recomputing it: figures produced
 // with caching enabled match the cache-disabled, single-worker run
@@ -405,48 +410,33 @@ type simulateKey struct {
 	watchdog   uint64
 }
 
-// Simulate times a compiled kernel, routing the replay stage through the
-// artifact stores and memoizing the final result. Fault-injected
-// configurations — a hang or a throttled clock — bypass the result
-// store entirely: they are recomputed every time and never cached, so a
-// degraded run can neither be served stale nor poison later launches.
-// Programs that did not come out of this pipeline's Compile stage have
-// no content address and also bypass the result store (their replay
-// stage still memoizes).
+// Simulate times a compiled kernel, memoizing the result. The store
+// lookups come first: a memory or disk hit serves the result without
+// tracing or replaying, and only a miss runs trace, replay and the
+// simulator (see launch). Fault-injected configurations — a hang or a
+// throttled clock — bypass the result store entirely: they are
+// recomputed every time and never cached, so a degraded run can neither
+// be served stale nor poison later launches. Programs that did not come
+// out of this pipeline's Compile stage have no content address and also
+// bypass the result store (their replay stage still memoizes).
 func (p *Pipeline) Simulate(cfg sim.Config) (sim.Result, error) {
 	return p.SimulateSpan(obs.Span{}, cfg)
 }
 
-// SimulateSpan is Simulate with a parent span: each stage the launch
-// passes through — trace, replay, the simulator run — records a child
-// span on the launch's track, which is how `amdmb -trace` shows a sweep
-// as per-launch lanes of nested stage spans. The zero Span traces
-// nothing and costs nothing.
+// SimulateSpan is Simulate with a parent span: the simulate span covers
+// the whole stage, and on a miss the trace and replay spans nest inside
+// it, which is how `amdmb -trace` shows a sweep as per-launch lanes of
+// nested stage spans. The zero Span traces nothing and costs nothing.
 func (p *Pipeline) SimulateSpan(sp obs.Span, cfg sim.Config) (sim.Result, error) {
-	// Trace + Replay: serve the cache statistics from the artifact store
-	// so the simulator skips the trace-driven replay.
-	tsp := sp.Child("trace").Cat("stage")
-	tc, ok := p.Trace(cfg)
-	tsp.End()
-	if ok {
-		rsp := sp.Child("replay").Cat("stage")
-		st, err := p.Replay(tc)
-		rsp.End()
-		if err != nil {
-			return sim.Result{}, err
-		}
-		cfg.Trace = &st
-	}
+	xsp := sp.Child("simulate").Cat("stage")
+	defer xsp.End()
 
 	faulted := cfg.Hang != nil || (cfg.ClockFactor != 0 && cfg.ClockFactor != 1)
 	hash, addressed := p.hashOf(cfg.Prog)
 	if p.disabled || faulted || !addressed {
-		xsp := sp.Child("simulate").Cat("stage")
-		start := time.Now()
-		res, err := sim.Run(cfg)
-		p.simBypassNS.Add(time.Since(start).Nanoseconds())
+		res, d, err := p.launch(xsp, cfg)
+		p.simBypassNS.Add(d.Nanoseconds())
 		p.simBypassed.Add(1)
-		xsp.End()
 		return res, err
 	}
 
@@ -460,12 +450,31 @@ func (p *Pipeline) SimulateSpan(sp obs.Span, cfg sim.Config) (sim.Result, error)
 		ablate:     cfg.Ablate,
 		watchdog:   cfg.Watchdog,
 	}
-	xsp := sp.Child("simulate").Cat("stage")
-	res, err := p.simulate.get(key, func() (sim.Result, error) {
-		return sim.Run(cfg)
+	return p.simulate.getTimed(key, func() (sim.Result, time.Duration, error) {
+		return p.launch(xsp, cfg)
 	})
-	xsp.End()
-	return res, err
+}
+
+// launch is the Simulate stage's compute: derive the fetch trace, serve
+// its cache statistics from the Replay store, then run the simulator.
+// The duration it returns is the simulator's alone — trace and replay
+// charge their own stage counters, so the stages stay disjoint.
+func (p *Pipeline) launch(sp obs.Span, cfg sim.Config) (sim.Result, time.Duration, error) {
+	tsp := sp.Child("trace").Cat("stage")
+	tc, ok := p.Trace(cfg)
+	tsp.End()
+	if ok {
+		rsp := sp.Child("replay").Cat("stage")
+		st, err := p.Replay(tc)
+		rsp.End()
+		if err != nil {
+			return sim.Result{}, 0, err
+		}
+		cfg.Trace = &st
+	}
+	start := time.Now()
+	res, err := sim.Run(cfg)
+	return res, time.Since(start), err
 }
 
 // hashOf returns the content address Compile recorded for prog.

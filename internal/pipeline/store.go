@@ -92,10 +92,21 @@ func (s *store[K, V]) observeCompute(d time.Duration) {
 // concurrent callers. Errors are returned to every waiter but never
 // cached: a failed computation retries on the next get.
 func (s *store[K, V]) get(k K, compute func() (V, error)) (V, error) {
-	if s.disabled {
+	return s.getTimed(k, func() (V, time.Duration, error) {
 		start := time.Now()
 		v, err := compute()
-		s.observeCompute(time.Since(start))
+		return v, time.Since(start), err
+	})
+}
+
+// getTimed is get for a compute that reports the time to charge to the
+// stage itself. The Simulate stage needs it: its miss path also runs the
+// trace and replay stages, which charge their own counters, so only the
+// simulator's share may land on pipeline.simulate.compute_ns.
+func (s *store[K, V]) getTimed(k K, compute func() (V, time.Duration, error)) (V, error) {
+	if s.disabled {
+		v, d, err := compute()
+		s.observeCompute(d)
 		s.misses.Add(1)
 		return v, err
 	}
@@ -123,9 +134,9 @@ func (s *store[K, V]) get(k K, compute func() (V, error)) (V, error) {
 		c.val, fromTier = s.tierLoad(k)
 	}
 	if !fromTier {
-		start := time.Now()
-		c.val, c.err = compute()
-		s.observeCompute(time.Since(start))
+		var d time.Duration
+		c.val, d, c.err = compute()
+		s.observeCompute(d)
 		if c.err == nil && s.tierStore != nil {
 			s.tierStore(k, c.val)
 		}

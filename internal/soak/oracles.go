@@ -48,7 +48,7 @@ func (c *campaign) runOracles(st step, runs []core.Run) {
 		case OracleTrace:
 			c.checkTrace(st)
 		case OracleCheckpoint:
-			c.checkCheckpointIdentity(st, runs)
+			c.checkResumeIdentity(st, runs)
 		case OracleInjected:
 			c.checkInjected(st)
 		}
@@ -213,11 +213,11 @@ func (c *campaign) checkTrace(st step) {
 	}
 }
 
-// checkCheckpointIdentity compares the kill/resume cycle's results
+// checkResumeIdentity compares the kill/resume cycle's results
 // against an uninterrupted reference sweep of the same points on a
-// fresh suite: resuming from a checkpoint must be invisible in the
-// output, bit for bit, Run for Run.
-func (c *campaign) checkCheckpointIdentity(st step, runs []core.Run) {
+// fresh suite: resuming over the persistent tier must be invisible in
+// the output, bit for bit, Run for Run.
+func (c *campaign) checkResumeIdentity(st step, runs []core.Run) {
 	ref, err := newSuite(c.cfg).RunKernelPoints(context.Background(), st.points, core.SweepOptions{})
 	if err != nil {
 		c.record(Violation{

@@ -1,10 +1,10 @@
 // Package soak drives adversarial stress campaigns against the whole
 // suite: seeded random kernels (the conformance generator's full IL
 // surface) pushed through the real launch pipeline under deterministic
-// fault injection, in-process kill/checkpoint/resume cycles, and
-// concurrent artifact-cache churn, with continuous invariant oracles
-// checking bitwise determinism, replay conservation, metrics/trace
-// accounting and checkpoint identity after every step. An oracle
+// fault injection, in-process kill/resume cycles, and concurrent
+// artifact-cache churn, with continuous invariant oracles checking
+// bitwise determinism, replay conservation, metrics/trace accounting
+// and resume identity after every step. An oracle
 // violation is shrunk to a minimal kernel (internal/conformance) and
 // written as a replayable repro bundle.
 //
@@ -47,10 +47,11 @@ type Config struct {
 	KernelsPerStep int
 	// Faults arms deterministic fault injection on every launch.
 	Faults *fault.Plan
-	// KillEvery makes every KillEvery-th step a kill/checkpoint/resume
-	// cycle: the sweep is interrupted at a deterministic launch ordinal,
-	// resumed from its checkpoint, and the resumed results are compared
-	// bit-for-bit against an uninterrupted reference. Zero disables.
+	// KillEvery makes every KillEvery-th step a kill/resume cycle: the
+	// sweep runs over a persistent cache dir, is interrupted at a
+	// deterministic launch ordinal, resumed over the same dir, and the
+	// resumed results are compared bit-for-bit against an uninterrupted
+	// reference. Zero disables.
 	KillEvery int
 	// ChurnWorkers runs that many goroutines compiling random kernels
 	// against the campaign suite's shared artifact caches while each
@@ -67,8 +68,8 @@ type Config struct {
 	// consistency oracle. Span memory grows with campaign length; leave
 	// it off for hours-long runs.
 	Trace bool
-	// ScratchDir holds kill/resume checkpoints; empty means a temp dir
-	// removed when the campaign ends.
+	// ScratchDir holds the kill/resume cycles' persistent cache dirs;
+	// empty means a temp dir removed when the campaign ends.
 	ScratchDir string
 	// BundleDir receives repro bundles for oracle violations; empty
 	// disables bundle writing (violations are still reported).
@@ -98,8 +99,11 @@ const (
 	OracleConservation = "conservation"
 	OracleMetrics      = "metrics"
 	OracleTrace        = "trace"
-	OracleCheckpoint   = "checkpoint-identity"
-	OracleInjected     = "injected"
+	// OracleCheckpoint checks kill/resume identity; the rendered name
+	// predates resume moving onto the persistent tier and stays so plan
+	// renderings and repro bundles keep their meaning.
+	OracleCheckpoint = "checkpoint-identity"
+	OracleInjected   = "injected"
 )
 
 // PointPlan is one planned sweep point, as rendered in the campaign

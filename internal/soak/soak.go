@@ -230,23 +230,22 @@ func runScheduled(s *core.Suite, st step) (*sched.Result, error) {
 }
 
 // runKillResume is one crash/resume cycle, in-process: a fresh suite
-// runs the step's points as a campaign against a checkpoint and is
-// Interrupted at the KillAt-th launch; a second fresh suite replans the
-// same campaign and resumes the checkpoint to completion (the
-// scheduler's deterministic unit order is what keeps the two plans'
-// sweep signatures identical); the resumed results are the step's
-// results. The checkpoint-identity oracle then compares them
-// bit-for-bit against an uninterrupted reference sweep (runOracles).
-// Fresh suites keep the cycle honest — the resume may not lean on the
-// killed sweep's warm caches — while the campaign suite's launch
-// accounting stays consistent for the metrics oracle.
+// runs the step's points as a campaign over a per-step persistent cache
+// dir and is Interrupted at the KillAt-th launch; a second fresh suite
+// replans the same campaign over the same dir and runs it to
+// completion, serving every launch the victim finished from disk; the
+// resumed results are the step's results. The checkpoint-identity
+// oracle then compares them bit-for-bit against an uninterrupted
+// reference sweep (runOracles). Fresh suites keep the cycle honest —
+// the resume may not lean on the killed sweep's in-memory caches —
+// while the campaign suite's launch accounting stays consistent for the
+// metrics oracle.
 func (c *campaign) runKillResume(st step) ([]core.Run, error) {
-	ck := filepath.Join(c.scratch, fmt.Sprintf("step%03d.ckpt", st.Index))
-	defer os.Remove(ck)
-	defer os.Remove(ck + ".corrupt")
+	dir := filepath.Join(c.scratch, fmt.Sprintf("step%03d.cache", st.Index))
+	defer os.RemoveAll(dir)
 
 	victim := newSuite(c.cfg)
-	victim.Checkpoint = ck
+	victim.PersistDir = dir
 	var launches atomic.Int64
 	victim.BeforeLaunch = func() {
 		if launches.Add(1) == int64(st.KillAt) {
@@ -260,14 +259,9 @@ func (c *campaign) runKillResume(st step) ([]core.Run, error) {
 	case err != nil:
 		return nil, err
 	}
-	// The checkpoint quarantine path must never fire here: every save is
-	// crash-atomic and the interrupt is a clean cancellation.
-	if _, err := os.Stat(ck + ".corrupt"); err == nil {
-		return nil, fmt.Errorf("kill/resume quarantined a checkpoint at step %d", st.Index)
-	}
 
 	resumed := newSuite(c.cfg)
-	resumed.Checkpoint = ck
+	resumed.PersistDir = dir
 	res, err := runScheduled(resumed, st)
 	if err != nil {
 		return nil, err
