@@ -32,6 +32,20 @@ func newSuite() *core.Suite {
 	return core.NewSuite()
 }
 
+// runFigure runs one registry figure on s, the way `amdmb <fig>` does.
+func runFigure(b *testing.B, s *core.Suite, name string) (*report.Figure, []core.Run) {
+	b.Helper()
+	specs, err := campaign.Specs(s, []string{name})
+	if err != nil {
+		b.Fatal(err)
+	}
+	fig, runs, err := s.RunFigureSpec(specs[0].Figure)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return fig, runs
+}
+
 func firstY(fig *report.Figure, label string) float64 {
 	for _, s := range fig.Series {
 		if s.Label == label && len(s.Points) > 0 {
@@ -74,11 +88,7 @@ func BenchmarkFig7ALUFetch(b *testing.B) {
 	s := newSuite()
 	var fig *report.Figure
 	for i := 0; i < b.N; i++ {
-		var err error
-		fig, _, err = s.Fig7()
-		if err != nil {
-			b.Fatal(err)
-		}
+		fig, _ = runFigure(b, s, "fig7")
 	}
 	b.ReportMetric(core.CrossoverOf(fig, "4870 Pixel Float"), "crossover-4870-float")
 	b.ReportMetric(core.CrossoverOf(fig, "4870 Pixel Float4"), "crossover-4870-float4")
@@ -91,28 +101,21 @@ func BenchmarkFig7ALUFetch(b *testing.B) {
 // and across the repeats); the figures are bit-identical either way.
 func repeatedSweep(b *testing.B, disableCache bool) {
 	const repeats = 3
-	var hits, lookups uint64
+	var hitRate float64
 	for i := 0; i < b.N; i++ {
 		s := core.NewSuite()
 		s.Iterations = 1
 		s.DisableArtifactCache = disableCache
 		for r := 0; r < repeats; r++ {
-			if _, _, err := s.Fig7(); err != nil {
-				b.Fatal(err)
-			}
+			runFigure(b, s, "fig7")
 		}
-		for _, st := range s.CacheStats().Stages {
-			hits += st.Hits + st.Coalesced
-			lookups += st.Hits + st.Coalesced + st.Misses
-		}
+		hitRate = s.Pipeline().HitRate()
 	}
 	// The cache hit rate is the quantity this benchmark pair isolates;
 	// scripts/bench.sh records it into BENCH_<sha>.json alongside ns/op,
 	// so cache-effectiveness regressions show up in the same artifact as
 	// time regressions.
-	if lookups > 0 {
-		b.ReportMetric(float64(hits)/float64(lookups), "cache-hit-rate")
-	}
+	b.ReportMetric(hitRate, "cache-hit-rate")
 }
 
 func BenchmarkFig7RepeatedSweepCached(b *testing.B)   { repeatedSweep(b, false) }
@@ -164,11 +167,7 @@ func BenchmarkFig8ALUFetchBlock4x16(b *testing.B) {
 	s := newSuite()
 	var fig *report.Figure
 	for i := 0; i < b.N; i++ {
-		var err error
-		fig, _, err = s.Fig8()
-		if err != nil {
-			b.Fatal(err)
-		}
+		fig, _ = runFigure(b, s, "fig8")
 	}
 	b.ReportMetric(firstY(fig, "5870 Compute Float4"), "plateau-5870-float4-s")
 }
@@ -177,11 +176,7 @@ func BenchmarkFig9GlobalReadStreamWrite(b *testing.B) {
 	s := newSuite()
 	var fig *report.Figure
 	for i := 0; i < b.N; i++ {
-		var err error
-		fig, _, err = s.Fig9()
-		if err != nil {
-			b.Fatal(err)
-		}
+		fig, _ = runFigure(b, s, "fig9")
 	}
 	b.ReportMetric(firstY(fig, "3870 Pixel Float"), "plateau-3870-float-s")
 }
@@ -189,9 +184,7 @@ func BenchmarkFig9GlobalReadStreamWrite(b *testing.B) {
 func BenchmarkFig10GlobalReadGlobalWrite(b *testing.B) {
 	s := newSuite()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := s.Fig10(); err != nil {
-			b.Fatal(err)
-		}
+		runFigure(b, s, "fig10")
 	}
 }
 
@@ -199,11 +192,7 @@ func BenchmarkFig11TextureFetchLatency(b *testing.B) {
 	s := newSuite()
 	var fig *report.Figure
 	for i := 0; i < b.N; i++ {
-		var err error
-		fig, _, err = s.Fig11()
-		if err != nil {
-			b.Fatal(err)
-		}
+		fig, _ = runFigure(b, s, "fig11")
 	}
 	for _, sr := range fig.Series {
 		if sr.Label == "4870 Pixel Float" {
@@ -217,11 +206,7 @@ func BenchmarkFig12GlobalReadLatency(b *testing.B) {
 	s := newSuite()
 	var fig *report.Figure
 	for i := 0; i < b.N; i++ {
-		var err error
-		fig, _, err = s.Fig12()
-		if err != nil {
-			b.Fatal(err)
-		}
+		fig, _ = runFigure(b, s, "fig12")
 	}
 	for _, sr := range fig.Series {
 		if sr.Label == "3870 Pixel Float" {
@@ -235,11 +220,7 @@ func BenchmarkFig13StreamingStore(b *testing.B) {
 	s := newSuite()
 	var fig *report.Figure
 	for i := 0; i < b.N; i++ {
-		var err error
-		fig, _, err = s.Fig13()
-		if err != nil {
-			b.Fatal(err)
-		}
+		fig, _ = runFigure(b, s, "fig13")
 	}
 	for _, sr := range fig.Series {
 		if sr.Label == "4870 Pixel Float" {
@@ -253,11 +234,7 @@ func BenchmarkFig14GlobalWrite(b *testing.B) {
 	s := newSuite()
 	var fig *report.Figure
 	for i := 0; i < b.N; i++ {
-		var err error
-		fig, _, err = s.Fig14()
-		if err != nil {
-			b.Fatal(err)
-		}
+		fig, _ = runFigure(b, s, "fig14")
 	}
 	var slopeF, slopeF4 float64
 	for _, sr := range fig.Series {
@@ -277,12 +254,8 @@ func BenchmarkFig14GlobalWrite(b *testing.B) {
 func BenchmarkFig15DomainSize(b *testing.B) {
 	s := newSuite()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := s.Fig15Pixel(); err != nil {
-			b.Fatal(err)
-		}
-		if _, _, err := s.Fig15Compute(); err != nil {
-			b.Fatal(err)
-		}
+		runFigure(b, s, "fig15a")
+		runFigure(b, s, "fig15b")
 	}
 }
 
@@ -290,11 +263,7 @@ func BenchmarkFig16RegisterUsage(b *testing.B) {
 	s := newSuite()
 	var fig *report.Figure
 	for i := 0; i < b.N; i++ {
-		var err error
-		fig, _, err = s.Fig16()
-		if err != nil {
-			b.Fatal(err)
-		}
+		fig, _ = runFigure(b, s, "fig16")
 	}
 	for _, sr := range fig.Series {
 		if sr.Label == "4870 Pixel Float" && len(sr.Points) > 1 {
@@ -307,20 +276,14 @@ func BenchmarkFig16RegisterUsage(b *testing.B) {
 func BenchmarkFig17RegisterUsage4x16(b *testing.B) {
 	s := newSuite()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := s.Fig17(); err != nil {
-			b.Fatal(err)
-		}
+		runFigure(b, s, "fig17")
 	}
 }
 
 func BenchmarkClauseUsageControl(b *testing.B) {
 	s := newSuite()
 	for i := 0; i < b.N; i++ {
-		_, runs, err := s.ClauseControl()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(runs) == 0 {
+		if _, runs := runFigure(b, s, "clausectl"); len(runs) == 0 {
 			b.Fatal("control produced no runs")
 		}
 	}
@@ -330,11 +293,7 @@ func BenchmarkExtTransThroughput(b *testing.B) {
 	s := newSuite()
 	var fig *report.Figure
 	for i := 0; i < b.N; i++ {
-		var err error
-		fig, _, err = s.TransThroughput(core.TransThroughputConfig{Arch: device.RV770})
-		if err != nil {
-			b.Fatal(err)
-		}
+		fig, _ = runFigure(b, s, "trans")
 	}
 	var add, rcp float64
 	for _, sr := range fig.Series {
@@ -355,11 +314,7 @@ func BenchmarkExtBlockSizeSweep(b *testing.B) {
 	s := newSuite()
 	var fig *report.Figure
 	for i := 0; i < b.N; i++ {
-		var err error
-		fig, _, err = s.BlockSizeSweep(core.BlockSizeConfig{})
-		if err != nil {
-			b.Fatal(err)
-		}
+		fig, _ = runFigure(b, s, "blocks")
 	}
 	for _, sr := range fig.Series {
 		if sr.Label == "4870 Compute Float" {
@@ -396,18 +351,11 @@ func BenchmarkExtAblationStudy(b *testing.B) {
 // ns/op gap between the two benchmarks is the realized saving.
 
 func BenchmarkSequentialBundle(b *testing.B) {
-	figs := []func(*core.Suite) (*report.Figure, []core.Run, error){
-		(*core.Suite).Fig7, (*core.Suite).Fig8, (*core.Suite).Fig11, (*core.Suite).Fig16,
-	}
 	executed := 0
 	for i := 0; i < b.N; i++ {
 		executed = 0
-		for _, fig := range figs {
-			s := newSuite()
-			_, runs, err := fig(s)
-			if err != nil {
-				b.Fatal(err)
-			}
+		for _, name := range []string{"fig7", "fig8", "fig11", "fig16"} {
+			_, runs := runFigure(b, newSuite(), name)
 			executed += len(runs)
 		}
 	}

@@ -126,7 +126,7 @@ func runCampaignCmd(argv []string, stdout, stderr io.Writer) int {
 		localOnly := map[string]bool{
 			"plan": true, "shard": true, "workers": true,
 			"faults": true, "no-cache": true, "cache-dir": true, "trace": true,
-			"cache-stats": true, "metrics": true, "metrics-json": true,
+			"metrics": true, "metrics-json": true,
 			"progress": true, "o": true, "timeout": true, "retries": true,
 		}
 		var bad []string

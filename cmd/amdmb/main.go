@@ -45,7 +45,6 @@
 //	-retries N         retry attempts for transient launch failures (default 2)
 //	-faults plan       arm deterministic fault injection, e.g.
 //	                   'seed=42;hang:prob=0.01;transient:prob=0.05'
-//	-cache-stats       print the pipeline's per-stage artifact-cache counters
 //	-no-cache          disable content-addressed artifact caching (recompute all)
 //	-cache-dir dir     persistent on-disk simulate-result cache: results load
 //	                   from dir before computing and write through, so an
@@ -101,7 +100,6 @@ type cli struct {
 	timeout     uint64
 	retries     int
 	faults      string
-	cacheStats  bool
 	noCache     bool
 	cacheDir    string
 	tracePath   string
@@ -122,17 +120,23 @@ type experiment struct {
 	run  func(s *core.Suite) error
 }
 
-// figExperiment runs one registry figure on its own. campaign.Specs
-// builds it, so each figure's configuration lives in one place
+// runFigure runs one registry figure on its own. campaign.Specs builds
+// it, so each figure's configuration lives in one place
 // (internal/campaign/registry.go) and `amdmb fig7` runs exactly the
 // sweep `amdmb campaign -figs fig7` plans.
+func runFigure(s *core.Suite, name string) (*report.Figure, []core.Run, error) {
+	specs, err := campaign.Specs(s, []string{name})
+	if err != nil {
+		return nil, nil, err
+	}
+	return s.RunFigureSpec(specs[0].Figure)
+}
+
+// figExperiment is the experiment that runs and prints one registry
+// figure.
 func (c *cli) figExperiment(name, desc string) experiment {
 	return experiment{name: name, desc: desc, run: func(s *core.Suite) error {
-		specs, err := campaign.Specs(s, []string{name})
-		if err != nil {
-			return err
-		}
-		fig, runs, err := s.RunFigureSpec(specs[0].Figure)
+		fig, runs, err := runFigure(s, name)
 		if err != nil {
 			return err
 		}
@@ -270,7 +274,6 @@ func (c *cli) commonFlags(fs *flag.FlagSet) {
 	fs.Uint64Var(&c.timeout, "timeout", 0, "per-launch watchdog budget in simulated cycles (0 = simulator default)")
 	fs.IntVar(&c.retries, "retries", 2, "retry attempts for transient launch failures")
 	fs.StringVar(&c.faults, "faults", "", "deterministic fault-injection plan, e.g. 'seed=42;hang:prob=0.01;transient:prob=0.05'")
-	fs.BoolVar(&c.cacheStats, "cache-stats", false, "print the pipeline's per-stage artifact-cache counters after the experiments")
 	fs.BoolVar(&c.noCache, "no-cache", false, "disable content-addressed artifact caching (every stage recomputes)")
 	fs.StringVar(&c.cacheDir, "cache-dir", "", "persistent on-disk simulate-result cache directory; rerunning over it resumes an interrupted run (-no-cache disables it)")
 	fs.StringVar(&c.tracePath, "trace", "", "write per-launch spans as Chrome trace_event JSON to this file")
@@ -306,8 +309,8 @@ func (c *cli) newSuite() (*core.Suite, error) {
 	return s, nil
 }
 
-// epilogue finishes a run: trace export, cache stats, metrics, and the
-// failure summary. The return value is the exit status — 0 clean, 1 on
+// epilogue finishes a run: trace export, metrics, and the failure
+// summary. The return value is the exit status — 0 clean, 1 on
 // an export error, 3 when sweeps completed around recorded failures.
 func (c *cli) epilogue(s *core.Suite) int {
 	if c.tracePath != "" {
@@ -315,9 +318,6 @@ func (c *cli) epilogue(s *core.Suite) int {
 			fmt.Fprintf(c.errOut, "amdmb: -trace: %v\n", err)
 			return 1
 		}
-	}
-	if c.cacheStats {
-		fmt.Fprintln(c.out, s.CacheStats().Format())
 	}
 	if c.metrics || c.metricsJSON {
 		snap := s.Metrics().Snapshot()

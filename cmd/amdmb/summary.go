@@ -47,7 +47,7 @@ func (c *cli) runSummary(s *core.Suite) error {
 	}
 	add := func(exp, obs, paper, measured string) { t.AddRow(exp, obs, paper, measured) }
 
-	fig7, _, err := s.Fig7()
+	fig7, _, err := runFigure(s, "fig7")
 	if err != nil {
 		return err
 	}
@@ -58,7 +58,7 @@ func (c *cli) runSummary(s *core.Suite) error {
 	add("fig7", "compute 64x1 plateau / pixel plateau (4870 float)", ">1",
 		fmt.Sprintf("%.2f", firstYOf(fig7, "4870 Compute Float")/firstYOf(fig7, "4870 Pixel Float")))
 
-	fig8, _, err := s.Fig8()
+	fig8, _, err := runFigure(s, "fig8")
 	if err != nil {
 		return err
 	}
@@ -67,11 +67,11 @@ func (c *cli) runSummary(s *core.Suite) error {
 	add("fig8", "4x16 speedup, 5870 compute float4", "~4x",
 		fmt.Sprintf("%.2fx", firstYOf(fig7, "5870 Compute Float4")/firstYOf(fig8, "5870 Compute Float4")))
 
-	fig11, _, err := s.Fig11()
+	fig11, _, err := runFigure(s, "fig11")
 	if err != nil {
 		return err
 	}
-	fig12, _, err := s.Fig12()
+	fig12, _, err := runFigure(s, "fig12")
 	if err != nil {
 		return err
 	}
@@ -80,14 +80,14 @@ func (c *cli) runSummary(s *core.Suite) error {
 	add("fig12", "3870 global read / texture fetch", "much slower",
 		fmt.Sprintf("%.1fx", lastYOf(fig12, "3870 Pixel Float")/lastYOf(fig11, "3870 Pixel Float")))
 
-	fig14, _, err := s.Fig14()
+	fig14, _, err := runFigure(s, "fig14")
 	if err != nil {
 		return err
 	}
 	add("fig14", "global write float4/float slope", "~4x",
 		fmt.Sprintf("%.2fx", slopeOf(fig14, "4870 Pixel Float4")/slopeOf(fig14, "4870 Pixel Float")))
 
-	fig16, _, err := s.Fig16()
+	fig16, _, err := runFigure(s, "fig16")
 	if err != nil {
 		return err
 	}
@@ -98,7 +98,7 @@ func (c *cli) runSummary(s *core.Suite) error {
 	add("fig16", "5870 least affected", "yes",
 		fmt.Sprintf("%.2fx", firstYOf(fig16, "5870 Pixel Float")/lastYOf(fig16, "5870 Pixel Float")))
 
-	_, ctlRuns, err := s.ClauseControl()
+	_, ctlRuns, err := runFigure(s, "clausectl")
 	if err != nil {
 		return err
 	}

@@ -1,9 +1,9 @@
 // Package campaign is the suite's campaign scheduler: it accepts
-// declarative figure specs (core.FigureSpec, the same specs the figure
-// methods run one at a time), expands them into deduplicated launch
-// units, schedules the units as one batch on the resilient sweep runner,
-// and fans each unit's result back out to every subscribing figure
-// point.
+// declarative figure specs (core.FigureSpec, the same specs
+// core.Suite.RunFigureSpec runs one at a time), expands them into
+// deduplicated launch units, schedules the units as one batch on the
+// resilient sweep runner, and fans each unit's result back out to every
+// subscribing figure point.
 //
 // The unit of dedup is the launch: one unit per (kernel hash, arch, walk
 // order, domain) — the full execution identity of a sweep point, since a
@@ -34,8 +34,8 @@ import (
 )
 
 // Spec is one figure request in a campaign: a display name plus the
-// declaratively planned figure. Build specs with the core builders
-// (Suite.Fig7Spec, …) or the name registry (Specs).
+// declaratively planned figure. Build specs with the name registry
+// (Specs) or the parameterised core builders (Suite.ALUFetchSpec, …).
 type Spec struct {
 	Name   string
 	Figure core.FigureSpec

@@ -1,12 +1,14 @@
 package campaign
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"amdgpubench/internal/core"
+	"amdgpubench/internal/report"
 )
 
 // testSuite mirrors the CLI's fast-test configuration: one timing
@@ -27,6 +29,17 @@ func mustSpecs(t *testing.T, s *core.Suite, names ...string) []Spec {
 		t.Fatal(err)
 	}
 	return specs
+}
+
+// runFigure runs one registry figure alone on s, the way `amdmb <fig>`
+// does.
+func runFigure(t *testing.T, s *core.Suite, name string) *report.Figure {
+	t.Helper()
+	fig, _, err := s.RunFigureSpec(mustSpecs(t, s, name)[0].Figure)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fig
 }
 
 func mustPlan(t *testing.T, s *core.Suite, opts Options, names ...string) *Plan {
@@ -192,14 +205,8 @@ func TestCampaignMatchesSequential(t *testing.T) {
 		t.Fatalf("%d units failed", res.Failed())
 	}
 
-	direct16, _, err := testSuite(clamp).Fig16()
-	if err != nil {
-		t.Fatal(err)
-	}
-	directCtl, _, err := testSuite(clamp).ClauseControl()
-	if err != nil {
-		t.Fatal(err)
-	}
+	direct16 := runFigure(t, testSuite(clamp), "fig16")
+	directCtl := runFigure(t, testSuite(clamp), "clausectl")
 	if got, want := res.Figures[0].CSV(), direct16.CSV(); got != want {
 		t.Errorf("fig16 diverged from sequential run:\ncampaign:\n%s\nsequential:\n%s", got, want)
 	}
@@ -257,14 +264,9 @@ func TestCampaignCheckpointResume(t *testing.T) {
 
 	victim := persisted()
 	victim.Workers = 2
-	var launches atomic.Int64
-	victim.BeforeLaunch = func() {
-		if launches.Add(1) == 6 {
-			victim.Interrupt()
-		}
-	}
+	ctx := cancelAfter(t, victim, 6)
 	vp := mustPlan(t, victim, Options{MaxDomain: clamp}, "fig16", "clausectl")
-	if _, err := vp.Run(victim); !errors.Is(err, core.ErrSweepInterrupted) {
+	if _, err := vp.RunCtx(ctx, victim, RunOptions{}); !errors.Is(err, core.ErrSweepInterrupted) {
 		t.Fatalf("victim campaign: got %v, want ErrSweepInterrupted", err)
 	}
 
@@ -278,14 +280,8 @@ func TestCampaignCheckpointResume(t *testing.T) {
 		t.Fatal("resume served nothing from the persistent tier")
 	}
 
-	direct16, _, err := testSuite(clamp).Fig16()
-	if err != nil {
-		t.Fatal(err)
-	}
-	directCtl, _, err := testSuite(clamp).ClauseControl()
-	if err != nil {
-		t.Fatal(err)
-	}
+	direct16 := runFigure(t, testSuite(clamp), "fig16")
+	directCtl := runFigure(t, testSuite(clamp), "clausectl")
 	if res.Figures[0].CSV() != direct16.CSV() {
 		t.Error("resumed campaign fig16 diverged from sequential run")
 	}
@@ -294,18 +290,27 @@ func TestCampaignCheckpointResume(t *testing.T) {
 	}
 }
 
+// cancelAfter arms BeforeLaunch to cancel the returned context once the
+// suite has started its nth launch.
+func cancelAfter(t *testing.T, s *core.Suite, n int64) context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	var launches atomic.Int64
+	s.BeforeLaunch = func(core.KernelPoint, int) {
+		if launches.Add(1) == n {
+			cancel()
+		}
+	}
+	return ctx
+}
+
 // TestCampaignInterruptPropagates pins the error identity contract.
 func TestCampaignInterruptPropagates(t *testing.T) {
 	s := testSuite(32)
 	s.Workers = 1
-	var launches atomic.Int64
-	s.BeforeLaunch = func() {
-		if launches.Add(1) == 2 {
-			s.Interrupt()
-		}
-	}
+	ctx := cancelAfter(t, s, 2)
 	p := mustPlan(t, s, Options{MaxDomain: 32}, "fig16")
-	_, err := p.Run(s)
+	_, err := p.RunCtx(ctx, s, RunOptions{})
 	if !errors.Is(err, core.ErrSweepInterrupted) {
 		t.Fatalf("got %v, want core.ErrSweepInterrupted", err)
 	}
@@ -325,8 +330,8 @@ func TestSpecsRejectsBadNames(t *testing.T) {
 // TestFigureNamesCoverRegistry keeps the advertised name list in sync.
 func TestFigureNamesCoverRegistry(t *testing.T) {
 	names := FigureNames()
-	if len(names) != len(builders) {
-		t.Fatalf("FigureNames lists %d of %d builders", len(names), len(builders))
+	if len(names) != len(registry) {
+		t.Fatalf("FigureNames lists %d of %d registry rows", len(names), len(registry))
 	}
 	s := testSuite(16)
 	for _, n := range names {

@@ -161,21 +161,6 @@ func NewJobs(s *core.Suite) *Jobs {
 	}
 }
 
-// noArchFilter lists figures whose Finish assembles series by point
-// POSITION (parallel label slices, per-index converters): dropping
-// points would relabel the survivors, so these reject Archs filtering.
-// Figures assembled card-major from the runs themselves (AssembleSeries
-// and the register-usage re-key) filter safely.
-var noArchFilter = map[string]bool{
-	"trans":       true,
-	"blocks":      true,
-	"consts":      true,
-	"hier-lat":    true,
-	"hier-wset":   true,
-	"hier-line":   true,
-	"hier-stride": true,
-}
-
 // effectiveIterations maps the zero value to the paper's default, so a
 // client naming the default explicitly matches a daemon left on it.
 func effectiveIterations(n int) int {
@@ -219,7 +204,7 @@ func filterSpecs(specs []Spec, archs map[device.Arch]bool) ([]Spec, error) {
 	}
 	out := make([]Spec, len(specs))
 	for i, sp := range specs {
-		if noArchFilter[sp.Name] {
+		if registry[sp.Name].positional {
 			return nil, fmt.Errorf("campaign: figure %q assembles series positionally and cannot be arch-filtered", sp.Name)
 		}
 		kept := sp.Figure.Points[:0:0]

@@ -125,7 +125,7 @@ func TestJobsCancel(t *testing.T) {
 	var once sync.Once
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	s.BeforeLaunch = func() {
+	s.BeforeLaunch = func(core.KernelPoint, int) {
 		once.Do(func() { close(entered) })
 		<-release
 	}

@@ -89,9 +89,9 @@ func (p *Plan) Run(s *core.Suite) (*Result, error) {
 // returned error is the sweep's own (fatal pipeline errors, or
 // core.ErrSweepInterrupted verbatim so callers can errors.Is on it).
 //
-// Cancelling ctx interrupts just this campaign's sweep, unlike
-// Suite.Interrupt which stops every sweep in flight — what callers
-// running several campaigns on ONE shared suite (the daemon) need.
+// Cancelling ctx interrupts just this campaign's sweep, leaving any
+// other sweep on the suite running — what callers running several
+// campaigns on ONE shared suite (the daemon) need.
 func (p *Plan) RunCtx(ctx context.Context, s *core.Suite, opts RunOptions) (*Result, error) {
 	m := s.Metrics()
 	m.Counter("campaign.figures.planned").Add(int64(p.Stats.Figures))

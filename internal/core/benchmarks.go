@@ -45,7 +45,8 @@ func (c *ALUFetchConfig) defaults() {
 
 // ALUFetchSpec plans the ALU:Fetch ratio sweep without running anything:
 // one kernel per (card, ratio), card-major, ready for RunFigureSpec or a
-// multi-figure campaign plan.
+// multi-figure campaign plan. Its curves locate the ratio where the
+// bottleneck flips from the texture fetch units to the ALUs.
 func (s *Suite) ALUFetchSpec(cfg ALUFetchConfig) (FigureSpec, error) {
 	cfg.defaults()
 	fig := &report.Figure{
@@ -67,17 +68,6 @@ func (s *Suite) ALUFetchSpec(cfg ALUFetchConfig) (FigureSpec, error) {
 		}
 	}
 	return FigureSpec{Fig: fig, Points: pts}, nil
-}
-
-// ALUFetchRatio sweeps the ALU:Fetch ratio and reports execution time per
-// ratio, locating the point where the bottleneck flips from the texture
-// fetch units to the ALUs.
-func (s *Suite) ALUFetchRatio(cfg ALUFetchConfig) (*report.Figure, []Run, error) {
-	spec, err := s.ALUFetchSpec(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return s.RunFigureSpec(spec)
 }
 
 // ReadLatencyConfig parameterises the fetch/read latency sweep (III-B).
@@ -104,7 +94,9 @@ func (c *ReadLatencyConfig) defaults() {
 	}
 }
 
-// ReadLatencySpec plans the read latency sweep.
+// ReadLatencySpec plans the read latency sweep: the input count varies
+// with the ALU count pinned to inputs-1, keeping the fetch path the
+// bottleneck.
 func (s *Suite) ReadLatencySpec(cfg ReadLatencyConfig) (FigureSpec, error) {
 	cfg.defaults()
 	title := "Texture Fetch Latency"
@@ -124,16 +116,6 @@ func (s *Suite) ReadLatencySpec(cfg ReadLatencyConfig) (FigureSpec, error) {
 		}
 	}
 	return FigureSpec{Fig: fig, Points: pts}, nil
-}
-
-// ReadLatency sweeps the input count with the ALU count pinned to
-// inputs-1, keeping the fetch path the bottleneck.
-func (s *Suite) ReadLatency(cfg ReadLatencyConfig) (*report.Figure, []Run, error) {
-	spec, err := s.ReadLatencySpec(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return s.RunFigureSpec(spec)
 }
 
 // WriteLatencyConfig parameterises the write latency sweep (III-C).
@@ -165,7 +147,8 @@ func (c *WriteLatencyConfig) defaults() {
 	}
 }
 
-// WriteLatencySpec plans the write latency sweep.
+// WriteLatencySpec plans the write latency sweep: the output count varies
+// at constant inputs and ALU ops.
 func (s *Suite) WriteLatencySpec(cfg WriteLatencyConfig) (FigureSpec, error) {
 	cfg.defaults()
 	title := "Streaming Store Latency"
@@ -188,15 +171,6 @@ func (s *Suite) WriteLatencySpec(cfg WriteLatencyConfig) (FigureSpec, error) {
 		}
 	}
 	return FigureSpec{Fig: fig, Points: pts}, nil
-}
-
-// WriteLatency sweeps the output count at constant inputs and ALU ops.
-func (s *Suite) WriteLatency(cfg WriteLatencyConfig) (*report.Figure, []Run, error) {
-	spec, err := s.WriteLatencySpec(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return s.RunFigureSpec(spec)
 }
 
 // DomainConfig parameterises the domain size sweep (III-D).
@@ -226,7 +200,8 @@ func (c *DomainConfig) defaults() {
 	}
 }
 
-// DomainSizeSpec plans the domain size sweep.
+// DomainSizeSpec plans the domain size sweep: square domains at ALU:Fetch
+// ratio 10 (ALU bound, 8 inputs, 1 output, so occupancy stays constant).
 func (s *Suite) DomainSizeSpec(cfg DomainConfig) (FigureSpec, error) {
 	cfg.defaults()
 	fig := &report.Figure{ID: "domain", Title: "Impact of Domain Size", XLabel: "Domain Size", YLabel: "Time in seconds"}
@@ -246,16 +221,6 @@ func (s *Suite) DomainSizeSpec(cfg DomainConfig) (FigureSpec, error) {
 		}
 	}
 	return FigureSpec{Fig: fig, Points: pts}, nil
-}
-
-// DomainSize sweeps square domains at ALU:Fetch ratio 10 (ALU bound, 8
-// inputs, 1 output, so occupancy stays constant).
-func (s *Suite) DomainSize(cfg DomainConfig) (*report.Figure, []Run, error) {
-	spec, err := s.DomainSizeSpec(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return s.RunFigureSpec(spec)
 }
 
 // RegisterUsageConfig parameterises the register pressure sweep (III-E).
@@ -298,10 +263,11 @@ func (c *RegisterUsageConfig) defaults() {
 	}
 }
 
-// RegisterUsageSpec plans the register pressure sweep. Its Finish re-keys
-// each run's X from the step index to the compiled register count —
-// Fig. 16's x axis is known only after the runs complete; failed points
-// have no compile result to re-key by.
+// RegisterUsageSpec plans the register pressure sweep over the sampling
+// placement (step), timed against the resulting register count — Fig.
+// 16's axes. Its Finish re-keys each run's X from the step index to the
+// compiled register count — Fig. 16's x axis is known only after the
+// runs complete; failed points have no compile result to re-key by.
 func (s *Suite) RegisterUsageSpec(cfg RegisterUsageConfig) (FigureSpec, error) {
 	cfg.defaults()
 	title := "Register Pressure Effect"
@@ -339,16 +305,6 @@ func (s *Suite) RegisterUsageSpec(cfg RegisterUsageConfig) (FigureSpec, error) {
 		AssembleSeries(fig, runs)
 	}
 	return FigureSpec{Fig: fig, Points: pts, Finish: finish}, nil
-}
-
-// RegisterUsage sweeps the sampling placement (step) and reports execution
-// time against the resulting register count — Fig. 16's axes.
-func (s *Suite) RegisterUsage(cfg RegisterUsageConfig) (*report.Figure, []Run, error) {
-	spec, err := s.RegisterUsageSpec(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return s.RunFigureSpec(spec)
 }
 
 // HardwareTable reproduces Table I from the device models.

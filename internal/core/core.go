@@ -169,10 +169,12 @@ type Suite struct {
 	// clamped sweep never resumes from full-domain results.
 	MaxDomain int
 	// BeforeLaunch, when non-nil, runs before every kernel launch (every
-	// attempt, every worker). The soak campaigns use it to Interrupt a
-	// sweep at a deterministic launch ordinal for kill/resume cycles; it
-	// must be safe for concurrent calls.
-	BeforeLaunch func()
+	// attempt, every worker) with the point and its attempt index
+	// (0-based). The soak campaigns use it to cancel a sweep at a
+	// deterministic launch ordinal for kill/resume cycles, and tests to
+	// inject panics; it runs inside the launch's panic fence and must be
+	// safe for concurrent calls.
+	BeforeLaunch func(p KernelPoint, attempt int)
 
 	// pipe is the staged launch pipeline every context the suite opens
 	// shares, so compile and replay artifacts are reused across cards,
@@ -187,19 +189,10 @@ type Suite struct {
 	failures []Run
 	launched atomic.Int64
 
-	// In-flight sweep stop functions, keyed by registration order;
-	// Interrupt invokes them all.
-	intrMu     sync.Mutex
-	sweepStops map[uint64]func()
-	sweepSeq   uint64
-
 	// Sweep-level resilience counters (core.sweep.*), resolved once from
 	// the pipeline's metrics registry.
 	ctrOnce sync.Once
 	ctr     *sweepCounters
-	// testHookBeforeRun, when set, runs before every kernel launch; tests
-	// use it to inject panics into the sweep.
-	testHookBeforeRun func(p KernelPoint, attempt int)
 }
 
 // NewSuite constructs a suite.
@@ -218,10 +211,6 @@ func (s *Suite) Pipeline() *pipeline.Pipeline {
 	})
 	return s.pipe
 }
-
-// CacheStats snapshots the shared pipeline's per-stage artifact-cache
-// counters (`amdmb -cache-stats`).
-func (s *Suite) CacheStats() pipeline.Stats { return s.Pipeline().Stats() }
 
 // Metrics returns the suite's metrics registry — the one the shared
 // pipeline, the cal contexts and the sweep runner all record into
@@ -254,21 +243,6 @@ func (s *Suite) counters() *sweepCounters {
 		}
 	})
 	return s.ctr
-}
-
-// cacheHitRate aggregates the pipeline's per-stage cache counters into
-// one hit fraction (hits and coalesced waits over all lookups), the
-// number the live progress line reports.
-func (s *Suite) cacheHitRate() float64 {
-	var hits, total uint64
-	for _, st := range s.Pipeline().Stats().Stages {
-		hits += st.Hits + st.Coalesced
-		total += st.Hits + st.Coalesced + st.Misses
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(hits) / float64(total)
 }
 
 // context returns the suite's one context per architecture, opening the

@@ -104,12 +104,24 @@ func suite() *Suite {
 	return s
 }
 
+// runOn runs a spec builder's result on s: the planning error if there
+// is one, else RunFigureSpec's result. Call it as
+// runOn(s)(s.ALUFetchSpec(cfg)).
+func runOn(s *Suite) func(FigureSpec, error) (*report.Figure, []Run, error) {
+	return func(spec FigureSpec, err error) (*report.Figure, []Run, error) {
+		if err != nil {
+			return nil, nil, err
+		}
+		return s.RunFigureSpec(spec)
+	}
+}
+
 func TestALUFetchDefaultsAndRunMetadata(t *testing.T) {
 	s := suite()
-	fig, runs, err := s.ALUFetchRatio(ALUFetchConfig{
+	fig, runs, err := runOn(s)(s.ALUFetchSpec(ALUFetchConfig{
 		Cards:    []Card{{Arch: device.RV770, Mode: il.Pixel, Type: il.Float}},
 		RatioMax: 1.0,
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,9 +140,9 @@ func TestALUFetchDefaultsAndRunMetadata(t *testing.T) {
 
 func TestRegisterUsageAxisDescends(t *testing.T) {
 	s := suite()
-	fig, _, err := s.RegisterUsage(RegisterUsageConfig{
+	fig, _, err := runOn(s)(s.RegisterUsageSpec(RegisterUsageConfig{
 		Cards: []Card{{Arch: device.RV770, Mode: il.Pixel, Type: il.Float}},
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}

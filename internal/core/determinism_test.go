@@ -5,7 +5,6 @@ import (
 
 	"amdgpubench/internal/device"
 	"amdgpubench/internal/il"
-	"amdgpubench/internal/report"
 )
 
 // TestParallelSweepDeterministic proves the README's guarantee: the
@@ -16,13 +15,13 @@ func TestParallelSweepDeterministic(t *testing.T) {
 		s := NewSuite()
 		s.Iterations = 1
 		s.Workers = workers
-		fig, _, err := s.ALUFetchRatio(ALUFetchConfig{
+		fig, _, err := runOn(s)(s.ALUFetchSpec(ALUFetchConfig{
 			Cards: []Card{
 				{Arch: device.RV770, Mode: il.Pixel, Type: il.Float},
 				{Arch: device.RV870, Mode: il.Compute, Type: il.Float4},
 			},
 			RatioMax: 2.0,
-		})
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,13 +45,13 @@ func TestCachedSweepBitIdenticalToUncached(t *testing.T) {
 		s.Iterations = 1
 		s.Workers = workers
 		s.DisableArtifactCache = disableCache
-		fig, _, err := s.ALUFetchRatio(ALUFetchConfig{
+		fig, _, err := runOn(s)(s.ALUFetchSpec(ALUFetchConfig{
 			Cards: []Card{
 				{Arch: device.RV770, Mode: il.Pixel, Type: il.Float},
 				{Arch: device.RV870, Mode: il.Compute, Type: il.Float4},
 			},
 			RatioMax: 2.0,
-		})
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,11 +74,17 @@ func TestCachedSweepBitIdenticalToUncached(t *testing.T) {
 func TestStructuralHashCacheBitIdenticalAcrossFigures(t *testing.T) {
 	figures := []struct {
 		name string
-		run  func(*Suite) (*report.Figure, []Run, error)
+		plan func(*Suite) (FigureSpec, error)
 	}{
-		{"fig8", (*Suite).Fig8},
-		{"fig11", (*Suite).Fig11},
-		{"fig16", (*Suite).Fig16},
+		{"fig8", func(s *Suite) (FigureSpec, error) {
+			return s.ALUFetchSpec(ALUFetchConfig{Cards: ComputeCards(4, 16)})
+		}},
+		{"fig11", func(s *Suite) (FigureSpec, error) {
+			return s.ReadLatencySpec(ReadLatencyConfig{Space: il.TextureSpace})
+		}},
+		{"fig16", func(s *Suite) (FigureSpec, error) {
+			return s.RegisterUsageSpec(RegisterUsageConfig{})
+		}},
 	}
 	for _, f := range figures {
 		t.Run(f.name, func(t *testing.T) {
@@ -87,7 +92,7 @@ func TestStructuralHashCacheBitIdenticalAcrossFigures(t *testing.T) {
 				s := NewSuite()
 				s.Iterations = 1
 				s.DisableArtifactCache = disableCache
-				fig, _, err := f.run(s)
+				fig, _, err := runOn(s)(f.plan(s))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -111,10 +116,10 @@ func TestStructuralHashCacheBitIdenticalAcrossFigures(t *testing.T) {
 func TestLaunchAccountingMatchesContexts(t *testing.T) {
 	s := suite()
 	s.Workers = 4
-	if _, _, err := s.Fig7(); err != nil {
+	if _, _, err := runOn(s)(s.ALUFetchSpec(ALUFetchConfig{})); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.Fig13(); err != nil {
+	if _, _, err := runOn(s)(s.WriteLatencySpec(WriteLatencyConfig{Space: il.TextureSpace})); err != nil {
 		t.Fatal(err)
 	}
 	var fromContexts int64
@@ -136,11 +141,11 @@ func TestLaunchAccountingMatchesContexts(t *testing.T) {
 // simulator holds no hidden state between launches.
 func TestSuiteRunsAreRepeatable(t *testing.T) {
 	s := suite()
-	fig1, _, err := s.Fig13()
+	fig1, _, err := runOn(s)(s.WriteLatencySpec(WriteLatencyConfig{Space: il.TextureSpace}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig2, _, err := s.Fig13()
+	fig2, _, err := runOn(s)(s.WriteLatencySpec(WriteLatencyConfig{Space: il.TextureSpace}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,9 +76,14 @@ func (c *TransThroughputConfig) defaults() {
 	}
 }
 
-// TransThroughputSpec plans the transcendental extension sweep. Series
-// carry custom labels (data type x op kind), so the spec's Finish closes
-// over the per-point label list instead of using AssembleSeries.
+// TransThroughputSpec plans the transcendental extension sweep: the
+// dependent-chain throughput of transcendental versus basic operations
+// for float and float4 data. Basic float4 ops ride the 4-wide VLIW slots
+// (one bundle per op); float4 transcendentals serialize through the
+// single t core at one lane per bundle, costing 4x — the asymmetry the
+// paper's Section II hardware description implies. Series carry custom
+// labels (data type x op kind), so the spec's Finish closes over the
+// per-point label list instead of using AssembleSeries.
 func (s *Suite) TransThroughputSpec(cfg TransThroughputConfig) (FigureSpec, error) {
 	cfg.defaults()
 	fig := &report.Figure{
@@ -107,19 +112,6 @@ func (s *Suite) TransThroughputSpec(cfg TransThroughputConfig) (FigureSpec, erro
 		}
 	}
 	return FigureSpec{Fig: fig, Points: pts, Finish: labelledSeries(labels)}, nil
-}
-
-// TransThroughput measures dependent-chain throughput of transcendental
-// versus basic operations for float and float4 data. Basic float4 ops ride
-// the 4-wide VLIW slots (one bundle per op); float4 transcendentals
-// serialize through the single t core at one lane per bundle, costing 4x —
-// the asymmetry the paper's Section II hardware description implies.
-func (s *Suite) TransThroughput(cfg TransThroughputConfig) (*report.Figure, []Run, error) {
-	spec, err := s.TransThroughputSpec(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return s.RunFigureSpec(spec)
 }
 
 // labelledSeries builds a Finish that groups runs by a parallel label
@@ -163,9 +155,13 @@ var blockShapes = []struct{ w, h int }{
 	{64, 1}, {32, 2}, {16, 4}, {8, 8}, {4, 16}, {2, 32}, {1, 64},
 }
 
-// BlockSizeSpec plans the compute block-shape sweep. Block shape changes
-// within a series, so the series labels come from a closed-over label
-// list (Card.Label omits the block shape by design).
+// BlockSizeSpec plans the compute block-shape sweep: one fetch-bound
+// kernel across every 64-thread block shape in compute mode on the GDDR5
+// chips. The square-ish shapes match the 8x8 texture tiles and win; the
+// paper's 64x1 default and its 4x16 suggestion are two points on this
+// curve. Block shape changes within a series, so the series labels come
+// from a closed-over label list (Card.Label omits the block shape by
+// design).
 func (s *Suite) BlockSizeSpec(cfg BlockSizeConfig) (FigureSpec, error) {
 	cfg.defaults()
 	fig := &report.Figure{
@@ -194,18 +190,6 @@ func (s *Suite) BlockSizeSpec(cfg BlockSizeConfig) (FigureSpec, error) {
 		}
 	}
 	return FigureSpec{Fig: fig, Points: pts, Finish: labelledSeries(labels)}, nil
-}
-
-// BlockSizeSweep times one fetch-bound kernel across every 64-thread block
-// shape in compute mode on the GDDR5 chips. The square-ish shapes match
-// the 8x8 texture tiles and win; the paper's 64x1 default and its 4x16
-// suggestion are two points on this curve.
-func (s *Suite) BlockSizeSweep(cfg BlockSizeConfig) (*report.Figure, []Run, error) {
-	spec, err := s.BlockSizeSpec(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return s.RunFigureSpec(spec)
 }
 
 // ConstantsConfig parameterises the constants sweep. The paper lists the
@@ -237,7 +221,9 @@ func (c *ConstantsConfig) defaults() {
 	}
 }
 
-// ConstantsSpec plans the constants sweep.
+// ConstantsSpec plans the constants sweep: one kernel shape with
+// 0..MaxConstants constants folded into its (fixed-length) chain. The
+// curve must be flat and the register count must not move.
 func (s *Suite) ConstantsSpec(cfg ConstantsConfig) (FigureSpec, error) {
 	cfg.defaults()
 	fig := &report.Figure{
@@ -261,17 +247,6 @@ func (s *Suite) ConstantsSpec(cfg ConstantsConfig) (FigureSpec, error) {
 		}
 	}
 	return FigureSpec{Fig: fig, Points: pts}, nil
-}
-
-// ConstantsSweep times one kernel shape with 0..MaxConstants constants
-// folded into its (fixed-length) chain. The curve must be flat and the
-// register count must not move.
-func (s *Suite) ConstantsSweep(cfg ConstantsConfig) (*report.Figure, []Run, error) {
-	spec, err := s.ConstantsSpec(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return s.RunFigureSpec(spec)
 }
 
 // AblationResult is one baseline-versus-ablated comparison.

@@ -9,9 +9,9 @@ import (
 
 func TestTransThroughputShapes(t *testing.T) {
 	s := suite()
-	fig, _, err := s.TransThroughput(TransThroughputConfig{
+	fig, _, err := runOn(s)(s.TransThroughputSpec(TransThroughputConfig{
 		Arch: device.RV770, MaxOps: 128, StepOps: 64,
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestTransThroughputShapes(t *testing.T) {
 
 func TestBlockSizeSweepShapes(t *testing.T) {
 	s := suite()
-	fig, runs, err := s.BlockSizeSweep(BlockSizeConfig{})
+	fig, runs, err := runOn(s)(s.BlockSizeSpec(BlockSizeConfig{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestAblationStudyDirections(t *testing.T) {
 
 func TestConstantsSweepFlat(t *testing.T) {
 	s := suite()
-	fig, runs, err := s.ConstantsSweep(ConstantsConfig{Arch: device.RV770})
+	fig, runs, err := runOn(s)(s.ConstantsSpec(ConstantsConfig{Arch: device.RV770}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 
 func TestFig7Shapes(t *testing.T) {
 	s := suite()
-	fig, runs, err := s.Fig7()
+	fig, runs, err := runOn(s)(s.ALUFetchSpec(ALUFetchConfig{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +90,11 @@ func TestFig7Shapes(t *testing.T) {
 
 func TestFig8Block4x16Improvement(t *testing.T) {
 	s := suite()
-	fig7, _, err := s.ALUFetchRatio(ALUFetchConfig{Cards: ComputeCards(0, 0), RatioMax: 1.0})
+	fig7, _, err := runOn(s)(s.ALUFetchSpec(ALUFetchConfig{Cards: ComputeCards(0, 0), RatioMax: 1.0}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig8, _, err := s.ALUFetchRatio(ALUFetchConfig{Cards: ComputeCards(4, 16), RatioMax: 1.0})
+	fig8, _, err := runOn(s)(s.ALUFetchSpec(ALUFetchConfig{Cards: ComputeCards(4, 16), RatioMax: 1.0}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,17 +114,17 @@ func TestFig8Block4x16Improvement(t *testing.T) {
 
 func TestFig9And10GlobalReadBehaviour(t *testing.T) {
 	s := suite()
-	fig9, _, err := s.ALUFetchRatio(ALUFetchConfig{
+	fig9, _, err := runOn(s)(s.ALUFetchSpec(ALUFetchConfig{
 		Cards:      PixelCards(),
 		InputSpace: il.GlobalSpace, OutSpace: il.TextureSpace, RatioMax: 2.0,
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig10, _, err := s.ALUFetchRatio(ALUFetchConfig{
+	fig10, _, err := runOn(s)(s.ALUFetchSpec(ALUFetchConfig{
 		Cards:      PixelCards()[2:], // 4870 and 5870 entries
 		InputSpace: il.GlobalSpace, OutSpace: il.GlobalSpace, RatioMax: 2.0,
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestFig9And10GlobalReadBehaviour(t *testing.T) {
 
 func TestFig11TextureFetchLatencyLinear(t *testing.T) {
 	s := suite()
-	fig, _, err := s.Fig11()
+	fig, _, err := runOn(s)(s.ReadLatencySpec(ReadLatencyConfig{Space: il.TextureSpace}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,11 +181,11 @@ func TestFig11TextureFetchLatencyLinear(t *testing.T) {
 
 func TestFig12GlobalReadLatency(t *testing.T) {
 	s := suite()
-	fig11, _, err := s.Fig11()
+	fig11, _, err := runOn(s)(s.ReadLatencySpec(ReadLatencyConfig{Space: il.TextureSpace}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig12, _, err := s.Fig12()
+	fig12, _, err := runOn(s)(s.ReadLatencySpec(ReadLatencyConfig{Space: il.GlobalSpace}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestFig12GlobalReadLatency(t *testing.T) {
 
 func TestFig13StreamingStore(t *testing.T) {
 	s := suite()
-	fig, _, err := s.Fig13()
+	fig, _, err := runOn(s)(s.WriteLatencySpec(WriteLatencyConfig{Space: il.TextureSpace}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestFig13StreamingStore(t *testing.T) {
 
 func TestFig14GlobalWrite(t *testing.T) {
 	s := suite()
-	fig, _, err := s.Fig14()
+	fig, _, err := runOn(s)(s.WriteLatencySpec(WriteLatencyConfig{Space: il.GlobalSpace}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestFig14GlobalWrite(t *testing.T) {
 
 func TestFig15DomainSize(t *testing.T) {
 	s := suite()
-	figA, _, err := s.DomainSize(DomainConfig{Cards: PixelCards(), StepPix: 32})
+	figA, _, err := runOn(s)(s.DomainSizeSpec(DomainConfig{Cards: PixelCards(), StepPix: 32}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestFig15DomainSize(t *testing.T) {
 
 func TestFig16RegisterPressure(t *testing.T) {
 	s := suite()
-	fig, runs, err := s.Fig16()
+	fig, runs, err := runOn(s)(s.RegisterUsageSpec(RegisterUsageConfig{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func TestFig16RegisterPressure(t *testing.T) {
 
 func TestClauseControlFlat(t *testing.T) {
 	s := suite()
-	_, runs, err := s.ClauseControl()
+	_, runs, err := runOn(s)(s.RegisterUsageSpec(RegisterUsageConfig{Control: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,11 +346,11 @@ func TestClauseControlFlat(t *testing.T) {
 
 func TestFig17Block4x16RegisterPressure(t *testing.T) {
 	s := suite()
-	fig16, _, err := s.RegisterUsage(RegisterUsageConfig{Cards: ComputeCards(0, 0)})
+	fig16, _, err := runOn(s)(s.RegisterUsageSpec(RegisterUsageConfig{Cards: ComputeCards(0, 0)}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig17, _, err := s.RegisterUsage(RegisterUsageConfig{Cards: ComputeCards(4, 16)})
+	fig17, _, err := runOn(s)(s.RegisterUsageSpec(RegisterUsageConfig{Cards: ComputeCards(4, 16)}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"amdgpubench/internal/cal"
@@ -39,42 +38,13 @@ func (s *Suite) workers() int {
 // the sweep — and the process — survive.
 var errLaunchPanic = errors.New("panic during launch")
 
-// ErrSweepInterrupted reports that Interrupt cancelled the sweep before
-// every point completed. Points finished up to that moment are already
-// in the persistent tier (when the suite has a PersistDir), so a re-run
-// with the same configuration resumes rather than recomputes — the
-// in-process half of the kill/resume cycles the soak campaigns exercise.
+// ErrSweepInterrupted reports that the sweep's context was cancelled
+// before every point completed. Points finished up to that moment are
+// already in the persistent tier (when the suite has a PersistDir), so a
+// re-run with the same configuration resumes rather than recomputes —
+// the in-process half of the kill/resume cycles the soak campaigns
+// exercise.
 var ErrSweepInterrupted = errors.New("core: sweep interrupted")
-
-// Interrupt cancels every in-flight sweep on the suite: undispatched
-// points are abandoned and RunKernelPoints returns ErrSweepInterrupted.
-// Points already dispatched complete (and persist) normally. Safe from
-// any goroutine; a suite with no sweep in flight ignores it.
-func (s *Suite) Interrupt() {
-	s.intrMu.Lock()
-	defer s.intrMu.Unlock()
-	for _, stop := range s.sweepStops {
-		stop()
-	}
-}
-
-// registerSweep adds a running sweep's stop function to the interrupt
-// set and returns its removal.
-func (s *Suite) registerSweep(stop func()) (unregister func()) {
-	s.intrMu.Lock()
-	defer s.intrMu.Unlock()
-	s.sweepSeq++
-	id := s.sweepSeq
-	if s.sweepStops == nil {
-		s.sweepStops = make(map[uint64]func())
-	}
-	s.sweepStops[id] = stop
-	return func() {
-		s.intrMu.Lock()
-		defer s.intrMu.Unlock()
-		delete(s.sweepStops, id)
-	}
-}
 
 // KernelPoint is one externally supplied sweep point: a prebuilt kernel
 // timed on a card at an x coordinate. It is how non-figure drivers — the
@@ -122,11 +92,11 @@ type SweepOptions struct {
 // compile or configuration error — is fatal, cancels the undispatched
 // points and fails the sweep.
 //
-// Cancelling parent stops the sweep exactly like Suite.Interrupt —
-// undispatched points are abandoned, dispatched points complete, and
-// the sweep returns ErrSweepInterrupted — but scoped to this sweep
-// alone. Callers multiplexing several independent sweeps over ONE
-// shared suite (the campaign daemon) cancel just their own.
+// Cancelling parent stops the sweep: undispatched points are abandoned,
+// dispatched points complete (and persist), and the sweep returns
+// ErrSweepInterrupted. Cancellation is scoped to this sweep alone, so
+// callers multiplexing several independent sweeps over ONE shared suite
+// (the campaign daemon) cancel just their own.
 func (s *Suite) RunKernelPoints(parent context.Context, kps []KernelPoint, opts SweepOptions) ([]Run, error) {
 	shard, shards := opts.Shard, max(opts.Shards, 1)
 	if shard < 0 || shard >= shards {
@@ -165,15 +135,6 @@ func (s *Suite) RunKernelPoints(parent context.Context, kps []KernelPoint, opts 
 
 	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
-
-	// Interrupt stops the sweep through the same cancellation the fatal
-	// path uses; the flag separates "user asked" from "sweep died".
-	var intr atomic.Bool
-	unregister := s.registerSweep(func() {
-		intr.Store(true)
-		cancel()
-	})
-	defer unregister()
 
 	var (
 		mu       sync.Mutex
@@ -220,7 +181,7 @@ func (s *Suite) RunKernelPoints(parent context.Context, kps []KernelPoint, opts 
 					ctr.completed.Inc()
 				}
 				if prog != nil {
-					prog.Point(run.Failed(), s.cacheHitRate())
+					prog.Point(run.Failed(), s.Pipeline().HitRate())
 				}
 			}
 		}()
@@ -243,7 +204,7 @@ feed:
 	if fatalErr != nil {
 		return nil, fatalErr
 	}
-	if intr.Load() || parent.Err() != nil {
+	if parent.Err() != nil {
 		ctr.interrupted.Inc()
 		return nil, ErrSweepInterrupted
 	}
@@ -314,10 +275,7 @@ func (s *Suite) runKernelSafe(p KernelPoint, attempt int) (run Run, err error) {
 		}
 	}()
 	if s.BeforeLaunch != nil {
-		s.BeforeLaunch()
-	}
-	if s.testHookBeforeRun != nil {
-		s.testHookBeforeRun(p, attempt)
+		s.BeforeLaunch(p, attempt)
 	}
 	return s.runKernel(p.Card, p.K, p.W, p.H, attempt)
 }

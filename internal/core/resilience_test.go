@@ -39,7 +39,7 @@ func TestSweepRecordsTimeoutFailure(t *testing.T) {
 	s.Faults = &fault.Plan{Specs: []fault.Spec{
 		{Kind: fault.Hang, Prob: 1, Match: "alufetch_r0.50", Clause: -1},
 	}}
-	fig, runs, err := s.ALUFetchRatio(sweepCfg())
+	fig, runs, err := runOn(s)(s.ALUFetchSpec(sweepCfg()))
 	if err != nil {
 		t.Fatalf("sweep with one hung point should complete, got %v", err)
 	}
@@ -70,12 +70,12 @@ func TestSweepRecordsTimeoutFailure(t *testing.T) {
 
 func TestSweepPanicRecoveredIntoPointError(t *testing.T) {
 	s := quickSuite()
-	s.testHookBeforeRun = func(p KernelPoint, attempt int) {
+	s.BeforeLaunch = func(p KernelPoint, attempt int) {
 		if p.X == 0.75 {
 			panic("injected test panic")
 		}
 	}
-	_, runs, err := s.ALUFetchRatio(sweepCfg())
+	_, runs, err := runOn(s)(s.ALUFetchSpec(sweepCfg()))
 	if err != nil {
 		t.Fatalf("sweep with one panicking point should complete, got %v", err)
 	}
@@ -100,7 +100,7 @@ func TestSweepRetriesTransientFaults(t *testing.T) {
 	s.Faults = &fault.Plan{Seed: 11, Specs: []fault.Spec{
 		{Kind: fault.Transient, Prob: 0.5},
 	}}
-	_, runs, err := s.ALUFetchRatio(sweepCfg())
+	_, runs, err := runOn(s)(s.ALUFetchSpec(sweepCfg()))
 	if err != nil {
 		t.Fatalf("transients should be retried away, got %v", err)
 	}
@@ -125,7 +125,7 @@ func TestSweepTransientExhaustionIsRecorded(t *testing.T) {
 	s.Faults = &fault.Plan{Specs: []fault.Spec{
 		{Kind: fault.Transient, Prob: 1, Match: "alufetch_r0.25"},
 	}}
-	_, runs, err := s.ALUFetchRatio(sweepCfg())
+	_, runs, err := runOn(s)(s.ALUFetchSpec(sweepCfg()))
 	if err != nil {
 		t.Fatalf("exhausted transient should be a point failure, got %v", err)
 	}
@@ -148,7 +148,7 @@ func TestSweepDeviceLostIsFatal(t *testing.T) {
 	s.Faults = &fault.Plan{Specs: []fault.Spec{
 		{Kind: fault.DeviceLost, Prob: 1, Match: "alufetch_r0.75"},
 	}}
-	_, _, err := s.ALUFetchRatio(sweepCfg())
+	_, _, err := runOn(s)(s.ALUFetchSpec(sweepCfg()))
 	if !errors.Is(err, cal.ErrDeviceLost) {
 		t.Fatalf("want fatal ErrDeviceLost, got %v", err)
 	}
@@ -158,14 +158,14 @@ func TestSweepNoPlanBitIdenticalToBaseline(t *testing.T) {
 	// The determinism guard: arming the resilient machinery without a
 	// fault plan must not perturb a single bit of the figures.
 	base := quickSuite()
-	fig1, _, err := base.ALUFetchRatio(sweepCfg())
+	fig1, _, err := runOn(base)(base.ALUFetchSpec(sweepCfg()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	armed := quickSuite()
 	armed.Retries = 3
 	armed.DeadlineCycles = 1 << 36
-	fig2, _, err := armed.ALUFetchRatio(sweepCfg())
+	fig2, _, err := runOn(armed)(armed.ALUFetchSpec(sweepCfg()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestCheckpointResumeSkipsCompletedPoints(t *testing.T) {
 	s1.Faults = &fault.Plan{Specs: []fault.Spec{
 		{Kind: fault.Hang, Prob: 1, Match: "alufetch_r0.50", Clause: -1},
 	}}
-	_, runs1, err := s1.ALUFetchRatio(sweepCfg())
+	_, runs1, err := runOn(s1)(s1.ALUFetchSpec(sweepCfg()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestCheckpointResumeSkipsCompletedPoints(t *testing.T) {
 	s2 := quickSuite()
 	s2.PersistDir = dir
 	s2.DeadlineCycles = s1.DeadlineCycles
-	fig2, runs2, err := s2.ALUFetchRatio(sweepCfg())
+	fig2, runs2, err := runOn(s2)(s2.ALUFetchSpec(sweepCfg()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestCheckpointResumeSkipsCompletedPoints(t *testing.T) {
 
 	// The resumed figure matches a clean unpersisted run bit for bit.
 	clean := quickSuite()
-	figClean, _, err := clean.ALUFetchRatio(sweepCfg())
+	figClean, _, err := runOn(clean)(clean.ALUFetchSpec(sweepCfg()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestCheckpointInterruptedMidSweepResumes(t *testing.T) {
 	s1.Faults = &fault.Plan{Specs: []fault.Spec{
 		{Kind: fault.DeviceLost, Prob: 1, Match: "alufetch_r0.75"},
 	}}
-	_, _, err := s1.ALUFetchRatio(sweepCfg())
+	_, _, err := runOn(s1)(s1.ALUFetchSpec(sweepCfg()))
 	if !errors.Is(err, cal.ErrDeviceLost) {
 		t.Fatalf("want fatal abort, got %v", err)
 	}
@@ -257,7 +257,7 @@ func TestCheckpointInterruptedMidSweepResumes(t *testing.T) {
 
 	s2 := quickSuite()
 	s2.PersistDir = dir
-	_, runs2, err := s2.ALUFetchRatio(sweepCfg())
+	_, runs2, err := runOn(s2)(s2.ALUFetchSpec(sweepCfg()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestCheckpointRejectsSameNameDifferentKernelBody(t *testing.T) {
 
 	s1 := quickSuite()
 	s1.PersistDir = dir
-	if _, _, err := s1.ALUFetchRatio(sweepCfg()); err != nil {
+	if _, _, err := runOn(s1)(s1.ALUFetchSpec(sweepCfg())); err != nil {
 		t.Fatal(err)
 	}
 
@@ -334,7 +334,7 @@ func TestCheckpointRejectsSameNameDifferentKernelBody(t *testing.T) {
 	other.Inputs = 8
 	s2 := quickSuite()
 	s2.PersistDir = dir
-	_, runs2, err := s2.ALUFetchRatio(other)
+	_, runs2, err := runOn(s2)(s2.ALUFetchSpec(other))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,16 +346,18 @@ func TestCheckpointRejectsSameNameDifferentKernelBody(t *testing.T) {
 	}
 }
 
-// interruptAfter arms the test hook to call Interrupt once the sweep has
-// started its nth launch, returning a counter of launches seen.
-func interruptAfter(s *Suite, n int64) *atomic.Int64 {
+// cancelAfter arms BeforeLaunch to cancel the returned context once the
+// sweep has started its nth launch.
+func cancelAfter(t *testing.T, s *Suite, n int64) context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
 	var seen atomic.Int64
-	s.testHookBeforeRun = func(p KernelPoint, attempt int) {
+	s.BeforeLaunch = func(KernelPoint, int) {
 		if seen.Add(1) == n {
-			s.Interrupt()
+			cancel()
 		}
 	}
-	return &seen
+	return ctx
 }
 
 func TestInterruptedSweepResumesBitIdentical(t *testing.T) {
@@ -381,7 +383,7 @@ func TestInterruptedSweepResumesBitIdentical(t *testing.T) {
 	}
 
 	ref := faulted()
-	_, want, err := ref.ALUFetchRatio(cfg)
+	_, want, err := runOn(ref)(ref.ALUFetchSpec(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,8 +405,12 @@ func TestInterruptedSweepResumesBitIdentical(t *testing.T) {
 	// The reference takes 16 launches; by the tenth at least the first
 	// clean point has persisted, and with two workers at most five
 	// points have been dispatched.
-	interruptAfter(victim, 10)
-	if _, _, err := victim.ALUFetchRatio(cfg); !errors.Is(err, ErrSweepInterrupted) {
+	ctx := cancelAfter(t, victim, 10)
+	spec, err := victim.ALUFetchSpec(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := victim.RunKernelPoints(ctx, spec.Points, SweepOptions{}); !errors.Is(err, ErrSweepInterrupted) {
 		t.Fatalf("want ErrSweepInterrupted, got %v", err)
 	}
 	if got := victim.Metrics().Snapshot().Get("core.sweep.interrupted"); got != 1 {
@@ -413,7 +419,7 @@ func TestInterruptedSweepResumesBitIdentical(t *testing.T) {
 
 	resumed := faulted()
 	resumed.PersistDir = dir
-	_, got, err := resumed.ALUFetchRatio(cfg)
+	_, got, err := runOn(resumed)(resumed.ALUFetchSpec(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,19 +440,11 @@ func TestInterruptedSweepResumesBitIdentical(t *testing.T) {
 	}
 }
 
-func TestInterruptIdleSuiteIsNoop(t *testing.T) {
-	s := quickSuite()
-	s.Interrupt() // nothing in flight: must not wedge the next sweep
-	if _, _, err := s.ALUFetchRatio(sweepCfg()); err != nil {
-		t.Fatalf("sweep after idle Interrupt failed: %v", err)
-	}
-}
-
 func TestRunKernelPointsMatchesFigureSweep(t *testing.T) {
 	// RunKernelPoints is the soak campaigns' entry; driving the same
 	// kernels through it must reproduce the figure sweep's runs exactly.
 	s := quickSuite()
-	fig, runs, err := s.ALUFetchRatio(sweepCfg())
+	fig, runs, err := runOn(s)(s.ALUFetchSpec(sweepCfg()))
 	if err != nil {
 		t.Fatal(err)
 	}

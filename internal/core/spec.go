@@ -8,10 +8,11 @@ import (
 
 // A FigureSpec is a declaratively planned figure: the figure template,
 // the exact sweep points that produce it, and how completed runs fold
-// into the template's series. Every figure method on Suite (Fig7..Fig17,
-// the extensions) is a spec builder plus RunFigureSpec; the campaign
-// scheduler (internal/campaign) consumes the same specs to plan several
-// figures as one set of deduplicated launch units.
+// into the template's series. The parameterised builders on Suite
+// (ALUFetchSpec, ReadLatencySpec, …) produce them; the campaign
+// registry (internal/campaign) binds each paper figure to one builder
+// configuration, and the campaign scheduler plans several specs as one
+// set of deduplicated launch units. RunFigureSpec runs one alone.
 type FigureSpec struct {
 	// Fig is the figure template the spec's runs assemble into. It is
 	// single-use: Finish appends series to it. Nil means the spec has no

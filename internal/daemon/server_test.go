@@ -229,7 +229,7 @@ func TestServerCancelAndConflicts(t *testing.T) {
 	var once sync.Once
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	s.BeforeLaunch = func() {
+	s.BeforeLaunch = func(core.KernelPoint, int) {
 		once.Do(func() { close(entered) })
 		<-release
 	}

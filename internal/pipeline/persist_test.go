@@ -82,8 +82,8 @@ func TestPersistTierWriteThroughAndReload(t *testing.T) {
 	if got := persistCount(t, p2, "writes"); got != 0 {
 		t.Fatalf("persist.writes = %d on a tier hit, want 0 (no write-back of what is already on disk)", got)
 	}
-	if st := p2.Stats().Stage("simulate"); st.ComputeTime != 0 {
-		t.Fatalf("restart simulated for %v; the tier should have served it", st.ComputeTime)
+	if ns := p2.simulate.computeNS.Load() + p2.simBypassNS.Load(); ns != 0 {
+		t.Fatalf("restart simulated for %dns; the tier should have served it", ns)
 	}
 }
 

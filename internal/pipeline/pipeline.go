@@ -17,8 +17,8 @@
 // cache geometry (plus cache-relevant ablations). Each store coalesces
 // concurrent computations of the same key (singleflight), so a worker
 // pool sweeping hundreds of points never computes the same artifact
-// twice at the same time. Every stage carries hit/miss/latency counters,
-// surfaced through Stats and `amdmb -cache-stats`.
+// twice at the same time. Every stage carries hit/miss/latency counters
+// in the pipeline's metrics registry, surfaced by `amdmb -metrics`.
 //
 // The Simulate key does not depend on the trace, so Simulate looks its
 // result up first and runs Trace and Replay only on a miss: a launch
@@ -56,28 +56,13 @@ import (
 	"amdgpubench/internal/sim"
 )
 
-// Options sizes the pipeline's artifact stores. Zero fields take the
-// defaults below.
+// Options configures a pipeline. The zero value memoizes every stage in
+// memory, with the store bounds below.
 type Options struct {
 	// Disabled turns memoization off: every stage recomputes every
 	// artifact. Results are bit-identical either way; the flag exists
 	// for baselines and cache-vs-recompute benchmarks.
 	Disabled bool
-	// Entry bounds per LRU store.
-	GenerateEntries int
-	CompileEntries  int
-	ReplayEntries   int
-	SimulateEntries int
-	// ReplaySnapshotEntries bounds the replay prefix-snapshot store: the
-	// deepest resumable replay cursor per trace-prefix family, cloned to
-	// seed later points of a dense input sweep. Each entry holds three
-	// cloned cache models (the L2's tag array dominates, ~64KB on RV770),
-	// so the default of 64 caps snapshot state at a few MB.
-	ReplaySnapshotEntries int
-	// Metrics is the registry the per-stage counters, gauges and latency
-	// histograms register into; nil gets the pipeline its own registry,
-	// so counters (and Stats) always work.
-	Metrics *obs.Registry
 	// PersistDir, when non-empty, attaches the persistent on-disk tier
 	// under the Simulate store (see persist.go): results missing in
 	// memory load from <PersistDir>/simulate before computing, and
@@ -86,6 +71,11 @@ type Options struct {
 	PersistDir string
 }
 
+// Entry bounds per LRU store. The replay prefix-snapshot store keeps the
+// deepest resumable replay cursor per trace-prefix family, cloned to
+// seed later points of a dense input sweep. Each of its entries holds
+// three cloned cache models (the L2's tag array dominates, ~64KB on
+// RV770), so its bound of 64 caps snapshot state at a few MB.
 const (
 	defaultGenerateEntries       = 4096
 	defaultCompileEntries        = 4096
@@ -125,27 +115,9 @@ type Pipeline struct {
 	simBypassNS *obs.Counter
 }
 
-// New builds a pipeline with the given store bounds.
+// New builds a pipeline with its own metrics registry.
 func New(opts Options) *Pipeline {
-	if opts.GenerateEntries <= 0 {
-		opts.GenerateEntries = defaultGenerateEntries
-	}
-	if opts.CompileEntries <= 0 {
-		opts.CompileEntries = defaultCompileEntries
-	}
-	if opts.ReplayEntries <= 0 {
-		opts.ReplayEntries = defaultReplayEntries
-	}
-	if opts.SimulateEntries <= 0 {
-		opts.SimulateEntries = defaultSimulateEntries
-	}
-	if opts.ReplaySnapshotEntries <= 0 {
-		opts.ReplaySnapshotEntries = defaultReplaySnapshotEntries
-	}
-	reg := opts.Metrics
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+	reg := obs.NewRegistry()
 	p := &Pipeline{
 		disabled:    opts.Disabled,
 		metrics:     reg,
@@ -154,13 +126,13 @@ func New(opts Options) *Pipeline {
 		simBypassed: reg.Counter("pipeline.simulate.bypassed"),
 		simBypassNS: reg.Counter("pipeline.simulate.bypass_ns"),
 	}
-	p.generate = newStore[generateKey, *il.Kernel]("generate", reg, opts.GenerateEntries, opts.Disabled, nil)
-	p.compile = newStore[compileKey, *isa.Program]("compile", reg, opts.CompileEntries, opts.Disabled, func(_ compileKey, prog *isa.Program) {
+	p.generate = newStore[generateKey, *il.Kernel]("generate", reg, defaultGenerateEntries, opts.Disabled, nil)
+	p.compile = newStore[compileKey, *isa.Program]("compile", reg, defaultCompileEntries, opts.Disabled, func(_ compileKey, prog *isa.Program) {
 		p.progHash.Delete(prog)
 	})
-	p.replay = newStore[replayKey, cache.TraceStats]("replay", reg, opts.ReplayEntries, opts.Disabled, nil)
-	p.snapshots = newSnapshotStore(reg, opts.ReplaySnapshotEntries)
-	p.simulate = newStore[simulateKey, sim.Result]("simulate", reg, opts.SimulateEntries, opts.Disabled, nil)
+	p.replay = newStore[replayKey, cache.TraceStats]("replay", reg, defaultReplayEntries, opts.Disabled, nil)
+	p.snapshots = newSnapshotStore(reg, defaultReplaySnapshotEntries)
+	p.simulate = newStore[simulateKey, sim.Result]("simulate", reg, defaultSimulateEntries, opts.Disabled, nil)
 	if opts.PersistDir != "" && !opts.Disabled {
 		t := newPersistTier(opts.PersistDir, reg)
 		p.simulate.tierLoad = t.load
@@ -489,24 +461,25 @@ func (p *Pipeline) hashOf(prog *isa.Program) ([sha256.Size]byte, bool) {
 	return v.([sha256.Size]byte), true
 }
 
-// Stats snapshots every stage's counters.
-func (p *Pipeline) Stats() Stats {
-	simStats := p.simulate.stats("simulate")
-	simStats.Bypassed = uint64(p.simBypassed.Load())
-	simStats.ComputeTime += time.Duration(p.simBypassNS.Load())
-	return Stats{
-		Enabled: !p.disabled,
-		Stages: []StageStats{
-			p.generate.stats("generate"),
-			p.compile.stats("compile"),
-			{
-				Stage:       "trace",
-				Misses:      uint64(p.traceCount.Load()),
-				ComputeTime: time.Duration(p.traceNS.Load()),
-			},
-			p.replay.stats("replay"),
-			p.snapshots.stats(),
-			simStats,
-		},
+// HitRate is the fraction of artifact lookups, over every stage, served
+// without computing: hits and coalesced waits over all lookups, each
+// trace derivation counting as a miss. It is the cache hit rate the live
+// sweep progress line reports.
+func (p *Pipeline) HitRate() float64 {
+	hits, total := int64(0), p.traceCount.Load()
+	for _, c := range [][3]*obs.Counter{
+		{p.generate.hits, p.generate.coalesced, p.generate.misses},
+		{p.compile.hits, p.compile.coalesced, p.compile.misses},
+		{p.replay.hits, p.replay.coalesced, p.replay.misses},
+		{p.snapshots.hits, p.snapshots.coalesced, p.snapshots.misses},
+		{p.simulate.hits, p.simulate.coalesced, p.simulate.misses},
+	} {
+		h := c[0].Load() + c[1].Load()
+		hits += h
+		total += h + c[2].Load()
 	}
+	if total == 0 {
+		return 0
+	}
+	return float64(hits) / float64(total)
 }

@@ -51,9 +51,8 @@ func TestGenerateMemoized(t *testing.T) {
 	if k1 != k2 {
 		t.Error("identical (generator, params) should share one kernel artifact")
 	}
-	st := p.Stats().Stage("generate")
-	if st.Hits != 1 || st.Misses != 1 {
-		t.Errorf("generate stats = %d hits / %d misses, want 1/1", st.Hits, st.Misses)
+	if h, m := p.generate.hits.Load(), p.generate.misses.Load(); h != 1 || m != 1 {
+		t.Errorf("generate counters = %d hits / %d misses, want 1/1", h, m)
 	}
 	// A different generator over the same params is a different artifact.
 	k3, err := p.Generate(GenReadLatency, testParams())
@@ -108,9 +107,8 @@ func TestCompileMemoizedByContent(t *testing.T) {
 	if p4 == p1 {
 		t.Error("different arch must not share compiled artifacts")
 	}
-	st := p.Stats().Stage("compile")
-	if st.Hits != 1 || st.Misses != 3 {
-		t.Errorf("compile stats = %d hits / %d misses, want 1/3", st.Hits, st.Misses)
+	if h, m := p.compile.hits.Load(), p.compile.misses.Load(); h != 1 || m != 3 {
+		t.Errorf("compile counters = %d hits / %d misses, want 1/3", h, m)
 	}
 }
 
@@ -136,10 +134,8 @@ func TestSimulateMatchesDirectRunAndMemoizes(t *testing.T) {
 	if got2 != want {
 		t.Error("cached result differs from computed result")
 	}
-	st := p.Stats().Stage("simulate")
-	if st.Hits != 1 || st.Misses != 1 || st.Bypassed != 0 {
-		t.Errorf("simulate stats = %d hits / %d misses / %d bypassed, want 1/1/0",
-			st.Hits, st.Misses, st.Bypassed)
+	if h, m, b := p.simulate.hits.Load(), p.simulate.misses.Load(), p.simBypassed.Load(); h != 1 || m != 1 || b != 0 {
+		t.Errorf("simulate counters = %d hits / %d misses / %d bypassed, want 1/1/0", h, m, b)
 	}
 	// Ablations are part of the content address.
 	abl := cfg
@@ -173,9 +169,8 @@ func TestFaultedSimulationBypassesResultStore(t *testing.T) {
 			t.Error("throttled run should be slower than nominal")
 		}
 	}
-	st := p.Stats().Stage("simulate")
-	if st.Bypassed != 2 {
-		t.Errorf("throttled runs bypassed = %d, want 2", st.Bypassed)
+	if b := p.simBypassed.Load(); b != 2 {
+		t.Errorf("throttled runs bypassed = %d, want 2", b)
 	}
 	// The throttled result must not have poisoned the store: the nominal
 	// config still serves the nominal artifact.
@@ -198,8 +193,8 @@ func TestFaultedSimulationBypassesResultStore(t *testing.T) {
 			t.Fatalf("hung simulation error = %v, want WatchdogError", err)
 		}
 	}
-	if st := p.Stats().Stage("simulate"); st.Bypassed != 4 {
-		t.Errorf("bypassed = %d after hangs, want 4", st.Bypassed)
+	if b := p.simBypassed.Load(); b != 4 {
+		t.Errorf("bypassed = %d after hangs, want 4", b)
 	}
 }
 
@@ -221,9 +216,8 @@ func TestReplayArtifactSharedAcrossALUVariants(t *testing.T) {
 	if _, err := p.Simulate(cfgB); err != nil {
 		t.Fatal(err)
 	}
-	st := p.Stats().Stage("replay")
-	if st.Misses != 1 || st.Hits != 1 {
-		t.Errorf("replay stats = %d hits / %d misses, want 1 hit / 1 miss (shared fetch trace)", st.Hits, st.Misses)
+	if h, m := p.replay.hits.Load(), p.replay.misses.Load(); m != 1 || h != 1 {
+		t.Errorf("replay counters = %d hits / %d misses, want 1 hit / 1 miss (shared fetch trace)", h, m)
 	}
 }
 
@@ -257,15 +251,14 @@ func TestDisabledPipelineRecomputesEverything(t *testing.T) {
 	if got != want {
 		t.Error("disabled pipeline result differs from direct sim.Run")
 	}
-	st := p.Stats()
-	if st.Enabled {
-		t.Error("Stats().Enabled should be false")
+	if p.Enabled() {
+		t.Error("Enabled() should be false")
 	}
-	if s := st.Stage("compile"); s.Hits != 0 || s.Misses != 2 {
-		t.Errorf("disabled compile stats = %d hits / %d misses, want 0/2", s.Hits, s.Misses)
+	if h, m := p.compile.hits.Load(), p.compile.misses.Load(); h != 0 || m != 2 {
+		t.Errorf("disabled compile counters = %d hits / %d misses, want 0/2", h, m)
 	}
-	if s := st.Stage("simulate"); s.Bypassed != 1 {
-		t.Errorf("disabled simulate bypassed = %d, want 1", s.Bypassed)
+	if b := p.simBypassed.Load(); b != 1 {
+		t.Errorf("disabled simulate bypassed = %d, want 1", b)
 	}
 }
 
@@ -367,7 +360,8 @@ func TestStoreNeverCachesErrors(t *testing.T) {
 }
 
 func TestCompileEvictionDropsContentAddress(t *testing.T) {
-	p := New(Options{CompileEntries: 1})
+	p := New(Options{})
+	p.compile.max = 1
 	spec := device.Lookup(device.RV770)
 	ka, err := p.Generate(GenALUFetch, testParams())
 	if err != nil {

@@ -25,11 +25,10 @@ import (
 // Eviction is LRU over prefix families; within a family, put keeps
 // whichever cursor is deeper, so the store never regresses a prefix.
 //
-// Counters live under pipeline.replay-prefix.* and surface as their own
-// row in Stats/-cache-stats: hits (snapshot served), misses (cold
-// family or snapshot deeper than the requested point), inputs_reused
-// (inputs the snapshot saved replaying), inputs_replayed (inputs
-// actually advanced).
+// Counters live under pipeline.replay-prefix.* and surface in
+// `-metrics`: hits (snapshot served), misses (cold family or snapshot
+// deeper than the requested point), inputs_reused (inputs the snapshot
+// saved replaying), inputs_replayed (inputs actually advanced).
 type snapshotStore struct {
 	max int
 
@@ -127,25 +126,6 @@ func (s *snapshotStore) put(pk replayKey, cur *cache.Cursor) {
 	s.mu.Unlock()
 	if evicted > 0 {
 		s.evictions.Add(int64(evicted))
-	}
-}
-
-// len returns the number of resident snapshots.
-func (s *snapshotStore) len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ll.Len()
-}
-
-func (s *snapshotStore) stats() StageStats {
-	return StageStats{
-		Stage:       "replay-prefix",
-		Hits:        uint64(s.hits.Load()),
-		Misses:      uint64(s.misses.Load()),
-		Coalesced:   uint64(s.coalesced.Load()),
-		Evictions:   uint64(s.evictions.Load()),
-		Entries:     s.len(),
-		ComputeTime: time.Duration(s.computeNS.Load()),
 	}
 }
 

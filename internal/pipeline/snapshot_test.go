@@ -59,9 +59,8 @@ func TestReplayIncrementalMatchesScratch(t *testing.T) {
 	if played := snap.Get("pipeline.replay-prefix.inputs_replayed"); played != 2*24 {
 		t.Errorf("inputs_replayed = %d, want %d", played, 2*24)
 	}
-	st := p.Stats().Stage("replay-prefix")
-	if st.Hits != uint64(hits) || st.Entries != 2 {
-		t.Errorf("replay-prefix stats row %+v disagrees with metrics (hits=%d, families=2)", st, hits)
+	if entries := snap.Get("pipeline.replay-prefix.entries"); entries != 2 {
+		t.Errorf("prefix snapshot store holds %d families, want 2", entries)
 	}
 }
 
@@ -99,7 +98,8 @@ func TestReplayIncrementalDescending(t *testing.T) {
 // family; overflowing the bound evicts the least recently used family
 // without affecting correctness.
 func TestReplaySnapshotEviction(t *testing.T) {
-	p := New(Options{ReplaySnapshotEntries: 1})
+	p := New(Options{})
+	p.snapshots.max = 1
 	cfgs := snapshotTraceConfigs(t)
 	for n := 1; n <= 4; n++ {
 		for _, base := range cfgs {

@@ -19,8 +19,8 @@ import (
 //
 // Counters live in the pipeline's obs registry (resolved once at
 // construction, updated with one atomic add per event — the same cost as
-// the ad-hoc atomics they replaced), so `-cache-stats`, `-metrics` and
-// the progress reporter all read one set of numbers.
+// the ad-hoc atomics they replaced), so `-metrics` and the progress
+// reporter read one set of numbers.
 type store[K comparable, V any] struct {
 	max      int
 	disabled bool
@@ -169,16 +169,4 @@ func (s *store[K, V]) len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.ll.Len()
-}
-
-func (s *store[K, V]) stats(stage string) StageStats {
-	return StageStats{
-		Stage:       stage,
-		Hits:        uint64(s.hits.Load()),
-		Misses:      uint64(s.misses.Load()),
-		Coalesced:   uint64(s.coalesced.Load()),
-		Evictions:   uint64(s.evictions.Load()),
-		Entries:     s.len(),
-		ComputeTime: time.Duration(s.computeNS.Load()),
-	}
 }

@@ -1,6 +1,7 @@
 package soak
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -149,7 +150,7 @@ func (c *campaign) runStep(st step) error {
 		runs, err = c.runKillResume(st)
 	default:
 		var res *sched.Result
-		res, err = runScheduled(c.suite, st)
+		res, err = runScheduled(context.Background(), c.suite, st)
 		if err == nil {
 			runs = res.Runs[0]
 			c.sweptPoints += int64(len(res.UnitRuns))
@@ -217,7 +218,7 @@ func (c *campaign) startChurn(stepIdx int) (stop func()) {
 // plan's own clamp is a no-op; a generated-kernel hash collision within
 // the step dedups here, and the differential oracles then check the
 // fanned-out results against direct reference sweeps.
-func runScheduled(s *core.Suite, st step) (*sched.Result, error) {
+func runScheduled(ctx context.Context, s *core.Suite, st step) (*sched.Result, error) {
 	spec := sched.Spec{
 		Name:   fmt.Sprintf("step%03d", st.Index),
 		Figure: core.FigureSpec{Points: st.points},
@@ -226,17 +227,17 @@ func runScheduled(s *core.Suite, st step) (*sched.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return plan.Run(s)
+	return plan.RunCtx(ctx, s, sched.RunOptions{})
 }
 
 // runKillResume is one crash/resume cycle, in-process: a fresh suite
 // runs the step's points as a campaign over a per-step persistent cache
-// dir and is Interrupted at the KillAt-th launch; a second fresh suite
-// replans the same campaign over the same dir and runs it to
-// completion, serving every launch the victim finished from disk; the
-// resumed results are the step's results. The checkpoint-identity
-// oracle then compares them bit-for-bit against an uninterrupted
-// reference sweep (runOracles). Fresh suites keep the cycle honest —
+// dir, and the campaign's context is cancelled at the KillAt-th launch;
+// a second fresh suite replans the same campaign over the same dir and
+// runs it to completion, serving every launch the victim finished from
+// disk; the resumed results are the step's results. The
+// checkpoint-identity oracle then compares them bit-for-bit against an
+// uninterrupted reference sweep (runOracles). Fresh suites keep the cycle honest —
 // the resume may not lean on the killed sweep's in-memory caches —
 // while the campaign suite's launch accounting stays consistent for the
 // metrics oracle.
@@ -246,13 +247,15 @@ func (c *campaign) runKillResume(st step) ([]core.Run, error) {
 
 	victim := newSuite(c.cfg)
 	victim.PersistDir = dir
+	ctx, kill := context.WithCancel(context.Background())
+	defer kill()
 	var launches atomic.Int64
-	victim.BeforeLaunch = func() {
+	victim.BeforeLaunch = func(core.KernelPoint, int) {
 		if launches.Add(1) == int64(st.KillAt) {
-			victim.Interrupt()
+			kill()
 		}
 	}
-	_, err := runScheduled(victim, st)
+	_, err := runScheduled(ctx, victim, st)
 	switch {
 	case errors.Is(err, core.ErrSweepInterrupted):
 		c.report.Kills++
@@ -262,7 +265,7 @@ func (c *campaign) runKillResume(st step) ([]core.Run, error) {
 
 	resumed := newSuite(c.cfg)
 	resumed.PersistDir = dir
-	res, err := runScheduled(resumed, st)
+	res, err := runScheduled(context.Background(), resumed, st)
 	if err != nil {
 		return nil, err
 	}

@@ -50,7 +50,7 @@ func tortureChild() int {
 	s.Retries = 2
 	s.DeadlineCycles = 1 << 22
 	s.PersistDir = os.Getenv(childEnvCacheDir)
-	s.BeforeLaunch = func() { time.Sleep(3 * time.Millisecond) }
+	s.BeforeLaunch = func(core.KernelPoint, int) { time.Sleep(3 * time.Millisecond) }
 	runs, err := s.RunKernelPoints(context.Background(), childPoints(), core.SweepOptions{})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
