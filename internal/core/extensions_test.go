@@ -75,6 +75,63 @@ func TestBlockSizeSweepShapes(t *testing.T) {
 	}
 }
 
+// TestFailedPointsNeverPlot panics one chosen point of each custom-label
+// figure: the failure record must leave a gap in its series, never a
+// plotted 0-second timing.
+func TestFailedPointsNeverPlot(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		build     func(*Suite) (FigureSpec, error)
+		perSeries int // points per series, in point order
+		victim    int // index of the point whose launch panics
+	}{
+		{"trans", func(s *Suite) (FigureSpec, error) {
+			return s.TransThroughputSpec(TransThroughputConfig{Arch: device.RV770, MaxOps: 64, StepOps: 32, W: 64, H: 64})
+		}, 2, 5},
+		{"blocks", func(s *Suite) (FigureSpec, error) {
+			return s.BlockSizeSpec(BlockSizeConfig{W: 64, H: 64})
+		}, 7, 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := quickSuite()
+			spec, err := tc.build(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v := spec.Points[tc.victim]
+			s.BeforeLaunch = func(p KernelPoint, _ int) {
+				if p.K == v.K && p.Card == v.Card && p.X == v.X {
+					panic("injected test panic")
+				}
+			}
+			fig, runs, err := s.RunFigureSpec(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !runs[tc.victim].Failed() {
+				t.Fatalf("victim point did not fail: %+v", runs[tc.victim])
+			}
+			plotted := 0
+			for _, sr := range fig.Series {
+				plotted += len(sr.Points)
+				for _, pt := range sr.Points {
+					if pt.Y == 0 {
+						t.Errorf("%s plots a 0-second timing at x=%g", sr.Label, pt.X)
+					}
+				}
+			}
+			if plotted != len(spec.Points)-1 {
+				t.Errorf("plotted %d points, want %d", plotted, len(spec.Points)-1)
+			}
+			for _, pt := range fig.Series[tc.victim/tc.perSeries].Points {
+				if pt.X == v.X {
+					t.Errorf("failed point x=%g plotted in its series", v.X)
+				}
+			}
+		})
+	}
+}
+
 func TestAblationStudyDirections(t *testing.T) {
 	s := suite()
 	res, err := s.AblationStudy()
