@@ -76,8 +76,8 @@ func TestRemoteUsage(t *testing.T) {
 			[]string{"campaign", "-figs", "fig7", "-iters", "3", "-csv", "-remote", ts.URL},
 			2, "iterations 3 unavailable"},
 		{"daemon rejects unfilterable figure",
-			[]string{"campaign", "-figs", "trans", "-csv", "-remote", ts.URL, "-archs", "4870"},
-			2, "cannot be arch-filtered"},
+			[]string{"campaign", "-figs", "trans", "-csv", "-remote", ts.URL, "-archs", "5870"},
+			2, "no points"},
 		{"unreachable daemon",
 			[]string{"campaign", "-figs", "fig7", "-csv", "-remote", "127.0.0.1:1"},
 			1, "amdmb campaign:"},

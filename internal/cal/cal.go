@@ -198,7 +198,7 @@ type LaunchConfig struct {
 	W, H  int
 	// Iterations defaults to the paper's 5000 when zero.
 	Iterations int
-	// Inputs and Outputs bind resources positionally to the kernel's
+	// Inputs and Outputs bind resources by index to the kernel's
 	// declared inputs/outputs; both may be nil for timing-only launches.
 	Inputs  []*Resource
 	Outputs []*Resource

@@ -41,8 +41,9 @@ type Request struct {
 	Figs []string `json:"figs"`
 	// Archs, when non-empty, restricts every figure to the named
 	// architectures ("RV770" or the card name "4870", case-insensitive).
-	// Figures whose series assembly is positional (trans, blocks,
-	// consts, hier-*) reject filtering rather than mislabel series.
+	// Every point carries its own series label and plot mapping, so a
+	// filtered figure is exactly the matching series of the full one; a
+	// figure left with no points fails the request.
 	Archs []string `json:"archs,omitempty"`
 	// MaxDomain, when positive, clamps every sweep domain to at most
 	// MaxDomain x MaxDomain at plan time. The daemon may impose a
@@ -204,9 +205,6 @@ func filterSpecs(specs []Spec, archs map[device.Arch]bool) ([]Spec, error) {
 	}
 	out := make([]Spec, len(specs))
 	for i, sp := range specs {
-		if registry[sp.Name].positional {
-			return nil, fmt.Errorf("campaign: figure %q assembles series positionally and cannot be arch-filtered", sp.Name)
-		}
 		kept := sp.Figure.Points[:0:0]
 		for _, pt := range sp.Figure.Points {
 			if archs[pt.Card.Arch] {

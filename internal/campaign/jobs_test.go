@@ -1,12 +1,14 @@
 package campaign
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"amdgpubench/internal/core"
+	"amdgpubench/internal/report"
 )
 
 // jobSuite is the daemon-shaped configuration: one timing iteration, a
@@ -161,29 +163,50 @@ func TestJobsCancel(t *testing.T) {
 	}
 }
 
-// TestJobsArchFilter restricts a card-major figure to one architecture
-// and checks every surviving series belongs to it.
+// TestJobsArchFilter restricts figures of every assembly kind —
+// card-major (fig7), custom-labelled (blocks) and unit-converted
+// (hier-lat) — to one architecture: the filtered figure must be exactly
+// that architecture's series of an unfiltered run on a fresh suite,
+// point for point.
 func TestJobsArchFilter(t *testing.T) {
-	s := jobSuite(16)
-	js := NewJobs(s)
-	j, err := js.Submit(Request{Figs: []string{"fig7"}, Archs: []string{"4870"}, Iterations: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := waitJob(t, j); st.State != JobDone {
-		t.Fatalf("state %q (error %q), want done", st.State, st.Error)
-	}
-	fig, ok := j.Figure("fig7")
-	if !ok {
-		t.Fatal("no fig7 on a done job")
-	}
-	if len(fig.Series) == 0 {
-		t.Fatal("filtered figure has no series")
-	}
-	for _, sr := range fig.Series {
-		if !strings.HasPrefix(sr.Label, "4870 ") {
-			t.Fatalf("series %q survived a 4870-only filter", sr.Label)
-		}
+	for _, tc := range []struct{ fig, arch, prefix string }{
+		{"fig7", "4870", "4870 "},
+		{"blocks", "4870", "4870 "},
+		{"hier-lat", "RV770", "4870 "},
+	} {
+		t.Run(tc.fig, func(t *testing.T) {
+			s := jobSuite(16)
+			js := NewJobs(s)
+			j, err := js.Submit(Request{Figs: []string{tc.fig}, Archs: []string{tc.arch}, Iterations: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := waitJob(t, j); st.State != JobDone {
+				t.Fatalf("state %q (error %q), want done", st.State, st.Error)
+			}
+			fig, ok := j.Figure(tc.fig)
+			if !ok {
+				t.Fatalf("no %s on a done job", tc.fig)
+			}
+
+			fresh := jobSuite(16)
+			res, err := mustPlan(t, fresh, Options{}, tc.fig).Run(fresh)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []report.Series
+			for _, sr := range res.Figures[0].Series {
+				if strings.HasPrefix(sr.Label, tc.prefix) {
+					want = append(want, sr)
+				}
+			}
+			if len(want) == 0 {
+				t.Fatalf("unfiltered %s has no %q series", tc.fig, tc.prefix)
+			}
+			if !reflect.DeepEqual(fig.Series, want) {
+				t.Fatalf("filtered %s series differ from the unfiltered run's %q series:\n got %+v\nwant %+v", tc.fig, tc.prefix, fig.Series, want)
+			}
+		})
 	}
 }
 
@@ -201,8 +224,7 @@ func TestSubmitValidation(t *testing.T) {
 		{"unknown figure", Request{Figs: []string{"fig99"}}},
 		{"unknown glob", Request{Figs: []string{"zfig*"}}},
 		{"unknown arch", Request{Figs: []string{"fig7"}, Archs: []string{"vega"}}},
-		{"positional figure arch-filtered", Request{Figs: []string{"trans"}, Archs: []string{"4870"}}},
-		{"hier figure arch-filtered", Request{Figs: []string{"hier-lat"}, Archs: []string{"RV770"}}},
+		{"arch filter leaves no points", Request{Figs: []string{"trans"}, Archs: []string{"5870"}}},
 		{"iterations mismatch", Request{Figs: []string{"fig7"}, Iterations: 2}},
 		{"negative max_domain", Request{Figs: []string{"fig7"}, MaxDomain: -1}},
 	}

@@ -26,12 +26,6 @@ type figure struct {
 	// title, when non-empty, replaces the builder's generic title.
 	title string
 	build Builder
-	// positional marks figures whose Finish assembles series by point
-	// POSITION (parallel label slices, per-index converters): dropping
-	// points would relabel the survivors, so these reject Archs
-	// filtering. Figures assembled card-major from the runs themselves
-	// (AssembleSeries and the register-usage re-key) filter safely.
-	positional bool
 }
 
 // with binds a parameterised core builder to one configuration.
@@ -98,15 +92,15 @@ var registry = map[string]figure{
 		build: with((*core.Suite).RegisterUsageSpec, core.RegisterUsageConfig{Control: true})},
 
 	// Extensions beyond the paper's figures.
-	"trans":  {build: with((*core.Suite).TransThroughputSpec, core.TransThroughputConfig{Arch: device.RV770}), positional: true},
-	"blocks": {build: with((*core.Suite).BlockSizeSpec, core.BlockSizeConfig{}), positional: true},
-	"consts": {build: with((*core.Suite).ConstantsSpec, core.ConstantsConfig{Arch: device.RV770}), positional: true},
+	"trans":  {build: with((*core.Suite).TransThroughputSpec, core.TransThroughputConfig{Arch: device.RV770})},
+	"blocks": {build: with((*core.Suite).BlockSizeSpec, core.BlockSizeConfig{})},
+	"consts": {build: with((*core.Suite).ConstantsSpec, core.ConstantsConfig{Arch: device.RV770})},
 
 	// The memory-hierarchy dissection (internal/hier).
-	"hier-lat":    {build: hier.LatencyLadderSpec, positional: true},
-	"hier-wset":   {build: hier.WorkingSetSpec, positional: true},
-	"hier-line":   {build: hier.LineBlendSpec, positional: true},
-	"hier-stride": {build: hier.StrideResonanceSpec, positional: true},
+	"hier-lat":    {build: hier.LatencyLadderSpec},
+	"hier-wset":   {build: hier.WorkingSetSpec},
+	"hier-line":   {build: hier.LineBlendSpec},
+	"hier-stride": {build: hier.StrideResonanceSpec},
 }
 
 // Known reports whether Specs accepts the name.

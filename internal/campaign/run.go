@@ -78,7 +78,7 @@ func (p *Plan) Run(s *core.Suite) (*Result, error) {
 
 // RunCtx executes the plan on the suite as ONE resilient sweep over the
 // deduplicated units, then fans every unit's run back out to its
-// subscribing figure points and finishes each spec's figure. A campaign
+// subscribing figure points and assembles each spec's figure. A campaign
 // killed midway resumes by rerunning it over the same PersistDir: every
 // unit it finished is served from the persistent tier.
 //
@@ -171,7 +171,7 @@ func (p *Plan) RunCtx(ctx context.Context, s *core.Suite, opts RunOptions) (*Res
 			figRuns[pi] = run
 		}
 		fanout.Add(int64(len(figRuns)))
-		spec.FinishInto(figRuns)
+		spec.Assemble(figRuns)
 		res.Figures = append(res.Figures, spec.Fig)
 		res.Runs = append(res.Runs, figRuns)
 	}

@@ -265,9 +265,8 @@ func (c *RegisterUsageConfig) defaults() {
 
 // RegisterUsageSpec plans the register pressure sweep over the sampling
 // placement (step), timed against the resulting register count — Fig.
-// 16's axes. Its Finish re-keys each run's X from the step index to the
-// compiled register count — Fig. 16's x axis is known only after the
-// runs complete; failed points have no compile result to re-key by.
+// 16's axes. A point's X is its step index; it plots at the compiled
+// register count, which is known only once the run completes.
 func (s *Suite) RegisterUsageSpec(cfg RegisterUsageConfig) (FigureSpec, error) {
 	cfg.defaults()
 	title := "Register Pressure Effect"
@@ -293,19 +292,13 @@ func (s *Suite) RegisterUsageSpec(cfg RegisterUsageConfig) (FigureSpec, error) {
 			if err != nil {
 				return FigureSpec{}, err
 			}
-			pts = append(pts, KernelPoint{Card: card, X: float64(step), K: k, W: cfg.W, H: cfg.H})
+			pts = append(pts, KernelPoint{Card: card, X: float64(step), Plot: plotGPRs, K: k, W: cfg.W, H: cfg.H})
 		}
 	}
-	finish := func(fig *report.Figure, runs []Run) {
-		for i := range runs {
-			if !runs[i].Failed() {
-				runs[i].X = float64(runs[i].GPRs)
-			}
-		}
-		AssembleSeries(fig, runs)
-	}
-	return FigureSpec{Fig: fig, Points: pts, Finish: finish}, nil
+	return FigureSpec{Fig: fig, Points: pts}, nil
 }
+
+func plotGPRs(r Run) (x, y float64) { return float64(r.GPRs), r.Seconds }
 
 // HardwareTable reproduces Table I from the device models.
 func (s *Suite) HardwareTable() *report.Table {

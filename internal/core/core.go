@@ -74,21 +74,7 @@ func (c Card) Order() (raster.Order, error) {
 // pixel and (where supported) compute mode, for float and float4. The
 // compute entries use the naive 64x1 block unless bw/bh override it.
 func StandardCards(bw, bh int) []Card {
-	var cards []Card
-	for _, spec := range device.All() {
-		for _, dt := range []il.DataType{il.Float, il.Float4} {
-			cards = append(cards, Card{Arch: spec.Arch, Mode: il.Pixel, Type: dt})
-		}
-	}
-	for _, spec := range device.All() {
-		if !spec.SupportsCompute {
-			continue
-		}
-		for _, dt := range []il.DataType{il.Float, il.Float4} {
-			cards = append(cards, Card{Arch: spec.Arch, Mode: il.Compute, Type: dt, BlockW: bw, BlockH: bh})
-		}
-	}
-	return cards
+	return append(PixelCards(), ComputeCards(bw, bh)...)
 }
 
 // PixelCards returns only the pixel-mode series for all chips.
@@ -311,56 +297,6 @@ type Run struct {
 
 // Failed reports whether the point is a failure record.
 func (r Run) Failed() bool { return r.Err != "" }
-
-// runKernel compiles and times one kernel for one card.
-func (s *Suite) runKernel(card Card, k *il.Kernel, w, h, attempt int) (Run, error) {
-	ctx, err := s.context(card.Arch)
-	if err != nil {
-		return Run{}, err
-	}
-	// One root span per launch; the compile stage and (inside cal/
-	// pipeline) the trace/replay/simulate stages nest under it. The
-	// Enabled guard keeps the disabled path free of the fmt work the
-	// span arguments need.
-	var sp obs.Span
-	if s.Tracer.Enabled() {
-		sp = s.Tracer.Begin("launch").
-			Arg("kernel", k.Name).
-			Arg("card", card.Label()).
-			Arg("domain", fmt.Sprintf("%dx%d", w, h))
-		if attempt > 0 {
-			sp = sp.Arg("attempt", fmt.Sprintf("%d", attempt))
-		}
-	}
-	defer sp.End()
-	csp := sp.Child("compile").Cat("stage")
-	m, err := ctx.LoadModule(k)
-	csp.End()
-	if err != nil {
-		return Run{}, err
-	}
-	order, err := card.Order()
-	if err != nil {
-		return Run{}, err
-	}
-	s.launched.Add(1)
-	ev, err := ctx.Launch(m, cal.LaunchConfig{
-		Order: order, W: w, H: h, Iterations: s.Iterations,
-		DeadlineCycles: s.DeadlineCycles, Attempt: attempt,
-		Span: sp,
-	})
-	if err != nil {
-		return Run{}, err
-	}
-	return Run{
-		Card:       card,
-		Seconds:    ev.ElapsedSeconds(),
-		GPRs:       ev.Result.GPRs,
-		Waves:      ev.Result.WavesPerSIMD,
-		HitRate:    ev.Result.HitRate,
-		Bottleneck: ev.Bottleneck().String(),
-	}, nil
-}
 
 // params builds kerngen parameters for a card.
 func (c Card) params(inputs, outputs int, inSpace, outSpace il.MemSpace) kerngen.Params {

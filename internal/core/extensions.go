@@ -82,8 +82,7 @@ func (c *TransThroughputConfig) defaults() {
 // (one bundle per op); float4 transcendentals serialize through the
 // single t core at one lane per bundle, costing 4x — the asymmetry the
 // paper's Section II hardware description implies. Series carry custom
-// labels (data type x op kind), so the spec's Finish closes over the
-// per-point label list instead of using AssembleSeries.
+// labels (data type x op kind).
 func (s *Suite) TransThroughputSpec(cfg TransThroughputConfig) (FigureSpec, error) {
 	cfg.defaults()
 	fig := &report.Figure{
@@ -93,7 +92,6 @@ func (s *Suite) TransThroughputSpec(cfg TransThroughputConfig) (FigureSpec, erro
 		YLabel: "Time in seconds",
 	}
 	var pts []KernelPoint
-	var labels []string
 	for _, dt := range []il.DataType{il.Float, il.Float4} {
 		for _, basic := range []bool{true, false} {
 			kind := "rcp/rsq"
@@ -101,31 +99,17 @@ func (s *Suite) TransThroughputSpec(cfg TransThroughputConfig) (FigureSpec, erro
 				kind = "add"
 			}
 			card := Card{Arch: cfg.Arch, Mode: il.Pixel, Type: dt}
+			label := fmt.Sprintf("%s %s %s", cfg.Arch.CardName(), dt, kind)
 			for n := cfg.StepOps; n <= cfg.MaxOps; n += cfg.StepOps {
 				k, err := transKernel(n, dt, basic)
 				if err != nil {
 					return FigureSpec{}, err
 				}
-				pts = append(pts, KernelPoint{Card: card, X: float64(n), K: k, W: cfg.W, H: cfg.H})
-				labels = append(labels, fmt.Sprintf("%s %s %s", cfg.Arch.CardName(), dt, kind))
+				pts = append(pts, KernelPoint{Card: card, X: float64(n), Series: label, K: k, W: cfg.W, H: cfg.H})
 			}
 		}
 	}
-	return FigureSpec{Fig: fig, Points: pts, Finish: labelledSeries(labels)}, nil
-}
-
-// labelledSeries builds a Finish that groups runs by a parallel label
-// list: a new series starts whenever the label changes.
-func labelledSeries(labels []string) func(*report.Figure, []Run) {
-	return func(fig *report.Figure, runs []Run) {
-		var cur *report.Series
-		for i, r := range runs {
-			if i == 0 || labels[i] != labels[i-1] {
-				cur = fig.AddSeries(labels[i])
-			}
-			cur.Add(r.X, r.Seconds)
-		}
-	}
+	return FigureSpec{Fig: fig, Points: pts}, nil
 }
 
 // BlockSizeConfig parameterises the compute-mode block-shape sweep, the
@@ -159,9 +143,8 @@ var blockShapes = []struct{ w, h int }{
 // kernel across every 64-thread block shape in compute mode on the GDDR5
 // chips. The square-ish shapes match the 8x8 texture tiles and win; the
 // paper's 64x1 default and its 4x16 suggestion are two points on this
-// curve. Block shape changes within a series, so the series labels come
-// from a closed-over label list (Card.Label omits the block shape by
-// design).
+// curve. Block shape changes within a series, which is one series per
+// chip and type because Card.Label omits the block shape by design.
 func (s *Suite) BlockSizeSpec(cfg BlockSizeConfig) (FigureSpec, error) {
 	cfg.defaults()
 	fig := &report.Figure{
@@ -171,11 +154,9 @@ func (s *Suite) BlockSizeSpec(cfg BlockSizeConfig) (FigureSpec, error) {
 		YLabel: "Time in seconds",
 	}
 	var pts []KernelPoint
-	var labels []string
 	for _, arch := range []device.Arch{device.RV770, device.RV870} {
 		for _, dt := range []il.DataType{il.Float, il.Float4} {
 			card := Card{Arch: arch, Mode: il.Compute, Type: dt}
-			label := card.Label()
 			for i, b := range blockShapes {
 				card.BlockW, card.BlockH = b.w, b.h
 				p := card.params(cfg.Inputs, 1, il.TextureSpace, il.GlobalSpace)
@@ -185,11 +166,10 @@ func (s *Suite) BlockSizeSpec(cfg BlockSizeConfig) (FigureSpec, error) {
 					return FigureSpec{}, err
 				}
 				pts = append(pts, KernelPoint{Card: card, X: float64(i), K: k, W: cfg.W, H: cfg.H})
-				labels = append(labels, label)
 			}
 		}
 	}
-	return FigureSpec{Fig: fig, Points: pts, Finish: labelledSeries(labels)}, nil
+	return FigureSpec{Fig: fig, Points: pts}, nil
 }
 
 // ConstantsConfig parameterises the constants sweep. The paper lists the

@@ -46,15 +46,22 @@ var errLaunchPanic = errors.New("panic during launch")
 // exercise.
 var ErrSweepInterrupted = errors.New("core: sweep interrupted")
 
-// KernelPoint is one externally supplied sweep point: a prebuilt kernel
-// timed on a card at an x coordinate. It is how non-figure drivers — the
-// soak campaigns above all — put arbitrary generated kernels through the
-// resilient sweep runner with everything the paper sweeps get: worker
+// KernelPoint is one sweep point: a prebuilt kernel timed on a card at
+// an x coordinate, plus where its run lands on a figure. The figure
+// builders plan them, and non-figure drivers — the soak campaigns above
+// all — put arbitrary generated kernels through the resilient sweep
+// runner the same way, with everything the paper sweeps get: worker
 // pool, retries with backoff, fault injection, panic fences, failure
 // records and resume through the persistent tier.
 type KernelPoint struct {
 	Card Card
 	X    float64
+	// Series labels the figure series the point plots into; empty means
+	// Card.Label().
+	Series string
+	// Plot maps a completed run to its figure coordinates; nil means
+	// (X, run.Seconds).
+	Plot func(Run) (x, y float64)
 	K    *il.Kernel
 	W, H int
 }
@@ -266,8 +273,8 @@ func (s *Suite) runPointResilient(ctx context.Context, p KernelPoint) (Run, erro
 	}
 }
 
-// runKernelSafe is runKernel behind a panic fence: a panicking launch on
-// a worker must fail its point, not the process.
+// runKernelSafe compiles and times one point behind a panic fence: a
+// panicking launch on a worker must fail its point, not the process.
 func (s *Suite) runKernelSafe(p KernelPoint, attempt int) (run Run, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -277,5 +284,50 @@ func (s *Suite) runKernelSafe(p KernelPoint, attempt int) (run Run, err error) {
 	if s.BeforeLaunch != nil {
 		s.BeforeLaunch(p, attempt)
 	}
-	return s.runKernel(p.Card, p.K, p.W, p.H, attempt)
+	ctx, err := s.context(p.Card.Arch)
+	if err != nil {
+		return Run{}, err
+	}
+	// One root span per launch; the compile stage and (inside cal/
+	// pipeline) the trace/replay/simulate stages nest under it. The
+	// Enabled guard keeps the disabled path free of the fmt work the
+	// span arguments need.
+	var sp obs.Span
+	if s.Tracer.Enabled() {
+		sp = s.Tracer.Begin("launch").
+			Arg("kernel", p.K.Name).
+			Arg("card", p.Card.Label()).
+			Arg("domain", fmt.Sprintf("%dx%d", p.W, p.H))
+		if attempt > 0 {
+			sp = sp.Arg("attempt", fmt.Sprintf("%d", attempt))
+		}
+	}
+	defer sp.End()
+	csp := sp.Child("compile").Cat("stage")
+	m, err := ctx.LoadModule(p.K)
+	csp.End()
+	if err != nil {
+		return Run{}, err
+	}
+	order, err := p.Card.Order()
+	if err != nil {
+		return Run{}, err
+	}
+	s.launched.Add(1)
+	ev, err := ctx.Launch(m, cal.LaunchConfig{
+		Order: order, W: p.W, H: p.H, Iterations: s.Iterations,
+		DeadlineCycles: s.DeadlineCycles, Attempt: attempt,
+		Span: sp,
+	})
+	if err != nil {
+		return Run{}, err
+	}
+	return Run{
+		Card:       p.Card,
+		Seconds:    ev.ElapsedSeconds(),
+		GPRs:       ev.Result.GPRs,
+		Waves:      ev.Result.WavesPerSIMD,
+		HitRate:    ev.Result.HitRate,
+		Bottleneck: ev.Bottleneck().String(),
+	}, nil
 }

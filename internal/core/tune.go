@@ -6,6 +6,7 @@ package core
 // with the full trial table for the caller to inspect.
 
 import (
+	"context"
 	"fmt"
 
 	"amdgpubench/internal/il"
@@ -35,20 +36,31 @@ func (r *BlockTuneResult) Order() (raster.Order, error) {
 
 // TuneBlockSize times the kernel under every 64-thread block shape on the
 // card's device and picks the fastest. The kernel must be a compute-mode
-// kernel (pixel mode has no block choice: the rasterizer decides).
+// kernel (pixel mode has no block choice: the rasterizer decides). The
+// shapes run as one sweep, with the retries, panic fence, parallelism
+// and MaxDomain clamp of every figure point; a shape that resolves to a
+// failure record fails the search.
 func (s *Suite) TuneBlockSize(card Card, k *il.Kernel, w, h int) (*BlockTuneResult, error) {
 	if k.Mode != il.Compute {
 		return nil, fmt.Errorf("core: block tuning applies to compute-mode kernels; pixel mode has no block parameter")
 	}
-	res := &BlockTuneResult{}
-	var naive float64
-	for _, b := range blockShapes {
+	pts := make([]KernelPoint, len(blockShapes))
+	for i, b := range blockShapes {
 		c := card
 		c.Mode = il.Compute
 		c.BlockW, c.BlockH = b.w, b.h
-		run, err := s.runKernel(c, k, w, h, 0)
-		if err != nil {
-			return nil, err
+		pts[i] = KernelPoint{Card: c, K: k, W: w, H: h}
+	}
+	runs, err := s.RunKernelPoints(context.Background(), pts, SweepOptions{})
+	if err != nil {
+		return nil, err
+	}
+	res := &BlockTuneResult{}
+	var naive float64
+	for i, run := range runs {
+		b := blockShapes[i]
+		if run.Failed() {
+			return nil, fmt.Errorf("core: block %dx%d failed: %s", b.w, b.h, run.Err)
 		}
 		trial := BlockTrial{
 			BlockW: b.w, BlockH: b.h,

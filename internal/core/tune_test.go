@@ -79,3 +79,27 @@ func TestTuneBlockSizeALUBoundIndifferent(t *testing.T) {
 		t.Fatalf("ALU-bound kernel shows %.2fx block sensitivity, want little", res.Speedup)
 	}
 }
+
+// TestTuneBlockSizeFailedShapeIsAnError: a shape whose launch panics
+// resolves to a failure record in the sweep, and the search reports it
+// by name instead of timing it as 0 seconds.
+func TestTuneBlockSizeFailedShapeIsAnError(t *testing.T) {
+	s := quickSuite()
+	s.BeforeLaunch = func(p KernelPoint, _ int) {
+		if p.Card.BlockW == 8 {
+			panic("injected test panic")
+		}
+	}
+	k, err := kerngen.ALUFetch(kerngen.Params{
+		Mode: il.Compute, Type: il.Float, Inputs: 4, Outputs: 1,
+		ALUFetchRatio: 1, OutSpace: il.GlobalSpace,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	card := Card{Arch: device.RV770, Mode: il.Compute, Type: il.Float}
+	_, err = s.TuneBlockSize(card, k, 64, 64)
+	if err == nil || !strings.Contains(err.Error(), "block 8x8") {
+		t.Fatalf("TuneBlockSize error = %v, want one naming block 8x8", err)
+	}
+}

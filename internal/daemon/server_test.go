@@ -205,7 +205,7 @@ func TestServerRejectsBadSubmissions(t *testing.T) {
 		{"no figures", `{"figs": []}`},
 		{"unknown figure", `{"figs": ["fig99"]}`},
 		{"iterations mismatch", `{"figs": ["fig7"], "iterations": 77}`},
-		{"unfilterable figure", `{"figs": ["trans"], "archs": ["4870"]}`},
+		{"unfilterable figure", `{"figs": ["trans"], "archs": ["5870"]}`},
 	}
 	for _, tc := range cases {
 		resp, data := postCampaign(t, ts, tc.body)

@@ -12,9 +12,9 @@ import (
 
 // The hierarchy figures are campaign-grade core.FigureSpecs: their
 // points run through the same deduplicated scheduler, replay-prefix
-// snapshots and shard partitioning as the paper's figures, and their
-// Finish closures convert wall-clock seconds into the per-fetch cycle
-// and bandwidth units the dissection argues in.
+// snapshots and shard partitioning as the paper's figures, and each
+// point's Plot converts wall-clock seconds into the per-fetch cycle and
+// bandwidth units the dissection argues in.
 
 // footprintGridKB is the working-set sweep for the ladder figures, in
 // KiB (one float4 surface quantum per KiB). It spans every built-in
@@ -31,39 +31,14 @@ var lineRoundsGrid = []int{16, 32, 64, 128, 256}
 // sweep.
 var strideWaysGrid = []int{1, 2, 4, 8, 16}
 
-// hierSpec assembles a figure spec whose Finish converts each run with
-// a per-point closure, aligned index-for-index with the points.
-func hierSpec(fig *report.Figure, pts []core.KernelPoint, y []func(core.Run) float64) core.FigureSpec {
-	return core.FigureSpec{
-		Fig:    fig,
-		Points: pts,
-		Finish: func(fig *report.Figure, runs []core.Run) {
-			var cur *report.Series
-			started := false
-			var last core.Card
-			for i, r := range runs {
-				if !started || r.Card != last {
-					cur = fig.AddSeries(r.Card.Label())
-					last, started = r.Card, true
-				}
-				if r.Failed() {
-					continue
-				}
-				cur.Add(r.X, y[i](r))
-			}
-		},
-	}
-}
-
 type pointSink struct {
 	s   *core.Suite
 	pts []core.KernelPoint
-	y   []func(core.Run) float64
 	err error
 }
 
-// add plans one probe point: X is the plotted abscissa, the Y converter
-// maps the run's seconds into the figure's unit.
+// add plans one probe point: x is the plotted abscissa, conv maps the
+// run's seconds into the figure's unit.
 func (ps *pointSink) add(arch device.Arch, p Probe, x float64, conv func(Env, Probe, core.Run) float64) {
 	if ps.err != nil {
 		return
@@ -77,8 +52,8 @@ func (ps *pointSink) add(arch device.Arch, p Probe, x float64, conv func(Env, Pr
 	ps.pts = append(ps.pts, core.KernelPoint{
 		Card: core.Card{Arch: arch, Mode: il.Pixel, Type: p.Type},
 		X:    x, K: k, W: p.Width(), H: p.Height(),
+		Plot: func(r core.Run) (float64, float64) { return x, conv(env, p, r) },
 	})
-	ps.y = append(ps.y, func(r core.Run) float64 { return conv(env, p, r) })
 }
 
 func lambdaOf(env Env, p Probe, r core.Run) float64 { return env.Lambda(p, r.Seconds) }
@@ -107,7 +82,7 @@ func LatencyLadderSpec(s *core.Suite) (core.FigureSpec, error) {
 			ps.add(spec.Arch, p, float64(kb), lambdaOf)
 		}
 	}
-	return hierSpec(fig, ps.pts, ps.y), ps.err
+	return core.FigureSpec{Fig: fig, Points: ps.pts}, ps.err
 }
 
 // WorkingSetSpec plans hier-wset: the same footprint sweep with eight
@@ -125,7 +100,7 @@ func WorkingSetSpec(s *core.Suite) (core.FigureSpec, error) {
 			ps.add(spec.Arch, p, float64(kb), gbpsOf)
 		}
 	}
-	return hierSpec(fig, ps.pts, ps.y), ps.err
+	return core.FigureSpec{Fig: fig, Points: ps.pts}, ps.err
 }
 
 // LineBlendSpec plans hier-line: a hot two-surface float4 chase whose
@@ -145,7 +120,7 @@ func LineBlendSpec(s *core.Suite) (core.FigureSpec, error) {
 			ps.add(spec.Arch, p, float64(r), lambdaOf)
 		}
 	}
-	return hierSpec(fig, ps.pts, ps.y), ps.err
+	return core.FigureSpec{Fig: fig, Points: ps.pts}, ps.err
 }
 
 // StrideResonanceSpec plans hier-stride: for each candidate way count w,
@@ -168,7 +143,7 @@ func StrideResonanceSpec(s *core.Suite) (core.FigureSpec, error) {
 			ps.add(spec.Arch, p, float64(w), lambdaOf)
 		}
 	}
-	return hierSpec(fig, ps.pts, ps.y), ps.err
+	return core.FigureSpec{Fig: fig, Points: ps.pts}, ps.err
 }
 
 // InferArch runs the full inference against a built-in card through the
