@@ -207,24 +207,22 @@ func TestTraceFlagWritesNestedSpans(t *testing.T) {
 		ts, dur float64
 		tid     int
 	}
-	var launches []span
 	byName := map[string][]span{}
 	for _, e := range f.TraceEvents {
 		if e.Ph != "X" {
 			continue
 		}
-		s := span{ts: e.TS, dur: e.Dur, tid: e.TID}
-		byName[e.Name] = append(byName[e.Name], s)
-		if e.Name == "launch" {
-			launches = append(launches, s)
-		}
+		byName[e.Name] = append(byName[e.Name], span{ts: e.TS, dur: e.Dur, tid: e.TID})
 	}
-	if len(launches) == 0 {
+	if len(byName["launch"]) == 0 {
 		t.Fatal("trace has no launch spans")
 	}
-	// Every pipeline stage must appear, and every stage span must nest
-	// inside some launch span on the same track.
-	for _, stage := range []string{"compile", "trace", "replay", "simulate"} {
+	// Every pipeline stage must appear and nest inside its parent on the
+	// same track: simulate inside a launch, and the miss-path stages —
+	// compile, trace, replay — inside a simulate span.
+	for stage, parent := range map[string]string{
+		"simulate": "launch", "compile": "simulate", "trace": "simulate", "replay": "simulate",
+	} {
 		spans := byName[stage]
 		if len(spans) == 0 {
 			t.Errorf("trace has no %q spans", stage)
@@ -232,14 +230,14 @@ func TestTraceFlagWritesNestedSpans(t *testing.T) {
 		}
 		for _, s := range spans {
 			nested := false
-			for _, l := range launches {
+			for _, l := range byName[parent] {
 				if s.tid == l.tid && s.ts >= l.ts && s.ts+s.dur <= l.ts+l.dur+1 {
 					nested = true
 					break
 				}
 			}
 			if !nested {
-				t.Errorf("%q span at ts=%f (tid %d) is not nested in any launch span", stage, s.ts, s.tid)
+				t.Errorf("%q span at ts=%f (tid %d) is not nested in any %s span", stage, s.ts, s.tid, parent)
 				break
 			}
 		}

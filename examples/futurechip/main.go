@@ -117,7 +117,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		t2.AddRow(fmt.Sprintf("%d", step), fmt.Sprintf("%d", mOld.Prog.GPRCount),
+		t2.AddRow(fmt.Sprintf("%d", step), fmt.Sprintf("%d", mOld.Program().GPRCount),
 			fmt.Sprintf("%.3f", evOld.ElapsedSeconds()), fmt.Sprintf("%.3f", evNew.ElapsedSeconds()))
 	}
 	fmt.Println(t2.Format())

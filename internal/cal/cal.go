@@ -107,34 +107,46 @@ func (c *Context) SetFaultPlan(p *fault.Plan) { c.plan.Store(p) }
 // launches included), a counter sweeps and tests use for accounting.
 func (c *Context) Launches() uint64 { return c.launches.Load() }
 
-// Module is a compiled kernel.
+// Module is an IL kernel loaded with its compiler options. It compiles
+// only when something needs the program: a launch the pipeline's
+// simulate store cannot serve, functional execution, Program, Disassemble
+// or Stats.
 type Module struct {
 	Kernel *il.Kernel
-	Prog   *isa.Program
+	opts   ilc.Options
+	ctx    *Context
 }
 
-// LoadModule compiles an IL kernel for the context's device.
+// LoadModule loads an IL kernel for the context's device.
 func (c *Context) LoadModule(k *il.Kernel) (*Module, error) {
 	return c.LoadModuleWith(k, ilc.Options{})
 }
 
-// LoadModuleWith compiles with explicit compiler options (ablations).
-// Compilation goes through the pipeline's Compile stage: identical IL on
-// the same architecture with the same options is compiled once and the
-// resulting program shared.
+// LoadModuleWith loads with explicit compiler options (ablations). A
+// kernel the device cannot compile fails here, before any launch.
 func (c *Context) LoadModuleWith(k *il.Kernel, opts ilc.Options) (*Module, error) {
-	prog, err := c.pipe.Compile(k, c.dev.spec, opts)
-	if err != nil {
+	if err := ilc.Check(k, c.dev.spec); err != nil {
 		return nil, fmt.Errorf("cal: %w", err)
 	}
-	return &Module{Kernel: k, Prog: prog}, nil
+	return &Module{Kernel: k, opts: opts, ctx: c}, nil
+}
+
+// Program compiles the module through the pipeline's memoized Compile
+// stage. LoadModule ran the compiler's checks, so only a compiler bug can
+// fail it; that panics.
+func (m *Module) Program() *isa.Program {
+	prog, err := m.ctx.pipe.Compile(m.Kernel, m.ctx.dev.spec, m.opts)
+	if err != nil {
+		panic("cal: " + err.Error())
+	}
+	return prog
 }
 
 // Disassemble returns the module's ISA listing (Fig. 2 style).
-func (m *Module) Disassemble() string { return isa.Disassemble(m.Prog) }
+func (m *Module) Disassemble() string { return isa.Disassemble(m.Program()) }
 
 // Stats returns the module's static analysis, what the SKA tool reports.
-func (m *Module) Stats() isa.Stats { return m.Prog.Stats() }
+func (m *Module) Stats() isa.Stats { return m.Program().Stats() }
 
 // Resource is a 2D surface: an input texture/buffer or an output buffer.
 type Resource struct {
@@ -220,8 +232,9 @@ type LaunchConfig struct {
 	// fault-injection key so a transient fault can clear on re-issue.
 	Attempt int
 	// Span, when non-zero, is the caller's tracing span for this launch;
-	// the pipeline stages (trace/replay/simulate) record themselves as
-	// its children. The zero Span is a no-op.
+	// the pipeline stages (simulate, and compile/trace/replay inside it
+	// on a store miss) record themselves as its children. The zero Span
+	// is a no-op.
 	Span obs.Span
 }
 
@@ -271,7 +284,6 @@ func (c *Context) Launch(m *Module, cfg LaunchConfig) (*Event, error) {
 
 	simCfg := sim.Config{
 		Spec:        c.dev.spec,
-		Prog:        m.Prog,
 		Order:       cfg.Order,
 		W:           cfg.W,
 		H:           cfg.H,
@@ -288,7 +300,7 @@ func (c *Context) Launch(m *Module, cfg LaunchConfig) (*Event, error) {
 			simCfg.Watchdog = sim.DefaultWatchdogBudget
 		}
 	}
-	res, err := c.pipe.SimulateSpan(cfg.Span, simCfg)
+	res, err := c.pipe.Simulate(cfg.Span, m.Kernel, m.opts, simCfg)
 	if err != nil {
 		var wde *sim.WatchdogError
 		if errors.As(err, &wde) {
@@ -372,6 +384,7 @@ func (c *Context) validateBindings(m *Module, cfg LaunchConfig) error {
 // silent-corruption failure modes a measurement campaign must be able to
 // rehearse detecting.
 func (c *Context) executeFunctional(m *Module, cfg LaunchConfig, inj fault.Injection) error {
+	prog := m.Program()
 	env := interp.Env{
 		W: cfg.W, H: cfg.H,
 		Input: func(res, x, y, l int) float32 {
@@ -394,7 +407,7 @@ func (c *Context) executeFunctional(m *Module, cfg LaunchConfig, inj fault.Injec
 	lanes := m.Kernel.Type.Lanes()
 	for y := 0; y < cfg.H; y++ {
 		for x := 0; x < cfg.W; x++ {
-			out, err := interp.RunISA(m.Prog, env, interp.Thread{X: x, Y: y})
+			out, err := interp.RunISA(prog, env, interp.Thread{X: x, Y: y})
 			if err != nil {
 				return fmt.Errorf("cal: functional execution at (%d,%d): %w", x, y, err)
 			}

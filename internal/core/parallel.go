@@ -273,8 +273,8 @@ func (s *Suite) runPointResilient(ctx context.Context, p KernelPoint) (Run, erro
 	}
 }
 
-// runKernelSafe compiles and times one point behind a panic fence: a
-// panicking launch on a worker must fail its point, not the process.
+// runKernelSafe times one point behind a panic fence: a panicking launch
+// on a worker must fail its point, not the process.
 func (s *Suite) runKernelSafe(p KernelPoint, attempt int) (run Run, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -288,10 +288,10 @@ func (s *Suite) runKernelSafe(p KernelPoint, attempt int) (run Run, err error) {
 	if err != nil {
 		return Run{}, err
 	}
-	// One root span per launch; the compile stage and (inside cal/
-	// pipeline) the trace/replay/simulate stages nest under it. The
-	// Enabled guard keeps the disabled path free of the fmt work the
-	// span arguments need.
+	// One root span per launch; the simulate stage (and, on a store
+	// miss, compile/trace/replay inside it) nests under it. The Enabled
+	// guard keeps the disabled path free of the fmt work the span
+	// arguments need.
 	var sp obs.Span
 	if s.Tracer.Enabled() {
 		sp = s.Tracer.Begin("launch").
@@ -303,9 +303,7 @@ func (s *Suite) runKernelSafe(p KernelPoint, attempt int) (run Run, err error) {
 		}
 	}
 	defer sp.End()
-	csp := sp.Child("compile").Cat("stage")
 	m, err := ctx.LoadModule(p.K)
-	csp.End()
 	if err != nil {
 		return Run{}, err
 	}

@@ -13,6 +13,7 @@ import (
 	"amdgpubench/internal/fault"
 	"amdgpubench/internal/il"
 	"amdgpubench/internal/kerngen"
+	"amdgpubench/internal/obs"
 	"amdgpubench/internal/pipeline"
 )
 
@@ -503,5 +504,105 @@ func TestRunKernelPointsRejectsBadShard(t *testing.T) {
 		if _, err := s.RunKernelPoints(context.Background(), nil, o); err == nil || !strings.Contains(err.Error(), "out of range") {
 			t.Errorf("shard %d/%d: err = %v, want out of range", o.Shard, o.Shards, err)
 		}
+	}
+}
+
+// TestWarmRerunCompilesNothing reruns a small bundle of figures on a
+// fresh suite over the persistent tier the first run filled. The tier
+// is keyed on the source, so every launch is served from disk without a
+// compile-store lookup, and the figures are byte-identical.
+func TestWarmRerunCompilesNothing(t *testing.T) {
+	dir := t.TempDir()
+	bundle := func(s *Suite) string {
+		t.Helper()
+		var csv strings.Builder
+		for _, plan := range []func() (FigureSpec, error){
+			func() (FigureSpec, error) { return s.ALUFetchSpec(sweepCfg()) },
+			func() (FigureSpec, error) {
+				return s.ReadLatencySpec(ReadLatencyConfig{
+					Cards: []Card{{Arch: device.RV870, Mode: il.Compute, Type: il.Float4}},
+					W:     64, H: 64, MaxInputs: 4,
+				})
+			},
+		} {
+			fig, _, err := runOn(s)(plan())
+			if err != nil {
+				t.Fatal(err)
+			}
+			csv.WriteString(fig.CSV())
+		}
+		return csv.String()
+	}
+	cold := quickSuite()
+	cold.PersistDir = dir
+	want := bundle(cold)
+	if cold.Metrics().Snapshot().Get("pipeline.compile.misses") == 0 {
+		t.Fatal("cold run compiled nothing; the check is vacuous")
+	}
+
+	warm := quickSuite()
+	warm.PersistDir = dir
+	warm.Tracer = obs.NewTracer()
+	got := bundle(warm)
+	spans := map[string]int{}
+	for _, sp := range warm.Tracer.Snapshot() {
+		spans[sp.Name]++
+	}
+	if spans["simulate"] == 0 || spans["compile"] != 0 {
+		t.Errorf("warm rerun traced %d simulate and %d compile spans, want some and none", spans["simulate"], spans["compile"])
+	}
+	snap := warm.Metrics().Snapshot()
+	if n := snap.Get("pipeline.compile.hits") + snap.Get("pipeline.compile.misses"); n != 0 {
+		t.Errorf("warm rerun made %d compile lookups, want 0", n)
+	}
+	if m := snap.Get("pipeline.persist.misses"); m != 0 {
+		t.Errorf("warm rerun missed the tier %d times, want 0", m)
+	}
+	if got != want {
+		t.Errorf("warm rerun CSV differs from the cold run:\n%s\nvs\n%s", got, want)
+	}
+}
+
+// TestCompileFailureFailsBeforeLaunch pins how a point whose kernel does
+// not compile fails: the sweep stops with the compiler's error, and
+// neither the suite nor the cal layer counts a launch.
+func TestCompileFailureFailsBeforeLaunch(t *testing.T) {
+	compute, err := kerngen.ALUFetch(kerngen.Params{
+		Mode: il.Compute, Type: il.Float, Inputs: 2, Outputs: 1,
+		OutSpace: il.GlobalSpace, ALUFetchRatio: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	invalid := &il.Kernel{Name: "no_outputs", Mode: il.Pixel, Type: il.Float, NumInputs: 2}
+	for _, c := range []struct {
+		name string
+		p    KernelPoint
+		want string
+	}{
+		{"compute_on_rv670", KernelPoint{
+			Card: Card{Arch: device.RV670, Mode: il.Compute, Type: il.Float}, X: 1, K: compute, W: 64, H: 64,
+		}, "core: 3870 Compute Float at x=1: cal: ilc: RV670 does not support compute shader mode"},
+		{"invalid_il", KernelPoint{
+			Card: Card{Arch: device.RV770, Mode: il.Pixel, Type: il.Float}, X: 2, K: invalid, W: 64, H: 64,
+		}, `core: 4870 Pixel Float at x=2: cal: ilc: il: kernel "no_outputs": needs at least one output and non-negative inputs`},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := quickSuite()
+			s.PersistDir = t.TempDir()
+			_, err := s.RunKernelPoints(context.Background(), []KernelPoint{c.p}, SweepOptions{})
+			if err == nil || err.Error() != c.want {
+				t.Fatalf("sweep error = %v, want %q", err, c.want)
+			}
+			if n := s.KernelLaunches(); n != 0 {
+				t.Errorf("KernelLaunches = %d, want 0", n)
+			}
+			if n := s.Metrics().Snapshot().Get("cal.launches"); n != 0 {
+				t.Errorf("cal.launches = %d, want 0", n)
+			}
+			if fs := s.Failures(); len(fs) != 0 {
+				t.Errorf("failure records = %+v, want none (a compile error is fatal)", fs)
+			}
+		})
 	}
 }

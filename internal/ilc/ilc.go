@@ -144,13 +144,22 @@ func Compile(k *il.Kernel, spec device.Spec) (*isa.Program, error) {
 	return CompileWith(k, spec, Options{})
 }
 
-// CompileWith lowers an IL kernel with explicit compiler options.
-func CompileWith(k *il.Kernel, spec device.Spec, opts Options) (*isa.Program, error) {
+// Check reports the error Compile would reject the kernel with on the
+// device, without lowering it; past Check only a compiler bug can fail.
+func Check(k *il.Kernel, spec device.Spec) error {
 	if err := k.Validate(); err != nil {
-		return nil, fmt.Errorf("ilc: %w", err)
+		return fmt.Errorf("ilc: %w", err)
 	}
 	if k.Mode == il.Compute && !spec.SupportsCompute {
-		return nil, fmt.Errorf("ilc: %s does not support compute shader mode", spec.Arch)
+		return fmt.Errorf("ilc: %s does not support compute shader mode", spec.Arch)
+	}
+	return nil
+}
+
+// CompileWith lowers an IL kernel with explicit compiler options.
+func CompileWith(k *il.Kernel, spec device.Spec, opts Options) (*isa.Program, error) {
+	if err := Check(k, spec); err != nil {
+		return nil, err
 	}
 
 	vals := collectValues(k)

@@ -4,11 +4,18 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"sync"
 
 	"amdgpubench/internal/device"
 	"amdgpubench/internal/fsatomic"
+	"amdgpubench/internal/il"
+	"amdgpubench/internal/ilc"
+	"amdgpubench/internal/isa"
+	"amdgpubench/internal/kerngen"
 	"amdgpubench/internal/obs"
 	"amdgpubench/internal/raster"
 	"amdgpubench/internal/sim"
@@ -45,18 +52,13 @@ import (
 //	pipeline.persist.writes  — results written through to disk
 //	pipeline.persist.errors  — unreadable/corrupt entries and failed writes
 
-// persistFormatVersion stamps every persisted key. Bump it whenever the
-// simulator, the key mirror, or the result encoding changes meaning:
-// old entries then miss by construction instead of serving stale
-// timings.
-const persistFormatVersion = 1
-
 // persistSimKey mirrors simulateKey with exported fields so it JSON-
 // encodes completely. Everything the simulator reads is here; two
-// configs that differ in any field hash to different entries.
+// configs that differ in any field hash to different entries, and so do
+// two binaries whose timing models differ (Model).
 type persistSimKey struct {
-	Version    int
-	ProgHash   string // hex of the compile stage's content address
+	Model      string // modelFingerprint of the binary that computed the entry
+	ProgHash   string // hex of the compile key's digest (compileKey.hash)
 	Spec       device.Spec
 	Order      raster.Order
 	W, H       int
@@ -66,7 +68,8 @@ type persistSimKey struct {
 }
 
 type persistTier struct {
-	dir string
+	dir   string
+	model string // modelFingerprint, folded into every key
 
 	hits   *obs.Counter
 	misses *obs.Counter
@@ -77,6 +80,7 @@ type persistTier struct {
 func newPersistTier(dir string, reg *obs.Registry) *persistTier {
 	return &persistTier{
 		dir:    dir,
+		model:  modelFingerprint(),
 		hits:   reg.Counter("pipeline.persist.hits"),
 		misses: reg.Counter("pipeline.persist.misses"),
 		writes: reg.Counter("pipeline.persist.writes"),
@@ -86,9 +90,10 @@ func newPersistTier(dir string, reg *obs.Registry) *persistTier {
 
 // pathFor derives the entry path for a simulate key.
 func (t *persistTier) pathFor(k simulateKey) string {
+	prog := k.src.hash()
 	mirror := persistSimKey{
-		Version:    persistFormatVersion,
-		ProgHash:   hex.EncodeToString(k.progHash[:]),
+		Model:      t.model,
+		ProgHash:   hex.EncodeToString(prog[:]),
 		Spec:       k.spec,
 		Order:      k.order,
 		W:          k.w,
@@ -149,4 +154,68 @@ func (t *persistTier) store(k simulateKey, res sim.Result) {
 		return
 	}
 	t.writes.Inc()
+}
+
+// canaries are the kernels modelFingerprint times: texture fetches
+// feeding ALU work, burst global writes, and a compute-mode walk, each
+// small enough that the whole set runs in milliseconds.
+var canaries = []struct {
+	gen    Generator
+	params kerngen.Params
+}{
+	{GenALUFetch, kerngen.Params{Mode: il.Pixel, Type: il.Float4, Inputs: 8, Outputs: 1, ALUFetchRatio: 2}},
+	{GenWriteLatency, kerngen.Params{Mode: il.Pixel, Type: il.Float, Inputs: 2, Outputs: 4, OutSpace: il.GlobalSpace}},
+	{GenALUFetch, kerngen.Params{Mode: il.Compute, Type: il.Float, Inputs: 4, Outputs: 1, OutSpace: il.GlobalSpace, ALUFetchRatio: 0.5}},
+}
+
+// modelFingerprint digests the timing model built into this binary: the
+// canaries on every built-in card, compiled, replayed and simulated on a
+// bare store-less pipeline, their programs and results hashed. Every
+// persisted key carries it, so a change to the compiler, the cache model
+// or the simulator that moves any canary re-keys the whole tier: entries
+// a different model wrote miss instead of serving its timings. The model
+// is fixed per binary, so the fingerprint is computed once per process,
+// when the first tier opens.
+func modelFingerprint() string {
+	fingerprintOnce.Do(func() { fingerprint = computeFingerprint() })
+	return fingerprint
+}
+
+var (
+	fingerprintOnce sync.Once
+	fingerprint     string
+)
+
+func computeFingerprint() string {
+	p := New(Options{Disabled: true})
+	h := sha256.New()
+	for _, spec := range device.All() {
+		for _, c := range canaries {
+			if c.params.Mode == il.Compute && !spec.SupportsCompute {
+				continue
+			}
+			// Errors fold into the digest too: a canary that starts or
+			// stops failing is a model change like any other.
+			k, err := p.Generate(c.gen, c.params)
+			if err != nil {
+				fmt.Fprintln(h, err)
+				continue
+			}
+			if prog, err := p.Compile(k, spec, ilc.Options{}); err != nil {
+				fmt.Fprintln(h, err)
+			} else {
+				io.WriteString(h, isa.Disassemble(prog))
+			}
+			order := raster.PixelOrder()
+			if c.params.Mode == il.Compute {
+				order = raster.Naive64x1()
+			}
+			res, err := p.Simulate(obs.Span{}, k, ilc.Options{}, sim.Config{
+				Spec: spec, Order: order, W: 64, H: 64, Iterations: 1,
+			})
+			blob, _ := json.Marshal(res) // a plain struct: cannot fail
+			fmt.Fprintln(h, string(blob), err)
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }

@@ -9,13 +9,14 @@ import (
 	"amdgpubench/internal/il"
 	"amdgpubench/internal/ilc"
 	"amdgpubench/internal/kerngen"
+	"amdgpubench/internal/obs"
 	"amdgpubench/internal/raster"
 	"amdgpubench/internal/sim"
 )
 
-// persistConfig builds a small real simulate config through a pipeline's
-// own Generate/Compile stages, so the program carries a content address.
-func persistConfig(t *testing.T, p *Pipeline) sim.Config {
+// persistConfig builds a small real launch through a pipeline's own
+// Generate stage.
+func persistConfig(t *testing.T, p *Pipeline) testLaunch {
 	t.Helper()
 	k, err := p.Generate(GenALUFetch, kerngen.Params{
 		Mode: il.Pixel, Type: il.Float, Inputs: 4, Outputs: 1,
@@ -24,15 +25,10 @@ func persistConfig(t *testing.T, p *Pipeline) sim.Config {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := device.Lookup(device.RV770)
-	prog, err := p.Compile(k, spec, ilc.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sim.Config{
-		Prog: prog, Spec: spec, Order: raster.PixelOrder(),
+	return testLaunch{k: k, cfg: sim.Config{
+		Spec: device.Lookup(device.RV770), Order: raster.PixelOrder(),
 		W: 64, H: 64, Iterations: 1,
-	}
+	}}
 }
 
 func persistCount(t *testing.T, p *Pipeline, name string) int64 {
@@ -46,7 +42,7 @@ func TestPersistTierWriteThroughAndReload(t *testing.T) {
 	// Cold pipeline: the first simulate computes and writes through.
 	p1 := New(Options{PersistDir: dir})
 	cfg1 := persistConfig(t, p1)
-	res1, err := p1.Simulate(cfg1)
+	res1, err := p1.runLaunch(cfg1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +54,7 @@ func TestPersistTierWriteThroughAndReload(t *testing.T) {
 	}
 	// A second simulate of the same config hits in MEMORY: the disk tier
 	// is below the LRU, not in front of it.
-	if _, err := p1.Simulate(cfg1); err != nil {
+	if _, err := p1.runLaunch(cfg1); err != nil {
 		t.Fatal(err)
 	}
 	if got := persistCount(t, p1, "hits"); got != 0 {
@@ -69,7 +65,7 @@ func TestPersistTierWriteThroughAndReload(t *testing.T) {
 	// the result from disk, bit-identical, without simulating.
 	p2 := New(Options{PersistDir: dir})
 	cfg2 := persistConfig(t, p2)
-	res2, err := p2.Simulate(cfg2)
+	res2, err := p2.runLaunch(cfg2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +87,7 @@ func TestPersistTierCorruptEntryIsMiss(t *testing.T) {
 	dir := t.TempDir()
 	p1 := New(Options{PersistDir: dir})
 	cfg := persistConfig(t, p1)
-	res1, err := p1.Simulate(cfg)
+	res1, err := p1.runLaunch(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +116,7 @@ func TestPersistTierCorruptEntryIsMiss(t *testing.T) {
 	// The restart recomputes (the corrupt entry must not wedge or lie),
 	// counts the error, and heals the entry by writing through again.
 	p2 := New(Options{PersistDir: dir})
-	res2, err := p2.Simulate(persistConfig(t, p2))
+	res2, err := p2.runLaunch(persistConfig(t, p2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +131,7 @@ func TestPersistTierCorruptEntryIsMiss(t *testing.T) {
 	}
 
 	p3 := New(Options{PersistDir: dir})
-	if _, err := p3.Simulate(persistConfig(t, p3)); err != nil {
+	if _, err := p3.runLaunch(persistConfig(t, p3)); err != nil {
 		t.Fatal(err)
 	}
 	if got := persistCount(t, p3, "hits"); got != 1 {
@@ -146,7 +142,7 @@ func TestPersistTierCorruptEntryIsMiss(t *testing.T) {
 func TestPersistTierDisabledWithCache(t *testing.T) {
 	dir := t.TempDir()
 	p := New(Options{PersistDir: dir, Disabled: true})
-	if _, err := p.Simulate(persistConfig(t, p)); err != nil {
+	if _, err := p.runLaunch(persistConfig(t, p)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "simulate")); !os.IsNotExist(err) {
@@ -155,11 +151,12 @@ func TestPersistTierDisabledWithCache(t *testing.T) {
 }
 
 func TestPersistHitSkipsTraceAndReplay(t *testing.T) {
-	// A disk hit serves the launch before trace or replay run: a restart
-	// over a filled cache dir pays for neither.
+	// A disk hit serves the launch before compile, trace or replay run:
+	// the key is built from the source, so a restart over a filled cache
+	// dir pays for none of them.
 	dir := t.TempDir()
 	p1 := New(Options{PersistDir: dir})
-	if _, err := p1.Simulate(persistConfig(t, p1)); err != nil {
+	if _, err := p1.runLaunch(persistConfig(t, p1)); err != nil {
 		t.Fatal(err)
 	}
 	if got := p1.Metrics().Snapshot().Get("pipeline.replay.misses"); got != 1 {
@@ -167,12 +164,14 @@ func TestPersistHitSkipsTraceAndReplay(t *testing.T) {
 	}
 
 	p2 := New(Options{PersistDir: dir})
-	if _, err := p2.Simulate(persistConfig(t, p2)); err != nil {
+	if _, err := p2.runLaunch(persistConfig(t, p2)); err != nil {
 		t.Fatal(err)
 	}
 	snap := p2.Metrics().Snapshot()
 	for name, want := range map[string]int64{
 		"pipeline.persist.hits":        1,
+		"pipeline.compile.hits":        0,
+		"pipeline.compile.misses":      0,
 		"pipeline.trace.derivations":   0,
 		"pipeline.replay.misses":       0,
 		"pipeline.replay.hits":         0,
@@ -185,13 +184,38 @@ func TestPersistHitSkipsTraceAndReplay(t *testing.T) {
 	}
 }
 
+// pinnedModelFingerprint is the timing model's fingerprint. A change to
+// the compiler, cache model or simulator that moves a canary changes it
+// and re-keys every persisted entry; re-pin it here, deliberately, with
+// the value the failing test prints.
+const pinnedModelFingerprint = "3e6bf93de56018a3c678c82d1f0a8884a7d2a0224de2c8b9b1ccb34997073e1b"
+
+func TestModelFingerprintPinned(t *testing.T) {
+	if got := modelFingerprint(); got != pinnedModelFingerprint {
+		t.Fatalf("model fingerprint = %s, pinned %s: the timing model changed and every persisted result will miss once; re-pin if that is intended", got, pinnedModelFingerprint)
+	}
+}
+
+func TestPersistKeyCarriesModelFingerprint(t *testing.T) {
+	// Two binaries with different models never share an entry, however
+	// equal the launch.
+	tier := newPersistTier(t.TempDir(), obs.NewRegistry())
+	other := *tier
+	other.model = "another model"
+	l := persistConfig(t, New(Options{}))
+	k := simulateKey{src: compileKeyFor(l.k, l.cfg.Spec, ilc.Options{}), spec: l.cfg.Spec, order: l.cfg.Order, w: l.cfg.W, h: l.cfg.H}
+	if tier.pathFor(k) == other.pathFor(k) {
+		t.Error("entries of different models share a path")
+	}
+}
+
 func TestPersistTierKeySeparatesConfigs(t *testing.T) {
 	// Each case is a pair of configs the tier must keep apart: with one
 	// persisted, a fresh pipeline simulating the other misses and
 	// computes, in either order. Resume runs through the tier, so these
 	// are what stop a rerun from splicing stale timings into a figure.
-	withParams := func(mut func(*kerngen.Params)) func(*testing.T, *Pipeline) sim.Config {
-		return func(t *testing.T, p *Pipeline) sim.Config {
+	withParams := func(mut func(*kerngen.Params)) func(*testing.T, *Pipeline) testLaunch {
+		return func(t *testing.T, p *Pipeline) testLaunch {
 			params := kerngen.Params{
 				Mode: il.Pixel, Type: il.Float, Inputs: 4, Outputs: 1,
 				ALUFetchRatio: 1.0, Name: "same_name",
@@ -204,28 +228,23 @@ func TestPersistTierKeySeparatesConfigs(t *testing.T) {
 			if k.Name != "same_name" {
 				t.Fatalf("kernel named %q, want the pinned name", k.Name)
 			}
-			spec := device.Lookup(device.RV770)
-			prog, err := p.Compile(k, spec, ilc.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return sim.Config{
-				Prog: prog, Spec: spec, Order: raster.PixelOrder(),
+			return testLaunch{k: k, cfg: sim.Config{
+				Spec: device.Lookup(device.RV770), Order: raster.PixelOrder(),
 				W: 64, H: 64, Iterations: 1,
-			}
+			}}
 		}
 	}
 	base := withParams(func(*kerngen.Params) {})
-	with := func(mut func(*sim.Config)) func(*testing.T, *Pipeline) sim.Config {
-		return func(t *testing.T, p *Pipeline) sim.Config {
-			cfg := base(t, p)
-			mut(&cfg)
-			return cfg
+	with := func(mut func(*sim.Config)) func(*testing.T, *Pipeline) testLaunch {
+		return func(t *testing.T, p *Pipeline) testLaunch {
+			l := base(t, p)
+			mut(&l.cfg)
+			return l
 		}
 	}
 	cases := []struct {
 		name string
-		b    func(*testing.T, *Pipeline) sim.Config
+		b    func(*testing.T, *Pipeline) testLaunch
 	}{
 		// Same kernel name, different IL body (8 inputs, not 4).
 		{"same_name_different_body", withParams(func(p *kerngen.Params) { p.Inputs = 8 })},
@@ -235,15 +254,15 @@ func TestPersistTierKeySeparatesConfigs(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			pair := [2]func(*testing.T, *Pipeline) sim.Config{base, c.b}
+			pair := [2]func(*testing.T, *Pipeline) testLaunch{base, c.b}
 			for first := range pair {
 				dir := t.TempDir()
 				p1 := New(Options{PersistDir: dir})
-				if _, err := p1.Simulate(pair[first](t, p1)); err != nil {
+				if _, err := p1.runLaunch(pair[first](t, p1)); err != nil {
 					t.Fatal(err)
 				}
 				p2 := New(Options{PersistDir: dir})
-				if _, err := p2.Simulate(pair[1-first](t, p2)); err != nil {
+				if _, err := p2.runLaunch(pair[1-first](t, p2)); err != nil {
 					t.Fatal(err)
 				}
 				if got := persistCount(t, p2, "hits"); got != 0 {

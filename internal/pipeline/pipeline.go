@@ -3,7 +3,7 @@
 // is five stages, each producing an immutable, hashable artifact:
 //
 //	Generate (kerngen)  parameters        -> IL kernel
-//	Compile  (ilc)      IL text + device  -> ISA program
+//	Compile  (ilc)      IL kernel + device -> ISA program
 //	Trace    (raster)   program + domain  -> fetch-trace signature
 //	Replay   (cache)    trace signature   -> cache replay statistics
 //	Simulate (sim)      program + replay  -> timing result
@@ -20,9 +20,10 @@
 // twice at the same time. Every stage carries hit/miss/latency counters
 // in the pipeline's metrics registry, surfaced by `amdmb -metrics`.
 //
-// The Simulate key does not depend on the trace, so Simulate looks its
-// result up first and runs Trace and Replay only on a miss: a launch
-// served from memory or from the persistent tier below it derives no
+// The Simulate key is a function of the source alone — the compile key
+// plus the launch shape — so Simulate looks its result up first and runs
+// Compile, Trace and Replay only on a miss: a launch served from memory
+// or from the persistent tier below it compiles nothing, derives no
 // trace and touches no replay store.
 //
 // Because every stage is a pure function of its key, serving an artifact
@@ -42,7 +43,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"sync"
 	"time"
 
 	"amdgpubench/internal/cache"
@@ -100,15 +100,9 @@ type Pipeline struct {
 	// input-count sweep replay only their delta (see snapshot.go).
 	snapshots *snapshotStore
 
-	// progHash content-addresses compiled programs by identity: Compile
-	// stores each artifact's key hash under its pointer so Simulate can
-	// key results without re-hashing the program. Entries die with their
-	// program's eviction from the compile store.
-	progHash sync.Map // *isa.Program -> [32]byte
-
 	// The Trace stage is a pure derivation with nothing worth storing;
 	// it keeps plain counters. simBypassed counts Simulate computations
-	// that skipped the store (fault-injected or unhashable programs).
+	// that skipped the store (fault-injected or memoization off).
 	traceCount  *obs.Counter
 	traceNS     *obs.Counter
 	simBypassed *obs.Counter
@@ -126,13 +120,11 @@ func New(opts Options) *Pipeline {
 		simBypassed: reg.Counter("pipeline.simulate.bypassed"),
 		simBypassNS: reg.Counter("pipeline.simulate.bypass_ns"),
 	}
-	p.generate = newStore[generateKey, *il.Kernel]("generate", reg, defaultGenerateEntries, opts.Disabled, nil)
-	p.compile = newStore[compileKey, *isa.Program]("compile", reg, defaultCompileEntries, opts.Disabled, func(_ compileKey, prog *isa.Program) {
-		p.progHash.Delete(prog)
-	})
-	p.replay = newStore[replayKey, cache.TraceStats]("replay", reg, defaultReplayEntries, opts.Disabled, nil)
+	p.generate = newStore[generateKey, *il.Kernel]("generate", reg, defaultGenerateEntries, opts.Disabled)
+	p.compile = newStore[compileKey, *isa.Program]("compile", reg, defaultCompileEntries, opts.Disabled)
+	p.replay = newStore[replayKey, cache.TraceStats]("replay", reg, defaultReplayEntries, opts.Disabled)
 	p.snapshots = newSnapshotStore(reg, defaultReplaySnapshotEntries)
-	p.simulate = newStore[simulateKey, sim.Result]("simulate", reg, defaultSimulateEntries, opts.Disabled, nil)
+	p.simulate = newStore[simulateKey, sim.Result]("simulate", reg, defaultSimulateEntries, opts.Disabled)
 	if opts.PersistDir != "" && !opts.Disabled {
 		t := newPersistTier(opts.PersistDir, reg)
 		p.simulate.tierLoad = t.load
@@ -230,8 +222,20 @@ type compileKey struct {
 	opts            ilc.Options
 }
 
+// compileKeyFor builds the compile key; the Simulate key embeds it.
+func compileKeyFor(k *il.Kernel, spec device.Spec, opts ilc.Options) compileKey {
+	return compileKey{
+		kernelHash:      k.Hash(),
+		arch:            spec.Arch,
+		supportsCompute: spec.SupportsCompute,
+		maxFetchesTEX:   spec.MaxFetchesPerTEXClause,
+		maxSlotsALU:     spec.MaxSlotsPerALUClause,
+		opts:            opts,
+	}
+}
+
 // hash folds the whole key into one digest — the program's content
-// address, reused by the Simulate stage. Every non-hash field is packed
+// address, carried by persistent-tier keys. Every non-hash field is packed
 // into a fixed-width binary trailer with explicit writes; nothing here
 // goes through reflection or text formatting.
 func (k compileKey) hash() [sha256.Size]byte {
@@ -260,28 +264,14 @@ func boolByte(b bool) byte {
 // zero serialization work: the key is built from the kernel's binary
 // encoding without ever rendering IL text.
 func (p *Pipeline) Compile(k *il.Kernel, spec device.Spec, opts ilc.Options) (*isa.Program, error) {
-	key := compileKey{
-		kernelHash:      k.Hash(),
-		arch:            spec.Arch,
-		supportsCompute: spec.SupportsCompute,
-		maxFetchesTEX:   spec.MaxFetchesPerTEXClause,
-		maxSlotsALU:     spec.MaxSlotsPerALUClause,
-		opts:            opts,
-	}
-	prog, err := p.compile.get(key, func() (*isa.Program, error) {
-		return ilc.CompileWith(k, spec, opts)
+	return p.compileAt(compileKeyFor(k, spec, opts), k, spec)
+}
+
+// compileAt is Compile with the key built: large kernels hash slowly.
+func (p *Pipeline) compileAt(key compileKey, k *il.Kernel, spec device.Spec) (*isa.Program, error) {
+	return p.compile.get(key, func() (*isa.Program, error) {
+		return ilc.CompileWith(k, spec, key.opts)
 	})
-	if err != nil {
-		return nil, err
-	}
-	if !p.disabled {
-		// Loading before storing keeps the hot (hit) path free of the
-		// interface boxing sync.Map.Store would do on every launch.
-		if _, ok := p.progHash.Load(prog); !ok {
-			p.progHash.Store(prog, key.hash())
-		}
-	}
-	return prog, nil
 }
 
 // ---- Stage 3: Trace ----
@@ -369,11 +359,12 @@ func (p *Pipeline) Replay(tc cache.TraceConfig) (cache.TraceStats, error) {
 
 // ---- Stage 5: Simulate ----
 
-// simulateKey content-addresses a timing result: the program's content
-// hash plus everything else the simulator reads. The full device spec
-// participates because timing depends on nearly all of it.
+// simulateKey content-addresses a timing result by its source: the
+// compile key plus everything else the simulator reads, so a lookup needs
+// no compile. The full device spec participates because timing depends
+// on nearly all of it.
 type simulateKey struct {
-	progHash   [sha256.Size]byte
+	src        compileKey
 	spec       device.Spec
 	order      raster.Order
 	w, h       int
@@ -382,38 +373,34 @@ type simulateKey struct {
 	watchdog   uint64
 }
 
-// Simulate times a compiled kernel, memoizing the result. The store
+// Simulate times kernel k, compiled with opts, at cfg's device and
+// launch shape (cfg.Prog is ignored), memoizing the result. The store
 // lookups come first: a memory or disk hit serves the result without
-// tracing or replaying, and only a miss runs trace, replay and the
-// simulator (see launch). Fault-injected configurations — a hang or a
-// throttled clock — bypass the result store entirely: they are
+// compiling, tracing or replaying, and only a miss runs those stages and
+// the simulator (see launch). Fault-injected configurations — a hang or
+// a throttled clock — bypass the result store entirely: they are
 // recomputed every time and never cached, so a degraded run can neither
-// be served stale nor poison later launches. Programs that did not come
-// out of this pipeline's Compile stage have no content address and also
-// bypass the result store (their replay stage still memoizes).
-func (p *Pipeline) Simulate(cfg sim.Config) (sim.Result, error) {
-	return p.SimulateSpan(obs.Span{}, cfg)
-}
-
-// SimulateSpan is Simulate with a parent span: the simulate span covers
-// the whole stage, and on a miss the trace and replay spans nest inside
-// it, which is how `amdmb -trace` shows a sweep as per-launch lanes of
-// nested stage spans. The zero Span traces nothing and costs nothing.
-func (p *Pipeline) SimulateSpan(sp obs.Span, cfg sim.Config) (sim.Result, error) {
+// be served stale nor poison later launches.
+//
+// The simulate span covers the whole stage and, on a miss, the compile,
+// trace and replay spans nest inside it, which is how `amdmb -trace`
+// shows a sweep as per-launch lanes of nested stage spans. The zero Span
+// traces nothing and costs nothing.
+func (p *Pipeline) Simulate(sp obs.Span, k *il.Kernel, opts ilc.Options, cfg sim.Config) (sim.Result, error) {
 	xsp := sp.Child("simulate").Cat("stage")
 	defer xsp.End()
 
+	src := compileKeyFor(k, cfg.Spec, opts)
 	faulted := cfg.Hang != nil || (cfg.ClockFactor != 0 && cfg.ClockFactor != 1)
-	hash, addressed := p.hashOf(cfg.Prog)
-	if p.disabled || faulted || !addressed {
-		res, d, err := p.launch(xsp, cfg)
+	if p.disabled || faulted {
+		res, d, err := p.launch(xsp, src, k, cfg)
 		p.simBypassNS.Add(d.Nanoseconds())
 		p.simBypassed.Add(1)
 		return res, err
 	}
 
 	key := simulateKey{
-		progHash:   hash,
+		src:        src,
 		spec:       cfg.Spec,
 		order:      cfg.Order,
 		w:          cfg.W,
@@ -423,15 +410,23 @@ func (p *Pipeline) SimulateSpan(sp obs.Span, cfg sim.Config) (sim.Result, error)
 		watchdog:   cfg.Watchdog,
 	}
 	return p.simulate.getTimed(key, func() (sim.Result, time.Duration, error) {
-		return p.launch(xsp, cfg)
+		return p.launch(xsp, src, k, cfg)
 	})
 }
 
-// launch is the Simulate stage's compute: derive the fetch trace, serve
-// its cache statistics from the Replay store, then run the simulator.
-// The duration it returns is the simulator's alone — trace and replay
-// charge their own stage counters, so the stages stay disjoint.
-func (p *Pipeline) launch(sp obs.Span, cfg sim.Config) (sim.Result, time.Duration, error) {
+// launch is the Simulate stage's compute: compile the kernel, derive the
+// fetch trace, serve its cache statistics from the Replay store, then run
+// the simulator. The duration it returns is the simulator's alone —
+// compile, trace and replay charge their own stage counters, so the
+// stages stay disjoint.
+func (p *Pipeline) launch(sp obs.Span, src compileKey, k *il.Kernel, cfg sim.Config) (sim.Result, time.Duration, error) {
+	csp := sp.Child("compile").Cat("stage")
+	prog, err := p.compileAt(src, k, cfg.Spec)
+	csp.End()
+	if err != nil {
+		return sim.Result{}, 0, err
+	}
+	cfg.Prog = prog
 	tsp := sp.Child("trace").Cat("stage")
 	tc, ok := p.Trace(cfg)
 	tsp.End()
@@ -447,18 +442,6 @@ func (p *Pipeline) launch(sp obs.Span, cfg sim.Config) (sim.Result, time.Duratio
 	start := time.Now()
 	res, err := sim.Run(cfg)
 	return res, time.Since(start), err
-}
-
-// hashOf returns the content address Compile recorded for prog.
-func (p *Pipeline) hashOf(prog *isa.Program) ([sha256.Size]byte, bool) {
-	if prog == nil {
-		return [sha256.Size]byte{}, false
-	}
-	v, ok := p.progHash.Load(prog)
-	if !ok {
-		return [sha256.Size]byte{}, false
-	}
-	return v.([sha256.Size]byte), true
 }
 
 // HitRate is the fraction of artifact lookups, over every stage, served

@@ -21,21 +21,43 @@ func testParams() kerngen.Params {
 	}
 }
 
-func testSimConfig(t *testing.T, p *Pipeline, params kerngen.Params) sim.Config {
+// testLaunch is one Simulate call: the source kernel and the launch
+// shape (cfg.Prog unset; the pipeline compiles on a miss).
+type testLaunch struct {
+	k   *il.Kernel
+	cfg sim.Config
+}
+
+func (p *Pipeline) runLaunch(l testLaunch) (sim.Result, error) {
+	return p.Simulate(obs.Span{}, l.k, ilc.Options{}, l.cfg)
+}
+
+// direct runs the launch straight through ilc and sim, no pipeline.
+func (l testLaunch) direct(t *testing.T) sim.Result {
 	t.Helper()
-	spec := device.Lookup(device.RV770)
+	prog, err := ilc.CompileWith(l.k, l.cfg.Spec, ilc.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := l.cfg
+	cfg.Prog = prog
+	res, err := sim.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+func testSimConfig(t *testing.T, p *Pipeline, params kerngen.Params) testLaunch {
+	t.Helper()
 	k, err := p.Generate(GenALUFetch, params)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := p.Compile(k, spec, ilc.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sim.Config{
-		Spec: spec, Prog: prog, Order: raster.PixelOrder(),
+	return testLaunch{k: k, cfg: sim.Config{
+		Spec: device.Lookup(device.RV770), Order: raster.PixelOrder(),
 		W: 256, H: 256, Iterations: 1,
-	}
+	}}
 }
 
 func TestGenerateMemoized(t *testing.T) {
@@ -116,18 +138,15 @@ func TestSimulateMatchesDirectRunAndMemoizes(t *testing.T) {
 	p := New(Options{})
 	cfg := testSimConfig(t, p, testParams())
 
-	want, err := sim.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got1, err := p.Simulate(cfg)
+	want := cfg.direct(t)
+	got1, err := p.runLaunch(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got1 != want {
 		t.Errorf("pipeline result differs from direct sim.Run:\n got %+v\nwant %+v", got1, want)
 	}
-	got2, err := p.Simulate(cfg)
+	got2, err := p.runLaunch(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,10 +156,14 @@ func TestSimulateMatchesDirectRunAndMemoizes(t *testing.T) {
 	if h, m, b := p.simulate.hits.Load(), p.simulate.misses.Load(), p.simBypassed.Load(); h != 1 || m != 1 || b != 0 {
 		t.Errorf("simulate counters = %d hits / %d misses / %d bypassed, want 1/1/0", h, m, b)
 	}
+	// Only the miss compiled; the memory hit needed no program.
+	if h, m := p.compile.hits.Load(), p.compile.misses.Load(); h+m != 1 {
+		t.Errorf("compile lookups = %d hits + %d misses, want 1 (a memory hit compiles nothing)", h, m)
+	}
 	// Ablations are part of the content address.
 	abl := cfg
-	abl.Ablate.SingleWavefront = true
-	ra, err := p.Simulate(abl)
+	abl.cfg.Ablate.SingleWavefront = true
+	ra, err := p.runLaunch(abl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,15 +176,15 @@ func TestFaultedSimulationBypassesResultStore(t *testing.T) {
 	p := New(Options{})
 	cfg := testSimConfig(t, p, testParams())
 
-	nominal, err := p.Simulate(cfg)
+	nominal, err := p.runLaunch(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	throttled := cfg
-	throttled.ClockFactor = 0.5
+	throttled.cfg.ClockFactor = 0.5
 	for i := 0; i < 2; i++ {
-		res, err := p.Simulate(throttled)
+		res, err := p.runLaunch(throttled)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +197,7 @@ func TestFaultedSimulationBypassesResultStore(t *testing.T) {
 	}
 	// The throttled result must not have poisoned the store: the nominal
 	// config still serves the nominal artifact.
-	again, err := p.Simulate(cfg)
+	again, err := p.runLaunch(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,11 +208,11 @@ func TestFaultedSimulationBypassesResultStore(t *testing.T) {
 	// A hang faults the launch into the watchdog; the error is returned
 	// every time, never cached.
 	hung := cfg
-	hung.Hang = &sim.HangFault{Clause: 0}
-	hung.Watchdog = 1 << 20
+	hung.cfg.Hang = &sim.HangFault{Clause: 0}
+	hung.cfg.Watchdog = 1 << 20
 	for i := 0; i < 2; i++ {
 		var wde *sim.WatchdogError
-		if _, err := p.Simulate(hung); !errors.As(err, &wde) {
+		if _, err := p.runLaunch(hung); !errors.As(err, &wde) {
 			t.Fatalf("hung simulation error = %v, want WatchdogError", err)
 		}
 	}
@@ -207,13 +230,13 @@ func TestReplayArtifactSharedAcrossALUVariants(t *testing.T) {
 	pb.ALUFetchRatio = 2.0
 	cfgA := testSimConfig(t, p, pa)
 	cfgB := testSimConfig(t, p, pb)
-	if cfgA.Prog == cfgB.Prog {
-		t.Fatal("test wants distinct programs")
+	if cfgA.k.Hash() == cfgB.k.Hash() {
+		t.Fatal("test wants distinct kernels")
 	}
-	if _, err := p.Simulate(cfgA); err != nil {
+	if _, err := p.runLaunch(cfgA); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Simulate(cfgB); err != nil {
+	if _, err := p.runLaunch(cfgB); err != nil {
 		t.Fatal(err)
 	}
 	if h, m := p.replay.hits.Load(), p.replay.misses.Load(); m != 1 || h != 1 {
@@ -239,23 +262,20 @@ func TestDisabledPipelineRecomputesEverything(t *testing.T) {
 	if p1 == p2 {
 		t.Error("disabled pipeline must recompile")
 	}
-	cfg := sim.Config{Spec: spec, Prog: p1, Order: raster.PixelOrder(), W: 256, H: 256, Iterations: 1}
-	want, err := sim.Run(cfg)
+	cfg := testLaunch{k: k, cfg: sim.Config{Spec: spec, Order: raster.PixelOrder(), W: 256, H: 256, Iterations: 1}}
+	got, err := p.runLaunch(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := p.Simulate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
+	if got != cfg.direct(t) {
 		t.Error("disabled pipeline result differs from direct sim.Run")
 	}
 	if p.Enabled() {
 		t.Error("Enabled() should be false")
 	}
-	if h, m := p.compile.hits.Load(), p.compile.misses.Load(); h != 0 || m != 2 {
-		t.Errorf("disabled compile counters = %d hits / %d misses, want 0/2", h, m)
+	// The bypassing launch compiled as well: every stage recomputed.
+	if h, m := p.compile.hits.Load(), p.compile.misses.Load(); h != 0 || m != 3 {
+		t.Errorf("disabled compile counters = %d hits / %d misses, want 0/3", h, m)
 	}
 	if b := p.simBypassed.Load(); b != 1 {
 		t.Errorf("disabled simulate bypassed = %d, want 1", b)
@@ -263,7 +283,7 @@ func TestDisabledPipelineRecomputesEverything(t *testing.T) {
 }
 
 func TestStoreSingleflightComputesOnce(t *testing.T) {
-	s := newStore[int, int]("test", obs.NewRegistry(), 8, false, nil)
+	s := newStore[int, int]("test", obs.NewRegistry(), 8, false)
 	const waiters = 16
 	computing := make(chan struct{})
 	release := make(chan struct{})
@@ -317,8 +337,7 @@ func TestStoreSingleflightComputesOnce(t *testing.T) {
 }
 
 func TestStoreLRUEvictionIsBounded(t *testing.T) {
-	var evicted []int
-	s := newStore[int, int]("test", obs.NewRegistry(), 2, false, func(k, _ int) { evicted = append(evicted, k) })
+	s := newStore[int, int]("test", obs.NewRegistry(), 2, false)
 	mustGet := func(k int) {
 		t.Helper()
 		if _, err := s.get(k, func() (int, error) { return k * 10, nil }); err != nil {
@@ -332,8 +351,8 @@ func TestStoreLRUEvictionIsBounded(t *testing.T) {
 	if s.len() != 2 {
 		t.Errorf("store holds %d entries, want 2", s.len())
 	}
-	if len(evicted) != 1 || evicted[0] != 2 {
-		t.Errorf("evicted = %v, want [2]", evicted)
+	if _, ok := s.items[2]; ok {
+		t.Error("2 still resident, want it evicted as least recently used")
 	}
 	mustGet(2) // must recompute
 	if got := s.misses.Load(); got != 4 {
@@ -345,7 +364,7 @@ func TestStoreLRUEvictionIsBounded(t *testing.T) {
 }
 
 func TestStoreNeverCachesErrors(t *testing.T) {
-	s := newStore[int, int]("test", obs.NewRegistry(), 8, false, nil)
+	s := newStore[int, int]("test", obs.NewRegistry(), 8, false)
 	boom := errors.New("boom")
 	if _, err := s.get(1, func() (int, error) { return 0, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
@@ -356,38 +375,6 @@ func TestStoreNeverCachesErrors(t *testing.T) {
 	}
 	if s.len() != 1 {
 		t.Errorf("store holds %d entries, want 1 (errors are not stored)", s.len())
-	}
-}
-
-func TestCompileEvictionDropsContentAddress(t *testing.T) {
-	p := New(Options{})
-	p.compile.max = 1
-	spec := device.Lookup(device.RV770)
-	ka, err := p.Generate(GenALUFetch, testParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pb := testParams()
-	pb.Inputs = 6
-	kb, err := p.Generate(GenALUFetch, pb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	progA, err := p.Compile(ka, spec, ilc.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := p.hashOf(progA); !ok {
-		t.Fatal("freshly compiled program should be content-addressed")
-	}
-	if _, err := p.Compile(kb, spec, ilc.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	// progA was evicted from the one-entry store; its identity entry
-	// must be gone too, so the simulate stage bypasses rather than keys
-	// on a stale address.
-	if _, ok := p.hashOf(progA); ok {
-		t.Error("evicted program still content-addressed; progHash leaks")
 	}
 }
 

@@ -24,9 +24,6 @@ import (
 type store[K comparable, V any] struct {
 	max      int
 	disabled bool
-	// onEvict, when non-nil, runs (with mu held) for every evicted
-	// entry; it must not re-enter the store.
-	onEvict func(K, V)
 	// tierLoad/tierStore, when non-nil, attach a lower store level (the
 	// persistent on-disk tier): a memory miss tries tierLoad before
 	// computing, and a computed value writes through tierStore. Both run
@@ -62,12 +59,11 @@ type call[V any] struct {
 	err  error
 }
 
-func newStore[K comparable, V any](stage string, reg *obs.Registry, max int, disabled bool, onEvict func(K, V)) *store[K, V] {
+func newStore[K comparable, V any](stage string, reg *obs.Registry, max int, disabled bool) *store[K, V] {
 	prefix := "pipeline." + stage + "."
 	return &store[K, V]{
 		max:       max,
 		disabled:  disabled,
-		onEvict:   onEvict,
 		ll:        list.New(),
 		items:     make(map[K]*list.Element),
 		inflight:  make(map[K]*call[V]),
@@ -153,9 +149,6 @@ func (s *store[K, V]) getTimed(k K, compute func() (V, time.Duration, error)) (V
 			s.ll.Remove(back)
 			delete(s.items, e.key)
 			s.evictions.Add(1)
-			if s.onEvict != nil {
-				s.onEvict(e.key, e.val)
-			}
 		}
 		s.entries.Set(int64(s.ll.Len()))
 	}
