@@ -3,12 +3,12 @@ package amdgpubench_test
 // The benchmark harness: one testing.B benchmark per table and figure of
 // the paper. Each benchmark regenerates its experiment end to end — kernel
 // generation, IL->ISA compilation, cache trace replay, timing simulation —
-// and reports, beyond Go's ns/op, the experiment's headline quantity as a
-// custom metric (plateau seconds, crossover ratio, slope, speedup), so a
-// `go test -bench .` run doubles as a reproduction summary.
+// and reports, beyond Go's ns/op, the claim rows filed under the figure
+// (internal/campaign/claims.go) as custom metrics, so a `go test -bench .`
+// run doubles as a reproduction summary.
 
 import (
-	"math"
+	"slices"
 	"testing"
 
 	"amdgpubench/internal/cache"
@@ -35,25 +35,54 @@ func newSuite() *core.Suite {
 // runFigure runs one registry figure on s, the way `amdmb <fig>` does.
 func runFigure(b *testing.B, s *core.Suite, name string) (*report.Figure, []core.Run) {
 	b.Helper()
-	specs, err := campaign.Specs(s, []string{name})
-	if err != nil {
-		b.Fatal(err)
-	}
-	fig, runs, err := s.RunFigureSpec(specs[0].Figure)
+	fig, runs, err := campaign.RunFigure(s, name)
 	if err != nil {
 		b.Fatal(err)
 	}
 	return fig, runs
 }
 
-func firstY(fig *report.Figure, label string) float64 {
-	for _, s := range fig.Series {
-		if s.Label == label && len(s.Points) > 0 {
-			return s.Points[0].Y
+// benchFigures runs registry figures b.N times on one suite and reports
+// the claim rows filed under them (internal/campaign/claims.go) as
+// custom metrics; any other figure those rows read runs once, untimed.
+func benchFigures(b *testing.B, names ...string) {
+	s := newSuite()
+	figs := campaign.Figures{}
+	for i := 0; i < b.N; i++ {
+		for _, name := range names {
+			figs[name], _ = runFigure(b, s, name)
 		}
 	}
-	return math.NaN()
+	b.StopTimer()
+	var rows []campaign.Claim
+	for _, c := range campaign.Claims {
+		if slices.Contains(names, c.Figs[0]) {
+			rows = append(rows, c)
+		}
+	}
+	ms, err := campaign.Measure(s, figs, rows)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, m := range ms {
+		b.ReportMetric(m.Got, m.Metric)
+	}
 }
+
+func BenchmarkFig7ALUFetch(b *testing.B)               { benchFigures(b, "fig7") }
+func BenchmarkFig8ALUFetchBlock4x16(b *testing.B)      { benchFigures(b, "fig8") }
+func BenchmarkFig9GlobalReadStreamWrite(b *testing.B)  { benchFigures(b, "fig9") }
+func BenchmarkFig10GlobalReadGlobalWrite(b *testing.B) { benchFigures(b, "fig10") }
+func BenchmarkFig11TextureFetchLatency(b *testing.B)   { benchFigures(b, "fig11") }
+func BenchmarkFig12GlobalReadLatency(b *testing.B)     { benchFigures(b, "fig12") }
+func BenchmarkFig13StreamingStore(b *testing.B)        { benchFigures(b, "fig13") }
+func BenchmarkFig14GlobalWrite(b *testing.B)           { benchFigures(b, "fig14") }
+func BenchmarkFig15DomainSize(b *testing.B)            { benchFigures(b, "fig15a", "fig15b") }
+func BenchmarkFig16RegisterUsage(b *testing.B)         { benchFigures(b, "fig16") }
+func BenchmarkFig17RegisterUsage4x16(b *testing.B)     { benchFigures(b, "fig17") }
+func BenchmarkClauseUsageControl(b *testing.B)         { benchFigures(b, "clausectl") }
+func BenchmarkExtTransThroughput(b *testing.B)         { benchFigures(b, "trans") }
+func BenchmarkExtBlockSizeSweep(b *testing.B)          { benchFigures(b, "blocks") }
 
 func BenchmarkTable1HardwareQuery(b *testing.B) {
 	s := newSuite()
@@ -82,16 +111,6 @@ func BenchmarkFig2Disassembly(b *testing.B) {
 			b.Fatalf("Fig. 2 kernel GPRs = %d, want 3", p.GPRCount)
 		}
 	}
-}
-
-func BenchmarkFig7ALUFetch(b *testing.B) {
-	s := newSuite()
-	var fig *report.Figure
-	for i := 0; i < b.N; i++ {
-		fig, _ = runFigure(b, s, "fig7")
-	}
-	b.ReportMetric(core.CrossoverOf(fig, "4870 Pixel Float"), "crossover-4870-float")
-	b.ReportMetric(core.CrossoverOf(fig, "4870 Pixel Float4"), "crossover-4870-float4")
 }
 
 // repeatedSweep is the artifact-cache workload: a fresh suite re-running
@@ -162,166 +181,6 @@ func incrementalSweep(b *testing.B, disabled bool) {
 
 func BenchmarkIncrementalSweepCold(b *testing.B)  { incrementalSweep(b, true) }
 func BenchmarkIncrementalSweepReuse(b *testing.B) { incrementalSweep(b, false) }
-
-func BenchmarkFig8ALUFetchBlock4x16(b *testing.B) {
-	s := newSuite()
-	var fig *report.Figure
-	for i := 0; i < b.N; i++ {
-		fig, _ = runFigure(b, s, "fig8")
-	}
-	b.ReportMetric(firstY(fig, "5870 Compute Float4"), "plateau-5870-float4-s")
-}
-
-func BenchmarkFig9GlobalReadStreamWrite(b *testing.B) {
-	s := newSuite()
-	var fig *report.Figure
-	for i := 0; i < b.N; i++ {
-		fig, _ = runFigure(b, s, "fig9")
-	}
-	b.ReportMetric(firstY(fig, "3870 Pixel Float"), "plateau-3870-float-s")
-}
-
-func BenchmarkFig10GlobalReadGlobalWrite(b *testing.B) {
-	s := newSuite()
-	for i := 0; i < b.N; i++ {
-		runFigure(b, s, "fig10")
-	}
-}
-
-func BenchmarkFig11TextureFetchLatency(b *testing.B) {
-	s := newSuite()
-	var fig *report.Figure
-	for i := 0; i < b.N; i++ {
-		fig, _ = runFigure(b, s, "fig11")
-	}
-	for _, sr := range fig.Series {
-		if sr.Label == "4870 Pixel Float" {
-			slope, _, _ := report.LinearFit(sr)
-			b.ReportMetric(slope, "slope-4870-float-s/input")
-		}
-	}
-}
-
-func BenchmarkFig12GlobalReadLatency(b *testing.B) {
-	s := newSuite()
-	var fig *report.Figure
-	for i := 0; i < b.N; i++ {
-		fig, _ = runFigure(b, s, "fig12")
-	}
-	for _, sr := range fig.Series {
-		if sr.Label == "3870 Pixel Float" {
-			slope, _, _ := report.LinearFit(sr)
-			b.ReportMetric(slope, "slope-3870-float-s/input")
-		}
-	}
-}
-
-func BenchmarkFig13StreamingStore(b *testing.B) {
-	s := newSuite()
-	var fig *report.Figure
-	for i := 0; i < b.N; i++ {
-		fig, _ = runFigure(b, s, "fig13")
-	}
-	for _, sr := range fig.Series {
-		if sr.Label == "4870 Pixel Float" {
-			slope, _, _ := report.LinearFit(sr)
-			b.ReportMetric(slope, "slope-4870-float-s/output")
-		}
-	}
-}
-
-func BenchmarkFig14GlobalWrite(b *testing.B) {
-	s := newSuite()
-	var fig *report.Figure
-	for i := 0; i < b.N; i++ {
-		fig, _ = runFigure(b, s, "fig14")
-	}
-	var slopeF, slopeF4 float64
-	for _, sr := range fig.Series {
-		slope, _, _ := report.LinearFit(sr)
-		switch sr.Label {
-		case "4870 Pixel Float":
-			slopeF = slope
-		case "4870 Pixel Float4":
-			slopeF4 = slope
-		}
-	}
-	if slopeF > 0 {
-		b.ReportMetric(slopeF4/slopeF, "float4/float-slope-ratio")
-	}
-}
-
-func BenchmarkFig15DomainSize(b *testing.B) {
-	s := newSuite()
-	for i := 0; i < b.N; i++ {
-		runFigure(b, s, "fig15a")
-		runFigure(b, s, "fig15b")
-	}
-}
-
-func BenchmarkFig16RegisterUsage(b *testing.B) {
-	s := newSuite()
-	var fig *report.Figure
-	for i := 0; i < b.N; i++ {
-		fig, _ = runFigure(b, s, "fig16")
-	}
-	for _, sr := range fig.Series {
-		if sr.Label == "4870 Pixel Float" && len(sr.Points) > 1 {
-			speedup := sr.Points[0].Y / sr.Points[len(sr.Points)-1].Y
-			b.ReportMetric(speedup, "speedup-4870-float")
-		}
-	}
-}
-
-func BenchmarkFig17RegisterUsage4x16(b *testing.B) {
-	s := newSuite()
-	for i := 0; i < b.N; i++ {
-		runFigure(b, s, "fig17")
-	}
-}
-
-func BenchmarkClauseUsageControl(b *testing.B) {
-	s := newSuite()
-	for i := 0; i < b.N; i++ {
-		if _, runs := runFigure(b, s, "clausectl"); len(runs) == 0 {
-			b.Fatal("control produced no runs")
-		}
-	}
-}
-
-func BenchmarkExtTransThroughput(b *testing.B) {
-	s := newSuite()
-	var fig *report.Figure
-	for i := 0; i < b.N; i++ {
-		fig, _ = runFigure(b, s, "trans")
-	}
-	var add, rcp float64
-	for _, sr := range fig.Series {
-		n := len(sr.Points)
-		switch sr.Label {
-		case "4870 float4 add":
-			add = sr.Points[n-1].Y
-		case "4870 float4 rcp/rsq":
-			rcp = sr.Points[n-1].Y
-		}
-	}
-	if add > 0 {
-		b.ReportMetric(rcp/add, "float4-trans/add-ratio")
-	}
-}
-
-func BenchmarkExtBlockSizeSweep(b *testing.B) {
-	s := newSuite()
-	var fig *report.Figure
-	for i := 0; i < b.N; i++ {
-		fig, _ = runFigure(b, s, "blocks")
-	}
-	for _, sr := range fig.Series {
-		if sr.Label == "4870 Compute Float" {
-			b.ReportMetric(sr.Points[0].Y/sr.Points[3].Y, "64x1/8x8-speedup")
-		}
-	}
-}
 
 func BenchmarkExtAblationStudy(b *testing.B) {
 	s := newSuite()

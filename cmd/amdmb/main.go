@@ -120,23 +120,11 @@ type experiment struct {
 	run  func(s *core.Suite) error
 }
 
-// runFigure runs one registry figure on its own. campaign.Specs builds
-// it, so each figure's configuration lives in one place
-// (internal/campaign/registry.go) and `amdmb fig7` runs exactly the
-// sweep `amdmb campaign -figs fig7` plans.
-func runFigure(s *core.Suite, name string) (*report.Figure, []core.Run, error) {
-	specs, err := campaign.Specs(s, []string{name})
-	if err != nil {
-		return nil, nil, err
-	}
-	return s.RunFigureSpec(specs[0].Figure)
-}
-
 // figExperiment is the experiment that runs and prints one registry
 // figure.
 func (c *cli) figExperiment(name, desc string) experiment {
 	return experiment{name: name, desc: desc, run: func(s *core.Suite) error {
-		fig, runs, err := runFigure(s, name)
+		fig, runs, err := campaign.RunFigure(s, name)
 		if err != nil {
 			return err
 		}
@@ -175,7 +163,14 @@ func (c *cli) experiments() []experiment {
 		c.figExperiment("trans", "extension: transcendental vs basic ALU chains"),
 		c.figExperiment("blocks", "extension: compute block-size sweep"),
 		c.figExperiment("consts", "extension: constant count sweep (flat)"),
-		{"summary", "one-screen paper-vs-measured reproduction digest", c.runSummary},
+		{"summary", "one-screen paper-vs-measured reproduction digest", func(s *core.Suite) error {
+			ms, err := campaign.Measure(s, campaign.Figures{}, campaign.Claims)
+			if err != nil {
+				return err
+			}
+			fmt.Fprint(c.out, campaign.ClaimsTable(ms).Format())
+			return nil
+		}},
 		{"ablate", "extension: hardware-mechanism ablation study", func(s *core.Suite) error {
 			res, err := s.AblationStudy()
 			if err != nil {

@@ -31,11 +31,9 @@ func mustSpecs(t *testing.T, s *core.Suite, names ...string) []Spec {
 	return specs
 }
 
-// runFigure runs one registry figure alone on s, the way `amdmb <fig>`
-// does.
 func runFigure(t *testing.T, s *core.Suite, name string) *report.Figure {
 	t.Helper()
-	fig, _, err := s.RunFigureSpec(mustSpecs(t, s, name)[0].Figure)
+	fig, _, err := RunFigure(s, name)
 	if err != nil {
 		t.Fatal(err)
 	}

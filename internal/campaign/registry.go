@@ -9,6 +9,7 @@ import (
 	"amdgpubench/internal/device"
 	"amdgpubench/internal/hier"
 	"amdgpubench/internal/il"
+	"amdgpubench/internal/report"
 )
 
 // The name registry is the one declaration of every figure: one row per
@@ -183,4 +184,15 @@ func Specs(s *core.Suite, names []string) ([]Spec, error) {
 		specs = append(specs, Spec{Name: name, Figure: spec})
 	}
 	return specs, nil
+}
+
+// RunFigure runs one registry figure alone on s. `amdmb <fig>`, the
+// claims table and the benchmarks run figures through it, so `amdmb
+// fig7` runs exactly the sweep `amdmb campaign -figs fig7` plans.
+func RunFigure(s *core.Suite, name string) (*report.Figure, []core.Run, error) {
+	specs, err := Specs(s, []string{name})
+	if err != nil {
+		return nil, nil, err
+	}
+	return s.RunFigureSpec(specs[0].Figure)
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"amdgpubench/internal/device"
 	"amdgpubench/internal/il"
@@ -318,15 +317,4 @@ func (s *Suite) HardwareTable() *report.Table {
 		)
 	}
 	return t
-}
-
-// CrossoverOf extracts the bottleneck-flip ratio of a labelled series in
-// an ALU:Fetch figure, NaN when the series never leaves its plateau.
-func CrossoverOf(fig *report.Figure, label string) float64 {
-	for _, s := range fig.Series {
-		if s.Label == label {
-			return report.Crossover(s, 0.10)
-		}
-	}
-	return math.NaN()
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"strings"
 	"testing"
 
@@ -154,19 +153,5 @@ func TestRegisterUsageAxisDescends(t *testing.T) {
 		if pts[i].X >= pts[i-1].X {
 			t.Fatalf("GPR axis not descending: %v", pts)
 		}
-	}
-}
-
-func TestCrossoverOf(t *testing.T) {
-	fig := &report.Figure{}
-	sr := fig.AddSeries("a")
-	sr.Add(1, 10)
-	sr.Add(2, 10)
-	sr.Add(3, 20)
-	if got := CrossoverOf(fig, "a"); got != 3 {
-		t.Fatalf("crossover = %v, want 3", got)
-	}
-	if !math.IsNaN(CrossoverOf(fig, "missing")) {
-		t.Fatal("missing series should yield NaN")
 	}
 }
