@@ -55,10 +55,9 @@ func (d *Device) Info() device.Spec { return d.spec }
 // concurrent launches, and the fault plan may be swapped at any time,
 // including while launches are in flight.
 type Context struct {
-	dev      *Device
-	pipe     *pipeline.Pipeline
-	plan     atomic.Pointer[fault.Plan]
-	launches atomic.Uint64
+	dev  *Device
+	pipe *pipeline.Pipeline
+	plan atomic.Pointer[fault.Plan]
 
 	// Per-fault-kind injection counters, resolved once from the
 	// pipeline's metrics registry so every context sharing a pipeline
@@ -102,10 +101,6 @@ func (c *Context) Pipeline() *pipeline.Pipeline { return c.pipe }
 // in-flight launches use whichever plan they observed. See package
 // fault.
 func (c *Context) SetFaultPlan(p *fault.Plan) { c.plan.Store(p) }
-
-// Launches returns how many launches the context has issued (attempted
-// launches included), a counter sweeps and tests use for accounting.
-func (c *Context) Launches() uint64 { return c.launches.Load() }
 
 // Module is an IL kernel loaded with its compiler options. It compiles
 // only when something needs the program: a launch the pipeline's
@@ -260,7 +255,6 @@ func (e *Event) Bottleneck() sim.Bottleneck { return e.Result.Bottleneck }
 // ErrLaunchTransient for flaky (injected) launch failures, ErrDeviceLost
 // for a dead device.
 func (c *Context) Launch(m *Module, cfg LaunchConfig) (*Event, error) {
-	c.launches.Add(1)
 	c.launchCount.Inc()
 	if cfg.W <= 0 || cfg.H <= 0 {
 		return nil, fmt.Errorf("cal: bad domain %dx%d", cfg.W, cfg.H)

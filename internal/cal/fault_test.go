@@ -131,8 +131,8 @@ func TestLaunchNoPlanUnchanged(t *testing.T) {
 	if ev.Injected.Any() {
 		t.Fatalf("no plan but injection recorded: %v", ev.Injected)
 	}
-	if ctx.Launches() != 1 {
-		t.Fatalf("launch counter = %d, want 1", ctx.Launches())
+	if n := ctx.Pipeline().Metrics().Snapshot().Get("cal.launches"); n != 1 {
+		t.Fatalf("cal.launches = %d, want 1", n)
 	}
 }
 

@@ -29,7 +29,8 @@ type figure struct {
 	build Builder
 }
 
-// with binds a parameterised core builder to one configuration.
+// with binds a core builder to the values its row varies; each sweep's
+// fixed parameters are constants beside its builder.
 func with[C any](build func(*core.Suite, C) (core.FigureSpec, error), cfg C) Builder {
 	return func(s *core.Suite) (core.FigureSpec, error) { return build(s, cfg) }
 }
@@ -52,7 +53,7 @@ var registry = map[string]figure{
 	// output, domain 1024x1024, ratios 0.25..8.0 step 0.25, every chip in
 	// pixel and (naive 64x1) compute mode, float and float4.
 	"fig7": {title: "ALU:Fetch Ratio for 16 Inputs",
-		build: with((*core.Suite).ALUFetchSpec, core.ALUFetchConfig{})},
+		build: with((*core.Suite).ALUFetchSpec, core.ALUFetchConfig{Cards: core.StandardCards(0, 0)})},
 	// Fig. 8: Fig. 7's compute-mode series with the optimized 4x16 block.
 	"fig8": {title: "ALU:Fetch Ratio for 16 Inputs with Block Size of 4x16",
 		build: with((*core.Suite).ALUFetchSpec, core.ALUFetchConfig{Cards: core.ComputeCards(4, 16)})},
@@ -66,36 +67,37 @@ var registry = map[string]figure{
 			Cards: gddr5Cards(), InputSpace: il.GlobalSpace, OutSpace: il.GlobalSpace})},
 	// Figs. 11 and 12: read latency over inputs 2..18.
 	"fig11": {title: "Texture Fetch Latency",
-		build: with((*core.Suite).ReadLatencySpec, core.ReadLatencyConfig{Space: il.TextureSpace})},
+		build: with((*core.Suite).ReadLatencySpec, il.TextureSpace)},
 	"fig12": {title: "Global Read Latency",
-		build: with((*core.Suite).ReadLatencySpec, core.ReadLatencyConfig{Space: il.GlobalSpace})},
+		build: with((*core.Suite).ReadLatencySpec, il.GlobalSpace)},
 	// Fig. 13: streaming store latency over outputs 1..8, pixel mode;
 	// Fig. 14: global write latency, both modes.
 	"fig13": {title: "Streaming Store Latency",
-		build: with((*core.Suite).WriteLatencySpec, core.WriteLatencyConfig{Space: il.TextureSpace})},
+		build: with((*core.Suite).WriteLatencySpec, il.TextureSpace)},
 	"fig14": {title: "Global Write Latency",
-		build: with((*core.Suite).WriteLatencySpec, core.WriteLatencyConfig{Space: il.GlobalSpace})},
+		build: with((*core.Suite).WriteLatencySpec, il.GlobalSpace)},
 	// Fig. 15: domain size, (a) pixel and (b) compute mode.
 	"fig15a": {title: "Domain Size Pixel Shader",
-		build: with((*core.Suite).DomainSizeSpec, core.DomainConfig{Cards: core.PixelCards()})},
+		build: with((*core.Suite).DomainSizeSpec, core.PixelCards())},
 	"fig15b": {title: "Domain Size Compute Shader",
-		build: with((*core.Suite).DomainSizeSpec, core.DomainConfig{Cards: core.ComputeCards(0, 0)})},
+		build: with((*core.Suite).DomainSizeSpec, core.ComputeCards(0, 0))},
 	// Fig. 16: register pressure — 64 inputs, space 8; Fig. 17 repeats
 	// its compute series with the 4x16 block.
 	"fig16": {title: "Impact of Register Usage",
-		build: with((*core.Suite).RegisterUsageSpec, core.RegisterUsageConfig{})},
+		build: with((*core.Suite).RegisterUsageSpec, core.RegisterUsageConfig{Cards: core.StandardCards(0, 0)})},
 	"fig17": {title: "Impact of Register Usage with Block Size of 4x16",
 		build: with((*core.Suite).RegisterUsageSpec, core.RegisterUsageConfig{Cards: core.ComputeCards(4, 16)})},
 	// The Fig. 5 control: identical clause structure with all sampling up
 	// front. Its curves must be flat, proving Fig. 16's gains come from
 	// register pressure rather than clause movement.
 	"clausectl": {title: "Clause Usage Control",
-		build: with((*core.Suite).RegisterUsageSpec, core.RegisterUsageConfig{Control: true})},
+		build: with((*core.Suite).RegisterUsageSpec, core.RegisterUsageConfig{
+			Cards: core.StandardCards(0, 0), Control: true})},
 
 	// Extensions beyond the paper's figures.
-	"trans":  {build: with((*core.Suite).TransThroughputSpec, core.TransThroughputConfig{Arch: device.RV770})},
-	"blocks": {build: with((*core.Suite).BlockSizeSpec, core.BlockSizeConfig{})},
-	"consts": {build: with((*core.Suite).ConstantsSpec, core.ConstantsConfig{Arch: device.RV770})},
+	"trans":  {build: (*core.Suite).TransThroughputSpec},
+	"blocks": {build: (*core.Suite).BlockSizeSpec},
+	"consts": {build: (*core.Suite).ConstantsSpec},
 
 	// The memory-hierarchy dissection (internal/hier).
 	"hier-lat":    {build: hier.LatencyLadderSpec},

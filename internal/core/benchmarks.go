@@ -9,37 +9,25 @@ import (
 	"amdgpubench/internal/report"
 )
 
-// ALUFetchConfig parameterises the ALU:Fetch ratio sweep (Section III-A).
+// paperDomain is the side of the square domain every paper sweep times
+// (1024 x 1024), except the domain-size sweep, which varies it.
+const paperDomain = 1024
+
+// The ALU:Fetch ratio sweep (Section III-A): 16 inputs, ratios 0.25..8.0
+// in steps of 0.25.
+const (
+	aluFetchInputs = 16
+	ratioMin       = 0.25
+	ratioMax       = 8.0
+	ratioStep      = 0.25
+)
+
+// ALUFetchConfig selects one ALU:Fetch ratio sweep: the cards plotted
+// and the memory spaces inputs are read from and outputs written to.
 type ALUFetchConfig struct {
 	Cards      []Card
-	Inputs     int     // paper: 16
-	W, H       int     // paper: 1024 x 1024
-	RatioMin   float64 // paper: 0.25
-	RatioMax   float64 // paper: 8.0
-	RatioStep  float64 // paper: 0.25
 	InputSpace il.MemSpace
 	OutSpace   il.MemSpace
-}
-
-func (c *ALUFetchConfig) defaults() {
-	if c.Inputs == 0 {
-		c.Inputs = 16
-	}
-	if c.W == 0 {
-		c.W, c.H = 1024, 1024
-	}
-	if c.RatioMin == 0 {
-		c.RatioMin = 0.25
-	}
-	if c.RatioMax == 0 {
-		c.RatioMax = 8.0
-	}
-	if c.RatioStep == 0 {
-		c.RatioStep = 0.25
-	}
-	if c.Cards == nil {
-		c.Cards = StandardCards(0, 0)
-	}
 }
 
 // ALUFetchSpec plans the ALU:Fetch ratio sweep without running anything:
@@ -47,170 +35,111 @@ func (c *ALUFetchConfig) defaults() {
 // multi-figure campaign plan. Its curves locate the ratio where the
 // bottleneck flips from the texture fetch units to the ALUs.
 func (s *Suite) ALUFetchSpec(cfg ALUFetchConfig) (FigureSpec, error) {
-	cfg.defaults()
 	fig := &report.Figure{
 		ID:     "alufetch",
-		Title:  fmt.Sprintf("ALU:Fetch Ratio for %d Inputs (%s read, %s write)", cfg.Inputs, cfg.InputSpace, cfg.OutSpace),
+		Title:  fmt.Sprintf("ALU:Fetch Ratio for %d Inputs (%s read, %s write)", aluFetchInputs, cfg.InputSpace, cfg.OutSpace),
 		XLabel: "ALU:Fetch Ratio",
 		YLabel: "Time in seconds",
 	}
 	var pts []KernelPoint
 	for _, card := range cfg.Cards {
-		for r := cfg.RatioMin; r <= cfg.RatioMax+1e-9; r += cfg.RatioStep {
-			p := card.params(cfg.Inputs, 1, cfg.InputSpace, cfg.OutSpace)
+		for r := ratioMin; r <= ratioMax+1e-9; r += ratioStep {
+			p := card.params(aluFetchInputs, 1, cfg.InputSpace, cfg.OutSpace)
 			p.ALUFetchRatio = r
 			k, err := s.generate(pipeline.GenALUFetch, p)
 			if err != nil {
 				return FigureSpec{}, err
 			}
-			pts = append(pts, KernelPoint{Card: card, X: r, K: k, W: cfg.W, H: cfg.H})
+			pts = append(pts, KernelPoint{Card: card, X: r, K: k, W: paperDomain, H: paperDomain})
 		}
 	}
 	return FigureSpec{Fig: fig, Points: pts}, nil
 }
 
-// ReadLatencyConfig parameterises the fetch/read latency sweep (III-B).
-type ReadLatencyConfig struct {
-	Cards     []Card
-	MinInputs int // paper: 2
-	MaxInputs int // paper: 18
-	W, H      int
-	Space     il.MemSpace // TextureSpace for Fig. 11, GlobalSpace for Fig. 12
-}
+// The read latency sweep (Section III-B) runs inputs 2..18.
+const (
+	readMinInputs = 2
+	readMaxInputs = 18
+)
 
-func (c *ReadLatencyConfig) defaults() {
-	if c.MinInputs == 0 {
-		c.MinInputs = 2
-	}
-	if c.MaxInputs == 0 {
-		c.MaxInputs = 18
-	}
-	if c.W == 0 {
-		c.W, c.H = 1024, 1024
-	}
-	if c.Cards == nil {
-		c.Cards = StandardCards(0, 0)
-	}
-}
-
-// ReadLatencySpec plans the read latency sweep: the input count varies
-// with the ALU count pinned to inputs-1, keeping the fetch path the
-// bottleneck.
-func (s *Suite) ReadLatencySpec(cfg ReadLatencyConfig) (FigureSpec, error) {
-	cfg.defaults()
+// ReadLatencySpec plans the read latency sweep on every card, reading
+// from space: TextureSpace for Fig. 11, GlobalSpace for Fig. 12. The
+// input count varies with the ALU count pinned to inputs-1, keeping the
+// fetch path the bottleneck.
+func (s *Suite) ReadLatencySpec(space il.MemSpace) (FigureSpec, error) {
 	title := "Texture Fetch Latency"
-	if cfg.Space == il.GlobalSpace {
+	if space == il.GlobalSpace {
 		title = "Global Read Latency"
 	}
 	fig := &report.Figure{ID: "readlat", Title: title, XLabel: "Number of Inputs", YLabel: "Time in seconds"}
 	var pts []KernelPoint
-	for _, card := range cfg.Cards {
-		for n := cfg.MinInputs; n <= cfg.MaxInputs; n++ {
-			p := card.params(n, 1, cfg.Space, il.TextureSpace)
+	for _, card := range StandardCards(0, 0) {
+		for n := readMinInputs; n <= readMaxInputs; n++ {
+			p := card.params(n, 1, space, il.TextureSpace)
 			k, err := s.generate(pipeline.GenReadLatency, p)
 			if err != nil {
 				return FigureSpec{}, err
 			}
-			pts = append(pts, KernelPoint{Card: card, X: float64(n), K: k, W: cfg.W, H: cfg.H})
+			pts = append(pts, KernelPoint{Card: card, X: float64(n), K: k, W: paperDomain, H: paperDomain})
 		}
 	}
 	return FigureSpec{Fig: fig, Points: pts}, nil
 }
 
-// WriteLatencyConfig parameterises the write latency sweep (III-C).
-type WriteLatencyConfig struct {
-	Cards      []Card
-	Inputs     int // paper: 8, keeping register usage constant
-	MaxOutputs int // paper: 8
-	W, H       int
-	Space      il.MemSpace // TextureSpace = streaming stores (Fig. 13), GlobalSpace = global writes (Fig. 14)
-}
+// The write latency sweep (Section III-C) runs outputs 1..8 at 8 inputs,
+// keeping register usage constant.
+const (
+	writeInputs     = 8
+	writeMaxOutputs = 8
+)
 
-func (c *WriteLatencyConfig) defaults() {
-	if c.Inputs == 0 {
-		c.Inputs = 8
-	}
-	if c.MaxOutputs == 0 {
-		c.MaxOutputs = 8
-	}
-	if c.W == 0 {
-		c.W, c.H = 1024, 1024
-	}
-	if c.Cards == nil {
-		if c.Space == il.GlobalSpace {
-			c.Cards = StandardCards(0, 0)
-		} else {
-			// Streaming stores exist only in pixel shader mode.
-			c.Cards = PixelCards()
-		}
-	}
-}
-
-// WriteLatencySpec plans the write latency sweep: the output count varies
-// at constant inputs and ALU ops.
-func (s *Suite) WriteLatencySpec(cfg WriteLatencyConfig) (FigureSpec, error) {
-	cfg.defaults()
-	title := "Streaming Store Latency"
-	if cfg.Space == il.GlobalSpace {
-		title = "Global Write Latency"
+// WriteLatencySpec plans the write latency sweep into space: TextureSpace
+// is streaming stores (Fig. 13), which exist only in pixel shader mode,
+// and GlobalSpace is global writes (Fig. 14) on every card. The output
+// count varies at constant inputs and ALU ops.
+func (s *Suite) WriteLatencySpec(space il.MemSpace) (FigureSpec, error) {
+	title := "Global Write Latency"
+	cards := StandardCards(0, 0)
+	if space == il.TextureSpace {
+		title = "Streaming Store Latency"
+		cards = PixelCards()
 	}
 	fig := &report.Figure{ID: "writelat", Title: title, XLabel: "Number of Outputs", YLabel: "Time in seconds"}
 	var pts []KernelPoint
-	for _, card := range cfg.Cards {
-		if cfg.Space == il.TextureSpace && card.Mode == il.Compute {
-			continue // compute mode does not support streaming stores
-		}
-		for n := 1; n <= cfg.MaxOutputs; n++ {
-			p := card.params(cfg.Inputs, n, il.TextureSpace, cfg.Space)
+	for _, card := range cards {
+		for n := 1; n <= writeMaxOutputs; n++ {
+			p := card.params(writeInputs, n, il.TextureSpace, space)
 			k, err := s.generate(pipeline.GenWriteLatency, p)
 			if err != nil {
 				return FigureSpec{}, err
 			}
-			pts = append(pts, KernelPoint{Card: card, X: float64(n), K: k, W: cfg.W, H: cfg.H})
+			pts = append(pts, KernelPoint{Card: card, X: float64(n), K: k, W: paperDomain, H: paperDomain})
 		}
 	}
 	return FigureSpec{Fig: fig, Points: pts}, nil
 }
 
-// DomainConfig parameterises the domain size sweep (III-D).
-type DomainConfig struct {
-	Cards    []Card
-	MinDim   int // paper: 256
-	MaxDim   int // paper: 1024
-	StepPix  int // paper: 8 for pixel mode
-	StepComp int // paper: 64 for compute mode
-}
+// The domain size sweep (Section III-D): square domains 256..1024, in
+// steps of 8 in pixel mode and 64 in compute mode.
+const (
+	domainMin         = 256
+	domainMax         = 1024
+	domainStepPixel   = 8
+	domainStepCompute = 64
+)
 
-func (c *DomainConfig) defaults() {
-	if c.MinDim == 0 {
-		c.MinDim = 256
-	}
-	if c.MaxDim == 0 {
-		c.MaxDim = 1024
-	}
-	if c.StepPix == 0 {
-		c.StepPix = 8
-	}
-	if c.StepComp == 0 {
-		c.StepComp = 64
-	}
-	if c.Cards == nil {
-		c.Cards = StandardCards(0, 0)
-	}
-}
-
-// DomainSizeSpec plans the domain size sweep: square domains at ALU:Fetch
-// ratio 10 (ALU bound, 8 inputs, 1 output, so occupancy stays constant).
-func (s *Suite) DomainSizeSpec(cfg DomainConfig) (FigureSpec, error) {
-	cfg.defaults()
+// DomainSizeSpec plans the domain size sweep on cards: square domains at
+// ALU:Fetch ratio 10 (ALU bound, 8 inputs, 1 output, so occupancy stays
+// constant).
+func (s *Suite) DomainSizeSpec(cards []Card) (FigureSpec, error) {
 	fig := &report.Figure{ID: "domain", Title: "Impact of Domain Size", XLabel: "Domain Size", YLabel: "Time in seconds"}
 	var pts []KernelPoint
-	for _, card := range cfg.Cards {
-		step := cfg.StepPix
+	for _, card := range cards {
+		step := domainStepPixel
 		if card.Mode == il.Compute {
-			step = cfg.StepComp
+			step = domainStepCompute
 		}
-		for d := cfg.MinDim; d <= cfg.MaxDim; d += step {
+		for d := domainMin; d <= domainMax; d += step {
 			p := card.params(8, 1, il.TextureSpace, il.TextureSpace)
 			k, err := s.generate(pipeline.GenDomain, p)
 			if err != nil {
@@ -222,44 +151,28 @@ func (s *Suite) DomainSizeSpec(cfg DomainConfig) (FigureSpec, error) {
 	return FigureSpec{Fig: fig, Points: pts}, nil
 }
 
-// RegisterUsageConfig parameterises the register pressure sweep (III-E).
+// The register pressure sweep (Section III-E): 64 inputs at space 8,
+// sampling placement steps 0..7 (the paper's plot reaches GPR ~10, i.e.
+// step 7).
+const (
+	regInputs  = 64
+	regSpace   = 8
+	regMaxStep = 7
+	// regRatio: the paper quotes "ALU:Fetch ratio 4.0" for Fig. 16 under
+	// its generator's raw convention (Fig. 6 multiplies by 4 again); in
+	// the SKA convention used throughout this suite that work level
+	// corresponds to 1.0 — four ALU ops per fetch — which is what leaves
+	// the kernel latency-sensitive at low occupancy.
+	regRatio = 1.0
+)
+
+// RegisterUsageConfig selects one register pressure sweep.
 type RegisterUsageConfig struct {
-	Cards   []Card
-	Inputs  int     // paper: 64
-	Space   int     // paper: 8
-	MaxStep int     // paper's plot reaches GPR ~10, i.e. step 7
-	Ratio   float64 // paper: 4.0
-	W, H    int
+	Cards []Card
 	// Control replaces the register-usage kernel with the clause-usage
 	// kernel of Fig. 5 (all sampling up front), which must show constant
 	// time: the proof that the gains come from register pressure.
 	Control bool
-}
-
-func (c *RegisterUsageConfig) defaults() {
-	if c.Inputs == 0 {
-		c.Inputs = 64
-	}
-	if c.Space == 0 {
-		c.Space = 8
-	}
-	if c.MaxStep == 0 {
-		c.MaxStep = 7
-	}
-	if c.Ratio == 0 {
-		// The paper quotes "ALU:Fetch ratio 4.0" for Fig. 16 under its
-		// generator's raw convention (Fig. 6 multiplies by 4 again); in
-		// the SKA convention used throughout this suite that work level
-		// corresponds to 1.0 — four ALU ops per fetch — which is what
-		// leaves the kernel latency-sensitive at low occupancy.
-		c.Ratio = 1.0
-	}
-	if c.W == 0 {
-		c.W, c.H = 1024, 1024
-	}
-	if c.Cards == nil {
-		c.Cards = StandardCards(0, 0)
-	}
 }
 
 // RegisterUsageSpec plans the register pressure sweep over the sampling
@@ -267,7 +180,6 @@ func (c *RegisterUsageConfig) defaults() {
 // 16's axes. A point's X is its step index; it plots at the compiled
 // register count, which is known only once the run completes.
 func (s *Suite) RegisterUsageSpec(cfg RegisterUsageConfig) (FigureSpec, error) {
-	cfg.defaults()
 	title := "Register Pressure Effect"
 	if cfg.Control {
 		title = "Clause Usage Control (constant registers)"
@@ -275,13 +187,10 @@ func (s *Suite) RegisterUsageSpec(cfg RegisterUsageConfig) (FigureSpec, error) {
 	fig := &report.Figure{ID: "regusage", Title: title, XLabel: "Global Purpose Registers", YLabel: "Time in seconds"}
 	var pts []KernelPoint
 	for _, card := range cfg.Cards {
-		for step := 0; step <= cfg.MaxStep; step++ {
-			if cfg.Inputs-cfg.Space*step < 2 {
-				break
-			}
-			p := card.params(cfg.Inputs, 1, il.TextureSpace, il.TextureSpace)
-			p.ALUFetchRatio = cfg.Ratio
-			p.Space = cfg.Space
+		for step := 0; step <= regMaxStep; step++ {
+			p := card.params(regInputs, 1, il.TextureSpace, il.TextureSpace)
+			p.ALUFetchRatio = regRatio
+			p.Space = regSpace
 			p.Step = step
 			gen := pipeline.GenRegisterUsage
 			if cfg.Control {
@@ -291,7 +200,7 @@ func (s *Suite) RegisterUsageSpec(cfg RegisterUsageConfig) (FigureSpec, error) {
 			if err != nil {
 				return FigureSpec{}, err
 			}
-			pts = append(pts, KernelPoint{Card: card, X: float64(step), Plot: plotGPRs, K: k, W: cfg.W, H: cfg.H})
+			pts = append(pts, KernelPoint{Card: card, X: float64(step), Plot: plotGPRs, K: k, W: paperDomain, H: paperDomain})
 		}
 	}
 	return FigureSpec{Fig: fig, Points: pts}, nil

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -115,12 +116,26 @@ func runOn(s *Suite) func(FigureSpec, error) (*report.Figure, []Run, error) {
 	}
 }
 
+// keep trims a planned spec to the points pred accepts, in order, so a
+// test runs only the launches it needs of a paper sweep. Call it as
+// runOn(s)(keep(xAtMost(1))(s.ALUFetchSpec(cfg))).
+func keep(pred func(KernelPoint) bool) func(FigureSpec, error) (FigureSpec, error) {
+	return func(spec FigureSpec, err error) (FigureSpec, error) {
+		spec.Points = slices.DeleteFunc(spec.Points, func(p KernelPoint) bool { return !pred(p) })
+		return spec, err
+	}
+}
+
+// xAtMost accepts the points at x <= max.
+func xAtMost(max float64) func(KernelPoint) bool {
+	return func(p KernelPoint) bool { return p.X <= max }
+}
+
 func TestALUFetchDefaultsAndRunMetadata(t *testing.T) {
 	s := suite()
-	fig, runs, err := runOn(s)(s.ALUFetchSpec(ALUFetchConfig{
-		Cards:    []Card{{Arch: device.RV770, Mode: il.Pixel, Type: il.Float}},
-		RatioMax: 1.0,
-	}))
+	fig, runs, err := runOn(s)(keep(xAtMost(1))(s.ALUFetchSpec(ALUFetchConfig{
+		Cards: []Card{{Arch: device.RV770, Mode: il.Pixel, Type: il.Float}},
+	})))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,13 +15,12 @@ func TestParallelSweepDeterministic(t *testing.T) {
 		s := NewSuite()
 		s.Iterations = 1
 		s.Workers = workers
-		fig, _, err := runOn(s)(s.ALUFetchSpec(ALUFetchConfig{
+		fig, _, err := runOn(s)(keep(xAtMost(2))(s.ALUFetchSpec(ALUFetchConfig{
 			Cards: []Card{
 				{Arch: device.RV770, Mode: il.Pixel, Type: il.Float},
 				{Arch: device.RV870, Mode: il.Compute, Type: il.Float4},
 			},
-			RatioMax: 2.0,
-		}))
+		})))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,13 +44,12 @@ func TestCachedSweepBitIdenticalToUncached(t *testing.T) {
 		s.Iterations = 1
 		s.Workers = workers
 		s.DisableArtifactCache = disableCache
-		fig, _, err := runOn(s)(s.ALUFetchSpec(ALUFetchConfig{
+		fig, _, err := runOn(s)(keep(xAtMost(2))(s.ALUFetchSpec(ALUFetchConfig{
 			Cards: []Card{
 				{Arch: device.RV770, Mode: il.Pixel, Type: il.Float},
 				{Arch: device.RV870, Mode: il.Compute, Type: il.Float4},
 			},
-			RatioMax: 2.0,
-		}))
+		})))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,10 +78,10 @@ func TestStructuralHashCacheBitIdenticalAcrossFigures(t *testing.T) {
 			return s.ALUFetchSpec(ALUFetchConfig{Cards: ComputeCards(4, 16)})
 		}},
 		{"fig11", func(s *Suite) (FigureSpec, error) {
-			return s.ReadLatencySpec(ReadLatencyConfig{Space: il.TextureSpace})
+			return s.ReadLatencySpec(il.TextureSpace)
 		}},
 		{"fig16", func(s *Suite) (FigureSpec, error) {
-			return s.RegisterUsageSpec(RegisterUsageConfig{})
+			return s.RegisterUsageSpec(RegisterUsageConfig{Cards: StandardCards(0, 0)})
 		}},
 	}
 	for _, f := range figures {
@@ -109,29 +107,20 @@ func TestStructuralHashCacheBitIdenticalAcrossFigures(t *testing.T) {
 }
 
 // TestLaunchAccountingMatchesContexts cross-checks the suite's launch
-// counter against the per-context counters in the CAL layer: every
-// launch the suite issues goes through exactly one of its contexts, so
-// the sums must agree even with artifact caching collapsing the work
-// behind those launches.
+// counter against the CAL layer's: every launch the suite issues goes
+// through exactly one of its contexts, and every context counts into the
+// pipeline registry's cal.launches, so the two must agree even with
+// artifact caching collapsing the work behind those launches.
 func TestLaunchAccountingMatchesContexts(t *testing.T) {
 	s := suite()
 	s.Workers = 4
-	if _, _, err := runOn(s)(s.ALUFetchSpec(ALUFetchConfig{})); err != nil {
+	if _, _, err := runOn(s)(s.ALUFetchSpec(ALUFetchConfig{Cards: StandardCards(0, 0)})); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := runOn(s)(s.WriteLatencySpec(WriteLatencyConfig{Space: il.TextureSpace})); err != nil {
+	if _, _, err := runOn(s)(s.WriteLatencySpec(il.TextureSpace)); err != nil {
 		t.Fatal(err)
 	}
-	var fromContexts int64
-	s.ctxMu.Lock()
-	nctx := len(s.contexts)
-	for _, c := range s.contexts {
-		fromContexts += int64(c.Launches())
-	}
-	s.ctxMu.Unlock()
-	if nctx == 0 {
-		t.Fatal("no contexts opened")
-	}
+	fromContexts := s.Metrics().Snapshot().Get("cal.launches")
 	if got := s.KernelLaunches(); got == 0 || got != fromContexts {
 		t.Fatalf("suite counted %d launches, contexts counted %d", got, fromContexts)
 	}
@@ -141,11 +130,11 @@ func TestLaunchAccountingMatchesContexts(t *testing.T) {
 // simulator holds no hidden state between launches.
 func TestSuiteRunsAreRepeatable(t *testing.T) {
 	s := suite()
-	fig1, _, err := runOn(s)(s.WriteLatencySpec(WriteLatencyConfig{Space: il.TextureSpace}))
+	fig1, _, err := runOn(s)(s.WriteLatencySpec(il.TextureSpace))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig2, _, err := runOn(s)(s.WriteLatencySpec(WriteLatencyConfig{Space: il.TextureSpace}))
+	fig2, _, err := runOn(s)(s.WriteLatencySpec(il.TextureSpace))
 	if err != nil {
 		t.Fatal(err)
 	}

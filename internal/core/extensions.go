@@ -56,25 +56,13 @@ func transKernel(n int, dt il.DataType, basic bool) (*il.Kernel, error) {
 	return k, nil
 }
 
-// TransThroughputConfig parameterises the transcendental extension sweep.
-type TransThroughputConfig struct {
-	Arch    device.Arch
-	MaxOps  int // chain length sweep upper bound
-	StepOps int
-	W, H    int
-}
-
-func (c *TransThroughputConfig) defaults() {
-	if c.MaxOps == 0 {
-		c.MaxOps = 256
-	}
-	if c.StepOps == 0 {
-		c.StepOps = 32
-	}
-	if c.W == 0 {
-		c.W, c.H = 1024, 1024
-	}
-}
+// The transcendental extension sweep: chains of 32..256 ops in steps of
+// 32 on the HD 4870.
+const (
+	transArch    = device.RV770
+	transMaxOps  = 256
+	transStepOps = 32
+)
 
 // TransThroughputSpec plans the transcendental extension sweep: the
 // dependent-chain throughput of transcendental versus basic operations
@@ -83,11 +71,10 @@ func (c *TransThroughputConfig) defaults() {
 // single t core at one lane per bundle, costing 4x — the asymmetry the
 // paper's Section II hardware description implies. Series carry custom
 // labels (data type x op kind).
-func (s *Suite) TransThroughputSpec(cfg TransThroughputConfig) (FigureSpec, error) {
-	cfg.defaults()
+func (s *Suite) TransThroughputSpec() (FigureSpec, error) {
 	fig := &report.Figure{
 		ID:     "trans",
-		Title:  fmt.Sprintf("Transcendental vs basic ALU chains (%s)", cfg.Arch.CardName()),
+		Title:  fmt.Sprintf("Transcendental vs basic ALU chains (%s)", transArch.CardName()),
 		XLabel: "Chain length (ops)",
 		YLabel: "Time in seconds",
 	}
@@ -98,40 +85,28 @@ func (s *Suite) TransThroughputSpec(cfg TransThroughputConfig) (FigureSpec, erro
 			if basic {
 				kind = "add"
 			}
-			card := Card{Arch: cfg.Arch, Mode: il.Pixel, Type: dt}
-			label := fmt.Sprintf("%s %s %s", cfg.Arch.CardName(), dt, kind)
-			for n := cfg.StepOps; n <= cfg.MaxOps; n += cfg.StepOps {
+			card := Card{Arch: transArch, Mode: il.Pixel, Type: dt}
+			label := fmt.Sprintf("%s %s %s", transArch.CardName(), dt, kind)
+			for n := transStepOps; n <= transMaxOps; n += transStepOps {
 				k, err := transKernel(n, dt, basic)
 				if err != nil {
 					return FigureSpec{}, err
 				}
-				pts = append(pts, KernelPoint{Card: card, X: float64(n), Series: label, K: k, W: cfg.W, H: cfg.H})
+				pts = append(pts, KernelPoint{Card: card, X: float64(n), Series: label, K: k, W: paperDomain, H: paperDomain})
 			}
 		}
 	}
 	return FigureSpec{Fig: fig, Points: pts}, nil
 }
 
-// BlockSizeConfig parameterises the compute-mode block-shape sweep, the
-// extension the paper hints at ("it is possible that one can achieve
-// greater performance by using different block sizes").
-type BlockSizeConfig struct {
-	Inputs int
-	Ratio  float64
-	W, H   int
-}
-
-func (c *BlockSizeConfig) defaults() {
-	if c.Inputs == 0 {
-		c.Inputs = 16
-	}
-	if c.Ratio == 0 {
-		c.Ratio = 0.25 // fetch bound, so the cache effect dominates
-	}
-	if c.W == 0 {
-		c.W, c.H = 1024, 1024
-	}
-}
+// The compute-mode block-shape sweep, the extension the paper hints at
+// ("it is possible that one can achieve greater performance by using
+// different block sizes"): Fig. 7's 16-input kernel at ratio 0.25, fetch
+// bound, so the cache effect dominates.
+const (
+	blockInputs = 16
+	blockRatio  = 0.25
+)
 
 // blockShapes are the seven 64-thread block shapes, from fully horizontal
 // to fully vertical; x-axis value is log2 of the block height.
@@ -145,11 +120,10 @@ var blockShapes = []struct{ w, h int }{
 // paper's 64x1 default and its 4x16 suggestion are two points on this
 // curve. Block shape changes within a series, which is one series per
 // chip and type because Card.Label omits the block shape by design.
-func (s *Suite) BlockSizeSpec(cfg BlockSizeConfig) (FigureSpec, error) {
-	cfg.defaults()
+func (s *Suite) BlockSizeSpec() (FigureSpec, error) {
 	fig := &report.Figure{
 		ID:     "blocks",
-		Title:  fmt.Sprintf("Compute block-size sweep (%d inputs, ratio %.2f)", cfg.Inputs, cfg.Ratio),
+		Title:  fmt.Sprintf("Compute block-size sweep (%d inputs, ratio %.2f)", blockInputs, blockRatio),
 		XLabel: "log2(block height) [64x1 .. 1x64]",
 		YLabel: "Time in seconds",
 	}
@@ -159,71 +133,54 @@ func (s *Suite) BlockSizeSpec(cfg BlockSizeConfig) (FigureSpec, error) {
 			card := Card{Arch: arch, Mode: il.Compute, Type: dt}
 			for i, b := range blockShapes {
 				card.BlockW, card.BlockH = b.w, b.h
-				p := card.params(cfg.Inputs, 1, il.TextureSpace, il.GlobalSpace)
-				p.ALUFetchRatio = cfg.Ratio
+				p := card.params(blockInputs, 1, il.TextureSpace, il.GlobalSpace)
+				p.ALUFetchRatio = blockRatio
 				k, err := s.generate(pipeline.GenALUFetch, p)
 				if err != nil {
 					return FigureSpec{}, err
 				}
-				pts = append(pts, KernelPoint{Card: card, X: float64(i), K: k, W: cfg.W, H: cfg.H})
+				pts = append(pts, KernelPoint{Card: card, X: float64(i), K: k, W: paperDomain, H: paperDomain})
 			}
 		}
 	}
 	return FigureSpec{Fig: fig, Points: pts}, nil
 }
 
-// ConstantsConfig parameterises the constants sweep. The paper lists the
-// number of constants among every micro-benchmark's kernel parameters and
-// holds it fixed to isolate other factors; this extension verifies the
-// premise behind that choice — constants are free: they live in the
-// constant file, occupy no general purpose registers and generate no
-// fetch traffic.
-type ConstantsConfig struct {
-	Arch         device.Arch
-	Inputs       int
-	ALUOps       int
-	MaxConstants int
-	W, H         int
-}
-
-func (c *ConstantsConfig) defaults() {
-	if c.Inputs == 0 {
-		c.Inputs = 8
-	}
-	if c.ALUOps == 0 {
-		c.ALUOps = 64
-	}
-	if c.MaxConstants == 0 {
-		c.MaxConstants = 16
-	}
-	if c.W == 0 {
-		c.W, c.H = 1024, 1024
-	}
-}
+// The constants sweep. The paper lists the number of constants among
+// every micro-benchmark's kernel parameters and holds it fixed to isolate
+// other factors; this extension verifies the premise behind that choice —
+// constants are free: they live in the constant file, occupy no general
+// purpose registers and generate no fetch traffic. It folds 0..16
+// constants into a fixed 8-input, 64-op chain on the HD 4870.
+const (
+	constsArch   = device.RV770
+	constsInputs = 8
+	constsALUOps = 64
+	maxConstants = 16
+)
 
 // ConstantsSpec plans the constants sweep: one kernel shape with
-// 0..MaxConstants constants folded into its (fixed-length) chain. The
+// 0..maxConstants constants folded into its (fixed-length) chain. The
 // curve must be flat and the register count must not move.
-func (s *Suite) ConstantsSpec(cfg ConstantsConfig) (FigureSpec, error) {
-	cfg.defaults()
+func (s *Suite) ConstantsSpec() (FigureSpec, error) {
 	fig := &report.Figure{
 		ID:     "consts",
-		Title:  fmt.Sprintf("Constant count sweep (%d inputs, %d ALU ops)", cfg.Inputs, cfg.ALUOps),
+		Title:  fmt.Sprintf("Constant count sweep (%d inputs, %d ALU ops)", constsInputs, constsALUOps),
 		XLabel: "Number of Constants",
 		YLabel: "Time in seconds",
 	}
 	var pts []KernelPoint
 	for _, dt := range []il.DataType{il.Float, il.Float4} {
-		card := Card{Arch: cfg.Arch, Mode: il.Pixel, Type: dt}
-		for n := 0; n <= cfg.MaxConstants; n += 4 {
-			p := card.params(cfg.Inputs, 1, il.TextureSpace, il.TextureSpace)
-			p.ALUOps = cfg.ALUOps
+		card := Card{Arch: constsArch, Mode: il.Pixel, Type: dt}
+		for n := 0; n <= maxConstants; n += 4 {
+			p := card.params(constsInputs, 1, il.TextureSpace, il.TextureSpace)
+			p.ALUOps = constsALUOps
 			p.Constants = n
 			k, err := s.generate(pipeline.GenGeneric, p)
 			if err != nil {
 				return FigureSpec{}, err
 			}
-			pts = append(pts, KernelPoint{Card: card, X: float64(n), K: k, W: cfg.W, H: cfg.H})
+			pts = append(pts, KernelPoint{Card: card, X: float64(n), K: k, W: paperDomain, H: paperDomain})
 		}
 	}
 	return FigureSpec{Fig: fig, Points: pts}, nil
@@ -267,7 +224,7 @@ func (s *Suite) AblationStudy() ([]AblationResult, error) {
 
 	launch := func(m *cal.Module, order raster.Order, ab sim.Ablations) (*cal.Event, error) {
 		return ctx.Launch(m, cal.LaunchConfig{
-			Order: order, W: 1024, H: 1024, Iterations: s.Iterations, Ablate: ab,
+			Order: order, W: paperDomain, H: paperDomain, Iterations: s.Iterations, Ablate: ab,
 		})
 	}
 

@@ -3,15 +3,12 @@ package core
 import (
 	"testing"
 
-	"amdgpubench/internal/device"
 	"amdgpubench/internal/report"
 )
 
 func TestTransThroughputShapes(t *testing.T) {
 	s := suite()
-	fig, _, err := runOn(s)(s.TransThroughputSpec(TransThroughputConfig{
-		Arch: device.RV770, MaxOps: 128, StepOps: 64,
-	}))
+	fig, _, err := runOn(s)(keep(func(p KernelPoint) bool { return p.X == 64 || p.X == 128 })(s.TransThroughputSpec()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +40,7 @@ func TestTransThroughputShapes(t *testing.T) {
 
 func TestBlockSizeSweepShapes(t *testing.T) {
 	s := suite()
-	fig, runs, err := runOn(s)(s.BlockSizeSpec(BlockSizeConfig{}))
+	fig, runs, err := runOn(s)(s.BlockSizeSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,11 +83,9 @@ func TestFailedPointsNeverPlot(t *testing.T) {
 		victim    int // index of the point whose launch panics
 	}{
 		{"trans", func(s *Suite) (FigureSpec, error) {
-			return s.TransThroughputSpec(TransThroughputConfig{Arch: device.RV770, MaxOps: 64, StepOps: 32, W: 64, H: 64})
+			return keep(xAtMost(64))(s.TransThroughputSpec())
 		}, 2, 5},
-		{"blocks", func(s *Suite) (FigureSpec, error) {
-			return s.BlockSizeSpec(BlockSizeConfig{W: 64, H: 64})
-		}, 7, 10},
+		{"blocks", (*Suite).BlockSizeSpec, 7, 10},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := quickSuite()
@@ -175,7 +170,7 @@ func TestAblationStudyDirections(t *testing.T) {
 
 func TestConstantsSweepFlat(t *testing.T) {
 	s := suite()
-	fig, runs, err := runOn(s)(s.ConstantsSpec(ConstantsConfig{Arch: device.RV770}))
+	fig, runs, err := runOn(s)(s.ConstantsSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,9 +187,12 @@ func TestConstantsSweepFlat(t *testing.T) {
 			}
 		}
 	}
+	first := map[Card]int{}
 	for _, r := range runs {
-		if r.GPRs != runs[0].GPRs && r.Card == runs[0].Card {
-			t.Fatalf("GPRs vary with constants: %d vs %d", r.GPRs, runs[0].GPRs)
+		if g, ok := first[r.Card]; !ok {
+			first[r.Card] = r.GPRs
+		} else if r.GPRs != g {
+			t.Fatalf("%s: GPRs vary with constants: %d vs %d", r.Card.Label(), r.GPRs, g)
 		}
 	}
 }

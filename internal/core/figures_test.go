@@ -16,7 +16,7 @@ import (
 
 func TestFig7Shapes(t *testing.T) {
 	s := suite()
-	fig, runs, err := runOn(s)(s.ALUFetchSpec(ALUFetchConfig{}))
+	fig, runs, err := runOn(s)(s.ALUFetchSpec(ALUFetchConfig{Cards: StandardCards(0, 0)}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,11 +87,11 @@ func TestFig7Shapes(t *testing.T) {
 
 func TestFig8Block4x16Improvement(t *testing.T) {
 	s := suite()
-	fig7, _, err := runOn(s)(s.ALUFetchSpec(ALUFetchConfig{Cards: ComputeCards(0, 0), RatioMax: 1.0}))
+	fig7, _, err := runOn(s)(keep(xAtMost(1))(s.ALUFetchSpec(ALUFetchConfig{Cards: ComputeCards(0, 0)})))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig8, _, err := runOn(s)(s.ALUFetchSpec(ALUFetchConfig{Cards: ComputeCards(4, 16), RatioMax: 1.0}))
+	fig8, _, err := runOn(s)(keep(xAtMost(1))(s.ALUFetchSpec(ALUFetchConfig{Cards: ComputeCards(4, 16)})))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,17 +111,17 @@ func TestFig8Block4x16Improvement(t *testing.T) {
 
 func TestFig9And10GlobalReadBehaviour(t *testing.T) {
 	s := suite()
-	fig9, _, err := runOn(s)(s.ALUFetchSpec(ALUFetchConfig{
+	fig9, _, err := runOn(s)(keep(xAtMost(2))(s.ALUFetchSpec(ALUFetchConfig{
 		Cards:      PixelCards(),
-		InputSpace: il.GlobalSpace, OutSpace: il.TextureSpace, RatioMax: 2.0,
-	}))
+		InputSpace: il.GlobalSpace, OutSpace: il.TextureSpace,
+	})))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig10, _, err := runOn(s)(s.ALUFetchSpec(ALUFetchConfig{
+	fig10, _, err := runOn(s)(keep(xAtMost(2))(s.ALUFetchSpec(ALUFetchConfig{
 		Cards:      PixelCards()[2:], // 4870 and 5870 entries
-		InputSpace: il.GlobalSpace, OutSpace: il.GlobalSpace, RatioMax: 2.0,
-	}))
+		InputSpace: il.GlobalSpace, OutSpace: il.GlobalSpace,
+	})))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestFig9And10GlobalReadBehaviour(t *testing.T) {
 
 func TestFig11TextureFetchLatencyLinear(t *testing.T) {
 	s := suite()
-	fig, _, err := runOn(s)(s.ReadLatencySpec(ReadLatencyConfig{Space: il.TextureSpace}))
+	fig, _, err := runOn(s)(s.ReadLatencySpec(il.TextureSpace))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,11 +171,11 @@ func TestFig11TextureFetchLatencyLinear(t *testing.T) {
 
 func TestFig12GlobalReadLatency(t *testing.T) {
 	s := suite()
-	fig11, _, err := runOn(s)(s.ReadLatencySpec(ReadLatencyConfig{Space: il.TextureSpace}))
+	fig11, _, err := runOn(s)(s.ReadLatencySpec(il.TextureSpace))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig12, _, err := runOn(s)(s.ReadLatencySpec(ReadLatencyConfig{Space: il.GlobalSpace}))
+	fig12, _, err := runOn(s)(s.ReadLatencySpec(il.GlobalSpace))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestFig12GlobalReadLatency(t *testing.T) {
 
 func TestFig13StreamingStore(t *testing.T) {
 	s := suite()
-	fig, _, err := runOn(s)(s.WriteLatencySpec(WriteLatencyConfig{Space: il.TextureSpace}))
+	fig, _, err := runOn(s)(s.WriteLatencySpec(il.TextureSpace))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestFig13StreamingStore(t *testing.T) {
 
 func TestFig14GlobalWrite(t *testing.T) {
 	s := suite()
-	fig, _, err := runOn(s)(s.WriteLatencySpec(WriteLatencyConfig{Space: il.GlobalSpace}))
+	fig, _, err := runOn(s)(s.WriteLatencySpec(il.GlobalSpace))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,8 @@ func TestFig14GlobalWrite(t *testing.T) {
 
 func TestFig15DomainSize(t *testing.T) {
 	s := suite()
-	figA, _, err := runOn(s)(s.DomainSizeSpec(DomainConfig{Cards: PixelCards(), StepPix: 32}))
+	every32 := func(p KernelPoint) bool { return (int(p.X)-domainMin)%32 == 0 }
+	figA, _, err := runOn(s)(keep(every32)(s.DomainSizeSpec(PixelCards())))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +258,7 @@ func TestFig15DomainSize(t *testing.T) {
 
 func TestFig16RegisterPressure(t *testing.T) {
 	s := suite()
-	_, runs, err := runOn(s)(s.RegisterUsageSpec(RegisterUsageConfig{}))
+	_, runs, err := runOn(s)(s.RegisterUsageSpec(RegisterUsageConfig{Cards: StandardCards(0, 0)}))
 	if err != nil {
 		t.Fatal(err)
 	}

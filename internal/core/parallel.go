@@ -46,6 +46,11 @@ var errLaunchPanic = errors.New("panic during launch")
 // exercise.
 var ErrSweepInterrupted = errors.New("core: sweep interrupted")
 
+// errPointAbandoned reports that the sweep was cancelled while a point
+// waited to retry: the point does not launch again and records nothing,
+// and the sweep reports the interruption.
+var errPointAbandoned = errors.New("core: point abandoned")
+
 // KernelPoint is one sweep point: a prebuilt kernel timed on a card at
 // an x coordinate, plus where its run lands on a figure. The figure
 // builders plan them, and non-figure drivers — the soak campaigns above
@@ -100,10 +105,11 @@ type SweepOptions struct {
 // points and fails the sweep.
 //
 // Cancelling parent stops the sweep: undispatched points are abandoned,
-// dispatched points complete (and persist), and the sweep returns
-// ErrSweepInterrupted. Cancellation is scoped to this sweep alone, so
-// callers multiplexing several independent sweeps over ONE shared suite
-// (the campaign daemon) cancel just their own.
+// launches in flight complete (and persist), a point waiting to retry
+// launches no more, and the sweep returns ErrSweepInterrupted.
+// Cancellation is scoped to this sweep alone, so callers multiplexing
+// several independent sweeps over ONE shared suite (the campaign daemon)
+// cancel just their own.
 func (s *Suite) RunKernelPoints(parent context.Context, kps []KernelPoint, opts SweepOptions) ([]Run, error) {
 	shard, shards := opts.Shard, max(opts.Shards, 1)
 	if shard < 0 || shard >= shards {
@@ -175,7 +181,9 @@ func (s *Suite) RunKernelPoints(parent context.Context, kps []KernelPoint, opts 
 				}
 				run, err := s.runPointResilient(ctx, pts[i])
 				if err != nil {
-					fatal(err)
+					if !errors.Is(err, errPointAbandoned) {
+						fatal(err)
+					}
 					continue
 				}
 				if end != nil {
@@ -230,8 +238,8 @@ feed:
 }
 
 // runPointResilient drives one point through the retry policy. A non-nil
-// error is fatal for the sweep; recoverable failures come back as a Run
-// failure record.
+// error other than errPointAbandoned is fatal for the sweep; recoverable
+// failures come back as a Run failure record.
 func (s *Suite) runPointResilient(ctx context.Context, p KernelPoint) (Run, error) {
 	ctr := s.counters()
 	backoff := s.RetryBackoff
@@ -253,6 +261,9 @@ func (s *Suite) runPointResilient(ctx context.Context, p KernelPoint) (Run, erro
 			select {
 			case <-time.After(backoff):
 			case <-ctx.Done():
+			}
+			if ctx.Err() != nil {
+				return Run{}, errPointAbandoned
 			}
 			backoff *= 2
 			continue

@@ -17,21 +17,40 @@ import (
 	"amdgpubench/internal/pipeline"
 )
 
-// sweepCfg is a cheap four-point sweep on one card; kernels are named
-// alufetch_r0.25 .. alufetch_r1.00.
-func sweepCfg() ALUFetchConfig {
-	return ALUFetchConfig{
-		Cards: []Card{{Arch: device.RV770, Mode: il.Pixel, Type: il.Float}},
-		W:     64, H: 64,
-		RatioMax: 1.0,
-	}
+// sweepCard is the one card the cheap resilience sweeps run on.
+var sweepCard = Card{Arch: device.RV770, Mode: il.Pixel, Type: il.Float}
+
+// ratioSweep plans Fig. 7's sweep on sweepCard up to ratio maxRatio;
+// kernels are named alufetch_r0.25 .. alufetch_r<maxRatio>. At 1 it is
+// a cheap four-point sweep.
+func ratioSweep(s *Suite, maxRatio float64) (FigureSpec, error) {
+	return keep(xAtMost(maxRatio))(s.ALUFetchSpec(ALUFetchConfig{Cards: []Card{sweepCard}}))
 }
 
+// quickSuite times one iteration on at most a 64x64 domain.
 func quickSuite() *Suite {
 	s := NewSuite()
 	s.Iterations = 1
+	s.MaxDomain = 64
 	s.RetryBackoff = time.Microsecond
 	return s
+}
+
+// aluFetchPoints builds ratioSweep(s, 1)'s points by hand with the given
+// input count: at 16 inputs they are its launches exactly.
+func aluFetchPoints(t *testing.T, s *Suite, inputs int) []KernelPoint {
+	t.Helper()
+	var kps []KernelPoint
+	for _, r := range []float64{0.25, 0.5, 0.75, 1.0} {
+		p := sweepCard.params(inputs, 1, il.TextureSpace, il.TextureSpace)
+		p.ALUFetchRatio = r
+		k, err := s.generate(pipeline.GenALUFetch, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kps = append(kps, KernelPoint{Card: sweepCard, X: r, K: k, W: 64, H: 64})
+	}
+	return kps
 }
 
 func TestSweepRecordsTimeoutFailure(t *testing.T) {
@@ -40,7 +59,7 @@ func TestSweepRecordsTimeoutFailure(t *testing.T) {
 	s.Faults = &fault.Plan{Specs: []fault.Spec{
 		{Kind: fault.Hang, Prob: 1, Match: "alufetch_r0.50", Clause: -1},
 	}}
-	fig, runs, err := runOn(s)(s.ALUFetchSpec(sweepCfg()))
+	fig, runs, err := runOn(s)(ratioSweep(s, 1))
 	if err != nil {
 		t.Fatalf("sweep with one hung point should complete, got %v", err)
 	}
@@ -76,7 +95,7 @@ func TestSweepPanicRecoveredIntoPointError(t *testing.T) {
 			panic("injected test panic")
 		}
 	}
-	_, runs, err := runOn(s)(s.ALUFetchSpec(sweepCfg()))
+	_, runs, err := runOn(s)(ratioSweep(s, 1))
 	if err != nil {
 		t.Fatalf("sweep with one panicking point should complete, got %v", err)
 	}
@@ -101,7 +120,7 @@ func TestSweepRetriesTransientFaults(t *testing.T) {
 	s.Faults = &fault.Plan{Seed: 11, Specs: []fault.Spec{
 		{Kind: fault.Transient, Prob: 0.5},
 	}}
-	_, runs, err := runOn(s)(s.ALUFetchSpec(sweepCfg()))
+	_, runs, err := runOn(s)(ratioSweep(s, 1))
 	if err != nil {
 		t.Fatalf("transients should be retried away, got %v", err)
 	}
@@ -126,7 +145,7 @@ func TestSweepTransientExhaustionIsRecorded(t *testing.T) {
 	s.Faults = &fault.Plan{Specs: []fault.Spec{
 		{Kind: fault.Transient, Prob: 1, Match: "alufetch_r0.25"},
 	}}
-	_, runs, err := runOn(s)(s.ALUFetchSpec(sweepCfg()))
+	_, runs, err := runOn(s)(ratioSweep(s, 1))
 	if err != nil {
 		t.Fatalf("exhausted transient should be a point failure, got %v", err)
 	}
@@ -149,7 +168,7 @@ func TestSweepDeviceLostIsFatal(t *testing.T) {
 	s.Faults = &fault.Plan{Specs: []fault.Spec{
 		{Kind: fault.DeviceLost, Prob: 1, Match: "alufetch_r0.75"},
 	}}
-	_, _, err := runOn(s)(s.ALUFetchSpec(sweepCfg()))
+	_, _, err := runOn(s)(ratioSweep(s, 1))
 	if !errors.Is(err, cal.ErrDeviceLost) {
 		t.Fatalf("want fatal ErrDeviceLost, got %v", err)
 	}
@@ -159,14 +178,14 @@ func TestSweepNoPlanBitIdenticalToBaseline(t *testing.T) {
 	// The determinism guard: arming the resilient machinery without a
 	// fault plan must not perturb a single bit of the figures.
 	base := quickSuite()
-	fig1, _, err := runOn(base)(base.ALUFetchSpec(sweepCfg()))
+	fig1, _, err := runOn(base)(ratioSweep(base, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	armed := quickSuite()
 	armed.Retries = 3
 	armed.DeadlineCycles = 1 << 36
-	fig2, _, err := runOn(armed)(armed.ALUFetchSpec(sweepCfg()))
+	fig2, _, err := runOn(armed)(ratioSweep(armed, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +215,7 @@ func TestCheckpointResumeSkipsCompletedPoints(t *testing.T) {
 	s1.Faults = &fault.Plan{Specs: []fault.Spec{
 		{Kind: fault.Hang, Prob: 1, Match: "alufetch_r0.50", Clause: -1},
 	}}
-	_, runs1, err := runOn(s1)(s1.ALUFetchSpec(sweepCfg()))
+	_, runs1, err := runOn(s1)(ratioSweep(s1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +228,7 @@ func TestCheckpointResumeSkipsCompletedPoints(t *testing.T) {
 	s2 := quickSuite()
 	s2.PersistDir = dir
 	s2.DeadlineCycles = s1.DeadlineCycles
-	fig2, runs2, err := runOn(s2)(s2.ALUFetchSpec(sweepCfg()))
+	fig2, runs2, err := runOn(s2)(ratioSweep(s2, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +246,7 @@ func TestCheckpointResumeSkipsCompletedPoints(t *testing.T) {
 
 	// The resumed figure matches a clean unpersisted run bit for bit.
 	clean := quickSuite()
-	figClean, _, err := runOn(clean)(clean.ALUFetchSpec(sweepCfg()))
+	figClean, _, err := runOn(clean)(ratioSweep(clean, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +266,7 @@ func TestCheckpointInterruptedMidSweepResumes(t *testing.T) {
 	s1.Faults = &fault.Plan{Specs: []fault.Spec{
 		{Kind: fault.DeviceLost, Prob: 1, Match: "alufetch_r0.75"},
 	}}
-	_, _, err := runOn(s1)(s1.ALUFetchSpec(sweepCfg()))
+	_, _, err := runOn(s1)(ratioSweep(s1, 1))
 	if !errors.Is(err, cal.ErrDeviceLost) {
 		t.Fatalf("want fatal abort, got %v", err)
 	}
@@ -258,7 +277,7 @@ func TestCheckpointInterruptedMidSweepResumes(t *testing.T) {
 
 	s2 := quickSuite()
 	s2.PersistDir = dir
-	_, runs2, err := runOn(s2)(s2.ALUFetchSpec(sweepCfg()))
+	_, runs2, err := runOn(s2)(ratioSweep(s2, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +342,7 @@ func TestCheckpointRejectsSameNameDifferentKernelBody(t *testing.T) {
 
 	s1 := quickSuite()
 	s1.PersistDir = dir
-	if _, _, err := runOn(s1)(s1.ALUFetchSpec(sweepCfg())); err != nil {
+	if _, _, err := runOn(s1)(ratioSweep(s1, 1)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -331,11 +350,9 @@ func TestCheckpointRejectsSameNameDifferentKernelBody(t *testing.T) {
 	// (alufetch names encode only the ratio), x and domain, but the IL
 	// bodies differ. Resuming from the first run's entries would splice
 	// the 16-input timings into the 8-input figure.
-	other := sweepCfg()
-	other.Inputs = 8
 	s2 := quickSuite()
 	s2.PersistDir = dir
-	_, runs2, err := runOn(s2)(s2.ALUFetchSpec(other))
+	runs2, err := s2.RunKernelPoints(context.Background(), aluFetchPoints(t, s2, 8), SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,8 +385,6 @@ func TestInterruptedSweepResumesBitIdentical(t *testing.T) {
 	// Finished launches come back from the persistent tier; faulted ones
 	// bypass it and recompute, which is safe because every fault draw is
 	// a pure function of the plan seed and the launch identity.
-	cfg := sweepCfg()
-	cfg.RatioMax = 2.0 // eight points
 	faulted := func() *Suite {
 		s := quickSuite()
 		s.Workers = 2
@@ -384,7 +399,7 @@ func TestInterruptedSweepResumesBitIdentical(t *testing.T) {
 	}
 
 	ref := faulted()
-	_, want, err := runOn(ref)(ref.ALUFetchSpec(cfg))
+	_, want, err := runOn(ref)(ratioSweep(ref, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +422,7 @@ func TestInterruptedSweepResumesBitIdentical(t *testing.T) {
 	// clean point has persisted, and with two workers at most five
 	// points have been dispatched.
 	ctx := cancelAfter(t, victim, 10)
-	spec, err := victim.ALUFetchSpec(cfg)
+	spec, err := ratioSweep(victim, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +435,7 @@ func TestInterruptedSweepResumesBitIdentical(t *testing.T) {
 
 	resumed := faulted()
 	resumed.PersistDir = dir
-	_, got, err := runOn(resumed)(resumed.ALUFetchSpec(cfg))
+	_, got, err := runOn(resumed)(ratioSweep(resumed, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,25 +460,14 @@ func TestRunKernelPointsMatchesFigureSweep(t *testing.T) {
 	// RunKernelPoints is the soak campaigns' entry; driving the same
 	// kernels through it must reproduce the figure sweep's runs exactly.
 	s := quickSuite()
-	fig, runs, err := runOn(s)(s.ALUFetchSpec(sweepCfg()))
+	fig, runs, err := runOn(s)(ratioSweep(s, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	_ = fig
 
 	s2 := quickSuite()
-	var kps []KernelPoint
-	card := sweepCfg().Cards[0]
-	for _, r := range []float64{0.25, 0.5, 0.75, 1.0} {
-		p := card.params(16, 1, il.TextureSpace, il.TextureSpace)
-		p.ALUFetchRatio = r
-		k, err := s2.generate(pipeline.GenALUFetch, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		kps = append(kps, KernelPoint{Card: card, X: r, K: k, W: 64, H: 64})
-	}
-	runs2, err := s2.RunKernelPoints(context.Background(), kps, SweepOptions{})
+	runs2, err := s2.RunKernelPoints(context.Background(), aluFetchPoints(t, s2, 16), SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,14 +486,13 @@ func TestRunKernelPointsClampsACopy(t *testing.T) {
 	// campaign scheduler keeps its units' points and fans them out later.
 	s := quickSuite()
 	s.MaxDomain = 16
-	card := sweepCfg().Cards[0]
-	p := card.params(4, 1, il.TextureSpace, il.TextureSpace)
+	p := sweepCard.params(4, 1, il.TextureSpace, il.TextureSpace)
 	p.ALUFetchRatio = 1
 	k, err := s.generate(pipeline.GenALUFetch, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kps := []KernelPoint{{Card: card, X: 1, K: k, W: 64, H: 32}}
+	kps := []KernelPoint{{Card: sweepCard, X: 1, K: k, W: 64, H: 32}}
 	if _, err := s.RunKernelPoints(context.Background(), kps, SweepOptions{}); err != nil {
 		t.Fatal(err)
 	}
@@ -507,6 +510,49 @@ func TestRunKernelPointsRejectsBadShard(t *testing.T) {
 	}
 }
 
+// TestCancelDuringBackoffStopsRetrying cancels a sweep while its one
+// point waits out a retry backoff: the point must not launch again, and
+// it records neither a completion nor a failure.
+func TestCancelDuringBackoffStopsRetrying(t *testing.T) {
+	s := quickSuite()
+	s.Retries = 3
+	s.RetryBackoff = time.Hour
+	s.Faults = &fault.Plan{Specs: []fault.Spec{{Kind: fault.Transient, Prob: 1}}}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var relaunched atomic.Bool
+	s.BeforeLaunch = func(_ KernelPoint, attempt int) {
+		if attempt == 0 {
+			time.AfterFunc(50*time.Millisecond, cancel)
+		} else {
+			relaunched.Store(true)
+		}
+	}
+	start := time.Now()
+	_, err := s.RunKernelPoints(ctx, aluFetchPoints(t, s, 16)[:1], SweepOptions{})
+	if !errors.Is(err, ErrSweepInterrupted) {
+		t.Fatalf("want ErrSweepInterrupted, got %v", err)
+	}
+	if d := time.Since(start); d > 10*time.Second {
+		t.Errorf("cancelled sweep returned after %v", d)
+	}
+	snap := s.Metrics().Snapshot()
+	if n := snap.Get("core.sweep.retries"); n != 1 {
+		t.Fatalf("core.sweep.retries = %d, want 1: the cancel did not land in the backoff", n)
+	}
+	if relaunched.Load() {
+		t.Error("the point launched again after the sweep was cancelled")
+	}
+	if n := s.KernelLaunches(); n != 1 {
+		t.Errorf("KernelLaunches = %d, want 1", n)
+	}
+	for _, name := range []string{"core.sweep.points.completed", "core.sweep.points.failed"} {
+		if n := snap.Get(name); n != 0 {
+			t.Errorf("%s = %d, want 0", name, n)
+		}
+	}
+}
+
 // TestWarmRerunCompilesNothing reruns a small bundle of figures on a
 // fresh suite over the persistent tier the first run filled. The tier
 // is keyed on the source, so every launch is served from disk without a
@@ -517,12 +563,10 @@ func TestWarmRerunCompilesNothing(t *testing.T) {
 		t.Helper()
 		var csv strings.Builder
 		for _, plan := range []func() (FigureSpec, error){
-			func() (FigureSpec, error) { return s.ALUFetchSpec(sweepCfg()) },
+			func() (FigureSpec, error) { return ratioSweep(s, 1) },
 			func() (FigureSpec, error) {
-				return s.ReadLatencySpec(ReadLatencyConfig{
-					Cards: []Card{{Arch: device.RV870, Mode: il.Compute, Type: il.Float4}},
-					W:     64, H: 64, MaxInputs: 4,
-				})
+				card := Card{Arch: device.RV870, Mode: il.Compute, Type: il.Float4}
+				return keep(func(p KernelPoint) bool { return p.Card == card && p.X <= 4 })(s.ReadLatencySpec(il.TextureSpace))
 			},
 		} {
 			fig, _, err := runOn(s)(plan())

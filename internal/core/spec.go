@@ -12,8 +12,9 @@ import (
 // folds completed runs into any figure. The parameterised builders on
 // Suite (ALUFetchSpec, ReadLatencySpec, …) produce them; the campaign
 // registry (internal/campaign) binds each paper figure to one builder
-// configuration, and the campaign scheduler plans several specs as one
-// set of deduplicated launch units. RunFigureSpec runs one alone.
+// and the values that figure varies, and the campaign scheduler plans
+// several specs as one set of deduplicated launch units. RunFigureSpec
+// runs one alone.
 type FigureSpec struct {
 	// Fig is the figure template the spec's runs assemble into. It is
 	// single-use: Assemble appends series to it. Nil means the spec has

@@ -37,32 +37,20 @@ const (
 	// ~35-cycle per-fetch DRAM occupancy increase; plateau drift is
 	// under 10 cycles and points the other way.
 	l2Jump = 25.0
+
+	// The capacity searches give up past these footprints, beyond every
+	// supported geometry.
+	maxL1Bytes = 64 << 10
+	maxL2Bytes = 1 << 20
 )
 
-// Config bounds the inference search.
+// Config tunes the inference search.
 type Config struct {
-	// MaxL1Bytes caps the L1 capacity doubling search; zero means 64 KiB.
-	MaxL1Bytes int
-	// MaxL2Bytes caps the L2 capacity search; zero means 1 MiB.
-	MaxL2Bytes int
 	// WayCandidates are the L1 associativities tried, in any order —
 	// the scan sorts them and takes the smallest thrashing candidate,
 	// so inference is invariant under permutations of this schedule
 	// (the metamorphic suite checks exactly that). Nil means {2,4,8,16}.
 	WayCandidates []int
-}
-
-func (c Config) withDefaults() Config {
-	if c.MaxL1Bytes == 0 {
-		c.MaxL1Bytes = 64 << 10
-	}
-	if c.MaxL2Bytes == 0 {
-		c.MaxL2Bytes = 1 << 20
-	}
-	if c.WayCandidates == nil {
-		c.WayCandidates = []int{2, 4, 8, 16}
-	}
-	return c
 }
 
 // Inferred is a cache model recovered from timing curves alone.
@@ -109,7 +97,10 @@ func (s *session) lambda(p Probe) (float64, error) {
 // capacity and at least twice its associativity, and a miss-hit latency
 // delta of at least ~300 cycles.
 func Infer(m Measurer, cfg Config) (Inferred, error) {
-	cfg = cfg.withDefaults()
+	ways := cfg.WayCandidates
+	if ways == nil {
+		ways = []int{2, 4, 8, 16}
+	}
 	s := &session{m: m, memo: map[Probe]float64{}}
 	var inf Inferred
 
@@ -123,12 +114,12 @@ func Infer(m Measurer, cfg Config) (Inferred, error) {
 	if err != nil {
 		return inf, err
 	}
-	maxN := 2 * cfg.MaxL1Bytes / floatQuantum
+	maxN := 2 * maxL1Bytes / floatQuantum
 	good, goodL := 2, hot
 	bad, badL := 0, 0.0
 	for n := 4; ; n *= 2 {
 		if n > maxN {
-			return inf, fmt.Errorf("hier: no L1 capacity knee up to %d bytes", cfg.MaxL1Bytes)
+			return inf, fmt.Errorf("hier: no L1 capacity knee up to %d bytes", maxL1Bytes)
 		}
 		l, err := s.lambda(denseFloat(n))
 		if err != nil {
@@ -171,7 +162,7 @@ func Infer(m Measurer, cfg Config) (Inferred, error) {
 	// thrashing one wins, so the result is invariant under permutations
 	// of the candidate schedule (the metamorphic suite checks that).
 	thresh := (hot + miss) / 2
-	sorted := append([]int(nil), cfg.WayCandidates...)
+	sorted := append([]int(nil), ways...)
 	sort.Ints(sorted)
 	for _, w := range sorted {
 		if w < 1 || inf.L1Bytes%w != 0 {
@@ -191,7 +182,7 @@ func Infer(m Measurer, cfg Config) (Inferred, error) {
 		}
 	}
 	if inf.L1Ways == 0 {
-		return inf, fmt.Errorf("hier: no L1 associativity signal among candidates %v", cfg.WayCandidates)
+		return inf, fmt.Errorf("hier: no L1 associativity signal among candidates %v", ways)
 	}
 
 	// --- Line size, by blend inversion. A hot float4 probe's only
@@ -244,13 +235,13 @@ func Infer(m Measurer, cfg Config) (Inferred, error) {
 	if err != nil {
 		return inf, err
 	}
-	maxQ := 2 * cfg.MaxL2Bytes / float4Quantum
+	maxQ := 2 * maxL2Bytes / float4Quantum
 	good, goodL = n0, baseL
 	bad, badL = 0, 0
 	for step := chunkQ; ; step *= 2 {
 		nq := n0 + step
 		if nq > maxQ {
-			return inf, fmt.Errorf("hier: no L2 capacity knee up to %d bytes", cfg.MaxL2Bytes)
+			return inf, fmt.Errorf("hier: no L2 capacity knee up to %d bytes", maxL2Bytes)
 		}
 		l, err := s.lambda(denseFloat4(nq))
 		if err != nil {
