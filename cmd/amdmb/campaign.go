@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -10,13 +11,14 @@ import (
 	"amdgpubench/internal/campaign"
 )
 
-// The campaign subcommand: plan several figures as one deduplicated set
-// of launch units (internal/campaign) and execute them as a single
-// resilient sweep — shared work runs once and its result fans out to
-// every subscribing figure.
+// The campaign subcommand: plan several figures as one list of launch
+// units (internal/campaign) and execute them as a single resilient
+// sweep — a launch two figures share is simulated once and served to
+// the second from the simulate store.
 //
 //	amdmb campaign -figs fig7,fig8,fig11,fig16 -csv
-//	amdmb campaign -figs fig16,clausectl -plan     # schedule + dedup stats, run nothing
+//	amdmb campaign -figs fig16,clausectl -plan     # the schedule, run nothing
+//	amdmb campaign -figs fig7 -archs 4870 -csv     # only the RV770's series
 //
 // The persistent -cache-dir is the campaign's only durable store: a
 // campaign killed midway resumes by rerunning it over the same
@@ -33,10 +35,11 @@ import (
 //
 // With -remote the campaign runs on an amdmbd daemon instead of
 // in-process: the request (figures, -max-domain, -iters, optionally
-// -archs) ships over HTTP, the daemon executes it on its shared suite —
-// deduplicating against every other client's concurrent campaigns and
-// its persistent cache — and the client streams back CSVs that are
-// byte-identical to a local -csv run:
+// -archs) ships over HTTP, the daemon parses it exactly as a local run
+// does and executes it on its shared suite — deduplicating against
+// every other client's concurrent campaigns and its persistent cache —
+// and the client streams back CSVs that are byte-identical to a local
+// -csv run:
 //
 //	amdmb campaign -figs fig7,fig8 -csv -remote http://127.0.0.1:7821
 //
@@ -62,11 +65,11 @@ func runCampaignCmd(argv []string, stdout, stderr io.Writer) int {
 		archsSpec string
 	)
 	fs.StringVar(&figs, "figs", "", "comma-separated figures to schedule together (required)")
-	fs.BoolVar(&planOnly, "plan", false, "print the deduped schedule and dedup statistics, run nothing")
+	fs.BoolVar(&planOnly, "plan", false, "print the launch schedule, run nothing")
 	fs.IntVar(&workers, "workers", 0, "sweep parallelism (0 = GOMAXPROCS)")
 	fs.StringVar(&shardSpec, "shard", "", "run shard i of n (format i/n, requires -cache-dir); an unsharded run over the same -cache-dir combines the shards")
 	fs.StringVar(&remote, "remote", "", "run the campaign on an amdmbd daemon at this address instead of in-process (requires -csv)")
-	fs.StringVar(&archsSpec, "archs", "", "comma-separated architectures to restrict every figure to, e.g. 4870,RV870 (remote only)")
+	fs.StringVar(&archsSpec, "archs", "", "comma-separated architectures to restrict every figure to, e.g. 4870,RV870")
 	c.commonFlags(fs)
 	if err := fs.Parse(argv); err != nil {
 		return 2
@@ -95,28 +98,10 @@ func runCampaignCmd(argv []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "figures: %s\n", strings.Join(campaign.FigureNames(), " "))
 		return 2
 	}
-	var names []string
-	for _, n := range strings.Split(figs, ",") {
-		n = strings.ToLower(strings.TrimSpace(n))
-		if n == "" {
-			continue
-		}
-		// Trailing-'*' globs expand below; plain names must be known.
-		if !strings.HasSuffix(n, "*") && !campaign.Known(n) {
-			fmt.Fprintf(stderr, "amdmb campaign: unknown figure %q\n", n)
-			fmt.Fprintf(stderr, "figures: %s\n", strings.Join(campaign.FigureNames(), " "))
-			return 2
-		}
-		names = append(names, n)
-	}
-	if len(names) == 0 {
-		fmt.Fprintln(stderr, "amdmb campaign: -figs lists no figures")
-		return 2
-	}
-	names, err := campaign.Expand(names)
-	if err != nil {
-		fmt.Fprintf(stderr, "amdmb campaign: %v\n", err)
-		return 2
+	names := strings.Split(figs, ",")
+	var archs []string
+	if archsSpec != "" {
+		archs = strings.Split(archsSpec, ",")
 	}
 
 	if remote != "" {
@@ -144,17 +129,7 @@ func runCampaignCmd(argv []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "amdmb campaign: -remote requires -csv (the daemon serves figures as CSV)")
 			return 2
 		}
-		var archs []string
-		for _, a := range strings.Split(archsSpec, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				archs = append(archs, a)
-			}
-		}
 		return runRemoteCampaign(remote, names, archs, c)
-	}
-	if archsSpec != "" {
-		fmt.Fprintln(stderr, "amdmb campaign: -archs requires -remote (local campaigns sweep every architecture a figure defines)")
-		return 2
 	}
 
 	s, err := c.newSuite()
@@ -164,9 +139,12 @@ func runCampaignCmd(argv []string, stdout, stderr io.Writer) int {
 	}
 	s.Workers = workers
 
-	specs, err := campaign.Specs(s, names)
+	specs, err := campaign.Resolve(s, names, archs)
 	if err != nil {
 		fmt.Fprintf(stderr, "amdmb campaign: %v\n", err)
+		if errors.As(err, new(*campaign.RequestError)) {
+			return 2
+		}
 		return 1
 	}
 	// The plan clamps domains itself with the same cap as the suite, so
@@ -197,8 +175,7 @@ func runCampaignCmd(argv []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 	}
-	fmt.Fprintf(stderr, "campaign: figures=%d points=%d units=%d deduped=%d executed=%d failed=%d\n",
-		res.Stats.Figures, res.Stats.Points, len(plan.Units), res.Stats.Deduped,
-		res.Executed, res.Failed())
+	fmt.Fprintf(stderr, "campaign: figures=%d units=%d executed=%d failed=%d\n",
+		len(plan.Specs), len(plan.Units), res.Executed, res.Failed())
 	return c.epilogue(s)
 }

@@ -13,11 +13,11 @@
 // fig15a fig15b fig16 fig17 clausectl trans blocks consts summary ablate
 // all
 //
-// The campaign subcommand plans several figures as one deduplicated set
-// of launch units and executes them as a single resilient sweep, so
-// work shared between figures runs once; `-plan` prints the schedule
-// and dedup statistics without running. See campaign.go and internal/campaign; `amdmb
-// campaign -h` lists its flags. Beyond the paper's figures, the
+// The campaign subcommand plans several figures as one list of launch
+// units and executes them as a single resilient sweep, so work shared
+// between figures runs once through the pipeline's stores; `-plan`
+// prints the schedule without running. See campaign.go and
+// internal/campaign; `amdmb campaign -h` lists its flags. Beyond the paper's figures, the
 // campaign registry includes the memory-hierarchy dissection figures
 // hier-lat, hier-wset, hier-line and hier-stride (internal/hier); a
 // trailing-'*' glob like `-figs 'hier-*'` plans a whole family.
@@ -362,7 +362,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	exps := c.experiments()
 	if len(args) == 0 {
 		fmt.Fprintln(stderr, "usage: amdmb [flags] <experiment>...")
-		fmt.Fprintln(stderr, "       amdmb campaign -figs a,b,... [flags]   (deduped multi-figure schedule; amdmb campaign -h)")
+		fmt.Fprintln(stderr, "       amdmb campaign -figs a,b,... [flags]   (multi-figure sweep; amdmb campaign -h)")
 		fmt.Fprintln(stderr, "       amdmb infer [flags]   (recover the cache model from measured curves; amdmb infer -h)")
 		fmt.Fprintln(stderr, "       amdmb soak [flags]   (adversarial stress campaigns; amdmb soak -h)")
 		fmt.Fprintln(stderr, "experiments:")

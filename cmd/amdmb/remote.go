@@ -55,6 +55,8 @@ func getJSON(client *http.Client, url string, v any) error {
 
 // runRemoteCampaign submits names to the daemon at base, waits for the
 // job to settle, and emits each figure's CSV to stdout in -figs order.
+// The daemon parses the request (campaign.Resolve) and reports the
+// expanded figure names in the job status.
 // Exit codes mirror the local path: 0 clean, 1 on daemon/transport
 // errors, 2 when the daemon rejects the request as malformed, 3 when
 // the campaign completed with recorded per-point failures.
@@ -108,7 +110,7 @@ func runRemoteCampaign(base string, names []string, archs []string, c *cli) int 
 		return 1
 	}
 
-	for _, name := range names {
+	for _, name := range st.Figs {
 		fresp, err := client.Get(statusURL + "/figures/" + name + ".csv")
 		if err != nil {
 			fmt.Fprintf(c.errOut, "amdmb campaign: %v\n", err)
@@ -129,8 +131,8 @@ func runRemoteCampaign(base string, names []string, archs []string, c *cli) int 
 		_, _ = c.out.Write(fbody)
 		fmt.Fprintln(c.out)
 	}
-	fmt.Fprintf(c.errOut, "campaign: figures=%d units=%d deduped=%d executed=%d failed=%d (remote %s)\n",
-		len(names), st.Units, st.Deduped, st.Executed, st.FailedUnits, st.ID)
+	fmt.Fprintf(c.errOut, "campaign: figures=%d units=%d executed=%d failed=%d (remote %s)\n",
+		len(st.Figs), st.Units, st.Executed, st.FailedUnits, st.ID)
 	if st.FailedUnits > 0 {
 		fmt.Fprintf(c.errOut, "amdmb: %d unit(s) failed and were recorded; campaign completed\n", st.FailedUnits)
 		return 3

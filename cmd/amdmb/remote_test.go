@@ -50,8 +50,9 @@ func TestRemoteCampaignMatchesLocal(t *testing.T) {
 }
 
 // TestRemoteUsage pins the client-side validation surface: local-only
-// flags, the -csv requirement, -archs without -remote, and the daemon's
-// 400s surfacing as exit 2.
+// flags, the -csv requirement, and the daemon's 400s surfacing as
+// exit 2. -archs is not remote-only: a local -archs run parses the
+// request exactly as the daemon does and writes the same bytes.
 func TestRemoteUsage(t *testing.T) {
 	ts := startDaemon(t, 16)
 	cases := []struct {
@@ -69,9 +70,9 @@ func TestRemoteUsage(t *testing.T) {
 		{"remote requires csv",
 			[]string{"campaign", "-figs", "fig7", "-remote", ts.URL},
 			2, "-remote requires -csv"},
-		{"archs requires remote",
-			[]string{"campaign", "-figs", "fig7", "-csv", "-archs", "4870"},
-			2, "-archs requires -remote"},
+		{"daemon rejects unknown figure",
+			[]string{"campaign", "-figs", "fig99", "-csv", "-remote", ts.URL},
+			2, "unknown figure"},
 		{"daemon rejects iteration mismatch",
 			[]string{"campaign", "-figs", "fig7", "-iters", "3", "-csv", "-remote", ts.URL},
 			2, "iterations 3 unavailable"},
@@ -93,6 +94,20 @@ func TestRemoteUsage(t *testing.T) {
 			}
 		})
 	}
+	t.Run("local archs matches remote", func(t *testing.T) {
+		args := []string{"campaign", "-figs", "fig7", "-iters", "1", "-max-domain", "16", "-csv", "-archs", "4870"}
+		code, local, stderr := runCLI(t, args...)
+		if code != 0 {
+			t.Fatalf("local: exit %d, stderr: %s", code, stderr)
+		}
+		code, remote, stderr := runCLI(t, append(args, "-remote", ts.URL)...)
+		if code != 0 {
+			t.Fatalf("remote: exit %d, stderr: %s", code, stderr)
+		}
+		if local != remote {
+			t.Errorf("local -archs stdout differs from remote:\n%s", firstDiff(remote, local))
+		}
+	})
 }
 
 // TestRemoteArchFilter: a filtered remote campaign serves only the

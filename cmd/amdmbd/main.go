@@ -1,7 +1,7 @@
 // Command amdmbd is the long-lived campaign daemon: one shared suite,
 // many clients. It listens for campaign submissions over HTTP
 // (internal/daemon documents the API), plans each through the
-// deduplicating scheduler, and runs them all against ONE core.Suite —
+// campaign scheduler, and runs them all against ONE core.Suite —
 // so concurrent clients with overlapping figures compile and simulate
 // shared work once, and a persistent -cache-dir lets a restarted daemon
 // replay finished results from disk instead of recomputing them.

@@ -1,36 +1,28 @@
 // Package campaign is the suite's campaign scheduler: it accepts
 // declarative figure specs (core.FigureSpec, the same specs
-// core.Suite.RunFigureSpec runs one at a time), expands them into
-// deduplicated launch units, schedules the units as one batch on the
-// resilient sweep runner, and fans each unit's result back out to every
-// subscribing figure point.
+// core.Suite.RunFigureSpec runs one at a time), flattens their points
+// in figure order into one launch list, runs the list as one batch on
+// the resilient sweep runner, and slices the runs back per figure.
 //
-// The unit of dedup is the launch: one unit per (kernel hash, arch, walk
-// order, domain) — the full execution identity of a sweep point, since a
-// Run is a deterministic function of exactly those coordinates plus the
-// suite's iteration count. Sharing below the launch (Fig. 8's kernels
-// are Fig. 7's compute kernels under a different block shape: a
-// different launch, but the same compiled artifact) needs no bookkeeping
-// here — the pipeline's content-addressed stores already dedup it, and
-// the pipeline.compile.hits counter reports it. The plan's Deduped
-// statistic counts the launches the campaign avoids versus running each
-// figure's sweep on its own; `campaign.points.deduped` surfaces it.
+// Sharing needs no bookkeeping here. Figures that share a whole launch
+// (fig16 and clausectl at register step 0 generate identical kernels)
+// are served by the pipeline's simulate store, which is keyed by the
+// kernel's source plus its launch shape: the second point is a store
+// hit, or waits on the first one's in-flight simulation. Sharing
+// below the launch (Fig. 8's kernels are Fig. 7's compute kernels under
+// a different block shape) is the compile store's. The
+// pipeline.simulate.hits and pipeline.compile.hits counters report both.
 //
 // Durability is not this package's business either: with a PersistDir
-// every unit's launch result lands in the pipeline's persistent tier, so
-// a killed campaign resumes — and shard processes combine — by rerunning
+// every launch result lands in the pipeline's persistent tier, so a
+// killed campaign resumes — and shard processes combine — by rerunning
 // over the same directory.
 package campaign
 
 import (
-	"bytes"
-	"crypto/sha256"
 	"fmt"
-	"sort"
 
 	"amdgpubench/internal/core"
-	"amdgpubench/internal/device"
-	"amdgpubench/internal/raster"
 )
 
 // Spec is one figure request in a campaign: a display name plus the
@@ -44,62 +36,20 @@ type Spec struct {
 // Options tunes planning.
 type Options struct {
 	// MaxDomain, when positive, clamps every point's domain to at most
-	// MaxDomain x MaxDomain at plan time — before dedup keys and the
-	// scheduled order are computed, so a clamped campaign dedups
-	// collapsed domains and its shards partition the same unit list.
-	// Run the plan on a suite with the same MaxDomain; the suite-level
-	// clamp is then a no-op.
+	// MaxDomain x MaxDomain at plan time, so the dry-run schedule shows
+	// the launches that execute. Run the plan on a suite with the same
+	// MaxDomain; the suite-level clamp is then a no-op.
 	MaxDomain int
 }
 
-// launchKey is a launch unit's identity: everything a Run deterministically
-// depends on besides the suite's iteration count.
-type launchKey struct {
-	hash  [sha256.Size]byte
-	arch  device.Arch
-	order raster.Order
-	w, h  int
-}
-
-// Ref is one subscribing figure point: Plan.Specs[Spec].Figure.Points[Point].
-type Ref struct {
-	Spec  int
-	Point int
-}
-
-// Unit is one deduplicated launch: a representative point (the first
-// subscriber, domain clamped) plus every figure point its result fans
-// out to.
-type Unit struct {
-	Point core.KernelPoint
-	Refs  []Ref
-	key   launchKey
-}
-
-// Stats are a plan's headline numbers.
-type Stats struct {
-	Figures int
-	Points  int
-	// Units is the number of distinct launches across the whole
-	// campaign — what actually executes.
-	Units int
-	// Deduped is the cross-figure saving: the sum over figures of each
-	// figure's own distinct launches, minus Units — the launches running
-	// the figures sequentially would have performed that the campaign
-	// does not.
-	Deduped int
-}
-
-// Plan is a scheduled campaign: the input specs, the deduplicated launch
-// units in execution order, and the subscription mapping back to figure
-// points. A Plan is single-use — Run assembles series into the specs'
-// figure templates.
+// Plan is a scheduled campaign: the input specs and their points
+// flattened in figure order. Every point is one launch unit. A Plan is
+// single-use — Run assembles series into the specs' figure templates.
 type Plan struct {
 	Specs []Spec
-	Units []Unit
-	Stats Stats
-	// unitOf[spec][point] is the scheduled unit serving that figure point.
-	unitOf [][]int
+	// Units holds every spec's points, domains clamped, spec by spec:
+	// spec i's points start where spec i-1's end.
+	Units []core.KernelPoint
 }
 
 // specName names spec si for error messages.
@@ -110,124 +60,24 @@ func specName(sp Spec, si int) string {
 	return fmt.Sprintf("spec %d", si)
 }
 
-// NewPlan expands specs into a deduplicated, prioritized unit schedule.
-// Planning validates every point up front — a nil kernel or an invalid
-// compute block fails here, before anything executes.
+// NewPlan flattens specs into the launch schedule. Planning validates
+// every point up front — a nil kernel or an invalid compute block fails
+// here, before anything executes.
 func NewPlan(specs []Spec, opts Options) (*Plan, error) {
-	p := &Plan{Specs: specs, unitOf: make([][]int, len(specs))}
-	p.Stats.Figures = len(specs)
-
-	launchIdx := make(map[launchKey]int)
-	within := 0
+	p := &Plan{Specs: specs}
 	for si, sp := range specs {
-		figLaunch := make(map[launchKey]struct{})
-		p.unitOf[si] = make([]int, len(sp.Figure.Points))
 		for pi, pt := range sp.Figure.Points {
 			if pt.K == nil {
 				return nil, fmt.Errorf("campaign: %s point %d has no kernel", specName(sp, si), pi)
 			}
-			order, err := pt.Card.Order()
-			if err != nil {
+			if _, err := pt.Card.Order(); err != nil {
 				return nil, fmt.Errorf("campaign: %s point %d: %w", specName(sp, si), pi, err)
 			}
-			w, h := pt.W, pt.H
 			if opts.MaxDomain > 0 {
-				w, h = min(w, opts.MaxDomain), min(h, opts.MaxDomain)
+				pt.W, pt.H = min(pt.W, opts.MaxDomain), min(pt.H, opts.MaxDomain)
 			}
-			lk := launchKey{hash: pt.K.Hash(), arch: pt.Card.Arch, order: order, w: w, h: h}
-			ui, ok := launchIdx[lk]
-			if !ok {
-				ui = len(p.Units)
-				launchIdx[lk] = ui
-				rep := pt
-				rep.W, rep.H = w, h
-				p.Units = append(p.Units, Unit{Point: rep, key: lk})
-			}
-			p.Units[ui].Refs = append(p.Units[ui].Refs, Ref{Spec: si, Point: pi})
-			p.unitOf[si][pi] = ui
-			figLaunch[lk] = struct{}{}
+			p.Units = append(p.Units, pt)
 		}
-		within += len(figLaunch)
-		p.Stats.Points += len(sp.Figure.Points)
 	}
-	p.Stats.Units = len(p.Units)
-	p.Stats.Deduped = within - len(p.Units)
-
-	p.prioritize()
 	return p, nil
-}
-
-// prioritize fixes the execution order: most-subscribed units first (a
-// shared unit's failure poisons several figures, so surface it early —
-// and the most-reused compile artifacts warm the cache first), then
-// arch-major batches for device-context locality, then a total
-// deterministic order over the remaining key fields. Determinism is
-// load-bearing, not cosmetic: shards partition units by scheduled
-// index, so every shard process replanning the same specs must
-// reproduce the same order or the shards would overlap and leave gaps.
-func (p *Plan) prioritize() {
-	idx := make([]int, len(p.Units))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(x, y int) bool {
-		return unitLess(p.Units[idx[x]], p.Units[idx[y]])
-	})
-	perm := make([]int, len(idx))
-	units := make([]Unit, len(idx))
-	for newi, oldi := range idx {
-		perm[oldi] = newi
-		units[newi] = p.Units[oldi]
-	}
-	p.Units = units
-	for si := range p.unitOf {
-		for pi := range p.unitOf[si] {
-			p.unitOf[si][pi] = perm[p.unitOf[si][pi]]
-		}
-	}
-}
-
-// unitLess is the scheduling priority. Launch keys are unique per unit,
-// so this is a strict total order.
-func unitLess(a, b Unit) bool {
-	if len(a.Refs) != len(b.Refs) {
-		return len(a.Refs) > len(b.Refs)
-	}
-	if a.key.arch != b.key.arch {
-		return a.key.arch < b.key.arch
-	}
-	if c := bytes.Compare(a.key.hash[:], b.key.hash[:]); c != 0 {
-		return c < 0
-	}
-	if a.key.order.Mode != b.key.order.Mode {
-		return a.key.order.Mode < b.key.order.Mode
-	}
-	if a.key.order.BlockW != b.key.order.BlockW {
-		return a.key.order.BlockW < b.key.order.BlockW
-	}
-	if a.key.order.BlockH != b.key.order.BlockH {
-		return a.key.order.BlockH < b.key.order.BlockH
-	}
-	if a.key.w != b.key.w {
-		return a.key.w < b.key.w
-	}
-	return a.key.h < b.key.h
-}
-
-// UnitOf returns the scheduled unit index serving spec si's point pi.
-func (p *Plan) UnitOf(si, pi int) int { return p.unitOf[si][pi] }
-
-// Shared reports how many of spec si's points ride units that another
-// spec also subscribes to.
-func (p *Plan) Shared(si int) int {
-	n := 0
-	for _, ui := range p.unitOf[si] {
-		for _, r := range p.Units[ui].Refs {
-			if r.Spec != si {
-				n++
-				break
-			}
-		}
-	}
-	return n
 }

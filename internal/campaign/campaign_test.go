@@ -8,12 +8,13 @@ import (
 	"testing"
 
 	"amdgpubench/internal/core"
+	"amdgpubench/internal/device"
 	"amdgpubench/internal/report"
 )
 
 // testSuite mirrors the CLI's fast-test configuration: one timing
-// iteration and the artifact caches off, so dedup wins in these tests
-// come from the scheduler, never from a warm cache.
+// iteration and the artifact caches off, so every launch in these tests
+// computes unless a test turns the caches back on.
 func testSuite(maxDomain int) *core.Suite {
 	s := core.NewSuite()
 	s.Iterations = 1
@@ -50,51 +51,31 @@ func mustPlan(t *testing.T, s *core.Suite, opts Options, names ...string) *Plan 
 }
 
 // TestPlanInvariants checks the structural soundness of a plan on the
-// flagship bundle: every figure point is subscribed to exactly one unit,
-// every unit ref points back at it, and the unit count is consistent
-// with the dedup accounting.
+// flagship bundle: the units are every spec's points, spec by spec in
+// figure order, with domains clamped and nothing else rewritten.
 func TestPlanInvariants(t *testing.T) {
+	const clamp = 64
 	s := testSuite(0)
-	p := mustPlan(t, s, Options{}, "fig7", "fig8", "fig11", "fig16")
+	p := mustPlan(t, s, Options{MaxDomain: clamp}, "fig7", "fig8", "fig11", "fig16")
 
-	refs := 0
-	for ui, u := range p.Units {
-		if len(u.Refs) == 0 {
-			t.Fatalf("unit %d has no subscribers", ui)
-		}
-		refs += len(u.Refs)
-		for _, r := range u.Refs {
-			if p.UnitOf(r.Spec, r.Point) != ui {
-				t.Fatalf("unit %d ref %+v does not map back", ui, r)
-			}
-		}
-	}
-	if refs != p.Stats.Points {
-		t.Fatalf("refs %d != points %d", refs, p.Stats.Points)
-	}
+	ui := 0
 	for si, sp := range p.Specs {
-		for pi := range sp.Figure.Points {
-			ui := p.UnitOf(si, pi)
-			found := false
-			for _, r := range p.Units[ui].Refs {
-				if r.Spec == si && r.Point == pi {
-					found = true
-				}
+		for pi, pt := range sp.Figure.Points {
+			if ui >= len(p.Units) {
+				t.Fatalf("plan ends before spec %d point %d", si, pi)
 			}
-			if !found {
-				t.Fatalf("point %d/%d not in unit %d refs", si, pi, ui)
+			u := p.Units[ui]
+			if u.K != pt.K || u.Card != pt.Card || u.X != pt.X {
+				t.Fatalf("unit %d is not spec %d point %d", ui, si, pi)
 			}
+			if u.W != min(pt.W, clamp) || u.H != min(pt.H, clamp) {
+				t.Fatalf("unit %d domain %dx%d, point %dx%d clamped to %d", ui, u.W, u.H, pt.W, pt.H, clamp)
+			}
+			ui++
 		}
 	}
-	if p.Stats.Units != len(p.Units) {
-		t.Fatalf("stats units %d != units %d", p.Stats.Units, len(p.Units))
-	}
-	// The bundle shares no whole launches: fig8 runs fig7's compute
-	// kernels under another block shape, a different launch. That
-	// sharing is the pipeline compile store's, not the plan's (see
-	// TestCompileSharingIsThePipelineStores).
-	if p.Stats.Deduped != 0 {
-		t.Fatalf("flagship bundle unexpectedly shares launches: %+v", p.Stats)
+	if ui != len(p.Units) {
+		t.Fatalf("%d units for %d points", len(p.Units), ui)
 	}
 }
 
@@ -117,34 +98,39 @@ func TestCompileSharingIsThePipelineStores(t *testing.T) {
 	}
 }
 
-// TestPlanLaunchDedup pins the one pair in the default registry that
-// shares whole launches: fig16 and clausectl both start at step 0, where
-// the control variant's clause reordering is a no-op and the generated
-// kernels hash identically.
-func TestPlanLaunchDedup(t *testing.T) {
-	s := testSuite(0)
-	p := mustPlan(t, s, Options{}, "fig16", "clausectl")
-	if p.Stats.Deduped == 0 {
-		t.Fatalf("fig16+clausectl should share launch units: %+v", p.Stats)
+// TestSimulateStoreIsTheDedup pins where whole-launch sharing goes: the
+// one registry pair that shares launches, fig16 and clausectl (both
+// start at step 0, where the control variant's clause reordering is a
+// no-op and the kernels hash identically), run as one campaign on one
+// cached suite. Each of the 150 distinct launches is simulated and
+// compiled once; the 10 shared ones reach the store a second time as a
+// hit or a coalesced wait. The figures match separate fresh-suite runs.
+func TestSimulateStoreIsTheDedup(t *testing.T) {
+	const clamp = 64
+	s := testSuite(clamp)
+	s.DisableArtifactCache = false
+	p := mustPlan(t, s, Options{MaxDomain: clamp}, "fig16", "clausectl")
+	res, err := p.Run(s)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if p.Stats.Units+p.Stats.Deduped != p.Stats.Points {
-		t.Fatalf("launch accounting inconsistent: %+v", p.Stats)
+	if res.Failed() != 0 {
+		t.Fatalf("%d units failed", res.Failed())
 	}
-	shared := 0
-	for _, u := range p.Units {
-		if len(u.Refs) > 1 {
-			shared++
-			specs := map[int]bool{}
-			for _, r := range u.Refs {
-				specs[r.Spec] = true
-			}
-			if len(specs) != 2 {
-				t.Fatalf("shared unit %+v not cross-figure", u.Refs)
-			}
+	snap := s.Metrics().Snapshot()
+	if got := snap.Get("pipeline.simulate.misses"); got != 150 {
+		t.Errorf("pipeline.simulate.misses = %d, want 150 distinct launches", got)
+	}
+	if got := snap.Get("pipeline.simulate.hits") + snap.Get("pipeline.simulate.coalesced"); got != 10 {
+		t.Errorf("simulate hits+coalesced = %d, want the 10 shared launches", got)
+	}
+	if got := snap.Get("pipeline.compile.misses"); got != 150 {
+		t.Errorf("pipeline.compile.misses = %d, want 150", got)
+	}
+	for i, name := range []string{"fig16", "clausectl"} {
+		if got, want := res.Figures[i].CSV(), runFigure(t, testSuite(clamp), name).CSV(); got != want {
+			t.Errorf("%s diverged from a fresh-suite run:\ncampaign:\n%s\nalone:\n%s", name, got, want)
 		}
-	}
-	if shared != p.Stats.Deduped {
-		t.Fatalf("shared units %d != deduped %d", shared, p.Stats.Deduped)
 	}
 }
 
@@ -165,30 +151,26 @@ func TestPlanDeterministic(t *testing.T) {
 }
 
 // TestPlanMaxDomainClamp clamps a domain-size sweep at plan time: every
-// unit respects the cap, collapsed points dedup within the figure, and
-// fan-out still serves every original point.
+// unit respects the cap, and every original point still gets its run.
 func TestPlanMaxDomainClamp(t *testing.T) {
 	s := testSuite(8)
 	p := mustPlan(t, s, Options{MaxDomain: 8}, "fig15a")
 	for _, u := range p.Units {
-		if u.Point.W > 8 || u.Point.H > 8 {
-			t.Fatalf("unit domain %dx%d exceeds clamp", u.Point.W, u.Point.H)
+		if u.W > 8 || u.H > 8 {
+			t.Fatalf("unit domain %dx%d exceeds clamp", u.W, u.H)
 		}
-	}
-	if len(p.Units) >= p.Stats.Points {
-		t.Fatalf("clamp should collapse domain points: %d units for %d points", len(p.Units), p.Stats.Points)
 	}
 	res, err := p.Run(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(res.Runs[0]); got != p.Stats.Points {
-		t.Fatalf("fan-out served %d of %d points", got, p.Stats.Points)
+	if got, want := len(res.Runs[0]), len(p.Specs[0].Figure.Points); got != want {
+		t.Fatalf("campaign served %d of %d points", got, want)
 	}
 }
 
 // TestCampaignMatchesSequential is the headline correctness property:
-// scheduling fig16+clausectl through the deduped plan yields figures
+// scheduling fig16+clausectl as one campaign yields figures
 // bit-identical to running each alone, with the artifact caches off so
 // nothing can hide behind cache hits.
 func TestCampaignMatchesSequential(t *testing.T) {
@@ -227,11 +209,8 @@ func TestCampaignCounters(t *testing.T) {
 	}
 	snap := s.Metrics().Snapshot()
 	want := map[string]int64{
-		"campaign.figures.planned": int64(p.Stats.Figures),
-		"campaign.points.planned":  int64(p.Stats.Points),
-		"campaign.points.deduped":  int64(p.Stats.Deduped),
-		"campaign.points.fanout":   int64(p.Stats.Points),
-		"campaign.units.planned":   int64(len(p.Units)),
+		"campaign.figures.planned": 2,
+		"campaign.units.planned":   160,
 		"campaign.units.executed":  int64(res.Executed),
 		"campaign.units.completed": int64(res.Executed - res.Failed()),
 		"campaign.units.failed":    int64(res.Failed()),
@@ -240,9 +219,6 @@ func TestCampaignCounters(t *testing.T) {
 		if got := snap.Get(name); got != val {
 			t.Errorf("%s = %d, want %d", name, got, val)
 		}
-	}
-	if snap.Get("campaign.points.deduped") == 0 {
-		t.Error("fig16+clausectl campaign should report dedup")
 	}
 }
 
@@ -322,6 +298,51 @@ func TestSpecsRejectsBadNames(t *testing.T) {
 	}
 	if _, err := Specs(s, []string{"fig7", "fig7"}); err == nil || !strings.Contains(err.Error(), "listed twice") {
 		t.Fatalf("duplicate name: got %v", err)
+	}
+}
+
+// TestResolve pins the one figure-request parser: names are trimmed and
+// case-folded, globs expand, an arch filter keeps only its series, and
+// exactly the caller's mistakes are RequestErrors.
+func TestResolve(t *testing.T) {
+	s := testSuite(16)
+	specs, err := Resolve(s, []string{" FIG7 ", "", "hier-l*"}, []string{"4870", " "})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, sp := range specs {
+		names = append(names, sp.Name)
+		for _, pt := range sp.Figure.Points {
+			if pt.Card.Arch != device.RV770 {
+				t.Fatalf("%s kept a %v point through a 4870 filter", sp.Name, pt.Card.Arch)
+			}
+		}
+	}
+	if got := strings.Join(names, ","); got != "fig7,hier-lat,hier-line" {
+		t.Fatalf("resolved %s", got)
+	}
+
+	for _, tc := range []struct {
+		figs, archs []string
+		bad         bool
+		want        string
+	}{
+		{[]string{" ", ""}, nil, true, "no figures"},
+		{[]string{"fig99"}, nil, true, "unknown figure"},
+		{[]string{"nope*"}, nil, true, "matches no figure"},
+		{[]string{"fig7"}, []string{"vega"}, true, "unknown arch"},
+		{[]string{"trans"}, []string{"5870"}, true, "no points"},
+		{[]string{"fig7", "fig7"}, nil, false, "listed twice"},
+	} {
+		_, err := Resolve(s, tc.figs, tc.archs)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Resolve(%q, %q) = %v, want %q", tc.figs, tc.archs, err, tc.want)
+			continue
+		}
+		if bad := errors.As(err, new(*RequestError)); bad != tc.bad {
+			t.Errorf("Resolve(%q, %q): RequestError %v, want %v", tc.figs, tc.archs, bad, tc.bad)
+		}
 	}
 }
 

@@ -5,11 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 
 	"amdgpubench/internal/core"
-	"amdgpubench/internal/device"
 	"amdgpubench/internal/obs"
 	"amdgpubench/internal/report"
 	"amdgpubench/internal/sim"
@@ -40,10 +38,8 @@ type Request struct {
 	// expand as in `amdmb campaign -figs`.
 	Figs []string `json:"figs"`
 	// Archs, when non-empty, restricts every figure to the named
-	// architectures ("RV770" or the card name "4870", case-insensitive).
-	// Every point carries its own series label and plot mapping, so a
-	// filtered figure is exactly the matching series of the full one; a
-	// figure left with no points fails the request.
+	// architectures, as Resolve parses them; a figure left with no
+	// points fails the request.
 	Archs []string `json:"archs,omitempty"`
 	// MaxDomain, when positive, clamps every sweep domain to at most
 	// MaxDomain x MaxDomain at plan time. The daemon may impose a
@@ -72,13 +68,11 @@ type JobStatus struct {
 	State JobState `json:"state"`
 	Figs  []string `json:"figs"`
 	Error string   `json:"error,omitempty"`
-	// Units is the deduplicated launch-unit count; Executed and
-	// FailedUnits advance live while the job runs.
+	// Units is the launch-unit count, one per figure point; Executed
+	// and FailedUnits advance live while the job runs.
 	Units       int `json:"units"`
 	Executed    int `json:"executed"`
 	FailedUnits int `json:"failed_units"`
-	// Deduped is the plan's cross-figure launch dedup (Stats.Deduped).
-	Deduped int `json:"deduped"`
 }
 
 // Job is one submitted campaign. Fields set at submit time (id, figs,
@@ -119,7 +113,6 @@ func (j *Job) Status() JobStatus {
 		Units:       len(j.plan.Units),
 		Executed:    j.executed,
 		FailedUnits: j.failedU,
-		Deduped:     j.plan.Stats.Deduped,
 	}
 }
 
@@ -171,64 +164,12 @@ func effectiveIterations(n int) int {
 	return n
 }
 
-// parseArchs resolves request arch names against the device table.
-func parseArchs(names []string) (map[device.Arch]bool, error) {
-	if len(names) == 0 {
-		return nil, nil
-	}
-	set := make(map[device.Arch]bool, len(names))
-	for _, name := range names {
-		found := false
-		for _, spec := range device.All() {
-			if strings.EqualFold(name, spec.Arch.String()) || name == spec.Arch.CardName() {
-				set[spec.Arch] = true
-				found = true
-				break
-			}
-		}
-		if !found {
-			var known []string
-			for _, spec := range device.All() {
-				known = append(known, spec.Arch.String())
-			}
-			sort.Strings(known)
-			return nil, fmt.Errorf("campaign: unknown arch %q (have %s)", name, strings.Join(known, ", "))
-		}
-	}
-	return set, nil
-}
-
-// filterSpecs restricts every figure to the requested architectures.
-func filterSpecs(specs []Spec, archs map[device.Arch]bool) ([]Spec, error) {
-	if archs == nil {
-		return specs, nil
-	}
-	out := make([]Spec, len(specs))
-	for i, sp := range specs {
-		kept := sp.Figure.Points[:0:0]
-		for _, pt := range sp.Figure.Points {
-			if archs[pt.Card.Arch] {
-				kept = append(kept, pt)
-			}
-		}
-		if len(kept) == 0 {
-			return nil, fmt.Errorf("campaign: arch filter leaves figure %q with no points", sp.Name)
-		}
-		sp.Figure.Points = kept
-		out[i] = sp
-	}
-	return out, nil
-}
-
 // Submit validates, plans and launches a request. Validation and
 // planning run synchronously — an unknown figure, a bad arch, an
 // iteration mismatch or an empty filter result all fail here, before
 // the job exists — and the sweep itself starts in a goroutine. The
 // returned job is already registered and running.
 func (js *Jobs) Submit(req Request) (*Job, error) {
-	if len(req.Figs) == 0 {
-		return nil, errors.New("campaign: request names no figures")
-	}
 	if have := effectiveIterations(js.suite.Iterations); req.Iterations != 0 && effectiveIterations(req.Iterations) != have {
 		return nil, fmt.Errorf("campaign: iterations %d unavailable: this service runs iterations=%d (iteration count is part of every cache identity, so one shared suite runs exactly one setting)",
 			req.Iterations, have)
@@ -236,39 +177,17 @@ func (js *Jobs) Submit(req Request) (*Job, error) {
 	if req.MaxDomain < 0 {
 		return nil, fmt.Errorf("campaign: negative max_domain %d", req.MaxDomain)
 	}
-	var names []string
-	for _, n := range req.Figs {
-		n = strings.ToLower(strings.TrimSpace(n))
-		if n == "" {
-			continue
-		}
-		if !strings.HasSuffix(n, "*") && !Known(n) {
-			return nil, fmt.Errorf("campaign: unknown figure %q (have %s)", n, strings.Join(FigureNames(), ", "))
-		}
-		names = append(names, n)
-	}
-	if len(names) == 0 {
-		return nil, errors.New("campaign: request names no figures")
-	}
-	names, err := Expand(names)
-	if err != nil {
-		return nil, err
-	}
-	archs, err := parseArchs(req.Archs)
-	if err != nil {
-		return nil, err
-	}
-	specs, err := Specs(js.suite, names)
-	if err != nil {
-		return nil, err
-	}
-	specs, err = filterSpecs(specs, archs)
+	specs, err := Resolve(js.suite, req.Figs, req.Archs)
 	if err != nil {
 		return nil, err
 	}
 	plan, err := NewPlan(specs, Options{MaxDomain: req.MaxDomain})
 	if err != nil {
 		return nil, err
+	}
+	names := make([]string, len(specs))
+	for i, sp := range specs {
+		names[i] = sp.Name
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())

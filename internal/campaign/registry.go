@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -106,12 +107,6 @@ var registry = map[string]figure{
 	"hier-stride": {build: hier.StrideResonanceSpec},
 }
 
-// Known reports whether Specs accepts the name.
-func Known(name string) bool {
-	_, ok := registry[name]
-	return ok
-}
-
 // FigureNames lists every name Specs accepts, sorted.
 func FigureNames() []string {
 	names := make([]string, 0, len(registry))
@@ -122,12 +117,12 @@ func FigureNames() []string {
 	return names
 }
 
-// Expand resolves glob names: a trailing '*' matches every known
+// expand resolves glob names: a trailing '*' matches every known
 // figure with the prefix, in sorted order ("hier-*" plans the whole
 // hierarchy dissection). Matches a glob already produced are not
 // repeated; a glob matching nothing is an error. Non-glob names pass
 // through untouched.
-func Expand(names []string) ([]string, error) {
+func expand(names []string) ([]string, error) {
 	var out []string
 	emitted := make(map[string]bool, len(names))
 	for _, name := range names {
@@ -148,7 +143,7 @@ func Expand(names []string) ([]string, error) {
 			}
 		}
 		if !matched {
-			return nil, fmt.Errorf("campaign: glob %q matches no figure (have %s)", name, strings.Join(FigureNames(), ", "))
+			return nil, badRequest("campaign: glob %q matches no figure (have %s)", name, strings.Join(FigureNames(), ", "))
 		}
 	}
 	return out, nil
@@ -156,11 +151,10 @@ func Expand(names []string) ([]string, error) {
 
 // Specs plans the named figures on the suite, in the order given,
 // expanding trailing-'*' globs first. An unknown name fails with the
-// accepted names listed; duplicates fail too — the scheduler fans one
-// result out to many figures, but two copies of the same figure in one
-// campaign is almost certainly a typo.
+// accepted names listed; duplicates fail too — two copies of the same
+// figure in one campaign is almost certainly a typo.
 func Specs(s *core.Suite, names []string) ([]Spec, error) {
-	names, err := Expand(names)
+	names, err := expand(names)
 	if err != nil {
 		return nil, err
 	}
@@ -169,7 +163,7 @@ func Specs(s *core.Suite, names []string) ([]Spec, error) {
 	for _, name := range names {
 		f, ok := registry[name]
 		if !ok {
-			return nil, fmt.Errorf("campaign: unknown figure %q (have %s)", name, strings.Join(FigureNames(), ", "))
+			return nil, badRequest("campaign: unknown figure %q (have %s)", name, strings.Join(FigureNames(), ", "))
 		}
 		if seen[name] {
 			return nil, fmt.Errorf("campaign: figure %q listed twice", name)
@@ -186,6 +180,87 @@ func Specs(s *core.Suite, names []string) ([]Spec, error) {
 		specs = append(specs, Spec{Name: name, Figure: spec})
 	}
 	return specs, nil
+}
+
+// RequestError is a figure request the registry cannot serve: it names
+// no figure, an unknown figure or arch, or a glob matching nothing, or
+// its arch filter leaves a figure no points. `amdmb campaign` exits 2
+// on it and 1 on any other planning error.
+type RequestError struct{ msg string }
+
+func (e *RequestError) Error() string { return e.msg }
+
+func badRequest(format string, args ...any) error {
+	return &RequestError{msg: fmt.Sprintf(format, args...)}
+}
+
+// Resolve plans a figure request on s; it is the one request parser
+// behind `amdmb campaign` and the daemon's Jobs.Submit. figs are names
+// or trailing-'*' globs (trimmed, case-folded, blanks skipped), planned
+// in the order given. archs, when non-empty, restricts every figure to
+// the named architectures ("RV770" or the card name "4870",
+// case-insensitive). Every point carries its own series label and plot
+// mapping, so a filtered figure is exactly the matching series of the
+// full one.
+func Resolve(s *core.Suite, figs, archs []string) ([]Spec, error) {
+	var names []string
+	for _, n := range figs {
+		if n = strings.ToLower(strings.TrimSpace(n)); n != "" {
+			names = append(names, n)
+		}
+	}
+	if len(names) == 0 {
+		return nil, badRequest("campaign: request names no figures")
+	}
+	keep, err := parseArchs(archs)
+	if err != nil {
+		return nil, err
+	}
+	specs, err := Specs(s, names)
+	if err != nil || keep == nil {
+		return specs, err
+	}
+	for i := range specs {
+		pts := specs[i].Figure.Points
+		kept := pts[:0:0]
+		for _, pt := range pts {
+			if keep[pt.Card.Arch] {
+				kept = append(kept, pt)
+			}
+		}
+		if len(kept) == 0 {
+			return nil, badRequest("campaign: arch filter leaves figure %q with no points", specs[i].Name)
+		}
+		specs[i].Figure.Points = kept
+	}
+	return specs, nil
+}
+
+// parseArchs resolves arch names against the device table; naming no
+// arch means no filter (a nil set).
+func parseArchs(names []string) (map[device.Arch]bool, error) {
+	var set map[device.Arch]bool
+	for _, name := range names {
+		if name = strings.TrimSpace(name); name == "" {
+			continue
+		}
+		i := slices.IndexFunc(device.All(), func(spec device.Spec) bool {
+			return strings.EqualFold(name, spec.Arch.String()) || name == spec.Arch.CardName()
+		})
+		if i < 0 {
+			var known []string
+			for _, spec := range device.All() {
+				known = append(known, spec.Arch.String())
+			}
+			sort.Strings(known)
+			return nil, badRequest("campaign: unknown arch %q (have %s)", name, strings.Join(known, ", "))
+		}
+		if set == nil {
+			set = make(map[device.Arch]bool)
+		}
+		set[device.All()[i].Arch] = true
+	}
+	return set, nil
 }
 
 // RunFigure runs one registry figure alone on s. `amdmb <fig>`, the

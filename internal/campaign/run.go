@@ -14,42 +14,27 @@ import (
 // core.sweep.* family:
 //
 //	campaign.figures.planned  — figures in the plan
-//	campaign.points.planned   — figure points before dedup
-//	campaign.points.deduped   — cross-figure launches avoided
-//	                            (Stats.Deduped)
-//	campaign.points.fanout    — figure points served by fanning units out
-//	campaign.units.planned    — launch units scheduled
+//	campaign.units.planned    — launch units scheduled, one per figure
+//	                            point
 //	campaign.units.executed   — units this invocation ran (its shard's
 //	                            slice when sharded)
 //	campaign.units.completed  — executed units that resolved cleanly
 //	campaign.units.failed     — executed units that resolved to a
 //	                            failure record
 
-// Result is one executed campaign: per-spec figures and fanned-out runs
-// (parallel to Plan.Specs), the raw per-unit runs in scheduled order,
-// and the accounting.
+// Result is one executed campaign: per-spec figures and runs (parallel
+// to Plan.Specs) and the accounting.
 type Result struct {
 	Figures []*report.Figure
 	Runs    [][]core.Run
-	// UnitRuns[i] is the run for Plan.Units[i], before fan-out — its Card
-	// and X are the representative subscriber's.
-	UnitRuns []core.Run
-	Stats    Stats
 	// Executed counts units that ran this invocation: every unit when
 	// unsharded, the shard's interleaved slice otherwise.
 	Executed int
+	failed   int
 }
 
-// Failed counts units that resolved to failure records.
-func (r *Result) Failed() int {
-	n := 0
-	for _, run := range r.UnitRuns {
-		if run.Failed() {
-			n++
-		}
-	}
-	return n
-}
+// Failed counts executed units that resolved to failure records.
+func (r *Result) Failed() int { return r.failed }
 
 // RunOptions tunes one RunCtx invocation. The zero value runs the whole
 // campaign unobserved.
@@ -76,50 +61,37 @@ func (p *Plan) Run(s *core.Suite) (*Result, error) {
 	return p.RunCtx(context.Background(), s, RunOptions{})
 }
 
-// RunCtx executes the plan on the suite as ONE resilient sweep over the
-// deduplicated units, then fans every unit's run back out to its
-// subscribing figure points and assembles each spec's figure. A campaign
-// killed midway resumes by rerunning it over the same PersistDir: every
-// unit it finished is served from the persistent tier.
+// RunCtx executes the plan on the suite as ONE resilient sweep over its
+// units, then slices the runs back per spec and assembles each spec's
+// figure. A launch two figures share runs once: the second point is a
+// simulate-store hit, or waits on the first one's in-flight simulation.
+// With the store off (DisableArtifactCache) or bypassed (a hang or
+// throttle fault), it runs once per point — the same result, since a
+// launch is a deterministic function of its identity. A campaign killed
+// midway resumes by rerunning it over the same PersistDir: every unit it
+// finished is served from the persistent tier.
 //
-// Fan-out copies the unit's run per subscriber, overriding Card and X
-// with the subscriber's own coordinates (dedup must not relabel a
-// figure's series); failed units fan their failure record out the same
-// way, so per-figure failure accounting matches a sequential run. The
-// returned error is the sweep's own (fatal pipeline errors, or
+// The returned error is the sweep's own (fatal pipeline errors, or
 // core.ErrSweepInterrupted verbatim so callers can errors.Is on it).
-//
 // Cancelling ctx interrupts just this campaign's sweep, leaving any
 // other sweep on the suite running — what callers running several
 // campaigns on ONE shared suite (the daemon) need.
 func (p *Plan) RunCtx(ctx context.Context, s *core.Suite, opts RunOptions) (*Result, error) {
 	m := s.Metrics()
-	m.Counter("campaign.figures.planned").Add(int64(p.Stats.Figures))
-	m.Counter("campaign.points.planned").Add(int64(p.Stats.Points))
-	m.Counter("campaign.points.deduped").Add(int64(p.Stats.Deduped))
+	m.Counter("campaign.figures.planned").Add(int64(len(p.Specs)))
 	m.Counter("campaign.units.planned").Add(int64(len(p.Units)))
 	unitsExecuted := m.Counter("campaign.units.executed")
 	unitsCompleted := m.Counter("campaign.units.completed")
 	unitsFailed := m.Counter("campaign.units.failed")
-	fanout := m.Counter("campaign.points.fanout")
 
 	root := s.Tracer.Begin("campaign").Cat("campaign").
-		Arg("figures", strconv.Itoa(p.Stats.Figures)).
-		Arg("points", strconv.Itoa(p.Stats.Points)).
-		Arg("units", strconv.Itoa(len(p.Units))).
-		Arg("deduped", strconv.Itoa(p.Stats.Deduped))
+		Arg("figures", strconv.Itoa(len(p.Specs))).
+		Arg("units", strconv.Itoa(len(p.Units)))
 	sharded := opts.Shards > 1
 	if sharded {
 		root.Arg("shard", fmt.Sprintf("%d/%d", opts.Shard, opts.Shards))
 	}
 	defer root.End()
-
-	// Every shard builds the FULL unit list: the sweep runner partitions
-	// it by global index.
-	kps := make([]core.KernelPoint, len(p.Units))
-	for i, u := range p.Units {
-		kps[i] = u.Point
-	}
 
 	// The observe hook runs on worker goroutines: counters are atomic and
 	// the tracer is concurrency-safe, so no extra locking here.
@@ -129,9 +101,8 @@ func (p *Plan) RunCtx(ctx context.Context, s *core.Suite, opts RunOptions) (*Res
 		unitsExecuted.Inc()
 		u := &p.Units[i]
 		sp := s.Tracer.Begin("unit").Cat("campaign").
-			Arg("kernel", u.Point.K.Name).
-			Arg("card", u.Point.Card.Label()).
-			Arg("refs", strconv.Itoa(len(u.Refs)))
+			Arg("kernel", u.K.Name).
+			Arg("card", u.Card.Label())
 		return func(run core.Run) {
 			if run.Failed() {
 				unitsFailed.Inc()
@@ -146,31 +117,23 @@ func (p *Plan) RunCtx(ctx context.Context, s *core.Suite, opts RunOptions) (*Res
 		}
 	}
 
-	unitRuns, err := s.RunKernelPoints(ctx, kps, core.SweepOptions{Observe: observe, Shard: opts.Shard, Shards: opts.Shards})
+	// Every shard sweeps the FULL unit list: the sweep runner partitions
+	// it by global index.
+	runs, err := s.RunKernelPoints(ctx, p.Units, core.SweepOptions{Observe: observe, Shard: opts.Shard, Shards: opts.Shards})
 	if err != nil {
 		return nil, err
 	}
 
-	res := &Result{
-		UnitRuns: unitRuns,
-		Stats:    p.Stats,
-		Executed: int(executed.Load()),
-	}
+	res := &Result{Executed: int(executed.Load()), failed: int(failedUnits.Load())}
 	if sharded {
 		// A shard holds only a slice of every figure; figures assemble
 		// from the shared cache dir in the follow-up unsharded run.
 		return res, nil
 	}
-	for si := range p.Specs {
-		spec := p.Specs[si].Figure
-		figRuns := make([]core.Run, len(spec.Points))
-		for pi, pt := range spec.Points {
-			run := unitRuns[p.unitOf[si][pi]]
-			run.Card = pt.Card
-			run.X = pt.X
-			figRuns[pi] = run
-		}
-		fanout.Add(int64(len(figRuns)))
+	for _, sp := range p.Specs {
+		spec := sp.Figure
+		figRuns := runs[:len(spec.Points):len(spec.Points)]
+		runs = runs[len(spec.Points):]
 		spec.Assemble(figRuns)
 		res.Figures = append(res.Figures, spec.Fig)
 		res.Runs = append(res.Runs, figRuns)

@@ -225,6 +225,7 @@ func (s *Suite) AblationStudy() ([]AblationResult, error) {
 	launch := func(m *cal.Module, order raster.Order, ab sim.Ablations) (*cal.Event, error) {
 		return ctx.Launch(m, cal.LaunchConfig{
 			Order: order, W: paperDomain, H: paperDomain, Iterations: s.Iterations, Ablate: ab,
+			DeadlineCycles: s.DeadlineCycles,
 		})
 	}
 

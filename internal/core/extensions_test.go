@@ -1,8 +1,10 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
+	"amdgpubench/internal/cal"
 	"amdgpubench/internal/report"
 )
 
@@ -165,6 +167,18 @@ func TestAblationStudyDirections(t *testing.T) {
 	tbl := AblationTable(res)
 	if len(tbl.Rows) != len(res) {
 		t.Fatalf("table rows = %d, want %d", len(tbl.Rows), len(res))
+	}
+}
+
+// TestAblationStudyHonorsDeadline: the study's launches run under the
+// suite's watchdog budget like every sweep point does, so a budget far
+// below any reference kernel's runtime fails the study with a timeout.
+func TestAblationStudyHonorsDeadline(t *testing.T) {
+	s := suite()
+	s.Iterations = 1
+	s.DeadlineCycles = 1000
+	if _, err := s.AblationStudy(); !errors.Is(err, cal.ErrKernelTimeout) {
+		t.Fatalf("AblationStudy under a 1000-cycle budget: got %v, want cal.ErrKernelTimeout", err)
 	}
 }
 

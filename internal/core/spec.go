@@ -12,9 +12,8 @@ import (
 // folds completed runs into any figure. The parameterised builders on
 // Suite (ALUFetchSpec, ReadLatencySpec, …) produce them; the campaign
 // registry (internal/campaign) binds each paper figure to one builder
-// and the values that figure varies, and the campaign scheduler plans
-// several specs as one set of deduplicated launch units. RunFigureSpec
-// runs one alone.
+// and the values that figure varies, and the campaign scheduler runs
+// several specs as one sweep. RunFigureSpec runs one alone.
 type FigureSpec struct {
 	// Fig is the figure template the spec's runs assemble into. It is
 	// single-use: Assemble appends series to it. Nil means the spec has
@@ -60,8 +59,7 @@ func (sp FigureSpec) Assemble(runs []Run) {
 
 // RunFigureSpec executes one spec directly — the degenerate single-spec
 // campaign: every point through the resilient sweep runner, then series
-// assembly. Multi-spec runs with cross-figure deduplication live in
-// internal/campaign.
+// assembly. Multi-spec runs live in internal/campaign.
 func (s *Suite) RunFigureSpec(spec FigureSpec) (*report.Figure, []Run, error) {
 	runs, err := s.RunKernelPoints(context.Background(), spec.Points, SweepOptions{})
 	if err != nil {

@@ -105,7 +105,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st := job.Status()
-	s.logf("campaign %s: %s (%d units, %d deduped)", st.ID, strings.Join(st.Figs, ","), st.Units, st.Deduped)
+	s.logf("campaign %s: %s (%d units)", st.ID, strings.Join(st.Figs, ","), st.Units)
 	w.Header().Set("Location", "/v1/campaigns/"+st.ID)
 	writeJSON(w, http.StatusAccepted, st)
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // The hierarchy figures are campaign-grade core.FigureSpecs: their
-// points run through the same deduplicated scheduler, replay-prefix
+// points run through the same campaign scheduler, replay-prefix
 // snapshots and shard partitioning as the paper's figures, and each
 // point's Plot converts wall-clock seconds into the per-fetch cycle and
 // bandwidth units the dissection argues in.

@@ -47,9 +47,8 @@ type campaign struct {
 	report  *Report
 	// sweptPoints/sweptFailed mirror what the campaign pushed through
 	// the long-lived suite; the metrics oracle checks the suite's own
-	// counters against them. They count scheduled units — what the sweep
-	// runner actually resolved — not fanned-out points, since soak sweeps
-	// route through the campaign scheduler like everything else.
+	// counters against them: every point of a scheduled step is one
+	// unit the sweep runner resolves.
 	sweptPoints int64
 	sweptFailed int64
 	churned     atomic.Int64
@@ -153,12 +152,8 @@ func (c *campaign) runStep(st step) error {
 		res, err = runScheduled(context.Background(), c.suite, st)
 		if err == nil {
 			runs = res.Runs[0]
-			c.sweptPoints += int64(len(res.UnitRuns))
-			for _, r := range res.UnitRuns {
-				if r.Failed() {
-					c.sweptFailed++
-				}
-			}
+			c.sweptPoints += int64(len(runs))
+			c.sweptFailed += int64(res.Failed())
 		}
 	}
 	stopChurn()
@@ -213,11 +208,11 @@ func (c *campaign) startChurn(stepIdx int) (stop func()) {
 }
 
 // runScheduled drives a step's sweep through the campaign scheduler —
-// the same planning, dedup and fan-out path `amdmb campaign` takes —
-// as a single-spec plan. planStep already clamped the domains, so the
-// plan's own clamp is a no-op; a generated-kernel hash collision within
-// the step dedups here, and the differential oracles then check the
-// fanned-out results against direct reference sweeps.
+// the same planning and sweep path `amdmb campaign` takes — as a
+// single-spec plan. planStep already clamped the domains, so the plan's
+// own clamp is a no-op; two points of the step that generate the same
+// launch share it through the simulate store, and the differential
+// oracles then check the results against direct reference sweeps.
 func runScheduled(ctx context.Context, s *core.Suite, st step) (*sched.Result, error) {
 	spec := sched.Spec{
 		Name:   fmt.Sprintf("step%03d", st.Index),
