@@ -274,6 +274,39 @@ func BenchmarkHierInfer(b *testing.B) {
 	b.ReportMetric(float64(probes), "probes")
 }
 
+// BenchmarkCompileChase isolates the compiler on the dissection's
+// kernels, one feature per microbenchmark as DAMSEL (SNIPPETS.md #2)
+// recommends. The RV770 probe schedule is recorded once, outside the
+// timer, by running hier.Infer; each iteration then only compiles every
+// probe kernel with ilc.CompileWith, so ns/op and allocs/op are ilc's
+// alone.
+func BenchmarkCompileChase(b *testing.B) {
+	spec := device.Lookup(device.RV770)
+	var kernels []*il.Kernel
+	measure := hier.SimMeasurer(spec, 100)
+	record := func(p hier.Probe) (float64, error) {
+		k, err := p.Kernel()
+		if err != nil {
+			return 0, err
+		}
+		kernels = append(kernels, k)
+		return measure(p)
+	}
+	if _, err := hier.Infer(record, hier.Config{}); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, k := range kernels {
+			if _, err := ilc.CompileWith(k, spec, ilc.Options{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(len(kernels)), "kernels")
+}
+
 // BenchmarkHierLadderSweep runs the hier-lat campaign figure — the
 // pointer-chase latency ladder over every device — through the full
 // planned pipeline. Its largest points replay multi-thousand-slot fetch

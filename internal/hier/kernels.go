@@ -129,6 +129,9 @@ func (p Probe) Kernel() (*il.Kernel, error) {
 		Name: p.name(), Mode: il.Pixel, Type: p.Type,
 		NumInputs: p.Surfaces, NumOutputs: 1,
 		InputSpace: il.TextureSpace, OutSpace: il.TextureSpace,
+		// Seed fetch, ballast, a fetch and a fold per chase slot, the
+		// ballast folds and the export.
+		Code: make([]il.Instr, 0, 1+2*ballastOps+2*p.Rounds*p.Surfaces+1),
 	}
 	// Seed fetch: the ballast chains off its result, and it gives the
 	// fetch schedule a repeated surface so the packed arena always

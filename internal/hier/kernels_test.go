@@ -66,6 +66,9 @@ func TestChaseKernelPinsOneWavefront(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %+v: %v", spec.Arch.CardName(), p, err)
 			}
+			if len(k.Code) != cap(k.Code) {
+				t.Errorf("%+v: %d instructions in a %d-instruction allocation; Kernel must size Code exactly", p, len(k.Code), cap(k.Code))
+			}
 			prog, err := ilc.Compile(k, spec)
 			if err != nil {
 				t.Fatalf("%s %s: %v", spec.Arch.CardName(), k.Name, err)

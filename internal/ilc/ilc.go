@@ -67,13 +67,22 @@ type value struct {
 type packedOp struct {
 	ilIdx int
 	lane  int
-	slots []isa.Slot // one slot for scalar, four for float4
+	slots []isa.Slot // one slot for scalar, four for float4; a sub-slice of slotOrder
 }
 
+// slotOrder backs every packedOp.slots: x..w for a float4 op, one entry
+// for a scalar op, and the last entry for the t slot.
+var slotOrder = [isa.NumSlots]isa.Slot{isa.SlotX, isa.SlotY, isa.SlotZ, isa.SlotW, isa.SlotT}
+
+// bundleDraft holds its ops inline: a VLIW bundle has at most NumSlots.
 type bundleDraft struct {
-	ops  []packedOp
+	ops  [isa.NumSlots]packedOp
+	n    int
 	used [isa.NumSlots]bool
 }
+
+// placed returns the ops placed so far, in placement order.
+func (b *bundleDraft) placed() []packedOp { return b.ops[:b.n] }
 
 func (b *bundleDraft) canHold(vector, trans bool) bool {
 	if trans {
@@ -92,36 +101,34 @@ func (b *bundleDraft) canHold(vector, trans bool) bool {
 	return false
 }
 
-func (b *bundleDraft) place(ilIdx, lane int, vector, trans bool) packedOp {
+func (b *bundleDraft) place(ilIdx, lane int, vector, trans bool) {
 	op := packedOp{ilIdx: ilIdx, lane: lane}
 	switch {
 	case trans:
-		b.used[isa.SlotT] = true
-		op.slots = []isa.Slot{isa.SlotT}
+		op.slots = slotOrder[isa.SlotT : isa.SlotT+1]
 	case vector:
-		op.slots = []isa.Slot{isa.SlotX, isa.SlotY, isa.SlotZ, isa.SlotW}
-		for _, s := range op.slots {
-			b.used[s] = true
-		}
+		op.slots = slotOrder[isa.SlotX : isa.SlotW+1]
 	default:
 		for s := isa.Slot(0); s < isa.NumSlots; s++ {
 			if !b.used[s] {
-				b.used[s] = true
-				op.slots = []isa.Slot{s}
+				op.slots = slotOrder[s : s+1]
 				break
 			}
 		}
 	}
-	b.ops = append(b.ops, op)
-	return op
+	for _, s := range op.slots {
+		b.used[s] = true
+	}
+	b.ops[b.n] = op
+	b.n++
 }
 
-// clauseDraft is a clause being assembled.
+// clauseDraft is a clause being assembled. A TEX or export clause is the
+// contiguous IL run [from, to); an ALU clause is its bundles.
 type clauseDraft struct {
-	kind    isa.ClauseKind
-	fetchIL []int
-	bundles []bundleDraft
-	storeIL []int
+	kind     isa.ClauseKind
+	from, to int
+	bundles  []bundleDraft
 }
 
 // Options selects compiler ablations. The zero value is the normal
@@ -166,26 +173,41 @@ func CompileWith(k *il.Kernel, spec device.Spec, opts Options) (*isa.Program, er
 	clauses := formClauses(k, spec, vals)
 	assignLocations(k, vals, clauses, opts)
 	first, last := scheduleTimes(k, clauses)
-	gprHigh := allocateGPRs(k, vals, first, last)
-	prog := emit(k, vals, clauses, gprHigh)
+	gprCount := allocateGPRs(k, vals, first, last)
+	prog := emit(k, vals, clauses, gprCount)
 	if err := prog.Validate(); err != nil {
 		return nil, fmt.Errorf("ilc: internal error: emitted invalid program: %w", err)
 	}
 	return prog, nil
 }
 
-// collectValues builds def/use chains for every temporary.
+// collectValues builds def/use chains for every temporary. A counting
+// pass sizes one slab that every value's uses is carved from.
 func collectValues(k *il.Kernel) []value {
 	vals := make([]value, k.NumTemps())
 	for i := range vals {
 		vals[i].def = -1
 	}
+	counts := make([]int, len(vals))
+	total := 0
 	for i, in := range k.Code {
 		if in.Dst != il.NoReg {
 			vals[in.Dst].def = i
 			vals[in.Dst].fromALU = in.Op.IsALU()
 		}
-		for _, s := range []il.Reg{in.SrcA, in.SrcB} {
+		for _, s := range [2]il.Reg{in.SrcA, in.SrcB} {
+			if s != il.NoReg {
+				counts[s]++
+				total++
+			}
+		}
+	}
+	uses := make([]int, total)
+	for vi, n := range counts {
+		vals[vi].uses, uses = uses[:0:n], uses[n:]
+	}
+	for i, in := range k.Code {
+		for _, s := range [2]il.Reg{in.SrcA, in.SrcB} {
 			if s != il.NoReg {
 				vals[s].uses = append(vals[s].uses, i)
 			}
@@ -196,10 +218,22 @@ func collectValues(k *il.Kernel) []value {
 
 // formClauses segments the IL stream into clause drafts, packing ALU runs
 // into VLIW bundles along the way, and records each ALU value's producing
-// clause/bundle position in vals.
+// clause/bundle position in vals. Every clause holds at least one
+// instruction, and every bundle at least one op or vector lane, so both
+// are sized once up front.
 func formClauses(k *il.Kernel, spec device.Spec, vals []value) []clauseDraft {
-	var clauses []clauseDraft
+	clauses := make([]clauseDraft, 0, len(k.Code))
 	vector := k.Type == il.Float4
+	maxBundles := 0
+	for _, in := range k.Code {
+		switch {
+		case vector && in.Op.IsTrans():
+			maxBundles += 4
+		case in.Op.IsALU():
+			maxBundles++
+		}
+	}
+	arena := make([]bundleDraft, 0, maxBundles)
 
 	i := 0
 	for i < len(k.Code) {
@@ -211,15 +245,8 @@ func formClauses(k *il.Kernel, spec device.Spec, vals []value) []clauseDraft {
 				j++
 			}
 			for s := i; s < j; s += spec.MaxFetchesPerTEXClause {
-				e := s + spec.MaxFetchesPerTEXClause
-				if e > j {
-					e = j
-				}
-				cd := clauseDraft{kind: isa.ClauseTEX}
-				for x := s; x < e; x++ {
-					cd.fetchIL = append(cd.fetchIL, x)
-				}
-				clauses = append(clauses, cd)
+				e := min(s+spec.MaxFetchesPerTEXClause, j)
+				clauses = append(clauses, clauseDraft{kind: isa.ClauseTEX, from: s, to: e})
 			}
 			i = j
 		case op.IsALU():
@@ -227,18 +254,17 @@ func formClauses(k *il.Kernel, spec device.Spec, vals []value) []clauseDraft {
 			for j < len(k.Code) && k.Code[j].Op.IsALU() {
 				j++
 			}
-			bundles := packRun(k, vals, i, j, vector)
+			start := len(arena)
+			arena = packRun(k, vals, arena, i, j, vector)
+			bundles := arena[start:]
 			// Split the packed run into clauses at the slot limit and
 			// record final positions.
 			for s := 0; s < len(bundles); s += spec.MaxSlotsPerALUClause {
-				e := s + spec.MaxSlotsPerALUClause
-				if e > len(bundles) {
-					e = len(bundles)
-				}
+				e := min(s+spec.MaxSlotsPerALUClause, len(bundles))
 				cd := clauseDraft{kind: isa.ClauseALU, bundles: bundles[s:e]}
 				ci := len(clauses)
-				for bi, b := range cd.bundles {
-					for _, po := range b.ops {
+				for bi := range cd.bundles {
+					for _, po := range cd.bundles[bi].placed() {
 						dst := k.Code[po.ilIdx].Dst
 						if po.lane <= 0 {
 							vals[dst].clauseFirst = ci
@@ -259,11 +285,7 @@ func formClauses(k *il.Kernel, spec device.Spec, vals []value) []clauseDraft {
 			if k.Code[i].Op == il.OpGlobalStore {
 				kind = isa.ClauseMEM
 			}
-			cd := clauseDraft{kind: kind}
-			for x := i; x < j; x++ {
-				cd.storeIL = append(cd.storeIL, x)
-			}
-			clauses = append(clauses, cd)
+			clauses = append(clauses, clauseDraft{kind: kind, from: i, to: j})
 			i = j
 		}
 	}
@@ -271,26 +293,28 @@ func formClauses(k *il.Kernel, spec device.Spec, vals []value) []clauseDraft {
 }
 
 // packRun performs greedy dependency-aware VLIW packing of the ALU ops in
-// k.Code[from:to), returning the bundle sequence. Each value's bundle
-// index within the run is stored in vals[].runIdx (the last lane's bundle
-// for vector transcendentals, which spread over four bundles' t slots).
-func packRun(k *il.Kernel, vals []value, from, to int, vector bool) []bundleDraft {
-	var bundles []bundleDraft
+// k.Code[from:to), appending the run's bundles to arena and returning it.
+// Each value's bundle index within the run is stored in vals[].runIdx
+// (the last lane's bundle for vector transcendentals, which spread over
+// four bundles' t slots).
+func packRun(k *il.Kernel, vals []value, arena []bundleDraft, from, to int, vector bool) []bundleDraft {
+	start := len(arena)
 	placeAt := func(earliest, ilIdx, lane int, vec, trans bool) int {
+		bundles := arena[start:]
 		for bi := earliest; bi < len(bundles); bi++ {
 			if bundles[bi].canHold(vec, trans) {
 				bundles[bi].place(ilIdx, lane, vec, trans)
 				return bi
 			}
 		}
-		bundles = append(bundles, bundleDraft{})
-		bundles[len(bundles)-1].place(ilIdx, lane, vec, trans)
-		return len(bundles) - 1
+		arena = append(arena, bundleDraft{})
+		arena[len(arena)-1].place(ilIdx, lane, vec, trans)
+		return len(arena) - 1 - start
 	}
 	for i := from; i < to; i++ {
 		in := k.Code[i]
 		earliest := 0
-		for _, s := range []il.Reg{in.SrcA, in.SrcB} {
+		for _, s := range [2]il.Reg{in.SrcA, in.SrcB} {
 			if s == il.NoReg {
 				continue
 			}
@@ -319,7 +343,7 @@ func packRun(k *il.Kernel, vals []value, from, to int, vector bool) []bundleDraf
 			vals[in.Dst].runIdx = bi
 		}
 	}
-	return bundles
+	return arena
 }
 
 // assignLocations decides PV / clause-temp / GPR for every value, honoring
@@ -327,21 +351,26 @@ func packRun(k *il.Kernel, vals []value, from, to int, vector bool) []bundleDraf
 // clause temporaries do not survive clause boundaries and only
 // spec-many exist; fetch results and store sources must be GPRs.
 func assignLocations(k *il.Kernel, vals []value, clauses []clauseDraft, opts Options) {
-	// Build lookups from IL index to (clause, bundle, slot) for ALU ops.
-	// Vector transcendentals occupy four bundles, so an op has a first
-	// and a last placement: it reads its sources at every placement and
-	// its result is complete only after the last.
+	// Lookups from IL index to (clause, bundle, slot) for ALU ops; clause
+	// is -1 for an instruction no bundle holds. Vector transcendentals
+	// occupy four bundles, so an op has a first and a last placement: it
+	// reads its sources at every placement and its result is complete
+	// only after the last.
 	type pos struct {
 		clause, bundle int
 		slot           isa.Slot
 	}
-	posFirst := make(map[int]pos)
-	posLast := make(map[int]pos)
+	n := len(k.Code)
+	posBoth := make([]pos, 2*n)
+	posFirst, posLast := posBoth[:n:n], posBoth[n:]
+	for i := range posFirst {
+		posFirst[i].clause = -1
+	}
 	for ci := range clauses {
-		for bi, b := range clauses[ci].bundles {
-			for _, po := range b.ops {
+		for bi := range clauses[ci].bundles {
+			for _, po := range clauses[ci].bundles[bi].placed() {
 				p := pos{ci, bi, po.slots[0]}
-				if _, ok := posFirst[po.ilIdx]; !ok {
+				if posFirst[po.ilIdx].clause < 0 {
 					posFirst[po.ilIdx] = p
 				}
 				posLast[po.ilIdx] = p
@@ -364,8 +393,8 @@ func assignLocations(k *il.Kernel, vals []value, clauses []clauseDraft, opts Opt
 		allNextBundle := true
 		allSameClause := true
 		for _, u := range v.uses {
-			uf, ok := posFirst[u]
-			if !ok { // consumed by a store (or fetch coordinate)
+			uf := posFirst[u]
+			if uf.clause < 0 { // consumed by a store (or fetch coordinate)
 				allNextBundle = false
 				allSameClause = false
 				break
@@ -428,7 +457,7 @@ func assignLocations(k *il.Kernel, vals []value, clauses []clauseDraft, opts Opt
 		}
 		freeAt := [numTemps]int{} // bundle index at which each T reg frees
 		for bi := range clauses[ci].bundles {
-			for _, po := range clauses[ci].bundles[bi].ops {
+			for _, po := range clauses[ci].bundles[bi].placed() {
 				dst := k.Code[po.ilIdx].Dst
 				v := &vals[dst]
 				if !v.tempCand || v.clause != ci {
@@ -472,8 +501,9 @@ func assignLocations(k *il.Kernel, vals []value, clauses []clauseDraft, opts Opt
 // from its first lane's time and READS its sources until its last lane's
 // time, so both bounds are returned.
 func scheduleTimes(k *il.Kernel, clauses []clauseDraft) (first, last []int) {
-	first = make([]int, len(k.Code))
-	last = make([]int, len(k.Code))
+	n := len(k.Code)
+	both := make([]int, 2*n)
+	first, last = both[:n:n], both[n:]
 	for i := range first {
 		first[i] = -1
 	}
@@ -486,36 +516,30 @@ func scheduleTimes(k *il.Kernel, clauses []clauseDraft) (first, last []int) {
 	}
 	for ci := range clauses {
 		cd := &clauses[ci]
-		switch cd.kind {
-		case isa.ClauseTEX:
-			for _, ii := range cd.fetchIL {
+		if cd.kind != isa.ClauseALU {
+			for ii := cd.from; ii < cd.to; ii++ {
 				touch(ii)
 				t++
 			}
-		case isa.ClauseALU:
-			for bi := range cd.bundles {
-				for _, po := range cd.bundles[bi].ops {
-					touch(po.ilIdx)
-				}
-				t++
+			continue
+		}
+		for bi := range cd.bundles {
+			for _, po := range cd.bundles[bi].placed() {
+				touch(po.ilIdx)
 			}
-		default:
-			for _, ii := range cd.storeIL {
-				touch(ii)
-				t++
-			}
+			t++
 		}
 	}
 	return first, last
 }
 
 // allocateGPRs performs the linear scan over GPR-resident values and
-// returns the high-water register count (including the coordinate
-// register, which is live from kernel entry through the last fetch, and
-// is register R0 as in the paper's Fig. 2). first and last map IL
-// instruction indices to the schedule window of their bundle placements:
-// a value is written from its definition's FIRST placement and its
-// sources are read until the consumer's LAST placement.
+// returns the register count (including the coordinate register, which
+// is live from kernel entry through the last fetch, and is register R0
+// as in the paper's Fig. 2). first and last map IL instruction indices
+// to the schedule window of their bundle placements: a value is written
+// from its definition's FIRST placement and its sources are read until
+// the consumer's LAST placement.
 func allocateGPRs(k *il.Kernel, vals []value, first, last []int) int {
 	lastFetch := -1
 	for i, in := range k.Code {
@@ -528,8 +552,8 @@ func allocateGPRs(k *il.Kernel, vals []value, first, last []int) int {
 		vi       int // value index, or -1 for the coordinate register
 		def, end int
 	}
-	var ivs []interval
-	ivs = append(ivs, interval{vi: -1, def: -1, end: lastFetch})
+	ivs := make([]interval, 1, 1+len(vals))
+	ivs[0] = interval{vi: -1, def: -1, end: lastFetch}
 	for vi := range vals {
 		v := &vals[vi]
 		if v.def < 0 || !v.needGPR {
@@ -545,55 +569,81 @@ func allocateGPRs(k *il.Kernel, vals []value, first, last []int) int {
 		ivs = append(ivs, interval{vi: vi, def: def, end: end})
 	}
 	// Sort by definition time: the packer may have reordered execution
-	// relative to IL order.
+	// relative to IL order. Ties are real (ops packed in one bundle share
+	// a time) and sort.Slice is not stable, so the numbering depends on
+	// this exact call on this input order.
 	sort.Slice(ivs, func(a, b int) bool { return ivs[a].def < ivs[b].def })
-	type active struct {
-		reg, end int
-	}
-	var live []active
-	var free []int
+
+	// The live set is a min-heap on end and the free list a min-heap on
+	// register number. Expiry pops exactly the intervals a scan of the
+	// whole live set would remove, and the smallest freed register is
+	// reused, so the numbering does not depend on either heap's order.
+	// Every register handed out is live or free, so the count is next.
+	live := make(regHeap, 0, len(ivs))
+	free := make(regHeap, 0, len(ivs))
 	next := 0
-	high := 0
 	for _, iv := range ivs {
 		// Expire intervals that ended at or before this definition; their
 		// registers are read before the new value is written.
-		for j := 0; j < len(live); {
-			if live[j].end <= iv.def && !(live[j].end == -1 && iv.def == -1) {
-				free = append(free, live[j].reg)
-				live = append(live[:j], live[j+1:]...)
-			} else {
-				j++
-			}
+		for len(live) > 0 && live[0].key <= iv.def {
+			reg := live.pop()
+			free.push(reg, reg)
 		}
 		var reg int
 		if len(free) > 0 {
-			// Reuse the smallest freed register for stable numbering.
-			best := 0
-			for j := 1; j < len(free); j++ {
-				if free[j] < free[best] {
-					best = j
-				}
-			}
-			reg = free[best]
-			free = append(free[:best], free[best+1:]...)
+			reg = free.pop()
 		} else {
 			reg = next
 			next++
 		}
-		live = append(live, active{reg, iv.end})
-		if len(live)+len(free) > high {
-			high = len(live) + len(free)
-		}
+		live.push(iv.end, reg)
 		if iv.vi >= 0 {
 			// Scalar values occupy the x channel regardless of issue slot
 			// (the destination write mask is slot-independent).
 			vals[iv.vi].loc = location{kind: locGPR, idx: reg, chn: 0, slot: vals[iv.vi].loc.slot}
 		}
 	}
-	if next > high {
-		high = next
+	return next
+}
+
+// regHeap is a binary min-heap of registers ordered by key.
+type regHeap []struct{ key, reg int }
+
+func (h *regHeap) push(key, reg int) {
+	*h = append(*h, struct{ key, reg int }{key, reg})
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		p := (i - 1) / 2
+		if s[p].key <= s[i].key {
+			break
+		}
+		s[i], s[p] = s[p], s[i]
+		i = p
 	}
-	return high
+}
+
+// pop removes the entry with the smallest key and returns its register.
+func (h *regHeap) pop() int {
+	s := *h
+	top, last := s[0].reg, len(s)-1
+	s[0] = s[last]
+	s = s[:last]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= last {
+			break
+		}
+		if c+1 < last && s[c+1].key < s[c].key {
+			c++
+		}
+		if s[i].key <= s[c].key {
+			break
+		}
+		s[i], s[c] = s[c], s[i]
+		i = c
+	}
+	*h = s
+	return top
 }
 
 // srcOperand renders the location of a source value as an ISA operand for
@@ -601,25 +651,11 @@ func allocateGPRs(k *il.Kernel, vals []value, first, last []int) int {
 func srcOperand(v *value, lane int) isa.Operand {
 	switch v.loc.kind {
 	case locPV:
-		c := v.loc.chn
-		if lane > 0 {
-			c = lane
-		}
-		return isa.Operand{Kind: isa.KPV, Chan: c}
+		return isa.Operand{Kind: isa.KPV, Chan: v.chanAt(lane)}
 	case locPS:
 		return isa.Operand{Kind: isa.KPS}
-	case locTemp:
-		c := v.loc.chn
-		if lane > 0 {
-			c = lane
-		}
-		return isa.Operand{Kind: isa.KTemp, Index: v.loc.idx, Chan: c}
-	case locGPR:
-		c := v.loc.chn
-		if lane > 0 {
-			c = lane
-		}
-		return isa.Operand{Kind: isa.KGPR, Index: v.loc.idx, Chan: c}
+	case locTemp, locGPR:
+		return dstOperand(v, lane)
 	}
 	return isa.Operand{Kind: isa.KZero}
 }
@@ -629,20 +665,20 @@ func srcOperand(v *value, lane int) isa.Operand {
 func dstOperand(v *value, lane int) isa.Operand {
 	switch v.loc.kind {
 	case locTemp:
-		c := v.loc.chn
-		if lane > 0 {
-			c = lane
-		}
-		return isa.Operand{Kind: isa.KTemp, Index: v.loc.idx, Chan: c}
+		return isa.Operand{Kind: isa.KTemp, Index: v.loc.idx, Chan: v.chanAt(lane)}
 	case locGPR:
-		c := v.loc.chn
-		if lane > 0 {
-			c = lane
-		}
-		return isa.Operand{Kind: isa.KGPR, Index: v.loc.idx, Chan: c}
-	default:
-		return isa.Operand{Kind: isa.KNone}
+		return isa.Operand{Kind: isa.KGPR, Index: v.loc.idx, Chan: v.chanAt(lane)}
 	}
+	return isa.Operand{Kind: isa.KNone}
+}
+
+// chanAt is the channel a lane reads or writes: lane 0 uses the value's
+// own channel, float4 lanes 1..3 their own.
+func (v *value) chanAt(lane int) int {
+	if lane > 0 {
+		return lane
+	}
+	return v.loc.chn
 }
 
 func aop(op il.Opcode) isa.AOp {
@@ -662,19 +698,48 @@ func aop(op il.Opcode) isa.AOp {
 	}
 }
 
-// emit produces the final ISA program from the drafts and locations.
+// emit produces the final ISA program from the drafts and locations. A
+// counting pass sizes one slab each for ops, bundles, fetches and
+// exports; every slice handed out is capped at its own length, so an
+// append on a shared program copies instead of writing into a
+// neighbour's elements.
 func emit(k *il.Kernel, vals []value, clauses []clauseDraft, gprCount int) *isa.Program {
 	const coordGPR = 0
-	p := &isa.Program{Name: k.Name, Mode: k.Mode, Type: k.Type, GPRCount: gprCount}
+	var nOps, nBundles, nFetches, nExports int
+	for ci := range clauses {
+		cd := &clauses[ci]
+		switch cd.kind {
+		case isa.ClauseTEX:
+			nFetches += cd.to - cd.from
+		case isa.ClauseALU:
+			nBundles += len(cd.bundles)
+			for bi := range cd.bundles {
+				for _, po := range cd.bundles[bi].placed() {
+					nOps += len(po.slots)
+				}
+			}
+		default:
+			nExports += cd.to - cd.from
+		}
+	}
+	ops := make([]isa.ScalarOp, 0, nOps)
+	bundles := make([]isa.Bundle, 0, nBundles)
+	fetches := make([]isa.Fetch, 0, nFetches)
+	exports := make([]isa.Export, 0, nExports)
+
+	p := &isa.Program{Name: k.Name, Mode: k.Mode, Type: k.Type, GPRCount: gprCount,
+		Clauses: make([]isa.Clause, len(clauses))}
 	elem := k.Type.Bytes()
-	for _, cd := range clauses {
-		var c isa.Clause
+	for ci := range clauses {
+		cd := &clauses[ci]
+		c := &p.Clauses[ci]
 		c.Kind = cd.kind
 		switch cd.kind {
 		case isa.ClauseTEX:
-			for _, ii := range cd.fetchIL {
+			start := len(fetches)
+			for ii := cd.from; ii < cd.to; ii++ {
 				in := k.Code[ii]
-				c.Fetches = append(c.Fetches, isa.Fetch{
+				fetches = append(fetches, isa.Fetch{
 					Dst:       vals[in.Dst].loc.idx,
 					Coord:     coordGPR,
 					Resource:  in.Res,
@@ -682,30 +747,22 @@ func emit(k *il.Kernel, vals []value, clauses []clauseDraft, gprCount int) *isa.
 					ElemBytes: elem,
 				})
 			}
+			c.Fetches = fetches[start:len(fetches):len(fetches)]
 		case isa.ClauseALU:
-			for _, bd := range cd.bundles {
-				var b isa.Bundle
-				for _, po := range bd.ops {
+			bstart := len(bundles)
+			for bi := range cd.bundles {
+				start := len(ops)
+				for _, po := range cd.bundles[bi].placed() {
 					in := k.Code[po.ilIdx]
-					dv := &vals[in.Dst]
-					if po.lane >= 0 {
-						// One lane of a vector transcendental on the t core.
-						b.Ops = append(b.Ops, isa.ScalarOp{
-							Slot: isa.SlotT,
-							Op:   aop(in.Op),
-							Dst:  dstOperand(dv, po.lane),
-							Src0: srcOperand(&vals[in.SrcA], po.lane),
-							Src1: isa.Operand{Kind: isa.KNone},
-						})
-						continue
-					}
 					for li, slot := range po.slots {
-						sop := isa.ScalarOp{Slot: slot, Op: aop(in.Op)}
-						sop.Dst = dstOperand(dv, li)
-						if len(po.slots) == 1 {
-							sop.Dst = dstOperand(dv, 0)
+						lane := li
+						if po.lane >= 0 {
+							// One lane of a vector transcendental on the t
+							// core; transcendentals take one source.
+							lane = po.lane
 						}
-						sop.Src0 = srcOperand(&vals[in.SrcA], li)
+						sop := isa.ScalarOp{Slot: slot, Op: aop(in.Op),
+							Dst: dstOperand(&vals[in.Dst], lane), Src0: srcOperand(&vals[in.SrcA], lane)}
 						switch {
 						case in.Op.ReadsConst():
 							sop.Src1 = isa.Operand{Kind: isa.KConst, Index: in.Res, Chan: li}
@@ -714,23 +771,25 @@ func emit(k *il.Kernel, vals []value, clauses []clauseDraft, gprCount int) *isa.
 						default:
 							sop.Src1 = isa.Operand{Kind: isa.KNone}
 						}
-						b.Ops = append(b.Ops, sop)
+						ops = append(ops, sop)
 					}
 				}
-				c.Bundles = append(c.Bundles, b)
+				bundles = append(bundles, isa.Bundle{Ops: ops[start:len(ops):len(ops)]})
 			}
+			c.Bundles = bundles[bstart:len(bundles):len(bundles)]
 		default:
-			for _, ii := range cd.storeIL {
+			start := len(exports)
+			for ii := cd.from; ii < cd.to; ii++ {
 				in := k.Code[ii]
-				c.Exports = append(c.Exports, isa.Export{
+				exports = append(exports, isa.Export{
 					Target:    in.Res,
 					Src:       vals[in.SrcA].loc.idx,
 					Global:    in.Op == il.OpGlobalStore,
 					ElemBytes: elem,
 				})
 			}
+			c.Exports = exports[start:len(exports):len(exports)]
 		}
-		p.Clauses = append(p.Clauses, c)
 	}
 	return p
 }
