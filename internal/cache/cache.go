@@ -31,8 +31,6 @@ type Cache struct {
 	pow2      bool
 	lineShift uint
 	setMask   uint64
-
-	hits, misses uint64
 }
 
 // New builds a cache of totalBytes capacity with the given line size and
@@ -91,18 +89,15 @@ func (c *Cache) accessLine(lineAddr uint64) bool {
 	tags := c.tags[base : base+c.ways : base+c.ways]
 	want := lineAddr + 1
 	if tags[0] == want { // re-access of the MRU way: nothing to reorder
-		c.hits++
 		return true
 	}
 	for i := 1; i < len(tags); i++ {
 		if tags[i] == want {
-			c.hits++
 			copy(tags[1:i+1], tags[:i])
 			tags[0] = want
 			return true
 		}
 	}
-	c.misses++
 	copy(tags[1:], tags)
 	tags[0] = want
 	return false
@@ -128,26 +123,8 @@ func (c *Cache) AccessRange(addr uint64, size int) (hits, misses int) {
 	return hits, misses
 }
 
-// Stats returns cumulative hit and miss counts.
-func (c *Cache) Stats() (hits, misses uint64) { return c.hits, c.misses }
-
-// HitRate returns hits / accesses, or 0 for an untouched cache.
-func (c *Cache) HitRate() float64 {
-	total := c.hits + c.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.hits) / float64(total)
-}
-
-// Reset clears contents and counters.
-func (c *Cache) Reset() {
-	clear(c.tags)
-	c.hits, c.misses = 0, 0
-}
-
 // Clone returns an independent copy of the cache: same geometry, same
-// resident lines, same counters. Replay cursors snapshot their cache
+// resident lines. Replay cursors snapshot their cache
 // state through it — advancing the clone leaves the original untouched,
 // which is what lets one stored snapshot serve many sweep points.
 func (c *Cache) Clone() *Cache {

@@ -45,10 +45,6 @@ func TestColdMissThenHit(t *testing.T) {
 	if c.Access(64) {
 		t.Error("next-line cold access hit")
 	}
-	h, m := c.Stats()
-	if h != 2 || m != 2 {
-		t.Errorf("stats = %d/%d, want 2 hits 2 misses", h, m)
-	}
 }
 
 func TestLRUEviction(t *testing.T) {
@@ -68,12 +64,16 @@ func TestLRUEviction(t *testing.T) {
 
 func TestWorkingSetFitsAllHitsAfterWarmup(t *testing.T) {
 	c := mustNew(t, 8*1024, 64, 4)
+	var h, m int
 	for pass := 0; pass < 3; pass++ {
 		for a := uint64(0); a < 8*1024; a += 64 {
-			c.Access(a)
+			if c.Access(a) {
+				h++
+			} else {
+				m++
+			}
 		}
 	}
-	h, m := c.Stats()
 	if m != 128 { // only the cold pass misses
 		t.Errorf("misses = %d, want 128 (cold only)", m)
 	}
@@ -88,11 +88,10 @@ func TestThrashingWorkingSet(t *testing.T) {
 	c := mustNew(t, 1024, 64, 2)
 	for pass := 0; pass < 4; pass++ {
 		for a := uint64(0); a < 2048; a += 64 {
-			c.Access(a)
+			if c.Access(a) {
+				t.Fatalf("pass %d: address %d hit under cyclic thrash", pass, a)
+			}
 		}
-	}
-	if h, _ := c.Stats(); h != 0 {
-		t.Errorf("hits = %d, want 0 under cyclic thrash", h)
 	}
 }
 
@@ -108,18 +107,6 @@ func TestAccessRangeStraddle(t *testing.T) {
 	}
 	if h, m = c.AccessRange(0, 0); h != 0 || m != 0 {
 		t.Error("zero-size range touched lines")
-	}
-}
-
-func TestReset(t *testing.T) {
-	c := mustNew(t, 1024, 64, 2)
-	c.Access(0)
-	c.Reset()
-	if h, m := c.Stats(); h != 0 || m != 0 {
-		t.Error("counters survive reset")
-	}
-	if c.Access(0) {
-		t.Error("contents survive reset")
 	}
 }
 
@@ -178,12 +165,21 @@ func TestAgainstReferenceOracle(t *testing.T) {
 
 func TestHitRateBounds(t *testing.T) {
 	c := mustNew(t, 1024, 64, 2)
+	lines := make(map[uint64]bool)
+	var hits, misses, accesses int
 	f := func(addrs []uint16) bool {
 		for _, a := range addrs {
-			c.Access(uint64(a))
+			lines[uint64(a)/64] = true
+			if c.Access(uint64(a)) {
+				hits++
+			} else {
+				misses++
+			}
 		}
-		r := c.HitRate()
-		return r >= 0 && r <= 1
+		accesses += len(addrs)
+		// Every access is one verdict and every line's first touch
+		// misses, so the hit rate stays within [0, 1 - lines/accesses].
+		return hits+misses == accesses && misses >= len(lines)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -32,10 +32,11 @@ type Cursor struct {
 	// is immutable after construction and shared between clones.
 	offs       []int64
 	singleLine bool
-	// packedBytes is the surface spacing of the packed arena a non-nil
-	// FetchRes schedule replays over (surface k at k*packedBytes); zero
-	// selects the legacy far-apart bases.
-	packedBytes uint64
+	// spacing is the distance between surface bases: surface k starts at
+	// k*spacing. The identity schedule spaces surfaces 2^32 apart so they
+	// never alias by accident; a FetchRes schedule replays a packed arena
+	// (see TraceConfig) whose surfaces sit Layout.SizeBytes apart.
+	spacing uint64
 
 	next int // inputs fully replayed so far
 	st   TraceStats
@@ -105,24 +106,24 @@ func NewCursor(cfg TraceConfig) (*Cursor, error) {
 		}
 	}
 
-	var packed uint64
+	spacing := uint64(1) << 32
 	if cfg.FetchRes != nil {
 		for s, surf := range cfg.FetchRes {
 			if surf < 0 {
 				return nil, fmt.Errorf("cache: fetch slot %d reads negative surface %d", s, surf)
 			}
 		}
-		packed = uint64(geom.SizeBytes())
+		spacing = uint64(geom.SizeBytes())
 	}
 
 	return &Cursor{
-		cfg:         cfg,
-		l1:          l1,
-		l2:          l2,
-		rows:        rows,
-		offs:        offs,
-		singleLine:  singleLine,
-		packedBytes: packed,
+		cfg:        cfg,
+		l1:         l1,
+		l2:         l2,
+		rows:       rows,
+		offs:       offs,
+		singleLine: singleLine,
+		spacing:    spacing,
 	}, nil
 }
 
@@ -148,13 +149,6 @@ func (cur *Cursor) Advance(toInputs int) error {
 	if toInputs < cur.next {
 		return fmt.Errorf("cache: cursor at input %d cannot rewind to %d", cur.next, toInputs)
 	}
-	// With the legacy identity schedule each input is a separate surface
-	// and bases are spaced far apart so surfaces never alias by accident.
-	// A FetchRes schedule instead replays a packed arena (see TraceConfig):
-	// slot s reads surface FetchRes[s] at base FetchRes[s]*packedBytes.
-	// Every surface shares one geometry and differs only in its base.
-	const stride = uint64(1) << 32
-
 	st := &cur.st
 	waves := cur.cfg.ResidentWaves
 	sched := cur.cfg.FetchRes
@@ -162,12 +156,13 @@ func (cur *Cursor) Advance(toInputs int) error {
 		return fmt.Errorf("cache: cursor advance to %d exceeds %d scheduled fetch slots", toInputs, len(sched))
 	}
 	for res := cur.next; res < toInputs; res++ {
-		var base uint64
+		// Slot res reads surface res, or FetchRes[res] under a schedule.
+		// Every surface shares one geometry and differs only in its base.
+		surf := res
 		if sched != nil {
-			base = uint64(sched[res]) * cur.packedBytes
-		} else {
-			base = uint64(res) * stride
+			surf = sched[res]
 		}
+		base := uint64(surf) * cur.spacing
 		for wi := 0; wi < waves; wi++ {
 			st.FetchExecs++
 			lanes := cur.offs[wi*raster.WavefrontSize : (wi+1)*raster.WavefrontSize]

@@ -9,7 +9,10 @@ import (
 
 // cursorConfigs covers the replay shapes the suite actually sweeps:
 // pixel tiles and both compute blocks, float and float4, tiled and
-// linear layouts, pow2 and the padding-heavy odd domain.
+// linear layouts, pow2 and the padding-heavy odd domain, and a packed
+// FetchRes arena. The packed schedule revisits surfaces the way the
+// hierarchy-dissection chase kernels do; each 64x64 float surface is
+// 16KB, the RV770's L1 size, so its surfaces also conflict in L1 sets.
 func cursorConfigs(t *testing.T) []TraceConfig {
 	t.Helper()
 	block, err := raster.ComputeOrder(4, 16)
@@ -21,6 +24,8 @@ func cursorConfigs(t *testing.T) []TraceConfig {
 		{Spec: device.Lookup(device.RV870), Order: raster.Naive64x1(), W: 512, H: 128, ElemBytes: 16, ResidentWaves: 8},
 		{Spec: device.Lookup(device.RV670), Order: block, W: 200, H: 120, ElemBytes: 4, ResidentWaves: 12, LinearLayout: true},
 		{Spec: device.Lookup(device.RV770), Order: raster.PixelOrder(), W: 130, H: 70, ElemBytes: 16, ResidentWaves: 4, FirstWave: 7},
+		{Spec: device.Lookup(device.RV770), Order: raster.PixelOrder(), W: 64, H: 64, ElemBytes: 4, ResidentWaves: 8,
+			FetchRes: []int{0, 1, 2, 0, 3, 1, 0, 2, 3}},
 	}
 }
 

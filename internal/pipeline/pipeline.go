@@ -71,11 +71,12 @@ type Options struct {
 	PersistDir string
 }
 
-// Entry bounds per LRU store. The replay prefix-snapshot store keeps the
-// deepest resumable replay cursor per trace-prefix family, cloned to
-// seed later points of a dense input sweep. Each of its entries holds
-// three cloned cache models (the L2's tag array dominates, ~64KB on
-// RV770), so its bound of 64 caps snapshot state at a few MB.
+// Entry bounds per LRU store. The replay-family store keeps the deepest
+// resumable replay cursor per trace-prefix family, cloned to seed later
+// points of a dense input sweep. Each of its entries holds three cache
+// models (the L2's tag array dominates: 16KB on RV670, 32KB on RV770)
+// and a lane-offset table of up to 16KB, so its bound of 64 caps
+// snapshot state at a few MB.
 const (
 	defaultGenerateEntries       = 4096
 	defaultCompileEntries        = 4096
@@ -98,7 +99,8 @@ type Pipeline struct {
 	// snapshots resumes replays incrementally: per trace-prefix family it
 	// keeps the deepest replay cursor, so adjacent points of an
 	// input-count sweep replay only their delta (see snapshot.go).
-	snapshots *snapshotStore
+	snapshots *store[replayKey, *prefixSlot]
+	prefix    prefixCounters
 
 	// The Trace stage is a pure derivation with nothing worth storing;
 	// it keeps plain counters. simBypassed counts Simulate computations
@@ -123,7 +125,8 @@ func New(opts Options) *Pipeline {
 	p.generate = newStore[generateKey, *il.Kernel]("generate", reg, defaultGenerateEntries, opts.Disabled)
 	p.compile = newStore[compileKey, *isa.Program]("compile", reg, defaultCompileEntries, opts.Disabled)
 	p.replay = newStore[replayKey, cache.TraceStats]("replay", reg, defaultReplayEntries, opts.Disabled)
-	p.snapshots = newSnapshotStore(reg, defaultReplaySnapshotEntries)
+	p.snapshots = newStore[replayKey, *prefixSlot]("replay-family", reg, defaultReplaySnapshotEntries, opts.Disabled)
+	p.prefix = newPrefixCounters(reg)
 	p.simulate = newStore[simulateKey, sim.Result]("simulate", reg, defaultSimulateEntries, opts.Disabled)
 	if opts.PersistDir != "" && !opts.Disabled {
 		t := newPersistTier(opts.PersistDir, reg)
@@ -454,7 +457,7 @@ func (p *Pipeline) HitRate() float64 {
 		{p.generate.hits, p.generate.coalesced, p.generate.misses},
 		{p.compile.hits, p.compile.coalesced, p.compile.misses},
 		{p.replay.hits, p.replay.coalesced, p.replay.misses},
-		{p.snapshots.hits, p.snapshots.coalesced, p.snapshots.misses},
+		{p.prefix.hits, nil, p.prefix.misses}, // a replay never waits on another
 		{p.simulate.hits, p.simulate.coalesced, p.simulate.misses},
 	} {
 		h := c[0].Load() + c[1].Load()

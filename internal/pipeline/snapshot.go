@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"container/list"
 	"sync"
 	"time"
 
@@ -11,44 +10,52 @@ import (
 
 // The replay stage's access stream is input-major: the trace for N
 // inputs is a strict prefix of the trace for N+1 (see cache.Cursor). A
-// dense input-count sweep — Fig. 11's 2..18 curve, Fig. 7 at each ratio
-// — therefore re-replays almost the same stream at every point. The
-// snapshot store exploits that: it keeps, per *prefix family* (a
-// replayKey with the input count zeroed), the deepest replay cursor seen
-// so far. A later point of the same family clones the snapshot and
-// advances it by the delta instead of replaying from a cold cache.
+// dense input-count sweep — Fig. 11's fetch-latency curve, Fig. 7 at
+// each ALU:Fetch ratio — therefore re-replays almost the same stream at
+// every point. The pipeline exploits that: per *prefix family* (a
+// replayKey with the input count zeroed) it keeps the deepest replay
+// cursor seen so far, and a later point of the same family clones it and
+// advances the clone by the delta instead of replaying from a cold cache.
 //
-// Memory bound: one entry is three cloned cache models — tag arrays for
-// the L1, the shared L2 and the open-row tracker. The L2 dominates
-// (e.g. RV770's 512KB/64B lines = 8192 tags x 8B = 64KB), so the
-// default bound of 64 entries caps snapshot state at a few MB.
-// Eviction is LRU over prefix families; within a family, put keeps
-// whichever cursor is deeper, so the store never regresses a prefix.
+// The families live in one more generic store (stage "replay-family"),
+// whose LRU bounds them to defaultReplaySnapshotEntries and whose
+// entries/evictions counters report residency. Each family is a
+// prefixSlot. Its cursor holds three cache models' tag arrays, of which
+// the L2's dominate: 2048 or 4096 tags x 8B = 16KB on RV670 and 32KB on
+// RV770 and RV870. The lane-offset table adds up to 16KB at 32 resident
+// waves, so 64 families stay within a few MB.
 //
-// Counters live under pipeline.replay-prefix.* and surface in
-// `-metrics`: hits (snapshot served), misses (cold family or snapshot
-// deeper than the requested point), inputs_reused (inputs the snapshot
-// saved replaying), inputs_replayed (inputs actually advanced).
-type snapshotStore struct {
-	max int
-
-	mu    sync.Mutex
-	ll    *list.List // front = most recently used
-	items map[replayKey]*list.Element
-
-	hits         *obs.Counter
-	misses       *obs.Counter
-	coalesced    *obs.Counter // always 0: the outer replay store singleflights
-	evictions    *obs.Counter
-	computeNS    *obs.Counter
-	entries      *obs.Gauge
-	inputsReused *obs.Counter
-	inputsPlayed *obs.Counter
+// The pipeline.replay-prefix.* counters count replays, not families:
+// hits (replays resumed from a banked cursor), misses (replays started
+// at input 0), inputs_reused (inputs a banked cursor saved replaying),
+// inputs_replayed (inputs actually advanced) and compute_ns.
+type prefixSlot struct {
+	mu  sync.Mutex
+	cur *cache.Cursor // the family's deepest cursor; only ever cloned
 }
 
-type snapshotEntry struct {
-	key replayKey
-	cur *cache.Cursor
+func newPrefixSlot() (*prefixSlot, error) { return new(prefixSlot), nil }
+
+// resume returns a private clone of the family's cursor when it can seed
+// a replay to n inputs (banked depth <= n; cursors cannot rewind), or nil.
+func (s *prefixSlot) resume(n int) *cache.Cursor {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.cur == nil || s.cur.Inputs() > n {
+		return nil
+	}
+	return s.cur.Clone()
+}
+
+// bank offers an advanced cursor to the family; the deeper cursor wins,
+// so the family never regresses. The caller cedes the cursor: it must
+// not be advanced after bank.
+func (s *prefixSlot) bank(cur *cache.Cursor) {
+	s.mu.Lock()
+	if s.cur == nil || cur.Inputs() > s.cur.Inputs() {
+		s.cur = cur
+	}
+	s.mu.Unlock()
 }
 
 // prefixKeyFor strips the input count out of a replay key: what is left
@@ -58,79 +65,23 @@ func prefixKeyFor(k replayKey) replayKey {
 	return k
 }
 
-func newSnapshotStore(reg *obs.Registry, max int) *snapshotStore {
+type prefixCounters struct {
+	hits, misses, inputsReused, inputsReplayed, computeNS *obs.Counter
+}
+
+func newPrefixCounters(reg *obs.Registry) prefixCounters {
 	const prefix = "pipeline.replay-prefix."
-	return &snapshotStore{
-		max:          max,
-		ll:           list.New(),
-		items:        make(map[replayKey]*list.Element),
-		hits:         reg.Counter(prefix + "hits"),
-		misses:       reg.Counter(prefix + "misses"),
-		coalesced:    reg.Counter(prefix + "coalesced"),
-		evictions:    reg.Counter(prefix + "evictions"),
-		computeNS:    reg.Counter(prefix + "compute_ns"),
-		entries:      reg.Gauge(prefix + "entries"),
-		inputsReused: reg.Counter(prefix + "inputs_reused"),
-		inputsPlayed: reg.Counter(prefix + "inputs_replayed"),
-	}
-}
-
-// lookup returns a private clone of the family's snapshot when it can
-// seed a replay to n inputs (stored depth <= n; cursors cannot rewind),
-// or nil on a cold family or an overdeep snapshot. The clone is the
-// caller's to advance; the stored cursor is never handed out mutable.
-func (s *snapshotStore) lookup(pk replayKey, n int) *cache.Cursor {
-	s.mu.Lock()
-	el, ok := s.items[pk]
-	if ok {
-		e := el.Value.(*snapshotEntry)
-		if e.cur.Inputs() <= n {
-			s.ll.MoveToFront(el)
-			cur := e.cur.Clone()
-			s.mu.Unlock()
-			s.hits.Add(1)
-			s.inputsReused.Add(int64(cur.Inputs()))
-			return cur
-		}
-	}
-	s.mu.Unlock()
-	s.misses.Add(1)
-	return nil
-}
-
-// put offers an advanced cursor back to the store. The caller cedes
-// ownership: the cursor must not be advanced after put (lookup clones
-// it for every future caller). Within a family the deeper cursor wins;
-// across families, LRU eviction keeps the store within its bound.
-func (s *snapshotStore) put(pk replayKey, cur *cache.Cursor) {
-	s.mu.Lock()
-	if el, ok := s.items[pk]; ok {
-		e := el.Value.(*snapshotEntry)
-		if cur.Inputs() > e.cur.Inputs() {
-			e.cur = cur
-		}
-		s.ll.MoveToFront(el)
-		s.mu.Unlock()
-		return
-	}
-	s.items[pk] = s.ll.PushFront(&snapshotEntry{key: pk, cur: cur})
-	evicted := 0
-	for s.max > 0 && s.ll.Len() > s.max {
-		back := s.ll.Back()
-		e := back.Value.(*snapshotEntry)
-		s.ll.Remove(back)
-		delete(s.items, e.key)
-		evicted++
-	}
-	s.entries.Set(int64(s.ll.Len()))
-	s.mu.Unlock()
-	if evicted > 0 {
-		s.evictions.Add(int64(evicted))
+	return prefixCounters{
+		hits:           reg.Counter(prefix + "hits"),
+		misses:         reg.Counter(prefix + "misses"),
+		inputsReused:   reg.Counter(prefix + "inputs_reused"),
+		inputsReplayed: reg.Counter(prefix + "inputs_replayed"),
+		computeNS:      reg.Counter(prefix + "compute_ns"),
 	}
 }
 
 // replayIncremental computes one replay artifact, seeding from the
-// family's prefix snapshot when one exists and banking the advanced
+// family's deepest cursor when one exists and banking the advanced
 // cursor for the family's next point. With the pipeline disabled it
 // degrades to the one-shot cache.Replay — `-no-cache` turns incremental
 // replay off along with everything else, which is the lever the
@@ -140,12 +91,15 @@ func (p *Pipeline) replayIncremental(tc cache.TraceConfig) (cache.TraceStats, er
 		return cache.Replay(tc)
 	}
 	start := time.Now()
-	pk := prefixKeyFor(replayKeyFor(tc))
-	cur := p.snapshots.lookup(pk, tc.NumInputs)
-	if cur == nil {
+	slot, _ := p.snapshots.get(prefixKeyFor(replayKeyFor(tc)), newPrefixSlot)
+	cur := slot.resume(tc.NumInputs)
+	if cur != nil {
+		p.prefix.hits.Add(1)
+		p.prefix.inputsReused.Add(int64(cur.Inputs()))
+	} else {
+		p.prefix.misses.Add(1)
 		var err error
-		cur, err = cache.NewCursor(tc)
-		if err != nil {
+		if cur, err = cache.NewCursor(tc); err != nil {
 			return cache.TraceStats{}, err
 		}
 	}
@@ -154,8 +108,8 @@ func (p *Pipeline) replayIncremental(tc cache.TraceConfig) (cache.TraceStats, er
 		return cache.TraceStats{}, err
 	}
 	st := cur.Stats()
-	p.snapshots.put(pk, cur)
-	p.snapshots.inputsPlayed.Add(int64(delta))
-	p.snapshots.computeNS.Add(time.Since(start).Nanoseconds())
+	slot.bank(cur)
+	p.prefix.inputsReplayed.Add(int64(delta))
+	p.prefix.computeNS.Add(time.Since(start).Nanoseconds())
 	return st, nil
 }

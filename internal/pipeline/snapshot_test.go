@@ -59,7 +59,7 @@ func TestReplayIncrementalMatchesScratch(t *testing.T) {
 	if played := snap.Get("pipeline.replay-prefix.inputs_replayed"); played != 2*24 {
 		t.Errorf("inputs_replayed = %d, want %d", played, 2*24)
 	}
-	if entries := snap.Get("pipeline.replay-prefix.entries"); entries != 2 {
+	if entries := snap.Get("pipeline.replay-family.entries"); entries != 2 {
 		t.Errorf("prefix snapshot store holds %d families, want 2", entries)
 	}
 }
@@ -119,10 +119,10 @@ func TestReplaySnapshotEviction(t *testing.T) {
 		}
 	}
 	snap := p.Metrics().Snapshot()
-	if ev := snap.Get("pipeline.replay-prefix.evictions"); ev == 0 {
+	if ev := snap.Get("pipeline.replay-family.evictions"); ev == 0 {
 		t.Error("alternating two families through a 1-entry store evicted nothing")
 	}
-	if entries := snap.Get("pipeline.replay-prefix.entries"); entries != 1 {
+	if entries := snap.Get("pipeline.replay-family.entries"); entries != 1 {
 		t.Errorf("store holds %d entries, bound is 1", entries)
 	}
 }

@@ -9,11 +9,14 @@
 # as a build artifact on every push.
 #
 # After writing the file, the script compares it against the most
-# recently committed BENCH_*.json and prints the per-benchmark ns/op
-# deltas (benchmarks present in only one file are skipped). With GATE=1
-# a regression above 25% on any compared benchmark fails the script —
-# the threshold CI's bench-smoke enforces; it is deliberately loose so
-# runner noise does not flap the gate.
+# recently committed BENCH_*.json. Each side is reduced to its
+# per-benchmark median ns/op (a file holds COUNT samples per benchmark),
+# and one delta row per benchmark is printed with each side's
+# (max-min)/median spread beside it; benchmarks present in only one file
+# are skipped. With GATE=1 a median-to-median regression above 25% on
+# any compared benchmark fails the script — the threshold CI's
+# bench-smoke enforces; it is deliberately loose so runner noise does
+# not flap the gate.
 #
 # Environment overrides:
 #   BENCH      regexp alternation of benchmark names (sans Benchmark prefix)
@@ -92,19 +95,24 @@ if [ -z "$baseline" ]; then
 elif ! command -v jq >/dev/null 2>&1; then
 	echo "jq not found; skipping baseline comparison" >&2
 else
-	echo "deltas vs $baseline:" >&2
+	echo "median ns/op deltas vs $baseline (spread = (max-min)/median):" >&2
 	fail=0
-	while IFS=$'\t' read -r name base cur; do
+	while IFS=$'\t' read -r name base bspread cur cspread; do
 		delta=$(awk -v b="$base" -v c="$cur" 'BEGIN { printf "%+.1f", 100 * (c - b) / b }')
-		printf '  %-32s %14.0f -> %14.0f ns/op  (%s%%)\n' "$name" "$base" "$cur" "$delta" >&2
+		printf '  %-28s %14.0f (spread %5.1f%%) -> %14.0f (spread %5.1f%%) ns/op  (%s%%)\n' \
+			"$name" "$base" "$bspread" "$cur" "$cspread" "$delta" >&2
 		if awk -v b="$base" -v c="$cur" 'BEGIN { exit !(c > 1.25 * b) }'; then
-			echo "  ^ REGRESSION: $name is more than 25% slower than the baseline" >&2
+			echo "  ^ REGRESSION: $name's median is more than 25% slower than the baseline's" >&2
 			fail=1
 		fi
 	done < <(jq -r --slurpfile base "$baseline" '
-		.benchmarks[] as $cur
-		| ($base[0].benchmarks[] | select(.name == $cur.name)) as $b
-		| [$cur.name, $b.ns_per_op, $cur.ns_per_op] | @tsv' "$out")
+		def median: sort | if length % 2 == 1 then .[length / 2 | floor]
+			else (.[length / 2 - 1] + .[length / 2]) / 2 end;
+		def summary: group_by(.name) | map({key: .[0].name, value: (map(.ns_per_op)
+			| median as $m | {median: $m, spread: (100 * (max - min) / $m)})}) | from_entries;
+		($base[0].benchmarks | summary) as $b
+		| .benchmarks | summary | to_entries[] | select($b[.key]) as $c
+		| [$c.key, $b[$c.key].median, $b[$c.key].spread, $c.value.median, $c.value.spread] | @tsv' "$out")
 	if [ "$fail" = 1 ] && [ "${GATE:-0}" = 1 ]; then
 		echo "bench gate: >25% regression against $baseline" >&2
 		exit 1
