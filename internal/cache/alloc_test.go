@@ -7,8 +7,8 @@ import (
 	"amdgpubench/internal/raster"
 )
 
-// Replay's allocations are a fixed, small setup cost — the two cache
-// models, the open-row tracker and the precomputed lane-offset table —
+// Replay's allocations are a fixed, small setup cost — the cursor, the
+// two cache models, the open-row tracker and the precomputed run table —
 // independent of how many fetches the replay streams. The budget pins
 // that: a regression that allocates per access or per wavefront blows
 // straight through it.
@@ -30,9 +30,9 @@ func TestReplayAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// 3 Cache structs + 3 tag arrays + waves + offs + small slack.
-	if allocs > 12 {
-		t.Errorf("Replay allocates %.1f objects/op, want <= 12 (fixed setup only)", allocs)
+	// The cursor, 3 Cache structs, 3 tag arrays and the run table.
+	if allocs > 8 {
+		t.Errorf("Replay allocates %.1f objects/op, want <= 8 (fixed setup only)", allocs)
 	}
 }
 

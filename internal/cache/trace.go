@@ -51,8 +51,9 @@ type TraceConfig struct {
 // walk (contiguous fills) even when their L1 hit rates agree.
 const DRAMRowBytes = 2048
 
-// openRows tracks DRAM open pages as a small fully-associative LRU.
-const openRows = 16
+// OpenRows is how many DRAM pages stay open: the row tracker is a
+// fully-associative LRU over that many DRAMRowBytes pages.
+const OpenRows = 16
 
 // TraceStats summarises one replay.
 type TraceStats struct {

@@ -69,34 +69,61 @@ func FuzzCompileDifferential(f *testing.F) {
 
 // replayConfigFromBits decodes a packed uint64 into a bounded replay
 // geometry, so the fuzzer explores domain shapes, input counts,
-// residency and walk orders without ever leaving the valid range.
+// residency, walk orders, layouts and fetch schedules without ever
+// leaving the valid range. Bits 0-7 are width-1, 8-15 height-1, 16-21
+// inputs-1, 22 linear layout, 23 a packed FetchRes schedule, 24-28
+// waves-1, 29-30 the element size and 48-63 the first wave; the order is
+// geom>>32 and the device geom>>40, each modulo its list. Bits 22, 23
+// and 29 were added later and are clear in the older seeds, which
+// therefore decode as before.
+//
+// Bit 30 alone selects float4 (16 B) over float (4 B); with bit 29 the
+// pair selects 12 B over 1 B instead. A 12-byte fetch straddles lines
+// (the cursor's per-lane fallback), and a 1-byte packed arena on the
+// RV870's 128 B lines is not line-aligned when it pads to an odd number
+// of 8x8 tiles (the fallback again).
 func replayConfigFromBits(geom uint64) cache.TraceConfig {
 	specs := device.All()
 	orders := []raster.Order{raster.PixelOrder(), raster.Naive64x1(), raster.Block4x16()}
-	elem := 4
-	if geom&(1<<30) != 0 {
-		elem = 16
-	}
-	return cache.TraceConfig{
+	elems := []int{4, 1, 16, 12}
+	cfg := cache.TraceConfig{
 		Spec:          specs[(geom>>40)%uint64(len(specs))],
 		Order:         orders[(geom>>32)%uint64(len(orders))],
 		W:             int(1 + geom&0xFF),
 		H:             int(1 + (geom>>8)&0xFF),
-		ElemBytes:     elem,
+		ElemBytes:     elems[(geom>>29)&3],
 		NumInputs:     int(1 + (geom>>16)&0x3F),
+		LinearLayout:  geom&(1<<22) != 0,
 		ResidentWaves: int(1 + (geom>>24)&0x1F),
 		FirstWave:     int((geom >> 48) & 0xFFFF),
 	}
+	if geom&(1<<23) != 0 {
+		// One slot per input over half as many surfaces, so the
+		// schedule revisits them; the slot order is an LCG stream
+		// seeded by the geometry.
+		surfs := uint64(1 + cfg.NumInputs/2)
+		cfg.FetchRes = make([]int, cfg.NumInputs)
+		x := geom
+		for s := range cfg.FetchRes {
+			x = x*6364136223846793005 + 1442695040888963407
+			cfg.FetchRes[s] = int((x >> 33) % surfs)
+		}
+	}
+	return cfg
 }
 
 // FuzzReplay checks the cache replay's conservation laws over fuzzed
-// geometries.
+// geometries, and its statistics against the lane-by-lane oracle.
 func FuzzReplay(f *testing.F) {
 	f.Add(uint64(0))
 	f.Add(uint64(0x0001_0002_0304_3F7F))
 	f.Add(uint64(0xFFFF_0102_4011_1010))
 	f.Fuzz(func(t *testing.T, geom uint64) {
-		if err := CheckReplayConservation(replayConfigFromBits(geom)); err != nil {
+		cfg := replayConfigFromBits(geom)
+		if err := CheckReplayConservation(cfg); err != nil {
+			t.Fatal(err)
+		}
+		if err := CheckReplayMatchesLanes(cfg); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -149,6 +176,13 @@ func seedCorpora() map[string][]string {
 		corpusEntry(uint64(0x0000_0001_073F_2063)), // clause-boundary inputs, padding domain
 		corpusEntry(uint64(0x0010_0002_1F01_00FF)), // naive walk, high residency, 256-wide strip
 		corpusEntry(uint64(0x2222_0000_4008_0840)), // float4, rotated window
+		corpusEntry(uint64(0x0000_0002_0B48_2763)), // linear layout, 4x16 block
+		corpusEntry(uint64(0x0000_0100_0788_3F3F)), // packed FetchRes arena, line-aligned
+		corpusEntry(uint64(0x0000_0201_258B_1727)), // packed 1-byte arena, 960 B: not a multiple of 128 B lines
+		corpusEntry(uint64(0x0003_0100_6304_1020)), // 12-byte elements straddle lines
+		// Fuzz-found: 12-byte fetches straddling lines once broke the
+		// conservation check's one-line-per-lane bound.
+		corpusEntry(uint64(0x0003_0100_6304_0FE6)),
 	}
 	return m
 }

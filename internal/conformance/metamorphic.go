@@ -196,7 +196,9 @@ func CheckDomainLinearity(k *il.Kernel, spec device.Spec, lo, hi float64) error 
 // every miss refills from exactly one of L2 or DRAM, fill traffic is
 // miss count times line size, and the replay executes exactly one fetch
 // per (input resource, resident wavefront) pair with at most a
-// wavefront's worth of lane accesses each.
+// wavefront's worth of lane accesses each — one line touch per lane when
+// the element size divides the line (lane offsets are element-aligned),
+// else as many as the lines one element can straddle.
 func CheckReplayConservation(cfg cache.TraceConfig) error {
 	st, err := cache.Replay(cfg)
 	if err != nil {
@@ -220,13 +222,107 @@ func CheckReplayConservation(cfg cache.TraceConfig) error {
 	if st.DRAMBytes != st.L2Misses*cfg.Spec.L1LineBytes {
 		return fail("DRAMBytes %d != L2Misses %d x line %d", st.DRAMBytes, st.L2Misses, cfg.Spec.L1LineBytes)
 	}
-	if st.Accesses > st.FetchExecs*raster.WavefrontSize {
-		return fail("Accesses %d exceed %d lanes per fetch", st.Accesses, raster.WavefrontSize)
+	span, line := 1, cfg.Spec.L1LineBytes
+	if e := cfg.ElemBytes; e > 0 && line%e != 0 {
+		span = 1 + (e+line-2)/line // 1 + ceil((e-1)/line)
+	}
+	if st.Accesses > st.FetchExecs*raster.WavefrontSize*span {
+		return fail("Accesses %d exceed %d lanes x %d lines per fetch", st.Accesses, raster.WavefrontSize, span)
 	}
 	if st.RowActivations > st.L2Misses {
 		return fail("RowActivations %d exceed L2Misses %d", st.RowActivations, st.L2Misses)
 	}
 	return nil
+}
+
+// CheckReplayMatchesLanes asserts cache.Replay's statistics equal a
+// lane-by-lane recomputation from the model's definition, built only on
+// the exported cache and raster API: fresh cache.New models, every
+// resident wavefront's lanes walked in issue order for every fetch slot,
+// and one L1 AccessRange per fetching lane, refilled through the L2 and
+// the open-row tracker on a miss. The cursor folds lanes into line runs
+// where that is exact; this oracle never does, so a mis-folded run (a
+// wrong count, or runs taken where surface bases are not line-aligned)
+// shows up as a differing field.
+func CheckReplayMatchesLanes(cfg cache.TraceConfig) error {
+	got, err := cache.Replay(cfg)
+	if err != nil {
+		return fmt.Errorf("conformance: replay: %w", err)
+	}
+	want, err := laneReplay(cfg)
+	if err != nil {
+		return fmt.Errorf("conformance: lane replay: %w", err)
+	}
+	if got != want {
+		return fmt.Errorf("conformance: replay (%+v) = %+v, lane-by-lane replay = %+v", cfg, got, want)
+	}
+	return nil
+}
+
+// laneReplay is the per-lane replay CheckReplayMatchesLanes compares
+// against. Slot s reads surface s, or FetchRes[s]; surfaces sit 2^32
+// apart, or Layout.SizeBytes apart in a FetchRes arena.
+func laneReplay(cfg cache.TraceConfig) (cache.TraceStats, error) {
+	spec := cfg.Spec
+	l1, err := cache.New(spec.L1CacheBytes, spec.L1LineBytes, spec.L1Ways)
+	if err != nil {
+		return cache.TraceStats{}, err
+	}
+	l2, err := cache.New(spec.L2CacheBytes, spec.L1LineBytes, spec.L2Ways)
+	if err != nil {
+		return cache.TraceStats{}, err
+	}
+	rows, err := cache.New(cache.DRAMRowBytes*cache.OpenRows, cache.DRAMRowBytes, cache.OpenRows)
+	if err != nil {
+		return cache.TraceStats{}, err
+	}
+	geom := raster.Layout{W: cfg.W, H: cfg.H, ElemBytes: cfg.ElemBytes}
+	spacing := uint64(1) << 32
+	if cfg.FetchRes != nil {
+		spacing = uint64(geom.SizeBytes())
+	}
+	total := max(cfg.Order.WavefrontCount(cfg.W, cfg.H), 1)
+	var st cache.TraceStats
+	for slot := 0; slot < cfg.NumInputs; slot++ {
+		surf := slot
+		if cfg.FetchRes != nil {
+			surf = cfg.FetchRes[slot]
+		}
+		base := uint64(surf) * spacing
+		for i := 0; i < cfg.ResidentWaves; i++ {
+			st.FetchExecs++
+			wave := (cfg.FirstWave + i) % total
+			for lane := 0; lane < raster.WavefrontSize; lane++ {
+				x, y := cfg.Order.Thread(cfg.W, cfg.H, wave, lane)
+				if x >= cfg.W || y >= cfg.H {
+					continue
+				}
+				off := geom.Address(x, y)
+				if cfg.LinearLayout {
+					off = geom.LinearAddress(x, y)
+				}
+				addr := base + off
+				h, m := l1.AccessRange(addr, cfg.ElemBytes)
+				st.Hits += h
+				st.Misses += m
+				st.Accesses += h + m
+				if m == 0 {
+					continue
+				}
+				if l2.Access(addr) {
+					st.L2Hits += m
+				} else {
+					st.L2Misses += m
+					if !rows.Access(addr) {
+						st.RowActivations++
+					}
+				}
+			}
+		}
+	}
+	st.MissBytes = st.Misses * spec.L1LineBytes
+	st.DRAMBytes = st.L2Misses * spec.L1LineBytes
+	return st, nil
 }
 
 // CheckReplayRotationInvariance asserts hit counts are permutation-safe
@@ -235,7 +331,8 @@ func CheckReplayConservation(cfg cache.TraceConfig) error {
 // surface footprint) every miss is compulsory — the first touch of each
 // line — so rotating which wavefront leads the resident window cannot
 // change any count except RowActivations, which is legitimately
-// order-dependent and excluded.
+// order-dependent and excluded. A rotation is a FirstWave, so it must be
+// non-negative; cache.Replay rejects a negative one.
 func CheckReplayRotationInvariance(cfg cache.TraceConfig, rotations []int) error {
 	cfg.ResidentWaves = cfg.Order.WavefrontCount(cfg.W, cfg.H)
 	cfg.FirstWave = 0

@@ -94,6 +94,27 @@ func TestReplayConservation(t *testing.T) {
 	}
 }
 
+// TestReplayMatchesLanes: the cursor's statistics equal the lane-by-lane
+// oracle's on every sweep geometry, on linear layouts, and on packed
+// FetchRes arenas both line-aligned (the run path) and not (the per-lane
+// fallback), as well as on a 12-byte element that straddles lines.
+func TestReplayMatchesLanes(t *testing.T) {
+	rv770, rv870 := device.Lookup(device.RV770), device.Lookup(device.RV870)
+	sched := []int{0, 1, 2, 0, 3, 1, 0, 2, 3, 4, 4, 1}
+	cfgs := append(replayConfigs(),
+		cache.TraceConfig{Spec: device.Lookup(device.RV670), Order: raster.Block4x16(), W: 200, H: 120, ElemBytes: 4, NumInputs: 9, ResidentWaves: 12, LinearLayout: true},
+		cache.TraceConfig{Spec: rv770, Order: raster.PixelOrder(), W: 64, H: 64, ElemBytes: 4, NumInputs: len(sched), ResidentWaves: 8, FetchRes: sched},
+		cache.TraceConfig{Spec: rv870, Order: raster.PixelOrder(), W: 40, H: 24, ElemBytes: 1, NumInputs: len(sched), ResidentWaves: 6, FetchRes: sched},
+		cache.TraceConfig{Spec: rv870, Order: raster.PixelOrder(), W: 5, H: 3, ElemBytes: 1, NumInputs: len(sched), ResidentWaves: 1, FetchRes: sched},
+		cache.TraceConfig{Spec: rv770, Order: raster.PixelOrder(), W: 96, H: 40, ElemBytes: 12, NumInputs: 7, ResidentWaves: 8, FirstWave: 5},
+	)
+	for _, cfg := range cfgs {
+		if err := CheckReplayMatchesLanes(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestReplayRotationInvariance: with the whole domain resident and
 // compulsory misses only, hit counts do not depend on which wavefront
 // leads the resident window.

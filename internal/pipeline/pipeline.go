@@ -75,7 +75,7 @@ type Options struct {
 // resumable replay cursor per trace-prefix family, cloned to seed later
 // points of a dense input sweep. Each of its entries holds three cache
 // models (the L2's tag array dominates: 16KB on RV670, 32KB on RV770)
-// and a lane-offset table of up to 16KB, so its bound of 64 caps
+// and a line-run table of up to 16KB, so its bound of 64 caps
 // snapshot state at a few MB.
 const (
 	defaultGenerateEntries       = 4096

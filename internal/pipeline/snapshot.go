@@ -22,7 +22,7 @@ import (
 // entries/evictions counters report residency. Each family is a
 // prefixSlot. Its cursor holds three cache models' tag arrays, of which
 // the L2's dominate: 2048 or 4096 tags x 8B = 16KB on RV670 and 32KB on
-// RV770 and RV870. The lane-offset table adds up to 16KB at 32 resident
+// RV770 and RV870. The line-run table adds up to 16KB at 32 resident
 // waves, so 64 families stay within a few MB.
 //
 // The pipeline.replay-prefix.* counters count replays, not families:

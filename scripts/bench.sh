@@ -27,7 +27,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BENCH="${BENCH:-Fig2Disassembly|Fig7ALUFetch|Fig7RepeatedSweepCached|Fig7RepeatedSweepUncached|IncrementalSweepCold|IncrementalSweepReuse|SequentialBundle|CampaignBundle|HierInfer|HierLadderSweep|CompileChase}"
+BENCH="${BENCH:-Fig2Disassembly|Fig7ALUFetch|Fig15DomainSize|Fig7RepeatedSweepCached|Fig7RepeatedSweepUncached|IncrementalSweepCold|IncrementalSweepReuse|SequentialBundle|CampaignBundle|HierInfer|HierLadderSweep|CompileChase}"
 BENCHTIME="${BENCHTIME:-2x}"
 COUNT="${COUNT:-1}"
 OUTDIR="${OUTDIR:-.}"
