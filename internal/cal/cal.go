@@ -266,8 +266,12 @@ func (c *Context) Launch(m *Module, cfg LaunchConfig) (*Event, error) {
 	}
 
 	arch := c.dev.spec.Arch
-	inj := c.plan.Load().Draw(m.Kernel.Name,
-		fault.Key(m.Kernel.Name, arch.String(), cfg.W, cfg.H, cfg.Attempt))
+	// The launch key costs a format and a hash; only an armed plan
+	// draws from it.
+	var inj fault.Injection
+	if plan := c.plan.Load(); plan != nil {
+		inj = plan.Draw(m.Kernel.Name, fault.Key(m.Kernel.Name, arch.String(), cfg.W, cfg.H, cfg.Attempt))
+	}
 	c.countInjection(inj)
 	if inj.DeviceLost {
 		return nil, &LaunchError{Kind: ErrDeviceLost, Arch: arch, Kernel: m.Kernel.Name, Injected: inj}

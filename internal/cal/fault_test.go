@@ -136,6 +136,29 @@ func TestLaunchNoPlanUnchanged(t *testing.T) {
 	}
 }
 
+// TestLaunchAllocsWithoutPlan pins the launch path's allocations when no
+// fault plan is armed and the simulate store already holds the result:
+// the Event is the only allocation. Building the fault key (a formatted
+// string and its hash) for a plan that is not there would cost three
+// more.
+func TestLaunchAllocsWithoutPlan(t *testing.T) {
+	ctx, m := faultCtx(t, nil)
+	if _, err := ctx.Launch(m, fCfg()); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := ctx.Launch(m, fCfg()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if hits := ctx.Pipeline().Metrics().Snapshot().Get("pipeline.simulate.hits"); hits == 0 {
+		t.Fatal("repeated launches missed the simulate store")
+	}
+	if allocs > 1 {
+		t.Errorf("store-hit launch without a plan allocates %.1f objects/op, want <= 1", allocs)
+	}
+}
+
 func TestFunctionalCorruptAndDrop(t *testing.T) {
 	run := func(plan *fault.Plan) float32 {
 		ctx, m := faultCtx(t, plan)

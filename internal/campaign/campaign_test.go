@@ -199,7 +199,7 @@ func TestCampaignMatchesSequential(t *testing.T) {
 }
 
 // TestCampaignCounters checks the campaign.* metric family against the
-// plan's own accounting.
+// plan, and the run's own accounting against the sweep's counters.
 func TestCampaignCounters(t *testing.T) {
 	s := testSuite(32)
 	p := mustPlan(t, s, Options{MaxDomain: 32}, "fig16", "clausectl")
@@ -209,16 +209,18 @@ func TestCampaignCounters(t *testing.T) {
 	}
 	snap := s.Metrics().Snapshot()
 	want := map[string]int64{
-		"campaign.figures.planned": 2,
-		"campaign.units.planned":   160,
-		"campaign.units.executed":  int64(res.Executed),
-		"campaign.units.completed": int64(res.Executed - res.Failed()),
-		"campaign.units.failed":    int64(res.Failed()),
+		"campaign.figures.planned":    2,
+		"campaign.units.planned":      160,
+		"core.sweep.points.completed": int64(res.Executed - res.Failed()),
+		"core.sweep.points.failed":    int64(res.Failed()),
 	}
 	for name, val := range want {
 		if got := snap.Get(name); got != val {
 			t.Errorf("%s = %d, want %d", name, got, val)
 		}
+	}
+	if res.Executed != 160 {
+		t.Errorf("executed %d units, want 160", res.Executed)
 	}
 }
 

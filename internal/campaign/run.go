@@ -16,11 +16,9 @@ import (
 //	campaign.figures.planned  — figures in the plan
 //	campaign.units.planned    — launch units scheduled, one per figure
 //	                            point
-//	campaign.units.executed   — units this invocation ran (its shard's
-//	                            slice when sharded)
-//	campaign.units.completed  — executed units that resolved cleanly
-//	campaign.units.failed     — executed units that resolved to a
-//	                            failure record
+//
+// The units a run executed, completed or failed are the sweep's own
+// core.sweep.points.completed and .failed.
 
 // Result is one executed campaign: per-spec figures and runs (parallel
 // to Plan.Specs) and the accounting.
@@ -80,9 +78,6 @@ func (p *Plan) RunCtx(ctx context.Context, s *core.Suite, opts RunOptions) (*Res
 	m := s.Metrics()
 	m.Counter("campaign.figures.planned").Add(int64(len(p.Specs)))
 	m.Counter("campaign.units.planned").Add(int64(len(p.Units)))
-	unitsExecuted := m.Counter("campaign.units.executed")
-	unitsCompleted := m.Counter("campaign.units.completed")
-	unitsFailed := m.Counter("campaign.units.failed")
 
 	root := s.Tracer.Begin("campaign").Cat("campaign").
 		Arg("figures", strconv.Itoa(len(p.Specs))).
@@ -93,22 +88,18 @@ func (p *Plan) RunCtx(ctx context.Context, s *core.Suite, opts RunOptions) (*Res
 	}
 	defer root.End()
 
-	// The observe hook runs on worker goroutines: counters are atomic and
-	// the tracer is concurrency-safe, so no extra locking here.
+	// The observe hook runs on worker goroutines: it updates only atomics
+	// and the concurrency-safe tracer, so no extra locking here.
 	var executed, failedUnits atomic.Int64
 	observe := func(i int) func(core.Run) {
 		executed.Add(1)
-		unitsExecuted.Inc()
 		u := &p.Units[i]
 		sp := s.Tracer.Begin("unit").Cat("campaign").
 			Arg("kernel", u.K.Name).
 			Arg("card", u.Card.Label())
 		return func(run core.Run) {
 			if run.Failed() {
-				unitsFailed.Inc()
 				failedUnits.Add(1)
-			} else {
-				unitsCompleted.Inc()
 			}
 			sp.End()
 			if opts.Progress != nil {

@@ -3,6 +3,7 @@ package il
 import (
 	"bytes"
 	"crypto/sha256"
+	"slices"
 	"testing"
 )
 
@@ -106,11 +107,27 @@ func TestHashMatchesEncoding(t *testing.T) {
 		if got := k.Hash(); got != want {
 			t.Errorf("kernel %q: Hash() != sha256(AppendBinary())", k.Name)
 		}
-		h := sha256.New()
-		k.HashInto(h)
-		if !bytes.Equal(h.Sum(nil), want[:]) {
-			t.Errorf("kernel %q: HashInto disagrees with Hash", k.Name)
-		}
+	}
+}
+
+// TestBinaryDeterministic checks the canonical encoding depends on the
+// kernel alone: a fresh buffer, a reused buffer that held another
+// kernel's bytes (as Hash's pooled scratch does), an appended-to prefix
+// and a deep copy of the kernel all yield the same bytes.
+func TestBinaryDeterministic(t *testing.T) {
+	k := chainKernel(4, 9, Pixel, Float, GlobalSpace, GlobalSpace)
+	want := k.AppendBinary(nil)
+	reused := chainKernel(7, 30, Compute, Float4, GlobalSpace, GlobalSpace).AppendBinary(nil)
+	if got := k.AppendBinary(reused[:0]); !bytes.Equal(got, want) {
+		t.Error("encoding into a reused buffer differs")
+	}
+	if got := k.AppendBinary([]byte("prefix")); string(got[:6]) != "prefix" || !bytes.Equal(got[6:], want) {
+		t.Error("encoding after a prefix differs")
+	}
+	cp := *k
+	cp.Code = slices.Clone(k.Code)
+	if got := cp.AppendBinary(nil); !bytes.Equal(got, want) {
+		t.Error("a deep copy encodes differently")
 	}
 }
 

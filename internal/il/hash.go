@@ -3,7 +3,6 @@ package il
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"hash"
 	"sync"
 )
 
@@ -66,14 +65,4 @@ func (k *Kernel) Hash() [sha256.Size]byte {
 	*bp = b
 	encodeBufPool.Put(bp)
 	return sum
-}
-
-// HashInto streams the kernel's canonical binary encoding into an
-// incremental hash, for callers folding a kernel into a larger digest.
-func (k *Kernel) HashInto(h hash.Hash) {
-	bp := encodeBufPool.Get().(*[]byte)
-	b := k.AppendBinary((*bp)[:0])
-	h.Write(b)
-	*bp = b
-	encodeBufPool.Put(bp)
 }

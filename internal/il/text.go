@@ -8,9 +8,8 @@ import (
 	"sync"
 )
 
-// asmBufPool recycles assembly buffers: Assemble sits on the launch hot
-// path (every compile-store miss serializes its kernel), so the working
-// buffer must not be reallocated per call.
+// asmBufPool recycles assembly buffers, so the working buffer is not
+// reallocated per call.
 var asmBufPool = sync.Pool{
 	New: func() any { b := make([]byte, 0, 1024); return &b },
 }

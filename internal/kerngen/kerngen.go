@@ -127,10 +127,7 @@ func Generic(p Params) (*il.Kernel, error) {
 		ops = p.Inputs - 1
 	}
 	k := newKernel(p)
-	fetch := fetchOp(p)
-	for i := 0; i < p.Inputs; i++ {
-		k.Code = append(k.Code, il.Instr{Op: fetch, Dst: il.Reg(i), SrcA: il.NoReg, SrcB: il.NoReg, Res: i})
-	}
+	sample(k, fetchOp(p), 0, p.Inputs)
 	k.NumConsts = p.Constants
 	c := &chainState{k: k, next: il.Reg(p.Inputs), prev: 0, prev2: 0}
 	for i := 1; i < p.Inputs; i++ {
@@ -209,13 +206,34 @@ func Domain(p Params) (*il.Kernel, error) {
 // inputs up front, then before each of `step` ALU blocks sample `space`
 // more inputs and fold them in immediately. Peak register pressure tracks
 // the up-front group, so sweeping step trades registers for wavefronts.
-func RegisterUsage(p Params) (*il.Kernel, error) {
+func RegisterUsage(p Params) (*il.Kernel, error) { return grouped(p, false) }
+
+// ClauseUsage builds the Fig. 5 control kernel: identical ALU structure to
+// RegisterUsage — the same inputs folded in at the same chain positions —
+// but with every input sampled at the beginning, so register pressure
+// stays at its maximum for any step value. The paper used it to show the
+// register-usage gains do not come from fetch-latency hiding or from
+// moving ALU work across clauses.
+func ClauseUsage(p Params) (*il.Kernel, error) { return grouped(p, true) }
+
+// grouped is the one body of RegisterUsage and ClauseUsage: an initial
+// group of inputs folded and padded to one ALU block, then `step` groups
+// of `space` inputs, each folded in before its own block. The only switch
+// is where a later group is sampled: just before its fold (Fig. 6), or
+// up front with the initial group (upfront, the Fig. 5 control). Input i
+// is always sampled into register i from resource i, so the two kernels
+// differ only in the position of their fetches.
+func grouped(p Params, upfront bool) (*il.Kernel, error) {
+	kind := "register-usage"
+	if upfront {
+		kind = "clause-usage"
+	}
 	p, err := p.normalize()
 	if err != nil {
 		return nil, err
 	}
 	if p.Space <= 0 || p.Step < 0 {
-		return nil, fmt.Errorf("kerngen: register-usage kernel needs space > 0 and step >= 0")
+		return nil, fmt.Errorf("kerngen: %s kernel needs space > 0 and step >= 0", kind)
 	}
 	initial := p.Inputs - p.Space*p.Step
 	if initial < 2 {
@@ -225,20 +243,15 @@ func RegisterUsage(p Params) (*il.Kernel, error) {
 	if floor := p.Inputs - 1; ops < floor {
 		ops = floor
 	}
-	blocks := p.Step + 1
-	blockALU := ops / blocks
+	blockALU := ops / (p.Step + 1)
 
 	k := newKernel(p)
 	fetch := fetchOp(p)
-	res := 0
-	sample := func(n int, dst il.Reg) {
-		for i := 0; i < n; i++ {
-			k.Code = append(k.Code, il.Instr{Op: fetch, Dst: dst + il.Reg(i), SrcA: il.NoReg, SrcB: il.NoReg, Res: res})
-			res++
-		}
+	last := initial
+	if upfront {
+		last = p.Inputs
 	}
-
-	sample(initial, 0)
+	sample(k, fetch, 0, last)
 	c := &chainState{k: k, next: il.Reg(p.Inputs), prev: 0, prev2: 0}
 	for i := 1; i < initial; i++ {
 		c.fold(il.Reg(i))
@@ -247,10 +260,12 @@ func RegisterUsage(p Params) (*il.Kernel, error) {
 		c.extend()
 	}
 	for s := 0; s < p.Step; s++ {
-		base := il.Reg(initial + s*p.Space)
-		sample(p.Space, base)
-		for i := 0; i < p.Space; i++ {
-			c.fold(base + il.Reg(i))
+		base := initial + s*p.Space
+		if !upfront {
+			sample(k, fetch, base, base+p.Space)
+		}
+		for i := base; i < base+p.Space; i++ {
+			c.fold(il.Reg(i))
 		}
 		target := blockALU * (s + 2)
 		if s == p.Step-1 {
@@ -264,58 +279,12 @@ func RegisterUsage(p Params) (*il.Kernel, error) {
 	return finish(k)
 }
 
-// ClauseUsage builds the Fig. 5 control kernel: identical ALU structure to
-// RegisterUsage — the same inputs folded in at the same chain positions —
-// but with every input sampled at the beginning, so register pressure
-// stays at its maximum for any step value. The paper used it to show the
-// register-usage gains do not come from fetch-latency hiding or from
-// moving ALU work across clauses.
-func ClauseUsage(p Params) (*il.Kernel, error) {
-	p, err := p.normalize()
-	if err != nil {
-		return nil, err
-	}
-	if p.Space <= 0 || p.Step < 0 {
-		return nil, fmt.Errorf("kerngen: clause-usage kernel needs space > 0 and step >= 0")
-	}
-	initial := p.Inputs - p.Space*p.Step
-	if initial < 2 {
-		return nil, fmt.Errorf("kerngen: space %d x step %d leaves %d initial inputs (need >= 2)", p.Space, p.Step, initial)
-	}
-	ops := p.aluOps()
-	if floor := p.Inputs - 1; ops < floor {
-		ops = floor
-	}
-	blocks := p.Step + 1
-	blockALU := ops / blocks
-
-	k := newKernel(p)
-	fetch := fetchOp(p)
-	for i := 0; i < p.Inputs; i++ {
+// sample fetches inputs [from, to), input i into register i from
+// resource i.
+func sample(k *il.Kernel, fetch il.Opcode, from, to int) {
+	for i := from; i < to; i++ {
 		k.Code = append(k.Code, il.Instr{Op: fetch, Dst: il.Reg(i), SrcA: il.NoReg, SrcB: il.NoReg, Res: i})
 	}
-	c := &chainState{k: k, next: il.Reg(p.Inputs), prev: 0, prev2: 0}
-	for i := 1; i < initial; i++ {
-		c.fold(il.Reg(i))
-	}
-	for c.emitted < blockALU {
-		c.extend()
-	}
-	for s := 0; s < p.Step; s++ {
-		base := il.Reg(initial + s*p.Space)
-		for i := 0; i < p.Space; i++ {
-			c.fold(base + il.Reg(i))
-		}
-		target := blockALU * (s + 2)
-		if s == p.Step-1 {
-			target = ops
-		}
-		for c.emitted < target {
-			c.extend()
-		}
-	}
-	emitStores(k, p, c.prev)
-	return finish(k)
 }
 
 func newKernel(p Params) *il.Kernel {

@@ -1,6 +1,7 @@
 package kerngen
 
 import (
+	"reflect"
 	"testing"
 
 	"amdgpubench/internal/device"
@@ -252,15 +253,75 @@ func TestClauseUsageConstantGPRs(t *testing.T) {
 }
 
 func TestRegisterUsageValidation(t *testing.T) {
-	p := pixelParams(16)
-	p.Space = 8
-	p.Step = 2 // leaves 0 initial inputs
-	if _, err := RegisterUsage(p); err == nil {
-		t.Fatal("empty initial group accepted")
+	for _, g := range []struct {
+		name string
+		gen  func(Params) (*il.Kernel, error)
+	}{{"register-usage", RegisterUsage}, {"clause-usage", ClauseUsage}} {
+		p := pixelParams(16)
+		p.Space = 8
+		p.Step = 2 // leaves 0 initial inputs
+		_, err := g.gen(p)
+		if want := "kerngen: space 8 x step 2 leaves 0 initial inputs (need >= 2)"; err == nil || err.Error() != want {
+			t.Errorf("%s: empty initial group: err = %v, want %q", g.name, err, want)
+		}
+		p.Space = 0
+		_, err = g.gen(p)
+		if want := "kerngen: " + g.name + " kernel needs space > 0 and step >= 0"; err == nil || err.Error() != want {
+			t.Errorf("%s: zero space: err = %v, want %q", g.name, err, want)
+		}
 	}
-	p.Space = 0
-	if _, err := RegisterUsage(p); err == nil {
-		t.Fatal("zero space accepted")
+}
+
+// TestClauseUsageIsRegisterUsageWithFetchesUpFront pins the Fig. 5
+// control's identity with the Fig. 6 kernel: at every step the two
+// kernels run the same ALU and export sequence and sample the same
+// inputs into the same registers; only the fetches move. At step 0 no
+// fetch moves, so the kernels are identical.
+func TestClauseUsageIsRegisterUsageWithFetchesUpFront(t *testing.T) {
+	withoutFetches := func(k *il.Kernel) []il.Instr {
+		var out []il.Instr
+		for _, in := range k.Code {
+			if !in.Op.IsFetch() {
+				out = append(out, in)
+			}
+		}
+		return out
+	}
+	samples := func(k *il.Kernel) map[[2]int]int {
+		set := map[[2]int]int{}
+		for _, in := range k.Code {
+			if in.Op.IsFetch() {
+				set[[2]int{int(in.Dst), in.Res}]++
+			}
+		}
+		return set
+	}
+	for _, mode := range []il.ShaderMode{il.Pixel, il.Compute} {
+		for _, typ := range []il.DataType{il.Float, il.Float4} {
+			for step := 0; step <= 7; step++ {
+				p := Params{Mode: mode, Type: typ, Inputs: 64, Outputs: 1, ALUFetchRatio: 4, Space: 8, Step: step}
+				if mode == il.Compute {
+					p.OutSpace = il.GlobalSpace
+				}
+				reg, err := RegisterUsage(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ctl, err := ClauseUsage(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(withoutFetches(ctl), withoutFetches(reg)) {
+					t.Errorf("%v %v step %d: ALU/export sequences differ", mode, typ, step)
+				}
+				if !reflect.DeepEqual(samples(ctl), samples(reg)) {
+					t.Errorf("%v %v step %d: sampled (Dst, Res) pairs differ", mode, typ, step)
+				}
+				if step == 0 && ctl.Hash() != reg.Hash() {
+					t.Errorf("%v %v step 0: Hash differs", mode, typ)
+				}
+			}
+		}
 	}
 }
 

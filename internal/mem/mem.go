@@ -16,18 +16,12 @@ import (
 
 // Pipe is a serially-granted resource. Requests are granted in arrival
 // order; each request occupies the pipe for its occupancy and the pipe
-// accumulates busy cycles for bottleneck accounting.
+// accumulates busy cycles for bottleneck accounting. The zero value is an
+// idle pipe.
 type Pipe struct {
-	name     string
 	nextFree uint64
 	busy     uint64
 }
-
-// NewPipe names a pipe for diagnostics.
-func NewPipe(name string) *Pipe { return &Pipe{name: name} }
-
-// Name returns the pipe's name.
-func (p *Pipe) Name() string { return p.name }
 
 // Acquire grants the pipe to a request arriving at now for occ cycles,
 // returning the grant time and the time the pipe frees.
@@ -44,12 +38,6 @@ func (p *Pipe) Acquire(now, occ uint64) (grant, done uint64) {
 
 // Busy returns accumulated busy cycles.
 func (p *Pipe) Busy() uint64 { return p.busy }
-
-// NextFree returns the cycle at which the pipe next idles.
-func (p *Pipe) NextFree() uint64 { return p.nextFree }
-
-// Reset clears scheduling state and counters.
-func (p *Pipe) Reset() { p.nextFree, p.busy = 0, 0 }
 
 // DRAM is the cycle-cost model of one chip's memory system as seen by a
 // single SIMD engine: the chip's bandwidth divided evenly among engines

@@ -8,7 +8,7 @@ import (
 )
 
 func TestPipeFIFO(t *testing.T) {
-	p := NewPipe("alu")
+	var p Pipe
 	g1, d1 := p.Acquire(0, 10)
 	if g1 != 0 || d1 != 10 {
 		t.Fatalf("first grant [%d,%d], want [0,10]", g1, d1)
@@ -26,22 +26,10 @@ func TestPipeFIFO(t *testing.T) {
 	if p.Busy() != 15 {
 		t.Fatalf("busy = %d, want 15", p.Busy())
 	}
-	if p.Name() != "alu" {
-		t.Fatalf("name = %q", p.Name())
-	}
-}
-
-func TestPipeReset(t *testing.T) {
-	p := NewPipe("x")
-	p.Acquire(0, 7)
-	p.Reset()
-	if p.Busy() != 0 || p.NextFree() != 0 {
-		t.Fatal("reset did not clear state")
-	}
 }
 
 func TestPipeNeverOverlaps(t *testing.T) {
-	p := NewPipe("q")
+	var p Pipe
 	var lastDone uint64
 	f := func(arrivals []uint16) bool {
 		for _, a := range arrivals {

@@ -161,33 +161,22 @@ const (
 	GenClauseUsage
 )
 
-// generators is the one name+func table, indexed by Generator.
-var generators = [...]struct {
-	name string
-	fn   func(kerngen.Params) (*il.Kernel, error)
-}{
-	GenGeneric:       {"generic", kerngen.Generic},
-	GenALUFetch:      {"alufetch", kerngen.ALUFetch},
-	GenReadLatency:   {"readlatency", kerngen.ReadLatency},
-	GenWriteLatency:  {"writelatency", kerngen.WriteLatency},
-	GenDomain:        {"domain", kerngen.Domain},
-	GenRegisterUsage: {"registerusage", kerngen.RegisterUsage},
-	GenClauseUsage:   {"clauseusage", kerngen.ClauseUsage},
-}
-
-// String names the generator.
-func (g Generator) String() string {
-	if g < 0 || int(g) >= len(generators) {
-		return "?"
-	}
-	return generators[g].name
+// generators is the one func table, indexed by Generator.
+var generators = [...]func(kerngen.Params) (*il.Kernel, error){
+	GenGeneric:       kerngen.Generic,
+	GenALUFetch:      kerngen.ALUFetch,
+	GenReadLatency:   kerngen.ReadLatency,
+	GenWriteLatency:  kerngen.WriteLatency,
+	GenDomain:        kerngen.Domain,
+	GenRegisterUsage: kerngen.RegisterUsage,
+	GenClauseUsage:   kerngen.ClauseUsage,
 }
 
 func (g Generator) fn() (func(kerngen.Params) (*il.Kernel, error), error) {
 	if g < 0 || int(g) >= len(generators) {
 		return nil, fmt.Errorf("pipeline: unknown generator %d", int(g))
 	}
-	return generators[g].fn, nil
+	return generators[g], nil
 }
 
 type generateKey struct {

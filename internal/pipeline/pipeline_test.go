@@ -379,21 +379,13 @@ func TestStoreNeverCachesErrors(t *testing.T) {
 }
 
 func TestGeneratorTable(t *testing.T) {
-	// One table serves both String and fn: every generator has a name
-	// and a function, and an out-of-range value has neither.
-	want := []string{"generic", "alufetch", "readlatency", "writelatency", "domain", "registerusage", "clauseusage"}
+	// Every generator has a function, and an out-of-range value has none.
 	for g := GenGeneric; g <= GenClauseUsage; g++ {
-		if got := g.String(); got != want[g] {
-			t.Errorf("Generator(%d).String() = %q, want %q", g, got, want[g])
-		}
 		if fn, err := g.fn(); err != nil || fn == nil {
 			t.Errorf("Generator(%d).fn() = %v, %v", g, fn != nil, err)
 		}
 	}
 	for _, g := range []Generator{-1, GenClauseUsage + 1} {
-		if got := g.String(); got != "?" {
-			t.Errorf("Generator(%d).String() = %q, want ?", g, got)
-		}
 		if _, err := New(Options{}).Generate(g, testParams()); err == nil {
 			t.Errorf("Generator(%d): Generate succeeded, want unknown generator", g)
 		}

@@ -43,8 +43,8 @@ func TestRunAllocsWithSuppliedTrace(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// The DRAM model and the five pipes are per-run value setup; the
-	// event loop itself must recycle its pooled state.
+	// The DRAM model is per-run setup and the five pipes are stack
+	// values; the event loop itself must recycle its pooled state.
 	if allocs > 10 {
 		t.Errorf("Run with supplied trace allocates %.1f objects/op, want <= 10", allocs)
 	}

@@ -478,11 +478,7 @@ func writeCycles(dram *mem.DRAM, bytes int, noBurst bool) uint64 {
 // order — ascending (at, wave) — is identical to the heap it replaced,
 // keeping results bit-identical.
 func simulateBatch(steps []step, waves int, budget uint64, hang int) (uint64, Counters, *WatchdogError) {
-	alu := mem.NewPipe("alu")
-	tex := mem.NewPipe("tex")
-	l2 := mem.NewPipe("l2")
-	dram := mem.NewPipe("mem")
-	exp := mem.NewPipe("export")
+	var alu, tex, l2, dram, exp mem.Pipe
 	var fillBusy, globalBusy uint64
 
 	rl := readyPool.Get().(*readyList)

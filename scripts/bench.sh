@@ -13,17 +13,25 @@
 # per-benchmark median ns/op (a file holds COUNT samples per benchmark),
 # and one delta row per benchmark is printed with each side's
 # (max-min)/median spread beside it; benchmarks present in only one file
-# are skipped. With GATE=1 a median-to-median regression above 25% on
-# any compared benchmark fails the script — the threshold CI's
-# bench-smoke enforces; it is deliberately loose so runner noise does
-# not flap the gate.
+# are skipped. These rows never gate: a committed baseline was recorded
+# on another day under another load, so it measures load as much as code.
+#
+# GATE=1 measures the parent commit in the same session instead: HEAD^
+# is checked out into a temporary git worktree, and the selected
+# benchmarks run alternately on it and on HEAD, COUNT rounds each, so
+# both sides see the same load. A median-to-median regression above 25%
+# on any benchmark then fails the script — the threshold CI's bench-smoke
+# enforces; it is deliberately loose so runner noise does not flap the
+# gate. A single round can spread more than 25% on identical code, so
+# GATE=1 needs COUNT >= 3.
 #
 # Environment overrides:
 #   BENCH      regexp alternation of benchmark names (sans Benchmark prefix)
 #   BENCHTIME  go test -benchtime value (default 2x)
-#   COUNT      go test -count value (default 1)
+#   COUNT      samples per benchmark, per side with GATE=1 (default 1)
 #   OUTDIR     directory for the JSON file (default repo root)
-#   GATE       1 = exit nonzero on a >25% ns/op regression vs the baseline
+#   GATE       1 = also measure HEAD^ and exit nonzero on a >25% median
+#              ns/op regression against it
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -36,11 +44,15 @@ mkdir -p "$OUTDIR"
 sha=$(git rev-parse --short=12 HEAD 2>/dev/null || echo nogit)
 out="$OUTDIR/BENCH_${sha}.json"
 
-raw=$(go test -run '^$' -bench "^Benchmark(${BENCH})\$" -benchtime "$BENCHTIME" -count "$COUNT" .)
-printf '%s\n' "$raw" >&2
+# runbench DIR COUNT runs the selected benchmarks in the checkout at DIR.
+runbench() {
+	(cd "$1" && go test -run '^$' -bench "^Benchmark(${BENCH})\$" -benchtime "$BENCHTIME" -count "$2" .)
+}
 
-printf '%s\n' "$raw" | awk \
-	-v sha="$sha" \
+# tojson SHA turns go test -bench output on stdin into the JSON record.
+tojson() {
+	awk \
+	-v sha="$1" \
 	-v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
 	-v gover="$(go env GOVERSION)" '
 BEGIN {
@@ -70,8 +82,62 @@ BEGIN {
 	printf "\n    {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s, \"metrics\": {%s}}", name, iters, nsop, metrics
 }
 END { printf "\n  ]\n}\n" }
-' >"$out"
+'
+}
 
+# compare FILE LABEL prints one median ns/op delta row per benchmark in
+# both FILE and $out, and fails if any median regressed by >25%.
+compare() {
+	echo "median ns/op deltas vs $2 (spread = (max-min)/median):" >&2
+	local regressed=0
+	while IFS=$'\t' read -r name base bspread cur cspread; do
+		delta=$(awk -v b="$base" -v c="$cur" 'BEGIN { printf "%+.1f", 100 * (c - b) / b }')
+		printf '  %-28s %14.0f (spread %5.1f%%) -> %14.0f (spread %5.1f%%) ns/op  (%s%%)\n' \
+			"$name" "$base" "$bspread" "$cur" "$cspread" "$delta" >&2
+		if awk -v b="$base" -v c="$cur" 'BEGIN { exit !(c > 1.25 * b) }'; then
+			echo "  ^ REGRESSION: $name's median is more than 25% slower than the baseline's" >&2
+			regressed=1
+		fi
+	done < <(jq -r --slurpfile base "$1" '
+		def median: sort | if length % 2 == 1 then .[length / 2 | floor]
+			else (.[length / 2 - 1] + .[length / 2]) / 2 end;
+		def summary: group_by(.name) | map({key: .[0].name, value: (map(.ns_per_op)
+			| median as $m | {median: $m, spread: (100 * (max - min) / $m)})}) | from_entries;
+		($base[0].benchmarks | summary) as $b
+		| .benchmarks | summary | to_entries[] | select($b[.key]) as $c
+		| [$c.key, $b[$c.key].median, $b[$c.key].spread, $c.value.median, $c.value.spread] | @tsv' "$out")
+	return "$regressed"
+}
+
+if [ "${GATE:-0}" = 1 ]; then
+	if [ "$COUNT" -lt 3 ]; then
+		echo "bench gate: GATE=1 needs COUNT >= 3 rounds per side (got $COUNT)" >&2
+		exit 2
+	fi
+	basesha=$(git rev-parse --short=12 HEAD^)
+	wt=$(mktemp -d)
+	basefile=$(mktemp)
+	trap 'git worktree remove --force "$wt" >/dev/null 2>&1 || rm -rf "$wt"; git worktree prune; rm -f "$basefile"' EXIT
+	git worktree add --detach "$wt" "$basesha" >/dev/null
+	raw=""
+	baseraw=""
+	for ((r = 1; r <= COUNT; r++)); do
+		echo "round $r/$COUNT: $basesha (HEAD^)" >&2
+		b=$(runbench "$wt" 1)
+		printf '%s\n' "$b" >&2
+		baseraw+="$b"$'\n'
+		echo "round $r/$COUNT: $sha (HEAD)" >&2
+		h=$(runbench . 1)
+		printf '%s\n' "$h" >&2
+		raw+="$h"$'\n'
+	done
+	printf '%s' "$baseraw" | tojson "$basesha" >"$basefile"
+else
+	raw=$(runbench . "$COUNT")
+	printf '%s\n' "$raw" >&2
+fi
+
+printf '%s\n' "$raw" | tojson "$sha" >"$out"
 echo "wrote $out" >&2
 
 # ---- baseline comparison ----
@@ -90,31 +156,16 @@ while read -r f; do
 	fi
 done < <(git ls-files 'BENCH_*.json' 2>/dev/null || true)
 
+if ! command -v jq >/dev/null 2>&1; then
+	echo "jq not found; skipping comparisons" >&2
+	exit 0
+fi
 if [ -z "$baseline" ]; then
 	echo "no committed BENCH_*.json baseline; skipping comparison" >&2
-elif ! command -v jq >/dev/null 2>&1; then
-	echo "jq not found; skipping baseline comparison" >&2
 else
-	echo "median ns/op deltas vs $baseline (spread = (max-min)/median):" >&2
-	fail=0
-	while IFS=$'\t' read -r name base bspread cur cspread; do
-		delta=$(awk -v b="$base" -v c="$cur" 'BEGIN { printf "%+.1f", 100 * (c - b) / b }')
-		printf '  %-28s %14.0f (spread %5.1f%%) -> %14.0f (spread %5.1f%%) ns/op  (%s%%)\n' \
-			"$name" "$base" "$bspread" "$cur" "$cspread" "$delta" >&2
-		if awk -v b="$base" -v c="$cur" 'BEGIN { exit !(c > 1.25 * b) }'; then
-			echo "  ^ REGRESSION: $name's median is more than 25% slower than the baseline's" >&2
-			fail=1
-		fi
-	done < <(jq -r --slurpfile base "$baseline" '
-		def median: sort | if length % 2 == 1 then .[length / 2 | floor]
-			else (.[length / 2 - 1] + .[length / 2]) / 2 end;
-		def summary: group_by(.name) | map({key: .[0].name, value: (map(.ns_per_op)
-			| median as $m | {median: $m, spread: (100 * (max - min) / $m)})}) | from_entries;
-		($base[0].benchmarks | summary) as $b
-		| .benchmarks | summary | to_entries[] | select($b[.key]) as $c
-		| [$c.key, $b[$c.key].median, $b[$c.key].spread, $c.value.median, $c.value.spread] | @tsv' "$out")
-	if [ "$fail" = 1 ] && [ "${GATE:-0}" = 1 ]; then
-		echo "bench gate: >25% regression against $baseline" >&2
-		exit 1
-	fi
+	compare "$baseline" "$baseline (reference only)" || true
+fi
+if [ "${GATE:-0}" = 1 ] && ! compare "$basefile" "HEAD^ $basesha, same session"; then
+	echo "bench gate: >25% regression against HEAD^ $basesha" >&2
+	exit 1
 fi
