@@ -94,22 +94,16 @@ func selectArchs(archs string) ([]device.Spec, error) {
 	if archs == "" {
 		return device.All(), nil
 	}
-	byName := make(map[string]device.Spec)
-	for _, spec := range device.All() {
-		byName[strings.ToLower(spec.Arch.String())] = spec
-		byName[spec.Arch.CardName()] = spec
-	}
 	var out []device.Spec
 	for _, name := range strings.Split(archs, ",") {
-		name = strings.ToLower(strings.TrimSpace(name))
-		if name == "" {
+		if strings.TrimSpace(name) == "" {
 			continue
 		}
-		spec, ok := byName[name]
-		if !ok {
-			return nil, fmt.Errorf("unknown arch %q (have rv670, rv770, rv870)", name)
+		a, err := device.ParseArch(name)
+		if err != nil {
+			return nil, err
 		}
-		out = append(out, spec)
+		out = append(out, device.Lookup(a))
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("-archs lists no devices")

@@ -13,25 +13,12 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"amdgpubench/internal/device"
 	"amdgpubench/internal/il"
 	"amdgpubench/internal/ilc"
 	"amdgpubench/internal/isa"
 )
-
-func parseArch(name string) (device.Arch, error) {
-	switch strings.ToUpper(name) {
-	case "RV670", "3870":
-		return device.RV670, nil
-	case "RV770", "4870":
-		return device.RV770, nil
-	case "RV870", "5870":
-		return device.RV870, nil
-	}
-	return 0, fmt.Errorf("unknown architecture %q", name)
-}
 
 // run executes the tool against explicit streams so tests can drive it
 // exactly as main does. Exit codes: 0 success, 1 bad input or compile
@@ -76,7 +63,7 @@ func run(argv []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprint(stdout, il.Assemble(k))
 		return 0
 	}
-	arch, err := parseArch(*archName)
+	arch, err := device.ParseArch(*archName)
 	if err != nil {
 		fmt.Fprintf(stderr, "ilas: %v\n", err)
 		return 2

@@ -133,12 +133,3 @@ func (c *Cache) Clone() *Cache {
 	copy(dup.tags, c.tags)
 	return &dup
 }
-
-// LineBytes returns the configured line size.
-func (c *Cache) LineBytes() int { return c.lineBytes }
-
-// Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.sets }
-
-// Ways returns the associativity.
-func (c *Cache) Ways() int { return c.ways }

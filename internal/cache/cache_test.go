@@ -26,8 +26,8 @@ func TestNewValidatesGeometry(t *testing.T) {
 		t.Error("non-tiling capacity accepted")
 	}
 	c := mustNew(t, 16*1024, 64, 8)
-	if c.Sets() != 32 || c.Ways() != 8 || c.LineBytes() != 64 {
-		t.Errorf("geometry = %d sets / %d ways / %dB lines", c.Sets(), c.Ways(), c.LineBytes())
+	if c.sets != 32 || c.ways != 8 || c.lineBytes != 64 {
+		t.Errorf("geometry = %d sets / %d ways / %dB lines", c.sets, c.ways, c.lineBytes)
 	}
 }
 

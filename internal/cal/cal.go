@@ -32,11 +32,7 @@ type Device struct {
 
 // OpenDevice opens one of the three modelled GPUs.
 func OpenDevice(arch device.Arch) (*Device, error) {
-	spec := device.Lookup(arch)
-	if err := spec.Validate(); err != nil {
-		return nil, fmt.Errorf("cal: %w", err)
-	}
-	return &Device{spec: spec}, nil
+	return OpenCustomDevice(device.Lookup(arch))
 }
 
 // OpenCustomDevice opens a user-defined (e.g. future-generation) chip.
@@ -69,7 +65,7 @@ type Context struct {
 // CreateContext creates a context with its own artifact-caching
 // pipeline.
 func (d *Device) CreateContext() *Context {
-	return d.CreateContextWith(pipeline.New(pipeline.Options{}))
+	return d.CreateContextWith(nil)
 }
 
 // CreateContextWith creates a context that stages its module loads and

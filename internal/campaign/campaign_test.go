@@ -3,7 +3,9 @@ package campaign
 import (
 	"context"
 	"errors"
+	"maps"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -221,6 +223,63 @@ func TestCampaignCounters(t *testing.T) {
 	}
 	if res.Executed != 160 {
 		t.Errorf("executed %d units, want 160", res.Executed)
+	}
+}
+
+func TestRunCtxRejectsBadShard(t *testing.T) {
+	s := testSuite(16)
+	p := mustPlan(t, s, Options{MaxDomain: 16}, "fig16")
+	for _, o := range []RunOptions{{Shard: 2, Shards: 2}, {Shard: -1, Shards: 2}, {Shard: 1}} {
+		if _, err := p.RunCtx(context.Background(), s, o); err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("shard %d/%d: err = %v, want out of range", o.Shard, o.Shards, err)
+		}
+	}
+}
+
+// TestRunCtxShardsPartitionUnits runs every shard of a plan on its own
+// suite: each shard launches exactly its interleaved share of the units,
+// assembles no figures, and the shards together launch every unit once.
+func TestRunCtxShardsPartitionUnits(t *testing.T) {
+	const shards = 3
+	type launch struct {
+		kernel [32]byte
+		card   core.Card
+		x      float64
+	}
+	key := func(p core.KernelPoint) launch { return launch{p.K.Hash(), p.Card, p.X} }
+	plan := mustPlan(t, testSuite(16), Options{MaxDomain: 16}, "fig16", "clausectl")
+	launched := map[launch]int{}
+	for shard := range shards {
+		s := testSuite(16)
+		var mu sync.Mutex
+		s.BeforeLaunch = func(p core.KernelPoint, _ int) {
+			mu.Lock()
+			launched[key(p)]++
+			mu.Unlock()
+		}
+		res, err := plan.RunCtx(context.Background(), s, RunOptions{Shard: shard, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		share := 0
+		for i := range plan.Units {
+			if i%shards == shard {
+				share++
+			}
+		}
+		if res.Executed != share {
+			t.Errorf("shard %d/%d executed %d units, want %d", shard, shards, res.Executed, share)
+		}
+		if res.Figures != nil {
+			t.Errorf("shard %d/%d assembled %d figures, want none", shard, shards, len(res.Figures))
+		}
+	}
+	want := map[launch]int{}
+	for _, u := range plan.Units {
+		want[key(u)]++
+	}
+	if !maps.Equal(launched, want) {
+		t.Errorf("shards launched %d distinct units, want the plan's %d", len(launched), len(want))
 	}
 }
 

@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 
@@ -241,24 +240,17 @@ func Resolve(s *core.Suite, figs, archs []string) ([]Spec, error) {
 func parseArchs(names []string) (map[device.Arch]bool, error) {
 	var set map[device.Arch]bool
 	for _, name := range names {
-		if name = strings.TrimSpace(name); name == "" {
+		if strings.TrimSpace(name) == "" {
 			continue
 		}
-		i := slices.IndexFunc(device.All(), func(spec device.Spec) bool {
-			return strings.EqualFold(name, spec.Arch.String()) || name == spec.Arch.CardName()
-		})
-		if i < 0 {
-			var known []string
-			for _, spec := range device.All() {
-				known = append(known, spec.Arch.String())
-			}
-			sort.Strings(known)
-			return nil, badRequest("campaign: unknown arch %q (have %s)", name, strings.Join(known, ", "))
+		a, err := device.ParseArch(name)
+		if err != nil {
+			return nil, badRequest("campaign: %v", err)
 		}
 		if set == nil {
 			set = make(map[device.Arch]bool)
 		}
-		set[device.All()[i].Arch] = true
+		set[a] = true
 	}
 	return set, nil
 }

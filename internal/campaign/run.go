@@ -41,15 +41,15 @@ type RunOptions struct {
 	// executed unit resolves, with the cumulative executed and failed
 	// unit counts — it must be safe for concurrent calls.
 	Progress func(executed, failed int)
-	// Shard and Shards run one shard of the plan: of the scheduled unit
-	// sequence, only units with index i%Shards == Shard run. Shards
-	// combine through the suite's persistent tier: shard processes
-	// sharing one PersistDir write every launch they finish into it, and
-	// an unsharded run over the same directory serves them all from disk
-	// — producing figures byte-identical to a run that never sharded.
-	// Because one shard holds only a slice of every figure's points, a
-	// sharded run assembles no figures: Result.Figures and Result.Runs
-	// stay nil. Shards <= 1 runs everything.
+	// Shard and Shards run one shard of the plan: RunCtx sweeps only the
+	// units with index i%Shards == Shard. Shards combine through the
+	// suite's persistent tier: shard processes sharing one PersistDir
+	// write every launch they finish into it, and an unsharded run over
+	// the same directory serves them all from disk — producing figures
+	// byte-identical to a run that never sharded. Because one shard holds
+	// only a slice of every figure's points, a sharded run assembles no
+	// figures: Result.Figures and Result.Runs stay nil. Shards <= 1 runs
+	// everything; a Shard outside 0..Shards-1 fails the run.
 	Shard, Shards int
 }
 
@@ -75,6 +75,19 @@ func (p *Plan) Run(s *core.Suite) (*Result, error) {
 // other sweep on the suite running — what callers running several
 // campaigns on ONE shared suite (the daemon) need.
 func (p *Plan) RunCtx(ctx context.Context, s *core.Suite, opts RunOptions) (*Result, error) {
+	shards := max(opts.Shards, 1)
+	if opts.Shard < 0 || opts.Shard >= shards {
+		return nil, fmt.Errorf("campaign: shard %d out of range 0..%d", opts.Shard, shards-1)
+	}
+	sharded := shards > 1
+	units := p.Units
+	if sharded {
+		units = nil
+		for i := opts.Shard; i < len(p.Units); i += shards {
+			units = append(units, p.Units[i])
+		}
+	}
+
 	m := s.Metrics()
 	m.Counter("campaign.figures.planned").Add(int64(len(p.Specs)))
 	m.Counter("campaign.units.planned").Add(int64(len(p.Units)))
@@ -82,7 +95,6 @@ func (p *Plan) RunCtx(ctx context.Context, s *core.Suite, opts RunOptions) (*Res
 	root := s.Tracer.Begin("campaign").Cat("campaign").
 		Arg("figures", strconv.Itoa(len(p.Specs))).
 		Arg("units", strconv.Itoa(len(p.Units)))
-	sharded := opts.Shards > 1
 	if sharded {
 		root.Arg("shard", fmt.Sprintf("%d/%d", opts.Shard, opts.Shards))
 	}
@@ -93,7 +105,7 @@ func (p *Plan) RunCtx(ctx context.Context, s *core.Suite, opts RunOptions) (*Res
 	var executed, failedUnits atomic.Int64
 	observe := func(i int) func(core.Run) {
 		executed.Add(1)
-		u := &p.Units[i]
+		u := &units[i]
 		sp := s.Tracer.Begin("unit").Cat("campaign").
 			Arg("kernel", u.K.Name).
 			Arg("card", u.Card.Label())
@@ -108,9 +120,7 @@ func (p *Plan) RunCtx(ctx context.Context, s *core.Suite, opts RunOptions) (*Res
 		}
 	}
 
-	// Every shard sweeps the FULL unit list: the sweep runner partitions
-	// it by global index.
-	runs, err := s.RunKernelPoints(ctx, p.Units, core.SweepOptions{Observe: observe, Shard: opts.Shard, Shards: opts.Shards})
+	runs, err := s.RunKernelPoints(ctx, units, core.SweepOptions{Observe: observe})
 	if err != nil {
 		return nil, err
 	}

@@ -8,13 +8,11 @@ package core
 import (
 	"fmt"
 
-	"amdgpubench/internal/cal"
 	"amdgpubench/internal/device"
 	"amdgpubench/internal/il"
 	"amdgpubench/internal/ilc"
 	"amdgpubench/internal/kerngen"
 	"amdgpubench/internal/pipeline"
-	"amdgpubench/internal/raster"
 	"amdgpubench/internal/report"
 	"amdgpubench/internal/sim"
 )
@@ -216,127 +214,66 @@ func (a AblationResult) Ratio() float64 {
 //   - PV forwarding and clause temporaries: the generic chain kernel
 //     recompiled without them (registers rise, occupancy falls).
 func (s *Suite) AblationStudy() ([]AblationResult, error) {
-	ctx, err := s.context(device.RV770)
-	if err != nil {
-		return nil, err
-	}
-	var out []AblationResult
-
-	launch := func(m *cal.Module, order raster.Order, ab sim.Ablations) (*cal.Event, error) {
-		return ctx.Launch(m, cal.LaunchConfig{
-			Order: order, W: paperDomain, H: paperDomain, Iterations: s.Iterations, Ablate: ab,
-			DeadlineCycles: s.DeadlineCycles,
-		})
-	}
-
-	// 1. Latency hiding via clause switching.
-	regK, err := s.generate(pipeline.GenRegisterUsage, kerngen.Params{
-		Mode: il.Pixel, Type: il.Float, Inputs: 64, Outputs: 1,
-		ALUFetchRatio: 1.0, Space: 8, Step: 6,
-	})
-	if err != nil {
-		return nil, err
-	}
-	m, err := ctx.LoadModule(regK)
-	if err != nil {
-		return nil, err
-	}
-	base, err := launch(m, raster.PixelOrder(), sim.Ablations{})
-	if err != nil {
-		return nil, err
-	}
-	abl, err := launch(m, raster.PixelOrder(), sim.Ablations{SingleWavefront: true})
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, AblationResult{
-		Name: "clause switching (latency hiding)", Baseline: base.ElapsedSeconds(), Ablated: abl.ElapsedSeconds(),
-	})
-
-	// 2. Burst writes.
-	wK, err := s.generate(pipeline.GenWriteLatency, kerngen.Params{
-		Mode: il.Pixel, Type: il.Float4, Inputs: 8, Outputs: 8,
-		OutSpace: il.GlobalSpace,
-	})
-	if err != nil {
-		return nil, err
-	}
-	m, err = ctx.LoadModule(wK)
-	if err != nil {
-		return nil, err
-	}
-	base, err = launch(m, raster.PixelOrder(), sim.Ablations{})
-	if err != nil {
-		return nil, err
-	}
-	abl, err = launch(m, raster.PixelOrder(), sim.Ablations{NoBurstWrites: true})
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, AblationResult{
-		Name: "burst writes", Baseline: base.ElapsedSeconds(), Ablated: abl.ElapsedSeconds(),
-	})
-
-	// 3. Tiled texture layout.
-	fK, err := s.generate(pipeline.GenALUFetch, kerngen.Params{
-		Mode: il.Pixel, Type: il.Float, Inputs: 16, Outputs: 1, ALUFetchRatio: 0.25,
-	})
-	if err != nil {
-		return nil, err
-	}
-	m, err = ctx.LoadModule(fK)
-	if err != nil {
-		return nil, err
-	}
-	base, err = launch(m, raster.PixelOrder(), sim.Ablations{})
-	if err != nil {
-		return nil, err
-	}
-	abl, err = launch(m, raster.PixelOrder(), sim.Ablations{LinearTextures: true})
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, AblationResult{
-		Name: "tiled texture layout", Baseline: base.ElapsedSeconds(), Ablated: abl.ElapsedSeconds(),
-	})
-
-	// 4 & 5. Compiler forwarding paths: registers and occupancy.
-	gK, err := s.generate(pipeline.GenGeneric, kerngen.Params{
-		Mode: il.Pixel, Type: il.Float, Inputs: 8, Outputs: 1, ALUFetchRatio: 4.0,
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, c := range []struct {
-		name string
-		opts ilc.Options
+	chain := kerngen.Params{Mode: il.Pixel, Type: il.Float, Inputs: 8, Outputs: 1, ALUFetchRatio: 4.0}
+	rows := []struct {
+		name   string
+		gen    pipeline.Generator
+		params kerngen.Params
+		ablate sim.Ablations
+		opts   ilc.Options
 	}{
-		{"PV forwarding", ilc.Options{NoPVForwarding: true}},
-		{"clause temporaries", ilc.Options{NoClauseTemps: true}},
-		{"all forwarding (PV + temps)", ilc.Options{NoPVForwarding: true, NoClauseTemps: true}},
-	} {
-		mb, err := ctx.LoadModule(gK)
+		{"clause switching (latency hiding)", pipeline.GenRegisterUsage, kerngen.Params{
+			Mode: il.Pixel, Type: il.Float, Inputs: 64, Outputs: 1,
+			ALUFetchRatio: 1.0, Space: 8, Step: 6,
+		}, sim.Ablations{SingleWavefront: true}, ilc.Options{}},
+		{"burst writes", pipeline.GenWriteLatency, kerngen.Params{
+			Mode: il.Pixel, Type: il.Float4, Inputs: 8, Outputs: 8, OutSpace: il.GlobalSpace,
+		}, sim.Ablations{NoBurstWrites: true}, ilc.Options{}},
+		{"tiled texture layout", pipeline.GenALUFetch, kerngen.Params{
+			Mode: il.Pixel, Type: il.Float, Inputs: 16, Outputs: 1, ALUFetchRatio: 0.25,
+		}, sim.Ablations{LinearTextures: true}, ilc.Options{}},
+		{"PV forwarding", pipeline.GenGeneric, chain, sim.Ablations{}, ilc.Options{NoPVForwarding: true}},
+		{"clause temporaries", pipeline.GenGeneric, chain, sim.Ablations{}, ilc.Options{NoClauseTemps: true}},
+		{"all forwarding (PV + temps)", pipeline.GenGeneric, chain, sim.Ablations{}, ilc.Options{NoPVForwarding: true, NoClauseTemps: true}},
+	}
+	spec := device.Lookup(device.RV770)
+	gprWrites := func(k *il.Kernel, opts ilc.Options) (int, error) {
+		prog, err := s.Pipeline().Compile(k, spec, opts)
+		if err != nil {
+			return 0, err
+		}
+		return prog.Stats().GPRWrites, nil
+	}
+	out := make([]AblationResult, 0, len(rows))
+	for _, r := range rows {
+		k, err := s.generate(r.gen, r.params)
 		if err != nil {
 			return nil, err
 		}
-		ma, err := ctx.LoadModuleWith(gK, c.opts)
+		base := KernelPoint{Card: Card{Arch: device.RV770, Mode: il.Pixel, Type: r.params.Type}, K: k, W: paperDomain, H: paperDomain}
+		abl := base
+		abl.Ablate, abl.Opts = r.ablate, r.opts
+		// The launch primitive, not RunKernelPoints: the study times the
+		// paper's domain whatever MaxDomain says, and a launch error
+		// fails it rather than becoming a retried failure record.
+		b, err := s.runKernelSafe(base, 0)
 		if err != nil {
 			return nil, err
 		}
-		evb, err := launch(mb, raster.PixelOrder(), sim.Ablations{})
+		a, err := s.runKernelSafe(abl, 0)
 		if err != nil {
 			return nil, err
 		}
-		eva, err := launch(ma, raster.PixelOrder(), sim.Ablations{})
-		if err != nil {
-			return nil, err
+		res := AblationResult{Name: r.name, Baseline: b.Seconds, Ablated: a.Seconds}
+		if r.opts != (ilc.Options{}) {
+			if res.GPRWritesBase, err = gprWrites(k, base.Opts); err != nil {
+				return nil, err
+			}
+			if res.GPRWritesAblated, err = gprWrites(k, abl.Opts); err != nil {
+				return nil, err
+			}
 		}
-		out = append(out, AblationResult{
-			Name:     c.name,
-			Baseline: evb.ElapsedSeconds(), Ablated: eva.ElapsedSeconds(),
-			GPRWritesBase:    mb.Stats().GPRWrites,
-			GPRWritesAblated: ma.Stats().GPRWrites,
-		})
+		out = append(out, res)
 	}
 	return out, nil
 }

@@ -2,9 +2,11 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"amdgpubench/internal/cal"
+	"amdgpubench/internal/obs"
 	"amdgpubench/internal/report"
 )
 
@@ -179,6 +181,45 @@ func TestAblationStudyHonorsDeadline(t *testing.T) {
 	s.DeadlineCycles = 1000
 	if _, err := s.AblationStudy(); !errors.Is(err, cal.ErrKernelTimeout) {
 		t.Fatalf("AblationStudy under a 1000-cycle budget: got %v, want cal.ErrKernelTimeout", err)
+	}
+}
+
+// TestAblationStudyLaunchesLikeASweepPoint: the study launches through
+// the sweep runner's primitive, so the suite counts its launches, cal
+// counts the same number, and each is a traced launch span with its
+// simulate stage nested inside.
+func TestAblationStudyLaunchesLikeASweepPoint(t *testing.T) {
+	s := NewSuite()
+	s.Iterations = 1
+	s.Tracer = obs.NewTracer()
+	if _, err := s.AblationStudy(); err != nil {
+		t.Fatal(err)
+	}
+	const want = 12 // six mechanisms, each timed on and off
+	var launches, simulates []obs.SpanInfo
+	for _, sp := range s.Tracer.Snapshot() {
+		switch sp.Name {
+		case "launch":
+			launches = append(launches, sp)
+		case "simulate":
+			simulates = append(simulates, sp)
+		}
+	}
+	if got := s.KernelLaunches(); got != want {
+		t.Errorf("KernelLaunches() = %d, want %d", got, want)
+	}
+	if got := s.Metrics().Snapshot().Get("cal.launches"); got != want {
+		t.Errorf("cal.launches = %d, want %d", got, want)
+	}
+	if len(launches) != want {
+		t.Errorf("%d launch spans, want %d", len(launches), want)
+	}
+	for _, l := range launches {
+		if !slices.ContainsFunc(simulates, func(c obs.SpanInfo) bool {
+			return c.TID == l.TID && c.StartUS >= l.StartUS && c.StartUS+c.DurUS <= l.StartUS+l.DurUS+1
+		}) {
+			t.Errorf("launch span %v at ts=%f has no simulate child", l.Args, l.StartUS)
+		}
 	}
 }
 

@@ -11,7 +11,9 @@ import (
 
 	"amdgpubench/internal/cal"
 	"amdgpubench/internal/il"
+	"amdgpubench/internal/ilc"
 	"amdgpubench/internal/obs"
+	"amdgpubench/internal/sim"
 )
 
 // The suite's sweeps are embarrassingly parallel: every (card, parameter)
@@ -69,6 +71,11 @@ type KernelPoint struct {
 	Plot func(Run) (x, y float64)
 	K    *il.Kernel
 	W, H int
+	// Opts and Ablate switch compiler paths and simulated mechanisms off
+	// for the ablation study; the zero values launch the kernel as the
+	// paper's figures do.
+	Opts   ilc.Options
+	Ablate sim.Ablations
 }
 
 // SweepOptions tunes one RunKernelPoints sweep. The zero value runs the
@@ -81,21 +88,13 @@ type SweepOptions struct {
 	// and counters without a second accounting path inside the sweep
 	// runner.
 	Observe func(i int) func(Run)
-	// Shard and Shards restrict execution to one shard of a
-	// deterministic interleaved partition: only points with index
-	// i%Shards == Shard execute, and the other entries of the returned
-	// slice are zero Runs. Shards combine through a shared PersistDir:
-	// each writes its launches into the tier, and an unsharded run over
-	// the same directory serves them all from disk. Shards <= 1 runs
-	// everything; a Shard outside 0..Shards-1 fails the sweep.
-	Shard, Shards int
 }
 
 // RunKernelPoints is the suite's one sweep entry point: it times every
-// point (of opts' shard) and returns the runs in input order. Device
-// contexts are created up front so a bad card fails the sweep before any
-// worker starts; the context map itself is safe for concurrent lookup
-// and the contexts are read-only during launches.
+// point and returns the runs in input order. Device contexts are created
+// up front so a bad card fails the sweep before any worker starts; the
+// context map itself is safe for concurrent lookup and the contexts are
+// read-only during launches.
 //
 // Failure policy, per the cal taxonomy: transient launch failures retry
 // up to s.Retries times with doubling backoff; timeouts, exhausted
@@ -111,11 +110,6 @@ type SweepOptions struct {
 // several independent sweeps over ONE shared suite (the campaign daemon)
 // cancel just their own.
 func (s *Suite) RunKernelPoints(parent context.Context, kps []KernelPoint, opts SweepOptions) ([]Run, error) {
-	shard, shards := opts.Shard, max(opts.Shards, 1)
-	if shard < 0 || shard >= shards {
-		return nil, fmt.Errorf("core: shard %d out of range 0..%d", shard, shards-1)
-	}
-	mine := func(i int) bool { return i%shards == shard }
 	pts := kps
 	if s.MaxDomain > 0 {
 		// Clamp a copy: the caller's points are never rewritten.
@@ -133,16 +127,9 @@ func (s *Suite) RunKernelPoints(parent context.Context, kps []KernelPoint, opts 
 	runs := make([]Run, len(pts))
 	ctr := s.counters()
 
-	scheduled := 0
-	for i := range pts {
-		if mine(i) {
-			scheduled++
-		}
-	}
-
 	var prog *obs.Progress
 	if s.Progress != nil {
-		prog = obs.NewProgress(s.Progress, "sweep", scheduled)
+		prog = obs.NewProgress(s.Progress, "sweep", len(pts))
 		defer prog.Finish()
 	}
 
@@ -164,10 +151,7 @@ func (s *Suite) RunKernelPoints(parent context.Context, kps []KernelPoint, opts 
 
 	// A fixed worker set fed from a channel: a 10k-point sweep runs on
 	// s.workers() goroutines, not 10k.
-	workers := s.workers()
-	if workers > scheduled {
-		workers = scheduled
-	}
+	workers := min(s.workers(), len(pts))
 	jobs := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -203,9 +187,6 @@ func (s *Suite) RunKernelPoints(parent context.Context, kps []KernelPoint, opts 
 	}
 feed:
 	for i := range pts {
-		if !mine(i) {
-			continue
-		}
 		select {
 		case jobs <- i:
 		case <-ctx.Done():
@@ -285,7 +266,9 @@ func (s *Suite) runPointResilient(ctx context.Context, p KernelPoint) (Run, erro
 }
 
 // runKernelSafe times one point behind a panic fence: a panicking launch
-// on a worker must fail its point, not the process.
+// on a worker must fail its point, not the process. It is the suite's
+// only launch site, so every launch is counted, traced, watchdog-bound
+// and visible to BeforeLaunch; its errors come back unwrapped.
 func (s *Suite) runKernelSafe(p KernelPoint, attempt int) (run Run, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -314,7 +297,7 @@ func (s *Suite) runKernelSafe(p KernelPoint, attempt int) (run Run, err error) {
 		}
 	}
 	defer sp.End()
-	m, err := ctx.LoadModule(p.K)
+	m, err := ctx.LoadModuleWith(p.K, p.Opts)
 	if err != nil {
 		return Run{}, err
 	}
@@ -325,7 +308,7 @@ func (s *Suite) runKernelSafe(p KernelPoint, attempt int) (run Run, err error) {
 	s.launched.Add(1)
 	ev, err := ctx.Launch(m, cal.LaunchConfig{
 		Order: order, W: p.W, H: p.H, Iterations: s.Iterations,
-		DeadlineCycles: s.DeadlineCycles, Attempt: attempt,
+		Ablate: p.Ablate, DeadlineCycles: s.DeadlineCycles, Attempt: attempt,
 		Span: sp,
 	})
 	if err != nil {

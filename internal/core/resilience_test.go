@@ -501,15 +501,6 @@ func TestRunKernelPointsClampsACopy(t *testing.T) {
 	}
 }
 
-func TestRunKernelPointsRejectsBadShard(t *testing.T) {
-	s := quickSuite()
-	for _, o := range []SweepOptions{{Shard: 2, Shards: 2}, {Shard: -1, Shards: 2}, {Shard: 1}} {
-		if _, err := s.RunKernelPoints(context.Background(), nil, o); err == nil || !strings.Contains(err.Error(), "out of range") {
-			t.Errorf("shard %d/%d: err = %v, want out of range", o.Shard, o.Shards, err)
-		}
-	}
-}
-
 // TestCancelDuringBackoffStopsRetrying cancels a sweep while its one
 // point waits out a retry backoff: the point must not launch again, and
 // it records neither a completion nor a failure.

@@ -7,7 +7,10 @@
 // model's shape — is derived from a Spec.
 package device
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Arch identifies one of the three StreamSDK-capable GPU generations.
 type Arch int
@@ -151,6 +154,21 @@ func Lookup(a Arch) Spec {
 
 // All returns the three StreamSDK generations in paper order.
 func All() []Spec { return []Spec{rv670, rv770, rv870} }
+
+// ParseArch resolves a device name as the tools accept it: the ASIC name
+// in any case ("RV770", "rv770") or the board name ("4870"), with
+// surrounding space trimmed.
+func ParseArch(name string) (Arch, error) {
+	name = strings.TrimSpace(name)
+	var known []string
+	for _, spec := range All() {
+		if strings.EqualFold(name, spec.Arch.String()) || name == spec.Arch.CardName() {
+			return spec.Arch, nil
+		}
+		known = append(known, spec.Arch.String())
+	}
+	return 0, fmt.Errorf("unknown architecture %q (have %s)", name, strings.Join(known, ", "))
+}
 
 var rv670 = Spec{
 	Arch:         RV670,

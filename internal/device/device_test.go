@@ -1,6 +1,7 @@
 package device
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -230,6 +231,31 @@ func TestValidateCatchesBrokenSpecs(t *testing.T) {
 		m(&s)
 		if err := s.Validate(); err == nil {
 			t.Errorf("mutation %d: Validate accepted a broken spec", i)
+		}
+	}
+}
+
+func TestParseArch(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		want Arch
+	}{
+		{"RV670", RV670}, {"rv770", RV770}, {"Rv870", RV870},
+		{"3870", RV670}, {"4870", RV770}, {" 5870\t", RV870}, {" rv770 ", RV770},
+	} {
+		if got, err := ParseArch(c.name); err != nil || got != c.want {
+			t.Errorf("ParseArch(%q) = %v, %v; want %v", c.name, got, err, c.want)
+		}
+	}
+	for _, name := range []string{"", "  ", "G80", "rv7700", "HD4870", "4870x2", "RV 770", "Arch(1)"} {
+		_, err := ParseArch(name)
+		if err == nil {
+			t.Errorf("ParseArch(%q) accepted an unknown name", name)
+			continue
+		}
+		want := `unknown architecture "` + strings.TrimSpace(name) + `" (have RV670, RV770, RV870)`
+		if err.Error() != want {
+			t.Errorf("ParseArch(%q) error = %q, want %q", name, err, want)
 		}
 	}
 }

@@ -136,9 +136,6 @@ func New(opts Options) *Pipeline {
 	return p
 }
 
-// Enabled reports whether memoization is on.
-func (p *Pipeline) Enabled() bool { return !p.disabled }
-
 // Metrics returns the registry the pipeline's counters live in — the
 // one `-metrics` dumps. Clients (cal contexts, the sweep runner)
 // register their own counters into it so one snapshot covers the whole

@@ -270,8 +270,8 @@ func TestDisabledPipelineRecomputesEverything(t *testing.T) {
 	if got != cfg.direct(t) {
 		t.Error("disabled pipeline result differs from direct sim.Run")
 	}
-	if p.Enabled() {
-		t.Error("Enabled() should be false")
+	if !p.disabled {
+		t.Error("pipeline should be disabled")
 	}
 	// The bypassing launch compiled as well: every stage recomputed.
 	if h, m := p.compile.hits.Load(), p.compile.misses.Load(); h != 0 || m != 3 {

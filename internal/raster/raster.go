@@ -95,10 +95,6 @@ func (o Order) Thread(w, h, wave, lane int) (x, y int) {
 	return bx*o.BlockW + lane%o.BlockW, by*o.BlockH + lane/o.BlockW
 }
 
-// Quad returns the 2x2 quad index of a lane (0..15); the texture units
-// operate at quad granularity.
-func Quad(lane int) int { return lane / 4 }
-
 // Layout describes a tiled texture: elements stored in TileDim x TileDim
 // tiles, tiles row-major across the (padded) surface. This is the layout
 // the texture cache sees; pixel-mode wavefronts touch one tile each, while

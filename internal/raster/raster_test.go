@@ -104,9 +104,6 @@ func TestPixelQuadStructure(t *testing.T) {
 			t.Errorf("lane %d at (%d,%d), want %v", lane, x, y, want[lane])
 		}
 	}
-	if Quad(0) != 0 || Quad(3) != 0 || Quad(4) != 1 || Quad(63) != 15 {
-		t.Error("quad indexing wrong")
-	}
 }
 
 func Test64x1WavefrontIsOneRow(t *testing.T) {

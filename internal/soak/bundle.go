@@ -228,16 +228,9 @@ func ReplayBundle(dir string, cfg Config) error {
 
 // bundlePoint reconstructs the sweep point a bundle recorded.
 func bundlePoint(b *Bundle, k *il.Kernel) (core.KernelPoint, error) {
-	var arch device.Arch
-	found := false
-	for _, spec := range device.All() {
-		if spec.Arch.String() == b.Arch {
-			arch = spec.Arch
-			found = true
-		}
-	}
-	if !found {
-		return core.KernelPoint{}, fmt.Errorf("soak: bundle names unknown arch %q", b.Arch)
+	arch, err := device.ParseArch(b.Arch)
+	if err != nil {
+		return core.KernelPoint{}, fmt.Errorf("soak: bundle names %w", err)
 	}
 	card := core.Card{Arch: arch, Mode: k.Mode, Type: k.Type, BlockW: b.BlockW, BlockH: b.BlockH}
 	return core.KernelPoint{Card: card, X: b.X, K: k, W: b.W, H: b.H}, nil
