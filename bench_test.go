@@ -32,14 +32,23 @@ func newSuite() *core.Suite {
 	return core.NewSuite()
 }
 
-// runFigure runs one registry figure on s, the way `amdmb <fig>` does.
+// runFigure runs one registry figure on s, the way `amdmb <fig>` does:
+// as a one-figure campaign.
 func runFigure(b *testing.B, s *core.Suite, name string) (*report.Figure, []core.Run) {
 	b.Helper()
-	fig, runs, err := campaign.RunFigure(s, name)
+	specs, err := campaign.Specs(s, []string{name})
 	if err != nil {
 		b.Fatal(err)
 	}
-	return fig, runs
+	plan, err := campaign.NewPlan(specs, campaign.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := plan.Run(s)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res.Figures[0], res.Runs[0]
 }
 
 // benchFigures runs registry figures b.N times on one suite and reports
@@ -60,7 +69,12 @@ func benchFigures(b *testing.B, names ...string) {
 			rows = append(rows, c)
 		}
 	}
-	ms, err := campaign.Measure(s, figs, rows)
+	for _, name := range campaign.ClaimFigs(rows) {
+		if figs[name] == nil {
+			figs[name], _ = runFigure(b, s, name)
+		}
+	}
+	ms, err := campaign.Measure(figs, rows)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -315,15 +329,7 @@ func BenchmarkCompileChase(b *testing.B) {
 func BenchmarkHierLadderSweep(b *testing.B) {
 	points := 0
 	for i := 0; i < b.N; i++ {
-		s := newSuite()
-		spec, err := hier.LatencyLadderSpec(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_, runs, err := s.RunFigureSpec(spec)
-		if err != nil {
-			b.Fatal(err)
-		}
+		_, runs := runFigure(b, newSuite(), "hier-lat")
 		for _, r := range runs {
 			if r.Failed() {
 				b.Fatalf("point %s x=%g failed: %s", r.Card.Label(), r.X, r.Err)

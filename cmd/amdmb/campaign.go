@@ -139,19 +139,12 @@ func runCampaignCmd(argv []string, stdout, stderr io.Writer) int {
 	}
 	s.Workers = workers
 
-	specs, err := campaign.Resolve(s, names, archs)
+	plan, err := c.plan(s, names, archs)
 	if err != nil {
 		fmt.Fprintf(stderr, "amdmb campaign: %v\n", err)
 		if errors.As(err, new(*campaign.RequestError)) {
 			return 2
 		}
-		return 1
-	}
-	// The plan clamps domains itself with the same cap as the suite, so
-	// the dry-run schedule is exactly what the suite would execute.
-	plan, err := campaign.NewPlan(specs, campaign.Options{MaxDomain: c.maxDomain})
-	if err != nil {
-		fmt.Fprintf(stderr, "amdmb campaign: %v\n", err)
 		return 1
 	}
 	if planOnly {
@@ -167,7 +160,7 @@ func runCampaignCmd(argv []string, stdout, stderr io.Writer) int {
 	if shards > 1 {
 		fmt.Fprintf(stderr, "campaign shard %d/%d: units=%d executed=%d failed=%d\n",
 			shard, shards, len(plan.Units), res.Executed, res.Failed())
-		return c.epilogue(s)
+		return c.epilogue(s, res.Failures)
 	}
 	for _, fig := range res.Figures {
 		if err := c.emitFigure(fig); err != nil {
@@ -177,5 +170,5 @@ func runCampaignCmd(argv []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stderr, "campaign: figures=%d units=%d executed=%d failed=%d\n",
 		len(plan.Specs), len(plan.Units), res.Executed, res.Failed())
-	return c.epilogue(s)
+	return c.epilogue(s, res.Failures)
 }

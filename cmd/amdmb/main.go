@@ -13,10 +13,13 @@
 // fig15a fig15b fig16 fig17 clausectl trans blocks consts summary ablate
 // all
 //
-// The campaign subcommand plans several figures as one list of launch
-// units and executes them as a single resilient sweep, so work shared
-// between figures runs once through the pipeline's stores; `-plan`
-// prints the schedule without running. See campaign.go and
+// Every invocation plans the figures it prints, and the figures summary
+// reads, as one campaign (internal/campaign): one resilient sweep in
+// which each figure launches once, printed in sorted experiment order.
+//
+// The campaign subcommand plans the figures named in -figs the same
+// way, so work shared between figures runs once through the pipeline's
+// stores; `-plan` prints the schedule without running. See campaign.go and
 // internal/campaign; `amdmb campaign -h` lists its flags. Beyond the paper's figures, the
 // campaign registry includes the memory-hierarchy dissection figures
 // hier-lat, hier-wset, hier-line and hier-stride (internal/hier); a
@@ -56,8 +59,8 @@
 //	-metrics           print the suite's metrics registry (cache, fault, retry
 //	                   and sweep counters plus latency histograms) as a table
 //	-metrics-json      like -metrics but as JSON (implies -metrics)
-//	-progress          show a live per-sweep progress line on stderr (points
-//	                   done/total, failures, cache hit rate, ETA)
+//	-progress          show a live progress line for the invocation's sweep on
+//	                   stderr (points done/total, failures, cache hit rate, ETA)
 //	-max-domain N      clamp every sweep domain to at most NxN (CI smoke runs)
 //	-cpuprofile file   write a CPU profile of the run (go tool pprof format)
 //	-memprofile file   write a heap profile on exit (go tool pprof format)
@@ -75,6 +78,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"strings"
 
@@ -117,22 +121,27 @@ type cli struct {
 type experiment struct {
 	name string
 	desc string
-	run  func(s *core.Suite) error
+	// figs are the registry figures the experiment reads. An invocation
+	// plans every selected experiment's figures as one campaign, so each
+	// figure launches once however many experiments read it.
+	figs []string
+	run  func(s *core.Suite, r *ran) error
 }
 
-// figExperiment is the experiment that runs and prints one registry
-// figure.
+// ran is an invocation's executed campaign, by figure name.
+type ran struct {
+	figs campaign.Figures
+	runs map[string][]core.Run
+}
+
+// figExperiment is the experiment that prints one registry figure.
 func (c *cli) figExperiment(name, desc string) experiment {
-	return experiment{name: name, desc: desc, run: func(s *core.Suite) error {
-		fig, runs, err := campaign.RunFigure(s, name)
-		if err != nil {
-			return err
-		}
-		if err := c.emitFigure(fig); err != nil {
+	return experiment{name: name, desc: desc, figs: []string{name}, run: func(_ *core.Suite, r *ran) error {
+		if err := c.emitFigure(r.figs[name]); err != nil {
 			return err
 		}
 		if c.showRuns {
-			c.emitRuns(runs)
+			c.emitRuns(r.runs[name])
 		}
 		return nil
 	}}
@@ -140,11 +149,11 @@ func (c *cli) figExperiment(name, desc string) experiment {
 
 func (c *cli) experiments() []experiment {
 	return []experiment{
-		{"table1", "GPU hardware features", func(s *core.Suite) error {
+		{"table1", "GPU hardware features", nil, func(s *core.Suite, _ *ran) error {
 			fmt.Fprintln(c.out, s.HardwareTable().Format())
 			return nil
 		}},
-		{"fig2", "example ISA disassembly", func(s *core.Suite) error {
+		{"fig2", "example ISA disassembly", nil, func(*core.Suite, *ran) error {
 			return c.printFig2()
 		}},
 		c.figExperiment("fig7", "ALU:Fetch ratio, texture reads"),
@@ -163,15 +172,15 @@ func (c *cli) experiments() []experiment {
 		c.figExperiment("trans", "extension: transcendental vs basic ALU chains"),
 		c.figExperiment("blocks", "extension: compute block-size sweep"),
 		c.figExperiment("consts", "extension: constant count sweep (flat)"),
-		{"summary", "one-screen paper-vs-measured reproduction digest", func(s *core.Suite) error {
-			ms, err := campaign.Measure(s, campaign.Figures{}, campaign.Claims)
+		{"summary", "one-screen paper-vs-measured reproduction digest", campaign.ClaimFigs(campaign.Claims), func(_ *core.Suite, r *ran) error {
+			ms, err := campaign.Measure(r.figs, campaign.Claims)
 			if err != nil {
 				return err
 			}
 			fmt.Fprint(c.out, campaign.ClaimsTable(ms).Format())
 			return nil
 		}},
-		{"ablate", "extension: hardware-mechanism ablation study", func(s *core.Suite) error {
+		{"ablate", "extension: hardware-mechanism ablation study", nil, func(s *core.Suite, _ *ran) error {
 			res, err := s.AblationStudy()
 			if err != nil {
 				return err
@@ -278,16 +287,18 @@ func (c *cli) commonFlags(fs *flag.FlagSet) {
 	fs.IntVar(&c.maxDomain, "max-domain", 0, "clamp every sweep domain to at most NxN (0 = no clamp)")
 }
 
-// newSuite builds the suite the parsed flags describe. A bad fault plan
-// is the only way it fails, and that is a usage error.
+// newSuite builds the suite the parsed flags describe. It fails only on
+// a negative -iters or -max-domain or a bad fault plan: usage errors.
 func (c *cli) newSuite() (*core.Suite, error) {
+	if c.iters < 0 || c.maxDomain < 0 {
+		return nil, fmt.Errorf("-iters and -max-domain must not be negative (got %d, %d)", c.iters, c.maxDomain)
+	}
 	s := core.NewSuite()
 	s.Iterations = c.iters
 	s.Retries = c.retries
 	s.DeadlineCycles = c.timeout
 	s.DisableArtifactCache = c.noCache
 	s.PersistDir = c.cacheDir
-	s.MaxDomain = c.maxDomain
 	if c.tracePath != "" {
 		s.Tracer = obs.NewTracer()
 	}
@@ -304,10 +315,22 @@ func (c *cli) newSuite() (*core.Suite, error) {
 	return s, nil
 }
 
-// epilogue finishes a run: trace export, metrics, and the failure
-// summary. The return value is the exit status — 0 clean, 1 on
-// an export error, 3 when sweeps completed around recorded failures.
-func (c *cli) epilogue(s *core.Suite) int {
+// plan resolves the named figures on s, restricted to archs when any
+// are named, and schedules them as one campaign at the -max-domain
+// clamp.
+func (c *cli) plan(s *core.Suite, figs, archs []string) (*campaign.Plan, error) {
+	specs, err := campaign.Resolve(s, figs, archs)
+	if err != nil {
+		return nil, err
+	}
+	return campaign.NewPlan(specs, campaign.Options{MaxDomain: c.maxDomain})
+}
+
+// epilogue finishes a run: trace export, metrics, and the summary of the
+// campaign's failure records. The return value is the exit status — 0
+// clean, 1 on an export error, 3 when sweeps completed around recorded
+// failures.
+func (c *cli) epilogue(s *core.Suite, failures []core.Run) int {
 	if c.tracePath != "" {
 		if err := s.Tracer.WriteFile(c.tracePath); err != nil {
 			fmt.Fprintf(c.errOut, "amdmb: -trace: %v\n", err)
@@ -327,7 +350,7 @@ func (c *cli) epilogue(s *core.Suite) int {
 			fmt.Fprintln(c.out, snap.Format())
 		}
 	}
-	if failures := s.Failures(); len(failures) > 0 {
+	if len(failures) > 0 {
 		fmt.Fprintln(c.out, failureTable(failures).Format())
 		fmt.Fprintf(c.errOut, "amdmb: %d point(s) failed and were recorded; sweeps completed\n", len(failures))
 		return 3
@@ -426,13 +449,39 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	var figs []string
 	for _, name := range selected {
-		if err := byName[name].run(s); err != nil {
+		for _, f := range byName[name].figs {
+			if !slices.Contains(figs, f) {
+				figs = append(figs, f)
+			}
+		}
+	}
+	r := &ran{figs: campaign.Figures{}, runs: map[string][]core.Run{}}
+	var failures []core.Run
+	if len(figs) > 0 {
+		plan, err := c.plan(s, figs, nil)
+		if err != nil {
+			fmt.Fprintf(stderr, "amdmb: %v\n", err)
+			return 1
+		}
+		res, err := plan.Run(s)
+		if err != nil {
+			fmt.Fprintf(stderr, "amdmb: %v\n", err)
+			return 1
+		}
+		for i, sp := range plan.Specs {
+			r.figs[sp.Name], r.runs[sp.Name] = res.Figures[i], res.Runs[i]
+		}
+		failures = res.Failures
+	}
+	for _, name := range selected {
+		if err := byName[name].run(s, r); err != nil {
 			fmt.Fprintf(stderr, "amdmb: %s: %v\n", name, err)
 			return 1
 		}
 	}
-	return c.epilogue(s)
+	return c.epilogue(s, failures)
 }
 
 // writeMemProfile snapshots the heap after a final GC, so the profile

@@ -304,6 +304,83 @@ func TestMaxDomainClampsSweeps(t *testing.T) {
 	}
 }
 
+// TestNegativeCountsAreUsageErrors: a negative -iters or -max-domain
+// is rejected before anything runs, by the main command and the
+// campaign subcommand alike.
+func TestNegativeCountsAreUsageErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"-iters", "-1", "-csv", "-max-domain", "16", "fig13"},
+		{"-iters", "1", "-max-domain", "-4", "fig13"},
+		{"campaign", "-figs", "fig13", "-iters", "-1", "-max-domain", "16"},
+		{"campaign", "-figs", "fig13", "-max-domain", "-4", "-plan"},
+	} {
+		code, out, stderr := runCLI(t, args...)
+		if code != 2 || out != "" || !strings.Contains(stderr, "must not be negative") {
+			t.Errorf("%q: exit %d, stdout %d bytes, stderr %q; want a usage error", args, code, len(out), stderr)
+		}
+	}
+}
+
+// metricsCounters decodes the counters of the -metrics-json object in a
+// run's stdout; figures print before it and a failure table after it.
+func metricsCounters(t *testing.T, out string) map[string]int64 {
+	t.Helper()
+	idx := strings.Index(out, "\n{")
+	if idx < 0 {
+		t.Fatalf("no metrics JSON in output:\n%s", out)
+	}
+	var snap struct {
+		Counters []struct {
+			Name  string `json:"name"`
+			Value int64  `json:"value"`
+		} `json:"counters"`
+	}
+	if err := json.NewDecoder(strings.NewReader(out[idx:])).Decode(&snap); err != nil {
+		t.Fatalf("-metrics-json output is not valid JSON: %v", err)
+	}
+	counters := map[string]int64{}
+	for _, c := range snap.Counters {
+		counters[c.Name] = c.Value
+	}
+	return counters
+}
+
+// TestMainRunsEachFigureOnce: summary reads fig13 and fig14, and fig13
+// is printed as well. One invocation plans them as one campaign, so
+// every point launches once, and each hung writelat_o3 point (6 in
+// fig13, 10 in fig14) is one failure row.
+func TestMainRunsEachFigureOnce(t *testing.T) {
+	code, out, stderr := runCLI(t, "-iters", "1", "-max-domain", "16", "-timeout", "1048576",
+		"-faults", "hang:prob=1,match=writelat_o3", "-metrics-json", "fig13", "summary")
+	if code != 3 {
+		t.Fatalf("exit %d, want 3; stderr: %s", code, stderr)
+	}
+	table := out[strings.Index(out, "Failure summary"):]
+	perLabel := map[string]int{}
+	for _, line := range strings.Split(table, "\n") {
+		if strings.Contains(line, "kernel timeout") {
+			perLabel[strings.Join(strings.Fields(line)[:3], " ")]++
+		}
+	}
+	rows := 0
+	for label, n := range perLabel {
+		rows += n
+		// Pixel cards plot in both figures, compute cards in fig14 only.
+		if want := map[bool]int{true: 2, false: 1}[strings.Contains(label, "Pixel")]; n != want {
+			t.Errorf("%s listed %d times, want %d", label, n, want)
+		}
+	}
+	if rows != 16 {
+		t.Errorf("%d failure rows, want 16:\n%s", rows, table)
+	}
+	c := metricsCounters(t, out)
+	done := c["core.sweep.points.completed"] + c["core.sweep.points.failed"]
+	if c["cal.launches"] != c["campaign.units.planned"] || done != c["cal.launches"] || done != 1136 {
+		t.Errorf("cal.launches %d, campaign.units.planned %d, completed+failed %d; want all 1136",
+			c["cal.launches"], c["campaign.units.planned"], done)
+	}
+}
+
 func TestNoCacheFlagMatchesCachedOutput(t *testing.T) {
 	codeA, cached, stderr := runCLI(t, "-csv", "-iters", "1", "fig7")
 	if codeA != 0 {
@@ -321,23 +398,7 @@ func TestNoCacheFlagMatchesCachedOutput(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, stderr)
 	}
-	idx := strings.Index(out, "\n{")
-	if idx < 0 {
-		t.Fatalf("no metrics JSON in output:\n%s", out)
-	}
-	var snap struct {
-		Counters []struct {
-			Name  string `json:"name"`
-			Value int64  `json:"value"`
-		} `json:"counters"`
-	}
-	if err := json.Unmarshal([]byte(out[idx:]), &snap); err != nil {
-		t.Fatalf("-metrics-json output is not valid JSON: %v", err)
-	}
-	counters := map[string]int64{}
-	for _, c := range snap.Counters {
-		counters[c.Name] = c.Value
-	}
+	counters := metricsCounters(t, out)
 	for _, stage := range []string{"generate", "compile", "replay", "simulate"} {
 		if h := counters["pipeline."+stage+".hits"]; h != 0 {
 			t.Errorf("-no-cache served %d %s hits, want 0", h, stage)

@@ -17,8 +17,9 @@ func startDaemon(t *testing.T, maxDomain int) *httptest.Server {
 	t.Helper()
 	s := core.NewSuite()
 	s.Iterations = 1
-	s.MaxDomain = maxDomain
-	ts := httptest.NewServer(daemon.NewServer(campaign.NewJobs(s), s.Metrics(), nil))
+	js := campaign.NewJobs(s)
+	js.MaxDomain = maxDomain
+	ts := httptest.NewServer(daemon.NewServer(js, s.Metrics(), nil))
 	t.Cleanup(ts.Close)
 	return ts
 }

@@ -67,6 +67,10 @@ func run(argv []string, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "amdmbd: unexpected arguments %q\n", fs.Args())
 		return 2
 	}
+	if *iters < 0 || *maxDomain < 0 {
+		fmt.Fprintf(stderr, "amdmbd: -iters and -max-domain must not be negative (got %d, %d)\n", *iters, *maxDomain)
+		return 2
+	}
 
 	logger := log.New(stderr, "amdmbd: ", log.LstdFlags)
 
@@ -85,24 +89,21 @@ func run(argv []string, stderr io.Writer) int {
 	s.Iterations = *iters
 	s.Workers = *workers
 	s.Retries = *retries
-	s.MaxDomain = *maxDomain
 	s.PersistDir = *cacheDir
+	jobs := campaign.NewJobs(s)
+	jobs.MaxDomain = *maxDomain
 
-	srv := &http.Server{Handler: daemon.NewServer(campaign.NewJobs(s), s.Metrics(), logger)}
+	srv := &http.Server{Handler: daemon.NewServer(jobs, s.Metrics(), logger)}
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		logger.Print(err)
 		return 1
 	}
-	effIters := *iters
-	if effIters == 0 {
-		effIters = sim.DefaultIterations
-	}
 	cache := *cacheDir
 	if cache == "" {
 		cache = "none (results die with the process)"
 	}
-	logger.Printf("listening on http://%s (iterations=%d, cache=%s)", ln.Addr(), effIters, cache)
+	logger.Printf("listening on http://%s (iterations=%d, cache=%s)", ln.Addr(), sim.Iterations(*iters), cache)
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()

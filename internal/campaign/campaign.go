@@ -1,8 +1,8 @@
-// Package campaign is the suite's campaign scheduler: it accepts
-// declarative figure specs (core.FigureSpec, the same specs
-// core.Suite.RunFigureSpec runs one at a time), flattens their points
-// in figure order into one launch list, runs the list as one batch on
-// the resilient sweep runner, and slices the runs back per figure.
+// Package campaign is the suite's campaign scheduler and the only way a
+// set of figures runs: it accepts declarative figure specs
+// (core.FigureSpec), flattens their points in figure order into one
+// launch list, runs the list as one batch on the resilient sweep
+// runner, and slices the runs back per figure.
 //
 // Sharing needs no bookkeeping here. Figures that share a whole launch
 // (fig16 and clausectl at register step 0 generate identical kernels)
@@ -36,9 +36,10 @@ type Spec struct {
 // Options tunes planning.
 type Options struct {
 	// MaxDomain, when positive, clamps every point's domain to at most
-	// MaxDomain x MaxDomain at plan time, so the dry-run schedule shows
-	// the launches that execute. Run the plan on a suite with the same
-	// MaxDomain; the suite-level clamp is then a no-op.
+	// MaxDomain x MaxDomain at plan time. It is the suite's only sweep
+	// clamp (`-max-domain`), so the dry-run schedule shows exactly the
+	// launches that execute, and the clamped domain is part of every
+	// launch's persist-tier key.
 	MaxDomain int
 }
 

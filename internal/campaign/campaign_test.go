@@ -3,7 +3,9 @@ package campaign
 import (
 	"context"
 	"errors"
+	"fmt"
 	"maps"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -11,16 +13,16 @@ import (
 
 	"amdgpubench/internal/core"
 	"amdgpubench/internal/device"
+	"amdgpubench/internal/fault"
 	"amdgpubench/internal/report"
 )
 
 // testSuite mirrors the CLI's fast-test configuration: one timing
 // iteration and the artifact caches off, so every launch in these tests
 // computes unless a test turns the caches back on.
-func testSuite(maxDomain int) *core.Suite {
+func testSuite() *core.Suite {
 	s := core.NewSuite()
 	s.Iterations = 1
-	s.MaxDomain = maxDomain
 	s.DisableArtifactCache = true
 	return s
 }
@@ -34,13 +36,15 @@ func mustSpecs(t *testing.T, s *core.Suite, names ...string) []Spec {
 	return specs
 }
 
-func runFigure(t *testing.T, s *core.Suite, name string) *report.Figure {
+// runFigure runs one figure alone on s, as a one-figure campaign
+// clamped to maxDomain.
+func runFigure(t *testing.T, s *core.Suite, maxDomain int, name string) *report.Figure {
 	t.Helper()
-	fig, _, err := RunFigure(s, name)
+	res, err := mustPlan(t, s, Options{MaxDomain: maxDomain}, name).Run(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fig
+	return res.Figures[0]
 }
 
 func mustPlan(t *testing.T, s *core.Suite, opts Options, names ...string) *Plan {
@@ -57,7 +61,7 @@ func mustPlan(t *testing.T, s *core.Suite, opts Options, names ...string) *Plan 
 // figure order, with domains clamped and nothing else rewritten.
 func TestPlanInvariants(t *testing.T) {
 	const clamp = 64
-	s := testSuite(0)
+	s := testSuite()
 	p := mustPlan(t, s, Options{MaxDomain: clamp}, "fig7", "fig8", "fig11", "fig16")
 
 	ui := 0
@@ -87,7 +91,7 @@ func TestPlanInvariants(t *testing.T) {
 // than running each on its own suite.
 func TestCompileSharingIsThePipelineStores(t *testing.T) {
 	hits := func(names ...string) int64 {
-		s := testSuite(16)
+		s := testSuite()
 		s.DisableArtifactCache = false
 		if _, err := mustPlan(t, s, Options{MaxDomain: 16}, names...).Run(s); err != nil {
 			t.Fatal(err)
@@ -109,7 +113,7 @@ func TestCompileSharingIsThePipelineStores(t *testing.T) {
 // hit or a coalesced wait. The figures match separate fresh-suite runs.
 func TestSimulateStoreIsTheDedup(t *testing.T) {
 	const clamp = 64
-	s := testSuite(clamp)
+	s := testSuite()
 	s.DisableArtifactCache = false
 	p := mustPlan(t, s, Options{MaxDomain: clamp}, "fig16", "clausectl")
 	res, err := p.Run(s)
@@ -130,7 +134,7 @@ func TestSimulateStoreIsTheDedup(t *testing.T) {
 		t.Errorf("pipeline.compile.misses = %d, want 150", got)
 	}
 	for i, name := range []string{"fig16", "clausectl"} {
-		if got, want := res.Figures[i].CSV(), runFigure(t, testSuite(clamp), name).CSV(); got != want {
+		if got, want := res.Figures[i].CSV(), runFigure(t, testSuite(), clamp, name).CSV(); got != want {
 			t.Errorf("%s diverged from a fresh-suite run:\ncampaign:\n%s\nalone:\n%s", name, got, want)
 		}
 	}
@@ -143,7 +147,7 @@ func TestSimulateStoreIsTheDedup(t *testing.T) {
 func TestPlanDeterministic(t *testing.T) {
 	render := func() string {
 		var b strings.Builder
-		RenderPlan(&b, mustPlan(t, testSuite(0), Options{}, "fig16", "clausectl", "fig11"))
+		RenderPlan(&b, mustPlan(t, testSuite(), Options{}, "fig16", "clausectl", "fig11"))
 		return b.String()
 	}
 	a, b := render(), render()
@@ -155,7 +159,7 @@ func TestPlanDeterministic(t *testing.T) {
 // TestPlanMaxDomainClamp clamps a domain-size sweep at plan time: every
 // unit respects the cap, and every original point still gets its run.
 func TestPlanMaxDomainClamp(t *testing.T) {
-	s := testSuite(8)
+	s := testSuite()
 	p := mustPlan(t, s, Options{MaxDomain: 8}, "fig15a")
 	for _, u := range p.Units {
 		if u.W > 8 || u.H > 8 {
@@ -177,7 +181,7 @@ func TestPlanMaxDomainClamp(t *testing.T) {
 // nothing can hide behind cache hits.
 func TestCampaignMatchesSequential(t *testing.T) {
 	const clamp = 64
-	s := testSuite(clamp)
+	s := testSuite()
 	p := mustPlan(t, s, Options{MaxDomain: clamp}, "fig16", "clausectl")
 	res, err := p.Run(s)
 	if err != nil {
@@ -187,8 +191,8 @@ func TestCampaignMatchesSequential(t *testing.T) {
 		t.Fatalf("%d units failed", res.Failed())
 	}
 
-	direct16 := runFigure(t, testSuite(clamp), "fig16")
-	directCtl := runFigure(t, testSuite(clamp), "clausectl")
+	direct16 := runFigure(t, testSuite(), clamp, "fig16")
+	directCtl := runFigure(t, testSuite(), clamp, "clausectl")
 	if got, want := res.Figures[0].CSV(), direct16.CSV(); got != want {
 		t.Errorf("fig16 diverged from sequential run:\ncampaign:\n%s\nsequential:\n%s", got, want)
 	}
@@ -203,7 +207,7 @@ func TestCampaignMatchesSequential(t *testing.T) {
 // TestCampaignCounters checks the campaign.* metric family against the
 // plan, and the run's own accounting against the sweep's counters.
 func TestCampaignCounters(t *testing.T) {
-	s := testSuite(32)
+	s := testSuite()
 	p := mustPlan(t, s, Options{MaxDomain: 32}, "fig16", "clausectl")
 	res, err := p.Run(s)
 	if err != nil {
@@ -227,7 +231,7 @@ func TestCampaignCounters(t *testing.T) {
 }
 
 func TestRunCtxRejectsBadShard(t *testing.T) {
-	s := testSuite(16)
+	s := testSuite()
 	p := mustPlan(t, s, Options{MaxDomain: 16}, "fig16")
 	for _, o := range []RunOptions{{Shard: 2, Shards: 2}, {Shard: -1, Shards: 2}, {Shard: 1}} {
 		if _, err := p.RunCtx(context.Background(), s, o); err == nil || !strings.Contains(err.Error(), "out of range") {
@@ -247,10 +251,10 @@ func TestRunCtxShardsPartitionUnits(t *testing.T) {
 		x      float64
 	}
 	key := func(p core.KernelPoint) launch { return launch{p.K.Hash(), p.Card, p.X} }
-	plan := mustPlan(t, testSuite(16), Options{MaxDomain: 16}, "fig16", "clausectl")
+	plan := mustPlan(t, testSuite(), Options{MaxDomain: 16}, "fig16", "clausectl")
 	launched := map[launch]int{}
 	for shard := range shards {
-		s := testSuite(16)
+		s := testSuite()
 		var mu sync.Mutex
 		s.BeforeLaunch = func(p core.KernelPoint, _ int) {
 			mu.Lock()
@@ -283,6 +287,53 @@ func TestRunCtxShardsPartitionUnits(t *testing.T) {
 	}
 }
 
+// TestRunCtxReportsFailures hangs every writelat_o3 and writelat_o4
+// kernel (units of both parities, so each of two shards has failures):
+// the run's Failures must be exactly the executed units that failed, in
+// unit order, both unsharded and in each shard, which assembles no
+// figures.
+func TestRunCtxReportsFailures(t *testing.T) {
+	faulted := func() *core.Suite {
+		s := testSuite()
+		s.DeadlineCycles = 1 << 20
+		s.Faults = &fault.Plan{Specs: []fault.Spec{
+			{Kind: fault.Hang, Prob: 1, Match: "writelat_o3", Clause: -1},
+			{Kind: fault.Hang, Prob: 1, Match: "writelat_o4", Clause: -1},
+		}}
+		return s
+	}
+	plan := mustPlan(t, testSuite(), Options{MaxDomain: 16}, "fig13", "fig14")
+	for _, o := range []RunOptions{{}, {Shard: 0, Shards: 2}, {Shard: 1, Shards: 2}} {
+		shards := max(o.Shards, 1)
+		var want []string
+		for i, u := range plan.Units {
+			if i%shards == o.Shard && (u.K.Name == "writelat_o3" || u.K.Name == "writelat_o4") {
+				want = append(want, fmt.Sprintf("%s x=%g", u.Card.Label(), u.X))
+			}
+		}
+		res, err := plan.RunCtx(context.Background(), faulted(), o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, r := range res.Failures {
+			if !r.Failed() {
+				t.Errorf("shard %d/%d: Failures holds a completed run %+v", o.Shard, shards, r)
+			}
+			got = append(got, fmt.Sprintf("%s x=%g", r.Card.Label(), r.X))
+		}
+		if len(want) == 0 || !slices.Equal(got, want) {
+			t.Errorf("shard %d/%d: failures %q, want %q", o.Shard, shards, got, want)
+		}
+		if res.Failed() != len(res.Failures) {
+			t.Errorf("shard %d/%d: Failed() = %d with %d failure records", o.Shard, shards, res.Failed(), len(res.Failures))
+		}
+		if sharded := shards > 1; sharded != (res.Figures == nil) {
+			t.Errorf("shard %d/%d: assembled %d figures", o.Shard, shards, len(res.Figures))
+		}
+	}
+}
+
 // TestCampaignCheckpointResume kills a campaign mid-flight and resumes
 // it on a fresh suite over the same persistent cache dir: the resumed
 // invocation must serve the units the victim finished from disk and
@@ -291,7 +342,7 @@ func TestCampaignCheckpointResume(t *testing.T) {
 	const clamp = 64
 	dir := t.TempDir()
 	persisted := func() *core.Suite {
-		s := testSuite(clamp)
+		s := testSuite()
 		s.DisableArtifactCache = false
 		s.PersistDir = dir
 		return s
@@ -315,8 +366,8 @@ func TestCampaignCheckpointResume(t *testing.T) {
 		t.Fatal("resume served nothing from the persistent tier")
 	}
 
-	direct16 := runFigure(t, testSuite(clamp), "fig16")
-	directCtl := runFigure(t, testSuite(clamp), "clausectl")
+	direct16 := runFigure(t, testSuite(), clamp, "fig16")
+	directCtl := runFigure(t, testSuite(), clamp, "clausectl")
 	if res.Figures[0].CSV() != direct16.CSV() {
 		t.Error("resumed campaign fig16 diverged from sequential run")
 	}
@@ -341,7 +392,7 @@ func cancelAfter(t *testing.T, s *core.Suite, n int64) context.Context {
 
 // TestCampaignInterruptPropagates pins the error identity contract.
 func TestCampaignInterruptPropagates(t *testing.T) {
-	s := testSuite(32)
+	s := testSuite()
 	s.Workers = 1
 	ctx := cancelAfter(t, s, 2)
 	p := mustPlan(t, s, Options{MaxDomain: 32}, "fig16")
@@ -353,7 +404,7 @@ func TestCampaignInterruptPropagates(t *testing.T) {
 
 // TestSpecsRejectsBadNames pins the registry's error behavior.
 func TestSpecsRejectsBadNames(t *testing.T) {
-	s := testSuite(0)
+	s := testSuite()
 	if _, err := Specs(s, []string{"fig99"}); err == nil || !strings.Contains(err.Error(), "unknown figure") {
 		t.Fatalf("unknown name: got %v", err)
 	}
@@ -366,7 +417,7 @@ func TestSpecsRejectsBadNames(t *testing.T) {
 // case-folded, globs expand, an arch filter keeps only its series, and
 // exactly the caller's mistakes are RequestErrors.
 func TestResolve(t *testing.T) {
-	s := testSuite(16)
+	s := testSuite()
 	specs, err := Resolve(s, []string{" FIG7 ", "", "hier-l*"}, []string{"4870", " "})
 	if err != nil {
 		t.Fatal(err)
@@ -413,7 +464,7 @@ func TestFigureNamesCoverRegistry(t *testing.T) {
 	if len(names) != len(registry) {
 		t.Fatalf("FigureNames lists %d of %d registry rows", len(names), len(registry))
 	}
-	s := testSuite(16)
+	s := testSuite()
 	for _, n := range names {
 		if _, err := Specs(s, []string{n}); err != nil {
 			t.Errorf("registry name %q does not plan: %v", n, err)

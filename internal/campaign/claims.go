@@ -3,8 +3,8 @@ package campaign
 import (
 	"fmt"
 	"math"
+	"slices"
 
-	"amdgpubench/internal/core"
 	"amdgpubench/internal/report"
 )
 
@@ -104,20 +104,27 @@ type Measurement struct {
 // Holds reports whether the measured value lies inside the bound.
 func (m Measurement) Holds() bool { return m.Lo < m.Got && m.Got < m.Hi }
 
-// Measure evaluates claims on figs, first running on s every figure
-// they read that figs lacks (and adding it to figs). Each row sees only
-// the figures it declares.
-func Measure(s *core.Suite, figs Figures, claims []Claim) ([]Measurement, error) {
+// ClaimFigs lists the registry figures claims read, each once, in the
+// order the rows first name them: the figures to plan for Measure.
+func ClaimFigs(claims []Claim) []string {
+	var names []string
+	for _, c := range claims {
+		for _, name := range c.Figs {
+			if !slices.Contains(names, name) {
+				names = append(names, name)
+			}
+		}
+	}
+	return names
+}
+
+// Measure evaluates claims on run figures. Each row sees only the
+// figures it declares; a row reading a figure figs lacks fails.
+func Measure(figs Figures, claims []Claim) ([]Measurement, error) {
 	ms := make([]Measurement, len(claims))
 	for i, c := range claims {
 		view := Figures{}
 		for _, name := range c.Figs {
-			if figs[name] == nil {
-				var err error
-				if figs[name], _, err = RunFigure(s, name); err != nil {
-					return nil, err
-				}
-			}
 			view[name] = figs[name]
 		}
 		ms[i].Claim = c

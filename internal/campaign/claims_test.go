@@ -27,7 +27,17 @@ func TestClaims(t *testing.T) {
 			t.Errorf("metric id %q declared twice", c.Metric)
 		}
 	}
-	ms, err := Measure(core.NewSuite(), Figures{}, Claims)
+	s := core.NewSuite()
+	names := ClaimFigs(Claims)
+	res, err := mustPlan(t, s, Options{}, names...).Run(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	figs := Figures{}
+	for i, name := range names {
+		figs[name] = res.Figures[i]
+	}
+	ms, err := Measure(figs, Claims)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +97,7 @@ func TestClaimRowsOnSyntheticFigures(t *testing.T) {
 			t.Fatalf("no claim row %q", tc.metric)
 		}
 		// Every figure the row reads is given, so no suite is needed.
-		ms, err := Measure(nil, tc.figs, Claims[i:i+1])
+		ms, err := Measure(tc.figs, Claims[i:i+1])
 		if tc.wantErr != "" {
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 				t.Errorf("%s: error %v, want one containing %s", tc.metric, err, tc.wantErr)

@@ -43,7 +43,7 @@ type Request struct {
 	Archs []string `json:"archs,omitempty"`
 	// MaxDomain, when positive, clamps every sweep domain to at most
 	// MaxDomain x MaxDomain at plan time. The daemon may impose a
-	// tighter ceiling of its own.
+	// tighter ceiling of its own (Jobs.MaxDomain).
 	MaxDomain int `json:"max_domain,omitempty"`
 	// Iterations must be zero or equal to the daemon's fixed iteration
 	// count: iterations feed every sweep signature and simulate key, so
@@ -128,6 +128,11 @@ func (j *Job) Figure(name string) (*report.Figure, bool) {
 
 // Jobs is the registry: a shared suite plus every job submitted to it.
 type Jobs struct {
+	// MaxDomain, when positive, is the service's domain ceiling
+	// (`amdmbd -max-domain`): a request plans at the smaller of it and
+	// the request's own max_domain. Set it before the first Submit.
+	MaxDomain int
+
 	suite *core.Suite
 
 	submitted *obs.Counter
@@ -155,22 +160,15 @@ func NewJobs(s *core.Suite) *Jobs {
 	}
 }
 
-// effectiveIterations maps the zero value to the paper's default, so a
-// client naming the default explicitly matches a daemon left on it.
-func effectiveIterations(n int) int {
-	if n == 0 {
-		return sim.DefaultIterations
-	}
-	return n
-}
-
 // Submit validates, plans and launches a request. Validation and
 // planning run synchronously — an unknown figure, a bad arch, an
 // iteration mismatch or an empty filter result all fail here, before
 // the job exists — and the sweep itself starts in a goroutine. The
 // returned job is already registered and running.
 func (js *Jobs) Submit(req Request) (*Job, error) {
-	if have := effectiveIterations(js.suite.Iterations); req.Iterations != 0 && effectiveIterations(req.Iterations) != have {
+	// Both counts resolve zero to the paper's default, so a client naming
+	// the default explicitly matches a daemon left on it.
+	if have := sim.Iterations(js.suite.Iterations); req.Iterations != 0 && sim.Iterations(req.Iterations) != have {
 		return nil, fmt.Errorf("campaign: iterations %d unavailable: this service runs iterations=%d (iteration count is part of every cache identity, so one shared suite runs exactly one setting)",
 			req.Iterations, have)
 	}
@@ -181,7 +179,11 @@ func (js *Jobs) Submit(req Request) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan, err := NewPlan(specs, Options{MaxDomain: req.MaxDomain})
+	maxDomain := req.MaxDomain
+	if js.MaxDomain > 0 && (maxDomain == 0 || maxDomain > js.MaxDomain) {
+		maxDomain = js.MaxDomain
+	}
+	plan, err := NewPlan(specs, Options{MaxDomain: maxDomain})
 	if err != nil {
 		return nil, err
 	}

@@ -11,15 +11,21 @@ import (
 	"amdgpubench/internal/report"
 )
 
-// jobSuite is the daemon-shaped configuration: one timing iteration, a
-// clamped domain, and — unlike testSuite — the artifact caches ON,
-// because cross-request sharing through those caches is exactly what
-// the job registry exists to exercise.
-func jobSuite(maxDomain int) *core.Suite {
+// jobSuite is the daemon-shaped configuration: one timing iteration
+// and — unlike testSuite — the artifact caches ON, because
+// cross-request sharing through those caches is exactly what the job
+// registry exists to exercise.
+func jobSuite() *core.Suite {
 	s := core.NewSuite()
 	s.Iterations = 1
-	s.MaxDomain = maxDomain
 	return s
+}
+
+// testJobs is a registry over s with the daemon's domain ceiling at 16.
+func testJobs(s *core.Suite) *Jobs {
+	js := NewJobs(s)
+	js.MaxDomain = 16
+	return js
 }
 
 func waitJob(t *testing.T, j *Job) JobStatus {
@@ -36,8 +42,8 @@ func waitJob(t *testing.T, j *Job) JobStatus {
 // pre-daemon, single-tenant path — and returns each figure's CSV.
 func localFigureCSVs(t *testing.T, maxDomain int, names ...string) map[string]string {
 	t.Helper()
-	s := jobSuite(maxDomain)
-	res, err := mustPlan(t, s, Options{}, names...).Run(s)
+	s := jobSuite()
+	res, err := mustPlan(t, s, Options{MaxDomain: maxDomain}, names...).Run(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,8 +61,8 @@ func localFigureCSVs(t *testing.T, maxDomain int, names ...string) map[string]st
 // caches rather than simulated twice.
 func TestJobsConcurrentSharedSuite(t *testing.T) {
 	const maxDomain = 16
-	s := jobSuite(maxDomain)
-	js := NewJobs(s)
+	s := jobSuite()
+	js := testJobs(s)
 
 	ja, err := js.Submit(Request{Figs: []string{"fig7", "fig8"}})
 	if err != nil {
@@ -123,7 +129,7 @@ func TestJobsConcurrentSharedSuite(t *testing.T) {
 // it is blocked there, and checks the job settles to cancelled — not
 // failed — without touching the registry's other accounting.
 func TestJobsCancel(t *testing.T) {
-	s := jobSuite(16)
+	s := jobSuite()
 	var once sync.Once
 	entered := make(chan struct{})
 	release := make(chan struct{})
@@ -131,7 +137,7 @@ func TestJobsCancel(t *testing.T) {
 		once.Do(func() { close(entered) })
 		<-release
 	}
-	js := NewJobs(s)
+	js := testJobs(s)
 	j, err := js.Submit(Request{Figs: []string{"fig7"}})
 	if err != nil {
 		t.Fatal(err)
@@ -175,8 +181,8 @@ func TestJobsArchFilter(t *testing.T) {
 		{"hier-lat", "RV770", "4870 "},
 	} {
 		t.Run(tc.fig, func(t *testing.T) {
-			s := jobSuite(16)
-			js := NewJobs(s)
+			s := jobSuite()
+			js := testJobs(s)
 			j, err := js.Submit(Request{Figs: []string{tc.fig}, Archs: []string{tc.arch}, Iterations: 1})
 			if err != nil {
 				t.Fatal(err)
@@ -189,8 +195,8 @@ func TestJobsArchFilter(t *testing.T) {
 				t.Fatalf("no %s on a done job", tc.fig)
 			}
 
-			fresh := jobSuite(16)
-			res, err := mustPlan(t, fresh, Options{}, tc.fig).Run(fresh)
+			fresh := jobSuite()
+			res, err := mustPlan(t, fresh, Options{MaxDomain: 16}, tc.fig).Run(fresh)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -210,11 +216,33 @@ func TestJobsArchFilter(t *testing.T) {
 	}
 }
 
+// TestJobsMaxDomainCeiling: a request plans at the smaller of the
+// service's ceiling and its own max_domain, zero meaning no cap of its
+// own.
+func TestJobsMaxDomainCeiling(t *testing.T) {
+	js := testJobs(jobSuite())
+	for _, tc := range []struct{ req, want int }{{0, 16}, {64, 16}, {8, 8}} {
+		j, err := js.Submit(Request{Figs: []string{"fig13"}, MaxDomain: tc.req})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := waitJob(t, j); st.State != JobDone {
+			t.Fatalf("max_domain %d: state %q (error %q), want done", tc.req, st.State, st.Error)
+		}
+		for _, u := range j.plan.Units {
+			if u.W != tc.want || u.H != tc.want {
+				t.Fatalf("max_domain %d under ceiling %d planned a %dx%d unit, want %dx%d",
+					tc.req, js.MaxDomain, u.W, u.H, tc.want, tc.want)
+			}
+		}
+	}
+}
+
 // TestSubmitValidation: every malformed request fails synchronously,
 // before a job exists.
 func TestSubmitValidation(t *testing.T) {
-	s := jobSuite(16)
-	js := NewJobs(s)
+	s := jobSuite()
+	js := testJobs(s)
 	cases := []struct {
 		name string
 		req  Request

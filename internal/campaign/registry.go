@@ -9,14 +9,13 @@ import (
 	"amdgpubench/internal/device"
 	"amdgpubench/internal/hier"
 	"amdgpubench/internal/il"
-	"amdgpubench/internal/report"
 )
 
 // The name registry is the one declaration of every figure: one row per
 // name, and nothing else to edit when a figure is added. cmd/amdmb's
-// per-figure experiments, `amdmb campaign`, the daemon and the
-// benchmarks all build figures through Specs, so `amdmb campaign -figs
-// fig7,fig8` plans exactly the sweeps `amdmb fig7 fig8` runs.
+// figure experiments and summary, `amdmb campaign`, the daemon and the
+// benchmarks all plan figures through Specs, so `amdmb fig7 fig8` and
+// `amdmb campaign -figs fig7,fig8` run the same sweep.
 
 // Builder plans one figure on a suite.
 type Builder func(*core.Suite) (core.FigureSpec, error)
@@ -24,7 +23,8 @@ type Builder func(*core.Suite) (core.FigureSpec, error)
 // figure is one registry row. Its map key is the figure's name and also
 // its ID.
 type figure struct {
-	// title, when non-empty, replaces the builder's generic title.
+	// title, when non-empty, replaces the builder's title; the paper's
+	// rows carry one, their builders none.
 	title string
 	build Builder
 }
@@ -253,15 +253,4 @@ func parseArchs(names []string) (map[device.Arch]bool, error) {
 		set[a] = true
 	}
 	return set, nil
-}
-
-// RunFigure runs one registry figure alone on s. `amdmb <fig>`, the
-// claims table and the benchmarks run figures through it, so `amdmb
-// fig7` runs exactly the sweep `amdmb campaign -figs fig7` plans.
-func RunFigure(s *core.Suite, name string) (*report.Figure, []core.Run, error) {
-	specs, err := Specs(s, []string{name})
-	if err != nil {
-		return nil, nil, err
-	}
-	return s.RunFigureSpec(specs[0].Figure)
 }

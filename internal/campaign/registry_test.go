@@ -35,15 +35,11 @@ func TestRegistryFigureDigests(t *testing.T) {
 		{"registry.sha256", 64, FigureNames()},
 		{"registry_full.sha256", 0, core},
 	} {
-		s := testSuite(pass.maxDomain)
+		s := testSuite()
 		s.DisableArtifactCache = false // caching is an execution detail, never a result
 		var got strings.Builder
 		for _, name := range pass.names {
-			specs := mustSpecs(t, s, name)
-			fig, _, err := s.RunFigureSpec(specs[0].Figure)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
+			fig := runFigure(t, s, pass.maxDomain, name)
 			fmt.Fprintf(&got, "%x  %s\n", sha256.Sum256([]byte(fig.CSV())), name)
 		}
 		path := filepath.Join("testdata", pass.file)

@@ -28,11 +28,14 @@ type Result struct {
 	// Executed counts units that ran this invocation: every unit when
 	// unsharded, the shard's interleaved slice otherwise.
 	Executed int
-	failed   int
+	// Failures are the executed units that resolved to failure records,
+	// in unit order: the run's one record of the points it completed
+	// around.
+	Failures []core.Run
 }
 
 // Failed counts executed units that resolved to failure records.
-func (r *Result) Failed() int { return r.failed }
+func (r *Result) Failed() int { return len(r.Failures) }
 
 // RunOptions tunes one RunCtx invocation. The zero value runs the whole
 // campaign unobserved.
@@ -125,7 +128,12 @@ func (p *Plan) RunCtx(ctx context.Context, s *core.Suite, opts RunOptions) (*Res
 		return nil, err
 	}
 
-	res := &Result{Executed: int(executed.Load()), failed: int(failedUnits.Load())}
+	res := &Result{Executed: int(executed.Load())}
+	for _, r := range runs {
+		if r.Failed() {
+			res.Failures = append(res.Failures, r)
+		}
+	}
 	if sharded {
 		// A shard holds only a slice of every figure; figures assemble
 		// from the shared cache dir in the follow-up unsharded run.

@@ -31,16 +31,11 @@ type ALUFetchConfig struct {
 }
 
 // ALUFetchSpec plans the ALU:Fetch ratio sweep without running anything:
-// one kernel per (card, ratio), card-major, ready for RunFigureSpec or a
-// multi-figure campaign plan. Its curves locate the ratio where the
-// bottleneck flips from the texture fetch units to the ALUs.
+// one kernel per (card, ratio), card-major, ready for a campaign plan.
+// Its curves locate the ratio where the bottleneck flips from the
+// texture fetch units to the ALUs.
 func (s *Suite) ALUFetchSpec(cfg ALUFetchConfig) (FigureSpec, error) {
-	fig := &report.Figure{
-		ID:     "alufetch",
-		Title:  fmt.Sprintf("ALU:Fetch Ratio for %d Inputs (%s read, %s write)", aluFetchInputs, cfg.InputSpace, cfg.OutSpace),
-		XLabel: "ALU:Fetch Ratio",
-		YLabel: "Time in seconds",
-	}
+	fig := &report.Figure{XLabel: "ALU:Fetch Ratio", YLabel: "Time in seconds"}
 	var pts []KernelPoint
 	for _, card := range cfg.Cards {
 		for r := ratioMin; r <= ratioMax+1e-9; r += ratioStep {
@@ -67,11 +62,7 @@ const (
 // input count varies with the ALU count pinned to inputs-1, keeping the
 // fetch path the bottleneck.
 func (s *Suite) ReadLatencySpec(space il.MemSpace) (FigureSpec, error) {
-	title := "Texture Fetch Latency"
-	if space == il.GlobalSpace {
-		title = "Global Read Latency"
-	}
-	fig := &report.Figure{ID: "readlat", Title: title, XLabel: "Number of Inputs", YLabel: "Time in seconds"}
+	fig := &report.Figure{XLabel: "Number of Inputs", YLabel: "Time in seconds"}
 	var pts []KernelPoint
 	for _, card := range StandardCards(0, 0) {
 		for n := readMinInputs; n <= readMaxInputs; n++ {
@@ -98,13 +89,11 @@ const (
 // and GlobalSpace is global writes (Fig. 14) on every card. The output
 // count varies at constant inputs and ALU ops.
 func (s *Suite) WriteLatencySpec(space il.MemSpace) (FigureSpec, error) {
-	title := "Global Write Latency"
 	cards := StandardCards(0, 0)
 	if space == il.TextureSpace {
-		title = "Streaming Store Latency"
 		cards = PixelCards()
 	}
-	fig := &report.Figure{ID: "writelat", Title: title, XLabel: "Number of Outputs", YLabel: "Time in seconds"}
+	fig := &report.Figure{XLabel: "Number of Outputs", YLabel: "Time in seconds"}
 	var pts []KernelPoint
 	for _, card := range cards {
 		for n := 1; n <= writeMaxOutputs; n++ {
@@ -132,7 +121,7 @@ const (
 // ALU:Fetch ratio 10 (ALU bound, 8 inputs, 1 output, so occupancy stays
 // constant).
 func (s *Suite) DomainSizeSpec(cards []Card) (FigureSpec, error) {
-	fig := &report.Figure{ID: "domain", Title: "Impact of Domain Size", XLabel: "Domain Size", YLabel: "Time in seconds"}
+	fig := &report.Figure{XLabel: "Domain Size", YLabel: "Time in seconds"}
 	var pts []KernelPoint
 	for _, card := range cards {
 		step := domainStepPixel
@@ -180,11 +169,7 @@ type RegisterUsageConfig struct {
 // 16's axes. A point's X is its step index; it plots at the compiled
 // register count, which is known only once the run completes.
 func (s *Suite) RegisterUsageSpec(cfg RegisterUsageConfig) (FigureSpec, error) {
-	title := "Register Pressure Effect"
-	if cfg.Control {
-		title = "Clause Usage Control (constant registers)"
-	}
-	fig := &report.Figure{ID: "regusage", Title: title, XLabel: "Global Purpose Registers", YLabel: "Time in seconds"}
+	fig := &report.Figure{XLabel: "Global Purpose Registers", YLabel: "Time in seconds"}
 	var pts []KernelPoint
 	for _, card := range cfg.Cards {
 		for step := 0; step <= regMaxStep; step++ {

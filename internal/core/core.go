@@ -148,12 +148,6 @@ type Suite struct {
 	// report (points done/total, failures, cache hit rate, ETA) during
 	// every sweep (`amdmb -progress`).
 	Progress io.Writer
-	// MaxDomain, when positive, clamps every sweep point's domain to at
-	// most MaxDomain x MaxDomain. Figures shrink accordingly; the knob
-	// exists so CI smoke runs (`amdmb -max-domain`) finish in seconds.
-	// The clamped domain is part of every launch's persist-tier key, so a
-	// clamped sweep never resumes from full-domain results.
-	MaxDomain int
 	// BeforeLaunch, when non-nil, runs before every kernel launch (every
 	// attempt, every worker) with the point and its attempt index
 	// (0-based). The soak campaigns use it to cancel a sweep at a
@@ -171,8 +165,6 @@ type Suite struct {
 	ctxMu    sync.Mutex
 	contexts map[device.Arch]*cal.Context
 
-	mu       sync.Mutex
-	failures []Run
 	launched atomic.Int64
 
 	// Sweep-level resilience counters (core.sweep.*), resolved once from
@@ -262,15 +254,6 @@ func (s *Suite) generate(g pipeline.Generator, p kerngen.Params) (*il.Kernel, er
 	}
 	defer sp.End()
 	return s.Pipeline().Generate(g, p)
-}
-
-// Failures returns the per-point failure records the suite's sweeps have
-// accumulated (points that timed out, exhausted retries or panicked but
-// did not abort their sweep).
-func (s *Suite) Failures() []Run {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]Run(nil), s.failures...)
 }
 
 // KernelLaunches returns how many kernel launches the suite has issued,

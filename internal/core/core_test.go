@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"slices"
 	"strings"
 	"testing"
@@ -105,14 +106,31 @@ func suite() *Suite {
 }
 
 // runOn runs a spec builder's result on s: the planning error if there
-// is one, else RunFigureSpec's result. Call it as
-// runOn(s)(s.ALUFetchSpec(cfg)).
+// is one, else the spec's points through the sweep runner, assembled
+// into its figure. Call it as runOn(s)(s.ALUFetchSpec(cfg)).
 func runOn(s *Suite) func(FigureSpec, error) (*report.Figure, []Run, error) {
 	return func(spec FigureSpec, err error) (*report.Figure, []Run, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		return s.RunFigureSpec(spec)
+		runs, err := s.RunKernelPoints(context.Background(), spec.Points, SweepOptions{})
+		if err != nil {
+			return nil, nil, err
+		}
+		spec.Assemble(runs)
+		return spec.Fig, runs, nil
+	}
+}
+
+// clampTo caps every point's domain at n x n, as a campaign plan's
+// MaxDomain does, so a test sweeps small domains. Call it as
+// runOn(s)(clampTo(64)(s.ReadLatencySpec(space))).
+func clampTo(n int) func(FigureSpec, error) (FigureSpec, error) {
+	return func(spec FigureSpec, err error) (FigureSpec, error) {
+		for i := range spec.Points {
+			spec.Points[i].W, spec.Points[i].H = min(spec.Points[i].W, n), min(spec.Points[i].H, n)
+		}
+		return spec, err
 	}
 }
 

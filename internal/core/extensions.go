@@ -71,7 +71,6 @@ const (
 // labels (data type x op kind).
 func (s *Suite) TransThroughputSpec() (FigureSpec, error) {
 	fig := &report.Figure{
-		ID:     "trans",
 		Title:  fmt.Sprintf("Transcendental vs basic ALU chains (%s)", transArch.CardName()),
 		XLabel: "Chain length (ops)",
 		YLabel: "Time in seconds",
@@ -120,7 +119,6 @@ var blockShapes = []struct{ w, h int }{
 // chip and type because Card.Label omits the block shape by design.
 func (s *Suite) BlockSizeSpec() (FigureSpec, error) {
 	fig := &report.Figure{
-		ID:     "blocks",
 		Title:  fmt.Sprintf("Compute block-size sweep (%d inputs, ratio %.2f)", blockInputs, blockRatio),
 		XLabel: "log2(block height) [64x1 .. 1x64]",
 		YLabel: "Time in seconds",
@@ -162,7 +160,6 @@ const (
 // curve must be flat and the register count must not move.
 func (s *Suite) ConstantsSpec() (FigureSpec, error) {
 	fig := &report.Figure{
-		ID:     "consts",
 		Title:  fmt.Sprintf("Constant count sweep (%d inputs, %d ALU ops)", constsInputs, constsALUOps),
 		XLabel: "Number of Constants",
 		YLabel: "Time in seconds",
@@ -253,9 +250,8 @@ func (s *Suite) AblationStudy() ([]AblationResult, error) {
 		base := KernelPoint{Card: Card{Arch: device.RV770, Mode: il.Pixel, Type: r.params.Type}, K: k, W: paperDomain, H: paperDomain}
 		abl := base
 		abl.Ablate, abl.Opts = r.ablate, r.opts
-		// The launch primitive, not RunKernelPoints: the study times the
-		// paper's domain whatever MaxDomain says, and a launch error
-		// fails it rather than becoming a retried failure record.
+		// The launch primitive, not RunKernelPoints: a launch error
+		// fails the study rather than becoming a retried failure record.
 		b, err := s.runKernelSafe(base, 0)
 		if err != nil {
 			return nil, err

@@ -93,7 +93,7 @@ func TestFailedPointsNeverPlot(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := quickSuite()
-			spec, err := tc.build(s)
+			spec, err := clampTo(64)(tc.build(s))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -103,7 +103,7 @@ func TestFailedPointsNeverPlot(t *testing.T) {
 					panic("injected test panic")
 				}
 			}
-			fig, runs, err := s.RunFigureSpec(spec)
+			fig, runs, err := runOn(s)(spec, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"time"
 
@@ -109,16 +108,7 @@ type SweepOptions struct {
 // Cancellation is scoped to this sweep alone, so callers multiplexing
 // several independent sweeps over ONE shared suite (the campaign daemon)
 // cancel just their own.
-func (s *Suite) RunKernelPoints(parent context.Context, kps []KernelPoint, opts SweepOptions) ([]Run, error) {
-	pts := kps
-	if s.MaxDomain > 0 {
-		// Clamp a copy: the caller's points are never rewritten.
-		pts = slices.Clone(kps)
-		for i := range pts {
-			pts[i].W = min(pts[i].W, s.MaxDomain)
-			pts[i].H = min(pts[i].H, s.MaxDomain)
-		}
-	}
+func (s *Suite) RunKernelPoints(parent context.Context, pts []KernelPoint, opts SweepOptions) ([]Run, error) {
 	for _, p := range pts {
 		if _, err := s.context(p.Card.Arch); err != nil {
 			return nil, err
@@ -203,17 +193,6 @@ feed:
 	if parent.Err() != nil {
 		ctr.interrupted.Inc()
 		return nil, ErrSweepInterrupted
-	}
-	var failed []Run
-	for _, r := range runs {
-		if r.Failed() {
-			failed = append(failed, r)
-		}
-	}
-	if len(failed) > 0 {
-		s.mu.Lock()
-		s.failures = append(s.failures, failed...)
-		s.mu.Unlock()
 	}
 	return runs, nil
 }

@@ -20,18 +20,17 @@ import (
 // sweepCard is the one card the cheap resilience sweeps run on.
 var sweepCard = Card{Arch: device.RV770, Mode: il.Pixel, Type: il.Float}
 
-// ratioSweep plans Fig. 7's sweep on sweepCard up to ratio maxRatio;
-// kernels are named alufetch_r0.25 .. alufetch_r<maxRatio>. At 1 it is
-// a cheap four-point sweep.
+// ratioSweep plans Fig. 7's sweep on sweepCard up to ratio maxRatio, on
+// a 64x64 domain; kernels are named alufetch_r0.25 ..
+// alufetch_r<maxRatio>. At 1 it is a cheap four-point sweep.
 func ratioSweep(s *Suite, maxRatio float64) (FigureSpec, error) {
-	return keep(xAtMost(maxRatio))(s.ALUFetchSpec(ALUFetchConfig{Cards: []Card{sweepCard}}))
+	return clampTo(64)(keep(xAtMost(maxRatio))(s.ALUFetchSpec(ALUFetchConfig{Cards: []Card{sweepCard}})))
 }
 
-// quickSuite times one iteration on at most a 64x64 domain.
+// quickSuite times one iteration and retries after a microsecond.
 func quickSuite() *Suite {
 	s := NewSuite()
 	s.Iterations = 1
-	s.MaxDomain = 64
 	s.RetryBackoff = time.Microsecond
 	return s
 }
@@ -78,9 +77,6 @@ func TestSweepRecordsTimeoutFailure(t *testing.T) {
 	}
 	if !strings.Contains(f.Err, "kernel timeout") || !strings.Contains(f.Err, "watchdog") {
 		t.Errorf("failure record lacks taxonomy/diagnostic: %q", f.Err)
-	}
-	if got := s.Failures(); len(got) != 1 || got[0].Err != f.Err {
-		t.Errorf("suite failure log: %+v", got)
 	}
 	// The failed point must not fold into the plotted curve.
 	if len(fig.Series) != 1 || len(fig.Series[0].Points) != len(runs)-1 {
@@ -481,26 +477,6 @@ func TestRunKernelPointsMatchesFigureSweep(t *testing.T) {
 	}
 }
 
-func TestRunKernelPointsClampsACopy(t *testing.T) {
-	// The MaxDomain clamp must not rewrite the caller's points: the
-	// campaign scheduler keeps its units' points and fans them out later.
-	s := quickSuite()
-	s.MaxDomain = 16
-	p := sweepCard.params(4, 1, il.TextureSpace, il.TextureSpace)
-	p.ALUFetchRatio = 1
-	k, err := s.generate(pipeline.GenALUFetch, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kps := []KernelPoint{{Card: sweepCard, X: 1, K: k, W: 64, H: 32}}
-	if _, err := s.RunKernelPoints(context.Background(), kps, SweepOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if kps[0].W != 64 || kps[0].H != 32 {
-		t.Fatalf("caller's point clamped in place to %dx%d", kps[0].W, kps[0].H)
-	}
-}
-
 // TestCancelDuringBackoffStopsRetrying cancels a sweep while its one
 // point waits out a retry backoff: the point must not launch again, and
 // it records neither a completion nor a failure.
@@ -557,7 +533,7 @@ func TestWarmRerunCompilesNothing(t *testing.T) {
 			func() (FigureSpec, error) { return ratioSweep(s, 1) },
 			func() (FigureSpec, error) {
 				card := Card{Arch: device.RV870, Mode: il.Compute, Type: il.Float4}
-				return keep(func(p KernelPoint) bool { return p.Card == card && p.X <= 4 })(s.ReadLatencySpec(il.TextureSpace))
+				return clampTo(64)(keep(func(p KernelPoint) bool { return p.Card == card && p.X <= 4 })(s.ReadLatencySpec(il.TextureSpace)))
 			},
 		} {
 			fig, _, err := runOn(s)(plan())
@@ -634,9 +610,6 @@ func TestCompileFailureFailsBeforeLaunch(t *testing.T) {
 			}
 			if n := s.Metrics().Snapshot().Get("cal.launches"); n != 0 {
 				t.Errorf("cal.launches = %d, want 0", n)
-			}
-			if fs := s.Failures(); len(fs) != 0 {
-				t.Errorf("failure records = %+v, want none (a compile error is fatal)", fs)
 			}
 		})
 	}

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"context"
-
-	"amdgpubench/internal/report"
-)
+import "amdgpubench/internal/report"
 
 // A FigureSpec is a declaratively planned figure: the figure template
 // and the exact sweep points that produce it. Every point carries its
@@ -13,7 +9,7 @@ import (
 // Suite (ALUFetchSpec, ReadLatencySpec, …) produce them; the campaign
 // registry (internal/campaign) binds each paper figure to one builder
 // and the values that figure varies, and the campaign scheduler runs
-// several specs as one sweep. RunFigureSpec runs one alone.
+// any set of specs, one or many, as one sweep.
 type FigureSpec struct {
 	// Fig is the figure template the spec's runs assemble into. It is
 	// single-use: Assemble appends series to it. Nil means the spec has
@@ -55,16 +51,4 @@ func (sp FigureSpec) Assemble(runs []Run) {
 		r.X = x
 		cur.Add(x, y)
 	}
-}
-
-// RunFigureSpec executes one spec directly — the degenerate single-spec
-// campaign: every point through the resilient sweep runner, then series
-// assembly. Multi-spec runs live in internal/campaign.
-func (s *Suite) RunFigureSpec(spec FigureSpec) (*report.Figure, []Run, error) {
-	runs, err := s.RunKernelPoints(context.Background(), spec.Points, SweepOptions{})
-	if err != nil {
-		return nil, nil, err
-	}
-	spec.Assemble(runs)
-	return spec.Fig, runs, nil
 }

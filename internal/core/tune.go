@@ -37,9 +37,9 @@ func (r *BlockTuneResult) Order() (raster.Order, error) {
 // TuneBlockSize times the kernel under every 64-thread block shape on the
 // card's device and picks the fastest. The kernel must be a compute-mode
 // kernel (pixel mode has no block choice: the rasterizer decides). The
-// shapes run as one sweep, with the retries, panic fence, parallelism
-// and MaxDomain clamp of every figure point; a shape that resolves to a
-// failure record fails the search.
+// shapes run as one sweep, with the retries, panic fence and
+// parallelism of every figure point, on the w x h domain given; a shape
+// that resolves to a failure record fails the search.
 func (s *Suite) TuneBlockSize(card Card, k *il.Kernel, w, h int) (*BlockTuneResult, error) {
 	if k.Mode != il.Compute {
 		return nil, fmt.Errorf("core: block tuning applies to compute-mode kernels; pixel mode has no block parameter")

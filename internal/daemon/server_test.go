@@ -18,13 +18,15 @@ import (
 func newTestSuite(cacheDir string) *core.Suite {
 	s := core.NewSuite()
 	s.Iterations = 1
-	s.MaxDomain = 16
 	s.PersistDir = cacheDir
 	return s
 }
 
+// startServer serves s with the daemon's domain ceiling at 16.
 func startServer(s *core.Suite) *httptest.Server {
-	return httptest.NewServer(NewServer(campaign.NewJobs(s), s.Metrics(), nil))
+	js := campaign.NewJobs(s)
+	js.MaxDomain = 16
+	return httptest.NewServer(NewServer(js, s.Metrics(), nil))
 }
 
 func postCampaign(t *testing.T, ts *httptest.Server, body string) (*http.Response, []byte) {

@@ -7,7 +7,6 @@ import (
 	"amdgpubench/internal/device"
 	"amdgpubench/internal/il"
 	"amdgpubench/internal/report"
-	"amdgpubench/internal/sim"
 )
 
 // The hierarchy figures are campaign-grade core.FigureSpecs: their
@@ -59,11 +58,7 @@ func (ps *pointSink) add(arch device.Arch, p Probe, x float64, conv func(Env, Pr
 func lambdaOf(env Env, p Probe, r core.Run) float64 { return env.Lambda(p, r.Seconds) }
 
 func gbpsOf(env Env, p Probe, r core.Run) float64 {
-	iters := env.Iterations
-	if iters == 0 {
-		iters = sim.DefaultIterations
-	}
-	return env.FetchedBytes(p) * float64(iters) / r.Seconds / 1e9
+	return env.FetchedBytes(p) * float64(env.Iterations) / r.Seconds / 1e9
 }
 
 // LatencyLadderSpec plans hier-lat: the pointer-chase latency ladder.
@@ -72,7 +67,7 @@ func gbpsOf(env Env, p Probe, r core.Run) float64 {
 // DRAM, and report.Plateaus segments exactly those steps.
 func LatencyLadderSpec(s *core.Suite) (core.FigureSpec, error) {
 	fig := &report.Figure{
-		ID: "hier-lat", Title: "Memory hierarchy latency ladder (chase, float4)",
+		Title:  "Memory hierarchy latency ladder (chase, float4)",
 		XLabel: "footprint KB", YLabel: "cycles/fetch",
 	}
 	ps := &pointSink{s: s}
@@ -90,7 +85,7 @@ func LatencyLadderSpec(s *core.Suite) (core.FigureSpec, error) {
 // reads as effective fetch bandwidth per level.
 func WorkingSetSpec(s *core.Suite) (core.FigureSpec, error) {
 	fig := &report.Figure{
-		ID: "hier-wset", Title: "Working-set bandwidth (batched fetch, float4)",
+		Title:  "Working-set bandwidth (batched fetch, float4)",
 		XLabel: "footprint KB", YLabel: "GB/s",
 	}
 	ps := &pointSink{s: s}
@@ -110,7 +105,7 @@ func WorkingSetSpec(s *core.Suite) (core.FigureSpec, error) {
 // inference inverts.
 func LineBlendSpec(s *core.Suite) (core.FigureSpec, error) {
 	fig := &report.Figure{
-		ID: "hier-line", Title: "Cold-miss blend decay (hot chase, float4, 2 surfaces)",
+		Title:  "Cold-miss blend decay (hot chase, float4, 2 surfaces)",
 		XLabel: "rounds", YLabel: "cycles/fetch",
 	}
 	ps := &pointSink{s: s}
@@ -129,7 +124,7 @@ func LineBlendSpec(s *core.Suite) (core.FigureSpec, error) {
 // card's true associativity.
 func StrideResonanceSpec(s *core.Suite) (core.FigureSpec, error) {
 	fig := &report.Figure{
-		ID: "hier-stride", Title: "Stride resonance: conflict set vs candidate ways (float)",
+		Title:  "Stride resonance: conflict set vs candidate ways (float)",
 		XLabel: "candidate ways", YLabel: "cycles/fetch",
 	}
 	ps := &pointSink{s: s}

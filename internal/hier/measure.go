@@ -20,13 +20,14 @@ import (
 type Env struct {
 	ClockMHz    int
 	SIMDEngines int
-	// Iterations per timed launch; zero means sim.DefaultIterations.
+	// Iterations per timed launch, resolved (never zero).
 	Iterations int
 }
 
-// EnvFor derives the conversion environment for a spec.
+// EnvFor derives the conversion environment for a spec; an iterations
+// of zero means sim.DefaultIterations.
 func EnvFor(spec device.Spec, iterations int) Env {
-	return Env{ClockMHz: spec.CoreClockMHz, SIMDEngines: spec.SIMDEngines, Iterations: iterations}
+	return Env{ClockMHz: spec.CoreClockMHz, SIMDEngines: spec.SIMDEngines, Iterations: sim.Iterations(iterations)}
 }
 
 // Lambda converts a probe's timing into effective cycles per fetch: the
@@ -35,11 +36,7 @@ func EnvFor(spec device.Spec, iterations int) Env {
 // pins residency to one wavefront, so every batch of the launch runs
 // the identical single-wave makespan and the division is exact.
 func (e Env) Lambda(p Probe, seconds float64) float64 {
-	iters := e.Iterations
-	if iters == 0 {
-		iters = sim.DefaultIterations
-	}
-	perLaunch := seconds * float64(e.ClockMHz) * 1e6 / float64(iters)
+	perLaunch := seconds * float64(e.ClockMHz) * 1e6 / float64(e.Iterations)
 	waves := p.Width() * p.Height() / raster.WavefrontSize
 	if waves < 1 {
 		waves = 1

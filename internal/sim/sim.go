@@ -29,6 +29,14 @@ import (
 // micro-benchmark was executed 5000 times for stable timings.
 const DefaultIterations = 5000
 
+// Iterations resolves an iteration count: zero means DefaultIterations.
+func Iterations(n int) int {
+	if n == 0 {
+		return DefaultIterations
+	}
+	return n
+}
+
 // LaunchOverheadCycles approximates per-invocation driver/dispatch cost;
 // the paper notes kernel invocation time exceeds the execution time of a
 // domain-of-one kernel, which is why realistic domains are used. It is
@@ -93,7 +101,7 @@ type Config struct {
 	Order raster.Order
 	W, H  int
 	// Iterations is the number of kernel invocations to time; zero means
-	// DefaultIterations.
+	// DefaultIterations, and a negative count fails the run.
 	Iterations int
 	// Ablate selectively disables hardware mechanisms.
 	Ablate Ablations
@@ -261,10 +269,10 @@ func Run(cfg Config) (Result, error) {
 	if cfg.Prog.Mode == il.Compute && !cfg.Spec.SupportsCompute {
 		return Result{}, fmt.Errorf("sim: %s does not support compute shader mode", cfg.Spec.Arch)
 	}
-	iters := cfg.Iterations
-	if iters == 0 {
-		iters = DefaultIterations
+	if cfg.Iterations < 0 {
+		return Result{}, fmt.Errorf("sim: negative iteration count %d", cfg.Iterations)
 	}
+	iters := Iterations(cfg.Iterations)
 
 	dram, err := mem.NewDRAM(cfg.Spec)
 	if err != nil {

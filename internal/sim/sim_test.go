@@ -80,6 +80,9 @@ func TestRunValidatesConfig(t *testing.T) {
 	if _, err := Run(Config{Spec: spec, Prog: p, Order: raster.Naive64x1(), W: 64, H: 64}); err == nil {
 		t.Error("pixel program with compute order accepted")
 	}
+	if _, err := Run(Config{Spec: spec, Prog: p, Order: raster.PixelOrder(), W: 64, H: 64, Iterations: -1}); err == nil {
+		t.Error("negative iteration count accepted")
+	}
 }
 
 func TestComputeRejectedOnRV670(t *testing.T) {

@@ -62,7 +62,8 @@ type Config struct {
 	Workers int
 	// Retries bounds transient-fault retries per point; zero means 2.
 	Retries int
-	// MaxDomain clamps every sweep point's domain (core.Suite.MaxDomain).
+	// MaxDomain, when positive, clamps every planned point's domain to
+	// at most MaxDomain x MaxDomain.
 	MaxDomain int
 	// Trace arms a span tracer on the campaign suite and the trace
 	// consistency oracle. Span memory grows with campaign length; leave
@@ -193,12 +194,7 @@ func planStep(cfg Config, i int) step {
 		w := soakDomains[rng.Intn(len(soakDomains))]
 		h := soakDomains[rng.Intn(len(soakDomains))]
 		if cfg.MaxDomain > 0 {
-			if w > cfg.MaxDomain {
-				w = cfg.MaxDomain
-			}
-			if h > cfg.MaxDomain {
-				h = cfg.MaxDomain
-			}
+			w, h = min(w, cfg.MaxDomain), min(h, cfg.MaxDomain)
 		}
 		x := float64(i*100 + j)
 		st.points = append(st.points, core.KernelPoint{Card: card, X: x, K: k, W: w, H: h})
@@ -218,7 +214,7 @@ func planStep(cfg Config, i int) step {
 	if st.Scenario == ScenarioKillResume {
 		// Interrupt somewhere strictly inside the sweep: after at least
 		// one launch has been requested, before the last could be.
-		st.KillAt = 1 + rng.Intn(maxInt(1, len(st.points)-1))
+		st.KillAt = 1 + rng.Intn(max(1, len(st.points)-1))
 	}
 	st.Probe = rng.Intn(len(st.points))
 	st.consGeom = conservationGeom(rng)
@@ -293,11 +289,4 @@ func RenderPlan(w io.Writer, steps []StepPlan) {
 				j, p.Kernel, p.Hash, p.Card, p.X, p.W, p.H, p.Inject)
 		}
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

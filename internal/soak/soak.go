@@ -122,7 +122,6 @@ func newSuite(cfg Config) *core.Suite {
 	s.RetryBackoff = 50 * time.Microsecond
 	s.DeadlineCycles = 1 << 22
 	s.Faults = cfg.Faults
-	s.MaxDomain = cfg.MaxDomain
 	return s
 }
 
