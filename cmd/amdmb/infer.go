@@ -55,6 +55,10 @@ func runInferCmd(argv []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "amdmb infer: unexpected arguments %q\n", fs.Args())
 		return 2
 	}
+	if iters < 0 {
+		fmt.Fprintf(stderr, "amdmb infer: -iters must not be negative (got %d)\n", iters)
+		return 2
+	}
 	specs, err := selectArchs(archs)
 	if err != nil {
 		fmt.Fprintf(stderr, "amdmb infer: %v\n", err)

@@ -58,4 +58,7 @@ func TestInferCmdUsageErrors(t *testing.T) {
 	if code, _, _ := runCLI(t, "infer", "-archs", " , "); code != 2 {
 		t.Errorf("empty arch list accepted")
 	}
+	if code, out, stderr := runCLI(t, "infer", "-iters", "-1", "-archs", "rv770"); code != 2 || out != "" || !strings.Contains(stderr, "-iters must not be negative") {
+		t.Errorf("negative -iters: exit %d, stdout %d bytes, stderr %q; want a usage error", code, len(out), stderr)
+	}
 }

@@ -162,7 +162,7 @@ func (c *soakCLI) runReplay(cfg soak.Config) int {
 
 // runTorture SIGKILLs child amdmb sweeps mid-write to a shared
 // persistent cache dir and verifies the survivor's figure CSV is
-// bit-identical to an uninterrupted run with zero torn cache entries. The child sweep is fig7 at smoke
+// bit-identical to an uninterrupted run with zero torn cache records. The child sweep is fig7 at smoke
 // scale: enough points (dozens) for several kills to land mid-sweep.
 func (c *soakCLI) runTorture() int {
 	self, err := os.Executable()

@@ -14,12 +14,13 @@
 // a different count are rejected with 400 rather than silently served
 // mismatched numbers. The persistent -cache-dir is the daemon's
 // durability story, as it is the suite's: it is keyed per simulate
-// config, so any mix of concurrent campaigns shares it safely. The
-// daemon runs no tracer (unbounded on a long-lived process).
-//
-// The daemon owns its -cache-dir: at boot it removes the temp files a
-// crashed writer left there (fsatomic.CleanOrphans). Do not point it at
-// a directory that amdmb shard processes are writing into concurrently.
+// config, so any mix of concurrent campaigns shares it safely. At boot
+// the daemon reads every segment in it into an in-memory index (200 to
+// 320 bytes per result); it appends what it computes to a segment of its
+// own, fsynced per result, so it may share the directory with amdmb
+// shard processes, and results they write while it runs are served
+// after its next restart. The daemon runs no tracer (unbounded on a
+// long-lived process).
 //
 // Exit status: 0 after a clean signal-driven shutdown, 1 on a fatal
 // serve error, 2 on usage errors.
@@ -41,7 +42,6 @@ import (
 	"amdgpubench/internal/campaign"
 	"amdgpubench/internal/core"
 	"amdgpubench/internal/daemon"
-	"amdgpubench/internal/fsatomic"
 	"amdgpubench/internal/sim"
 )
 
@@ -73,17 +73,6 @@ func run(argv []string, stderr io.Writer) int {
 	}
 
 	logger := log.New(stderr, "amdmbd: ", log.LstdFlags)
-
-	// A crash can strand *.tmp-* files from in-flight atomic writes in
-	// the cache; they are garbage by construction (a finished write is
-	// always renamed away), so sweep them before serving.
-	if *cacheDir != "" {
-		if n, err := fsatomic.CleanOrphans(*cacheDir); err != nil {
-			logger.Printf("cache orphan sweep: %v", err)
-		} else if n > 0 {
-			logger.Printf("removed %d orphaned temp file(s) under %s", n, *cacheDir)
-		}
-	}
 
 	s := core.NewSuite()
 	s.Iterations = *iters

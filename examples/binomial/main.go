@@ -74,7 +74,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		m, err := ctx.LoadModule(k)
+		m, err := ctx.LoadModule(il.Seal(k))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -71,7 +71,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	m, err := ctx.LoadModule(pix)
+	m, err := ctx.LoadModule(il.Seal(pix))
 	if err != nil {
 		log.Fatal(err)
 	}

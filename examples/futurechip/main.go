@@ -66,11 +66,12 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		mOld, err := ctxOld.LoadModule(k)
+		sk := il.Seal(k)
+		mOld, err := ctxOld.LoadModule(sk)
 		if err != nil {
 			log.Fatal(err)
 		}
-		mNew, err := ctxNew.LoadModule(k)
+		mNew, err := ctxNew.LoadModule(sk)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -101,11 +102,12 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		mOld, err := ctxOld.LoadModule(k)
+		sk := il.Seal(k)
+		mOld, err := ctxOld.LoadModule(sk)
 		if err != nil {
 			log.Fatal(err)
 		}
-		mNew, err := ctxNew.LoadModule(k)
+		mNew, err := ctxNew.LoadModule(sk)
 		if err != nil {
 			log.Fatal(err)
 		}

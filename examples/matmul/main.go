@@ -81,7 +81,7 @@ func storeOp(space il.MemSpace) il.Opcode {
 }
 
 func run(ctx *cal.Context, kn *il.Kernel, order raster.Order) (*cal.Event, error) {
-	m, err := ctx.LoadModule(kn)
+	m, err := ctx.LoadModule(il.Seal(kn))
 	if err != nil {
 		return nil, err
 	}

@@ -41,7 +41,7 @@ func main() {
 	fmt.Println("Generated IL:")
 	fmt.Println(il.Assemble(kernel))
 
-	module, err := ctx.LoadModule(kernel)
+	module, err := ctx.LoadModule(il.Seal(kernel))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -103,19 +103,20 @@ func (c *Context) SetFaultPlan(p *fault.Plan) { c.plan.Store(p) }
 // simulate store cannot serve, functional execution, Program, Disassemble
 // or Stats.
 type Module struct {
-	Kernel *il.Kernel
+	Kernel *il.Sealed
 	opts   ilc.Options
 	ctx    *Context
 }
 
-// LoadModule loads an IL kernel for the context's device.
-func (c *Context) LoadModule(k *il.Kernel) (*Module, error) {
+// LoadModule loads a sealed IL kernel for the context's device. Loading
+// one kernel many times, as a sweep does, validates it once.
+func (c *Context) LoadModule(k *il.Sealed) (*Module, error) {
 	return c.LoadModuleWith(k, ilc.Options{})
 }
 
 // LoadModuleWith loads with explicit compiler options (ablations). A
 // kernel the device cannot compile fails here, before any launch.
-func (c *Context) LoadModuleWith(k *il.Kernel, opts ilc.Options) (*Module, error) {
+func (c *Context) LoadModuleWith(k *il.Sealed, opts ilc.Options) (*Module, error) {
 	if err := ilc.Check(k, c.dev.spec); err != nil {
 		return nil, fmt.Errorf("cal: %w", err)
 	}

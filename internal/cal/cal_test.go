@@ -21,7 +21,7 @@ func openCtx(t *testing.T, arch device.Arch) *Context {
 	return d.CreateContext()
 }
 
-func sumKernel(t *testing.T, inputs int) *il.Kernel {
+func sumKernel(t *testing.T, inputs int) *il.Sealed {
 	t.Helper()
 	k, err := kerngen.Generic(kerngen.Params{
 		Mode: il.Pixel, Type: il.Float, Inputs: inputs, Outputs: 1,
@@ -29,7 +29,7 @@ func sumKernel(t *testing.T, inputs int) *il.Kernel {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return k
+	return il.Seal(k)
 }
 
 func TestOpenDevice(t *testing.T) {
@@ -189,7 +189,7 @@ func TestLaunchComputeModeOnRV670Fails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ctx.LoadModule(k); err == nil {
+	if _, err := ctx.LoadModule(il.Seal(k)); err == nil {
 		t.Fatal("RV670 compiled a compute kernel")
 	}
 }
@@ -202,7 +202,7 @@ func TestEventBottleneck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := ctx.LoadModule(k)
+	m, err := ctx.LoadModule(il.Seal(k))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestLaunchFunctionalWithConstants(t *testing.T) {
 			{Op: il.OpExport, Dst: il.NoReg, SrcA: 3, SrcB: il.NoReg, Res: 0},
 		},
 	}
-	m, err := ctx.LoadModule(k)
+	m, err := ctx.LoadModule(il.Seal(k))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +300,7 @@ func TestLaunchFunctionalWithConstants(t *testing.T) {
 	// Unbound constants read as zero.
 	k.Code[3].Res = 0
 	k2 := *k
-	m2, err := ctx.LoadModule(&k2)
+	m2, err := ctx.LoadModule(il.Seal(&k2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -168,18 +168,19 @@ func CheckCompileDifferential(k *il.Kernel, spec device.Spec) error {
 func CheckPipelineIdentity(k *il.Kernel, spec device.Spec) error {
 	cached := pipeline.New(pipeline.Options{})
 	uncached := pipeline.New(pipeline.Options{Disabled: true})
-	p1, err := cached.Compile(k, spec, ilc.Options{})
+	sk := il.Seal(k)
+	p1, err := cached.Compile(sk, spec, ilc.Options{})
 	if err != nil {
 		return &Divergence{Oracle: "pipeline", Detail: fmt.Sprintf("cached compile failed: %v", err), Kernel: k}
 	}
-	p1b, err := cached.Compile(k, spec, ilc.Options{})
+	p1b, err := cached.Compile(sk, spec, ilc.Options{})
 	if err != nil {
 		return &Divergence{Oracle: "pipeline", Detail: fmt.Sprintf("cached recompile failed: %v", err), Kernel: k}
 	}
 	if p1 != p1b {
 		return &Divergence{Oracle: "pipeline", Detail: "compile store hit returned a different artifact", Kernel: k}
 	}
-	p2, err := uncached.Compile(k, spec, ilc.Options{})
+	p2, err := uncached.Compile(sk, spec, ilc.Options{})
 	if err != nil {
 		return &Divergence{Oracle: "pipeline", Detail: fmt.Sprintf("uncached compile failed: %v", err), Kernel: k}
 	}

@@ -99,7 +99,7 @@ func TestAdviseEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := s.runKernelSafe(KernelPoint{Card: card, K: k, W: 1024, H: 1024}, 0)
+	run, err := s.runKernelSafe(KernelPoint{Card: card, K: il.Seal(k), W: 1024, H: 1024}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestAdviseEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	wcard := Card{Arch: device.RV770, Mode: il.Pixel, Type: il.Float4}
-	wrun, err := s.runKernelSafe(KernelPoint{Card: wcard, K: wk, W: 1024, H: 1024}, 0)
+	wrun, err := s.runKernelSafe(KernelPoint{Card: wcard, K: il.Seal(wk), W: 1024, H: 1024}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

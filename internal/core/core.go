@@ -135,7 +135,8 @@ type Suite struct {
 	// -cache-dir`, the daemon's restart-replay store). It is the suite's
 	// only durable store: an interrupted sweep rerun over the same
 	// directory resumes, serving every launch it finished from disk, and
-	// shard processes sharing one directory combine their work. Results
+	// the work of shard processes sharing one directory combines in a
+	// later run over it. Results
 	// served from disk are bit-identical to recomputation. Set it before
 	// the first sweep; DisableArtifactCache turns it off too.
 	PersistDir string
@@ -247,7 +248,7 @@ func (s *Suite) context(a device.Arch) (*cal.Context, error) {
 
 // generate runs a kernel generator through the pipeline's Generate
 // stage, so identical sweep points share one IL artifact.
-func (s *Suite) generate(g pipeline.Generator, p kerngen.Params) (*il.Kernel, error) {
+func (s *Suite) generate(g pipeline.Generator, p kerngen.Params) (*il.Sealed, error) {
 	var sp obs.Span
 	if s.Tracer.Enabled() {
 		sp = s.Tracer.Begin("generate").Cat("stage")

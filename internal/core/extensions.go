@@ -20,7 +20,7 @@ import (
 // transKernel builds a chain of `n` transcendental ops (alternating
 // rcp/rsq) after folding two inputs; basic=true substitutes adds so the
 // two curves isolate the t-core's throughput.
-func transKernel(n int, dt il.DataType, basic bool) (*il.Kernel, error) {
+func transKernel(n int, dt il.DataType, basic bool) (*il.Sealed, error) {
 	k := &il.Kernel{
 		Name: fmt.Sprintf("trans_%d_%v_%v", n, dt, basic),
 		Mode: il.Pixel, Type: dt,
@@ -51,7 +51,7 @@ func transKernel(n int, dt il.DataType, basic bool) (*il.Kernel, error) {
 	if err := k.Validate(); err != nil {
 		return nil, err
 	}
-	return k, nil
+	return il.Seal(k), nil
 }
 
 // The transcendental extension sweep: chains of 32..256 ops in steps of
@@ -234,7 +234,7 @@ func (s *Suite) AblationStudy() ([]AblationResult, error) {
 		{"all forwarding (PV + temps)", pipeline.GenGeneric, chain, sim.Ablations{}, ilc.Options{NoPVForwarding: true, NoClauseTemps: true}},
 	}
 	spec := device.Lookup(device.RV770)
-	gprWrites := func(k *il.Kernel, opts ilc.Options) (int, error) {
+	gprWrites := func(k *il.Sealed, opts ilc.Options) (int, error) {
 		prog, err := s.Pipeline().Compile(k, spec, opts)
 		if err != nil {
 			return 0, err

@@ -68,7 +68,7 @@ type KernelPoint struct {
 	// Plot maps a completed run to its figure coordinates; nil means
 	// (X, run.Seconds).
 	Plot func(Run) (x, y float64)
-	K    *il.Kernel
+	K    *il.Sealed
 	W, H int
 	// Opts and Ablate switch compiler paths and simulated mechanisms off
 	// for the ablation study; the zero values launch the kernel as the

@@ -313,7 +313,7 @@ func TestSweepSignatureKeysOnKernelBodyNotName(t *testing.T) {
 	}
 	card := Card{Arch: device.RV770, Mode: il.Pixel, Type: il.Float}
 	dir := t.TempDir()
-	run := func(k *il.Kernel) *Suite {
+	run := func(k *il.Sealed) *Suite {
 		t.Helper()
 		s := quickSuite()
 		s.PersistDir = dir
@@ -592,10 +592,10 @@ func TestCompileFailureFailsBeforeLaunch(t *testing.T) {
 		want string
 	}{
 		{"compute_on_rv670", KernelPoint{
-			Card: Card{Arch: device.RV670, Mode: il.Compute, Type: il.Float}, X: 1, K: compute, W: 64, H: 64,
+			Card: Card{Arch: device.RV670, Mode: il.Compute, Type: il.Float}, X: 1, K: il.Seal(compute), W: 64, H: 64,
 		}, "core: 3870 Compute Float at x=1: cal: ilc: RV670 does not support compute shader mode"},
 		{"invalid_il", KernelPoint{
-			Card: Card{Arch: device.RV770, Mode: il.Pixel, Type: il.Float}, X: 2, K: invalid, W: 64, H: 64,
+			Card: Card{Arch: device.RV770, Mode: il.Pixel, Type: il.Float}, X: 2, K: il.Seal(invalid), W: 64, H: 64,
 		}, `core: 4870 Pixel Float at x=2: cal: ilc: il: kernel "no_outputs": needs at least one output and non-negative inputs`},
 	} {
 		t.Run(c.name, func(t *testing.T) {

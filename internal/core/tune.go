@@ -44,12 +44,13 @@ func (s *Suite) TuneBlockSize(card Card, k *il.Kernel, w, h int) (*BlockTuneResu
 	if k.Mode != il.Compute {
 		return nil, fmt.Errorf("core: block tuning applies to compute-mode kernels; pixel mode has no block parameter")
 	}
+	sk := il.Seal(k)
 	pts := make([]KernelPoint, len(blockShapes))
 	for i, b := range blockShapes {
 		c := card
 		c.Mode = il.Compute
 		c.BlockW, c.BlockH = b.w, b.h
-		pts[i] = KernelPoint{Card: c, K: k, W: w, H: h}
+		pts[i] = KernelPoint{Card: c, K: sk, W: w, H: h}
 	}
 	runs, err := s.RunKernelPoints(context.Background(), pts, SweepOptions{})
 	if err != nil {

@@ -50,7 +50,7 @@ func (ps *pointSink) add(arch device.Arch, p Probe, x float64, conv func(Env, Pr
 	env := EnvFor(device.Lookup(arch), ps.s.Iterations)
 	ps.pts = append(ps.pts, core.KernelPoint{
 		Card: core.Card{Arch: arch, Mode: il.Pixel, Type: p.Type},
-		X:    x, K: k, W: p.Width(), H: p.Height(),
+		X:    x, K: il.Seal(k), W: p.Width(), H: p.Height(),
 		Plot: func(r core.Run) (float64, float64) { return x, conv(env, p, r) },
 	})
 }

@@ -103,7 +103,7 @@ func SuiteMeasurer(s *core.Suite, arch device.Arch) Measurer {
 		card := core.Card{Arch: arch, Mode: il.Pixel, Type: p.Type}
 		runs, err := s.RunKernelPoints(context.Background(), []core.KernelPoint{{
 			Card: card, X: float64(p.FootprintBytes()),
-			K: k, W: p.Width(), H: p.Height(),
+			K: il.Seal(k), W: p.Width(), H: p.Height(),
 		}}, core.SweepOptions{})
 		if err != nil {
 			return 0, err

@@ -178,3 +178,23 @@ func TestHashNameLengthPrefix(t *testing.T) {
 		t.Error("length-prefixed names failed to separate encodings")
 	}
 }
+
+// TestSealedComputesOnce: a sealed kernel answers Hash and Validate from
+// its own memo after the first call. The test breaks the sealing
+// contract on purpose — it mutates the kernel afterwards — to show the
+// answers are not recomputed.
+func TestSealedComputesOnce(t *testing.T) {
+	k := goldenPixel()
+	s := Seal(k)
+	want := k.Hash()
+	if s.Hash() != want || s.Validate() != nil {
+		t.Fatalf("sealed hash/validate disagree with the kernel's: %v", s.Validate())
+	}
+	k.NumOutputs = 0
+	if s.Hash() != want || s.Validate() != nil {
+		t.Error("sealed kernel recomputed its hash or validation after the first call")
+	}
+	if k.Validate() == nil {
+		t.Fatal("precondition broken: the mutated kernel still validates")
+	}
+}

@@ -66,3 +66,39 @@ func (k *Kernel) Hash() [sha256.Size]byte {
 	encodeBufPool.Put(bp)
 	return sum
 }
+
+// Sealed is a kernel frozen for the launch path: the kernel plus its
+// structural hash and Validate result, each computed once, on first use.
+// A sweep launches one kernel many times (every card, every retry, every
+// warm rerun of a figure), and the pipeline's compile and simulate keys
+// start from the hash while every module load starts from Validate, so a
+// sealed kernel pays for each once instead of once per launch.
+//
+// The memo lives in the artifact, not in a table keyed by the kernel's
+// address: sealing is the promise that the kernel is never mutated again,
+// and a kernel that must change is copied and sealed anew. The embedded
+// Kernel gives read access to every field.
+type Sealed struct {
+	*Kernel
+
+	hashOnce  sync.Once
+	hash      [sha256.Size]byte
+	validOnce sync.Once
+	validErr  error
+}
+
+// Seal wraps a kernel its builder has finished with. Callers seal once,
+// where the kernel is built, and hand the *Sealed around from then on.
+func Seal(k *Kernel) *Sealed { return &Sealed{Kernel: k} }
+
+// Hash returns Kernel.Hash, computed on the first call.
+func (s *Sealed) Hash() [sha256.Size]byte {
+	s.hashOnce.Do(func() { s.hash = s.Kernel.Hash() })
+	return s.hash
+}
+
+// Validate returns Kernel.Validate, computed on the first call.
+func (s *Sealed) Validate() error {
+	s.validOnce.Do(func() { s.validErr = s.Kernel.Validate() })
+	return s.validErr
+}

@@ -110,7 +110,7 @@ func TestGPRAllocationMatchesReference(t *testing.T) {
 		}
 		for _, s := range specs {
 			for _, p := range s.Figure.Points {
-				checkGPRs(t, p.K, device.Lookup(p.Card.Arch))
+				checkGPRs(t, p.K.Kernel, device.Lookup(p.Card.Arch))
 			}
 		}
 	})

@@ -92,7 +92,7 @@ func referenceAllocateGPRs(k *il.Kernel, vals []value, first, last []int) int {
 // allocateGPRs and with referenceAllocateGPRs. It reports the first
 // value placed differently, or a differing register count.
 func CheckGPRsMatchReference(k *il.Kernel, spec device.Spec, opts Options) error {
-	if err := Check(k, spec); err != nil {
+	if err := check(k, k.Validate(), spec); err != nil {
 		return err
 	}
 	vals := collectValues(k)

@@ -153,9 +153,16 @@ func Compile(k *il.Kernel, spec device.Spec) (*isa.Program, error) {
 
 // Check reports the error Compile would reject the kernel with on the
 // device, without lowering it; past Check only a compiler bug can fail.
-func Check(k *il.Kernel, spec device.Spec) error {
-	if err := k.Validate(); err != nil {
-		return fmt.Errorf("ilc: %w", err)
+// It reads the sealed kernel's memoized Validate result, so a module
+// loaded on every launch of a sweep validates its kernel once.
+func Check(k *il.Sealed, spec device.Spec) error {
+	return check(k.Kernel, k.Validate(), spec)
+}
+
+// check is Check with the kernel's Validate result already in hand.
+func check(k *il.Kernel, invalid error, spec device.Spec) error {
+	if invalid != nil {
+		return fmt.Errorf("ilc: %w", invalid)
 	}
 	if k.Mode == il.Compute && !spec.SupportsCompute {
 		return fmt.Errorf("ilc: %s does not support compute shader mode", spec.Arch)
@@ -165,7 +172,7 @@ func Check(k *il.Kernel, spec device.Spec) error {
 
 // CompileWith lowers an IL kernel with explicit compiler options.
 func CompileWith(k *il.Kernel, spec device.Spec, opts Options) (*isa.Program, error) {
-	if err := Check(k, spec); err != nil {
+	if err := check(k, k.Validate(), spec); err != nil {
 		return nil, err
 	}
 

@@ -1,17 +1,20 @@
 package pipeline
 
 import (
+	"crypto/rand"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
 
 	"amdgpubench/internal/device"
-	"amdgpubench/internal/fsatomic"
 	"amdgpubench/internal/il"
 	"amdgpubench/internal/ilc"
 	"amdgpubench/internal/isa"
@@ -21,55 +24,74 @@ import (
 	"amdgpubench/internal/sim"
 )
 
-// The persistent tier: a content-addressed directory store under the
-// in-memory Simulate store. The Simulate stage is where the launch
-// path's real time goes — generate/compile/trace/replay artifacts
-// rebuild in microseconds, but a timing result embodies a full cache
-// replay plus simulation — so Simulate results are the one artifact
-// worth keeping across process restarts. A daemon restarted under a
-// populated -cache-dir replays yesterday's campaign from disk instead
-// of recomputing it.
+// The persistent tier: an append-only record log under the in-memory
+// Simulate store. The Simulate stage is where the launch path's real
+// time goes — generate/compile/trace/replay artifacts rebuild in
+// microseconds, but a timing result embodies a full cache replay plus
+// simulation — so Simulate results are the one artifact worth keeping
+// across process restarts. A daemon restarted under a populated
+// -cache-dir replays yesterday's campaign from disk instead of
+// recomputing it.
 //
-// Layout: <dir>/simulate/<hh>/<hash64>.json, where hash is the SHA-256
-// of the canonical JSON encoding of the key's exported mirror
-// (persistSimKey) and hh its first byte — two hex digits of fan-out
-// keeps directories small at millions of entries. The value is the
-// sim.Result as JSON: Go's float64 round-trip through encoding/json is
-// exact (shortest-representation printing), so a result served from
+// Layout: <dir>/simulate/<pid>-<random>.seg. Each tier that writes
+// appends to a segment of its own, created with O_EXCL at its first
+// store, so concurrent shard processes (and several pipelines in one
+// process) never share a file, and no name ever needs cleaning up: a
+// segment is never renamed, rewritten or deleted. A record is
+//
+//	u32 payload length | u32 CRC-32C of the payload | payload
+//	payload = version byte | 32-byte key | sim.Result, 14 fixed 8-byte fields
+//
+// little-endian, floats as math.Float64bits, so a result served from
 // disk is bit-identical to the freshly computed one and figures match
-// byte for byte.
+// byte for byte. The key is the SHA-256 of a fixed binary encoding of
+// the simulate key (persistKeyFor): the model fingerprint, the compile
+// key's digest and every launch-shape field.
 //
-// Writes go through fsatomic.WriteFile — the unique-temp crash-atomic
-// writer — so concurrent requests computing the same key, or a SIGKILL
-// mid-write, can never publish a torn entry; a torn entry from outside
-// interference is detected on load (JSON parse) and treated as a miss.
-// The tier is write-through and best-effort: a failed store counts on
-// pipeline.persist.errors and the launch proceeds; a failed load is a
-// miss. Counters:
+// Visibility: when the tier opens it reads every segment once into an
+// in-memory index, and load is a map lookup. Records another process
+// appends after that are seen at the next open, never live; nothing
+// relies on seeing them earlier, because shards combine in a later run
+// over the shared directory. The index holds one key and one result per
+// distinct record: 32 + 112 bytes, 200 to 320 with Go's map slack.
+//
+// Durability: store appends one record with a single write and fsyncs
+// the segment before it counts the write, so each result is durable on
+// its own and nothing waits to be batched. A record a crash tears
+// can only be its segment's last; a failed write abandons the segment,
+// and the next store opens a new one, so a torn record never sits in
+// front of good ones. A torn tail or a record that fails its checksum
+// is a miss. The tier is write-through and best-effort: a failed store
+// counts on pipeline.persist.errors and the launch proceeds. Counters:
 //
 //	pipeline.persist.hits    — results served from disk
 //	pipeline.persist.misses  — lookups that fell through to compute
 //	pipeline.persist.writes  — results written through to disk
-//	pipeline.persist.errors  — unreadable/corrupt entries and failed writes
+//	pipeline.persist.errors  — torn, corrupt or unreadable records at open, and failed writes
 
-// persistSimKey mirrors simulateKey with exported fields so it JSON-
-// encodes completely. Everything the simulator reads is here; two
-// configs that differ in any field hash to different entries, and so do
-// two binaries whose timing models differ (Model).
-type persistSimKey struct {
-	Model      string // modelFingerprint of the binary that computed the entry
-	ProgHash   string // hex of the compile key's digest (compileKey.hash)
-	Spec       device.Spec
-	Order      raster.Order
-	W, H       int
-	Iterations int
-	Ablate     sim.Ablations
-	Watchdog   uint64
-}
+const (
+	segmentDir    = "simulate"
+	segmentExt    = ".seg"
+	recordVersion = 1
+	recordHeader  = 8      // length, checksum
+	resultBytes   = 14 * 8 // encodeResult's fields
+	recordPayload = 1 + sha256.Size + resultBytes
+	recordBytes   = recordHeader + recordPayload
+)
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// persistKey addresses one record: the SHA-256 of persistKeyFor's
+// encoding.
+type persistKey [sha256.Size]byte
 
 type persistTier struct {
-	dir   string
+	dir   string // <PersistDir>/simulate
 	model string // modelFingerprint, folded into every key
+
+	mu    sync.Mutex
+	index map[persistKey]sim.Result
+	seg   *os.File // appends go here; nil before the first store and after a failed one
 
 	hits   *obs.Counter
 	misses *obs.Counter
@@ -77,57 +99,100 @@ type persistTier struct {
 	errs   *obs.Counter
 }
 
+// newPersistTier opens the tier at dir: it reads every segment there
+// into the index, counting the records it cannot use as errors.
 func newPersistTier(dir string, reg *obs.Registry) *persistTier {
-	return &persistTier{
-		dir:    dir,
+	t := &persistTier{
+		dir:    filepath.Join(dir, segmentDir),
 		model:  modelFingerprint(),
+		index:  make(map[persistKey]sim.Result),
 		hits:   reg.Counter("pipeline.persist.hits"),
 		misses: reg.Counter("pipeline.persist.misses"),
 		writes: reg.Counter("pipeline.persist.writes"),
 		errs:   reg.Counter("pipeline.persist.errors"),
 	}
+	sc := scanSegments(t.dir, func(k persistKey, res sim.Result) { t.index[k] = res })
+	t.errs.Add(int64(sc.TornTails + sc.Torn + sc.Unreadable))
+	return t
 }
 
-// pathFor derives the entry path for a simulate key.
-func (t *persistTier) pathFor(k simulateKey) string {
+// persistKeyFor derives the record key for a simulate key under a model
+// fingerprint. Every field is written at a fixed width (the model with
+// its length), so the encoding is injective; nothing goes through
+// reflection or text.
+func persistKeyFor(model string, k simulateKey) persistKey {
+	var buf [512]byte // room for all of it with a 64-digit model
+	le := binary.LittleEndian
+	b := le.AppendUint64(buf[:0], uint64(len(model)))
+	b = append(b, model...)
 	prog := k.src.hash()
-	mirror := persistSimKey{
-		Model:      t.model,
-		ProgHash:   hex.EncodeToString(prog[:]),
-		Spec:       k.spec,
-		Order:      k.order,
-		W:          k.w,
-		H:          k.h,
-		Iterations: k.iterations,
-		Ablate:     k.ablate,
-		Watchdog:   k.watchdog,
+	b = append(b, prog[:]...)
+	s := k.spec
+	for _, v := range [...]int{
+		int(s.Arch), s.ALUs, s.TextureUnits, s.SIMDEngines, s.CoreClockMHz,
+		s.MemClockMHz, int(s.MemKind), s.WavefrontSize, s.ThreadProcessors,
+		s.TexUnitsPerSIMD, s.SlotsPerTP, s.RegistersPerSIMD, s.MaxWavesPerSIMD,
+		s.MaxFetchesPerTEXClause, s.MaxSlotsPerALUClause, s.ClauseTempsPerSlot,
+		s.L1CacheBytes, s.L1LineBytes, s.L1Ways, s.L2CacheBytes, s.L2Ways,
+		s.L2BytesPerCycle, s.MemChannels, s.MemBusBitsPerChan,
+		s.GlobalReadLatency, s.TexMissLatency, s.TexHitLatency,
+		s.TexBytesPerUnitCycle, s.StreamStoreCycles,
+		int(k.order.Mode), k.order.BlockW, k.order.BlockH,
+		k.w, k.h, k.iterations,
+	} {
+		b = le.AppendUint64(b, uint64(int64(v)))
 	}
-	// json.Marshal of a struct is canonical: fields in declaration
-	// order, no map iteration anywhere in the mirror.
-	blob, err := json.Marshal(mirror)
-	if err != nil {
-		// Every field is a plain exported value; Marshal cannot fail.
-		panic("pipeline: persist key encoding: " + err.Error())
-	}
-	sum := sha256.Sum256(blob)
-	name := hex.EncodeToString(sum[:])
-	return filepath.Join(t.dir, "simulate", name[:2], name+".json")
+	b = append(b, boolByte(s.SupportsCompute),
+		boolByte(k.ablate.SingleWavefront), boolByte(k.ablate.NoBurstWrites),
+		boolByte(k.ablate.LinearTextures))
+	b = le.AppendUint64(b, k.watchdog)
+	return sha256.Sum256(b)
 }
 
-// load serves a previously persisted result; a missing, unreadable or
-// corrupt entry is a miss (corruption also counts an error).
-func (t *persistTier) load(k simulateKey) (sim.Result, bool) {
-	data, err := os.ReadFile(t.pathFor(k))
-	if err != nil {
-		if !os.IsNotExist(err) {
-			t.errs.Inc()
-		}
-		t.misses.Inc()
-		return sim.Result{}, false
+// encodeResult appends res at a fixed width, floats bit-exact.
+func encodeResult(b []byte, res sim.Result) []byte {
+	le := binary.LittleEndian
+	c := res.Counters
+	for _, v := range [...]uint64{
+		res.Cycles, math.Float64bits(res.Seconds),
+		uint64(int64(res.WavesPerSIMD)), uint64(int64(res.GPRs)),
+		uint64(int64(res.TotalWaves)), uint64(int64(res.Batches)),
+		math.Float64bits(res.HitRate),
+		c.ALU, c.TexIssue, c.L2Fill, c.TexFill, c.MemGlobal, c.Export,
+		uint64(int64(res.Bottleneck)),
+	} {
+		b = le.AppendUint64(b, v)
 	}
-	var res sim.Result
-	if err := json.Unmarshal(data, &res); err != nil {
-		t.errs.Inc()
+	return b
+}
+
+// decodeResult reads what encodeResult wrote.
+func decodeResult(b []byte) sim.Result {
+	le := binary.LittleEndian
+	var v [resultBytes / 8]uint64
+	for i := range v {
+		v[i] = le.Uint64(b[8*i:])
+	}
+	return sim.Result{
+		Cycles: v[0], Seconds: math.Float64frombits(v[1]),
+		WavesPerSIMD: int(int64(v[2])), GPRs: int(int64(v[3])),
+		TotalWaves: int(int64(v[4])), Batches: int(int64(v[5])),
+		HitRate: math.Float64frombits(v[6]),
+		Counters: sim.Counters{
+			ALU: v[7], TexIssue: v[8], L2Fill: v[9], TexFill: v[10],
+			MemGlobal: v[11], Export: v[12],
+		},
+		Bottleneck: sim.Bottleneck(int64(v[13])),
+	}
+}
+
+// load serves a result the index holds; anything else is a miss.
+func (t *persistTier) load(k simulateKey) (sim.Result, bool) {
+	key := persistKeyFor(t.model, k)
+	t.mu.Lock()
+	res, ok := t.index[key]
+	t.mu.Unlock()
+	if !ok {
 		t.misses.Inc()
 		return sim.Result{}, false
 	}
@@ -135,25 +200,150 @@ func (t *persistTier) load(k simulateKey) (sim.Result, bool) {
 	return res, true
 }
 
-// store writes a computed result through to disk, best-effort: the
-// in-memory store already holds the result, so a failed write costs
+// store appends a computed result to the tier's segment, best-effort:
+// the in-memory store already holds the result, so a failed write costs
 // only a future cold start, never the launch.
 func (t *persistTier) store(k simulateKey, res sim.Result) {
-	path := t.pathFor(k)
-	data, err := json.Marshal(res)
+	key := persistKeyFor(t.model, k)
+	var buf [recordBytes]byte
+	rec := append(buf[:recordHeader], recordVersion)
+	rec = append(rec, key[:]...)
+	rec = encodeResult(rec, res)
+	binary.LittleEndian.PutUint32(rec[0:], recordPayload)
+	binary.LittleEndian.PutUint32(rec[4:], crc32.Checksum(rec[recordHeader:], castagnoli))
+
+	t.mu.Lock()
+	err := t.append(rec)
+	if err == nil {
+		t.index[key] = res
+	}
+	t.mu.Unlock()
 	if err != nil {
 		t.errs.Inc()
 		return
 	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		t.errs.Inc()
-		return
-	}
-	if err := fsatomic.WriteFile(path, data); err != nil {
-		t.errs.Inc()
-		return
-	}
 	t.writes.Inc()
+}
+
+// append writes one record with a single write and syncs it, opening a
+// segment first if the tier has none. On any failure it abandons the
+// segment: whatever part of the record reached it stays that segment's
+// tail. The caller holds mu.
+func (t *persistTier) append(rec []byte) error {
+	if t.seg == nil {
+		f, err := createSegment(t.dir)
+		if err != nil {
+			return err
+		}
+		t.seg = f
+	}
+	_, err := t.seg.Write(rec)
+	if err == nil {
+		err = t.seg.Sync()
+	}
+	if err != nil {
+		t.seg.Close()
+		t.seg = nil
+	}
+	return err
+}
+
+// createSegment creates a new, uniquely named, empty segment in dir.
+func createSegment(dir string) (*os.File, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
+	}
+	var id [8]byte
+	if _, err := rand.Read(id[:]); err != nil {
+		return nil, err
+	}
+	name := fmt.Sprintf("%d-%x%s", os.Getpid(), id, segmentExt)
+	f, err := os.OpenFile(filepath.Join(dir, name), os.O_WRONLY|os.O_CREATE|os.O_EXCL|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	// The new name lives in the directory: sync it so the segment
+	// survives a machine crash. Directory fsync is not portable, so a
+	// refusal only costs that.
+	if d, err := os.Open(dir); err == nil {
+		d.Sync()
+		d.Close()
+	}
+	return f, nil
+}
+
+// PersistScan counts what the segments of a persistent tier hold.
+type PersistScan struct {
+	Unreadable int // segment files that could not be read
+	Records    int // records that pass their checksum
+	// TornTails counts segments whose last record is incomplete or
+	// fails its checksum: a write a crash or a failed write cut short.
+	TornTails int
+	// Torn counts records that fail their checksum with more data after
+	// them in their segment. The append protocol never leaves one, so
+	// each is damage from outside it.
+	Torn int
+}
+
+// ScanPersistDir reads every segment of the persistent tier rooted at
+// dir (a -cache-dir) and counts its records; it is the one reader of the
+// record format outside the tier itself. A missing tier scans as empty.
+func ScanPersistDir(dir string) PersistScan {
+	return scanSegments(filepath.Join(dir, segmentDir), nil)
+}
+
+// scanSegments reads every segment in dir, handing each good record to
+// each when it is non-nil.
+func scanSegments(dir string, each func(persistKey, sim.Result)) PersistScan {
+	var sc PersistScan
+	names, _ := filepath.Glob(filepath.Join(dir, "*"+segmentExt)) // the pattern is well formed
+	for _, name := range names {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			sc.Unreadable++
+			continue
+		}
+		sc.scan(data, each)
+	}
+	return sc
+}
+
+// scan walks one segment's records. A length that is zero or runs past
+// the segment cannot be skipped, so the rest of the segment is its torn
+// tail; a checksum failure skips just that record. A record of another
+// version passes its checksum but is not this format's to read.
+func (sc *PersistScan) scan(data []byte, each func(persistKey, sim.Result)) {
+	le := binary.LittleEndian
+	for len(data) > 0 {
+		if len(data) < recordHeader {
+			sc.TornTails++
+			return
+		}
+		n := int(le.Uint32(data))
+		if n == 0 || n > len(data)-recordHeader {
+			sc.TornTails++
+			return
+		}
+		sum := le.Uint32(data[4:])
+		payload := data[recordHeader : recordHeader+n]
+		data = data[recordHeader+n:]
+		switch {
+		case crc32.Checksum(payload, castagnoli) != sum:
+			if len(data) == 0 {
+				sc.TornTails++
+			} else {
+				sc.Torn++
+			}
+		case n != recordPayload || payload[0] != recordVersion:
+		default:
+			sc.Records++
+			if each != nil {
+				var k persistKey
+				copy(k[:], payload[1:])
+				each(k, decodeResult(payload[1+sha256.Size:]))
+			}
+		}
+	}
 }
 
 // canaries are the kernels modelFingerprint times: texture fetches

@@ -11,7 +11,8 @@
 // Generate, Compile, Replay and Simulate artifacts are memoized in
 // bounded LRU stores keyed by content: compile artifacts by the kernel's
 // structural hash (the SHA-256 of its canonical binary encoding — no
-// text round-trip) plus the device architecture, its clause
+// text round-trip, computed once per sealed kernel, see il.Sealed) plus
+// the device architecture, its clause
 // limits and the compiler options; replay artifacts by the fetch
 // signature of the ISA program, the raster order, the domain and the
 // cache geometry (plus cache-relevant ablations). Each store coalesces
@@ -65,9 +66,10 @@ type Options struct {
 	Disabled bool
 	// PersistDir, when non-empty, attaches the persistent on-disk tier
 	// under the Simulate store (see persist.go): results missing in
-	// memory load from <PersistDir>/simulate before computing, and
-	// computed results write through crash-atomically. Disabled turns
-	// the tier off along with everything else.
+	// memory are looked up in the index of <PersistDir>/simulate read
+	// when the pipeline is built, and computed results are appended
+	// there, one fsynced record each. Disabled turns the tier off along
+	// with everything else.
 	PersistDir string
 }
 
@@ -91,7 +93,7 @@ type Pipeline struct {
 	disabled bool
 	metrics  *obs.Registry
 
-	generate *store[generateKey, *il.Kernel]
+	generate *store[generateKey, *il.Sealed]
 	compile  *store[compileKey, *isa.Program]
 	replay   *store[replayKey, cache.TraceStats]
 	simulate *store[simulateKey, sim.Result]
@@ -122,7 +124,7 @@ func New(opts Options) *Pipeline {
 		simBypassed: reg.Counter("pipeline.simulate.bypassed"),
 		simBypassNS: reg.Counter("pipeline.simulate.bypass_ns"),
 	}
-	p.generate = newStore[generateKey, *il.Kernel]("generate", reg, defaultGenerateEntries, opts.Disabled)
+	p.generate = newStore[generateKey, *il.Sealed]("generate", reg, defaultGenerateEntries, opts.Disabled)
 	p.compile = newStore[compileKey, *isa.Program]("compile", reg, defaultCompileEntries, opts.Disabled)
 	p.replay = newStore[replayKey, cache.TraceStats]("replay", reg, defaultReplayEntries, opts.Disabled)
 	p.snapshots = newStore[replayKey, *prefixSlot]("replay-family", reg, defaultReplaySnapshotEntries, opts.Disabled)
@@ -182,22 +184,26 @@ type generateKey struct {
 }
 
 // Generate runs the named kerngen generator, memoized on (generator,
-// params). The returned kernel is shared and must be treated as
-// immutable.
-func (p *Pipeline) Generate(g Generator, params kerngen.Params) (*il.Kernel, error) {
+// params). The returned kernel is sealed and shared: every launch of it
+// reuses one structural hash and one Validate result.
+func (p *Pipeline) Generate(g Generator, params kerngen.Params) (*il.Sealed, error) {
 	fn, err := g.fn()
 	if err != nil {
 		return nil, err
 	}
-	return p.generate.get(generateKey{gen: g, params: params}, func() (*il.Kernel, error) {
-		return fn(params)
+	return p.generate.get(generateKey{gen: g, params: params}, func() (*il.Sealed, error) {
+		k, err := fn(params)
+		if err != nil {
+			return nil, err
+		}
+		return il.Seal(k), nil
 	})
 }
 
 // ---- Stage 2: Compile ----
 
 // compileKey is the content address of a compiled program: the kernel's
-// structural hash (il.Kernel.Hash — the SHA-256 of its canonical binary
+// structural hash (il.Sealed.Hash — the SHA-256 of its canonical binary
 // encoding, no text serialization), the device architecture, the spec
 // fields the compiler actually reads (clause limits, compute support),
 // and the compiler options. Unrelated spec differences — clocks, cache
@@ -212,7 +218,7 @@ type compileKey struct {
 }
 
 // compileKeyFor builds the compile key; the Simulate key embeds it.
-func compileKeyFor(k *il.Kernel, spec device.Spec, opts ilc.Options) compileKey {
+func compileKeyFor(k *il.Sealed, spec device.Spec, opts ilc.Options) compileKey {
 	return compileKey{
 		kernelHash:      k.Hash(),
 		arch:            spec.Arch,
@@ -250,16 +256,16 @@ func boolByte(b bool) byte {
 // Compile lowers an IL kernel for a device, memoized on the kernel's
 // structural hash plus the compile-relevant device parameters and
 // options. The returned program is shared and immutable. A store hit does
-// zero serialization work: the key is built from the kernel's binary
-// encoding without ever rendering IL text.
-func (p *Pipeline) Compile(k *il.Kernel, spec device.Spec, opts ilc.Options) (*isa.Program, error) {
+// zero serialization work: the key starts from the sealed kernel's
+// memoized hash.
+func (p *Pipeline) Compile(k *il.Sealed, spec device.Spec, opts ilc.Options) (*isa.Program, error) {
 	return p.compileAt(compileKeyFor(k, spec, opts), k, spec)
 }
 
-// compileAt is Compile with the key built: large kernels hash slowly.
-func (p *Pipeline) compileAt(key compileKey, k *il.Kernel, spec device.Spec) (*isa.Program, error) {
+// compileAt is Compile with the key built.
+func (p *Pipeline) compileAt(key compileKey, k *il.Sealed, spec device.Spec) (*isa.Program, error) {
 	return p.compile.get(key, func() (*isa.Program, error) {
-		return ilc.CompileWith(k, spec, key.opts)
+		return ilc.CompileWith(k.Kernel, spec, key.opts)
 	})
 }
 
@@ -375,7 +381,7 @@ type simulateKey struct {
 // trace and replay spans nest inside it, which is how `amdmb -trace`
 // shows a sweep as per-launch lanes of nested stage spans. The zero Span
 // traces nothing and costs nothing.
-func (p *Pipeline) Simulate(sp obs.Span, k *il.Kernel, opts ilc.Options, cfg sim.Config) (sim.Result, error) {
+func (p *Pipeline) Simulate(sp obs.Span, k *il.Sealed, opts ilc.Options, cfg sim.Config) (sim.Result, error) {
 	xsp := sp.Child("simulate").Cat("stage")
 	defer xsp.End()
 
@@ -408,7 +414,7 @@ func (p *Pipeline) Simulate(sp obs.Span, k *il.Kernel, opts ilc.Options, cfg sim
 // the simulator. The duration it returns is the simulator's alone —
 // compile, trace and replay charge their own stage counters, so the
 // stages stay disjoint.
-func (p *Pipeline) launch(sp obs.Span, src compileKey, k *il.Kernel, cfg sim.Config) (sim.Result, time.Duration, error) {
+func (p *Pipeline) launch(sp obs.Span, src compileKey, k *il.Sealed, cfg sim.Config) (sim.Result, time.Duration, error) {
 	csp := sp.Child("compile").Cat("stage")
 	prog, err := p.compileAt(src, k, cfg.Spec)
 	csp.End()

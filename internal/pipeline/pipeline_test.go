@@ -24,7 +24,7 @@ func testParams() kerngen.Params {
 // testLaunch is one Simulate call: the source kernel and the launch
 // shape (cfg.Prog unset; the pipeline compiles on a miss).
 type testLaunch struct {
-	k   *il.Kernel
+	k   *il.Sealed
 	cfg sim.Config
 }
 
@@ -35,7 +35,7 @@ func (p *Pipeline) runLaunch(l testLaunch) (sim.Result, error) {
 // direct runs the launch straight through ilc and sim, no pipeline.
 func (l testLaunch) direct(t *testing.T) sim.Result {
 	t.Helper()
-	prog, err := ilc.CompileWith(l.k, l.cfg.Spec, ilc.Options{})
+	prog, err := ilc.CompileWith(l.k.Kernel, l.cfg.Spec, ilc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,15 +91,16 @@ func TestCompileMemoizedByContent(t *testing.T) {
 	spec := device.Lookup(device.RV770)
 	// Two structurally identical kernels from independent kerngen calls:
 	// distinct pointers, identical IL text.
-	k1, err := kerngen.ALUFetch(testParams())
+	raw1, err := kerngen.ALUFetch(testParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	k2, err := kerngen.ALUFetch(testParams())
+	raw2, err := kerngen.ALUFetch(testParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k1 == k2 {
+	k1, k2 := il.Seal(raw1), il.Seal(raw2)
+	if raw1 == raw2 {
 		t.Fatal("test wants distinct kernel pointers")
 	}
 	p1, err := p.Compile(k1, spec, ilc.Options{})

@@ -28,7 +28,7 @@ type store[K comparable, V any] struct {
 	// persistent on-disk tier): a memory miss tries tierLoad before
 	// computing, and a computed value writes through tierStore. Both run
 	// outside mu, inside the singleflight window — concurrent gets of
-	// one key do at most one disk probe. A value served by tierLoad is
+	// one key do at most one tier lookup. A value served by tierLoad is
 	// NOT written back through tierStore (it is already down there).
 	tierLoad  func(K) (V, bool)
 	tierStore func(K, V)

@@ -233,7 +233,7 @@ func bundlePoint(b *Bundle, k *il.Kernel) (core.KernelPoint, error) {
 		return core.KernelPoint{}, fmt.Errorf("soak: bundle names %w", err)
 	}
 	card := core.Card{Arch: arch, Mode: k.Mode, Type: k.Type, BlockW: b.BlockW, BlockH: b.BlockH}
-	return core.KernelPoint{Card: card, X: b.X, K: k, W: b.W, H: b.H}, nil
+	return core.KernelPoint{Card: card, X: b.X, K: il.Seal(k), W: b.W, H: b.H}, nil
 }
 
 func modeName(m il.ShaderMode) string {

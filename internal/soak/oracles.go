@@ -63,7 +63,7 @@ func (c *campaign) record(v Violation, pred conformance.Pred) {
 	if v.Kernel != nil && pred != nil {
 		v.ShrunkFrom = len(v.Kernel.Code)
 		v.Kernel = conformance.Shrink(v.Kernel, pred)
-		v.Point.K = v.Kernel
+		v.Point.K = il.Seal(v.Kernel)
 	}
 	if c.cfg.BundleDir != "" {
 		dir, err := writeBundle(c.cfg, v)
@@ -91,14 +91,14 @@ func (c *campaign) checkDeterminism(st step, runs []core.Run) {
 	ref, err := c.referenceRun(p)
 	if err != nil {
 		c.record(Violation{
-			Oracle: OracleDeterminism, Step: st.Index, Kernel: p.K, Point: p,
+			Oracle: OracleDeterminism, Step: st.Index, Kernel: p.K.Kernel, Point: p,
 			Detail: fmt.Sprintf("reference recompute of %s at x=%g failed: %v", p.K.Name, p.X, err),
 		}, nil)
 		return
 	}
 	if got != ref {
 		v := Violation{
-			Oracle: OracleDeterminism, Step: st.Index, Kernel: p.K, Point: p,
+			Oracle: OracleDeterminism, Step: st.Index, Kernel: p.K.Kernel, Point: p,
 			Detail: fmt.Sprintf("probe %s at x=%g diverged from reference recompute:\n  campaign:  %+v\n  reference: %+v",
 				p.K.Name, p.X, got, ref),
 		}
@@ -124,7 +124,7 @@ func (c *campaign) referenceRun(p core.KernelPoint) (core.Run, error) {
 func (c *campaign) determinismPred(p core.KernelPoint) conformance.Pred {
 	return func(k *il.Kernel) bool {
 		q := p
-		q.K = k
+		q.K = il.Seal(k)
 		cached := newSuite(c.cfg)
 		a, err := cached.RunKernelPoints(context.Background(), []core.KernelPoint{q}, core.SweepOptions{})
 		if err != nil {
@@ -214,7 +214,7 @@ func (c *campaign) checkResumeIdentity(st step, runs []core.Run) {
 		if runs[i] != ref[i] {
 			p := st.points[i]
 			c.record(Violation{
-				Oracle: OracleCheckpoint, Step: st.Index, Kernel: p.K, Point: p,
+				Oracle: OracleCheckpoint, Step: st.Index, Kernel: p.K.Kernel, Point: p,
 				Detail: fmt.Sprintf("point %d (%s at x=%g) after kill@%d+resume:\n  resumed:   %+v\n  reference: %+v",
 					i, p.K.Name, p.X, st.KillAt, runs[i], ref[i]),
 			}, nil)
@@ -228,9 +228,9 @@ func (c *campaign) checkResumeIdentity(st step, runs []core.Run) {
 // bundle.
 func (c *campaign) checkInjected(st step) {
 	for _, p := range st.points {
-		if err := c.cfg.TestOracle(p.K); err != nil {
+		if err := c.cfg.TestOracle(p.K.Kernel); err != nil {
 			c.record(Violation{
-				Oracle: OracleInjected, Step: st.Index, Kernel: p.K, Point: p,
+				Oracle: OracleInjected, Step: st.Index, Kernel: p.K.Kernel, Point: p,
 				Detail: fmt.Sprintf("injected oracle rejected %s: %v", p.K.Name, err),
 			}, func(k *il.Kernel) bool { return c.cfg.TestOracle(k) != nil })
 			return // one bundle per step is plenty

@@ -197,9 +197,10 @@ func planStep(cfg Config, i int) step {
 			w, h = min(w, cfg.MaxDomain), min(h, cfg.MaxDomain)
 		}
 		x := float64(i*100 + j)
-		st.points = append(st.points, core.KernelPoint{Card: card, X: x, K: k, W: w, H: h})
+		sk := il.Seal(k)
+		st.points = append(st.points, core.KernelPoint{Card: card, X: x, K: sk, W: w, H: h})
 
-		sum := k.Hash()
+		sum := sk.Hash()
 		st.Points = append(st.Points, PointPlan{
 			Kernel: k.Name,
 			Hash:   fmt.Sprintf("%x", sum[:8]),

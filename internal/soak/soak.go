@@ -14,6 +14,7 @@ import (
 	sched "amdgpubench/internal/campaign"
 	"amdgpubench/internal/conformance"
 	"amdgpubench/internal/core"
+	"amdgpubench/internal/il"
 	"amdgpubench/internal/ilc"
 	"amdgpubench/internal/obs"
 )
@@ -194,7 +195,7 @@ func (c *campaign) startChurn(stepIdx int) (stop func()) {
 				}
 				k := conformance.RandomKernel(rng)
 				spec := conformance.SpecFor(k, uint8(rng.Intn(256)))
-				if _, err := c.suite.Pipeline().Compile(k, spec, ilc.Options{}); err == nil {
+				if _, err := c.suite.Pipeline().Compile(il.Seal(k), spec, ilc.Options{}); err == nil {
 					c.churned.Add(1)
 				}
 			}

@@ -1,26 +1,23 @@
 package soak
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"os/exec"
-	"path/filepath"
 	"time"
 
-	"amdgpubench/internal/sim"
+	"amdgpubench/internal/pipeline"
 )
 
 // Crash torture is the out-of-process half of the kill/resume story:
 // where the in-process cycles (runKillResume) prove a cleanly cancelled
 // sweep resumes, torture proves a SIGKILLed *process* does — the kill
 // lands at whatever instant the persistent tier's writer happens to be
-// in, which is exactly what the crash-atomic write protocol must
-// survive. The harness runs a child amdmb sweep over a persistent cache
+// in, which is exactly what the append protocol (one write and one
+// fsync per record) must survive. The harness runs a child amdmb sweep over a persistent cache
 // dir, waits for it to persist more results, kills it without ceremony,
 // and repeats; the final run must complete cleanly with zero torn
-// entries, and the caller compares its output bit-for-bit against an
+// records, and the caller compares its output bit-for-bit against an
 // uninterrupted run.
 
 // TortureConfig parameterises a torture session.
@@ -30,7 +27,7 @@ type TortureConfig struct {
 	// run resumes nothing and nothing is being tested.
 	NewChild func(cycle int) *exec.Cmd
 	// CacheDir is the persistent cache dir the children share; progress
-	// is measured by its entry count growing.
+	// is measured by its record count growing.
 	CacheDir string
 	// Cycles is how many SIGKILLs to land; zero means 3.
 	Cycles int
@@ -50,11 +47,13 @@ type TortureResult struct {
 	// CleanExits counts children that finished the sweep before the kill
 	// landed (the sweep ran out of points to torture).
 	CleanExits int
-	// Torn counts entries that fail to parse afterwards — every one is a
-	// torn write the atomic write protocol let through, and the caller
-	// should treat any nonzero count as a failure.
+	// Torn counts records that fail their checksum anywhere but at the
+	// end of their segment afterwards — every one is a torn write the
+	// append protocol let through, and the caller should treat any
+	// nonzero count as a failure. A torn tail is what a kill mid-write
+	// may leave, and is not counted.
 	Torn int
-	// Entries is the persisted entry count the final clean run started
+	// Entries is the persisted record count the final clean run started
 	// from.
 	Entries int
 }
@@ -79,7 +78,7 @@ func Torture(cfg TortureConfig) (*TortureResult, error) {
 
 	res := &TortureResult{}
 	for cycle := 0; cycle < cycles; cycle++ {
-		base := len(cacheEntries(cfg.CacheDir))
+		base := records(cfg.CacheDir)
 		cmd := cfg.NewChild(cycle)
 		if err := cmd.Start(); err != nil {
 			return res, fmt.Errorf("soak: torture cycle %d: %w", cycle, err)
@@ -101,7 +100,7 @@ func Torture(cfg TortureConfig) (*TortureResult, error) {
 				break wait
 			default:
 			}
-			if len(cacheEntries(cfg.CacheDir)) > base {
+			if records(cfg.CacheDir) > base {
 				// Progress observed: kill mid-sweep, quite possibly
 				// mid-write.
 				_ = cmd.Process.Kill()
@@ -123,7 +122,7 @@ func Torture(cfg TortureConfig) (*TortureResult, error) {
 				verb = "finished clean"
 			}
 			fmt.Fprintf(cfg.Out, "torture cycle %d: %s at %d persisted entries\n",
-				cycle, verb, len(cacheEntries(cfg.CacheDir)))
+				cycle, verb, records(cfg.CacheDir))
 		}
 		if !killed {
 			break // nothing left to torture
@@ -131,7 +130,7 @@ func Torture(cfg TortureConfig) (*TortureResult, error) {
 	}
 
 	// The survivor: run to completion from whatever the kills left.
-	res.Entries = len(cacheEntries(cfg.CacheDir))
+	res.Entries = records(cfg.CacheDir)
 	final := cfg.NewChild(cycles)
 	done := make(chan error, 1)
 	if err := final.Start(); err != nil {
@@ -149,28 +148,9 @@ func Torture(cfg TortureConfig) (*TortureResult, error) {
 		return res, fmt.Errorf("soak: torture final run exceeded %v", timeout)
 	}
 
-	res.Torn = countTorn(cfg.CacheDir)
+	res.Torn = pipeline.ScanPersistDir(cfg.CacheDir).Torn
 	return res, nil
 }
 
-// cacheEntries lists the simulate entries persisted under dir. Temp
-// files from in-flight or killed writes are named <entry>.json.tmp-*,
-// so the pattern never matches them.
-func cacheEntries(dir string) []string {
-	matches, _ := filepath.Glob(filepath.Join(dir, "simulate", "*", "*.json"))
-	return matches
-}
-
-// countTorn counts persisted entries that do not parse as a simulate
-// result — the torn writes the crash-atomic protocol must rule out.
-func countTorn(dir string) int {
-	torn := 0
-	for _, path := range cacheEntries(dir) {
-		data, err := os.ReadFile(path)
-		var res sim.Result
-		if err != nil || json.Unmarshal(data, &res) != nil {
-			torn++
-		}
-	}
-	return torn
-}
+// records counts the simulate records persisted under dir.
+func records(dir string) int { return pipeline.ScanPersistDir(dir).Records }

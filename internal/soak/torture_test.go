@@ -12,6 +12,14 @@ import (
 	"time"
 
 	"amdgpubench/internal/core"
+	"amdgpubench/internal/device"
+	"amdgpubench/internal/il"
+	"amdgpubench/internal/ilc"
+	"amdgpubench/internal/kerngen"
+	"amdgpubench/internal/obs"
+	"amdgpubench/internal/pipeline"
+	"amdgpubench/internal/raster"
+	"amdgpubench/internal/sim"
 )
 
 // The crash-torture test re-executes its own test binary as the victim:
@@ -106,7 +114,7 @@ func TestTortureSurvivesRepeatedSIGKILL(t *testing.T) {
 		t.Errorf("landed %d kills, want 3 (%d clean exits)\n%s", res.Kills, res.CleanExits, log.String())
 	}
 	if res.Torn != 0 {
-		t.Errorf("%d torn cache entries after SIGKILL torture; the atomic write protocol tore", res.Torn)
+		t.Errorf("%d torn cache records after SIGKILL torture; the append protocol tore", res.Torn)
 	}
 	if res.Entries == 0 {
 		t.Error("final run found nothing persisted: the kills never preserved progress")
@@ -147,26 +155,47 @@ func TestTortureConfigValidation(t *testing.T) {
 
 func TestCacheEntriesCountsAndTorn(t *testing.T) {
 	dir := t.TempDir()
-	if n := len(cacheEntries(dir)); n != 0 {
-		t.Fatalf("empty dir counted %d entries", n)
+	if n := records(dir); n != 0 {
+		t.Fatalf("empty dir counted %d records", n)
 	}
-	shard := filepath.Join(dir, "simulate", "ab")
-	if err := os.MkdirAll(shard, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	for name, body := range map[string]string{
-		"ab01.json":            `{"Seconds":1}`,
-		"ab02.json":            "{torn",
-		"ab03.json.tmp-123456": "{half", // an in-flight write: never an entry
-	} {
-		if err := os.WriteFile(filepath.Join(shard, name), []byte(body), 0o644); err != nil {
+	p := pipeline.New(pipeline.Options{PersistDir: dir})
+	for ratio := 1; ratio <= 3; ratio++ {
+		k, err := p.Generate(pipeline.GenALUFetch, kerngen.Params{
+			Mode: il.Pixel, Type: il.Float, Inputs: 2, Outputs: 1, ALUFetchRatio: float64(ratio),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Simulate(obs.Span{}, k, ilc.Options{}, sim.Config{
+			Spec: device.Lookup(device.RV770), Order: raster.PixelOrder(), W: 16, H: 16, Iterations: 1,
+		}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n := len(cacheEntries(dir)); n != 2 {
-		t.Fatalf("counted %d entries, want 2 (temps excluded)", n)
+	if n := records(dir); n != 3 {
+		t.Fatalf("counted %d records, want 3", n)
 	}
-	if n := countTorn(dir); n != 1 {
-		t.Fatalf("counted %d torn entries, want 1", n)
+
+	// One writer, one segment of three equal records: damage the middle
+	// one, and leave half a record at the end, as a kill mid-write does.
+	segs, err := filepath.Glob(filepath.Join(dir, "simulate", "*"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("segments %v (err %v), want 1", segs, err)
+	}
+	data, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := len(data) / 3
+	data[rec+rec/2] ^= 1
+	data = append(data, data[:rec/2]...)
+	if err := os.WriteFile(segs[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if n := records(dir); n != 2 {
+		t.Fatalf("counted %d records, want 2 (the damaged one excluded)", n)
+	}
+	if n := pipeline.ScanPersistDir(dir).Torn; n != 1 {
+		t.Fatalf("counted %d torn records, want 1 (a torn tail is not one)", n)
 	}
 }
