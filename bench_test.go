@@ -266,8 +266,9 @@ func BenchmarkCampaignBundle(b *testing.B) {
 }
 
 // BenchmarkHierInfer is the memory-hierarchy dissection end to end: the
-// staged probe schedule against the RV770 model, recovering L1/L2
-// capacity, line size, associativity and the miss-hit delta from
+// staged probe schedule against the RV770 model, measured through a
+// fresh suite's sweep runner and pipeline each iteration, recovering
+// L1/L2 capacity, line size, associativity and the miss-hit delta from
 // measured curves alone. The benchmark fails outright if any recovered
 // parameter disagrees with the device table, so a cache-model or
 // timing-model regression cannot hide inside a "fast but wrong" run;
@@ -276,7 +277,9 @@ func BenchmarkHierInfer(b *testing.B) {
 	spec := device.Lookup(device.RV770)
 	probes := 0
 	for i := 0; i < b.N; i++ {
-		inf, err := hier.Infer(hier.SimMeasurer(spec, 100), hier.Config{})
+		s := core.NewSuite()
+		s.Iterations = 100
+		inf, err := hier.Infer(hier.SuiteMeasurer(s, spec), hier.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -297,7 +300,9 @@ func BenchmarkHierInfer(b *testing.B) {
 func BenchmarkCompileChase(b *testing.B) {
 	spec := device.Lookup(device.RV770)
 	var kernels []*il.Kernel
-	measure := hier.SimMeasurer(spec, 100)
+	s := core.NewSuite()
+	s.Iterations = 100
+	measure := hier.SuiteMeasurer(s, spec)
 	record := func(p hier.Probe) (float64, error) {
 		k, err := p.Kernel()
 		if err != nil {

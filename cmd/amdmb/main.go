@@ -61,7 +61,8 @@
 //	-metrics-json      like -metrics but as JSON (implies -metrics)
 //	-progress          show a live progress line for the invocation's sweep on
 //	                   stderr (points done/total, failures, cache hit rate, ETA)
-//	-max-domain N      clamp every sweep domain to at most NxN (CI smoke runs)
+//	-max-domain N      clamp sweep domains to at most NxN (CI smoke runs); the
+//	                   hier-* probes keep their own domains
 //	-cpuprofile file   write a CPU profile of the run (go tool pprof format)
 //	-memprofile file   write a heap profile on exit (go tool pprof format)
 //
@@ -284,7 +285,7 @@ func (c *cli) commonFlags(fs *flag.FlagSet) {
 	fs.BoolVar(&c.metrics, "metrics", false, "print the suite's metrics registry after the experiments")
 	fs.BoolVar(&c.metricsJSON, "metrics-json", false, "print the metrics registry as JSON (implies -metrics)")
 	fs.BoolVar(&c.progress, "progress", false, "show a live per-sweep progress line on stderr")
-	fs.IntVar(&c.maxDomain, "max-domain", 0, "clamp every sweep domain to at most NxN (0 = no clamp)")
+	fs.IntVar(&c.maxDomain, "max-domain", 0, "clamp sweep domains to at most NxN, hier-* probes excepted (0 = no clamp)")
 }
 
 // newSuite builds the suite the parsed flags describe. It fails only on

@@ -58,7 +58,7 @@ func run(argv []string, stderr io.Writer) int {
 		iters     = fs.Int("iters", 0, "timing iterations for every campaign (0 = the paper's 5000); clients must match")
 		workers   = fs.Int("workers", 0, "sweep parallelism (0 = GOMAXPROCS)")
 		retries   = fs.Int("retries", 0, "per-point retries for transient failures")
-		maxDomain = fs.Int("max-domain", 0, "clamp every sweep domain to at most N x N (0 = unclamped)")
+		maxDomain = fs.Int("max-domain", 0, "clamp sweep domains to at most N x N, hier-* probes excepted (0 = unclamped)")
 	)
 	if err := fs.Parse(argv); err != nil {
 		return 2

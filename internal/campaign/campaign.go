@@ -36,10 +36,11 @@ type Spec struct {
 // Options tunes planning.
 type Options struct {
 	// MaxDomain, when positive, clamps every point's domain to at most
-	// MaxDomain x MaxDomain at plan time. It is the suite's only sweep
-	// clamp (`-max-domain`), so the dry-run schedule shows exactly the
-	// launches that execute, and the clamped domain is part of every
-	// launch's persist-tier key.
+	// MaxDomain x MaxDomain at plan time, except a point whose domain is
+	// its measurement (core.KernelPoint.ExactDomain). It is the suite's
+	// only sweep clamp (`-max-domain`), so the dry-run schedule shows
+	// exactly the launches that execute, and the clamped domain is part
+	// of every launch's persist-tier key.
 	MaxDomain int
 }
 
@@ -74,7 +75,7 @@ func NewPlan(specs []Spec, opts Options) (*Plan, error) {
 			if _, err := pt.Card.Order(); err != nil {
 				return nil, fmt.Errorf("campaign: %s point %d: %w", specName(sp, si), pi, err)
 			}
-			if opts.MaxDomain > 0 {
+			if opts.MaxDomain > 0 && !pt.ExactDomain {
 				pt.W, pt.H = min(pt.W, opts.MaxDomain), min(pt.H, opts.MaxDomain)
 			}
 			p.Units = append(p.Units, pt)

@@ -175,6 +175,42 @@ func TestPlanMaxDomainClamp(t *testing.T) {
 	}
 }
 
+// TestPlanClampSparesHierProbes plans every registry figure at a small
+// clamp: a hierarchy probe's domain is its measurement (the stride
+// probes encode the stride in the surface width), so every hier-* point
+// keeps its unclamped W and H, while every other point fits the clamp.
+func TestPlanClampSparesHierProbes(t *testing.T) {
+	const clamp = 16
+	specs := mustSpecs(t, testSuite(), FigureNames()...)
+	p, err := NewPlan(specs, Options{MaxDomain: clamp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	i, wide := 0, 0
+	for _, sp := range specs {
+		hierFig := strings.HasPrefix(sp.Name, "hier-")
+		for pi, pt := range sp.Figure.Points {
+			u := p.Units[i]
+			i++
+			switch {
+			case hierFig && (u.W != pt.W || u.H != pt.H):
+				t.Errorf("%s point %d: planned %dx%d, want its unclamped %dx%d", sp.Name, pi, u.W, u.H, pt.W, pt.H)
+			case !hierFig && (u.W > clamp || u.H > clamp):
+				t.Errorf("%s point %d: planned %dx%d exceeds the clamp %d", sp.Name, pi, u.W, u.H, clamp)
+			}
+			if hierFig && max(pt.W, pt.H) > clamp {
+				wide++
+			}
+		}
+	}
+	if i != len(p.Units) {
+		t.Fatalf("plan has %d units, specs %d points", len(p.Units), i)
+	}
+	if wide == 0 {
+		t.Fatalf("no hier-* point exceeds the clamp %d; the test checks nothing", clamp)
+	}
+}
+
 // TestCampaignMatchesSequential is the headline correctness property:
 // scheduling fig16+clausectl as one campaign yields figures
 // bit-identical to running each alone, with the artifact caches off so

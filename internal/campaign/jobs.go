@@ -41,9 +41,9 @@ type Request struct {
 	// architectures, as Resolve parses them; a figure left with no
 	// points fails the request.
 	Archs []string `json:"archs,omitempty"`
-	// MaxDomain, when positive, clamps every sweep domain to at most
-	// MaxDomain x MaxDomain at plan time. The daemon may impose a
-	// tighter ceiling of its own (Jobs.MaxDomain).
+	// MaxDomain, when positive, clamps sweep domains to at most
+	// MaxDomain x MaxDomain at plan time, as Options.MaxDomain does. The
+	// daemon may impose a tighter ceiling of its own (Jobs.MaxDomain).
 	MaxDomain int `json:"max_domain,omitempty"`
 	// Iterations must be zero or equal to the daemon's fixed iteration
 	// count: iterations feed every sweep signature and simulate key, so

@@ -238,6 +238,27 @@ func TestJobsMaxDomainCeiling(t *testing.T) {
 	}
 }
 
+// TestJobsNeverClampHierProbes: a request's max_domain and the service
+// ceiling leave a hierarchy probe's domain alone, so a remote client gets
+// the unclamped figure, not a silently corrupted one.
+func TestJobsNeverClampHierProbes(t *testing.T) {
+	js := testJobs(jobSuite())
+	j, err := js.Submit(Request{Figs: []string{"hier-stride"}, MaxDomain: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitJob(t, j); st.State != JobDone {
+		t.Fatalf("state %q (error %q), want done", st.State, st.Error)
+	}
+	fig, ok := j.Figure("hier-stride")
+	if !ok {
+		t.Fatal("job has no hier-stride figure")
+	}
+	if got, want := fig.CSV(), localFigureCSVs(t, 0, "hier-stride")["hier-stride"]; got != want {
+		t.Fatalf("daemon hier-stride differs from the unclamped run:\n--- daemon ---\n%s\n--- unclamped ---\n%s", got, want)
+	}
+}
+
 // TestSubmitValidation: every malformed request fails synchronously,
 // before a job exists.
 func TestSubmitValidation(t *testing.T) {

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"amdgpubench/internal/core"
 	"amdgpubench/internal/device"
 	"amdgpubench/internal/hier"
 	"amdgpubench/internal/il"
@@ -35,9 +36,10 @@ const hierMonotoneFetches = 1024
 // non-decreasing in working-set size: a pointer-chase over kb+Δ KiB can
 // never run meaningfully faster per fetch than an equally long chase
 // over kb KiB on the same device. Footprints must be powers of two
-// dividing hierMonotoneFetches, so rounds x surfaces stays constant.
-func CheckHierLatencyMonotone(spec device.Spec, footprintsKB []int) error {
-	m := hier.SimMeasurer(spec, 100)
+// dividing hierMonotoneFetches, so rounds x surfaces stays constant. The
+// probes run on spec through s's sweep runner.
+func CheckHierLatencyMonotone(s *core.Suite, spec device.Spec, footprintsKB []int) error {
+	m := hier.SuiteMeasurer(s, spec)
 	prev, prevKB := 0.0, 0
 	for i, kb := range footprintsKB {
 		if hierMonotoneFetches%kb != 0 {
@@ -62,8 +64,9 @@ func CheckHierLatencyMonotone(spec device.Spec, footprintsKB []int) error {
 // shuffling the candidate-associativity order (the one part of the
 // sweep whose order is configurable) must change nothing, because each
 // probe's result depends only on the device, never on probe history.
-func CheckInferOrderInvariance(spec device.Spec, seed int64) error {
-	m := hier.SimMeasurer(spec, 100)
+// The probes run on spec through s's sweep runner.
+func CheckInferOrderInvariance(s *core.Suite, spec device.Spec, seed int64) error {
+	m := hier.SuiteMeasurer(s, spec)
 	base, err := hier.Infer(m, hier.Config{})
 	if err != nil {
 		return fmt.Errorf("conformance: hier order: %s base: %v", spec.Arch, err)

@@ -164,7 +164,7 @@ type Suite struct {
 	pipe     *pipeline.Pipeline
 
 	ctxMu    sync.Mutex
-	contexts map[device.Arch]*cal.Context
+	contexts map[device.Spec]*cal.Context
 
 	launched atomic.Int64
 
@@ -176,7 +176,7 @@ type Suite struct {
 
 // NewSuite constructs a suite.
 func NewSuite() *Suite {
-	return &Suite{contexts: make(map[device.Arch]*cal.Context)}
+	return &Suite{contexts: make(map[device.Spec]*cal.Context)}
 }
 
 // Pipeline returns the suite's shared launch pipeline, creating it on
@@ -224,25 +224,27 @@ func (s *Suite) counters() *sweepCounters {
 	return s.ctr
 }
 
-// context returns the suite's one context per architecture, opening the
-// device on first use. It is safe for concurrent callers: workers racing
-// on a cold arch open it once and share the result.
-func (s *Suite) context(a device.Arch) (*cal.Context, error) {
+// context returns the suite's one context per device spec, opening the
+// device on first use: a built-in card and any custom spec (synthetic,
+// future) alike, so every launch takes the same pipeline. It is safe
+// for concurrent callers: workers racing on a cold spec open it once
+// and share the result.
+func (s *Suite) context(spec device.Spec) (*cal.Context, error) {
 	s.ctxMu.Lock()
 	defer s.ctxMu.Unlock()
 	if s.contexts == nil {
-		s.contexts = make(map[device.Arch]*cal.Context)
+		s.contexts = make(map[device.Spec]*cal.Context)
 	}
-	if c, ok := s.contexts[a]; ok {
+	if c, ok := s.contexts[spec]; ok {
 		return c, nil
 	}
-	d, err := cal.OpenDevice(a)
+	d, err := cal.OpenCustomDevice(spec)
 	if err != nil {
 		return nil, err
 	}
 	c := d.CreateContextWith(s.Pipeline())
 	c.SetFaultPlan(s.Faults)
-	s.contexts[a] = c
+	s.contexts[spec] = c
 	return c, nil
 }
 

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"amdgpubench/internal/cal"
+	"amdgpubench/internal/device"
 	"amdgpubench/internal/il"
 	"amdgpubench/internal/ilc"
 	"amdgpubench/internal/obs"
@@ -70,11 +71,27 @@ type KernelPoint struct {
 	Plot func(Run) (x, y float64)
 	K    *il.Sealed
 	W, H int
+	// ExactDomain marks a point whose W x H is part of what it measures
+	// (a hierarchy probe encodes its stride in the surface width), so a
+	// plan's domain clamp leaves it alone.
+	ExactDomain bool
+	// Device is the device the point runs on when it is not its card's
+	// built-in one (a synthetic or future spec); nil means
+	// device.Lookup(Card.Arch).
+	Device *device.Spec
 	// Opts and Ablate switch compiler paths and simulated mechanisms off
 	// for the ablation study; the zero values launch the kernel as the
 	// paper's figures do.
 	Opts   ilc.Options
 	Ablate sim.Ablations
+}
+
+// spec returns the device the point runs on.
+func (p KernelPoint) spec() device.Spec {
+	if p.Device != nil {
+		return *p.Device
+	}
+	return device.Lookup(p.Card.Arch)
 }
 
 // SweepOptions tunes one RunKernelPoints sweep. The zero value runs the
@@ -91,9 +108,10 @@ type SweepOptions struct {
 
 // RunKernelPoints is the suite's one sweep entry point: it times every
 // point and returns the runs in input order. Device contexts are created
-// up front so a bad card fails the sweep before any worker starts; the
-// context map itself is safe for concurrent lookup and the contexts are
-// read-only during launches.
+// up front, one per device spec, so a bad card or an invalid custom
+// device fails the sweep before any worker starts; the context map
+// itself is safe for concurrent lookup and the contexts are read-only
+// during launches.
 //
 // Failure policy, per the cal taxonomy: transient launch failures retry
 // up to s.Retries times with doubling backoff; timeouts, exhausted
@@ -110,7 +128,7 @@ type SweepOptions struct {
 // cancel just their own.
 func (s *Suite) RunKernelPoints(parent context.Context, pts []KernelPoint, opts SweepOptions) ([]Run, error) {
 	for _, p := range pts {
-		if _, err := s.context(p.Card.Arch); err != nil {
+		if _, err := s.context(p.spec()); err != nil {
 			return nil, err
 		}
 	}
@@ -257,7 +275,7 @@ func (s *Suite) runKernelSafe(p KernelPoint, attempt int) (run Run, err error) {
 	if s.BeforeLaunch != nil {
 		s.BeforeLaunch(p, attempt)
 	}
-	ctx, err := s.context(p.Card.Arch)
+	ctx, err := s.context(p.spec())
 	if err != nil {
 		return Run{}, err
 	}

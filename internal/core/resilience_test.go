@@ -614,3 +614,25 @@ func TestCompileFailureFailsBeforeLaunch(t *testing.T) {
 		})
 	}
 }
+
+// TestInvalidDeviceFailsBeforeLaunch: a point whose custom device fails
+// validation fails the whole sweep with the cal layer's validation error
+// before any point launches, even one on a valid card.
+func TestInvalidDeviceFailsBeforeLaunch(t *testing.T) {
+	s := quickSuite()
+	kps := aluFetchPoints(t, s, 16)
+	bad := device.Lookup(device.RV770)
+	bad.L1Ways = 3 // 3 ways do not tile the 16 KiB L1
+	verr := bad.Validate()
+	if verr == nil {
+		t.Fatal("spec with 3 L1 ways validated")
+	}
+	kps[len(kps)-1].Device = &bad
+	_, err := s.RunKernelPoints(context.Background(), kps, SweepOptions{})
+	if want := "cal: " + verr.Error(); err == nil || err.Error() != want {
+		t.Fatalf("sweep error = %v, want %q", err, want)
+	}
+	if n := s.KernelLaunches(); n != 0 {
+		t.Errorf("KernelLaunches = %d, want 0", n)
+	}
+}

@@ -38,21 +38,18 @@ type pointSink struct {
 
 // add plans one probe point: x is the plotted abscissa, conv maps the
 // run's seconds into the figure's unit.
-func (ps *pointSink) add(arch device.Arch, p Probe, x float64, conv func(Env, Probe, core.Run) float64) {
+func (ps *pointSink) add(spec device.Spec, p Probe, x float64, conv func(Env, Probe, core.Run) float64) {
 	if ps.err != nil {
 		return
 	}
-	k, err := p.Kernel()
+	pt, err := probePoint(spec, p, x)
 	if err != nil {
 		ps.err = err
 		return
 	}
-	env := EnvFor(device.Lookup(arch), ps.s.Iterations)
-	ps.pts = append(ps.pts, core.KernelPoint{
-		Card: core.Card{Arch: arch, Mode: il.Pixel, Type: p.Type},
-		X:    x, K: il.Seal(k), W: p.Width(), H: p.Height(),
-		Plot: func(r core.Run) (float64, float64) { return x, conv(env, p, r) },
-	})
+	env := EnvFor(spec, ps.s.Iterations)
+	pt.Plot = func(r core.Run) (float64, float64) { return x, conv(env, p, r) }
+	ps.pts = append(ps.pts, pt)
 }
 
 func lambdaOf(env Env, p Probe, r core.Run) float64 { return env.Lambda(p, r.Seconds) }
@@ -74,7 +71,7 @@ func LatencyLadderSpec(s *core.Suite) (core.FigureSpec, error) {
 	for _, spec := range device.All() {
 		for _, kb := range footprintGridKB {
 			p := Probe{Type: il.Float4, SurfaceBytes: float4Quantum, Surfaces: kb, Rounds: lineRoundsLo, Batch: 1}
-			ps.add(spec.Arch, p, float64(kb), lambdaOf)
+			ps.add(spec, p, float64(kb), lambdaOf)
 		}
 	}
 	return core.FigureSpec{Fig: fig, Points: ps.pts}, ps.err
@@ -92,7 +89,7 @@ func WorkingSetSpec(s *core.Suite) (core.FigureSpec, error) {
 	for _, spec := range device.All() {
 		for _, kb := range footprintGridKB {
 			p := Probe{Type: il.Float4, SurfaceBytes: float4Quantum, Surfaces: kb, Rounds: 2, Batch: 8}
-			ps.add(spec.Arch, p, float64(kb), gbpsOf)
+			ps.add(spec, p, float64(kb), gbpsOf)
 		}
 	}
 	return core.FigureSpec{Fig: fig, Points: ps.pts}, ps.err
@@ -112,7 +109,7 @@ func LineBlendSpec(s *core.Suite) (core.FigureSpec, error) {
 	for _, spec := range device.All() {
 		for _, r := range lineRoundsGrid {
 			p := Probe{Type: il.Float4, SurfaceBytes: float4Quantum, Surfaces: 2, Rounds: r, Batch: 1}
-			ps.add(spec.Arch, p, float64(r), lambdaOf)
+			ps.add(spec, p, float64(r), lambdaOf)
 		}
 	}
 	return core.FigureSpec{Fig: fig, Points: ps.pts}, ps.err
@@ -135,7 +132,7 @@ func StrideResonanceSpec(s *core.Suite) (core.FigureSpec, error) {
 				continue
 			}
 			p := Probe{Type: il.Float, SurfaceBytes: gap, Surfaces: w + 1, Rounds: l1Rounds, Batch: 1}
-			ps.add(spec.Arch, p, float64(w), lambdaOf)
+			ps.add(spec, p, float64(w), lambdaOf)
 		}
 	}
 	return core.FigureSpec{Fig: fig, Points: ps.pts}, ps.err
@@ -145,9 +142,10 @@ func StrideResonanceSpec(s *core.Suite) (core.FigureSpec, error) {
 // suite's pipeline and diffs it against the device table. It returns
 // the recovered model and the mismatches (empty = proof of agreement).
 func InferArch(s *core.Suite, arch device.Arch, cfg Config) (Inferred, []Mismatch, error) {
-	inf, err := Infer(SuiteMeasurer(s, arch), cfg)
+	spec := device.Lookup(arch)
+	inf, err := Infer(SuiteMeasurer(s, spec), cfg)
 	if err != nil {
 		return inf, nil, fmt.Errorf("inferring %s: %w", arch.CardName(), err)
 	}
-	return inf, inf.Diff(device.Lookup(arch)), nil
+	return inf, inf.Diff(spec), nil
 }

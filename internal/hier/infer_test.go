@@ -6,6 +6,9 @@ import (
 
 	"amdgpubench/internal/core"
 	"amdgpubench/internal/device"
+	"amdgpubench/internal/ilc"
+	"amdgpubench/internal/raster"
+	"amdgpubench/internal/sim"
 )
 
 // inferIters keeps test probes cheap: the simulation is deterministic,
@@ -13,16 +16,26 @@ import (
 // identical at any iteration count.
 const inferIters = 100
 
+// inferSuite is the suite the inference tests measure through. Parallel
+// subtests share it, so probe kernels compiled for one spec are compile
+// store hits on every spec with the same clause limits.
+func inferSuite() *core.Suite {
+	s := core.NewSuite()
+	s.Iterations = inferIters
+	return s
+}
+
 // TestInferBuiltinsExact is the suite proving its own cache model: for
 // every built-in device, inference over measured curves alone must
 // recover L1/L2 capacity, line size and associativity bit-exactly, and
 // the miss-hit latency delta within tolerance.
 func TestInferBuiltinsExact(t *testing.T) {
+	s := inferSuite()
 	for _, spec := range device.All() {
 		spec := spec
 		t.Run(spec.Arch.CardName(), func(t *testing.T) {
 			t.Parallel()
-			inf, err := Infer(SimMeasurer(spec, inferIters), Config{})
+			inf, err := Infer(SuiteMeasurer(s, spec), Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -36,40 +49,76 @@ func TestInferBuiltinsExact(t *testing.T) {
 	}
 }
 
-// TestInferBuiltinsThroughSuite runs one arch's inference through the
-// suite's staged pipeline — the artifact-cached, prefix-snapshotting
-// path `amdmb infer` uses — and checks it agrees with the direct
-// simulation path probe for probe.
-func TestInferBuiltinsThroughSuite(t *testing.T) {
-	s := core.NewSuite()
-	s.Iterations = inferIters
-	arch := device.RV870
-	viaSuite, err := Infer(SuiteMeasurer(s, arch), Config{})
+// directLambda is the independent oracle for one probe: compile and
+// simulate it on spec directly, bypassing the suite's sweep runner and
+// every pipeline store.
+func directLambda(spec device.Spec, p Probe) (float64, error) {
+	k, err := p.Kernel()
 	if err != nil {
-		t.Fatal(err)
+		return 0, err
 	}
-	direct, err := Infer(SimMeasurer(device.Lookup(arch), inferIters), Config{})
+	prog, err := ilc.Compile(k, spec)
 	if err != nil {
-		t.Fatal(err)
+		return 0, err
 	}
-	if viaSuite != direct {
-		t.Errorf("suite path inferred %+v,\ndirect path %+v", viaSuite, direct)
+	res, err := sim.Run(sim.Config{
+		Spec: spec, Prog: prog, Order: raster.PixelOrder(),
+		W: p.Width(), H: p.Height(), Iterations: inferIters,
+	})
+	if err != nil {
+		return 0, err
 	}
-	if ms := viaSuite.Diff(device.Lookup(arch)); len(ms) > 0 {
-		for _, m := range ms {
+	return EnvFor(spec, inferIters).Lambda(p, res.Seconds), nil
+}
+
+// TestInferSuiteMatchesDirectSim checks the suite path probe for probe:
+// every probe the inference schedules on a built-in and on a synthetic
+// spec must measure, through the suite's staged pipeline, exactly the
+// cycles per fetch a direct compile and simulation gives.
+func TestInferSuiteMatchesDirectSim(t *testing.T) {
+	s := inferSuite()
+	for _, spec := range []device.Spec{device.Lookup(device.RV870), SynthSpec(7)} {
+		m := SuiteMeasurer(s, spec)
+		probes := 0
+		checked := func(p Probe) (float64, error) {
+			got, err := m(p)
+			if err != nil {
+				return 0, err
+			}
+			want, err := directLambda(spec, p)
+			if err != nil {
+				return 0, err
+			}
+			if got != want {
+				t.Errorf("L1 %d B/%d ways, probe %+v: suite %v cycles/fetch, direct %v",
+					spec.L1CacheBytes, spec.L1Ways, p, got, want)
+			}
+			probes++
+			return got, nil
+		}
+		inf, err := Infer(checked, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range inf.Diff(spec) {
 			t.Error(m)
+		}
+		if probes == 0 || probes != inf.Probes {
+			t.Errorf("checked %d probes, inference measured %d", probes, inf.Probes)
 		}
 	}
 }
 
 // TestInferSynthetics is the property test: ~50 seeded synthetic cache
 // geometries drawn from the supported space, every one recovered
-// exactly. Table-driven so CI can run it under -race.
+// exactly through the suite's pipeline. Table-driven so CI can run it
+// under -race.
 func TestInferSynthetics(t *testing.T) {
 	seeds := 50
 	if testing.Short() {
 		seeds = 10
 	}
+	s := inferSuite()
 	for seed := int64(1); seed <= int64(seeds); seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%02d", seed), func(t *testing.T) {
@@ -78,7 +127,7 @@ func TestInferSynthetics(t *testing.T) {
 			if err := spec.Validate(); err != nil {
 				t.Fatalf("synthetic spec invalid: %v", err)
 			}
-			inf, err := Infer(SimMeasurer(spec, inferIters), Config{})
+			inf, err := Infer(SuiteMeasurer(s, spec), Config{})
 			if err != nil {
 				t.Fatalf("C1=%d L=%d w1=%d C2=%d w2=%d: %v",
 					spec.L1CacheBytes, spec.L1LineBytes, spec.L1Ways,

@@ -3,11 +3,11 @@ package hier
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"amdgpubench/internal/core"
 	"amdgpubench/internal/device"
 	"amdgpubench/internal/il"
-	"amdgpubench/internal/ilc"
 	"amdgpubench/internal/raster"
 	"amdgpubench/internal/sim"
 )
@@ -58,59 +58,50 @@ func (e Env) FetchedBytes(p Probe) float64 {
 }
 
 // A Measurer runs one probe and returns its effective cycles per fetch.
-// Inference is written against this interface so the same algorithm
-// runs over the suite's staged pipeline (built-in cards) and over a
-// bare simulation of an arbitrary — possibly synthetic — spec.
+// Inference is written against this interface; SuiteMeasurer is the
+// implementation, for built-in and synthetic specs alike, and tests
+// wrap it to record or cross-check the probe schedule.
 type Measurer func(Probe) (float64, error)
 
-// SimMeasurer measures probes by compiling and simulating directly
-// against the given spec. This is the path synthetic specs take: the
-// suite's pipeline and cards key on the built-in arch enum, which a
-// synthetic geometry has no entry in.
-func SimMeasurer(spec device.Spec, iterations int) Measurer {
-	env := EnvFor(spec, iterations)
-	return func(p Probe) (float64, error) {
-		k, err := p.Kernel()
-		if err != nil {
-			return 0, err
-		}
-		prog, err := ilc.Compile(k, spec)
-		if err != nil {
-			return 0, fmt.Errorf("hier: compiling %s: %w", k.Name, err)
-		}
-		res, err := sim.Run(sim.Config{
-			Spec: spec, Prog: prog, Order: raster.PixelOrder(),
-			W: p.Width(), H: p.Height(), Iterations: iterations,
-		})
-		if err != nil {
-			return 0, fmt.Errorf("hier: simulating %s: %w", k.Name, err)
-		}
-		return env.Lambda(p, res.Seconds), nil
+// probePoint plans one probe on spec as a suite sweep point: the shared
+// builder of the hierarchy figures and SuiteMeasurer. The point's domain
+// is the probe's surface geometry, so no plan clamp may shrink it, and
+// it names its device only when spec is not a built-in table entry.
+func probePoint(spec device.Spec, p Probe, x float64) (core.KernelPoint, error) {
+	k, err := p.Kernel()
+	if err != nil {
+		return core.KernelPoint{}, err
 	}
+	pt := core.KernelPoint{
+		Card: core.Card{Arch: spec.Arch, Mode: il.Pixel, Type: p.Type},
+		X:    x, K: il.Seal(k), W: p.Width(), H: p.Height(),
+		ExactDomain: true,
+	}
+	if !slices.Contains(device.All(), spec) {
+		pt.Device = &spec
+	}
+	return pt, nil
 }
 
-// SuiteMeasurer measures probes through the suite's resilient sweep
-// runner for a built-in arch — the same staged pipeline (artifact
-// cache, replay-prefix snapshots, retries) the campaign scheduler uses,
-// so `amdmb infer` exercises the exact path the figures are built on.
-func SuiteMeasurer(s *core.Suite, arch device.Arch) Measurer {
-	spec := device.Lookup(arch)
+// SuiteMeasurer measures probes on spec through the suite's resilient
+// sweep runner — the same staged pipeline (artifact stores,
+// replay-prefix snapshots, retries, launch accounting) the campaign
+// scheduler uses, so `amdmb infer` exercises the exact path the figures
+// are built on, and a synthetic spec gets it too.
+func SuiteMeasurer(s *core.Suite, spec device.Spec) Measurer {
+	env := EnvFor(spec, s.Iterations)
 	return func(p Probe) (float64, error) {
-		k, err := p.Kernel()
+		pt, err := probePoint(spec, p, float64(p.FootprintBytes()))
 		if err != nil {
 			return 0, err
 		}
-		card := core.Card{Arch: arch, Mode: il.Pixel, Type: p.Type}
-		runs, err := s.RunKernelPoints(context.Background(), []core.KernelPoint{{
-			Card: card, X: float64(p.FootprintBytes()),
-			K: il.Seal(k), W: p.Width(), H: p.Height(),
-		}}, core.SweepOptions{})
+		runs, err := s.RunKernelPoints(context.Background(), []core.KernelPoint{pt}, core.SweepOptions{})
 		if err != nil {
 			return 0, err
 		}
 		if runs[0].Failed() {
-			return 0, fmt.Errorf("hier: probe %s on %s: %s", k.Name, card.Label(), runs[0].Err)
+			return 0, fmt.Errorf("hier: probe %s on %s: %s", pt.K.Name, pt.Card.Label(), runs[0].Err)
 		}
-		return EnvFor(spec, s.Iterations).Lambda(p, runs[0].Seconds), nil
+		return env.Lambda(p, runs[0].Seconds), nil
 	}
 }

@@ -122,7 +122,9 @@ func TestGPRAllocationMatchesReference(t *testing.T) {
 	})
 	t.Run("hier", func(t *testing.T) {
 		spec := device.Lookup(device.RV770)
-		measure := hier.SimMeasurer(spec, 100)
+		s := core.NewSuite()
+		s.Iterations = 100
+		measure := hier.SuiteMeasurer(s, spec)
 		types := map[il.DataType]int{}
 		record := func(p hier.Probe) (float64, error) {
 			k, err := p.Kernel()
