@@ -51,7 +51,7 @@ func transKernel(n int, dt il.DataType, basic bool) (*il.Sealed, error) {
 	if err := k.Validate(); err != nil {
 		return nil, err
 	}
-	return il.Seal(k), nil
+	return il.SealValid(k), nil
 }
 
 // The transcendental extension sweep: chains of 32..256 ops in steps of

@@ -91,6 +91,15 @@ type Sealed struct {
 // where the kernel is built, and hand the *Sealed around from then on.
 func Seal(k *Kernel) *Sealed { return &Sealed{Kernel: k} }
 
+// SealValid is Seal for a kernel its builder has just validated: the
+// seal records Validate's nil result instead of walking the code again.
+// Call it only right after a k.Validate() that returned nil.
+func SealValid(k *Kernel) *Sealed {
+	s := Seal(k)
+	s.validOnce.Do(func() {})
+	return s
+}
+
 // Hash returns Kernel.Hash, computed on the first call.
 func (s *Sealed) Hash() [sha256.Size]byte {
 	s.hashOnce.Do(func() { s.hash = s.Kernel.Hash() })

@@ -2,6 +2,7 @@ package ilc_test
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"amdgpubench/internal/campaign"
@@ -13,34 +14,53 @@ import (
 	"amdgpubench/internal/ilc"
 )
 
-// compileAllocsCeiling is the measured allocation count of one
-// CompileWith of a chase probe. A compile allocates per array, never per
-// element, so the count is the same for every kernel length.
-const compileAllocsCeiling = 22
+// compileAllocsCeiling is the measured allocation count of one warm
+// CompileWith of a chase probe: the kernel's three Validate arrays, then
+// the returned program, its clause array and its op, bundle, fetch and
+// export slabs. The passes run on a scratch from ilc's free list, so a
+// compile allocates only what it returns, and the count is the same for
+// every kernel length.
+const compileAllocsCeiling = 9
+
+// sealedAllocsCeiling is the same count for CompileSealed, which reads
+// the seal's memoized Validate result and so skips Validate's arrays.
+const sealedAllocsCeiling = compileAllocsCeiling - 3
 
 // TestCompileAllocs bounds CompileWith's allocations: a float and a
 // float4 chase probe compile with the same count at 1 and at 16 rounds
 // (282 and 522 instructions), so the count does not grow with kernel
-// length, and that count stays at or below the ceiling.
+// length, and that count stays at or below the ceiling. A 16-round
+// compile's bytes stay at or below the probe's byte ceiling, set about
+// 2% over the measured 78.3 KB (float) and 176.6 KB (float4): nearly all
+// of it is the returned program's op slab. CompileSealed makes three
+// fewer allocations, since it does not validate again. Every bound
+// holds with and without the race detector.
 func TestCompileAllocs(t *testing.T) {
 	spec := device.Lookup(device.RV770)
-	for _, p := range []hier.Probe{
-		{Type: il.Float, SurfaceBytes: 256, Surfaces: 8, Batch: 1},
-		{Type: il.Float4, SurfaceBytes: 1024, Surfaces: 8, Batch: 1},
+	for _, tc := range []struct {
+		p            hier.Probe
+		bytesCeiling uint64
+	}{
+		{hier.Probe{Type: il.Float, SurfaceBytes: 256, Surfaces: 8, Batch: 1}, 80_000},
+		{hier.Probe{Type: il.Float4, SurfaceBytes: 1024, Surfaces: 8, Batch: 1}, 180_000},
 	} {
+		p := tc.p
 		var counts [2]float64
+		var bytes uint64
 		for i, rounds := range []int{1, 16} {
 			p.Rounds = rounds
 			k, err := p.Kernel()
 			if err != nil {
 				t.Fatal(err)
 			}
-			counts[i] = testing.AllocsPerRun(20, func() {
+			compile := func() {
 				if _, err := ilc.CompileWith(k, spec, ilc.Options{}); err != nil {
 					t.Fatal(err)
 				}
-			})
-			t.Logf("%v rounds=%d (%d instructions): %.0f allocs", p.Type, rounds, len(k.Code), counts[i])
+			}
+			counts[i] = testing.AllocsPerRun(20, compile)
+			bytes = bytesPerRun(20, compile)
+			t.Logf("%v rounds=%d (%d instructions): %.0f allocs, %d bytes", p.Type, rounds, len(k.Code), counts[i], bytes)
 		}
 		if counts[0] != counts[1] {
 			t.Errorf("%v: %.0f allocs at 1 round, %.0f at 16: the count grows with kernel length", p.Type, counts[0], counts[1])
@@ -48,7 +68,37 @@ func TestCompileAllocs(t *testing.T) {
 		if counts[1] > compileAllocsCeiling {
 			t.Errorf("%v: %.0f allocs per compile, want <= %d", p.Type, counts[1], compileAllocsCeiling)
 		}
+		if bytes > tc.bytesCeiling {
+			t.Errorf("%v: %d bytes per 16-round compile, want <= %d", p.Type, bytes, tc.bytesCeiling)
+		}
+		k, err := p.Kernel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sk := il.Seal(k)
+		sealed := testing.AllocsPerRun(20, func() {
+			if _, err := ilc.CompileSealed(sk, spec, ilc.Options{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if sealed > sealedAllocsCeiling {
+			t.Errorf("%v: %.0f allocs per sealed compile, want <= %d", p.Type, sealed, sealedAllocsCeiling)
+		}
 	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the average heap bytes
+// one call of f allocates, after a warm-up call, on one P.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }
 
 // TestProgramSlicesCapped checks that every slab-backed slice of a

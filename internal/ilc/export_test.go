@@ -7,6 +7,7 @@ import (
 
 	"amdgpubench/internal/device"
 	"amdgpubench/internal/il"
+	"amdgpubench/internal/isa"
 )
 
 // referenceAllocateGPRs is the plain linear scan allocateGPRs replaced,
@@ -95,12 +96,13 @@ func CheckGPRsMatchReference(k *il.Kernel, spec device.Spec, opts Options) error
 	if err := check(k, k.Validate(), spec); err != nil {
 		return err
 	}
-	vals := collectValues(k)
-	clauses := formClauses(k, spec, vals)
-	assignLocations(k, vals, clauses, opts)
-	first, last := scheduleTimes(k, clauses)
+	s := new(scratch)
+	vals := s.collectValues(k)
+	clauses := s.formClauses(k, spec, vals)
+	s.assignLocations(k, vals, clauses, opts)
+	first, last := s.scheduleTimes(k, clauses)
 	ref := slices.Clone(vals)
-	got := allocateGPRs(k, vals, first, last)
+	got := s.allocateGPRs(k, vals, first, last)
 	want := referenceAllocateGPRs(k, ref, first, last)
 	for vi := range vals {
 		if vals[vi].loc != ref[vi].loc {
@@ -111,4 +113,10 @@ func CheckGPRsMatchReference(k *il.Kernel, spec device.Spec, opts Options) error
 		return fmt.Errorf("%s %+v: %d GPRs, reference %d", k.Name, opts, got, want)
 	}
 	return nil
+}
+
+// CompileFresh is CompileWith on a new scratch that no other compile has
+// used or will use: the oracle for a compile on a reused scratch.
+func CompileFresh(k *il.Kernel, spec device.Spec, opts Options) (*isa.Program, error) {
+	return new(scratch).compile(k, k.Validate(), spec, opts)
 }

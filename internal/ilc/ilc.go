@@ -21,6 +21,7 @@ package ilc
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 
 	"amdgpubench/internal/device"
@@ -50,12 +51,12 @@ type location struct {
 type value struct {
 	def         int   // defining IL instruction index
 	uses        []int // consuming IL instruction indices, ascending
-	fromALU     bool
-	clause      int // producer clause (last lane's, for vector trans)
-	clauseFirst int // first lane's clause; differs when lanes straddle
-	bundle      int // producer bundle index within its clause
-	runIdx      int // producer bundle index within its ALU run
+	clause      int   // producer clause (last lane's, for vector trans)
+	clauseFirst int   // first lane's clause; differs when lanes straddle
+	bundle      int   // producer bundle index within its clause
+	runIdx      int   // producer bundle index within its ALU run
 	loc         location
+	fromALU     bool
 	needGPR     bool
 	tempCand    bool
 	vectorTrans bool // float4 transcendental: lanes spread over 4 bundles
@@ -63,15 +64,20 @@ type value struct {
 
 // packedOp is one IL ALU op (or one lane of a vector transcendental)
 // placed in a bundle. lane is -1 except for vector transcendental lanes,
-// which occupy the t slot of four consecutive bundles.
+// which occupy the t slot of four consecutive bundles. The op's slots
+// are slotOrder[lo:hi]: one for scalar, four for float4. Bounds instead
+// of a sub-slice keep a bundleDraft at 56 bytes.
 type packedOp struct {
-	ilIdx int
-	lane  int
-	slots []isa.Slot // one slot for scalar, four for float4; a sub-slice of slotOrder
+	ilIdx  int32
+	lane   int8
+	lo, hi uint8
 }
 
-// slotOrder backs every packedOp.slots: x..w for a float4 op, one entry
-// for a scalar op, and the last entry for the t slot.
+// slots returns the op's issue slots, in lane order.
+func (po packedOp) slots() []isa.Slot { return slotOrder[po.lo:po.hi] }
+
+// slotOrder backs every packedOp's slots: x..w for a float4 op, one
+// entry for a scalar op, and the last entry for the t slot.
 var slotOrder = [isa.NumSlots]isa.Slot{isa.SlotX, isa.SlotY, isa.SlotZ, isa.SlotW, isa.SlotT}
 
 // bundleDraft holds its ops inline: a VLIW bundle has at most NumSlots.
@@ -102,21 +108,21 @@ func (b *bundleDraft) canHold(vector, trans bool) bool {
 }
 
 func (b *bundleDraft) place(ilIdx, lane int, vector, trans bool) {
-	op := packedOp{ilIdx: ilIdx, lane: lane}
+	op := packedOp{ilIdx: int32(ilIdx), lane: int8(lane)}
 	switch {
 	case trans:
-		op.slots = slotOrder[isa.SlotT : isa.SlotT+1]
+		op.lo, op.hi = uint8(isa.SlotT), uint8(isa.SlotT+1)
 	case vector:
-		op.slots = slotOrder[isa.SlotX : isa.SlotW+1]
+		op.lo, op.hi = uint8(isa.SlotX), uint8(isa.SlotW+1)
 	default:
-		for s := isa.Slot(0); s < isa.NumSlots; s++ {
+		for s := uint8(0); s < isa.NumSlots; s++ {
 			if !b.used[s] {
-				op.slots = slotOrder[s : s+1]
+				op.lo, op.hi = s, s+1
 				break
 			}
 		}
 	}
-	for _, s := range op.slots {
+	for _, s := range op.slots() {
 		b.used[s] = true
 	}
 	b.ops[b.n] = op
@@ -172,15 +178,95 @@ func check(k *il.Kernel, invalid error, spec device.Spec) error {
 
 // CompileWith lowers an IL kernel with explicit compiler options.
 func CompileWith(k *il.Kernel, spec device.Spec, opts Options) (*isa.Program, error) {
-	if err := check(k, k.Validate(), spec); err != nil {
+	return compile(k, k.Validate(), spec, opts)
+}
+
+// CompileSealed is CompileWith for a sealed kernel: it reads the seal's
+// memoized Validate result, so a kernel compiled for several devices or
+// option sets is validated once.
+func CompileSealed(k *il.Sealed, spec device.Spec, opts Options) (*isa.Program, error) {
+	return compile(k.Kernel, k.Validate(), spec, opts)
+}
+
+// compile runs the passes on a scratch from the free list.
+func compile(k *il.Kernel, invalid error, spec device.Spec, opts Options) (*isa.Program, error) {
+	s := scratches.get()
+	prog, err := s.compile(k, invalid, spec, opts)
+	scratches.put(s)
+	return prog, err
+}
+
+// scratch holds everything a compile's passes use but do not return.
+// Each pass reslices its arrays to the kernel at hand, growing one only
+// when its capacity is short, and zeroes the prefix of any array it
+// reads before writing. emit builds the returned program from fresh
+// slabs, so nothing a compile returns points into its scratch.
+type scratch struct {
+	vals       []value
+	counts     []int // per-value use counts
+	uses       []int // the slab every value's uses is carved from
+	clauses    []clauseDraft
+	arena      []bundleDraft // every ALU clause's bundles
+	pos        []pos         // posFirst, then posLast
+	times      []int         // first, then last schedule times
+	ivs        byDef
+	live, free regHeap
+}
+
+// freeList holds idle scratches. get allocates when the list is empty
+// and put drops a scratch when it is full, so the scratches in existence
+// never exceed its capacity plus the compiles running at once. It is
+// not a sync.Pool: the GC empties a pool at every cycle, which a cold
+// run triggers often, and under the race detector Pool.Put drops items
+// at random, which would make a compile's allocation count vary.
+type freeList chan *scratch
+
+// scratches keeps one idle scratch per P: compiles are CPU-bound, so no
+// more than GOMAXPROCS run at once for long, and every idle scratch
+// holds memory sized to the largest kernel it compiled.
+var scratches = make(freeList, runtime.GOMAXPROCS(0))
+
+func (f freeList) get() *scratch {
+	select {
+	case s := <-f:
+		return s
+	default:
+		return new(scratch)
+	}
+}
+
+func (f freeList) put(s *scratch) {
+	select {
+	case f <- s:
+	default:
+	}
+}
+
+// grow returns s emptied, with capacity for at least n elements.
+func grow[S ~[]E, E any](s S, n int) S {
+	if cap(s) < n {
+		return make(S, 0, n)
+	}
+	return s[:0]
+}
+
+// zeroed returns s resliced to n zero elements.
+func zeroed[S ~[]E, E any](s S, n int) S {
+	s = grow(s, n)[:n]
+	clear(s)
+	return s
+}
+
+// compile checks k and lowers it on this scratch.
+func (s *scratch) compile(k *il.Kernel, invalid error, spec device.Spec, opts Options) (*isa.Program, error) {
+	if err := check(k, invalid, spec); err != nil {
 		return nil, err
 	}
-
-	vals := collectValues(k)
-	clauses := formClauses(k, spec, vals)
-	assignLocations(k, vals, clauses, opts)
-	first, last := scheduleTimes(k, clauses)
-	gprCount := allocateGPRs(k, vals, first, last)
+	vals := s.collectValues(k)
+	clauses := s.formClauses(k, spec, vals)
+	s.assignLocations(k, vals, clauses, opts)
+	first, last := s.scheduleTimes(k, clauses)
+	gprCount := s.allocateGPRs(k, vals, first, last)
 	prog := emit(k, vals, clauses, gprCount)
 	if err := prog.Validate(); err != nil {
 		return nil, fmt.Errorf("ilc: internal error: emitted invalid program: %w", err)
@@ -190,12 +276,14 @@ func CompileWith(k *il.Kernel, spec device.Spec, opts Options) (*isa.Program, er
 
 // collectValues builds def/use chains for every temporary. A counting
 // pass sizes one slab that every value's uses is carved from.
-func collectValues(k *il.Kernel) []value {
-	vals := make([]value, k.NumTemps())
+func (s *scratch) collectValues(k *il.Kernel) []value {
+	s.vals = zeroed(s.vals, k.NumTemps())
+	vals := s.vals
 	for i := range vals {
 		vals[i].def = -1
 	}
-	counts := make([]int, len(vals))
+	s.counts = zeroed(s.counts, len(vals))
+	counts := s.counts
 	total := 0
 	for i, in := range k.Code {
 		if in.Dst != il.NoReg {
@@ -209,7 +297,8 @@ func collectValues(k *il.Kernel) []value {
 			}
 		}
 	}
-	uses := make([]int, total)
+	s.uses = grow(s.uses, total)[:total]
+	uses := s.uses
 	for vi, n := range counts {
 		vals[vi].uses, uses = uses[:0:n], uses[n:]
 	}
@@ -225,11 +314,12 @@ func collectValues(k *il.Kernel) []value {
 
 // formClauses segments the IL stream into clause drafts, packing ALU runs
 // into VLIW bundles along the way, and records each ALU value's producing
-// clause/bundle position in vals. Every clause holds at least one
-// instruction, and every bundle at least one op or vector lane, so both
-// are sized once up front.
-func formClauses(k *il.Kernel, spec device.Spec, vals []value) []clauseDraft {
-	clauses := make([]clauseDraft, 0, len(k.Code))
+// clause/bundle position in vals. Every bundle holds at least one op or
+// vector lane, so the bundle arena is sized once up front; the clause
+// drafts grow by append, so a reused scratch keeps room for the most
+// clauses a kernel has needed, not one per instruction.
+func (s *scratch) formClauses(k *il.Kernel, spec device.Spec, vals []value) []clauseDraft {
+	clauses := s.clauses[:0]
 	vector := k.Type == il.Float4
 	maxBundles := 0
 	for _, in := range k.Code {
@@ -240,7 +330,9 @@ func formClauses(k *il.Kernel, spec device.Spec, vals []value) []clauseDraft {
 			maxBundles++
 		}
 	}
-	arena := make([]bundleDraft, 0, maxBundles)
+	// packRun appends within this capacity, so the clause drafts' bundle
+	// sub-slices never see the arena move.
+	arena := grow(s.arena, maxBundles)
 
 	i := 0
 	for i < len(k.Code) {
@@ -296,6 +388,7 @@ func formClauses(k *il.Kernel, spec device.Spec, vals []value) []clauseDraft {
 			i = j
 		}
 	}
+	s.clauses, s.arena = clauses, arena
 	return clauses
 }
 
@@ -357,26 +450,22 @@ func packRun(k *il.Kernel, vals []value, arena []bundleDraft, from, to int, vect
 // the hardware rules: PV reaches only the next bundle of the same clause;
 // clause temporaries do not survive clause boundaries and only
 // spec-many exist; fetch results and store sources must be GPRs.
-func assignLocations(k *il.Kernel, vals []value, clauses []clauseDraft, opts Options) {
+func (s *scratch) assignLocations(k *il.Kernel, vals []value, clauses []clauseDraft, opts Options) {
 	// Lookups from IL index to (clause, bundle, slot) for ALU ops; clause
 	// is -1 for an instruction no bundle holds. Vector transcendentals
 	// occupy four bundles, so an op has a first and a last placement: it
 	// reads its sources at every placement and its result is complete
 	// only after the last.
-	type pos struct {
-		clause, bundle int
-		slot           isa.Slot
-	}
 	n := len(k.Code)
-	posBoth := make([]pos, 2*n)
-	posFirst, posLast := posBoth[:n:n], posBoth[n:]
+	s.pos = zeroed(s.pos, 2*n)
+	posFirst, posLast := s.pos[:n:n], s.pos[n:]
 	for i := range posFirst {
 		posFirst[i].clause = -1
 	}
 	for ci := range clauses {
 		for bi := range clauses[ci].bundles {
 			for _, po := range clauses[ci].bundles[bi].placed() {
-				p := pos{ci, bi, po.slots[0]}
+				p := pos{ci, bi, slotOrder[po.lo]}
 				if posFirst[po.ilIdx].clause < 0 {
 					posFirst[po.ilIdx] = p
 				}
@@ -507,10 +596,10 @@ func assignLocations(k *il.Kernel, vals []value, clauses []clauseDraft, opts Opt
 // vector transcendental spans four bundles: it WRITES its destination
 // from its first lane's time and READS its sources until its last lane's
 // time, so both bounds are returned.
-func scheduleTimes(k *il.Kernel, clauses []clauseDraft) (first, last []int) {
+func (s *scratch) scheduleTimes(k *il.Kernel, clauses []clauseDraft) (first, last []int) {
 	n := len(k.Code)
-	both := make([]int, 2*n)
-	first, last = both[:n:n], both[n:]
+	s.times = zeroed(s.times, 2*n)
+	first, last = s.times[:n:n], s.times[n:]
 	for i := range first {
 		first[i] = -1
 	}
@@ -532,7 +621,7 @@ func scheduleTimes(k *il.Kernel, clauses []clauseDraft) (first, last []int) {
 		}
 		for bi := range cd.bundles {
 			for _, po := range cd.bundles[bi].placed() {
-				touch(po.ilIdx)
+				touch(int(po.ilIdx))
 			}
 			t++
 		}
@@ -547,7 +636,7 @@ func scheduleTimes(k *il.Kernel, clauses []clauseDraft) (first, last []int) {
 // to the schedule window of their bundle placements: a value is written
 // from its definition's FIRST placement and its sources are read until
 // the consumer's LAST placement.
-func allocateGPRs(k *il.Kernel, vals []value, first, last []int) int {
+func (s *scratch) allocateGPRs(k *il.Kernel, vals []value, first, last []int) int {
 	lastFetch := -1
 	for i, in := range k.Code {
 		if in.Op.IsFetch() && last[i] > lastFetch {
@@ -555,12 +644,7 @@ func allocateGPRs(k *il.Kernel, vals []value, first, last []int) int {
 		}
 	}
 
-	type interval struct {
-		vi       int // value index, or -1 for the coordinate register
-		def, end int
-	}
-	ivs := make([]interval, 1, 1+len(vals))
-	ivs[0] = interval{vi: -1, def: -1, end: lastFetch}
+	ivs := append(s.ivs[:0], interval{vi: -1, def: -1, end: lastFetch})
 	for vi := range vals {
 		v := &vals[vi]
 		if v.def < 0 || !v.needGPR {
@@ -577,17 +661,19 @@ func allocateGPRs(k *il.Kernel, vals []value, first, last []int) int {
 	}
 	// Sort by definition time: the packer may have reordered execution
 	// relative to IL order. Ties are real (ops packed in one bundle share
-	// a time) and sort.Slice is not stable, so the numbering depends on
-	// this exact call on this input order.
-	sort.Slice(ivs, func(a, b int) bool { return ivs[a].def < ivs[b].def })
+	// a time) and the sort is not stable, so the numbering depends on
+	// this exact sort on this input order. sort.Sort runs the same
+	// pdqsort as the sort.Slice call of referenceAllocateGPRs (the
+	// tests' oracle), without sort.Slice's per-call allocations.
+	s.ivs = ivs
+	sort.Sort(&s.ivs)
 
 	// The live set is a min-heap on end and the free list a min-heap on
 	// register number. Expiry pops exactly the intervals a scan of the
 	// whole live set would remove, and the smallest freed register is
 	// reused, so the numbering does not depend on either heap's order.
 	// Every register handed out is live or free, so the count is next.
-	live := make(regHeap, 0, len(ivs))
-	free := make(regHeap, 0, len(ivs))
+	live, free := s.live[:0], s.free[:0]
 	next := 0
 	for _, iv := range ivs {
 		// Expire intervals that ended at or before this definition; their
@@ -610,8 +696,28 @@ func allocateGPRs(k *il.Kernel, vals []value, first, last []int) int {
 			vals[iv.vi].loc = location{kind: locGPR, idx: reg, chn: 0, slot: vals[iv.vi].loc.slot}
 		}
 	}
+	s.live, s.free = live, free
 	return next
 }
+
+// pos is an ALU op's placement: its clause, bundle and first slot.
+type pos struct {
+	clause, bundle int
+	slot           isa.Slot
+}
+
+// interval is a GPR-resident value's live range in schedule time.
+type interval struct {
+	vi       int // value index, or -1 for the coordinate register
+	def, end int
+}
+
+// byDef orders intervals by definition time for sort.Sort.
+type byDef []interval
+
+func (b *byDef) Len() int           { return len(*b) }
+func (b *byDef) Less(i, j int) bool { return (*b)[i].def < (*b)[j].def }
+func (b *byDef) Swap(i, j int)      { (*b)[i], (*b)[j] = (*b)[j], (*b)[i] }
 
 // regHeap is a binary min-heap of registers ordered by key.
 type regHeap []struct{ key, reg int }
@@ -722,7 +828,7 @@ func emit(k *il.Kernel, vals []value, clauses []clauseDraft, gprCount int) *isa.
 			nBundles += len(cd.bundles)
 			for bi := range cd.bundles {
 				for _, po := range cd.bundles[bi].placed() {
-					nOps += len(po.slots)
+					nOps += int(po.hi - po.lo)
 				}
 			}
 		default:
@@ -761,12 +867,12 @@ func emit(k *il.Kernel, vals []value, clauses []clauseDraft, gprCount int) *isa.
 				start := len(ops)
 				for _, po := range cd.bundles[bi].placed() {
 					in := k.Code[po.ilIdx]
-					for li, slot := range po.slots {
+					for li, slot := range po.slots() {
 						lane := li
 						if po.lane >= 0 {
 							// One lane of a vector transcendental on the t
 							// core; transcendentals take one source.
-							lane = po.lane
+							lane = int(po.lane)
 						}
 						sop := isa.ScalarOp{Slot: slot, Op: aop(in.Op),
 							Dst: dstOperand(&vals[in.Dst], lane), Src0: srcOperand(&vals[in.SrcA], lane)}

@@ -312,6 +312,8 @@ func emitStores(k *il.Kernel, p Params, src il.Reg) {
 	}
 }
 
+// finish validates the kernel every generator returns; pipeline.Generate
+// seals generated kernels with that result instead of validating again.
 func finish(k *il.Kernel) (*il.Kernel, error) {
 	if err := k.Validate(); err != nil {
 		return nil, fmt.Errorf("kerngen: generated invalid kernel: %w", err)

@@ -185,7 +185,8 @@ type generateKey struct {
 
 // Generate runs the named kerngen generator, memoized on (generator,
 // params). The returned kernel is sealed and shared: every launch of it
-// reuses one structural hash and one Validate result.
+// reuses one structural hash and one Validate result. Every generator
+// validates the kernel it returns, so the seal records that result.
 func (p *Pipeline) Generate(g Generator, params kerngen.Params) (*il.Sealed, error) {
 	fn, err := g.fn()
 	if err != nil {
@@ -196,7 +197,7 @@ func (p *Pipeline) Generate(g Generator, params kerngen.Params) (*il.Sealed, err
 		if err != nil {
 			return nil, err
 		}
-		return il.Seal(k), nil
+		return il.SealValid(k), nil
 	})
 }
 
@@ -262,10 +263,12 @@ func (p *Pipeline) Compile(k *il.Sealed, spec device.Spec, opts ilc.Options) (*i
 	return p.compileAt(compileKeyFor(k, spec, opts), k, spec)
 }
 
-// compileAt is Compile with the key built.
+// compileAt is Compile with the key built. The compiler reads the sealed
+// kernel's memoized Validate result, so compiling one kernel for several
+// devices or option sets validates it once.
 func (p *Pipeline) compileAt(key compileKey, k *il.Sealed, spec device.Spec) (*isa.Program, error) {
 	return p.compile.get(key, func() (*isa.Program, error) {
-		return ilc.CompileWith(k.Kernel, spec, key.opts)
+		return ilc.CompileSealed(k, spec, key.opts)
 	})
 }
 

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # bench.sh — run the suite's headline hot-path benchmarks and record the
 # results as BENCH_<sha>.json (one entry per benchmark: iterations, ns/op,
-# and every custom metric the benchmark reports, e.g. crossover ratios or
-# the repeated-sweep pair's cache-hit-rate).
+# and every other metric the benchmark reports: B/op and allocs/op, since
+# the benchmarks run with -benchmem, plus custom ones such as crossover
+# ratios or the repeated-sweep pair's cache-hit-rate).
 #
 # The JSON file is the comparable artifact for before/after performance
 # work: run it on two commits and diff the ns_per_op fields. CI uploads it
@@ -12,8 +13,9 @@
 # recently committed BENCH_*.json. Each side is reduced to its
 # per-benchmark median ns/op (a file holds COUNT samples per benchmark),
 # and one delta row per benchmark is printed with each side's
-# (max-min)/median spread beside it; benchmarks present in only one file
-# are skipped. These rows never gate: a committed baseline was recorded
+# (max-min)/median spread beside it, followed by the median B/op delta
+# (n/a when a file predates -benchmem); benchmarks present in only one
+# file are skipped. B/op is informational: only ns/op gates. These rows never gate: a committed baseline was recorded
 # on another day under another load, so it measures load as much as code.
 #
 # GATE=1 measures the parent commit in the same session instead: HEAD^
@@ -46,7 +48,7 @@ out="$OUTDIR/BENCH_${sha}.json"
 
 # runbench DIR COUNT runs the selected benchmarks in the checkout at DIR.
 runbench() {
-	(cd "$1" && go test -run '^$' -bench "^Benchmark(${BENCH})\$" -benchtime "$BENCHTIME" -count "$2" .)
+	(cd "$1" && go test -run '^$' -bench "^Benchmark(${BENCH})\$" -benchmem -benchtime "$BENCHTIME" -count "$2" .)
 }
 
 # tojson SHA turns go test -bench output on stdin into the JSON record.
@@ -86,14 +88,20 @@ END { printf "\n  ]\n}\n" }
 }
 
 # compare FILE LABEL prints one median ns/op delta row per benchmark in
-# both FILE and $out, and fails if any median regressed by >25%.
+# both FILE and $out, with the median B/op delta beside it, and fails if
+# any ns/op median regressed by >25%.
 compare() {
-	echo "median ns/op deltas vs $2 (spread = (max-min)/median):" >&2
+	echo "median ns/op deltas vs $2 (spread = (max-min)/median), then B/op:" >&2
 	local regressed=0
-	while IFS=$'\t' read -r name base bspread cur cspread; do
+	while IFS=$'\t' read -r name base bspread cur cspread bbytes cbytes; do
 		delta=$(awk -v b="$base" -v c="$cur" 'BEGIN { printf "%+.1f", 100 * (c - b) / b }')
-		printf '  %-28s %14.0f (spread %5.1f%%) -> %14.0f (spread %5.1f%%) ns/op  (%s%%)\n' \
-			"$name" "$base" "$bspread" "$cur" "$cspread" "$delta" >&2
+		if [ "$bbytes" = null ] || [ "$cbytes" = null ]; then
+			mem="B/op n/a"
+		else
+			mem=$(awk -v b="$bbytes" -v c="$cbytes" 'BEGIN { printf "%.0f -> %.0f B/op (%+.1f%%)", b, c, b ? 100 * (c - b) / b : 0 }')
+		fi
+		printf '  %-28s %14.0f (spread %5.1f%%) -> %14.0f (spread %5.1f%%) ns/op  (%s%%)  %s\n' \
+			"$name" "$base" "$bspread" "$cur" "$cspread" "$delta" "$mem" >&2
 		if awk -v b="$base" -v c="$cur" 'BEGIN { exit !(c > 1.25 * b) }'; then
 			echo "  ^ REGRESSION: $name's median is more than 25% slower than the baseline's" >&2
 			regressed=1
@@ -101,11 +109,14 @@ compare() {
 	done < <(jq -r --slurpfile base "$1" '
 		def median: sort | if length % 2 == 1 then .[length / 2 | floor]
 			else (.[length / 2 - 1] + .[length / 2]) / 2 end;
-		def summary: group_by(.name) | map({key: .[0].name, value: (map(.ns_per_op)
-			| median as $m | {median: $m, spread: (100 * (max - min) / $m)})}) | from_entries;
+		def summary: group_by(.name) | map({key: .[0].name, value: (
+			(map(.metrics["B/op"] // empty) | if length > 0 then median else null end) as $bop
+			| map(.ns_per_op) | median as $m
+			| {median: $m, spread: (100 * (max - min) / $m), bop: $bop})}) | from_entries;
 		($base[0].benchmarks | summary) as $b
 		| .benchmarks | summary | to_entries[] | select($b[.key]) as $c
-		| [$c.key, $b[$c.key].median, $b[$c.key].spread, $c.value.median, $c.value.spread] | @tsv' "$out")
+		| [$c.key, $b[$c.key].median, $b[$c.key].spread, $c.value.median, $c.value.spread,
+			($b[$c.key].bop | tostring), ($c.value.bop | tostring)] | @tsv' "$out")
 	return "$regressed"
 }
 
