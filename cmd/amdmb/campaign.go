@@ -148,7 +148,10 @@ func runCampaignCmd(argv []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	if planOnly {
-		campaign.RenderPlan(stdout, plan)
+		if err := campaign.RenderPlan(stdout, plan); err != nil {
+			fmt.Fprintf(stderr, "amdmb campaign: %v\n", err)
+			return 1
+		}
 		return 0
 	}
 

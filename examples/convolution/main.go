@@ -126,7 +126,10 @@ func main() {
 	// Timing and diagnosis on the full domain.
 	s := core.NewSuite()
 	card := core.Card{Arch: device.RV770, Mode: il.Pixel, Type: il.Float}
-	st := m.Stats()
+	st, err := m.Stats()
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("Static analysis: %d GPRs, %d ALU bundles, %d fetches, SKA ALU:Fetch %.2f\n",
 		st.GPRs, st.ALUBundles, st.FetchOps, st.ALUFetchSKA)
 

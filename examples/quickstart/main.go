@@ -46,8 +46,15 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("Compiled ISA (paper Fig. 2 layout):")
-	fmt.Println(module.Disassemble())
-	st := module.Stats()
+	dis, err := module.Disassemble()
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println(dis)
+	st, err := module.Stats()
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("Static analysis: %d GPRs, %d ALU bundles, %d fetches, SKA ALU:Fetch %.2f\n\n",
 		st.GPRs, st.ALUBundles, st.FetchOps, st.ALUFetchSKA)
 

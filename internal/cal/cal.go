@@ -124,21 +124,34 @@ func (c *Context) LoadModuleWith(k *il.Sealed, opts ilc.Options) (*Module, error
 }
 
 // Program compiles the module through the pipeline's memoized Compile
-// stage. LoadModule ran the compiler's checks, so only a compiler bug can
-// fail it; that panics.
-func (m *Module) Program() *isa.Program {
+// stage. LoadModule ran the compiler's checks, so it fails only where a
+// generator or the compiler has a bug: a deferred kernel whose build
+// fails its own check, or a compiler self-check.
+func (m *Module) Program() (*isa.Program, error) {
 	prog, err := m.ctx.pipe.Compile(m.Kernel, m.ctx.dev.spec, m.opts)
 	if err != nil {
-		panic("cal: " + err.Error())
+		return nil, fmt.Errorf("cal: %w", err)
 	}
-	return prog
+	return prog, nil
 }
 
 // Disassemble returns the module's ISA listing (Fig. 2 style).
-func (m *Module) Disassemble() string { return isa.Disassemble(m.Program()) }
+func (m *Module) Disassemble() (string, error) {
+	prog, err := m.Program()
+	if err != nil {
+		return "", err
+	}
+	return isa.Disassemble(prog), nil
+}
 
 // Stats returns the module's static analysis, what the SKA tool reports.
-func (m *Module) Stats() isa.Stats { return m.Program().Stats() }
+func (m *Module) Stats() (isa.Stats, error) {
+	prog, err := m.Program()
+	if err != nil {
+		return isa.Stats{}, err
+	}
+	return prog.Stats(), nil
+}
 
 // Resource is a 2D surface: an input texture/buffer or an output buffer.
 type Resource struct {
@@ -338,7 +351,10 @@ func (c *Context) countInjection(inj fault.Injection) {
 }
 
 func (c *Context) validateBindings(m *Module, cfg LaunchConfig) error {
-	k := m.Kernel
+	k, err := m.Kernel.Kernel()
+	if err != nil {
+		return fmt.Errorf("cal: %w", err)
+	}
 	if len(cfg.Inputs) != k.NumInputs {
 		return fmt.Errorf("cal: kernel %q declares %d inputs, %d bound", k.Name, k.NumInputs, len(cfg.Inputs))
 	}
@@ -379,7 +395,10 @@ func (c *Context) validateBindings(m *Module, cfg LaunchConfig) error {
 // silent-corruption failure modes a measurement campaign must be able to
 // rehearse detecting.
 func (c *Context) executeFunctional(m *Module, cfg LaunchConfig, inj fault.Injection) error {
-	prog := m.Program()
+	prog, err := m.Program()
+	if err != nil {
+		return err
+	}
 	env := interp.Env{
 		W: cfg.W, H: cfg.H,
 		Input: func(res, x, y, l int) float32 {
@@ -399,7 +418,11 @@ func (c *Context) executeFunctional(m *Module, cfg LaunchConfig, inj fault.Injec
 			return cfg.Constants[idx][l]
 		},
 	}
-	lanes := m.Kernel.Type.Lanes()
+	k, err := m.Kernel.Kernel()
+	if err != nil {
+		return fmt.Errorf("cal: %w", err)
+	}
+	lanes := k.Type.Lanes()
 	for y := 0; y < cfg.H; y++ {
 		for x := 0; x < cfg.W; x++ {
 			out, err := interp.RunISA(prog, env, interp.Thread{X: x, Y: y})

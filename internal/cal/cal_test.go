@@ -61,12 +61,19 @@ func TestLoadModuleAndDisassemble(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dis := m.Disassemble()
+	dis, err := m.Disassemble()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !strings.Contains(dis, "TEX:") || !strings.Contains(dis, "END_OF_PROGRAM") {
 		t.Errorf("disassembly malformed:\n%s", dis)
 	}
-	if m.Stats().FetchOps != 3 {
-		t.Errorf("stats fetches = %d, want 3", m.Stats().FetchOps)
+	st, err := m.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.FetchOps != 3 {
+		t.Errorf("stats fetches = %d, want 3", st.FetchOps)
 	}
 }
 
@@ -254,9 +261,17 @@ func TestLoadModuleWithOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if abl.Stats().GPRWrites <= base.Stats().GPRWrites {
+	ablSt, err := abl.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseSt, err := base.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ablSt.GPRWrites <= baseSt.GPRWrites {
 		t.Fatalf("forwarding-off module writes %d GPRs, base %d: options ignored",
-			abl.Stats().GPRWrites, base.Stats().GPRWrites)
+			ablSt.GPRWrites, baseSt.GPRWrites)
 	}
 }
 

@@ -286,7 +286,7 @@ func TestRunCtxShardsPartitionUnits(t *testing.T) {
 		card   core.Card
 		x      float64
 	}
-	key := func(p core.KernelPoint) launch { return launch{p.K.Hash(), p.Card, p.X} }
+	key := func(p core.KernelPoint) launch { return launch{p.K.ID(), p.Card, p.X} }
 	plan := mustPlan(t, testSuite(), Options{MaxDomain: 16}, "fig16", "clausectl")
 	launched := map[launch]int{}
 	for shard := range shards {

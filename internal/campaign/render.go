@@ -9,8 +9,10 @@ import (
 // line per figure, and the full scheduled unit listing, one unit per
 // figure point. The rendering is deterministic (the plan is), so `amdmb
 // campaign -plan` output is golden-pinned in cmd/amdmb's tests — change
-// the format and the golden together.
-func RenderPlan(w io.Writer, p *Plan) {
+// the format and the golden together. The hash column is each kernel's
+// content hash, so rendering builds every generated kernel; a build
+// that fails is the error.
+func RenderPlan(w io.Writer, p *Plan) error {
 	fmt.Fprintf(w, "campaign plan: %d figures, %d points\n", len(p.Specs), len(p.Units))
 	fmt.Fprintln(w, "figures:")
 	for _, sp := range p.Specs {
@@ -18,8 +20,12 @@ func RenderPlan(w io.Writer, p *Plan) {
 	}
 	fmt.Fprintln(w, "schedule:")
 	for i, u := range p.Units {
-		sum := u.K.Hash()
+		sum, err := u.K.Hash()
+		if err != nil {
+			return err
+		}
 		fmt.Fprintf(w, "  %04d kernel=%s hash=%x card=%q x=%g domain=%dx%d\n",
 			i, u.K.Name, sum[:8], u.Card.Label(), u.X, u.W, u.H)
 	}
+	return nil
 }

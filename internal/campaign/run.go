@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"amdgpubench/internal/core"
+	"amdgpubench/internal/obs"
 	"amdgpubench/internal/report"
 )
 
@@ -104,14 +105,18 @@ func (p *Plan) RunCtx(ctx context.Context, s *core.Suite, opts RunOptions) (*Res
 	defer root.End()
 
 	// The observe hook runs on worker goroutines: it updates only atomics
-	// and the concurrency-safe tracer, so no extra locking here.
+	// and the concurrency-safe tracer, so no extra locking here. The
+	// Enabled guard keeps an untraced run free of the label formatting.
 	var executed, failedUnits atomic.Int64
 	observe := func(i int) func(core.Run) {
 		executed.Add(1)
-		u := &units[i]
-		sp := s.Tracer.Begin("unit").Cat("campaign").
-			Arg("kernel", u.K.Name).
-			Arg("card", u.Card.Label())
+		var sp obs.Span
+		if s.Tracer.Enabled() {
+			u := &units[i]
+			sp = s.Tracer.Begin("unit").Cat("campaign").
+				Arg("kernel", u.K.Name).
+				Arg("card", u.Card.Label())
+		}
 		return func(run core.Run) {
 			if run.Failed() {
 				failedUnits.Add(1)

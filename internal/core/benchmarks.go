@@ -41,7 +41,7 @@ func (s *Suite) ALUFetchSpec(cfg ALUFetchConfig) (FigureSpec, error) {
 		for r := ratioMin; r <= ratioMax+1e-9; r += ratioStep {
 			p := card.params(aluFetchInputs, 1, cfg.InputSpace, cfg.OutSpace)
 			p.ALUFetchRatio = r
-			k, err := s.generate(pipeline.GenALUFetch, p)
+			k, err := s.Pipeline().Generate(pipeline.GenALUFetch, p)
 			if err != nil {
 				return FigureSpec{}, err
 			}
@@ -67,7 +67,7 @@ func (s *Suite) ReadLatencySpec(space il.MemSpace) (FigureSpec, error) {
 	for _, card := range StandardCards(0, 0) {
 		for n := readMinInputs; n <= readMaxInputs; n++ {
 			p := card.params(n, 1, space, il.TextureSpace)
-			k, err := s.generate(pipeline.GenReadLatency, p)
+			k, err := s.Pipeline().Generate(pipeline.GenReadLatency, p)
 			if err != nil {
 				return FigureSpec{}, err
 			}
@@ -98,7 +98,7 @@ func (s *Suite) WriteLatencySpec(space il.MemSpace) (FigureSpec, error) {
 	for _, card := range cards {
 		for n := 1; n <= writeMaxOutputs; n++ {
 			p := card.params(writeInputs, n, il.TextureSpace, space)
-			k, err := s.generate(pipeline.GenWriteLatency, p)
+			k, err := s.Pipeline().Generate(pipeline.GenWriteLatency, p)
 			if err != nil {
 				return FigureSpec{}, err
 			}
@@ -130,7 +130,7 @@ func (s *Suite) DomainSizeSpec(cards []Card) (FigureSpec, error) {
 		}
 		for d := domainMin; d <= domainMax; d += step {
 			p := card.params(8, 1, il.TextureSpace, il.TextureSpace)
-			k, err := s.generate(pipeline.GenDomain, p)
+			k, err := s.Pipeline().Generate(pipeline.GenDomain, p)
 			if err != nil {
 				return FigureSpec{}, err
 			}
@@ -177,11 +177,14 @@ func (s *Suite) RegisterUsageSpec(cfg RegisterUsageConfig) (FigureSpec, error) {
 			p.ALUFetchRatio = regRatio
 			p.Space = regSpace
 			p.Step = step
+			// At step 0 both kernels sample everything up front, so the
+			// control asks for the register-usage source: one kernel,
+			// one launch for both figures.
 			gen := pipeline.GenRegisterUsage
-			if cfg.Control {
+			if cfg.Control && step > 0 {
 				gen = pipeline.GenClauseUsage
 			}
-			k, err := s.generate(gen, p)
+			k, err := s.Pipeline().Generate(gen, p)
 			if err != nil {
 				return FigureSpec{}, err
 			}

@@ -248,17 +248,6 @@ func (s *Suite) context(spec device.Spec) (*cal.Context, error) {
 	return c, nil
 }
 
-// generate runs a kernel generator through the pipeline's Generate
-// stage, so identical sweep points share one IL artifact.
-func (s *Suite) generate(g pipeline.Generator, p kerngen.Params) (*il.Sealed, error) {
-	var sp obs.Span
-	if s.Tracer.Enabled() {
-		sp = s.Tracer.Begin("generate").Cat("stage")
-	}
-	defer sp.End()
-	return s.Pipeline().Generate(g, p)
-}
-
 // KernelLaunches returns how many kernel launches the suite has issued,
 // retries included.
 func (s *Suite) KernelLaunches() int64 { return s.launched.Load() }

@@ -131,7 +131,7 @@ func (s *Suite) BlockSizeSpec() (FigureSpec, error) {
 				card.BlockW, card.BlockH = b.w, b.h
 				p := card.params(blockInputs, 1, il.TextureSpace, il.GlobalSpace)
 				p.ALUFetchRatio = blockRatio
-				k, err := s.generate(pipeline.GenALUFetch, p)
+				k, err := s.Pipeline().Generate(pipeline.GenALUFetch, p)
 				if err != nil {
 					return FigureSpec{}, err
 				}
@@ -171,7 +171,7 @@ func (s *Suite) ConstantsSpec() (FigureSpec, error) {
 			p := card.params(constsInputs, 1, il.TextureSpace, il.TextureSpace)
 			p.ALUOps = constsALUOps
 			p.Constants = n
-			k, err := s.generate(pipeline.GenGeneric, p)
+			k, err := s.Pipeline().Generate(pipeline.GenGeneric, p)
 			if err != nil {
 				return FigureSpec{}, err
 			}
@@ -243,7 +243,7 @@ func (s *Suite) AblationStudy() ([]AblationResult, error) {
 	}
 	out := make([]AblationResult, 0, len(rows))
 	for _, r := range rows {
-		k, err := s.generate(r.gen, r.params)
+		k, err := s.Pipeline().Generate(r.gen, r.params)
 		if err != nil {
 			return nil, err
 		}

@@ -43,7 +43,7 @@ func aluFetchPoints(t *testing.T, s *Suite, inputs int) []KernelPoint {
 	for _, r := range []float64{0.25, 0.5, 0.75, 1.0} {
 		p := sweepCard.params(inputs, 1, il.TextureSpace, il.TextureSpace)
 		p.ALUFetchRatio = r
-		k, err := s.generate(pipeline.GenALUFetch, p)
+		k, err := s.Pipeline().Generate(pipeline.GenALUFetch, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,18 +297,26 @@ func TestSweepSignatureKeysOnKernelBodyNotName(t *testing.T) {
 	}
 	pb := pa
 	pb.Inputs = 8
-	ka, err := s.generate(pipeline.GenALUFetch, pa)
+	ka, err := s.Pipeline().Generate(pipeline.GenALUFetch, pa)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kb, err := s.generate(pipeline.GenALUFetch, pb)
+	kb, err := s.Pipeline().Generate(pipeline.GenALUFetch, pb)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ka.Name != kb.Name {
 		t.Fatalf("precondition broken: names differ (%q vs %q)", ka.Name, kb.Name)
 	}
-	if ka.Hash() == kb.Hash() {
+	ha, err := ka.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hb, err := kb.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ha == hb {
 		t.Fatal("precondition broken: kernel bodies identical")
 	}
 	card := Card{Arch: device.RV770, Mode: il.Pixel, Type: il.Float}

@@ -32,10 +32,16 @@ func (sp FigureSpec) Assemble(runs []Run) {
 		return
 	}
 	var cur *report.Series
+	var card Card // the card cardLabel was formatted for
+	cardLabel := ""
 	for i, p := range sp.Points {
 		label := p.Series
 		if label == "" {
-			label = p.Card.Label()
+			// Consecutive points share a card; format once per run.
+			if cardLabel == "" || p.Card != card {
+				card, cardLabel = p.Card, p.Card.Label()
+			}
+			label = cardLabel
 		}
 		if cur == nil || label != cur.Label {
 			cur = sp.Fig.AddSeries(label)

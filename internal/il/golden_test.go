@@ -187,11 +187,11 @@ func TestSealedComputesOnce(t *testing.T) {
 	k := goldenPixel()
 	s := Seal(k)
 	want := k.Hash()
-	if s.Hash() != want || s.Validate() != nil {
-		t.Fatalf("sealed hash/validate disagree with the kernel's: %v", s.Validate())
+	if h, _ := s.Hash(); h != want || s.Validate() != nil || s.ID() != want {
+		t.Fatalf("sealed hash/identity/validate disagree with the kernel's: %v", s.Validate())
 	}
 	k.NumOutputs = 0
-	if s.Hash() != want || s.Validate() != nil {
+	if h, _ := s.Hash(); h != want || s.Validate() != nil {
 		t.Error("sealed kernel recomputed its hash or validation after the first call")
 	}
 	if k.Validate() == nil {

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"sync"
+	"sync/atomic"
 )
 
 // hashEncodingVersion tags the canonical binary encoding; bump it whenever
@@ -68,18 +69,34 @@ func (k *Kernel) Hash() [sha256.Size]byte {
 }
 
 // Sealed is a kernel frozen for the launch path: the kernel plus its
-// structural hash and Validate result, each computed once, on first use.
-// A sweep launches one kernel many times (every card, every retry, every
+// identity, structural hash and Validate result, each computed once. A
+// sweep launches one kernel many times (every card, every retry, every
 // warm rerun of a figure), and the pipeline's compile and simulate keys
-// start from the hash while every module load starts from Validate, so a
-// sealed kernel pays for each once instead of once per launch.
+// start from the identity while every module load starts from Validate,
+// so a sealed kernel pays for each once instead of once per launch.
+//
+// A seal is eager or deferred. Seal and SealValid wrap a kernel already
+// built; its identity is its content hash. SealDeferred wraps a kernel
+// not built yet: its builder (a generator with settled parameters)
+// names the source, and the seal's identity is that source's digest, so
+// a launch served from a store keyed by it never builds the code. Name
+// and Mode are known either way; Kernel, Hash and Validate build a
+// deferred seal's code on first use, once, however many goroutines ask.
 //
 // The memo lives in the artifact, not in a table keyed by the kernel's
 // address: sealing is the promise that the kernel is never mutated again,
-// and a kernel that must change is copied and sealed anew. The embedded
-// Kernel gives read access to every field.
+// and a kernel that must change is copied and sealed anew.
 type Sealed struct {
-	*Kernel
+	Name string
+	Mode ShaderMode
+
+	id    [sha256.Size]byte // a deferred seal's source digest
+	build func() (*Kernel, error)
+
+	buildOnce sync.Once
+	built     atomic.Bool
+	k         *Kernel
+	buildErr  error
 
 	hashOnce  sync.Once
 	hash      [sha256.Size]byte
@@ -89,7 +106,7 @@ type Sealed struct {
 
 // Seal wraps a kernel its builder has finished with. Callers seal once,
 // where the kernel is built, and hand the *Sealed around from then on.
-func Seal(k *Kernel) *Sealed { return &Sealed{Kernel: k} }
+func Seal(k *Kernel) *Sealed { return &Sealed{Name: k.Name, Mode: k.Mode, k: k} }
 
 // SealValid is Seal for a kernel its builder has just validated: the
 // seal records Validate's nil result instead of walking the code again.
@@ -100,14 +117,64 @@ func SealValid(k *Kernel) *Sealed {
 	return s
 }
 
-// Hash returns Kernel.Hash, computed on the first call.
-func (s *Sealed) Hash() [sha256.Size]byte {
-	s.hashOnce.Do(func() { s.hash = s.Kernel.Hash() })
-	return s.hash
+// SealDeferred seals a kernel that build makes on first use. id names
+// the source build works from; it must differ for any two sources whose
+// kernels may differ, and must never equal a content hash (tag its
+// encoding). name and mode must be the built kernel's. build validates
+// what it returns: its error is the seal's Validate result.
+func SealDeferred(id [sha256.Size]byte, name string, mode ShaderMode, build func() (*Kernel, error)) *Sealed {
+	return &Sealed{Name: name, Mode: mode, id: id, build: build}
 }
 
-// Validate returns Kernel.Validate, computed on the first call.
+// Deferred reports whether the seal was made by SealDeferred.
+func (s *Sealed) Deferred() bool { return s.build != nil }
+
+// Built reports whether Kernel would return without building.
+func (s *Sealed) Built() bool { return s.build == nil || s.built.Load() }
+
+// Kernel returns the sealed kernel, building a deferred seal's code on
+// the first call. The error is the build's; an eager seal has none.
+func (s *Sealed) Kernel() (*Kernel, error) {
+	if s.build == nil {
+		return s.k, nil
+	}
+	s.buildOnce.Do(func() {
+		s.k, s.buildErr = s.build()
+		s.built.Store(true)
+	})
+	return s.k, s.buildErr
+}
+
+// ID returns the seal's identity, the digest the pipeline keys compiled
+// programs and timing results by: the source digest of a deferred seal,
+// which needs no build, and the content hash of an eager one.
+func (s *Sealed) ID() [sha256.Size]byte {
+	if s.build != nil {
+		return s.id
+	}
+	h, _ := s.Hash() // an eager seal has its kernel
+	return h
+}
+
+// Hash returns Kernel.Hash, computed on the first call. A deferred seal
+// builds its code for it; a failed build is Hash's error.
+func (s *Sealed) Hash() ([sha256.Size]byte, error) {
+	k, err := s.Kernel()
+	if err != nil {
+		return [sha256.Size]byte{}, err
+	}
+	s.hashOnce.Do(func() { s.hash = k.Hash() })
+	return s.hash, nil
+}
+
+// Validate returns Kernel.Validate, computed on the first call. A
+// deferred seal's builder validated what it built, so its answer is the
+// build's error.
 func (s *Sealed) Validate() error {
-	s.validOnce.Do(func() { s.validErr = s.Kernel.Validate() })
+	if s.build != nil {
+		_, err := s.Kernel()
+		return err
+	}
+	s.validOnce.Do(func() { s.validErr = s.k.Validate() })
 	return s.validErr
 }

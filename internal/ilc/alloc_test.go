@@ -160,7 +160,11 @@ func TestGPRAllocationMatchesReference(t *testing.T) {
 		}
 		for _, s := range specs {
 			for _, p := range s.Figure.Points {
-				checkGPRs(t, p.K.Kernel, device.Lookup(p.Card.Arch))
+				k, err := p.K.Kernel()
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkGPRs(t, k, device.Lookup(p.Card.Arch))
 			}
 		}
 	})

@@ -160,17 +160,24 @@ func Compile(k *il.Kernel, spec device.Spec) (*isa.Program, error) {
 // Check reports the error Compile would reject the kernel with on the
 // device, without lowering it; past Check only a compiler bug can fail.
 // It reads the sealed kernel's memoized Validate result, so a module
-// loaded on every launch of a sweep validates its kernel once.
+// loaded on every launch of a sweep validates its kernel once. A
+// deferred seal is checked on its mode alone: its generator validates
+// the code when it builds it, and a failed build fails whatever needed
+// the code.
 func Check(k *il.Sealed, spec device.Spec) error {
-	return check(k.Kernel, k.Validate(), spec)
+	var invalid error
+	if !k.Deferred() {
+		invalid = k.Validate()
+	}
+	return check(k.Mode, invalid, spec)
 }
 
 // check is Check with the kernel's Validate result already in hand.
-func check(k *il.Kernel, invalid error, spec device.Spec) error {
+func check(mode il.ShaderMode, invalid error, spec device.Spec) error {
 	if invalid != nil {
 		return fmt.Errorf("ilc: %w", invalid)
 	}
-	if k.Mode == il.Compute && !spec.SupportsCompute {
+	if mode == il.Compute && !spec.SupportsCompute {
 		return fmt.Errorf("ilc: %s does not support compute shader mode", spec.Arch)
 	}
 	return nil
@@ -183,9 +190,14 @@ func CompileWith(k *il.Kernel, spec device.Spec, opts Options) (*isa.Program, er
 
 // CompileSealed is CompileWith for a sealed kernel: it reads the seal's
 // memoized Validate result, so a kernel compiled for several devices or
-// option sets is validated once.
+// option sets is validated once. A deferred seal builds its code here
+// first; a failed build is the error.
 func CompileSealed(k *il.Sealed, spec device.Spec, opts Options) (*isa.Program, error) {
-	return compile(k.Kernel, k.Validate(), spec, opts)
+	kern, err := k.Kernel()
+	if err != nil {
+		return nil, err
+	}
+	return compile(kern, k.Validate(), spec, opts)
 }
 
 // compile runs the passes on a scratch from the free list.
@@ -259,7 +271,7 @@ func zeroed[S ~[]E, E any](s S, n int) S {
 
 // compile checks k and lowers it on this scratch.
 func (s *scratch) compile(k *il.Kernel, invalid error, spec device.Spec, opts Options) (*isa.Program, error) {
-	if err := check(k, invalid, spec); err != nil {
+	if err := check(k.Mode, invalid, spec); err != nil {
 		return nil, err
 	}
 	vals := s.collectValues(k)

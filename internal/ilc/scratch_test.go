@@ -37,12 +37,16 @@ func TestScratchIsolation(t *testing.T) {
 	seen := map[[32]byte]bool{}
 	for _, s := range specs {
 		for _, p := range s.Figure.Points {
-			if seen[p.K.Hash()] {
+			k, err := p.K.Kernel()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if seen[k.Hash()] {
 				continue
 			}
-			seen[p.K.Hash()] = true
+			seen[k.Hash()] = true
 			for _, opts := range ablations {
-				jobs = append(jobs, job{p.K.Kernel, device.Lookup(p.Card.Arch), opts})
+				jobs = append(jobs, job{k, device.Lookup(p.Card.Arch), opts})
 			}
 		}
 	}

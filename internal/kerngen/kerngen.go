@@ -112,21 +112,74 @@ func (c *chainState) foldConst(idx int) {
 	c.emitted++
 }
 
+// Prepared is one generator call with its parameters checked and its
+// defaults filled in: everything known about the kernel before its code
+// exists. Preparing is cheap, and it is where every parameter error
+// surfaces, so a caller can name and plan a kernel without building it;
+// Build makes the code.
+type Prepared struct {
+	// Params are the settled parameters: Name and Outputs defaulted,
+	// ALUOps the exact ALU op count the kernel carries.
+	Params Params
+	body   body
+}
+
+// body selects the code a Prepared builds.
+type body uint8
+
+const (
+	bodyGeneric body = iota
+	bodyRegisterUsage
+	bodyClauseUsage
+)
+
+// Build makes the kernel and validates it: a kernel that fails its own
+// check is a generator bug, returned as an error.
+func (pr Prepared) Build() (*il.Kernel, error) {
+	p := pr.Params
+	k := &il.Kernel{
+		Name: p.Name, Mode: p.Mode, Type: p.Type,
+		NumInputs: p.Inputs, NumOutputs: p.Outputs,
+		InputSpace: p.InputSpace, OutSpace: p.OutSpace,
+		// Every input is sampled once, the chain is exactly ALUOps long
+		// and every output stores once: the code never grows.
+		Code: make([]il.Instr, 0, p.Inputs+p.ALUOps+p.Outputs),
+	}
+	if pr.body == bodyGeneric {
+		generic(k, p)
+	} else {
+		grouped(k, p, pr.body == bodyClauseUsage)
+	}
+	return finish(k)
+}
+
+// build is a generator's prepare step followed by Build.
+func build(pr Prepared, err error) (*il.Kernel, error) {
+	if err != nil {
+		return nil, err
+	}
+	return pr.Build()
+}
+
 // Generic builds the Fig. 3 kernel: sample all inputs up front, fold, pad
 // the chain to the requested ALU count, export. The ALU count includes the
 // fold ops, mirroring the paper's generator where the fold decrements the
 // remaining op budget.
-func Generic(p Params) (*il.Kernel, error) {
+func Generic(p Params) (*il.Kernel, error) { return build(PrepareGeneric(p)) }
+
+// PrepareGeneric is Generic's prepare step.
+func PrepareGeneric(p Params) (Prepared, error) {
 	p, err := p.normalize()
 	if err != nil {
-		return nil, err
+		return Prepared{}, err
 	}
-	ops := p.aluOps()
-	if ops < p.Inputs-1 {
-		// The fold alone needs inputs-1 ops; every input must be used.
-		ops = p.Inputs - 1
-	}
-	k := newKernel(p)
+	// The fold alone needs inputs-1 ops; every input must be used.
+	p.ALUOps = max(p.aluOps(), p.Inputs-1)
+	return Prepared{Params: p, body: bodyGeneric}, nil
+}
+
+func generic(k *il.Kernel, p Params) {
+	ops := p.ALUOps
 	sample(k, fetchOp(p), 0, p.Inputs)
 	k.NumConsts = p.Constants
 	c := &chainState{k: k, next: il.Reg(p.Inputs), prev: 0, prev2: 0}
@@ -142,37 +195,45 @@ func Generic(p Params) (*il.Kernel, error) {
 		c.extend()
 	}
 	emitStores(k, p, c.prev)
-	return finish(k)
 }
 
 // ALUFetch builds the Section III-A kernel for a given ratio.
-func ALUFetch(p Params) (*il.Kernel, error) {
+func ALUFetch(p Params) (*il.Kernel, error) { return build(PrepareALUFetch(p)) }
+
+// PrepareALUFetch is ALUFetch's prepare step.
+func PrepareALUFetch(p Params) (Prepared, error) {
 	if p.ALUFetchRatio <= 0 && p.ALUOps <= 0 {
-		return nil, fmt.Errorf("kerngen: ALU:Fetch kernel needs a positive ratio")
+		return Prepared{}, fmt.Errorf("kerngen: ALU:Fetch kernel needs a positive ratio")
 	}
 	if p.Name == "" {
 		p.Name = fmt.Sprintf("alufetch_r%.2f", p.ALUFetchRatio)
 	}
-	return Generic(p)
+	return PrepareGeneric(p)
 }
 
 // ReadLatency builds the Section III-B kernel: the ALU count is pinned to
 // inputs-1 (the fold only), keeping the fetch path the bottleneck while
 // the input count sweeps.
-func ReadLatency(p Params) (*il.Kernel, error) {
+func ReadLatency(p Params) (*il.Kernel, error) { return build(PrepareReadLatency(p)) }
+
+// PrepareReadLatency is ReadLatency's prepare step.
+func PrepareReadLatency(p Params) (Prepared, error) {
 	p.ALUOps = p.Inputs - 1
 	p.ALUFetchRatio = 0
 	if p.Name == "" {
 		p.Name = fmt.Sprintf("readlat_i%d", p.Inputs)
 	}
-	return Generic(p)
+	return PrepareGeneric(p)
 }
 
 // WriteLatency builds the Section III-C kernel: a constant input count
 // (the paper uses eight) and a constant, low ALU count, with the chain
 // tail exported to every output. Register usage depends on the inputs, not
 // the outputs, because all outputs export the same staged value.
-func WriteLatency(p Params) (*il.Kernel, error) {
+func WriteLatency(p Params) (*il.Kernel, error) { return build(PrepareWriteLatency(p)) }
+
+// PrepareWriteLatency is WriteLatency's prepare step.
+func PrepareWriteLatency(p Params) (Prepared, error) {
 	if p.Inputs == 0 {
 		p.Inputs = 8
 	}
@@ -183,13 +244,16 @@ func WriteLatency(p Params) (*il.Kernel, error) {
 	if p.Name == "" {
 		p.Name = fmt.Sprintf("writelat_o%d", p.Outputs)
 	}
-	return Generic(p)
+	return PrepareGeneric(p)
 }
 
 // Domain builds the Section III-D kernel: eight inputs, one output and an
 // ALU:Fetch ratio of 10, so the ALU operations are the bottleneck while
 // the domain size sweeps.
-func Domain(p Params) (*il.Kernel, error) {
+func Domain(p Params) (*il.Kernel, error) { return build(PrepareDomain(p)) }
+
+// PrepareDomain is Domain's prepare step.
+func PrepareDomain(p Params) (Prepared, error) {
 	if p.Inputs == 0 {
 		p.Inputs = 8
 	}
@@ -199,14 +263,17 @@ func Domain(p Params) (*il.Kernel, error) {
 	if p.Name == "" {
 		p.Name = "domain"
 	}
-	return Generic(p)
+	return PrepareGeneric(p)
 }
 
 // RegisterUsage builds the Fig. 6 kernel: sample inputs - space*step
 // inputs up front, then before each of `step` ALU blocks sample `space`
 // more inputs and fold them in immediately. Peak register pressure tracks
 // the up-front group, so sweeping step trades registers for wavefronts.
-func RegisterUsage(p Params) (*il.Kernel, error) { return grouped(p, false) }
+func RegisterUsage(p Params) (*il.Kernel, error) { return build(PrepareRegisterUsage(p)) }
+
+// PrepareRegisterUsage is RegisterUsage's prepare step.
+func PrepareRegisterUsage(p Params) (Prepared, error) { return prepareGrouped(p, false) }
 
 // ClauseUsage builds the Fig. 5 control kernel: identical ALU structure to
 // RegisterUsage — the same inputs folded in at the same chain positions —
@@ -214,7 +281,29 @@ func RegisterUsage(p Params) (*il.Kernel, error) { return grouped(p, false) }
 // stays at its maximum for any step value. The paper used it to show the
 // register-usage gains do not come from fetch-latency hiding or from
 // moving ALU work across clauses.
-func ClauseUsage(p Params) (*il.Kernel, error) { return grouped(p, true) }
+func ClauseUsage(p Params) (*il.Kernel, error) { return build(PrepareClauseUsage(p)) }
+
+// PrepareClauseUsage is ClauseUsage's prepare step.
+func PrepareClauseUsage(p Params) (Prepared, error) { return prepareGrouped(p, true) }
+
+func prepareGrouped(p Params, upfront bool) (Prepared, error) {
+	kind, b := "register-usage", bodyRegisterUsage
+	if upfront {
+		kind, b = "clause-usage", bodyClauseUsage
+	}
+	p, err := p.normalize()
+	if err != nil {
+		return Prepared{}, err
+	}
+	if p.Space <= 0 || p.Step < 0 {
+		return Prepared{}, fmt.Errorf("kerngen: %s kernel needs space > 0 and step >= 0", kind)
+	}
+	if initial := p.Inputs - p.Space*p.Step; initial < 2 {
+		return Prepared{}, fmt.Errorf("kerngen: space %d x step %d leaves %d initial inputs (need >= 2)", p.Space, p.Step, initial)
+	}
+	p.ALUOps = max(p.aluOps(), p.Inputs-1)
+	return Prepared{Params: p, body: b}, nil
+}
 
 // grouped is the one body of RegisterUsage and ClauseUsage: an initial
 // group of inputs folded and padded to one ALU block, then `step` groups
@@ -223,29 +312,11 @@ func ClauseUsage(p Params) (*il.Kernel, error) { return grouped(p, true) }
 // up front with the initial group (upfront, the Fig. 5 control). Input i
 // is always sampled into register i from resource i, so the two kernels
 // differ only in the position of their fetches.
-func grouped(p Params, upfront bool) (*il.Kernel, error) {
-	kind := "register-usage"
-	if upfront {
-		kind = "clause-usage"
-	}
-	p, err := p.normalize()
-	if err != nil {
-		return nil, err
-	}
-	if p.Space <= 0 || p.Step < 0 {
-		return nil, fmt.Errorf("kerngen: %s kernel needs space > 0 and step >= 0", kind)
-	}
+func grouped(k *il.Kernel, p Params, upfront bool) {
 	initial := p.Inputs - p.Space*p.Step
-	if initial < 2 {
-		return nil, fmt.Errorf("kerngen: space %d x step %d leaves %d initial inputs (need >= 2)", p.Space, p.Step, initial)
-	}
-	ops := p.aluOps()
-	if floor := p.Inputs - 1; ops < floor {
-		ops = floor
-	}
+	ops := p.ALUOps
 	blockALU := ops / (p.Step + 1)
 
-	k := newKernel(p)
 	fetch := fetchOp(p)
 	last := initial
 	if upfront {
@@ -276,7 +347,6 @@ func grouped(p Params, upfront bool) (*il.Kernel, error) {
 		}
 	}
 	emitStores(k, p, c.prev)
-	return finish(k)
 }
 
 // sample fetches inputs [from, to), input i into register i from
@@ -284,14 +354,6 @@ func grouped(p Params, upfront bool) (*il.Kernel, error) {
 func sample(k *il.Kernel, fetch il.Opcode, from, to int) {
 	for i := from; i < to; i++ {
 		k.Code = append(k.Code, il.Instr{Op: fetch, Dst: il.Reg(i), SrcA: il.NoReg, SrcB: il.NoReg, Res: i})
-	}
-}
-
-func newKernel(p Params) *il.Kernel {
-	return &il.Kernel{
-		Name: p.Name, Mode: p.Mode, Type: p.Type,
-		NumInputs: p.Inputs, NumOutputs: p.Outputs,
-		InputSpace: p.InputSpace, OutSpace: p.OutSpace,
 	}
 }
 
@@ -312,8 +374,8 @@ func emitStores(k *il.Kernel, p Params, src il.Reg) {
 	}
 }
 
-// finish validates the kernel every generator returns; pipeline.Generate
-// seals generated kernels with that result instead of validating again.
+// finish validates the kernel every Build returns; a generated kernel's
+// seal records that result instead of validating again.
 func finish(k *il.Kernel) (*il.Kernel, error) {
 	if err := k.Validate(); err != nil {
 		return nil, fmt.Errorf("kerngen: generated invalid kernel: %w", err)

@@ -462,3 +462,48 @@ func TestConstantsSemantics(t *testing.T) {
 		t.Fatalf("IL %v != ISA %v\n%s", want, got, isa.Disassemble(prog))
 	}
 }
+
+// aluFetchAllocsCeiling is the measured allocation count of one
+// ALUFetch build: the name, the kernel, its code (sized once, before
+// emission) and Validate's working arrays.
+const aluFetchAllocsCeiling = 7
+
+func TestALUFetchAllocs(t *testing.T) {
+	p := Params{Mode: il.Pixel, Type: il.Float, Inputs: 16, Outputs: 1, ALUFetchRatio: 8}
+	if n := testing.AllocsPerRun(50, func() { ALUFetch(p) }); n > aluFetchAllocsCeiling {
+		t.Errorf("ALUFetch allocates %.0f objects per build, ceiling %d", n, aluFetchAllocsCeiling)
+	}
+}
+
+func TestPreparedSizesCodeExactly(t *testing.T) {
+	// Build sizes the code from the settled parameters; a body that
+	// emitted more or fewer instructions would regrow or waste it.
+	for _, tc := range []struct {
+		name    string
+		prepare func(Params) (Prepared, error)
+		p       Params
+	}{
+		{"generic+consts", PrepareGeneric, Params{Mode: il.Pixel, Type: il.Float, Inputs: 8, Outputs: 2, ALUOps: 20, Constants: 4}},
+		{"alufetch", PrepareALUFetch, Params{Mode: il.Pixel, Type: il.Float4, Inputs: 16, Outputs: 1, ALUFetchRatio: 0.25}},
+		{"readlat", PrepareReadLatency, pixelParams(18)},
+		{"writelat", PrepareWriteLatency, Params{Mode: il.Pixel, Type: il.Float, Outputs: 8}},
+		{"domain", PrepareDomain, Params{Mode: il.Compute, Type: il.Float, OutSpace: il.GlobalSpace}},
+		{"regusage", PrepareRegisterUsage, Params{Mode: il.Pixel, Type: il.Float, Inputs: 64, Outputs: 1, ALUFetchRatio: 1, Space: 8, Step: 7}},
+		{"clauseusage", PrepareClauseUsage, Params{Mode: il.Pixel, Type: il.Float, Inputs: 64, Outputs: 1, ALUFetchRatio: 1, Space: 8, Step: 3}},
+	} {
+		pr, err := tc.prepare(tc.p)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		k, err := pr.Build()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if len(k.Code) != cap(k.Code) {
+			t.Errorf("%s: %d instructions in a code slice sized %d", tc.name, len(k.Code), cap(k.Code))
+		}
+		if k.Name != pr.Params.Name || k.Mode != pr.Params.Mode {
+			t.Errorf("%s: built %q mode %v, prepared %q mode %v", tc.name, k.Name, k.Mode, pr.Params.Name, pr.Params.Mode)
+		}
+	}
+}

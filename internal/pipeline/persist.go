@@ -346,24 +346,33 @@ func (sc *PersistScan) scan(data []byte, each func(persistKey, sim.Result)) {
 	}
 }
 
-// canaries are the kernels modelFingerprint times: texture fetches
-// feeding ALU work, burst global writes, and a compute-mode walk, each
-// small enough that the whole set runs in milliseconds.
+// canaries are the kernels modelFingerprint times, one per generator
+// (TestEveryGeneratorHasACanary): texture fetches feeding ALU work, a
+// global read, burst global writes, constants in a compute-mode walk,
+// the domain kernel and both grouped-sampling kernels, each small enough
+// that the whole set runs in milliseconds.
 var canaries = []struct {
 	gen    Generator
 	params kerngen.Params
 }{
+	{GenGeneric, kerngen.Params{Mode: il.Compute, Type: il.Float, Inputs: 4, Outputs: 1, OutSpace: il.GlobalSpace, ALUOps: 6, Constants: 2}},
 	{GenALUFetch, kerngen.Params{Mode: il.Pixel, Type: il.Float4, Inputs: 8, Outputs: 1, ALUFetchRatio: 2}},
+	{GenReadLatency, kerngen.Params{Mode: il.Pixel, Type: il.Float, Inputs: 5, Outputs: 1, InputSpace: il.GlobalSpace}},
 	{GenWriteLatency, kerngen.Params{Mode: il.Pixel, Type: il.Float, Inputs: 2, Outputs: 4, OutSpace: il.GlobalSpace}},
-	{GenALUFetch, kerngen.Params{Mode: il.Compute, Type: il.Float, Inputs: 4, Outputs: 1, OutSpace: il.GlobalSpace, ALUFetchRatio: 0.5}},
+	{GenDomain, kerngen.Params{Mode: il.Pixel, Type: il.Float, Inputs: 2}},
+	{GenRegisterUsage, kerngen.Params{Mode: il.Pixel, Type: il.Float, Inputs: 12, Outputs: 1, ALUFetchRatio: 1, Space: 2, Step: 3}},
+	{GenClauseUsage, kerngen.Params{Mode: il.Pixel, Type: il.Float, Inputs: 12, Outputs: 1, ALUFetchRatio: 1, Space: 2, Step: 3}},
 }
 
-// modelFingerprint digests the timing model built into this binary: the
-// canaries on every built-in card, compiled, replayed and simulated on a
-// bare store-less pipeline, their programs and results hashed. Every
-// persisted key carries it, so a change to the compiler, the cache model
-// or the simulator that moves any canary re-keys the whole tier: entries
-// a different model wrote miss instead of serving its timings. The model
+// modelFingerprint digests the model built into this binary: the
+// canaries on every built-in card, generated, compiled, replayed and
+// simulated on a bare store-less pipeline, their IL content hashes,
+// programs and results hashed. Every persisted key carries it, so a
+// change to a generator, the compiler, the cache model or the simulator
+// that moves any canary re-keys the whole tier: entries a different
+// model wrote miss instead of serving its timings. A generated kernel's
+// key starts from its source, not its code, so the canaries' content
+// hashes are what tie those keys to the generators' output. The model
 // is fixed per binary, so the fingerprint is computed once per process,
 // when the first tier opens.
 func modelFingerprint() string {
@@ -391,6 +400,12 @@ func computeFingerprint() string {
 				fmt.Fprintln(h, err)
 				continue
 			}
+			sum, err := k.Hash()
+			if err != nil {
+				fmt.Fprintln(h, err)
+				continue
+			}
+			h.Write(sum[:])
 			if prog, err := p.Compile(k, spec, ilc.Options{}); err != nil {
 				fmt.Fprintln(h, err)
 			} else {

@@ -151,7 +151,7 @@ func TestPersistTierCorruptEntryIsMiss(t *testing.T) {
 // syntheticKey is the i-th of a set of distinct simulate keys.
 func syntheticKey(i int) simulateKey {
 	return simulateKey{
-		src:  compileKey{kernelHash: [32]byte{byte(i), byte(i >> 8)}},
+		src:  compileKey{kernel: [32]byte{byte(i), byte(i >> 8)}},
 		spec: device.Lookup(device.RV770), order: raster.PixelOrder(),
 		w: 64, h: 64, iterations: 1,
 	}
@@ -399,11 +399,11 @@ func TestPersistHitSkipsTraceAndReplay(t *testing.T) {
 	}
 }
 
-// pinnedModelFingerprint is the timing model's fingerprint. A change to
-// the compiler, cache model or simulator that moves a canary changes it
+// pinnedModelFingerprint is the model's fingerprint. A change to a
+// generator, the compiler, cache model or simulator that moves a canary changes it
 // and re-keys every persisted entry; re-pin it here, deliberately, with
 // the value the failing test prints.
-const pinnedModelFingerprint = "3e6bf93de56018a3c678c82d1f0a8884a7d2a0224de2c8b9b1ccb34997073e1b"
+const pinnedModelFingerprint = "d0a5f04e255f4385298502549e64c05ddcc84b8378af23b0c7108f1c5725cdd8"
 
 func TestModelFingerprintPinned(t *testing.T) {
 	if got := modelFingerprint(); got != pinnedModelFingerprint {
@@ -455,7 +455,7 @@ func TestPersistKeyCoversEveryField(t *testing.T) {
 		"h":          func(k *simulateKey) { k.h++ },
 		"iterations": func(k *simulateKey) { k.iterations++ },
 		"watchdog":   func(k *simulateKey) { k.watchdog++ },
-		"program":    func(k *simulateKey) { k.src.kernelHash[31] ^= 1 },
+		"program":    func(k *simulateKey) { k.src.kernel[31] ^= 1 },
 		"compiler":   func(k *simulateKey) { k.src.opts.NoClauseTemps = true },
 	} {
 		k := base
@@ -463,6 +463,65 @@ func TestPersistKeyCoversEveryField(t *testing.T) {
 		check(name, model, k)
 	}
 	check("model", "another model", base)
+}
+
+func TestSourceIDCoversEveryField(t *testing.T) {
+	// Changing the generator or any one field of the settled parameters
+	// must change a generated kernel's identity. Params is walked by
+	// reflection, so a field added to it without an encoding in
+	// sourceID fails here.
+	base := kerngen.Params{Name: "k", Mode: il.Pixel, Type: il.Float, Inputs: 4, Outputs: 1, ALUFetchRatio: 1}
+	seen := map[[32]byte]string{sourceID(GenALUFetch, base): "nothing"}
+	check := func(name string, g Generator, p kerngen.Params) {
+		id := sourceID(g, p)
+		if prev, dup := seen[id]; dup {
+			t.Errorf("changing %s gives the identity of changing %s", name, prev)
+		}
+		seen[id] = name
+	}
+	v := reflect.ValueOf(base)
+	for i := 0; i < v.NumField(); i++ {
+		p := base
+		f := reflect.ValueOf(&p).Elem().Field(i)
+		name := v.Type().Field(i).Name
+		switch f.Kind() {
+		case reflect.Int:
+			f.SetInt(f.Int() + 1)
+		case reflect.Float64:
+			f.SetFloat(f.Float() + 0.25)
+		case reflect.String:
+			f.SetString(f.String() + "x")
+		default:
+			t.Fatalf("Params.%s has kind %s; teach this test and sourceID about it", name, f.Kind())
+		}
+		check("Params."+name, GenALUFetch, p)
+	}
+	check("generator", GenGeneric, base)
+	// The name is length-prefixed: moving a byte between the name and
+	// the next field cannot collide.
+	if sourceID(GenGeneric, kerngen.Params{Name: "ab"}) == sourceID(GenGeneric, kerngen.Params{Name: "a"}) {
+		t.Error("names of different lengths share an identity")
+	}
+}
+
+func TestEveryGeneratorHasACanary(t *testing.T) {
+	// The fingerprint is what ties a generated kernel's source-keyed
+	// entries to what its generator makes, so every generator needs a
+	// canary of its own.
+	for g := range Generator(len(generators)) {
+		n := 0
+		for _, c := range canaries {
+			if c.gen == g {
+				n++
+			}
+		}
+		if n != 1 {
+			t.Errorf("generator %d has %d fingerprint canaries, want 1", g, n)
+		}
+	}
+	if len(canaries) != len(generators) {
+		t.Errorf("%d canaries for %d generators", len(canaries), len(generators))
+	}
 }
 
 func TestPersistKeyCarriesModelFingerprint(t *testing.T) {

@@ -9,11 +9,11 @@
 //	Simulate (sim)      program + replay  -> timing result
 //
 // Generate, Compile, Replay and Simulate artifacts are memoized in
-// bounded LRU stores keyed by content: compile artifacts by the kernel's
-// structural hash (the SHA-256 of its canonical binary encoding — no
-// text round-trip, computed once per sealed kernel, see il.Sealed) plus
-// the device architecture, its clause
-// limits and the compiler options; replay artifacts by the fetch
+// bounded LRU stores keyed by content: generated kernels by (generator,
+// params); compile artifacts by the kernel's identity (il.Sealed.ID: a
+// generated kernel's source digest, any other kernel's structural hash)
+// plus the device architecture, its clause limits and the compiler
+// options; replay artifacts by the fetch
 // signature of the ISA program, the raster order, the domain and the
 // cache geometry (plus cache-relevant ablations). Each store coalesces
 // concurrent computations of the same key (singleflight), so a worker
@@ -23,9 +23,10 @@
 //
 // The Simulate key is a function of the source alone — the compile key
 // plus the launch shape — so Simulate looks its result up first and runs
-// Compile, Trace and Replay only on a miss: a launch served from memory
-// or from the persistent tier below it compiles nothing, derives no
-// trace and touches no replay store.
+// Generate's build, Compile, Trace and Replay only on a miss: a launch
+// served from memory or from the persistent tier below it builds no
+// kernel, compiles nothing, derives no trace and touches no replay
+// store.
 //
 // Because every stage is a pure function of its key, serving an artifact
 // from the store is bit-identical to recomputing it: figures produced
@@ -44,6 +45,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"time"
 
 	"amdgpubench/internal/cache"
@@ -73,12 +75,12 @@ type Options struct {
 	PersistDir string
 }
 
-// Entry bounds per LRU store. The replay-family store keeps the deepest
-// resumable replay cursor per trace-prefix family, cloned to seed later
-// points of a dense input sweep. Each of its entries holds three cache
-// models (the L2's tag array dominates: 16KB on RV670, 32KB on RV770)
-// and a line-run table of up to 16KB, so its bound of 64 caps
-// snapshot state at a few MB.
+// Entry bounds per LRU store; the seal memo shares the generate store's.
+// The replay-family store keeps the deepest resumable replay cursor per
+// trace-prefix family, cloned to seed later points of a dense input
+// sweep. Each of its entries holds three cache models (the L2's tag
+// array dominates: 16KB on RV670, 32KB on RV770) and a line-run table of
+// up to 16KB, so its bound of 64 caps snapshot state at a few MB.
 const (
 	defaultGenerateEntries       = 4096
 	defaultCompileEntries        = 4096
@@ -93,7 +95,8 @@ type Pipeline struct {
 	disabled bool
 	metrics  *obs.Registry
 
-	generate *store[generateKey, *il.Sealed]
+	seals    *store[generateKey, *il.Sealed]
+	generate *store[generateKey, *il.Kernel]
 	compile  *store[compileKey, *isa.Program]
 	replay   *store[replayKey, cache.TraceStats]
 	simulate *store[simulateKey, sim.Result]
@@ -124,7 +127,8 @@ func New(opts Options) *Pipeline {
 		simBypassed: reg.Counter("pipeline.simulate.bypassed"),
 		simBypassNS: reg.Counter("pipeline.simulate.bypass_ns"),
 	}
-	p.generate = newStore[generateKey, *il.Sealed]("generate", reg, defaultGenerateEntries, opts.Disabled)
+	p.seals = newStore[generateKey, *il.Sealed]("seal", reg, defaultGenerateEntries, opts.Disabled)
+	p.generate = newStore[generateKey, *il.Kernel]("generate", reg, defaultGenerateEntries, opts.Disabled)
 	p.compile = newStore[compileKey, *isa.Program]("compile", reg, defaultCompileEntries, opts.Disabled)
 	p.replay = newStore[replayKey, cache.TraceStats]("replay", reg, defaultReplayEntries, opts.Disabled)
 	p.snapshots = newStore[replayKey, *prefixSlot]("replay-family", reg, defaultReplaySnapshotEntries, opts.Disabled)
@@ -160,18 +164,18 @@ const (
 	GenClauseUsage
 )
 
-// generators is the one func table, indexed by Generator.
-var generators = [...]func(kerngen.Params) (*il.Kernel, error){
-	GenGeneric:       kerngen.Generic,
-	GenALUFetch:      kerngen.ALUFetch,
-	GenReadLatency:   kerngen.ReadLatency,
-	GenWriteLatency:  kerngen.WriteLatency,
-	GenDomain:        kerngen.Domain,
-	GenRegisterUsage: kerngen.RegisterUsage,
-	GenClauseUsage:   kerngen.ClauseUsage,
+// generators is the one table of prepare steps, indexed by Generator.
+var generators = [...]func(kerngen.Params) (kerngen.Prepared, error){
+	GenGeneric:       kerngen.PrepareGeneric,
+	GenALUFetch:      kerngen.PrepareALUFetch,
+	GenReadLatency:   kerngen.PrepareReadLatency,
+	GenWriteLatency:  kerngen.PrepareWriteLatency,
+	GenDomain:        kerngen.PrepareDomain,
+	GenRegisterUsage: kerngen.PrepareRegisterUsage,
+	GenClauseUsage:   kerngen.PrepareClauseUsage,
 }
 
-func (g Generator) fn() (func(kerngen.Params) (*il.Kernel, error), error) {
+func (g Generator) fn() (func(kerngen.Params) (kerngen.Prepared, error), error) {
 	if g < 0 || int(g) >= len(generators) {
 		return nil, fmt.Errorf("pipeline: unknown generator %d", int(g))
 	}
@@ -183,34 +187,67 @@ type generateKey struct {
 	params kerngen.Params
 }
 
-// Generate runs the named kerngen generator, memoized on (generator,
-// params). The returned kernel is sealed and shared: every launch of it
-// reuses one structural hash and one Validate result. Every generator
-// validates the kernel it returns, so the seal records that result.
+// Generate returns the named kerngen generator's kernel for params as a
+// deferred seal, without building it. The parameters are checked and
+// defaulted here, so a bad one fails now, with the generator's error;
+// the code is built on first need (a compile-store miss, functional
+// execution, the content hash), once per pipeline, through the generate
+// store. The seal's identity is sourceID of the settled parameters, so
+// a launch served from the simulate store or the persistent tier builds
+// no kernel at all. Seals are memoized on (generator, params): every
+// point of a sweep that asks for one kernel shares one seal.
 func (p *Pipeline) Generate(g Generator, params kerngen.Params) (*il.Sealed, error) {
-	fn, err := g.fn()
+	prepare, err := g.fn()
 	if err != nil {
 		return nil, err
 	}
-	return p.generate.get(generateKey{gen: g, params: params}, func() (*il.Sealed, error) {
-		k, err := fn(params)
+	key := generateKey{gen: g, params: params}
+	return p.seals.get(key, func() (*il.Sealed, error) {
+		pr, err := prepare(params)
 		if err != nil {
 			return nil, err
 		}
-		return il.SealValid(k), nil
+		return il.SealDeferred(sourceID(g, pr.Params), pr.Params.Name, pr.Params.Mode, func() (*il.Kernel, error) {
+			return p.generate.get(key, pr.Build)
+		}), nil
 	})
+}
+
+// sourceTag opens every source digest's encoding. A content hash's
+// encoding starts with its version byte, 1, so the two never coincide.
+const sourceTag = "amdmb/kerngen-source/v1"
+
+// sourceID is a generated kernel's identity: the SHA-256 of a fixed
+// binary encoding of the generator and every field of its settled
+// parameters (strings length-prefixed, floats bit-exact). The model
+// fingerprint covers what the generators make of it.
+func sourceID(g Generator, p kerngen.Params) [sha256.Size]byte {
+	var buf [160]byte // the tag, twelve words, a short name
+	le := binary.LittleEndian
+	b := append(buf[:0], sourceTag...)
+	b = le.AppendUint64(b, uint64(g))
+	b = le.AppendUint64(b, uint64(len(p.Name)))
+	b = append(b, p.Name...)
+	for _, v := range [...]int{
+		int(p.Mode), int(p.Type), p.Inputs, p.Outputs,
+		int(p.InputSpace), int(p.OutSpace), p.ALUOps, p.Space, p.Step, p.Constants,
+	} {
+		b = le.AppendUint64(b, uint64(int64(v)))
+	}
+	b = le.AppendUint64(b, math.Float64bits(p.ALUFetchRatio))
+	return sha256.Sum256(b)
 }
 
 // ---- Stage 2: Compile ----
 
 // compileKey is the content address of a compiled program: the kernel's
-// structural hash (il.Sealed.Hash — the SHA-256 of its canonical binary
-// encoding, no text serialization), the device architecture, the spec
+// identity (il.Sealed.ID — a generated kernel's source digest, any other
+// kernel's structural hash), the device architecture, the spec
 // fields the compiler actually reads (clause limits, compute support),
 // and the compiler options. Unrelated spec differences — clocks, cache
 // sizes — do not fragment the store.
 type compileKey struct {
-	kernelHash      [sha256.Size]byte
+	kernel          [sha256.Size]byte
 	arch            device.Arch
 	supportsCompute bool
 	maxFetchesTEX   int
@@ -221,7 +258,7 @@ type compileKey struct {
 // compileKeyFor builds the compile key; the Simulate key embeds it.
 func compileKeyFor(k *il.Sealed, spec device.Spec, opts ilc.Options) compileKey {
 	return compileKey{
-		kernelHash:      k.Hash(),
+		kernel:          k.ID(),
 		arch:            spec.Arch,
 		supportsCompute: spec.SupportsCompute,
 		maxFetchesTEX:   spec.MaxFetchesPerTEXClause,
@@ -236,7 +273,7 @@ func compileKeyFor(k *il.Sealed, spec device.Spec, opts ilc.Options) compileKey 
 // goes through reflection or text formatting.
 func (k compileKey) hash() [sha256.Size]byte {
 	var buf [sha256.Size + 3*8 + 3]byte
-	copy(buf[:], k.kernelHash[:])
+	copy(buf[:], k.kernel[:])
 	le := binary.LittleEndian
 	le.PutUint64(buf[sha256.Size:], uint64(k.arch))
 	le.PutUint64(buf[sha256.Size+8:], uint64(int64(k.maxFetchesTEX)))
@@ -255,17 +292,17 @@ func boolByte(b bool) byte {
 }
 
 // Compile lowers an IL kernel for a device, memoized on the kernel's
-// structural hash plus the compile-relevant device parameters and
-// options. The returned program is shared and immutable. A store hit does
-// zero serialization work: the key starts from the sealed kernel's
-// memoized hash.
+// identity plus the compile-relevant device parameters and options. The
+// returned program is shared and immutable. A store hit builds and
+// hashes nothing: the key starts from the seal's identity.
 func (p *Pipeline) Compile(k *il.Sealed, spec device.Spec, opts ilc.Options) (*isa.Program, error) {
 	return p.compileAt(compileKeyFor(k, spec, opts), k, spec)
 }
 
 // compileAt is Compile with the key built. The compiler reads the sealed
 // kernel's memoized Validate result, so compiling one kernel for several
-// devices or option sets validates it once.
+// devices or option sets validates it once; a miss on a deferred seal
+// builds its code first.
 func (p *Pipeline) compileAt(key compileKey, k *il.Sealed, spec device.Spec) (*isa.Program, error) {
 	return p.compile.get(key, func() (*isa.Program, error) {
 		return ilc.CompileSealed(k, spec, key.opts)
@@ -412,12 +449,21 @@ func (p *Pipeline) Simulate(sp obs.Span, k *il.Sealed, opts ilc.Options, cfg sim
 	})
 }
 
-// launch is the Simulate stage's compute: compile the kernel, derive the
+// launch is the Simulate stage's compute: build a deferred seal's code
+// if nothing has yet (under a generate span), compile the kernel, derive the
 // fetch trace, serve its cache statistics from the Replay store, then run
 // the simulator. The duration it returns is the simulator's alone —
 // compile, trace and replay charge their own stage counters, so the
 // stages stay disjoint.
 func (p *Pipeline) launch(sp obs.Span, src compileKey, k *il.Sealed, cfg sim.Config) (sim.Result, time.Duration, error) {
+	if !k.Built() {
+		gsp := sp.Child("generate").Cat("stage")
+		_, err := k.Kernel()
+		gsp.End()
+		if err != nil {
+			return sim.Result{}, 0, err
+		}
+	}
 	csp := sp.Child("compile").Cat("stage")
 	prog, err := p.compileAt(src, k, cfg.Spec)
 	csp.End()
@@ -449,6 +495,7 @@ func (p *Pipeline) launch(sp obs.Span, src compileKey, k *il.Sealed, cfg sim.Con
 func (p *Pipeline) HitRate() float64 {
 	hits, total := int64(0), p.traceCount.Load()
 	for _, c := range [][3]*obs.Counter{
+		{p.seals.hits, p.seals.coalesced, p.seals.misses},
 		{p.generate.hits, p.generate.coalesced, p.generate.misses},
 		{p.compile.hits, p.compile.coalesced, p.compile.misses},
 		{p.replay.hits, p.replay.coalesced, p.replay.misses},

@@ -35,7 +35,11 @@ func (p *Pipeline) runLaunch(l testLaunch) (sim.Result, error) {
 // direct runs the launch straight through ilc and sim, no pipeline.
 func (l testLaunch) direct(t *testing.T) sim.Result {
 	t.Helper()
-	prog, err := ilc.CompileWith(l.k.Kernel, l.cfg.Spec, ilc.Options{})
+	k, err := l.k.Kernel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := ilc.CompileWith(k, l.cfg.Spec, ilc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,8 +77,21 @@ func TestGenerateMemoized(t *testing.T) {
 	if k1 != k2 {
 		t.Error("identical (generator, params) should share one kernel artifact")
 	}
-	if h, m := p.generate.hits.Load(), p.generate.misses.Load(); h != 1 || m != 1 {
-		t.Errorf("generate counters = %d hits / %d misses, want 1/1", h, m)
+	if h, m := p.seals.hits.Load(), p.seals.misses.Load(); h != 1 || m != 1 {
+		t.Errorf("seal counters = %d hits / %d misses, want 1/1", h, m)
+	}
+	// Generate builds nothing; the first use of the code builds it once.
+	if m := p.generate.misses.Load(); m != 0 || k1.Built() {
+		t.Errorf("Generate built the kernel (generate.misses = %d)", m)
+	}
+	if _, err := k1.Kernel(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := k2.Kernel(); err != nil {
+		t.Fatal(err)
+	}
+	if h, m := p.generate.hits.Load(), p.generate.misses.Load(); h != 0 || m != 1 {
+		t.Errorf("generate counters = %d hits / %d misses, want 0/1", h, m)
 	}
 	// A different generator over the same params is a different artifact.
 	k3, err := p.Generate(GenReadLatency, testParams())
@@ -231,7 +248,9 @@ func TestReplayArtifactSharedAcrossALUVariants(t *testing.T) {
 	pb.ALUFetchRatio = 2.0
 	cfgA := testSimConfig(t, p, pa)
 	cfgB := testSimConfig(t, p, pb)
-	if cfgA.k.Hash() == cfgB.k.Hash() {
+	ha, errA := cfgA.k.Hash()
+	hb, errB := cfgB.k.Hash()
+	if errA != nil || errB != nil || ha == hb {
 		t.Fatal("test wants distinct kernels")
 	}
 	if _, err := p.runLaunch(cfgA); err != nil {

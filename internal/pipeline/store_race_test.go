@@ -5,7 +5,11 @@ import (
 	"testing"
 	"time"
 
+	"amdgpubench/internal/device"
+	"amdgpubench/internal/il"
 	"amdgpubench/internal/obs"
+	"amdgpubench/internal/raster"
+	"amdgpubench/internal/sim"
 )
 
 // TestStoreConcurrentEvictionConservation hammers a tiny store from many
@@ -73,5 +77,52 @@ func TestStoreConcurrentEvictionConservation(t *testing.T) {
 	}
 	if coalesced == 0 {
 		t.Error("test exerted no singleflight coalescing; raise the pressure")
+	}
+}
+
+// TestDeferredSealBuildsOnce launches one generated kernel from many
+// goroutines at once, each reaching its code a different way (a
+// simulate miss, the content hash, the code itself), and checks that
+// the pipeline built it exactly once and every caller saw that build.
+func TestDeferredSealBuildsOnce(t *testing.T) {
+	p := New(Options{})
+	const goroutines = 12
+	kernels := make([]*il.Kernel, goroutines)
+	var wg sync.WaitGroup
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			k, err := p.Generate(GenALUFetch, testParams())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			l := testLaunch{k: k, cfg: sim.Config{
+				Spec: device.Lookup(device.RV770), Order: raster.PixelOrder(),
+				W: 64, H: 64, Iterations: 1,
+			}}
+			switch g % 3 {
+			case 0:
+				_, err = p.runLaunch(l)
+			case 1:
+				_, err = l.k.Hash()
+			}
+			if err == nil {
+				kernels[g], err = l.k.Kernel()
+			}
+			if err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if m := p.generate.misses.Load(); m != 1 {
+		t.Errorf("generate.misses = %d, want 1 build", m)
+	}
+	for g, k := range kernels {
+		if k == nil || k != kernels[0] {
+			t.Errorf("goroutine %d saw kernel %p, goroutine 0 %p", g, k, kernels[0])
+		}
 	}
 }

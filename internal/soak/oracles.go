@@ -77,6 +77,13 @@ func (c *campaign) record(v Violation, pred conformance.Pred) {
 	c.report.Violations = append(c.report.Violations, v)
 }
 
+// kernelOf returns a soak point's kernel. Soak seals every kernel it
+// makes eagerly (il.Seal), so there is no build to fail.
+func kernelOf(p core.KernelPoint) *il.Kernel {
+	k, _ := p.K.Kernel()
+	return k
+}
+
 // checkDeterminism replays the step's probe point on a fresh suite with
 // the artifact caches disabled and demands a bitwise-identical Run. The
 // campaign suite is warm — its caches have served hundreds of launches
@@ -91,14 +98,14 @@ func (c *campaign) checkDeterminism(st step, runs []core.Run) {
 	ref, err := c.referenceRun(p)
 	if err != nil {
 		c.record(Violation{
-			Oracle: OracleDeterminism, Step: st.Index, Kernel: p.K.Kernel, Point: p,
+			Oracle: OracleDeterminism, Step: st.Index, Kernel: kernelOf(p), Point: p,
 			Detail: fmt.Sprintf("reference recompute of %s at x=%g failed: %v", p.K.Name, p.X, err),
 		}, nil)
 		return
 	}
 	if got != ref {
 		v := Violation{
-			Oracle: OracleDeterminism, Step: st.Index, Kernel: p.K.Kernel, Point: p,
+			Oracle: OracleDeterminism, Step: st.Index, Kernel: kernelOf(p), Point: p,
 			Detail: fmt.Sprintf("probe %s at x=%g diverged from reference recompute:\n  campaign:  %+v\n  reference: %+v",
 				p.K.Name, p.X, got, ref),
 		}
@@ -214,7 +221,7 @@ func (c *campaign) checkResumeIdentity(st step, runs []core.Run) {
 		if runs[i] != ref[i] {
 			p := st.points[i]
 			c.record(Violation{
-				Oracle: OracleCheckpoint, Step: st.Index, Kernel: p.K.Kernel, Point: p,
+				Oracle: OracleCheckpoint, Step: st.Index, Kernel: kernelOf(p), Point: p,
 				Detail: fmt.Sprintf("point %d (%s at x=%g) after kill@%d+resume:\n  resumed:   %+v\n  reference: %+v",
 					i, p.K.Name, p.X, st.KillAt, runs[i], ref[i]),
 			}, nil)
@@ -228,9 +235,9 @@ func (c *campaign) checkResumeIdentity(st step, runs []core.Run) {
 // bundle.
 func (c *campaign) checkInjected(st step) {
 	for _, p := range st.points {
-		if err := c.cfg.TestOracle(p.K.Kernel); err != nil {
+		if err := c.cfg.TestOracle(kernelOf(p)); err != nil {
 			c.record(Violation{
-				Oracle: OracleInjected, Step: st.Index, Kernel: p.K.Kernel, Point: p,
+				Oracle: OracleInjected, Step: st.Index, Kernel: kernelOf(p), Point: p,
 				Detail: fmt.Sprintf("injected oracle rejected %s: %v", p.K.Name, err),
 			}, func(k *il.Kernel) bool { return c.cfg.TestOracle(k) != nil })
 			return // one bundle per step is plenty

@@ -197,10 +197,9 @@ func planStep(cfg Config, i int) step {
 			w, h = min(w, cfg.MaxDomain), min(h, cfg.MaxDomain)
 		}
 		x := float64(i*100 + j)
-		sk := il.Seal(k)
-		st.points = append(st.points, core.KernelPoint{Card: card, X: x, K: sk, W: w, H: h})
+		st.points = append(st.points, core.KernelPoint{Card: card, X: x, K: il.Seal(k), W: w, H: h})
 
-		sum := sk.Hash()
+		sum := k.Hash()
 		st.Points = append(st.Points, PointPlan{
 			Kernel: k.Name,
 			Hash:   fmt.Sprintf("%x", sum[:8]),
