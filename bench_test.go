@@ -97,6 +97,7 @@ func BenchmarkFig17RegisterUsage4x16(b *testing.B)     { benchFigures(b, "fig17"
 func BenchmarkClauseUsageControl(b *testing.B)         { benchFigures(b, "clausectl") }
 func BenchmarkExtTransThroughput(b *testing.B)         { benchFigures(b, "trans") }
 func BenchmarkExtBlockSizeSweep(b *testing.B)          { benchFigures(b, "blocks") }
+func BenchmarkExtAblationStudy(b *testing.B)           { benchFigures(b, "ablate") }
 
 func BenchmarkTable1HardwareQuery(b *testing.B) {
 	s := newSuite()
@@ -195,23 +196,6 @@ func incrementalSweep(b *testing.B, disabled bool) {
 
 func BenchmarkIncrementalSweepCold(b *testing.B)  { incrementalSweep(b, true) }
 func BenchmarkIncrementalSweepReuse(b *testing.B) { incrementalSweep(b, false) }
-
-func BenchmarkExtAblationStudy(b *testing.B) {
-	s := newSuite()
-	var res []core.AblationResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = s.AblationStudy()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range res {
-		if r.Name == "clause switching (latency hiding)" {
-			b.ReportMetric(r.Ratio(), "latency-hiding-slowdown")
-		}
-	}
-}
 
 // The bundle pair quantifies what running the flagship
 // fig7+fig8+fig11+fig16 bundle as one campaign buys. Sequential is what

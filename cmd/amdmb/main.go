@@ -16,12 +16,17 @@
 // Every invocation plans the figures it prints, and the figures summary
 // reads, as one campaign (internal/campaign): one resilient sweep in
 // which each figure launches once, printed in sorted experiment order.
+// The ablation study is one of those figures (`ablate`): ablate prints
+// its table from the figure's runs, so -max-domain, -retries,
+// -cache-dir and -trace apply to it as to any figure.
 //
 // The campaign subcommand plans the figures named in -figs the same
 // way, so work shared between figures runs once through the pipeline's
 // stores; `-plan` prints the schedule without running. See campaign.go and
 // internal/campaign; `amdmb campaign -h` lists its flags. Beyond the paper's figures, the
-// campaign registry includes the memory-hierarchy dissection figures
+// campaign registry includes the extensions trans, blocks, consts and
+// ablate (each mechanism on at x=0, off at x=1; requestable from amdmbd
+// like any figure) and the memory-hierarchy dissection figures
 // hier-lat, hier-wset, hier-line and hier-stride (internal/hier); a
 // trailing-'*' glob like `-figs 'hier-*'` plans a whole family.
 //
@@ -181,8 +186,8 @@ func (c *cli) experiments() []experiment {
 			fmt.Fprint(c.out, campaign.ClaimsTable(ms).Format())
 			return nil
 		}},
-		{"ablate", "extension: hardware-mechanism ablation study", nil, func(s *core.Suite, _ *ran) error {
-			res, err := s.AblationStudy()
+		{"ablate", "extension: hardware-mechanism ablation study", []string{"ablate"}, func(_ *core.Suite, r *ran) error {
+			res, err := core.AblationResults(r.runs["ablate"])
 			if err != nil {
 				return err
 			}

@@ -345,10 +345,10 @@ func metricsCounters(t *testing.T, out string) map[string]int64 {
 	return counters
 }
 
-// TestMainRunsEachFigureOnce: summary reads fig13 and fig14, and fig13
-// is printed as well. One invocation plans them as one campaign, so
-// every point launches once, and each hung writelat_o3 point (6 in
-// fig13, 10 in fig14) is one failure row.
+// TestMainRunsEachFigureOnce: summary reads fig13 and fig14 (and the
+// ablation figure), and fig13 is printed as well. One invocation plans
+// them as one campaign, so every point launches once, and each hung
+// writelat_o3 point (6 in fig13, 10 in fig14) is one failure row.
 func TestMainRunsEachFigureOnce(t *testing.T) {
 	code, out, stderr := runCLI(t, "-iters", "1", "-max-domain", "16", "-timeout", "1048576",
 		"-faults", "hang:prob=1,match=writelat_o3", "-metrics-json", "fig13", "summary")
@@ -375,8 +375,8 @@ func TestMainRunsEachFigureOnce(t *testing.T) {
 	}
 	c := metricsCounters(t, out)
 	done := c["core.sweep.points.completed"] + c["core.sweep.points.failed"]
-	if c["cal.launches"] != c["campaign.units.planned"] || done != c["cal.launches"] || done != 1136 {
-		t.Errorf("cal.launches %d, campaign.units.planned %d, completed+failed %d; want all 1136",
+	if c["cal.launches"] != c["campaign.units.planned"] || done != c["cal.launches"] || done != 1148 {
+		t.Errorf("cal.launches %d, campaign.units.planned %d, completed+failed %d; want all 1148",
 			c["cal.launches"], c["campaign.units.planned"], done)
 	}
 }

@@ -45,6 +45,7 @@ var Claims = func() []Claim {
 	x5870f4 := crossover("fig7", "5870 Pixel Float4")
 	gain := func(label string) Obs { return ratio(first("fig16", label), last("fig16", label)) }
 	speedup4x16 := func(label string) Obs { return ratio(first("fig7", label), first("fig8", label)) }
+	slowdown := func(mechanism string) Obs { return ratio(at("ablate", mechanism, 1), at("ablate", mechanism, 0)) }
 	return []Claim{
 		{Metric: "crossover-4870-float", Figs: []string{"fig7"}, Observable: "4870 pixel float crossover", Paper: "~1.25",
 			Lo: 0.625, Hi: 2.5, Value: crossover("fig7", "4870 Pixel Float"), Format: "%.2f"},
@@ -91,6 +92,12 @@ var Claims = func() []Claim {
 			Lo: 3, Hi: 5, Value: ratio(last("trans", "4870 float4 rcp/rsq"), last("trans", "4870 float4 add")), Format: "%.2fx"},
 		{Metric: "64x1/8x8-speedup", Figs: []string{"blocks"}, Observable: "8x8 block speedup over 64x1 (4870 float)", Paper: "(ext.) >1",
 			Lo: 1, Hi: inf, Value: ratio(at("blocks", "4870 Compute Float", 0), at("blocks", "4870 Compute Float", 3)), Format: "%.2fx"},
+		{Metric: "single-wavefront-slowdown", Figs: []string{"ablate"}, Observable: "4870 slowdown, clause switching off", Paper: "(ext.) >2",
+			Lo: 2, Hi: inf, Value: slowdown("clause switching (latency hiding)"), Format: "%.2fx"},
+		{Metric: "no-burst-slowdown", Figs: []string{"ablate"}, Observable: "4870 slowdown, burst writes off", Paper: "(ext.) >1.5",
+			Lo: 1.5, Hi: inf, Value: slowdown("burst writes"), Format: "%.2fx"},
+		{Metric: "linear-texture-slowdown", Figs: []string{"ablate"}, Observable: "4870 slowdown, tiled textures off", Paper: "(ext.) >1",
+			Lo: 1, Hi: inf, Value: slowdown("tiled texture layout"), Format: "%.2fx"},
 	}
 }()
 

@@ -98,6 +98,8 @@ var registry = map[string]figure{
 	"trans":  {build: (*core.Suite).TransThroughputSpec},
 	"blocks": {build: (*core.Suite).BlockSizeSpec},
 	"consts": {build: (*core.Suite).ConstantsSpec},
+	// The ablation study: each modelled mechanism on and off.
+	"ablate": {build: (*core.Suite).AblationSpec},
 
 	// The memory-hierarchy dissection (internal/hier).
 	"hier-lat":    {build: hier.LatencyLadderSpec},

@@ -260,6 +260,7 @@ type Run struct {
 	X          float64 // the swept parameter's value
 	Seconds    float64
 	GPRs       int
+	GPRWrites  int // per-thread register-file writes of the launched program
 	Waves      int
 	HitRate    float64
 	Bottleneck string
@@ -268,10 +269,34 @@ type Run struct {
 	Err string `json:",omitempty"`
 	// Attempts is how many launches the point took (1 = first try).
 	Attempts int `json:",omitempty"`
+	// kind is the taxonomy sentinel the failure wrapped
+	// (cal.ErrKernelTimeout, cal.ErrLaunchTransient or errLaunchPanic).
+	// A sentinel, not the launch's error value, so two records of the
+	// same failure still compare equal.
+	kind error
 }
 
 // Failed reports whether the point is a failure record.
 func (r Run) Failed() bool { return r.Err != "" }
+
+// Failure returns a failure record's error, nil for a completed run.
+// Its text is Err, and errors.Is sees the failure's kind, so a caller
+// can tell a timeout (cal.ErrKernelTimeout) from an exhausted transient.
+func (r Run) Failure() error {
+	if !r.Failed() {
+		return nil
+	}
+	return failure{r.Err, r.kind}
+}
+
+// failure is a failure record as an error.
+type failure struct {
+	msg  string
+	kind error
+}
+
+func (f failure) Error() string { return f.msg }
+func (f failure) Unwrap() error { return f.kind }
 
 // params builds kerngen parameters for a card.
 func (c Card) params(inputs, outputs int, inSpace, outSpace il.MemSpace) kerngen.Params {

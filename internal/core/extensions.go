@@ -6,6 +6,7 @@ package core
 // contributes to the paper's results.
 
 import (
+	"context"
 	"fmt"
 
 	"amdgpubench/internal/device"
@@ -186,10 +187,13 @@ type AblationResult struct {
 	Name     string
 	Baseline float64 // seconds
 	Ablated  float64 // seconds
-	// GPRWritesBase/Ablated report per-thread register-file write traffic
-	// for the compiler (forwarding) ablations. Peak GPR counts are
-	// unchanged for the suite's chain kernels — the linear scan reuses
-	// dead input registers — so write traffic is the honest observable.
+	// Opts are the compiler paths the ablated run switched off; zero for
+	// the simulated-mechanism rows.
+	Opts ilc.Options
+	// GPRWritesBase/Ablated report per-thread register-file write traffic,
+	// the honest observable of the compiler (forwarding) ablations: peak
+	// GPR counts are unchanged for the suite's chain kernels, because the
+	// linear scan reuses dead input registers.
 	GPRWritesBase, GPRWritesAblated int
 }
 
@@ -201,88 +205,114 @@ func (a AblationResult) Ratio() float64 {
 	return a.Ablated / a.Baseline
 }
 
-// AblationStudy quantifies each modelled mechanism on the RV770 by
-// switching it off and re-timing a reference kernel chosen to exercise it:
+// ablationChain is the compiler ablations' generic chain kernel.
+var ablationChain = kerngen.Params{Mode: il.Pixel, Type: il.Float, Inputs: 8, Outputs: 1, ALUFetchRatio: 4.0}
+
+const ablationTitle = "Ablation study (simulated HD 4870): mechanism off vs on"
+
+// ablationRows quantify each modelled mechanism on the RV770 by
+// switching it off and re-timing a reference kernel chosen to exercise
+// it:
 //
 //   - clause switching (latency hiding): the Fig. 16 kernel at a single
 //     resident wavefront;
 //   - burst writes: the Fig. 14 kernel with scattered writes;
 //   - tiled texture layout: the Fig. 7 kernel with row-major textures;
 //   - PV forwarding and clause temporaries: the generic chain kernel
-//     recompiled without them (registers rise, occupancy falls).
-func (s *Suite) AblationStudy() ([]AblationResult, error) {
-	chain := kerngen.Params{Mode: il.Pixel, Type: il.Float, Inputs: 8, Outputs: 1, ALUFetchRatio: 4.0}
-	rows := []struct {
-		name   string
-		gen    pipeline.Generator
-		params kerngen.Params
-		ablate sim.Ablations
-		opts   ilc.Options
-	}{
-		{"clause switching (latency hiding)", pipeline.GenRegisterUsage, kerngen.Params{
-			Mode: il.Pixel, Type: il.Float, Inputs: 64, Outputs: 1,
-			ALUFetchRatio: 1.0, Space: 8, Step: 6,
-		}, sim.Ablations{SingleWavefront: true}, ilc.Options{}},
-		{"burst writes", pipeline.GenWriteLatency, kerngen.Params{
-			Mode: il.Pixel, Type: il.Float4, Inputs: 8, Outputs: 8, OutSpace: il.GlobalSpace,
-		}, sim.Ablations{NoBurstWrites: true}, ilc.Options{}},
-		{"tiled texture layout", pipeline.GenALUFetch, kerngen.Params{
-			Mode: il.Pixel, Type: il.Float, Inputs: 16, Outputs: 1, ALUFetchRatio: 0.25,
-		}, sim.Ablations{LinearTextures: true}, ilc.Options{}},
-		{"PV forwarding", pipeline.GenGeneric, chain, sim.Ablations{}, ilc.Options{NoPVForwarding: true}},
-		{"clause temporaries", pipeline.GenGeneric, chain, sim.Ablations{}, ilc.Options{NoClauseTemps: true}},
-		{"all forwarding (PV + temps)", pipeline.GenGeneric, chain, sim.Ablations{}, ilc.Options{NoPVForwarding: true, NoClauseTemps: true}},
+//     recompiled without them (register-file writes rise).
+var ablationRows = []struct {
+	name   string
+	gen    pipeline.Generator
+	params kerngen.Params
+	ablate sim.Ablations
+	opts   ilc.Options
+}{
+	{"clause switching (latency hiding)", pipeline.GenRegisterUsage, kerngen.Params{
+		Mode: il.Pixel, Type: il.Float, Inputs: 64, Outputs: 1,
+		ALUFetchRatio: 1.0, Space: 8, Step: 6,
+	}, sim.Ablations{SingleWavefront: true}, ilc.Options{}},
+	{"burst writes", pipeline.GenWriteLatency, kerngen.Params{
+		Mode: il.Pixel, Type: il.Float4, Inputs: 8, Outputs: 8, OutSpace: il.GlobalSpace,
+	}, sim.Ablations{NoBurstWrites: true}, ilc.Options{}},
+	{"tiled texture layout", pipeline.GenALUFetch, kerngen.Params{
+		Mode: il.Pixel, Type: il.Float, Inputs: 16, Outputs: 1, ALUFetchRatio: 0.25,
+	}, sim.Ablations{LinearTextures: true}, ilc.Options{}},
+	{"PV forwarding", pipeline.GenGeneric, ablationChain, sim.Ablations{}, ilc.Options{NoPVForwarding: true}},
+	{"clause temporaries", pipeline.GenGeneric, ablationChain, sim.Ablations{}, ilc.Options{NoClauseTemps: true}},
+	{"all forwarding (PV + temps)", pipeline.GenGeneric, ablationChain, sim.Ablations{}, ilc.Options{NoPVForwarding: true, NoClauseTemps: true}},
+}
+
+// AblationSpec plans the ablation study as a figure on the HD 4870: one
+// series per mechanism, its reference kernel at x=0 as the paper's
+// figures launch it and at x=1 with the mechanism switched off
+// (KernelPoint.Ablate or Opts). AblationResults folds its runs into the
+// study's rows.
+func (s *Suite) AblationSpec() (FigureSpec, error) {
+	fig := &report.Figure{
+		Title:  ablationTitle,
+		XLabel: "Mechanism switched off (0 = no, 1 = yes)",
+		YLabel: "Time in seconds",
 	}
-	spec := device.Lookup(device.RV770)
-	gprWrites := func(k *il.Sealed, opts ilc.Options) (int, error) {
-		prog, err := s.Pipeline().Compile(k, spec, opts)
-		if err != nil {
-			return 0, err
-		}
-		return prog.Stats().GPRWrites, nil
-	}
-	out := make([]AblationResult, 0, len(rows))
-	for _, r := range rows {
+	pts := make([]KernelPoint, 0, 2*len(ablationRows))
+	for _, r := range ablationRows {
 		k, err := s.Pipeline().Generate(r.gen, r.params)
 		if err != nil {
-			return nil, err
+			return FigureSpec{}, err
 		}
-		base := KernelPoint{Card: Card{Arch: device.RV770, Mode: il.Pixel, Type: r.params.Type}, K: k, W: paperDomain, H: paperDomain}
+		base := KernelPoint{Card: Card{Arch: device.RV770, Mode: il.Pixel, Type: r.params.Type},
+			Series: r.name, K: k, W: paperDomain, H: paperDomain}
 		abl := base
-		abl.Ablate, abl.Opts = r.ablate, r.opts
-		// The launch primitive, not RunKernelPoints: a launch error
-		// fails the study rather than becoming a retried failure record.
-		b, err := s.runKernelSafe(base, 0)
-		if err != nil {
-			return nil, err
-		}
-		a, err := s.runKernelSafe(abl, 0)
-		if err != nil {
-			return nil, err
-		}
-		res := AblationResult{Name: r.name, Baseline: b.Seconds, Ablated: a.Seconds}
-		if r.opts != (ilc.Options{}) {
-			if res.GPRWritesBase, err = gprWrites(k, base.Opts); err != nil {
-				return nil, err
+		abl.X, abl.Ablate, abl.Opts = 1, r.ablate, r.opts
+		pts = append(pts, base, abl)
+	}
+	return FigureSpec{Fig: fig, Points: pts}, nil
+}
+
+// AblationResults folds the ablation figure's runs, in AblationSpec's
+// point order, into one result per mechanism. A failure record fails
+// the fold with its error, so errors.Is sees its kind.
+func AblationResults(runs []Run) ([]AblationResult, error) {
+	if len(runs) != 2*len(ablationRows) {
+		return nil, fmt.Errorf("core: ablation study has %d runs, want %d", len(runs), 2*len(ablationRows))
+	}
+	out := make([]AblationResult, len(ablationRows))
+	for i, r := range ablationRows {
+		b, a := runs[2*i], runs[2*i+1]
+		for _, run := range [...]Run{b, a} {
+			if run.Failed() {
+				return nil, fmt.Errorf("core: ablation %s: %w", r.name, run.Failure())
 			}
-			if res.GPRWritesAblated, err = gprWrites(k, abl.Opts); err != nil {
-				return nil, err
-			}
 		}
-		out = append(out, res)
+		out[i] = AblationResult{Name: r.name, Baseline: b.Seconds, Ablated: a.Seconds, Opts: r.opts,
+			GPRWritesBase: b.GPRWrites, GPRWritesAblated: a.GPRWrites}
 	}
 	return out, nil
 }
 
-// AblationTable formats an ablation study.
+// AblationStudy runs the ablation figure as one sweep and folds its runs;
+// `amdmb ablate` runs the registry figure instead, in its campaign.
+func (s *Suite) AblationStudy() ([]AblationResult, error) {
+	spec, err := s.AblationSpec()
+	if err != nil {
+		return nil, err
+	}
+	runs, err := s.RunKernelPoints(context.Background(), spec.Points, SweepOptions{})
+	if err != nil {
+		return nil, err
+	}
+	return AblationResults(runs)
+}
+
+// AblationTable formats an ablation study. The GPR-write columns show
+// for the compiler ablations only.
 func AblationTable(results []AblationResult) *report.Table {
 	t := &report.Table{
-		Title:  "Ablation study (simulated HD 4870): mechanism off vs on",
+		Title:  ablationTitle,
 		Header: []string{"mechanism", "baseline s", "ablated s", "slowdown", "GPR writes base", "GPR writes ablated"},
 	}
 	for _, r := range results {
 		gb, ga := "-", "-"
-		if r.GPRWritesBase > 0 {
+		if r.Opts != (ilc.Options{}) {
 			gb, ga = fmt.Sprintf("%d", r.GPRWritesBase), fmt.Sprintf("%d", r.GPRWritesAblated)
 		}
 		t.AddRow(r.Name, fmt.Sprintf("%.3f", r.Baseline), fmt.Sprintf("%.3f", r.Ablated),

@@ -246,26 +246,32 @@ func (s *Suite) runPointResilient(ctx context.Context, p KernelPoint) (Run, erro
 			backoff *= 2
 			continue
 		}
-		if errors.Is(err, errLaunchPanic) {
+		var kind error
+		switch {
+		case errors.Is(err, errLaunchPanic):
 			ctr.panics.Inc()
-		}
-		if errors.Is(err, cal.ErrKernelTimeout) {
+			kind = errLaunchPanic
+		case errors.Is(err, cal.ErrKernelTimeout):
 			ctr.timeouts.Inc()
+			kind = cal.ErrKernelTimeout
+		case cal.IsTransient(err):
+			kind = cal.ErrLaunchTransient
+		default:
+			return Run{}, fmt.Errorf("core: %s at x=%g: %w", p.Card.Label(), p.X, err)
 		}
-		if cal.IsRecoverable(err) || errors.Is(err, errLaunchPanic) {
-			return Run{
-				Card: p.Card, X: p.X, Attempts: attempt,
-				Err: fmt.Sprintf("%s at x=%g: %v", p.Card.Label(), p.X, err),
-			}, nil
-		}
-		return Run{}, fmt.Errorf("core: %s at x=%g: %w", p.Card.Label(), p.X, err)
+		return Run{
+			Card: p.Card, X: p.X, Attempts: attempt,
+			Err:  fmt.Sprintf("%s at x=%g: %v", p.Card.Label(), p.X, err),
+			kind: kind,
+		}, nil
 	}
 }
 
 // runKernelSafe times one point behind a panic fence: a panicking launch
 // on a worker must fail its point, not the process. It is the suite's
-// only launch site, so every launch is counted, traced, watchdog-bound
-// and visible to BeforeLaunch; its errors come back unwrapped.
+// only launch site and runPointResilient its only caller, so every
+// launch is counted, traced, watchdog-bound and visible to BeforeLaunch;
+// its errors come back unwrapped.
 func (s *Suite) runKernelSafe(p KernelPoint, attempt int) (run Run, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -315,6 +321,7 @@ func (s *Suite) runKernelSafe(p KernelPoint, attempt int) (run Run, err error) {
 		Card:       p.Card,
 		Seconds:    ev.ElapsedSeconds(),
 		GPRs:       ev.Result.GPRs,
+		GPRWrites:  ev.Result.GPRWrites,
 		Waves:      ev.Result.WavesPerSIMD,
 		HitRate:    ev.Result.HitRate,
 		Bottleneck: ev.Bottleneck().String(),

@@ -61,7 +61,7 @@ func (s *Suite) TuneBlockSize(card Card, k *il.Kernel, w, h int) (*BlockTuneResu
 	for i, run := range runs {
 		b := blockShapes[i]
 		if run.Failed() {
-			return nil, fmt.Errorf("core: block %dx%d failed: %s", b.w, b.h, run.Err)
+			return nil, fmt.Errorf("core: block %dx%d failed: %w", b.w, b.h, run.Failure())
 		}
 		trial := BlockTrial{
 			BlockW: b.w, BlockH: b.h,

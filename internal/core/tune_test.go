@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
+	"amdgpubench/internal/cal"
 	"amdgpubench/internal/device"
 	"amdgpubench/internal/il"
 	"amdgpubench/internal/kerngen"
@@ -101,5 +103,24 @@ func TestTuneBlockSizeFailedShapeIsAnError(t *testing.T) {
 	_, err = s.TuneBlockSize(card, k, 64, 64)
 	if err == nil || !strings.Contains(err.Error(), "block 8x8") {
 		t.Fatalf("TuneBlockSize error = %v, want one naming block 8x8", err)
+	}
+}
+
+// TestTuneBlockSizeKeepsTimeoutKind: a shape the watchdog aborts fails
+// the search with an error that errors.Is sees as a timeout.
+func TestTuneBlockSizeKeepsTimeoutKind(t *testing.T) {
+	s := quickSuite()
+	s.DeadlineCycles = 1000
+	k, err := kerngen.ALUFetch(kerngen.Params{
+		Mode: il.Compute, Type: il.Float, Inputs: 4, Outputs: 1,
+		ALUFetchRatio: 1, OutSpace: il.GlobalSpace,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	card := Card{Arch: device.RV770, Mode: il.Compute, Type: il.Float}
+	_, err = s.TuneBlockSize(card, k, 64, 64)
+	if !errors.Is(err, cal.ErrKernelTimeout) || !strings.Contains(err.Error(), "core: block 64x1 failed: ") {
+		t.Fatalf("TuneBlockSize under a 1000-cycle budget: got %v, want a block 64x1 cal.ErrKernelTimeout", err)
 	}
 }

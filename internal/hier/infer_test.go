@@ -1,11 +1,15 @@
 package hier
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
+	"amdgpubench/internal/cal"
 	"amdgpubench/internal/core"
 	"amdgpubench/internal/device"
+	"amdgpubench/internal/il"
 	"amdgpubench/internal/ilc"
 	"amdgpubench/internal/raster"
 	"amdgpubench/internal/sim"
@@ -189,5 +193,21 @@ func TestDiffFlagsMismatches(t *testing.T) {
 	}
 	if ms := exactMatch.Diff(spec); len(ms) != 0 {
 		t.Errorf("exact model reported mismatches: %v", ms)
+	}
+}
+
+// TestSuiteMeasurerKeepsTimeoutKind: a probe the watchdog aborts fails
+// the measurer with an error that errors.Is sees as a timeout, its text
+// the failure record's.
+func TestSuiteMeasurerKeepsTimeoutKind(t *testing.T) {
+	s := inferSuite()
+	s.DeadlineCycles = 1000
+	p := Probe{Type: il.Float, SurfaceBytes: 256, Surfaces: 2, Rounds: 32, Batch: 1}
+	_, err := SuiteMeasurer(s, device.Lookup(device.RV770))(p)
+	if !errors.Is(err, cal.ErrKernelTimeout) {
+		t.Fatalf("measurer under a 1000-cycle budget: got %v, want cal.ErrKernelTimeout", err)
+	}
+	if !strings.Contains(err.Error(), "hier: probe ") || !strings.Contains(err.Error(), "kernel timeout") {
+		t.Errorf("measurer error %q lost its probe or failure text", err)
 	}
 }

@@ -100,7 +100,7 @@ func SuiteMeasurer(s *core.Suite, spec device.Spec) Measurer {
 			return 0, err
 		}
 		if runs[0].Failed() {
-			return 0, fmt.Errorf("hier: probe %s on %s: %s", pt.K.Name, pt.Card.Label(), runs[0].Err)
+			return 0, fmt.Errorf("hier: probe %s on %s: %w", pt.K.Name, pt.Card.Label(), runs[0].Failure())
 		}
 		return env.Lambda(p, runs[0].Seconds), nil
 	}

@@ -40,11 +40,12 @@ import (
 // segment is never renamed, rewritten or deleted. A record is
 //
 //	u32 payload length | u32 CRC-32C of the payload | payload
-//	payload = version byte | 32-byte key | sim.Result, 14 fixed 8-byte fields
+//	payload = version byte | 32-byte key | sim.Result, 15 fixed 8-byte fields
 //
-// little-endian, floats as math.Float64bits, so a result served from
-// disk is bit-identical to the freshly computed one and figures match
-// byte for byte. The key is the SHA-256 of a fixed binary encoding of
+// little-endian, floats as math.Float64bits, 161 bytes in all, so a
+// result served from disk is bit-identical to the freshly computed one
+// and figures match byte for byte. A record of another version is
+// skipped: a miss. The key is the SHA-256 of a fixed binary encoding of
 // the simulate key (persistKeyFor): the model fingerprint, the compile
 // key's digest and every launch-shape field.
 //
@@ -53,7 +54,7 @@ import (
 // appends after that are seen at the next open, never live; nothing
 // relies on seeing them earlier, because shards combine in a later run
 // over the shared directory. The index holds one key and one result per
-// distinct record: 32 + 112 bytes, 200 to 320 with Go's map slack.
+// distinct record: 32 + 120 bytes, about 210 to 330 with Go's map slack.
 //
 // Durability: store appends one record with a single write and fsyncs
 // the segment before it counts the write, so each result is durable on
@@ -72,9 +73,9 @@ import (
 const (
 	segmentDir    = "simulate"
 	segmentExt    = ".seg"
-	recordVersion = 1
+	recordVersion = 2
 	recordHeader  = 8      // length, checksum
-	resultBytes   = 14 * 8 // encodeResult's fields
+	resultBytes   = 15 * 8 // encodeResult's fields
 	recordPayload = 1 + sha256.Size + resultBytes
 	recordBytes   = recordHeader + recordPayload
 )
@@ -159,7 +160,7 @@ func encodeResult(b []byte, res sim.Result) []byte {
 		uint64(int64(res.TotalWaves)), uint64(int64(res.Batches)),
 		math.Float64bits(res.HitRate),
 		c.ALU, c.TexIssue, c.L2Fill, c.TexFill, c.MemGlobal, c.Export,
-		uint64(int64(res.Bottleneck)),
+		uint64(int64(res.Bottleneck)), uint64(int64(res.GPRWrites)),
 	} {
 		b = le.AppendUint64(b, v)
 	}
@@ -182,7 +183,7 @@ func decodeResult(b []byte) sim.Result {
 			ALU: v[7], TexIssue: v[8], L2Fill: v[9], TexFill: v[10],
 			MemGlobal: v[11], Export: v[12],
 		},
-		Bottleneck: sim.Bottleneck(int64(v[13])),
+		Bottleneck: sim.Bottleneck(int64(v[13])), GPRWrites: int(int64(v[14])),
 	}
 }
 

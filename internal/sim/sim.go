@@ -231,6 +231,7 @@ type Result struct {
 	Seconds      float64 // Cycles at the core clock
 	WavesPerSIMD int     // resident wavefronts (GPR-limited occupancy)
 	GPRs         int     // per-thread register footprint
+	GPRWrites    int     // per-thread register-file writes (isa.Stats.GPRWrites)
 	TotalWaves   int     // wavefronts covering the domain
 	Batches      int     // dispatch batches per SIMD
 	HitRate      float64 // texture L1 hit rate (0 when no texture fetches)
@@ -279,7 +280,7 @@ func Run(cfg Config) (Result, error) {
 		return Result{}, fmt.Errorf("sim: %w", err)
 	}
 
-	res := Result{GPRs: cfg.Prog.GPRCount}
+	res := Result{GPRs: cfg.Prog.GPRCount, GPRWrites: cfg.Prog.Stats().GPRWrites}
 	res.WavesPerSIMD = cfg.Spec.WavefrontsForGPRs(cfg.Prog.GPRCount)
 	if cfg.Ablate.SingleWavefront {
 		res.WavesPerSIMD = 1
