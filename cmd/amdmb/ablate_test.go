@@ -98,3 +98,30 @@ func TestCampaignPlanShowsAblations(t *testing.T) {
 		}
 	}
 }
+
+// TestAblateFailedRowsAreRows: under a watchdog budget no launch meets,
+// a failed ablation row prints as FAILED instead of aborting the run, so
+// fig7 prints beside it, the failure table lists both figures' points
+// (fig7's 320 and the study's 12) and the exit status is the table's.
+func TestAblateFailedRowsAreRows(t *testing.T) {
+	code, out, stderr := runCLI(t, "-iters", "1", "-timeout", "1000", "-max-domain", "16", "fig7", "ablate")
+	if code != 3 {
+		t.Fatalf("exit %d, want 3; stderr: %s", code, stderr)
+	}
+	if !strings.Contains(stderr, "amdmb: 332 point(s) failed") {
+		t.Errorf("stderr does not count 332 failed points: %s", stderr)
+	}
+	failed := regexp.MustCompile(`(?m)^\S.*  FAILED +FAILED +FAILED +- +-\s*$`)
+	if n := len(failed.FindAllString(out, -1)); n != 6 {
+		t.Errorf("%d ablation rows print FAILED, want 6:\n%s", n, out)
+	}
+	table := strings.Index(out, "Failure summary")
+	if !strings.Contains(out, "ALU:Fetch Ratio for 16 Inputs") || table < 0 {
+		t.Fatalf("fig7 or the failure table is missing:\n%s", out)
+	}
+	// The burst-writes row's kernel is the study's own: its base and
+	// ablated launches are both listed.
+	if n := strings.Count(out[table:], `kernel "writelat_o8"`); n != 2 {
+		t.Errorf("failure table lists writelat_o8 %d times, want 2", n)
+	}
+}

@@ -6,7 +6,6 @@ package core
 // contributes to the paper's results.
 
 import (
-	"context"
 	"fmt"
 
 	"amdgpubench/internal/device"
@@ -195,6 +194,9 @@ type AblationResult struct {
 	// GPR counts are unchanged for the suite's chain kernels, because the
 	// linear scan reuses dead input registers.
 	GPRWritesBase, GPRWritesAblated int
+	// Err is the failure of the row's base run, else of its ablated run
+	// (Run.Failure, so errors.Is sees its kind); nil when both ran.
+	Err error
 }
 
 // Ratio returns ablated/baseline time.
@@ -269,8 +271,9 @@ func (s *Suite) AblationSpec() (FigureSpec, error) {
 }
 
 // AblationResults folds the ablation figure's runs, in AblationSpec's
-// point order, into one result per mechanism. A failure record fails
-// the fold with its error, so errors.Is sees its kind.
+// point order, into one result per mechanism. A row whose base or
+// ablated run failed carries that failure in Err; the campaign's failure
+// records list the run itself.
 func AblationResults(runs []Run) ([]AblationResult, error) {
 	if len(runs) != 2*len(ablationRows) {
 		return nil, fmt.Errorf("core: ablation study has %d runs, want %d", len(runs), 2*len(ablationRows))
@@ -278,39 +281,30 @@ func AblationResults(runs []Run) ([]AblationResult, error) {
 	out := make([]AblationResult, len(ablationRows))
 	for i, r := range ablationRows {
 		b, a := runs[2*i], runs[2*i+1]
-		for _, run := range [...]Run{b, a} {
-			if run.Failed() {
-				return nil, fmt.Errorf("core: ablation %s: %w", r.name, run.Failure())
-			}
-		}
 		out[i] = AblationResult{Name: r.name, Baseline: b.Seconds, Ablated: a.Seconds, Opts: r.opts,
 			GPRWritesBase: b.GPRWrites, GPRWritesAblated: a.GPRWrites}
+		if b.Failed() {
+			out[i].Err = b.Failure()
+		} else if a.Failed() {
+			out[i].Err = a.Failure()
+		}
 	}
 	return out, nil
 }
 
-// AblationStudy runs the ablation figure as one sweep and folds its runs;
-// `amdmb ablate` runs the registry figure instead, in its campaign.
-func (s *Suite) AblationStudy() ([]AblationResult, error) {
-	spec, err := s.AblationSpec()
-	if err != nil {
-		return nil, err
-	}
-	runs, err := s.RunKernelPoints(context.Background(), spec.Points, SweepOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return AblationResults(runs)
-}
-
 // AblationTable formats an ablation study. The GPR-write columns show
-// for the compiler ablations only.
+// for the compiler ablations only; a failed row shows FAILED for its
+// timings and "-" for its writes.
 func AblationTable(results []AblationResult) *report.Table {
 	t := &report.Table{
 		Title:  ablationTitle,
 		Header: []string{"mechanism", "baseline s", "ablated s", "slowdown", "GPR writes base", "GPR writes ablated"},
 	}
 	for _, r := range results {
+		if r.Err != nil {
+			t.AddRow(r.Name, "FAILED", "FAILED", "FAILED", "-", "-")
+			continue
+		}
 		gb, ga := "-", "-"
 		if r.Opts != (ilc.Options{}) {
 			gb, ga = fmt.Sprintf("%d", r.GPRWritesBase), fmt.Sprintf("%d", r.GPRWritesAblated)

@@ -68,26 +68,7 @@ type Inferred struct {
 	// the associativity probes threshold between (diagnostics).
 	HotLatency  float64
 	MissLatency float64
-	Probes      int // distinct probe kernels measured
-}
-
-// session wraps a Measurer with memoization and a probe counter, so
-// band references reused across stages cost one simulation.
-type session struct {
-	m    Measurer
-	memo map[Probe]float64
-}
-
-func (s *session) lambda(p Probe) (float64, error) {
-	if v, ok := s.memo[p]; ok {
-		return v, nil
-	}
-	v, err := s.m(p)
-	if err != nil {
-		return 0, err
-	}
-	s.memo[p] = v
-	return v, nil
+	Probes      int // probe measurements made
 }
 
 // Infer recovers the cache model behind a Measurer. The supported
@@ -101,8 +82,11 @@ func Infer(m Measurer, cfg Config) (Inferred, error) {
 	if ways == nil {
 		ways = []int{2, 4, 8, 16}
 	}
-	s := &session{m: m, memo: map[Probe]float64{}}
 	var inf Inferred
+	lambda := func(p Probe) (float64, error) {
+		inf.Probes++
+		return m(p)
+	}
 
 	// --- L1 capacity: dense float ladder, doubling bracket + bisection.
 	// One footprint quantum past capacity overloads a slice of sets by a
@@ -110,7 +94,7 @@ func Infer(m Measurer, cfg Config) (Inferred, error) {
 	// cycles — far above the in-plateau drift, which is downward (the
 	// prologue amortizes away as the fetch count grows).
 	hotProbe := Probe{Type: il.Float, SurfaceBytes: floatQuantum, Surfaces: 2, Rounds: l1Rounds, Batch: 1}
-	hot, err := s.lambda(hotProbe)
+	hot, err := lambda(hotProbe)
 	if err != nil {
 		return inf, err
 	}
@@ -121,7 +105,7 @@ func Infer(m Measurer, cfg Config) (Inferred, error) {
 		if n > maxN {
 			return inf, fmt.Errorf("hier: no L1 capacity knee up to %d bytes", maxL1Bytes)
 		}
-		l, err := s.lambda(denseFloat(n))
+		l, err := lambda(denseFloat(n))
 		if err != nil {
 			return inf, err
 		}
@@ -134,7 +118,7 @@ func Infer(m Measurer, cfg Config) (Inferred, error) {
 	margin := math.Max(2, 0.01*(badL-goodL))
 	for bad-good > 1 {
 		mid := (good + bad) / 2
-		l, err := s.lambda(denseFloat(mid))
+		l, err := lambda(denseFloat(mid))
 		if err != nil {
 			return inf, err
 		}
@@ -150,7 +134,7 @@ func Infer(m Measurer, cfg Config) (Inferred, error) {
 	// within L2 (the geometry precondition L2 >= 4x L1 guarantees room),
 	// so it is the L1-miss/L2-hit band, polluted only by L2 fill.
 	nThrash := 2*inf.L1Bytes/floatQuantum + 2
-	miss, err := s.lambda(denseFloat(nThrash))
+	miss, err := lambda(denseFloat(nThrash))
 	if err != nil {
 		return inf, err
 	}
@@ -172,7 +156,7 @@ func Infer(m Measurer, cfg Config) (Inferred, error) {
 		if gap < floatQuantum || gap%floatQuantum != 0 {
 			continue // w larger than the geometry admits; cannot be the answer
 		}
-		l, err := s.lambda(Probe{Type: il.Float, SurfaceBytes: gap, Surfaces: w + 1, Rounds: l1Rounds, Batch: 1})
+		l, err := lambda(Probe{Type: il.Float, SurfaceBytes: gap, Surfaces: w + 1, Rounds: l1Rounds, Batch: 1})
 		if err != nil {
 			return inf, err
 		}
@@ -193,16 +177,16 @@ func Infer(m Measurer, cfg Config) (Inferred, error) {
 	// per 1 KiB quantum — which only the line size sets.
 	pLo := Probe{Type: il.Float4, SurfaceBytes: float4Quantum, Surfaces: 2, Rounds: lineRoundsLo, Batch: 1}
 	pHi := Probe{Type: il.Float4, SurfaceBytes: float4Quantum, Surfaces: 2, Rounds: lineRoundsHi, Batch: 1}
-	lLo, err := s.lambda(pLo)
+	lLo, err := lambda(pLo)
 	if err != nil {
 		return inf, err
 	}
-	lHi, err := s.lambda(pHi)
+	lHi, err := lambda(pHi)
 	if err != nil {
 		return inf, err
 	}
 	nLine := 2*inf.L1Bytes/float4Quantum + 2
-	lThrash, err := s.lambda(Probe{Type: il.Float4, SurfaceBytes: float4Quantum, Surfaces: nLine, Rounds: lineRoundsLo, Batch: 1})
+	lThrash, err := lambda(Probe{Type: il.Float4, SurfaceBytes: float4Quantum, Surfaces: nLine, Rounds: lineRoundsLo, Batch: 1})
 	if err != nil {
 		return inf, err
 	}
@@ -231,7 +215,7 @@ func Infer(m Measurer, cfg Config) (Inferred, error) {
 	if n0 < chunkQ {
 		n0 = chunkQ
 	}
-	baseL, err := s.lambda(denseFloat4(n0))
+	baseL, err := lambda(denseFloat4(n0))
 	if err != nil {
 		return inf, err
 	}
@@ -243,7 +227,7 @@ func Infer(m Measurer, cfg Config) (Inferred, error) {
 		if nq > maxQ {
 			return inf, fmt.Errorf("hier: no L2 capacity knee up to %d bytes", maxL2Bytes)
 		}
-		l, err := s.lambda(denseFloat4(nq))
+		l, err := lambda(denseFloat4(nq))
 		if err != nil {
 			return inf, err
 		}
@@ -256,7 +240,7 @@ func Infer(m Measurer, cfg Config) (Inferred, error) {
 	midThresh := (goodL + badL) / 2
 	for bad-good > chunkQ {
 		mid := good + (bad-good)/2/chunkQ*chunkQ
-		l, err := s.lambda(denseFloat4(mid))
+		l, err := lambda(denseFloat4(mid))
 		if err != nil {
 			return inf, err
 		}
@@ -273,12 +257,12 @@ func Infer(m Measurer, cfg Config) (Inferred, error) {
 	// (K > L1 ways), so the only moving part is whether K lines fit in
 	// an L2 set — the first K that spills to DRAM is ways+1.
 	kRef := 2 * inf.L1Ways
-	ref, err := s.lambda(l2Gap(inf.L2Bytes, kRef))
+	ref, err := lambda(l2Gap(inf.L2Bytes, kRef))
 	if err != nil {
 		return inf, err
 	}
 	for k := kRef + 1; k <= 17; k++ {
-		l, err := s.lambda(l2Gap(inf.L2Bytes, k))
+		l, err := lambda(l2Gap(inf.L2Bytes, k))
 		if err != nil {
 			return inf, err
 		}
@@ -293,12 +277,11 @@ func Infer(m Measurer, cfg Config) (Inferred, error) {
 
 	// --- Miss latency delta: the thrashed float band minus the
 	// zero-cold-miss extrapolation of the hot float band.
-	hot2, err := s.lambda(Probe{Type: il.Float, SurfaceBytes: floatQuantum, Surfaces: 2, Rounds: hotRounds, Batch: 1})
+	hot2, err := lambda(Probe{Type: il.Float, SurfaceBytes: floatQuantum, Surfaces: 2, Rounds: hotRounds, Batch: 1})
 	if err != nil {
 		return inf, err
 	}
 	inf.MissDelta = miss - (2*hot2 - hot)
-	inf.Probes = len(s.memo)
 	return inf, nil
 }
 

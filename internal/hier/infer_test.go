@@ -211,3 +211,39 @@ func TestSuiteMeasurerKeepsTimeoutKind(t *testing.T) {
 		t.Errorf("measurer error %q lost its probe or failure text", err)
 	}
 }
+
+// TestSimulateStoreIsInferencesOnlyDedup: Infer keeps no memo of its
+// own, and needs none. Its schedule repeats no probe, so a first run
+// simulates each one once; a second run on the same suite launches every
+// probe again and the simulate store serves them all, with the first
+// run's result.
+func TestSimulateStoreIsInferencesOnlyDedup(t *testing.T) {
+	s := inferSuite()
+	spec := device.Lookup(device.RV770)
+	counts := func() (misses, launches int64) {
+		snap := s.Metrics().Snapshot()
+		return snap.Get("pipeline.simulate.misses"), snap.Get("cal.launches")
+	}
+	first, err := Infer(SuiteMeasurer(s, spec), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	misses, launches := counts()
+	if misses != int64(first.Probes) {
+		t.Errorf("first run simulated %d probes, measured %d", misses, first.Probes)
+	}
+	again, err := Infer(SuiteMeasurer(s, spec), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	misses2, launches2 := counts()
+	if d := misses2 - misses; d != 0 {
+		t.Errorf("second run added %d simulate misses, want 0", d)
+	}
+	if d := launches2 - launches; d != int64(again.Probes) {
+		t.Errorf("second run added %d launches, want one per probe (%d)", d, again.Probes)
+	}
+	if again != first {
+		t.Errorf("second run inferred %+v, first %+v", again, first)
+	}
+}

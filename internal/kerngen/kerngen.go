@@ -247,12 +247,9 @@ func PrepareWriteLatency(p Params) (Prepared, error) {
 	return PrepareGeneric(p)
 }
 
-// Domain builds the Section III-D kernel: eight inputs, one output and an
-// ALU:Fetch ratio of 10, so the ALU operations are the bottleneck while
-// the domain size sweeps.
-func Domain(p Params) (*il.Kernel, error) { return build(PrepareDomain(p)) }
-
-// PrepareDomain is Domain's prepare step.
+// PrepareDomain prepares the Section III-D kernel: eight inputs, one
+// output and an ALU:Fetch ratio of 10, so the ALU operations are the
+// bottleneck while the domain size sweeps.
 func PrepareDomain(p Params) (Prepared, error) {
 	if p.Inputs == 0 {
 		p.Inputs = 8
@@ -275,15 +272,12 @@ func RegisterUsage(p Params) (*il.Kernel, error) { return build(PrepareRegisterU
 // PrepareRegisterUsage is RegisterUsage's prepare step.
 func PrepareRegisterUsage(p Params) (Prepared, error) { return prepareGrouped(p, false) }
 
-// ClauseUsage builds the Fig. 5 control kernel: identical ALU structure to
-// RegisterUsage — the same inputs folded in at the same chain positions —
-// but with every input sampled at the beginning, so register pressure
-// stays at its maximum for any step value. The paper used it to show the
-// register-usage gains do not come from fetch-latency hiding or from
-// moving ALU work across clauses.
-func ClauseUsage(p Params) (*il.Kernel, error) { return build(PrepareClauseUsage(p)) }
-
-// PrepareClauseUsage is ClauseUsage's prepare step.
+// PrepareClauseUsage prepares the Fig. 5 control kernel: identical ALU
+// structure to RegisterUsage — the same inputs folded in at the same
+// chain positions — but with every input sampled at the beginning, so
+// register pressure stays at its maximum for any step value. The paper
+// used it to show the register-usage gains do not come from
+// fetch-latency hiding or from moving ALU work across clauses.
 func PrepareClauseUsage(p Params) (Prepared, error) { return prepareGrouped(p, true) }
 
 func prepareGrouped(p Params, upfront bool) (Prepared, error) {
@@ -305,9 +299,9 @@ func prepareGrouped(p Params, upfront bool) (Prepared, error) {
 	return Prepared{Params: p, body: b}, nil
 }
 
-// grouped is the one body of RegisterUsage and ClauseUsage: an initial
-// group of inputs folded and padded to one ALU block, then `step` groups
-// of `space` inputs, each folded in before its own block. The only switch
+// grouped is the one body of RegisterUsage and its Fig. 5 control: an
+// initial group of inputs folded and padded to one ALU block, then `step`
+// groups of `space` inputs, each folded in before its own block. The only switch
 // is where a later group is sampled: just before its fold (Fig. 6), or
 // up front with the initial group (upfront, the Fig. 5 control). Input i
 // is always sampled into register i from resource i, so the two kernels

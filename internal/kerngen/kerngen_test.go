@@ -148,7 +148,7 @@ func TestWriteLatencyConstantRegisters(t *testing.T) {
 
 func TestDomainKernelShape(t *testing.T) {
 	p := pixelParams(0)
-	k, err := Domain(p)
+	k, err := build(PrepareDomain(p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestClauseUsageConstantGPRs(t *testing.T) {
 		p.ALUFetchRatio = 4.0
 		p.Space = 8
 		p.Step = step
-		k, err := ClauseUsage(p)
+		k, err := build(PrepareClauseUsage(p))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,7 +256,7 @@ func TestRegisterUsageValidation(t *testing.T) {
 	for _, g := range []struct {
 		name string
 		gen  func(Params) (*il.Kernel, error)
-	}{{"register-usage", RegisterUsage}, {"clause-usage", ClauseUsage}} {
+	}{{"register-usage", RegisterUsage}, {"clause-usage", func(p Params) (*il.Kernel, error) { return build(PrepareClauseUsage(p)) }}} {
 		p := pixelParams(16)
 		p.Space = 8
 		p.Step = 2 // leaves 0 initial inputs
@@ -307,7 +307,7 @@ func TestClauseUsageIsRegisterUsageWithFetchesUpFront(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ctl, err := ClauseUsage(p)
+				ctl, err := build(PrepareClauseUsage(p))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -371,7 +371,7 @@ func TestGeneratedKernelsComputeCorrectSums(t *testing.T) {
 		p.Outputs = 5
 		return WriteLatency(p)
 	})
-	mk("domain", func() (*il.Kernel, error) { return Domain(pixelParams(8)) })
+	mk("domain", func() (*il.Kernel, error) { return build(PrepareDomain(pixelParams(8))) })
 	mk("regusage", func() (*il.Kernel, error) {
 		p := pixelParams(64)
 		p.ALUFetchRatio = 4
@@ -384,7 +384,7 @@ func TestGeneratedKernelsComputeCorrectSums(t *testing.T) {
 		p.ALUFetchRatio = 4
 		p.Space = 8
 		p.Step = 6
-		return ClauseUsage(p)
+		return build(PrepareClauseUsage(p))
 	})
 }
 

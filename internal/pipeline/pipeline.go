@@ -9,8 +9,9 @@
 //	Simulate (sim)      program + replay  -> timing result
 //
 // Generate, Compile, Replay and Simulate artifacts are memoized in
-// bounded LRU stores keyed by content: generated kernels by (generator,
-// params); compile artifacts by the kernel's identity (il.Sealed.ID: a
+// bounded LRU stores keyed by content: generated kernels' deferred seals
+// by (generator, params), each seal building its code at most once;
+// compile artifacts by the kernel's identity (il.Sealed.ID: a
 // generated kernel's source digest, any other kernel's structural hash)
 // plus the device architecture, its clause limits and the compiler
 // options; replay artifacts by the fetch
@@ -75,14 +76,14 @@ type Options struct {
 	PersistDir string
 }
 
-// Entry bounds per LRU store; the seal memo shares the generate store's.
+// Entry bounds per LRU store.
 // The replay-family store keeps the deepest resumable replay cursor per
 // trace-prefix family, cloned to seed later points of a dense input
 // sweep. Each of its entries holds three cache models (the L2's tag
 // array dominates: 16KB on RV670, 32KB on RV770) and a line-run table of
 // up to 16KB, so its bound of 64 caps snapshot state at a few MB.
 const (
-	defaultGenerateEntries       = 4096
+	defaultSealEntries           = 4096
 	defaultCompileEntries        = 4096
 	defaultReplayEntries         = 1024
 	defaultSimulateEntries       = 8192
@@ -96,7 +97,6 @@ type Pipeline struct {
 	metrics  *obs.Registry
 
 	seals    *store[generateKey, *il.Sealed]
-	generate *store[generateKey, *il.Kernel]
 	compile  *store[compileKey, *isa.Program]
 	replay   *store[replayKey, cache.TraceStats]
 	simulate *store[simulateKey, sim.Result]
@@ -108,8 +108,11 @@ type Pipeline struct {
 	prefix    prefixCounters
 
 	// The Trace stage is a pure derivation with nothing worth storing;
-	// it keeps plain counters. simBypassed counts Simulate computations
+	// it keeps plain counters, and so do the builds of deferred seals,
+	// which their seals memoize. simBypassed counts Simulate computations
 	// that skipped the store (fault-injected or memoization off).
+	builds      *obs.Counter
+	buildNS     *obs.Counter
 	traceCount  *obs.Counter
 	traceNS     *obs.Counter
 	simBypassed *obs.Counter
@@ -122,13 +125,14 @@ func New(opts Options) *Pipeline {
 	p := &Pipeline{
 		disabled:    opts.Disabled,
 		metrics:     reg,
+		builds:      reg.Counter("pipeline.generate.misses"),
+		buildNS:     reg.Counter("pipeline.generate.compute_ns"),
 		traceCount:  reg.Counter("pipeline.trace.derivations"),
 		traceNS:     reg.Counter("pipeline.trace.compute_ns"),
 		simBypassed: reg.Counter("pipeline.simulate.bypassed"),
 		simBypassNS: reg.Counter("pipeline.simulate.bypass_ns"),
 	}
-	p.seals = newStore[generateKey, *il.Sealed]("seal", reg, defaultGenerateEntries, opts.Disabled)
-	p.generate = newStore[generateKey, *il.Kernel]("generate", reg, defaultGenerateEntries, opts.Disabled)
+	p.seals = newStore[generateKey, *il.Sealed]("seal", reg, defaultSealEntries, opts.Disabled)
 	p.compile = newStore[compileKey, *isa.Program]("compile", reg, defaultCompileEntries, opts.Disabled)
 	p.replay = newStore[replayKey, cache.TraceStats]("replay", reg, defaultReplayEntries, opts.Disabled)
 	p.snapshots = newStore[replayKey, *prefixSlot]("replay-family", reg, defaultReplaySnapshotEntries, opts.Disabled)
@@ -191,10 +195,10 @@ type generateKey struct {
 // deferred seal, without building it. The parameters are checked and
 // defaulted here, so a bad one fails now, with the generator's error;
 // the code is built on first need (a compile-store miss, functional
-// execution, the content hash), once per pipeline, through the generate
-// store. The seal's identity is sourceID of the settled parameters, so
-// a launch served from the simulate store or the persistent tier builds
-// no kernel at all. Seals are memoized on (generator, params): every
+// execution, the content hash), once per seal, and counted as
+// pipeline.generate.misses. The seal's identity is sourceID of the
+// settled parameters, so a launch served from the simulate store or the
+// persistent tier builds no kernel at all. Seals are memoized on (generator, params): every
 // point of a sweep that asks for one kernel shares one seal.
 func (p *Pipeline) Generate(g Generator, params kerngen.Params) (*il.Sealed, error) {
 	prepare, err := g.fn()
@@ -208,7 +212,11 @@ func (p *Pipeline) Generate(g Generator, params kerngen.Params) (*il.Sealed, err
 			return nil, err
 		}
 		return il.SealDeferred(sourceID(g, pr.Params), pr.Params.Name, pr.Params.Mode, func() (*il.Kernel, error) {
-			return p.generate.get(key, pr.Build)
+			start := time.Now()
+			k, err := pr.Build()
+			p.buildNS.Add(time.Since(start).Nanoseconds())
+			p.builds.Add(1)
+			return k, err
 		}), nil
 	})
 }
@@ -490,13 +498,12 @@ func (p *Pipeline) launch(sp obs.Span, src compileKey, k *il.Sealed, cfg sim.Con
 
 // HitRate is the fraction of artifact lookups, over every stage, served
 // without computing: hits and coalesced waits over all lookups, each
-// trace derivation counting as a miss. It is the cache hit rate the live
-// sweep progress line reports.
+// trace derivation and kernel build counting as a miss. It is the cache
+// hit rate the live sweep progress line reports.
 func (p *Pipeline) HitRate() float64 {
-	hits, total := int64(0), p.traceCount.Load()
+	hits, total := int64(0), p.traceCount.Load()+p.builds.Load()
 	for _, c := range [][3]*obs.Counter{
 		{p.seals.hits, p.seals.coalesced, p.seals.misses},
-		{p.generate.hits, p.generate.coalesced, p.generate.misses},
 		{p.compile.hits, p.compile.coalesced, p.compile.misses},
 		{p.replay.hits, p.replay.coalesced, p.replay.misses},
 		{p.prefix.hits, nil, p.prefix.misses}, // a replay never waits on another

@@ -81,7 +81,7 @@ func TestGenerateMemoized(t *testing.T) {
 		t.Errorf("seal counters = %d hits / %d misses, want 1/1", h, m)
 	}
 	// Generate builds nothing; the first use of the code builds it once.
-	if m := p.generate.misses.Load(); m != 0 || k1.Built() {
+	if m := p.builds.Load(); m != 0 || k1.Built() {
 		t.Errorf("Generate built the kernel (generate.misses = %d)", m)
 	}
 	if _, err := k1.Kernel(); err != nil {
@@ -90,8 +90,8 @@ func TestGenerateMemoized(t *testing.T) {
 	if _, err := k2.Kernel(); err != nil {
 		t.Fatal(err)
 	}
-	if h, m := p.generate.hits.Load(), p.generate.misses.Load(); h != 0 || m != 1 {
-		t.Errorf("generate counters = %d hits / %d misses, want 0/1", h, m)
+	if m := p.builds.Load(); m != 1 {
+		t.Errorf("generate.misses = %d, want 1 build", m)
 	}
 	// A different generator over the same params is a different artifact.
 	k3, err := p.Generate(GenReadLatency, testParams())

@@ -117,7 +117,7 @@ func TestDeferredSealBuildsOnce(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if m := p.generate.misses.Load(); m != 1 {
+	if m := p.builds.Load(); m != 1 {
 		t.Errorf("generate.misses = %d, want 1 build", m)
 	}
 	for g, k := range kernels {
