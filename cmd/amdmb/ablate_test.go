@@ -124,4 +124,15 @@ func TestAblateFailedRowsAreRows(t *testing.T) {
 	if n := strings.Count(out[table:], `kernel "writelat_o8"`); n != 2 {
 		t.Errorf("failure table lists writelat_o8 %d times, want 2", n)
 	}
+	// Each record names its mechanism, so rows on one card stay apart.
+	for _, mech := range []string{
+		"clause switching (latency hiding)", "burst writes", "tiled texture layout",
+		"PV forwarding", "clause temporaries", "all forwarding (PV + temps)",
+	} {
+		for _, x := range []string{"0", "1"} {
+			if !strings.Contains(out[table:], mech+" at x="+x+": ") {
+				t.Errorf("failure table has no record for %s at x=%s", mech, x)
+			}
+		}
+	}
 }

@@ -155,7 +155,9 @@ func runCampaignCmd(argv []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	res, err := plan.RunCtx(context.Background(), s, campaign.RunOptions{Shard: shard, Shards: shards})
+	opts := c.runOptions()
+	opts.Shard, opts.Shards = shard, shards
+	res, err := plan.RunCtx(context.Background(), s, opts)
 	if err != nil {
 		fmt.Fprintf(stderr, "amdmb campaign: %v\n", err)
 		return 1

@@ -98,19 +98,16 @@ func selectArchs(archs string) ([]device.Spec, error) {
 	if archs == "" {
 		return device.All(), nil
 	}
-	var out []device.Spec
-	for _, name := range strings.Split(archs, ",") {
-		if strings.TrimSpace(name) == "" {
-			continue
-		}
-		a, err := device.ParseArch(name)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, device.Lookup(a))
+	as, err := device.ParseArchs(strings.Split(archs, ","))
+	if err != nil {
+		return nil, err
 	}
-	if len(out) == 0 {
+	if len(as) == 0 {
 		return nil, fmt.Errorf("-archs lists no devices")
+	}
+	out := make([]device.Spec, len(as))
+	for i, a := range as {
+		out[i] = device.Lookup(a)
 	}
 	return out, nil
 }

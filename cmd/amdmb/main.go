@@ -58,9 +58,9 @@
 //	                   from dir before computing and write through, so an
 //	                   interrupted run resumes and repeat runs (and daemon
 //	                   restarts) replay instead of recompute
-//	-trace file        record per-launch spans (with the pipeline stages nested
-//	                   inside) as Chrome trace_event JSON; open in Perfetto or
-//	                   chrome://tracing
+//	-trace file        record a span per sweep point holding its launches, with
+//	                   the pipeline stages nested inside, as Chrome
+//	                   trace_event JSON; open in Perfetto or chrome://tracing
 //	-metrics           print the suite's metrics registry (cache, fault, retry
 //	                   and sweep counters plus latency histograms) as a table
 //	-metrics-json      like -metrics but as JSON (implies -metrics)
@@ -77,6 +77,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -308,9 +309,6 @@ func (c *cli) newSuite() (*core.Suite, error) {
 	if c.tracePath != "" {
 		s.Tracer = obs.NewTracer()
 	}
-	if c.progress {
-		s.Progress = c.errOut
-	}
 	if c.faults != "" {
 		plan, err := fault.Parse(c.faults)
 		if err != nil {
@@ -319,6 +317,15 @@ func (c *cli) newSuite() (*core.Suite, error) {
 		s.Faults = plan
 	}
 	return s, nil
+}
+
+// runOptions is the campaign run the flags describe: -progress renders
+// on stderr.
+func (c *cli) runOptions() (opts campaign.RunOptions) {
+	if c.progress {
+		opts.ProgressOut = c.errOut
+	}
+	return opts
 }
 
 // plan resolves the named figures on s, restricted to archs when any
@@ -471,7 +478,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "amdmb: %v\n", err)
 			return 1
 		}
-		res, err := plan.Run(s)
+		res, err := plan.RunCtx(context.Background(), s, c.runOptions())
 		if err != nil {
 			fmt.Fprintf(stderr, "amdmb: %v\n", err)
 			return 1

@@ -218,10 +218,11 @@ func TestTraceFlagWritesNestedSpans(t *testing.T) {
 		t.Fatal("trace has no launch spans")
 	}
 	// Every pipeline stage must appear and nest inside its parent on the
-	// same track: simulate inside a launch, and the miss-path stages —
-	// compile, trace, replay — inside a simulate span.
+	// same track: a launch inside its point's unit, simulate inside a
+	// launch, and the miss-path stages — compile, trace, replay — inside a
+	// simulate span.
 	for stage, parent := range map[string]string{
-		"simulate": "launch", "compile": "simulate", "trace": "simulate", "replay": "simulate",
+		"launch": "unit", "simulate": "launch", "compile": "simulate", "trace": "simulate", "replay": "simulate",
 	} {
 		spans := byName[stage]
 		if len(spans) == 0 {
@@ -272,6 +273,33 @@ func TestProgressFlagRendersOnStderr(t *testing.T) {
 		if !strings.Contains(stderr, want) {
 			t.Errorf("-progress stderr missing %q: %q", want, stderr)
 		}
+	}
+}
+
+// TestCampaignProgressMatchesMain: both commands run their figures as one
+// campaign, so `campaign -progress` ends on the same line as the main
+// command's.
+func TestCampaignProgressMatchesMain(t *testing.T) {
+	final := func(args ...string) string {
+		t.Helper()
+		code, _, stderr := runCLI(t, args...)
+		if code != 0 {
+			t.Fatalf("%v: exit %d, stderr: %s", args, code, stderr)
+		}
+		i := strings.LastIndex(stderr, "\rsweep: ")
+		if i < 0 {
+			t.Fatalf("%v: no progress line on stderr: %q", args, stderr)
+		}
+		line, _, _ := strings.Cut(stderr[i+1:], "\n")
+		return line
+	}
+	main := final("-iters", "1", "-progress", "fig13")
+	camp := final("campaign", "-iters", "1", "-progress", "-figs", "fig13")
+	if !strings.HasPrefix(main, "sweep: 48/48 points (100%), cache hit ") {
+		t.Errorf("final progress line %q", main)
+	}
+	if camp != main {
+		t.Errorf("campaign -progress ends on %q, main command on %q", camp, main)
 	}
 }
 

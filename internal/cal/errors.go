@@ -62,10 +62,3 @@ func (e *LaunchError) Unwrap() error { return e.Kind }
 
 // IsTransient reports whether the error is worth retrying.
 func IsTransient(err error) bool { return errors.Is(err, ErrLaunchTransient) }
-
-// IsRecoverable reports whether a sweep can record the failure and
-// continue: timeouts and transients are per-point problems; anything
-// else (a lost device, a compile or configuration error) is fatal.
-func IsRecoverable(err error) bool {
-	return errors.Is(err, ErrKernelTimeout) || errors.Is(err, ErrLaunchTransient)
-}

@@ -34,8 +34,8 @@ func TestLaunchTransientFault(t *testing.T) {
 	if !errors.Is(err, ErrLaunchTransient) {
 		t.Fatalf("want ErrLaunchTransient, got %v", err)
 	}
-	if !IsTransient(err) || !IsRecoverable(err) {
-		t.Fatal("transient should be retryable and recoverable")
+	if !IsTransient(err) {
+		t.Fatal("transient should be retryable")
 	}
 	var le *LaunchError
 	if !errors.As(err, &le) || le.Arch != device.RV770 {
@@ -53,9 +53,6 @@ func TestLaunchHangBecomesKernelTimeout(t *testing.T) {
 	}
 	if IsTransient(err) {
 		t.Fatal("timeout must not be classified transient")
-	}
-	if !IsRecoverable(err) {
-		t.Fatal("timeout should be recoverable at sweep level")
 	}
 	var le *LaunchError
 	if !errors.As(err, &le) {
@@ -75,8 +72,8 @@ func TestLaunchDeviceLostIsFatal(t *testing.T) {
 	if !errors.Is(err, ErrDeviceLost) {
 		t.Fatalf("want ErrDeviceLost, got %v", err)
 	}
-	if IsRecoverable(err) {
-		t.Fatal("device loss must be fatal")
+	if IsTransient(err) {
+		t.Fatal("device loss must not be retried")
 	}
 }
 

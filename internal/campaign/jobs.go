@@ -216,9 +216,12 @@ func (js *Jobs) Submit(req Request) (*Job, error) {
 func (js *Jobs) run(ctx context.Context, j *Job) {
 	defer close(j.done)
 	defer js.running.Add(-1)
-	res, err := j.plan.RunCtx(ctx, js.suite, RunOptions{Progress: func(executed, failed int) {
+	res, err := j.plan.RunCtx(ctx, js.suite, RunOptions{Observe: func(r core.Run) {
 		j.mu.Lock()
-		j.executed, j.failedU = executed, failed
+		j.executed++
+		if r.Failed() {
+			j.failedU++
+		}
 		j.mu.Unlock()
 	}})
 	j.mu.Lock()

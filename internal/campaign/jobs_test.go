@@ -125,6 +125,36 @@ func TestJobsConcurrentSharedSuite(t *testing.T) {
 	}
 }
 
+// TestJobsCountFailedUnits: a job counts its units in the run's
+// per-unit hook, so once done its counts agree with the run's own
+// result: every unit executed, and as many failed as it records.
+func TestJobsCountFailedUnits(t *testing.T) {
+	const deadline = 16000 // fails some of fig13's 16x16 points, not all
+	s := jobSuite()
+	s.DeadlineCycles = deadline
+	j, err := testJobs(s).Submit(Request{Figs: []string{"fig13"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := waitJob(t, j)
+	if st.State != JobDone {
+		t.Fatalf("job state %q (error %q), want done", st.State, st.Error)
+	}
+	ref := jobSuite()
+	ref.DeadlineCycles = deadline
+	res, err := mustPlan(t, ref, Options{MaxDomain: 16}, "fig13").Run(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(res.Failures); n == 0 || n == res.Executed {
+		t.Fatalf("the deadline fails %d of %d units; want some, not all", n, res.Executed)
+	}
+	if st.FailedUnits != len(res.Failures) || st.Executed != st.Units {
+		t.Errorf("job counts executed=%d failed=%d of %d units; the run records %d failures",
+			st.Executed, st.FailedUnits, st.Units, len(res.Failures))
+	}
+}
+
 // TestJobsCancel gates the first kernel launch, cancels the job while
 // it is blocked there, and checks the job settles to cancelled — not
 // failed — without touching the registry's other accounting.

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -213,19 +214,19 @@ func Resolve(s *core.Suite, figs, archs []string) ([]Spec, error) {
 	if len(names) == 0 {
 		return nil, badRequest("campaign: request names no figures")
 	}
-	keep, err := parseArchs(archs)
+	keep, err := device.ParseArchs(archs)
 	if err != nil {
-		return nil, err
+		return nil, badRequest("campaign: %v", err)
 	}
 	specs, err := Specs(s, names)
-	if err != nil || keep == nil {
+	if err != nil || len(keep) == 0 {
 		return specs, err
 	}
 	for i := range specs {
 		pts := specs[i].Figure.Points
 		kept := pts[:0:0]
 		for _, pt := range pts {
-			if keep[pt.Card.Arch] {
+			if slices.Contains(keep, pt.Card.Arch) {
 				kept = append(kept, pt)
 			}
 		}
@@ -235,24 +236,4 @@ func Resolve(s *core.Suite, figs, archs []string) ([]Spec, error) {
 		specs[i].Figure.Points = kept
 	}
 	return specs, nil
-}
-
-// parseArchs resolves arch names against the device table; naming no
-// arch means no filter (a nil set).
-func parseArchs(names []string) (map[device.Arch]bool, error) {
-	var set map[device.Arch]bool
-	for _, name := range names {
-		if strings.TrimSpace(name) == "" {
-			continue
-		}
-		a, err := device.ParseArch(name)
-		if err != nil {
-			return nil, badRequest("campaign: %v", err)
-		}
-		if set == nil {
-			set = make(map[device.Arch]bool)
-		}
-		set[a] = true
-	}
-	return set, nil
 }

@@ -3,8 +3,8 @@ package campaign
 import (
 	"context"
 	"fmt"
+	"io"
 	"strconv"
-	"sync/atomic"
 
 	"amdgpubench/internal/core"
 	"amdgpubench/internal/obs"
@@ -26,8 +26,9 @@ import (
 type Result struct {
 	Figures []*report.Figure
 	Runs    [][]core.Run
-	// Executed counts units that ran this invocation: every unit when
-	// unsharded, the shard's interleaved slice otherwise.
+	// Executed counts the units this invocation ran: every unit when
+	// unsharded, the shard's interleaved slice otherwise. A run that
+	// returns no error resolved, and observed, every one of them.
 	Executed int
 	// Failures are the executed units that resolved to failure records,
 	// in unit order: the run's one record of the points it completed
@@ -41,10 +42,16 @@ func (r *Result) Failed() int { return len(r.Failures) }
 // RunOptions tunes one RunCtx invocation. The zero value runs the whole
 // campaign unobserved.
 type RunOptions struct {
-	// Progress, when non-nil, is called from worker goroutines after each
-	// executed unit resolves, with the cumulative executed and failed
-	// unit counts — it must be safe for concurrent calls.
-	Progress func(executed, failed int)
+	// Observe, when non-nil, is called once per executed unit as it
+	// resolves (core.SweepOptions.Observe), from worker goroutines, so it
+	// must be safe for concurrent calls. The daemon's jobs count their
+	// executed and failed units in it.
+	Observe func(core.Run)
+	// ProgressOut, when non-nil, receives a live single-line progress
+	// report over the units this invocation executes (done/total,
+	// failures, cache hit rate, ETA; `amdmb -progress`), rendered from
+	// the same per-unit hook.
+	ProgressOut io.Writer
 	// Shard and Shards run one shard of the plan: RunCtx sweeps only the
 	// units with index i%Shards == Shard. Shards combine through the
 	// suite's persistent tier: shard processes sharing one PersistDir
@@ -104,26 +111,14 @@ func (p *Plan) RunCtx(ctx context.Context, s *core.Suite, opts RunOptions) (*Res
 	}
 	defer root.End()
 
-	// The observe hook runs on worker goroutines: it updates only atomics
-	// and the concurrency-safe tracer, so no extra locking here. The
-	// Enabled guard keeps an untraced run free of the label formatting.
-	var executed, failedUnits atomic.Int64
-	observe := func(i int) func(core.Run) {
-		executed.Add(1)
-		var sp obs.Span
-		if s.Tracer.Enabled() {
-			u := &units[i]
-			sp = s.Tracer.Begin("unit").Cat("campaign").
-				Arg("kernel", u.K.Name).
-				Arg("card", u.Card.Label())
-		}
-		return func(run core.Run) {
-			if run.Failed() {
-				failedUnits.Add(1)
-			}
-			sp.End()
-			if opts.Progress != nil {
-				opts.Progress(int(executed.Load()), int(failedUnits.Load()))
+	observe := opts.Observe
+	if opts.ProgressOut != nil {
+		prog := obs.NewProgress(opts.ProgressOut, "sweep", len(units))
+		defer prog.Finish()
+		observe = func(r core.Run) {
+			prog.Point(r.Failed(), s.Pipeline().HitRate())
+			if opts.Observe != nil {
+				opts.Observe(r)
 			}
 		}
 	}
@@ -133,7 +128,7 @@ func (p *Plan) RunCtx(ctx context.Context, s *core.Suite, opts RunOptions) (*Res
 		return nil, err
 	}
 
-	res := &Result{Executed: int(executed.Load())}
+	res := &Result{Executed: len(units)}
 	for _, r := range runs {
 		if r.Failed() {
 			res.Failures = append(res.Failures, r)

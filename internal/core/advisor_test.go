@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -99,7 +100,7 @@ func TestAdviseEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := s.runKernelSafe(KernelPoint{Card: card, K: il.Seal(k), W: 1024, H: 1024}, 0)
+	run, err := s.runPointResilient(context.Background(), KernelPoint{Card: card, K: il.Seal(k), W: 1024, H: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestAdviseEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	wcard := Card{Arch: device.RV770, Mode: il.Pixel, Type: il.Float4}
-	wrun, err := s.runKernelSafe(KernelPoint{Card: wcard, K: il.Seal(wk), W: 1024, H: 1024}, 0)
+	wrun, err := s.runPointResilient(context.Background(), KernelPoint{Card: wcard, K: il.Seal(wk), W: 1024, H: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}

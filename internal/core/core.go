@@ -19,7 +19,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -140,15 +139,12 @@ type Suite struct {
 	// served from disk are bit-identical to recomputation. Set it before
 	// the first sweep; DisableArtifactCache turns it off too.
 	PersistDir string
-	// Tracer, when non-nil, records one span per kernel launch with the
-	// pipeline stages (generate/compile/trace/replay/simulate) nested
-	// inside it, exported as Chrome trace_event JSON (`amdmb -trace`). A
-	// nil Tracer costs one pointer comparison per launch.
+	// Tracer, when non-nil, records one unit span per sweep point,
+	// holding one launch span per attempt with the pipeline stages
+	// (generate/compile/trace/replay/simulate) nested inside it, exported
+	// as Chrome trace_event JSON (`amdmb -trace`). A nil Tracer costs one
+	// pointer comparison per launch.
 	Tracer *obs.Tracer
-	// Progress, when non-nil, receives a live single-line sweep progress
-	// report (points done/total, failures, cache hit rate, ETA) during
-	// every sweep (`amdmb -progress`).
-	Progress io.Writer
 	// BeforeLaunch, when non-nil, runs before every kernel launch (every
 	// attempt, every worker) with the point and its attempt index
 	// (0-based). The soak campaigns use it to cancel a sweep at a

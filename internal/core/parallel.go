@@ -97,13 +97,12 @@ func (p KernelPoint) spec() device.Spec {
 // SweepOptions tunes one RunKernelPoints sweep. The zero value runs the
 // whole sweep unobserved.
 type SweepOptions struct {
-	// Observe, when non-nil, is called on the worker goroutine just
-	// before point i's first launch attempt; the function it returns is
-	// called right after the point resolves (completed or failure
-	// record). The campaign scheduler uses the hook for per-unit spans
-	// and counters without a second accounting path inside the sweep
-	// runner.
-	Observe func(i int) func(Run)
+	// Observe, when non-nil, is called once per resolved point (a
+	// completed run or a failure record), on the worker goroutine that
+	// resolved it, so it must be safe for concurrent calls. A point the
+	// sweep abandons is never observed. It is the sweep's one per-point
+	// hook: the campaign counts and renders progress from it.
+	Observe func(Run)
 }
 
 // RunKernelPoints is the suite's one sweep entry point: it times every
@@ -120,6 +119,9 @@ type SweepOptions struct {
 // compile or configuration error — is fatal, cancels the undispatched
 // points and fails the sweep.
 //
+// Each point is observed once: traced as one `unit` span holding its
+// attempts' `launch` spans, and passed to opts.Observe when it resolves.
+//
 // Cancelling parent stops the sweep: undispatched points are abandoned,
 // launches in flight complete (and persist), a point waiting to retry
 // launches no more, and the sweep returns ErrSweepInterrupted.
@@ -134,12 +136,6 @@ func (s *Suite) RunKernelPoints(parent context.Context, pts []KernelPoint, opts 
 	}
 	runs := make([]Run, len(pts))
 	ctr := s.counters()
-
-	var prog *obs.Progress
-	if s.Progress != nil {
-		prog = obs.NewProgress(s.Progress, "sweep", len(pts))
-		defer prog.Finish()
-	}
 
 	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
@@ -167,10 +163,6 @@ func (s *Suite) RunKernelPoints(parent context.Context, pts []KernelPoint, opts 
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				var end func(Run)
-				if opts.Observe != nil {
-					end = opts.Observe(i)
-				}
 				run, err := s.runPointResilient(ctx, pts[i])
 				if err != nil {
 					if !errors.Is(err, errPointAbandoned) {
@@ -178,17 +170,14 @@ func (s *Suite) RunKernelPoints(parent context.Context, pts []KernelPoint, opts 
 					}
 					continue
 				}
-				if end != nil {
-					end(run)
-				}
 				runs[i] = run
 				if run.Failed() {
 					ctr.failed.Inc()
 				} else {
 					ctr.completed.Inc()
 				}
-				if prog != nil {
-					prog.Point(run.Failed(), s.Pipeline().HitRate())
+				if opts.Observe != nil {
+					opts.Observe(run)
 				}
 			}
 		}()
@@ -218,7 +207,19 @@ feed:
 // runPointResilient drives one point through the retry policy. A non-nil
 // error other than errPointAbandoned is fatal for the sweep; recoverable
 // failures come back as a Run failure record.
+//
+// The point is one `unit` span: every attempt's `launch` span and every
+// backoff lie inside it, on the lane it leases, so a sweep occupies at
+// most one lane per worker. The Enabled guard keeps the untraced path
+// free of the label formatting.
 func (s *Suite) runPointResilient(ctx context.Context, p KernelPoint) (Run, error) {
+	var unit obs.Span
+	var card string
+	if s.Tracer.Enabled() {
+		card = p.Card.Label()
+		unit = s.Tracer.Begin("unit").Cat("campaign").Arg("kernel", p.K.Name).Arg("card", card)
+	}
+	defer unit.End()
 	ctr := s.counters()
 	backoff := s.RetryBackoff
 	if backoff <= 0 {
@@ -226,7 +227,7 @@ func (s *Suite) runPointResilient(ctx context.Context, p KernelPoint) (Run, erro
 	}
 	attempt := 0
 	for {
-		run, err := s.runKernelSafe(p, attempt)
+		run, err := s.runKernelSafe(unit, card, p, attempt)
 		attempt++
 		if err == nil {
 			run.X = p.X
@@ -257,22 +258,33 @@ func (s *Suite) runPointResilient(ctx context.Context, p KernelPoint) (Run, erro
 		case cal.IsTransient(err):
 			kind = cal.ErrLaunchTransient
 		default:
-			return Run{}, fmt.Errorf("core: %s at x=%g: %w", p.Card.Label(), p.X, err)
+			return Run{}, fmt.Errorf("core: %s at x=%g: %w", p.name(), p.X, err)
 		}
 		return Run{
 			Card: p.Card, X: p.X, Attempts: attempt,
-			Err:  fmt.Sprintf("%s at x=%g: %v", p.Card.Label(), p.X, err),
+			Err:  fmt.Sprintf("%s at x=%g: %v", p.name(), p.X, err),
 			kind: kind,
 		}, nil
 	}
+}
+
+// name identifies the point in failure records and fatal errors: its
+// series label when it has one (an ablation mechanism, a transcendental
+// chain), else its card's.
+func (p KernelPoint) name() string {
+	if p.Series != "" {
+		return p.Series
+	}
+	return p.Card.Label()
 }
 
 // runKernelSafe times one point behind a panic fence: a panicking launch
 // on a worker must fail its point, not the process. It is the suite's
 // only launch site and runPointResilient its only caller, so every
 // launch is counted, traced, watchdog-bound and visible to BeforeLaunch;
-// its errors come back unwrapped.
-func (s *Suite) runKernelSafe(p KernelPoint, attempt int) (run Run, err error) {
+// its errors come back unwrapped. The launch span is a child of the
+// point's unit span, whose card label it reuses.
+func (s *Suite) runKernelSafe(unit obs.Span, card string, p KernelPoint, attempt int) (run Run, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			err = fmt.Errorf("%w: %v", errLaunchPanic, rec)
@@ -285,15 +297,15 @@ func (s *Suite) runKernelSafe(p KernelPoint, attempt int) (run Run, err error) {
 	if err != nil {
 		return Run{}, err
 	}
-	// One root span per launch; the simulate stage (and, on a store
+	// One launch span per attempt; the simulate stage (and, on a store
 	// miss, compile/trace/replay inside it) nests under it. The Enabled
 	// guard keeps the disabled path free of the fmt work the span
 	// arguments need.
 	var sp obs.Span
 	if s.Tracer.Enabled() {
-		sp = s.Tracer.Begin("launch").
+		sp = unit.Child("launch").
 			Arg("kernel", p.K.Name).
-			Arg("card", p.Card.Label()).
+			Arg("card", card).
 			Arg("domain", fmt.Sprintf("%dx%d", p.W, p.H))
 		if attempt > 0 {
 			sp = sp.Arg("attempt", fmt.Sprintf("%d", attempt))

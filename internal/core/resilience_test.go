@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -156,6 +157,73 @@ func TestSweepTransientExhaustionIsRecorded(t *testing.T) {
 		} else if r.Failed() {
 			t.Fatalf("unexpected failure: %+v", r)
 		}
+	}
+}
+
+// TestUnitSpanHoldsEveryAttempt: under transient faults each point is
+// one unit span holding one launch span per attempt on its lane, and the
+// sweep's Observe hook sees each resolved point exactly once.
+func TestUnitSpanHoldsEveryAttempt(t *testing.T) {
+	s := quickSuite()
+	s.Retries = 2
+	s.Tracer = obs.NewTracer()
+	s.Faults = &fault.Plan{Seed: 11, Specs: []fault.Spec{{Kind: fault.Transient, Prob: 0.5}}}
+	pts := aluFetchPoints(t, s, 16)
+	var (
+		mu       sync.Mutex
+		observed = map[float64]int{}
+	)
+	runs, err := s.RunKernelPoints(context.Background(), pts, SweepOptions{Observe: func(r Run) {
+		mu.Lock()
+		observed[r.X]++
+		mu.Unlock()
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var units, launches []obs.SpanInfo
+	for _, sp := range s.Tracer.Snapshot() {
+		switch sp.Name {
+		case "unit":
+			units = append(units, sp)
+		case "launch":
+			launches = append(launches, sp)
+		}
+	}
+	if len(units) != len(pts) {
+		t.Fatalf("%d unit spans for %d points", len(units), len(pts))
+	}
+	if got := int64(len(launches)); got != s.KernelLaunches() {
+		t.Errorf("%d launch spans for %d launches", got, s.KernelLaunches())
+	}
+	retried := false
+	for i, r := range runs {
+		if n := observed[r.X]; n != 1 {
+			t.Errorf("point x=%g observed %d times, want 1", r.X, n)
+		}
+		name := pts[i].K.Name
+		var unit []obs.SpanInfo
+		for _, u := range units {
+			if u.Args["kernel"] == name {
+				unit = append(unit, u)
+			}
+		}
+		if len(unit) != 1 {
+			t.Fatalf("point %s has %d unit spans, want 1", name, len(unit))
+		}
+		u, held := unit[0], 0
+		for _, l := range launches {
+			if l.Args["kernel"] == name && l.TID == u.TID && l.StartUS >= u.StartUS && l.StartUS+l.DurUS <= u.StartUS+u.DurUS+1 {
+				held++
+			}
+		}
+		if held != r.Attempts {
+			t.Errorf("point %s: unit span holds %d launch spans, run took %d attempts", name, held, r.Attempts)
+		}
+		retried = retried || r.Attempts > 1
+	}
+	if !retried {
+		t.Fatal("no point needed a retry; seed no longer exercises the retry path")
 	}
 }
 
@@ -605,6 +673,10 @@ func TestCompileFailureFailsBeforeLaunch(t *testing.T) {
 		{"invalid_il", KernelPoint{
 			Card: Card{Arch: device.RV770, Mode: il.Pixel, Type: il.Float}, X: 2, K: il.Seal(invalid), W: 64, H: 64,
 		}, `core: 4870 Pixel Float at x=2: cal: ilc: il: kernel "no_outputs": needs at least one output and non-negative inputs`},
+		// A point with a series label is named by it, not by its card.
+		{"invalid_il_in_series", KernelPoint{
+			Card: Card{Arch: device.RV770, Mode: il.Pixel, Type: il.Float}, X: 1, Series: "burst writes", K: il.Seal(invalid), W: 64, H: 64,
+		}, `core: burst writes at x=1: cal: ilc: il: kernel "no_outputs": needs at least one output and non-negative inputs`},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			s := quickSuite()

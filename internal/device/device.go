@@ -170,6 +170,23 @@ func ParseArch(name string) (Arch, error) {
 	return 0, fmt.Errorf("unknown architecture %q (have %s)", name, strings.Join(known, ", "))
 }
 
+// ParseArchs resolves a list of device names with ParseArch, in order,
+// skipping blank entries; a list of blanks resolves to none.
+func ParseArchs(names []string) ([]Arch, error) {
+	var out []Arch
+	for _, name := range names {
+		if strings.TrimSpace(name) == "" {
+			continue
+		}
+		a, err := ParseArch(name)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, a)
+	}
+	return out, nil
+}
+
 var rv670 = Spec{
 	Arch:         RV670,
 	ALUs:         320,
@@ -294,10 +311,6 @@ var rv870 = Spec{
 	SupportsCompute: true,
 }
 
-// ALUsPerSIMD returns the stream cores on one SIMD engine (80 on RV770:
-// 16 thread processors x 5-wide VLIW).
-func (s Spec) ALUsPerSIMD() int { return s.ALUs / s.SIMDEngines }
-
 // RegistersPerThread returns the 128-bit GPRs available to each thread of
 // a single resident wavefront (256 on all three chips: 16K regs / 64
 // threads), the figure the paper uses for the 256/5 = 51 wavefront example.
@@ -353,9 +366,6 @@ func (s Spec) MemBandwidthBytesPerCoreCycle() float64 {
 	bytesPerMemClock := busBytes * transfersPerClock
 	return bytesPerMemClock * float64(s.MemClockMHz) / float64(s.CoreClockMHz)
 }
-
-// L1Sets returns the number of sets in the per-SIMD texture L1.
-func (s Spec) L1Sets() int { return s.L1CacheBytes / (s.L1LineBytes * s.L1Ways) }
 
 // Validate checks internal consistency of a Spec. The built-in chips are
 // validated by the package tests; Validate is exported so synthetic

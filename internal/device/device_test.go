@@ -166,15 +166,6 @@ func TestFetchIssueCycles(t *testing.T) {
 	}
 }
 
-func TestALUsPerSIMD(t *testing.T) {
-	want := map[Arch]int{RV670: 80, RV770: 80, RV870: 80}
-	for _, s := range All() {
-		if got := s.ALUsPerSIMD(); got != want[s.Arch] {
-			t.Errorf("%s ALUsPerSIMD = %d, want %d", s.Arch, got, want[s.Arch])
-		}
-	}
-}
-
 func TestMemBandwidthOrdering(t *testing.T) {
 	// The GDDR5 boards must have much more bandwidth per core cycle than
 	// the GDDR3-class 3870; the 5870 the most in absolute terms.
@@ -199,7 +190,8 @@ func TestL1Geometry(t *testing.T) {
 		t.Errorf("RV870 line (%d) should be double RV770's (%d)", r870.L1LineBytes, r770.L1LineBytes)
 	}
 	for _, s := range All() {
-		if s.L1Sets()*s.L1LineBytes*s.L1Ways != s.L1CacheBytes {
+		sets := s.L1CacheBytes / (s.L1LineBytes * s.L1Ways)
+		if sets*s.L1LineBytes*s.L1Ways != s.L1CacheBytes {
 			t.Errorf("%s: sets x line x ways != cache bytes", s.Arch)
 		}
 	}

@@ -29,9 +29,6 @@ type OptReport struct {
 	InputMap []int
 }
 
-// Changed reports whether the pass modified the kernel.
-func (r OptReport) Changed() bool { return r.RemovedOps > 0 || len(r.RemovedInputs) > 0 }
-
 // Optimize returns a dead-code-eliminated copy of the kernel and a report
 // of what was removed. The input kernel is not modified. A kernel with no
 // stores is rejected, mirroring the hardware compiler's refusal to keep

@@ -162,19 +162,6 @@ type Bundle struct {
 	Ops []ScalarOp
 }
 
-// SlotUsed reports whether a slot is occupied in the bundle.
-func (b *Bundle) SlotUsed(s Slot) bool {
-	for _, op := range b.Ops {
-		if op.Slot == s {
-			return true
-		}
-	}
-	return false
-}
-
-// FreeSlots returns how many of the five slots remain available.
-func (b *Bundle) FreeSlots() int { return NumSlots - len(b.Ops) }
-
 // Fetch is one texture-sample or global-read instruction in a TEX clause.
 type Fetch struct {
 	Dst       int  // destination GPR

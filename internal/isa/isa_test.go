@@ -159,20 +159,6 @@ func TestSlotAndKindStrings(t *testing.T) {
 	}
 }
 
-func TestBundleSlotAccounting(t *testing.T) {
-	var b Bundle
-	if b.FreeSlots() != NumSlots {
-		t.Fatalf("empty bundle has %d free slots", b.FreeSlots())
-	}
-	b.Ops = append(b.Ops, scalarOp(SlotZ, AMov, none(), gpr(0, 0), none()))
-	if !b.SlotUsed(SlotZ) || b.SlotUsed(SlotX) {
-		t.Error("slot usage tracking wrong")
-	}
-	if b.FreeSlots() != NumSlots-1 {
-		t.Errorf("free slots = %d, want %d", b.FreeSlots(), NumSlots-1)
-	}
-}
-
 func TestClauseLen(t *testing.T) {
 	p := sampleProgram()
 	if p.Clauses[0].Len() != 3 || p.Clauses[1].Len() != 2 || p.Clauses[2].Len() != 1 {

@@ -9,9 +9,9 @@ import (
 
 // Progress is a live sweep progress reporter: points done over total,
 // failure count, the pipeline's cache hit rate and an ETA, rendered as a
-// single carriage-return-rewritten line. The sweep runner drives it from
-// every worker, so all methods are safe for concurrent use; a nil
-// *Progress no-ops, so the runner calls it unconditionally.
+// single carriage-return-rewritten line. A campaign run drives it from
+// the sweep's per-point hook, on every worker, so all methods are safe
+// for concurrent use; a nil *Progress no-ops.
 type Progress struct {
 	w     io.Writer
 	label string

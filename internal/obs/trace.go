@@ -2,8 +2,8 @@
 // tracer whose output is Chrome trace_event JSON (viewable in
 // chrome://tracing or Perfetto), a metrics registry of counters, gauges
 // and fixed-bucket latency histograms, and a live sweep progress
-// reporter. The launch pipeline, the resilient sweep runner and the CLI
-// are its clients.
+// reporter. The launch pipeline, the resilient sweep runner, the
+// campaign scheduler and the CLI are its clients.
 //
 // Everything here is built to disappear when unused: a nil *Tracer, a nil
 // *Registry, a nil *Counter and a nil *Progress are all valid no-op
@@ -25,9 +25,9 @@ import (
 // Tracer records spans and renders them as Chrome trace_event JSON.
 // Spans on the same track (tid) nest by time containment, which is how
 // trace viewers display them: a top-level span leases a track for its
-// lifetime and its children inherit it, so concurrent launches land on
-// distinct tracks while sequential launches reuse a small, stable set —
-// one visual lane per in-flight launch.
+// lifetime and its children inherit it, so concurrent sweep points (a
+// unit span and its launches) land on distinct tracks while sequential
+// ones reuse a small, stable set — one visual lane per point in flight.
 type Tracer struct {
 	start time.Time
 

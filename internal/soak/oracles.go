@@ -183,7 +183,7 @@ func (c *campaign) checkMetrics(st step) {
 	}
 }
 
-// checkTrace demands one root "launch" span per launch the suite
+// checkTrace demands one "launch" span per launch the suite
 // issued: a launch the tracer missed (or invented) is an observability
 // lie waiting to mislead a profile.
 func (c *campaign) checkTrace(st step) {
