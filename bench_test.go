@@ -287,13 +287,15 @@ func BenchmarkCompileChase(b *testing.B) {
 	s := core.NewSuite()
 	s.Iterations = 100
 	measure := hier.SuiteMeasurer(s, spec)
-	record := func(p hier.Probe) (float64, error) {
-		k, err := p.Kernel()
-		if err != nil {
-			return 0, err
+	record := func(ps []hier.Probe) ([]float64, error) {
+		for _, p := range ps {
+			k, err := p.Kernel()
+			if err != nil {
+				return nil, err
+			}
+			kernels = append(kernels, k)
 		}
-		kernels = append(kernels, k)
-		return measure(p)
+		return measure(ps)
 	}
 	if _, err := hier.Infer(record, hier.Config{}); err != nil {
 		b.Fatal(err)

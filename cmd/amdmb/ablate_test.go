@@ -119,6 +119,11 @@ func TestAblateFailedRowsAreRows(t *testing.T) {
 	if !strings.Contains(out, "ALU:Fetch Ratio for 16 Inputs") || table < 0 {
 		t.Fatalf("fig7 or the failure table is missing:\n%s", out)
 	}
+	// The first column is the point's card (a record names its series),
+	// so the header says card.
+	if !regexp.MustCompile(`(?m)^card +x +attempts +error`).MatchString(out[table:]) {
+		t.Errorf("failure table header does not read card, x, attempts, error:\n%s", out[table:])
+	}
 	// The burst-writes row's kernel is the study's own: its base and
 	// ablated launches are both listed.
 	if n := strings.Count(out[table:], `kernel "writelat_o8"`); n != 2 {

@@ -246,7 +246,7 @@ func (c *cli) emitRuns(runs []core.Run) {
 func failureTable(failures []core.Run) *report.Table {
 	t := &report.Table{
 		Title:  "Failure summary: points recorded as failed (sweeps completed)",
-		Header: []string{"series", "x", "attempts", "error"},
+		Header: []string{"card", "x", "attempts", "error"},
 	}
 	for _, r := range failures {
 		t.AddRow(r.Card.Label(), fmt.Sprintf("%g", r.X), fmt.Sprintf("%d", r.Attempts), r.Err)

@@ -37,19 +37,22 @@ const hierMonotoneFetches = 1024
 // never run meaningfully faster per fetch than an equally long chase
 // over kb KiB on the same device. Footprints must be powers of two
 // dividing hierMonotoneFetches, so rounds x surfaces stays constant. The
-// probes run on spec through s's sweep runner.
+// probes run on spec as one sweep of s's runner.
 func CheckHierLatencyMonotone(s *core.Suite, spec device.Spec, footprintsKB []int) error {
-	m := hier.SuiteMeasurer(s, spec)
-	prev, prevKB := 0.0, 0
+	probes := make([]hier.Probe, len(footprintsKB))
 	for i, kb := range footprintsKB {
 		if hierMonotoneFetches%kb != 0 {
 			return fmt.Errorf("conformance: hier monotone: footprint %d KiB does not divide the fixed chase length %d", kb, hierMonotoneFetches)
 		}
-		p := hier.Probe{Type: il.Float4, SurfaceBytes: 1024, Surfaces: kb, Rounds: hierMonotoneFetches / kb, Batch: 1}
-		lam, err := m(p)
-		if err != nil {
-			return fmt.Errorf("conformance: hier monotone: %s at %d KiB: %v", spec.Arch, kb, err)
-		}
+		probes[i] = hier.Probe{Type: il.Float4, SurfaceBytes: 1024, Surfaces: kb, Rounds: hierMonotoneFetches / kb, Batch: 1}
+	}
+	ls, err := hier.SuiteMeasurer(s, spec)(probes)
+	if err != nil {
+		return fmt.Errorf("conformance: hier monotone: %s at %v KiB: %v", spec.Arch, footprintsKB, err)
+	}
+	prev, prevKB := 0.0, 0
+	for i, kb := range footprintsKB {
+		lam := ls[i]
 		if i > 0 && lam < prev-hierMonotoneSlack {
 			return fmt.Errorf("conformance: hier monotone: %s: %d KiB ran at %.2f cycles/fetch, below %.2f at %d KiB",
 				spec.Arch, kb, lam, prev, prevKB)

@@ -80,14 +80,8 @@ func simResult(k *il.Kernel, spec device.Spec, w, h int) (sim.Result, *isa.Progr
 // packer distributes it over bundles.
 func aluSlots(p *isa.Program) int {
 	n := 0
-	for i := range p.Clauses {
-		c := &p.Clauses[i]
-		if c.Kind != isa.ClauseALU {
-			continue
-		}
-		for _, b := range c.Bundles {
-			n += len(b.Ops)
-		}
+	for _, b := range p.Bundles {
+		n += len(b.Ops)
 	}
 	return n
 }

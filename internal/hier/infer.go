@@ -3,7 +3,7 @@ package hier
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"amdgpubench/internal/device"
 	"amdgpubench/internal/il"
@@ -77,78 +77,94 @@ type Inferred struct {
 // line size 32..128, L2 a multiple of 32 KiB with at least 4x the L1
 // capacity and at least twice its associativity, and a miss-hit latency
 // delta of at least ~300 cycles.
+//
+// Each stage hands the measurer, as one batch, every probe whose shape
+// depends on no result not yet read: the hot, line-blend and first L1
+// ladder probes up front; once the L1 capacity is known, the thrashed
+// references, every L1 way candidate and the L2 ladder's base and first
+// rung; then the bisections' two interior points per round and the L2
+// way scan in pairs. The doubling ladders do not run ahead: a rung past
+// the knee is among the dearest probes, and the knee decides whether it
+// is needed.
 func Infer(m Measurer, cfg Config) (Inferred, error) {
 	ways := cfg.WayCandidates
 	if ways == nil {
 		ways = []int{2, 4, 8, 16}
 	}
 	var inf Inferred
-	lambda := func(p Probe) (float64, error) {
-		inf.Probes++
-		return m(p)
+	measure := func(ps ...Probe) ([]float64, error) {
+		inf.Probes += len(ps)
+		return m(ps)
 	}
+	one := func(p Probe) (float64, error) {
+		ls, err := measure(p)
+		if err != nil {
+			return 0, err
+		}
+		return ls[0], nil
+	}
+
+	// --- Up front: the hot float band at two round counts (the second
+	// extrapolates the miss delta below), the line-size blend's two hot
+	// float4 points, and the L1 ladder's first rung.
+	pLo := Probe{Type: il.Float4, SurfaceBytes: float4Quantum, Surfaces: 2, Rounds: lineRoundsLo, Batch: 1}
+	pHi := Probe{Type: il.Float4, SurfaceBytes: float4Quantum, Surfaces: 2, Rounds: lineRoundsHi, Batch: 1}
+	hot2Probe := Probe{Type: il.Float, SurfaceBytes: floatQuantum, Surfaces: 2, Rounds: hotRounds, Batch: 1}
+	ls, err := measure(denseFloat(2), denseFloat(4), hot2Probe, pLo, pHi)
+	if err != nil {
+		return inf, err
+	}
+	hot, l, hot2, lLo, lHi := ls[0], ls[1], ls[2], ls[3], ls[4]
 
 	// --- L1 capacity: dense float ladder, doubling bracket + bisection.
 	// One footprint quantum past capacity overloads a slice of sets by a
 	// whole line-group, which bumps the program's miss blend by >= ~14
 	// cycles — far above the in-plateau drift, which is downward (the
 	// prologue amortizes away as the fetch count grows).
-	hotProbe := Probe{Type: il.Float, SurfaceBytes: floatQuantum, Surfaces: 2, Rounds: l1Rounds, Batch: 1}
-	hot, err := lambda(hotProbe)
-	if err != nil {
-		return inf, err
-	}
 	maxN := 2 * maxL1Bytes / floatQuantum
-	good, goodL := 2, hot
-	bad, badL := 0, 0.0
-	for n := 4; ; n *= 2 {
-		if n > maxN {
+	good, goodL, bad := 2, hot, 4
+	for l <= hot*1.3 {
+		good, goodL = bad, l
+		if bad *= 2; bad > maxN {
 			return inf, fmt.Errorf("hier: no L1 capacity knee up to %d bytes", maxL1Bytes)
 		}
-		l, err := lambda(denseFloat(n))
-		if err != nil {
+		if l, err = one(denseFloat(bad)); err != nil {
 			return inf, err
 		}
-		if l > hot*1.3 {
-			bad, badL = n, l
-			break
-		}
-		good, goodL = n, l
 	}
-	margin := math.Max(2, 0.01*(badL-goodL))
-	for bad-good > 1 {
-		mid := (good + bad) / 2
-		l, err := lambda(denseFloat(mid))
-		if err != nil {
-			return inf, err
-		}
-		if l > goodL+margin {
-			bad = mid
-		} else {
-			good, goodL = mid, l
-		}
+	// l is now the first rung past the knee.
+	margin := math.Max(2, 0.01*(l-goodL))
+	good, err = bisect(measure, good, goodL, bad, 1, denseFloat, func(l, goodL float64) bool { return l > goodL+margin })
+	if err != nil {
+		return inf, err
 	}
 	inf.L1Bytes = good * floatQuantum
 
-	// --- Latency bands: the thrashed reference sits past 2x L1 but
-	// within L2 (the geometry precondition L2 >= 4x L1 guarantees room),
-	// so it is the L1-miss/L2-hit band, polluted only by L2 fill.
+	// --- Everything the L1 capacity alone shapes, as one batch.
+	// The thrashed reference sits past 2x L1 but within L2 (the geometry
+	// precondition L2 >= 4x L1 guarantees room), so it is the
+	// L1-miss/L2-hit band, polluted only by L2 fill.
 	nThrash := 2*inf.L1Bytes/floatQuantum + 2
-	miss, err := lambda(denseFloat(nThrash))
-	if err != nil {
-		return inf, err
+	nLine := 2*inf.L1Bytes/float4Quantum + 2
+	// The L2 ladder starts past 4x L1 on a chunk boundary.
+	chunkQ := l2ChunkBytes / float4Quantum
+	n0 := max((4*inf.L1Bytes/float4Quantum+chunkQ-1)/chunkQ*chunkQ, chunkQ)
+	batch := []Probe{
+		denseFloat(nThrash),
+		{Type: il.Float4, SurfaceBytes: float4Quantum, Surfaces: nLine, Rounds: lineRoundsLo, Batch: 1},
+		denseFloat4(n0),
+		denseFloat4(n0 + chunkQ),
 	}
-	inf.HotLatency, inf.MissLatency = hot, miss
-
-	// --- L1 associativity: w+1 quanta spaced capacity/w apart all alias
-	// the same sets, so the probe thrashes exactly when w >= the true
-	// way count. Candidates are sorted before scanning and the smallest
-	// thrashing one wins, so the result is invariant under permutations
-	// of the candidate schedule (the metamorphic suite checks that).
-	thresh := (hot + miss) / 2
-	sorted := append([]int(nil), ways...)
-	sort.Ints(sorted)
-	for _, w := range sorted {
+	// L1 associativity: w+1 quanta spaced capacity/w apart all alias the
+	// same sets, so the probe thrashes exactly when w >= the true way
+	// count. Every candidate the geometry admits is measured, sorted, and
+	// the smallest thrashing one wins, so the result (probe count
+	// included) is invariant under permutations of the candidate
+	// schedule (the metamorphic suite checks that).
+	sorted := slices.Clone(ways)
+	slices.Sort(sorted)
+	var cands []int
+	for _, w := range slices.Compact(sorted) {
 		if w < 1 || inf.L1Bytes%w != 0 {
 			continue
 		}
@@ -156,11 +172,17 @@ func Infer(m Measurer, cfg Config) (Inferred, error) {
 		if gap < floatQuantum || gap%floatQuantum != 0 {
 			continue // w larger than the geometry admits; cannot be the answer
 		}
-		l, err := lambda(Probe{Type: il.Float, SurfaceBytes: gap, Surfaces: w + 1, Rounds: l1Rounds, Batch: 1})
-		if err != nil {
-			return inf, err
-		}
-		if l > thresh {
+		cands = append(cands, w)
+		batch = append(batch, Probe{Type: il.Float, SurfaceBytes: gap, Surfaces: w + 1, Rounds: l1Rounds, Batch: 1})
+	}
+	if ls, err = measure(batch...); err != nil {
+		return inf, err
+	}
+	miss, lThrash, baseL, l := ls[0], ls[1], ls[2], ls[3]
+	inf.HotLatency, inf.MissLatency = hot, miss
+	thresh := (hot + miss) / 2
+	for i, w := range cands {
+		if ls[4+i] > thresh {
 			inf.L1Ways = w
 			break
 		}
@@ -175,21 +197,6 @@ func Infer(m Measurer, cfg Config) (Inferred, error) {
 	// give the cold-miss slope, a thrashed reference (still L2-resident,
 	// so barely polluted) gives delta, and the ratio is the line count
 	// per 1 KiB quantum — which only the line size sets.
-	pLo := Probe{Type: il.Float4, SurfaceBytes: float4Quantum, Surfaces: 2, Rounds: lineRoundsLo, Batch: 1}
-	pHi := Probe{Type: il.Float4, SurfaceBytes: float4Quantum, Surfaces: 2, Rounds: lineRoundsHi, Batch: 1}
-	lLo, err := lambda(pLo)
-	if err != nil {
-		return inf, err
-	}
-	lHi, err := lambda(pHi)
-	if err != nil {
-		return inf, err
-	}
-	nLine := 2*inf.L1Bytes/float4Quantum + 2
-	lThrash, err := lambda(Probe{Type: il.Float4, SurfaceBytes: float4Quantum, Surfaces: nLine, Rounds: lineRoundsLo, Batch: 1})
-	if err != nil {
-		return inf, err
-	}
 	delta := lThrash - (2*lHi - lLo)
 	diff := lLo - lHi
 	if delta <= 0 || diff <= 0 {
@@ -210,65 +217,50 @@ func Infer(m Measurer, cfg Config) (Inferred, error) {
 	// Past L1 the texture latency and L2 fill occupancy are constant;
 	// the knee is DRAM occupancy appearing, and at chunk granularity it
 	// is a full-thrash step, so a midpoint threshold bisects it exactly.
-	chunkQ := l2ChunkBytes / float4Quantum
-	n0 := (4*inf.L1Bytes/float4Quantum + chunkQ - 1) / chunkQ * chunkQ
-	if n0 < chunkQ {
-		n0 = chunkQ
-	}
-	baseL, err := lambda(denseFloat4(n0))
-	if err != nil {
-		return inf, err
-	}
 	maxQ := 2 * maxL2Bytes / float4Quantum
-	good, goodL = n0, baseL
-	bad, badL = 0, 0
-	for step := chunkQ; ; step *= 2 {
-		nq := n0 + step
-		if nq > maxQ {
+	good, goodL, bad = n0, baseL, n0+chunkQ
+	for step := 2 * chunkQ; l <= baseL+l2Jump; step *= 2 {
+		good, goodL = bad, l
+		if bad = n0 + step; bad > maxQ {
 			return inf, fmt.Errorf("hier: no L2 capacity knee up to %d bytes", maxL2Bytes)
 		}
-		l, err := lambda(denseFloat4(nq))
-		if err != nil {
+		if l, err = one(denseFloat4(bad)); err != nil {
 			return inf, err
 		}
-		if l > baseL+l2Jump {
-			bad, badL = nq, l
-			break
-		}
-		good, goodL = nq, l
 	}
-	midThresh := (goodL + badL) / 2
-	for bad-good > chunkQ {
-		mid := good + (bad-good)/2/chunkQ*chunkQ
-		l, err := lambda(denseFloat4(mid))
-		if err != nil {
-			return inf, err
-		}
-		if l > midThresh {
-			bad = mid
-		} else {
-			good = mid
-		}
+	midThresh := (goodL + l) / 2
+	good, err = bisect(measure, good, goodL, bad, chunkQ, denseFloat4, func(l, _ float64) bool { return l > midThresh })
+	if err != nil {
+		return inf, err
 	}
 	inf.L2Bytes = good * float4Quantum
 
 	// --- L2 associativity: K quanta spaced a full L2 capacity apart
 	// alias one set-group in both caches. The L1 is thrashed throughout
 	// (K > L1 ways), so the only moving part is whether K lines fit in
-	// an L2 set — the first K that spills to DRAM is ways+1.
+	// an L2 set — the first K that spills to DRAM is ways+1. The
+	// reference and the candidates run in pairs.
 	kRef := 2 * inf.L1Ways
-	ref, err := lambda(l2Gap(inf.L2Bytes, kRef))
-	if err != nil {
-		return inf, err
-	}
-	for k := kRef + 1; k <= 17; k++ {
-		l, err := lambda(l2Gap(inf.L2Bytes, k))
-		if err != nil {
+	var ref float64
+	for k := kRef; k <= 17 && inf.L2Ways == 0; k += 2 {
+		ks := []int{k, k + 1}
+		if k == 17 {
+			ks = ks[:1]
+		}
+		batch := make([]Probe, len(ks))
+		for i, kk := range ks {
+			batch[i] = l2Gap(inf.L2Bytes, kk)
+		}
+		if ls, err = measure(batch...); err != nil {
 			return inf, err
 		}
-		if l > ref+l2Jump {
-			inf.L2Ways = k - 1
-			break
+		for i, kk := range ks {
+			if kk == kRef {
+				ref = ls[i]
+			} else if ls[i] > ref+l2Jump {
+				inf.L2Ways = kk - 1
+				break
+			}
 		}
 	}
 	if inf.L2Ways == 0 {
@@ -277,12 +269,40 @@ func Infer(m Measurer, cfg Config) (Inferred, error) {
 
 	// --- Miss latency delta: the thrashed float band minus the
 	// zero-cold-miss extrapolation of the hot float band.
-	hot2, err := lambda(Probe{Type: il.Float, SurfaceBytes: floatQuantum, Surfaces: 2, Rounds: hotRounds, Batch: 1})
-	if err != nil {
-		return inf, err
-	}
 	inf.MissDelta = miss - (2*hot2 - hot)
 	return inf, nil
+}
+
+// bisect narrows a knee bracketed by good (below it, measured goodL)
+// and bad (past it), both on a grid of unit, until they are adjacent
+// grid points, and returns good. Each round measures the bracket's one
+// or two interior thirds as one batch and walks them in order: past
+// reports whether a point measured l lies past the knee, given the
+// current good point's goodL.
+func bisect(measure func(...Probe) ([]float64, error), good int, goodL float64, bad, unit int,
+	probe func(int) Probe, past func(l, goodL float64) bool) (int, error) {
+	for steps := (bad - good) / unit; steps > 1; steps = (bad - good) / unit {
+		mids := []int{good + steps/3*unit, good + 2*steps/3*unit}
+		if steps == 2 {
+			mids = mids[1:]
+		}
+		ps := make([]Probe, len(mids))
+		for i, n := range mids {
+			ps[i] = probe(n)
+		}
+		ls, err := measure(ps...)
+		if err != nil {
+			return 0, err
+		}
+		for i, n := range mids {
+			if past(ls[i], goodL) {
+				bad = n
+				break
+			}
+			good, goodL = n, ls[i]
+		}
+	}
+	return good, nil
 }
 
 func denseFloat(n int) Probe {

@@ -9,6 +9,7 @@ import (
 	"amdgpubench/internal/cal"
 	"amdgpubench/internal/core"
 	"amdgpubench/internal/device"
+	"amdgpubench/internal/fault"
 	"amdgpubench/internal/il"
 	"amdgpubench/internal/ilc"
 	"amdgpubench/internal/raster"
@@ -84,20 +85,22 @@ func TestInferSuiteMatchesDirectSim(t *testing.T) {
 	for _, spec := range []device.Spec{device.Lookup(device.RV870), SynthSpec(7)} {
 		m := SuiteMeasurer(s, spec)
 		probes := 0
-		checked := func(p Probe) (float64, error) {
-			got, err := m(p)
+		checked := func(ps []Probe) ([]float64, error) {
+			got, err := m(ps)
 			if err != nil {
-				return 0, err
+				return nil, err
 			}
-			want, err := directLambda(spec, p)
-			if err != nil {
-				return 0, err
+			for i, p := range ps {
+				want, err := directLambda(spec, p)
+				if err != nil {
+					return nil, err
+				}
+				if got[i] != want {
+					t.Errorf("L1 %d B/%d ways, probe %+v: suite %v cycles/fetch, direct %v",
+						spec.L1CacheBytes, spec.L1Ways, p, got[i], want)
+				}
 			}
-			if got != want {
-				t.Errorf("L1 %d B/%d ways, probe %+v: suite %v cycles/fetch, direct %v",
-					spec.L1CacheBytes, spec.L1Ways, p, got, want)
-			}
-			probes++
+			probes += len(ps)
 			return got, nil
 		}
 		inf, err := Infer(checked, Config{})
@@ -197,23 +200,45 @@ func TestDiffFlagsMismatches(t *testing.T) {
 }
 
 // TestSuiteMeasurerKeepsTimeoutKind: a probe the watchdog aborts fails
-// the measurer with an error that errors.Is sees as a timeout, its text
-// the failure record's.
+// its whole batch with an error that names that probe and that
+// errors.Is sees as a timeout, its text the failure record's. Under a
+// 1000-cycle budget every probe times out and the batch reports the
+// first; with one probe hung by fault injection, the batch reports
+// that one, though the probe before it measured.
 func TestSuiteMeasurerKeepsTimeoutKind(t *testing.T) {
-	s := inferSuite()
-	s.DeadlineCycles = 1000
-	p := Probe{Type: il.Float, SurfaceBytes: 256, Surfaces: 2, Rounds: 32, Batch: 1}
-	_, err := SuiteMeasurer(s, device.Lookup(device.RV770))(p)
-	if !errors.Is(err, cal.ErrKernelTimeout) {
-		t.Fatalf("measurer under a 1000-cycle budget: got %v, want cal.ErrKernelTimeout", err)
+	spec := device.Lookup(device.RV770)
+	hot := Probe{Type: il.Float, SurfaceBytes: 256, Surfaces: 2, Rounds: 32, Batch: 1}
+	wide := Probe{Type: il.Float, SurfaceBytes: 256, Surfaces: 3, Rounds: 32, Batch: 1}
+	hang, err := fault.Parse("hang:prob=1,match=" + wide.name())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(err.Error(), "hier: probe ") || !strings.Contains(err.Error(), "kernel timeout") {
-		t.Errorf("measurer error %q lost its probe or failure text", err)
+	for _, tc := range []struct {
+		name     string
+		deadline uint64
+		faults   *fault.Plan
+		failed   Probe
+	}{
+		{"1000-cycle budget", 1000, nil, hot},
+		{"one probe hung", 0, hang, wide},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := inferSuite()
+			s.DeadlineCycles, s.Faults = tc.deadline, tc.faults
+			_, err := SuiteMeasurer(s, spec)([]Probe{hot, wide})
+			if !errors.Is(err, cal.ErrKernelTimeout) {
+				t.Fatalf("got %v, want cal.ErrKernelTimeout", err)
+			}
+			if !strings.Contains(err.Error(), "hier: probe "+tc.failed.name()+" ") || !strings.Contains(err.Error(), "kernel timeout") {
+				t.Errorf("measurer error %q does not name probe %s or lost its failure text", err, tc.failed.name())
+			}
+		})
 	}
 }
 
 // TestSimulateStoreIsInferencesOnlyDedup: Infer keeps no memo of its
-// own, and needs none. Its schedule repeats no probe, so a first run
+// own, and needs none. Its schedule repeats no probe, within a batch or
+// across batches (a recording measurer checks), so a first run
 // simulates each one once; a second run on the same suite launches every
 // probe again and the simulate store serves them all, with the first
 // run's result.
@@ -224,9 +249,23 @@ func TestSimulateStoreIsInferencesOnlyDedup(t *testing.T) {
 		snap := s.Metrics().Snapshot()
 		return snap.Get("pipeline.simulate.misses"), snap.Get("cal.launches")
 	}
-	first, err := Infer(SuiteMeasurer(s, spec), Config{})
+	m := SuiteMeasurer(s, spec)
+	seen := map[Probe]bool{}
+	record := func(ps []Probe) ([]float64, error) {
+		for _, p := range ps {
+			if seen[p] {
+				t.Errorf("probe %+v measured twice", p)
+			}
+			seen[p] = true
+		}
+		return m(ps)
+	}
+	first, err := Infer(record, Config{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(seen) != first.Probes {
+		t.Errorf("recorded %d distinct probes, inference counted %d", len(seen), first.Probes)
 	}
 	misses, launches := counts()
 	if misses != int64(first.Probes) {

@@ -57,11 +57,13 @@ func (e Env) FetchedBytes(p Probe) float64 {
 	return float64(p.Slots()) * float64(p.QuantumBytes()) * float64(waves)
 }
 
-// A Measurer runs one probe and returns its effective cycles per fetch.
-// Inference is written against this interface; SuiteMeasurer is the
-// implementation, for built-in and synthetic specs alike, and tests
-// wrap it to record or cross-check the probe schedule.
-type Measurer func(Probe) (float64, error)
+// A Measurer runs a batch of probes and returns each one's effective
+// cycles per fetch, in the batch's order. Inference is written against
+// this type and hands it, per stage, every probe whose shape no
+// unread result decides; SuiteMeasurer is the implementation, for
+// built-in and synthetic specs alike, and tests wrap it to record or
+// cross-check the probe schedule.
+type Measurer func([]Probe) ([]float64, error)
 
 // probePoint plans one probe on spec as a suite sweep point: the shared
 // builder of the hierarchy figures and SuiteMeasurer. The point's domain
@@ -83,25 +85,35 @@ func probePoint(spec device.Spec, p Probe, x float64) (core.KernelPoint, error) 
 	return pt, nil
 }
 
-// SuiteMeasurer measures probes on spec through the suite's resilient
-// sweep runner — the same staged pipeline (artifact stores,
-// replay-prefix snapshots, retries, launch accounting) the campaign
-// scheduler uses, so `amdmb infer` exercises the exact path the figures
-// are built on, and a synthetic spec gets it too.
+// SuiteMeasurer measures each batch of probes on spec as one sweep of
+// the suite's resilient sweep runner, so the batch's probes run on the
+// suite's workers at once, through the same staged pipeline (artifact
+// stores, replay-prefix snapshots, retries, launch accounting) the
+// campaign scheduler uses: `amdmb infer` exercises the exact path the
+// figures are built on, and a synthetic spec gets it too. A failed
+// probe fails the batch, with the first failed probe's name.
 func SuiteMeasurer(s *core.Suite, spec device.Spec) Measurer {
 	env := EnvFor(spec, s.Iterations)
-	return func(p Probe) (float64, error) {
-		pt, err := probePoint(spec, p, float64(p.FootprintBytes()))
+	return func(ps []Probe) ([]float64, error) {
+		pts := make([]core.KernelPoint, len(ps))
+		for i, p := range ps {
+			pt, err := probePoint(spec, p, float64(p.FootprintBytes()))
+			if err != nil {
+				return nil, err
+			}
+			pts[i] = pt
+		}
+		runs, err := s.RunKernelPoints(context.Background(), pts, core.SweepOptions{})
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
-		runs, err := s.RunKernelPoints(context.Background(), []core.KernelPoint{pt}, core.SweepOptions{})
-		if err != nil {
-			return 0, err
+		ls := make([]float64, len(ps))
+		for i, r := range runs {
+			if r.Failed() {
+				return nil, fmt.Errorf("hier: probe %s on %s: %w", pts[i].K.Name, pts[i].Card.Label(), r.Failure())
+			}
+			ls[i] = env.Lambda(ps[i], r.Seconds)
 		}
-		if runs[0].Failed() {
-			return 0, fmt.Errorf("hier: probe %s on %s: %w", pt.K.Name, pt.Card.Label(), runs[0].Failure())
-		}
-		return env.Lambda(p, runs[0].Seconds), nil
+		return ls, nil
 	}
 }

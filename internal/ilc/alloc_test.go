@@ -12,6 +12,7 @@ import (
 	"amdgpubench/internal/hier"
 	"amdgpubench/internal/il"
 	"amdgpubench/internal/ilc"
+	"amdgpubench/internal/isa"
 )
 
 // compileAllocsCeiling is the measured allocation count of one warm
@@ -31,8 +32,8 @@ const sealedAllocsCeiling = compileAllocsCeiling - 3
 // (282 and 522 instructions), so the count does not grow with kernel
 // length, and that count stays at or below the ceiling. A 16-round
 // compile's bytes stay at or below the probe's byte ceiling, set about
-// 2% over the measured 78.3 KB (float) and 176.6 KB (float4): nearly all
-// of it is the returned program's op slab. CompileSealed makes three
+// 2% over the measured 20.7 KB (float) and 39.1 KB (float4): nearly all
+// of it is the returned program's slabs. CompileSealed makes three
 // fewer allocations, since it does not validate again. Every bound
 // holds with and without the race detector.
 func TestCompileAllocs(t *testing.T) {
@@ -41,8 +42,8 @@ func TestCompileAllocs(t *testing.T) {
 		p            hier.Probe
 		bytesCeiling uint64
 	}{
-		{hier.Probe{Type: il.Float, SurfaceBytes: 256, Surfaces: 8, Batch: 1}, 80_000},
-		{hier.Probe{Type: il.Float4, SurfaceBytes: 1024, Surfaces: 8, Batch: 1}, 180_000},
+		{hier.Probe{Type: il.Float, SurfaceBytes: 256, Surfaces: 8, Batch: 1}, 21_200},
+		{hier.Probe{Type: il.Float4, SurfaceBytes: 1024, Surfaces: 8, Batch: 1}, 40_000},
 	} {
 		p := tc.p
 		var counts [2]float64
@@ -101,6 +102,37 @@ func bytesPerRun(runs int, f func()) uint64 {
 	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }
 
+// chaseSlotBytesCeiling bounds what one chase slot of a compiled
+// Batch=1 probe costs to keep: a TEX clause of one fetch and an ALU
+// clause of one one-op bundle are 12+8+12+24+14 = 70 bytes in isa's
+// compact layout (TestLayoutSizes), where clauses that held their own
+// slices and word-wide fields cost 312.
+const chaseSlotBytesCeiling = 100
+
+// TestChaseProgramBytes bounds the bytes a compiled probe keeps alive
+// per chase slot, on the dearest program dissection compiles: the
+// 130-surface thrashed L1 reference of a 16 KiB L1 (4160 slots). A
+// warm CompileSealed allocates only the program it returns, so its
+// bytes per run are the program's retained bytes.
+func TestChaseProgramBytes(t *testing.T) {
+	p := hier.Probe{Type: il.Float, SurfaceBytes: 256, Surfaces: 130, Rounds: 32, Batch: 1}
+	k, err := p.Kernel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sk := il.Seal(k)
+	bytes := bytesPerRun(5, func() {
+		if _, err := ilc.CompileSealed(sk, device.Lookup(device.RV770), ilc.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	slots := uint64(p.Surfaces * p.Rounds)
+	t.Logf("%d bytes retained, %.1f per chase slot", bytes, float64(bytes)/float64(slots))
+	if bytes > chaseSlotBytesCeiling*slots {
+		t.Errorf("%d bytes retained for %d chase slots, want <= %d per slot", bytes, slots, chaseSlotBytesCeiling)
+	}
+}
+
 // TestProgramSlicesCapped checks that every slab-backed slice of a
 // compiled program is capped at its length, so an append on one clause
 // or bundle of a shared, cached program copies instead of overwriting
@@ -116,14 +148,25 @@ func TestProgramSlicesCapped(t *testing.T) {
 		t.Fatal(err)
 	}
 	for ci, c := range prog.Clauses {
-		if cap(c.Fetches) != len(c.Fetches) || cap(c.Bundles) != len(c.Bundles) || cap(c.Exports) != len(c.Exports) {
-			t.Errorf("clause %d: uncapped slice (fetches %d/%d, bundles %d/%d, exports %d/%d)", ci,
-				len(c.Fetches), cap(c.Fetches), len(c.Bundles), cap(c.Bundles), len(c.Exports), cap(c.Exports))
+		var n, capacity int
+		switch c.Kind {
+		case isa.ClauseTEX:
+			fs := prog.FetchesOf(c)
+			n, capacity = len(fs), cap(fs)
+		case isa.ClauseALU:
+			bs := prog.BundlesOf(c)
+			n, capacity = len(bs), cap(bs)
+		default:
+			es := prog.ExportsOf(c)
+			n, capacity = len(es), cap(es)
 		}
-		for bi, b := range c.Bundles {
-			if cap(b.Ops) != len(b.Ops) {
-				t.Errorf("clause %d bundle %d: %d ops with capacity %d", ci, bi, len(b.Ops), cap(b.Ops))
-			}
+		if capacity != n {
+			t.Errorf("clause %d: %v payload of %d with capacity %d", ci, c.Kind, n, capacity)
+		}
+	}
+	for bi, b := range prog.Bundles {
+		if cap(b.Ops) != len(b.Ops) {
+			t.Errorf("bundle %d: %d ops with capacity %d", bi, len(b.Ops), cap(b.Ops))
 		}
 	}
 }
@@ -180,14 +223,16 @@ func TestGPRAllocationMatchesReference(t *testing.T) {
 		s.Iterations = 100
 		measure := hier.SuiteMeasurer(s, spec)
 		types := map[il.DataType]int{}
-		record := func(p hier.Probe) (float64, error) {
-			k, err := p.Kernel()
-			if err != nil {
-				return 0, err
+		record := func(ps []hier.Probe) ([]float64, error) {
+			for _, p := range ps {
+				k, err := p.Kernel()
+				if err != nil {
+					return nil, err
+				}
+				checkGPRs(t, k, spec)
+				types[p.Type]++
 			}
-			checkGPRs(t, k, spec)
-			types[p.Type]++
-			return measure(p)
+			return measure(ps)
 		}
 		if _, err := hier.Infer(record, hier.Config{}); err != nil {
 			t.Fatal(err)

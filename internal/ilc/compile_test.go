@@ -29,7 +29,7 @@ func TestTEXClauseSplitting(t *testing.T) {
 	var texSizes []int
 	for _, c := range p.Clauses {
 		if c.Kind == isa.ClauseTEX {
-			texSizes = append(texSizes, len(c.Fetches))
+			texSizes = append(texSizes, c.Len())
 		}
 	}
 	want := []int{8, 8, 4}
@@ -51,7 +51,7 @@ func TestALUClauseSplitting(t *testing.T) {
 	var aluSizes []int
 	for _, c := range p.Clauses {
 		if c.Kind == isa.ClauseALU {
-			aluSizes = append(aluSizes, len(c.Bundles))
+			aluSizes = append(aluSizes, c.Len())
 		}
 	}
 	if len(aluSizes) != 3 || aluSizes[0] != 128 || aluSizes[1] != 128 || aluSizes[2] != 44 {
@@ -112,7 +112,7 @@ func TestFloat4OpsOccupyFourSlots(t *testing.T) {
 		if c.Kind != isa.ClauseALU {
 			continue
 		}
-		for _, b := range c.Bundles {
+		for _, b := range p.BundlesOf(c) {
 			if len(b.Ops) != 4 {
 				t.Fatalf("float4 bundle has %d scalar ops, want 4", len(b.Ops))
 			}
@@ -175,7 +175,7 @@ func TestGlobalKernelClauses(t *testing.T) {
 	sawVFetch, sawMem := false, false
 	for _, c := range p.Clauses {
 		if c.Kind == isa.ClauseTEX {
-			for _, f := range c.Fetches {
+			for _, f := range p.FetchesOf(c) {
 				if f.Global {
 					sawVFetch = true
 				}
@@ -183,8 +183,8 @@ func TestGlobalKernelClauses(t *testing.T) {
 		}
 		if c.Kind == isa.ClauseMEM {
 			sawMem = true
-			if len(c.Exports) != 2 {
-				t.Errorf("MEM clause has %d exports, want 2", len(c.Exports))
+			if c.Len() != 2 {
+				t.Errorf("MEM clause has %d exports, want 2", c.Len())
 			}
 		}
 	}

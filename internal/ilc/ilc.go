@@ -212,7 +212,8 @@ func compile(k *il.Kernel, invalid error, spec device.Spec, opts Options) (*isa.
 // Each pass reslices its arrays to the kernel at hand, growing one only
 // when its capacity is short, and zeroes the prefix of any array it
 // reads before writing. emit builds the returned program from fresh
-// slabs, so nothing a compile returns points into its scratch.
+// slabs, copying the staged payloads in, so nothing a compile returns
+// points into its scratch.
 type scratch struct {
 	vals       []value
 	counts     []int // per-value use counts
@@ -223,6 +224,10 @@ type scratch struct {
 	times      []int         // first, then last schedule times
 	ivs        byDef
 	live, free regHeap
+	// emit stages each clause's payload here before appending it.
+	fetches []isa.Fetch
+	bundles []isa.Bundle
+	exports []isa.Export
 }
 
 // freeList holds idle scratches. get allocates when the list is empty
@@ -279,7 +284,10 @@ func (s *scratch) compile(k *il.Kernel, invalid error, spec device.Spec, opts Op
 	s.assignLocations(k, vals, clauses, opts)
 	first, last := s.scheduleTimes(k, clauses)
 	gprCount := s.allocateGPRs(k, vals, first, last)
-	prog := emit(k, vals, clauses, gprCount)
+	if n := max(gprCount, k.NumInputs, k.NumOutputs, k.NumConsts); n > isa.MaxIndex {
+		return nil, fmt.Errorf("ilc: kernel %q needs index %d, past the ISA's limit of %d", k.Name, n, isa.MaxIndex)
+	}
+	prog := s.emit(k, vals, clauses, gprCount)
 	if err := prog.Validate(); err != nil {
 		return nil, fmt.Errorf("ilc: internal error: emitted invalid program: %w", err)
 	}
@@ -790,20 +798,20 @@ func srcOperand(v *value, lane int) isa.Operand {
 func dstOperand(v *value, lane int) isa.Operand {
 	switch v.loc.kind {
 	case locTemp:
-		return isa.Operand{Kind: isa.KTemp, Index: v.loc.idx, Chan: v.chanAt(lane)}
+		return isa.Operand{Kind: isa.KTemp, Index: int16(v.loc.idx), Chan: v.chanAt(lane)}
 	case locGPR:
-		return isa.Operand{Kind: isa.KGPR, Index: v.loc.idx, Chan: v.chanAt(lane)}
+		return isa.Operand{Kind: isa.KGPR, Index: int16(v.loc.idx), Chan: v.chanAt(lane)}
 	}
 	return isa.Operand{Kind: isa.KNone}
 }
 
 // chanAt is the channel a lane reads or writes: lane 0 uses the value's
 // own channel, float4 lanes 1..3 their own.
-func (v *value) chanAt(lane int) int {
+func (v *value) chanAt(lane int) int8 {
 	if lane > 0 {
-		return lane
+		return int8(lane)
 	}
-	return v.loc.chn
+	return int8(v.loc.chn)
 }
 
 func aop(op il.Opcode) isa.AOp {
@@ -824,11 +832,14 @@ func aop(op il.Opcode) isa.AOp {
 }
 
 // emit produces the final ISA program from the drafts and locations. A
-// counting pass sizes one slab each for ops, bundles, fetches and
-// exports; every slice handed out is capped at its own length, so an
-// append on a shared program copies instead of writing into a
+// counting pass sizes the clause list and one slab each for ops,
+// bundles, fetches and exports, so the program's appends never grow
+// them. Each clause's payload is staged on the scratch and appended by
+// isa's Add methods, the one place the clause encoding is written; every
+// bundle's ops are a sub-slice of the ops slab capped at its own length,
+// so an append on a shared program copies instead of writing into a
 // neighbour's elements.
-func emit(k *il.Kernel, vals []value, clauses []clauseDraft, gprCount int) *isa.Program {
+func (s *scratch) emit(k *il.Kernel, vals []value, clauses []clauseDraft, gprCount int) *isa.Program {
 	const coordGPR = 0
 	var nOps, nBundles, nFetches, nExports int
 	for ci := range clauses {
@@ -848,33 +859,31 @@ func emit(k *il.Kernel, vals []value, clauses []clauseDraft, gprCount int) *isa.
 		}
 	}
 	ops := make([]isa.ScalarOp, 0, nOps)
-	bundles := make([]isa.Bundle, 0, nBundles)
-	fetches := make([]isa.Fetch, 0, nFetches)
-	exports := make([]isa.Export, 0, nExports)
-
 	p := &isa.Program{Name: k.Name, Mode: k.Mode, Type: k.Type, GPRCount: gprCount,
-		Clauses: make([]isa.Clause, len(clauses))}
-	elem := k.Type.Bytes()
+		Clauses: make([]isa.Clause, 0, len(clauses)),
+		Fetches: make([]isa.Fetch, 0, nFetches),
+		Bundles: make([]isa.Bundle, 0, nBundles),
+		Exports: make([]isa.Export, 0, nExports)}
+	elem := uint8(k.Type.Bytes())
 	for ci := range clauses {
 		cd := &clauses[ci]
-		c := &p.Clauses[ci]
-		c.Kind = cd.kind
 		switch cd.kind {
 		case isa.ClauseTEX:
-			start := len(fetches)
+			fs := s.fetches[:0]
 			for ii := cd.from; ii < cd.to; ii++ {
 				in := k.Code[ii]
-				fetches = append(fetches, isa.Fetch{
-					Dst:       vals[in.Dst].loc.idx,
+				fs = append(fs, isa.Fetch{
+					Dst:       int16(vals[in.Dst].loc.idx),
 					Coord:     coordGPR,
-					Resource:  in.Res,
+					Resource:  int16(in.Res),
 					Global:    in.Op == il.OpGlobalLoad,
 					ElemBytes: elem,
 				})
 			}
-			c.Fetches = fetches[start:len(fetches):len(fetches)]
+			p.AddTEX(fs...)
+			s.fetches = fs
 		case isa.ClauseALU:
-			bstart := len(bundles)
+			bs := s.bundles[:0]
 			for bi := range cd.bundles {
 				start := len(ops)
 				for _, po := range cd.bundles[bi].placed() {
@@ -890,7 +899,7 @@ func emit(k *il.Kernel, vals []value, clauses []clauseDraft, gprCount int) *isa.
 							Dst: dstOperand(&vals[in.Dst], lane), Src0: srcOperand(&vals[in.SrcA], lane)}
 						switch {
 						case in.Op.ReadsConst():
-							sop.Src1 = isa.Operand{Kind: isa.KConst, Index: in.Res, Chan: li}
+							sop.Src1 = isa.Operand{Kind: isa.KConst, Index: int16(in.Res), Chan: int8(li)}
 						case in.SrcB != il.NoReg:
 							sop.Src1 = srcOperand(&vals[in.SrcB], li)
 						default:
@@ -899,21 +908,24 @@ func emit(k *il.Kernel, vals []value, clauses []clauseDraft, gprCount int) *isa.
 						ops = append(ops, sop)
 					}
 				}
-				bundles = append(bundles, isa.Bundle{Ops: ops[start:len(ops):len(ops)]})
+				bs = append(bs, isa.Bundle{Ops: ops[start:len(ops):len(ops)]})
 			}
-			c.Bundles = bundles[bstart:len(bundles):len(bundles)]
+			p.AddALU(bs...)
+			clear(bs) // the staged bundles point into the program's ops
+			s.bundles = bs
 		default:
-			start := len(exports)
+			es := s.exports[:0]
 			for ii := cd.from; ii < cd.to; ii++ {
 				in := k.Code[ii]
-				exports = append(exports, isa.Export{
-					Target:    in.Res,
-					Src:       vals[in.SrcA].loc.idx,
+				es = append(es, isa.Export{
+					Target:    int16(in.Res),
+					Src:       int16(vals[in.SrcA].loc.idx),
 					Global:    in.Op == il.OpGlobalStore,
 					ElemBytes: elem,
 				})
 			}
-			c.Exports = exports[start:len(exports):len(exports)]
+			p.AddExports(cd.kind, es...)
+			s.exports = es
 		}
 	}
 	return p

@@ -85,3 +85,14 @@ func TestCompileRejectsComputeOnRV670(t *testing.T) {
 		t.Fatal("RV670 compute kernel accepted")
 	}
 }
+
+// TestCompileRejectsIndexPastISA: the ISA encodes registers and
+// resource indices in 16 bits, so a kernel that needs more is an error,
+// not a program with wrapped indices.
+func TestCompileRejectsIndexPastISA(t *testing.T) {
+	k := chain(isa.MaxIndex+1, 0, il.Pixel, il.Float, il.TextureSpace, il.TextureSpace, 1)
+	_, err := Compile(k, device.Lookup(device.RV770))
+	if err == nil || !strings.Contains(err.Error(), "past the ISA's limit") {
+		t.Fatalf("kernel with %d inputs: got %v, want an index-limit error", k.NumInputs, err)
+	}
+}

@@ -47,7 +47,7 @@ func TestTransOpsOccupySlotT(t *testing.T) {
 		if c.Kind != isa.ClauseALU {
 			continue
 		}
-		for _, b := range c.Bundles {
+		for _, b := range p.BundlesOf(c) {
 			for _, op := range b.Ops {
 				if op.Op.IsTrans() {
 					found++
@@ -101,7 +101,7 @@ func TestIndependentTransOpsCannotCoIssue(t *testing.T) {
 		if c.Kind != isa.ClauseALU {
 			continue
 		}
-		for _, b := range c.Bundles {
+		for _, b := range p.BundlesOf(c) {
 			trans := 0
 			for _, op := range b.Ops {
 				if op.Op.IsTrans() {

@@ -23,10 +23,8 @@ func flatEnv(v float32) Env {
 }
 
 func oneBundleProg(gprs int, ops ...isa.ScalarOp) *isa.Program {
-	return &isa.Program{
-		Name: "edge", Mode: il.Pixel, Type: il.Float, GPRCount: gprs,
-		Clauses: []isa.Clause{{Kind: isa.ClauseALU, Bundles: []isa.Bundle{{Ops: ops}}}},
-	}
+	p := &isa.Program{Name: "edge", Mode: il.Pixel, Type: il.Float, GPRCount: gprs}
+	return p.AddALU(isa.Bundle{Ops: ops})
 }
 
 // TestRunISARejectsBadOperands: Validate only checks structure, so the
@@ -34,7 +32,7 @@ func oneBundleProg(gprs int, ops ...isa.ScalarOp) *isa.Program {
 // read or write port for. The fuzzer found each of these reachable
 // through hand-built (not compiler-built) programs.
 func TestRunISARejectsBadOperands(t *testing.T) {
-	g := func(idx, ch int) isa.Operand { return isa.Operand{Kind: isa.KGPR, Index: idx, Chan: ch} }
+	g := func(idx int16, ch int8) isa.Operand { return isa.Operand{Kind: isa.KGPR, Index: idx, Chan: ch} }
 	cases := []struct {
 		name string
 		prog *isa.Program
@@ -51,14 +49,10 @@ func TestRunISARejectsBadOperands(t *testing.T) {
 			isa.ScalarOp{Slot: isa.SlotX, Op: isa.AMov, Dst: isa.Operand{Kind: isa.KPV}, Src0: g(0, 0)})},
 		{"write to constant file", oneBundleProg(2,
 			isa.ScalarOp{Slot: isa.SlotX, Op: isa.AMov, Dst: isa.Operand{Kind: isa.KConst}, Src0: g(0, 0)})},
-		{"fetch beyond GPR count", &isa.Program{
-			Mode: il.Pixel, Type: il.Float, GPRCount: 2,
-			Clauses: []isa.Clause{{Kind: isa.ClauseTEX, Fetches: []isa.Fetch{{Dst: 5}}}},
-		}},
-		{"export beyond GPR count", &isa.Program{
-			Mode: il.Pixel, Type: il.Float, GPRCount: 2,
-			Clauses: []isa.Clause{{Kind: isa.ClauseEXP, Exports: []isa.Export{{Src: 5}}}},
-		}},
+		{"fetch beyond GPR count", (&isa.Program{Mode: il.Pixel, Type: il.Float, GPRCount: 2}).
+			AddTEX(isa.Fetch{Dst: 5})},
+		{"export beyond GPR count", (&isa.Program{Mode: il.Pixel, Type: il.Float, GPRCount: 2}).
+			AddExports(isa.ClauseEXP, isa.Export{Src: 5})},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -77,23 +71,17 @@ func TestRunISARejectsBadOperands(t *testing.T) {
 // temporary — the co-issue semantics the compiler's PV forwarding
 // depends on.
 func TestCoIssueReadsPreBundleState(t *testing.T) {
-	g := func(idx, ch int) isa.Operand { return isa.Operand{Kind: isa.KGPR, Index: idx, Chan: ch} }
-	p := &isa.Program{
-		Name: "swap", Mode: il.Pixel, Type: il.Float, GPRCount: 3,
-		Clauses: []isa.Clause{
-			{Kind: isa.ClauseALU, Bundles: []isa.Bundle{{Ops: []isa.ScalarOp{
-				{Slot: isa.SlotX, Op: isa.AMov, Dst: g(1, 0), Src0: g(2, 0)},
-				{Slot: isa.SlotY, Op: isa.AMov, Dst: g(2, 0), Src0: g(1, 0)},
-			}}}},
-			{Kind: isa.ClauseEXP, Exports: []isa.Export{{Target: 0, Src: 1}, {Target: 1, Src: 2}}},
-		},
-	}
+	g := func(idx int16, ch int8) isa.Operand { return isa.Operand{Kind: isa.KGPR, Index: idx, Chan: ch} }
+	p := &isa.Program{Name: "swap", Mode: il.Pixel, Type: il.Float, GPRCount: 3}
 	// Pre-load via a fetch clause would overwrite both; instead use the
 	// coordinate preload (R0 = x,y) and MOVs in a prior bundle.
-	p.Clauses = append([]isa.Clause{{Kind: isa.ClauseALU, Bundles: []isa.Bundle{{Ops: []isa.ScalarOp{
+	p.AddALU(isa.Bundle{Ops: []isa.ScalarOp{
 		{Slot: isa.SlotX, Op: isa.AMov, Dst: g(1, 0), Src0: g(0, 0)}, // R1.x = x = 3
 		{Slot: isa.SlotY, Op: isa.AMov, Dst: g(2, 0), Src0: g(0, 1)}, // R2.x = y = 9
-	}}}}}, p.Clauses...)
+	}}).AddALU(isa.Bundle{Ops: []isa.ScalarOp{
+		{Slot: isa.SlotX, Op: isa.AMov, Dst: g(1, 0), Src0: g(2, 0)},
+		{Slot: isa.SlotY, Op: isa.AMov, Dst: g(2, 0), Src0: g(1, 0)},
+	}}).AddExports(isa.ClauseEXP, isa.Export{Target: 0, Src: 1}, isa.Export{Target: 1, Src: 2})
 	out, err := RunISA(p, flatEnv(0), Thread{X: 3, Y: 9})
 	if err != nil {
 		t.Fatal(err)
@@ -107,21 +95,17 @@ func TestCoIssueReadsPreBundleState(t *testing.T) {
 // slot, not the destination operand — a z-slot op is readable as PV.z
 // even when its architectural destination was R5.x.
 func TestPVChannelFollowsSlot(t *testing.T) {
-	g := func(idx, ch int) isa.Operand { return isa.Operand{Kind: isa.KGPR, Index: idx, Chan: ch} }
-	p := &isa.Program{
-		Name: "pvchan", Mode: il.Pixel, Type: il.Float, GPRCount: 3,
-		Clauses: []isa.Clause{
-			{Kind: isa.ClauseALU, Bundles: []isa.Bundle{
-				{Ops: []isa.ScalarOp{
-					{Slot: isa.SlotZ, Op: isa.AAdd, Dst: g(1, 0), Src0: g(0, 0), Src1: g(0, 1)},
-				}},
-				{Ops: []isa.ScalarOp{
-					{Slot: isa.SlotX, Op: isa.AMov, Dst: g(2, 0), Src0: isa.Operand{Kind: isa.KPV, Chan: 2}},
-				}},
+	g := func(idx int16, ch int8) isa.Operand { return isa.Operand{Kind: isa.KGPR, Index: idx, Chan: ch} }
+	p := (&isa.Program{Name: "pvchan", Mode: il.Pixel, Type: il.Float, GPRCount: 3}).
+		AddALU(
+			isa.Bundle{Ops: []isa.ScalarOp{
+				{Slot: isa.SlotZ, Op: isa.AAdd, Dst: g(1, 0), Src0: g(0, 0), Src1: g(0, 1)},
 			}},
-			{Kind: isa.ClauseEXP, Exports: []isa.Export{{Target: 0, Src: 2}}},
-		},
-	}
+			isa.Bundle{Ops: []isa.ScalarOp{
+				{Slot: isa.SlotX, Op: isa.AMov, Dst: g(2, 0), Src0: isa.Operand{Kind: isa.KPV, Chan: 2}},
+			}},
+		).
+		AddExports(isa.ClauseEXP, isa.Export{Target: 0, Src: 2})
 	out, err := RunISA(p, flatEnv(0), Thread{X: 4, Y: 6})
 	if err != nil {
 		t.Fatal(err)

@@ -123,7 +123,7 @@ type machine struct {
 func (m *machine) read(o isa.Operand) (float32, error) {
 	switch o.Kind {
 	case isa.KGPR:
-		if o.Index < 0 || o.Index >= len(m.gpr) {
+		if o.Index < 0 || int(o.Index) >= len(m.gpr) {
 			return 0, fmt.Errorf("interp: GPR R%d out of range (program declared %d)", o.Index, len(m.gpr))
 		}
 		return m.gpr[o.Index][o.Chan], nil
@@ -139,7 +139,7 @@ func (m *machine) read(o isa.Operand) (float32, error) {
 	case isa.KZero:
 		return 0, nil
 	case isa.KConst:
-		return m.env.constAt(o.Index, o.Chan), nil
+		return m.env.constAt(int(o.Index), int(o.Chan)), nil
 	}
 	return 0, fmt.Errorf("interp: read of operand kind %d", o.Kind)
 }
@@ -149,7 +149,7 @@ func (m *machine) write(o isa.Operand, v float32) error {
 	case isa.KNone:
 		return nil // PV-only destination
 	case isa.KGPR:
-		if o.Index < 0 || o.Index >= len(m.gpr) {
+		if o.Index < 0 || int(o.Index) >= len(m.gpr) {
 			return fmt.Errorf("interp: GPR R%d out of range on write", o.Index)
 		}
 		m.gpr[o.Index][o.Chan] = v
@@ -180,27 +180,25 @@ func RunISA(p *isa.Program, env Env, th Thread) (map[int]Vec4, error) {
 	lanes := p.Type.Lanes()
 	out := make(map[int]Vec4)
 
-	for ci := range p.Clauses {
-		c := &p.Clauses[ci]
+	for _, c := range p.Clauses {
 		// Clause temporaries are live only inside their clause: they are
 		// taken from the register pool per slot and do not hold values
 		// across clauses (Section II-A). Model that by clearing them.
 		m.t = [2]Vec4{}
 		switch c.Kind {
 		case isa.ClauseTEX:
-			for _, f := range c.Fetches {
-				if f.Dst >= len(m.gpr) {
+			for _, f := range p.FetchesOf(c) {
+				if int(f.Dst) >= len(m.gpr) {
 					return nil, fmt.Errorf("interp: fetch writes R%d beyond GPR count %d", f.Dst, len(m.gpr))
 				}
 				var v Vec4
 				for l := 0; l < lanes; l++ {
-					v[l] = env.Input(f.Resource, th.X, th.Y, l)
+					v[l] = env.Input(int(f.Resource), th.X, th.Y, l)
 				}
 				m.gpr[f.Dst] = v
 			}
 		case isa.ClauseALU:
-			for bi := range c.Bundles {
-				b := &c.Bundles[bi]
+			for _, b := range p.BundlesOf(c) {
 				// Co-issue: all slot reads observe pre-bundle state.
 				results := make([]float32, len(b.Ops))
 				for oi, op := range b.Ops {
@@ -246,11 +244,11 @@ func RunISA(p *isa.Program, env Env, th Thread) (map[int]Vec4, error) {
 				m.pv, m.ps = newPV, newPS
 			}
 		case isa.ClauseEXP, isa.ClauseMEM:
-			for _, e := range c.Exports {
-				if e.Src >= len(m.gpr) {
+			for _, e := range p.ExportsOf(c) {
+				if int(e.Src) >= len(m.gpr) {
 					return nil, fmt.Errorf("interp: export reads R%d beyond GPR count %d", e.Src, len(m.gpr))
 				}
-				out[e.Target] = m.gpr[e.Src]
+				out[int(e.Target)] = m.gpr[e.Src]
 			}
 		}
 	}

@@ -70,35 +70,29 @@ func TestRunILRejectsInvalidKernel(t *testing.T) {
 
 // handISA builds a small program by hand to pin PV/PS/temp semantics.
 func handISA() *isa.Program {
-	g := func(i, c int) isa.Operand { return isa.Operand{Kind: isa.KGPR, Index: i, Chan: c} }
-	return &isa.Program{
-		Name: "hand", Mode: il.Pixel, Type: il.Float, GPRCount: 3,
-		Clauses: []isa.Clause{
-			{Kind: isa.ClauseTEX, Fetches: []isa.Fetch{
-				{Dst: 1, Coord: 0, Resource: 0, ElemBytes: 4},
-				{Dst: 2, Coord: 0, Resource: 1, ElemBytes: 4},
-			}},
-			{Kind: isa.ClauseALU, Bundles: []isa.Bundle{
-				// b0: x: ADD ____(PV.x) = R1.x + R2.x ; t: MUL PS = R1.x * R2.x
-				{Ops: []isa.ScalarOp{
-					{Slot: isa.SlotX, Op: isa.AAdd, Dst: isa.Operand{Kind: isa.KNone}, Src0: g(1, 0), Src1: g(2, 0)},
-					{Slot: isa.SlotT, Op: isa.AMul, Dst: isa.Operand{Kind: isa.KNone}, Src0: g(1, 0), Src1: g(2, 0)},
-				}},
-				// b1: x: ADD T0.x = PV.x + PS
-				{Ops: []isa.ScalarOp{
-					{Slot: isa.SlotX, Op: isa.AAdd,
-						Dst:  isa.Operand{Kind: isa.KTemp, Index: 0, Chan: 0},
-						Src0: isa.Operand{Kind: isa.KPV, Chan: 0},
-						Src1: isa.Operand{Kind: isa.KPS}},
-				}},
-				// b2: x: MOV R1.x = T0.x
-				{Ops: []isa.ScalarOp{
-					{Slot: isa.SlotX, Op: isa.AMov, Dst: g(1, 0), Src0: isa.Operand{Kind: isa.KTemp, Index: 0, Chan: 0}},
-				}},
-			}},
-			{Kind: isa.ClauseEXP, Exports: []isa.Export{{Target: 0, Src: 1, ElemBytes: 4}}},
-		},
-	}
+	g := func(i int16, c int8) isa.Operand { return isa.Operand{Kind: isa.KGPR, Index: i, Chan: c} }
+	p := &isa.Program{Name: "hand", Mode: il.Pixel, Type: il.Float, GPRCount: 3}
+	return p.AddTEX(
+		isa.Fetch{Dst: 1, Coord: 0, Resource: 0, ElemBytes: 4},
+		isa.Fetch{Dst: 2, Coord: 0, Resource: 1, ElemBytes: 4},
+	).AddALU(
+		// b0: x: ADD ____(PV.x) = R1.x + R2.x ; t: MUL PS = R1.x * R2.x
+		isa.Bundle{Ops: []isa.ScalarOp{
+			{Slot: isa.SlotX, Op: isa.AAdd, Dst: isa.Operand{Kind: isa.KNone}, Src0: g(1, 0), Src1: g(2, 0)},
+			{Slot: isa.SlotT, Op: isa.AMul, Dst: isa.Operand{Kind: isa.KNone}, Src0: g(1, 0), Src1: g(2, 0)},
+		}},
+		// b1: x: ADD T0.x = PV.x + PS
+		isa.Bundle{Ops: []isa.ScalarOp{
+			{Slot: isa.SlotX, Op: isa.AAdd,
+				Dst:  isa.Operand{Kind: isa.KTemp, Index: 0, Chan: 0},
+				Src0: isa.Operand{Kind: isa.KPV, Chan: 0},
+				Src1: isa.Operand{Kind: isa.KPS}},
+		}},
+		// b2: x: MOV R1.x = T0.x
+		isa.Bundle{Ops: []isa.ScalarOp{
+			{Slot: isa.SlotX, Op: isa.AMov, Dst: g(1, 0), Src0: isa.Operand{Kind: isa.KTemp, Index: 0, Chan: 0}},
+		}},
+	).AddExports(isa.ClauseEXP, isa.Export{Target: 0, Src: 1, ElemBytes: 4})
 }
 
 func TestRunISAPVPSAndTemps(t *testing.T) {
@@ -116,12 +110,8 @@ func TestRunISAPVPSAndTemps(t *testing.T) {
 
 func TestRunISACoordinatePreload(t *testing.T) {
 	// A program that exports R0 directly must produce the thread coords.
-	p := &isa.Program{
-		Name: "coords", Mode: il.Pixel, Type: il.Float4, GPRCount: 1,
-		Clauses: []isa.Clause{
-			{Kind: isa.ClauseEXP, Exports: []isa.Export{{Target: 0, Src: 0, ElemBytes: 16}}},
-		},
-	}
+	p := (&isa.Program{Name: "coords", Mode: il.Pixel, Type: il.Float4, GPRCount: 1}).
+		AddExports(isa.ClauseEXP, isa.Export{Target: 0, Src: 0, ElemBytes: 16})
 	out, err := RunISA(p, env(), Thread{X: 5, Y: 7})
 	if err != nil {
 		t.Fatal(err)
@@ -135,23 +125,15 @@ func TestRunISAClauseTempsDoNotSurviveClauses(t *testing.T) {
 	// Write T0 in one clause, read it in the next: the value must be
 	// gone (cleared to zero), because clause temporaries are only live
 	// inside their clause (Section II-A of the paper).
-	g := func(i, c int) isa.Operand { return isa.Operand{Kind: isa.KGPR, Index: i, Chan: c} }
+	g := func(i int16, c int8) isa.Operand { return isa.Operand{Kind: isa.KGPR, Index: i, Chan: c} }
 	tmp := isa.Operand{Kind: isa.KTemp, Index: 0, Chan: 0}
-	p := &isa.Program{
-		Name: "tdeath", Mode: il.Pixel, Type: il.Float, GPRCount: 2,
-		Clauses: []isa.Clause{
-			{Kind: isa.ClauseTEX, Fetches: []isa.Fetch{{Dst: 1, Coord: 0, Resource: 0, ElemBytes: 4}}},
-			{Kind: isa.ClauseALU, Bundles: []isa.Bundle{
-				{Ops: []isa.ScalarOp{{Slot: isa.SlotX, Op: isa.AMov, Dst: tmp, Src0: g(1, 0)}}},
-			}},
-			// A TEX clause interrupts, ending the ALU clause.
-			{Kind: isa.ClauseTEX, Fetches: []isa.Fetch{{Dst: 0, Coord: 0, Resource: 0, ElemBytes: 4}}},
-			{Kind: isa.ClauseALU, Bundles: []isa.Bundle{
-				{Ops: []isa.ScalarOp{{Slot: isa.SlotX, Op: isa.AMov, Dst: g(1, 0), Src0: tmp}}},
-			}},
-			{Kind: isa.ClauseEXP, Exports: []isa.Export{{Target: 0, Src: 1, ElemBytes: 4}}},
-		},
-	}
+	p := (&isa.Program{Name: "tdeath", Mode: il.Pixel, Type: il.Float, GPRCount: 2}).
+		AddTEX(isa.Fetch{Dst: 1, Coord: 0, Resource: 0, ElemBytes: 4}).
+		AddALU(isa.Bundle{Ops: []isa.ScalarOp{{Slot: isa.SlotX, Op: isa.AMov, Dst: tmp, Src0: g(1, 0)}}}).
+		// A TEX clause interrupts, ending the ALU clause.
+		AddTEX(isa.Fetch{Dst: 0, Coord: 0, Resource: 0, ElemBytes: 4}).
+		AddALU(isa.Bundle{Ops: []isa.ScalarOp{{Slot: isa.SlotX, Op: isa.AMov, Dst: g(1, 0), Src0: tmp}}}).
+		AddExports(isa.ClauseEXP, isa.Export{Target: 0, Src: 1, ElemBytes: 4})
 	out, err := RunISA(p, env(), Thread{X: 3, Y: 0})
 	if err != nil {
 		t.Fatal(err)

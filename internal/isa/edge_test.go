@@ -14,77 +14,77 @@ import (
 	"amdgpubench/internal/il"
 )
 
-func aluClause(b ...Bundle) Clause {
-	return Clause{Kind: ClauseALU, Bundles: b}
+func aluProgram(b ...Bundle) *Program {
+	return new(Program).AddALU(b...)
 }
 
 func TestValidateRejectsEdgeShapes(t *testing.T) {
 	cases := []struct {
 		name string
-		prog Program
+		prog *Program
 		want string // substring of the expected error
 	}{
 		{
 			name: "slot out of range high",
-			prog: Program{Clauses: []Clause{aluClause(Bundle{Ops: []ScalarOp{
+			prog: aluProgram(Bundle{Ops: []ScalarOp{
 				{Slot: Slot(5), Op: AMov, Dst: gpr(1, 0), Src0: gpr(0, 0)},
-			}})}},
+			}}),
 			want: "bad slot",
 		},
 		{
 			name: "slot out of range negative",
-			prog: Program{Clauses: []Clause{aluClause(Bundle{Ops: []ScalarOp{
+			prog: aluProgram(Bundle{Ops: []ScalarOp{
 				{Slot: Slot(-1), Op: AMov, Dst: gpr(1, 0), Src0: gpr(0, 0)},
-			}})}},
+			}}),
 			want: "bad slot",
 		},
 		{
 			name: "transcendental outside slot t",
-			prog: Program{Clauses: []Clause{aluClause(Bundle{Ops: []ScalarOp{
+			prog: aluProgram(Bundle{Ops: []ScalarOp{
 				{Slot: SlotX, Op: ARcp, Dst: gpr(1, 0), Src0: gpr(0, 0)},
-			}})}},
+			}}),
 			want: "outside slot t",
 		},
 		{
 			name: "rsq is transcendental too",
-			prog: Program{Clauses: []Clause{aluClause(Bundle{Ops: []ScalarOp{
+			prog: aluProgram(Bundle{Ops: []ScalarOp{
 				{Slot: SlotW, Op: ARsq, Dst: gpr(1, 0), Src0: gpr(0, 0)},
-			}})}},
+			}}),
 			want: "outside slot t",
 		},
 		{
 			name: "empty bundle inside populated clause",
-			prog: Program{Clauses: []Clause{aluClause(
+			prog: aluProgram(
 				Bundle{Ops: []ScalarOp{{Slot: SlotX, Op: AMov, Dst: gpr(1, 0), Src0: gpr(0, 0)}}},
 				Bundle{},
-			)}},
+			),
 			want: "empty bundle",
 		},
 		{
 			name: "empty TEX clause",
-			prog: Program{Clauses: []Clause{{Kind: ClauseTEX}}},
+			prog: new(Program).AddTEX(),
 			want: "empty TEX clause",
 		},
 		{
 			name: "empty export clause",
-			prog: Program{Clauses: []Clause{{Kind: ClauseEXP}}},
+			prog: new(Program).AddExports(ClauseEXP),
 			want: "empty export clause",
 		},
 		{
 			name: "unknown clause kind",
-			prog: Program{Clauses: []Clause{{Kind: ClauseKind(9), Exports: []Export{{}}}}},
+			prog: new(Program).AddExports(ClauseKind(9), Export{}),
 			want: "unknown kind",
 		},
 		{
 			name: "negative GPR count",
-			prog: Program{GPRCount: -1},
+			prog: &Program{GPRCount: -1},
 			want: "negative GPR count",
 		},
 		{
 			name: "negative channel",
-			prog: Program{Clauses: []Clause{aluClause(Bundle{Ops: []ScalarOp{
+			prog: aluProgram(Bundle{Ops: []ScalarOp{
 				{Slot: SlotX, Op: AMov, Dst: gpr(1, -1), Src0: gpr(0, 0)},
-			}})}},
+			}}),
 			want: "channel",
 		},
 	}
@@ -106,36 +106,34 @@ func TestValidateRejectsEdgeShapes(t *testing.T) {
 func TestStatsEdgeShapes(t *testing.T) {
 	cases := []struct {
 		name string
-		prog Program
+		prog *Program
 		want Stats
 	}{
 		{
 			name: "empty program",
-			prog: Program{GPRCount: 2},
+			prog: &Program{GPRCount: 2},
 			want: Stats{GPRs: 2},
 		},
 		{
 			name: "fetch only: SKA ratio stays zero without bundles",
-			prog: Program{Clauses: []Clause{
-				{Kind: ClauseTEX, Fetches: []Fetch{{Dst: 1}, {Dst: 2}}},
-			}},
+			prog: new(Program).AddTEX(Fetch{Dst: 1}, Fetch{Dst: 2}),
 			want: Stats{TEXClauses: 1, FetchOps: 2, GPRWrites: 2},
 		},
 		{
 			name: "ALU only: no fetches means no ratio",
-			prog: Program{Clauses: []Clause{aluClause(Bundle{Ops: []ScalarOp{
+			prog: aluProgram(Bundle{Ops: []ScalarOp{
 				{Slot: SlotX, Op: AAdd, Dst: gpr(1, 0), Src0: gpr(0, 0), Src1: gpr(0, 1)},
 				{Slot: SlotY, Op: AAdd, Dst: none(), Src0: gpr(0, 0), Src1: gpr(0, 1)},
-			}})}},
+			}}),
 			// Two scalar ops in one bundle; only the KGPR destination
 			// counts as a register-file write.
 			want: Stats{ALUClauses: 1, ALUBundles: 1, ALUPacking: 2, GPRWrites: 1},
 		},
 		{
 			name: "temp destinations are not GPR writes",
-			prog: Program{Clauses: []Clause{aluClause(Bundle{Ops: []ScalarOp{
+			prog: aluProgram(Bundle{Ops: []ScalarOp{
 				{Slot: SlotX, Op: AMov, Dst: Operand{Kind: KTemp, Index: 0}, Src0: gpr(0, 0)},
-			}})}},
+			}}),
 			want: Stats{ALUClauses: 1, ALUBundles: 1, ALUPacking: 1},
 		},
 	}
@@ -156,24 +154,18 @@ func TestStatsEdgeShapes(t *testing.T) {
 // itself on re-render — the stability property the conformance oracles
 // assert on random programs.
 func TestDisassembleEdgeOperands(t *testing.T) {
-	p := &Program{
-		Name: "edges", Mode: il.Compute, Type: il.Float4, GPRCount: 3,
-		Clauses: []Clause{
-			{Kind: ClauseTEX, Fetches: []Fetch{
-				{Dst: 1, Coord: 0, Resource: 0, Global: true, ElemBytes: 16},
+	p := (&Program{Name: "edges", Mode: il.Compute, Type: il.Float4, GPRCount: 3}).
+		AddTEX(Fetch{Dst: 1, Coord: 0, Resource: 0, Global: true, ElemBytes: 16}).
+		AddALU(
+			Bundle{Ops: []ScalarOp{
+				{Slot: SlotX, Op: AAdd, Dst: none(), Src0: gpr(1, 0), Src1: Operand{Kind: KZero}},
+				{Slot: SlotT, Op: ARcp, Dst: Operand{Kind: KTemp, Index: 1, Chan: 2}, Src0: Operand{Kind: KConst, Index: 3, Chan: 1}},
 			}},
-			aluClause(
-				Bundle{Ops: []ScalarOp{
-					{Slot: SlotX, Op: AAdd, Dst: none(), Src0: gpr(1, 0), Src1: Operand{Kind: KZero}},
-					{Slot: SlotT, Op: ARcp, Dst: Operand{Kind: KTemp, Index: 1, Chan: 2}, Src0: Operand{Kind: KConst, Index: 3, Chan: 1}},
-				}},
-				Bundle{Ops: []ScalarOp{
-					{Slot: SlotY, Op: AMul, Dst: gpr(2, 1), Src0: Operand{Kind: KPV, Chan: 0}, Src1: Operand{Kind: KPS}},
-				}},
-			),
-			{Kind: ClauseMEM, Exports: []Export{{Target: 0, Src: 2, Global: true, ElemBytes: 16}}},
-		},
-	}
+			Bundle{Ops: []ScalarOp{
+				{Slot: SlotY, Op: AMul, Dst: gpr(2, 1), Src0: Operand{Kind: KPV, Chan: 0}, Src1: Operand{Kind: KPS}},
+			}},
+		).
+		AddExports(ClauseMEM, Export{Target: 0, Src: 2, Global: true, ElemBytes: 16})
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}

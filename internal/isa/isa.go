@@ -11,13 +11,14 @@ package isa
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"amdgpubench/internal/il"
 )
 
 // Slot identifies one lane of a VLIW bundle.
-type Slot int
+type Slot int8
 
 // VLIW slots in disassembly order.
 const (
@@ -50,7 +51,7 @@ func (s Slot) String() string {
 }
 
 // AOp is a scalar ALU operation.
-type AOp int
+type AOp uint8
 
 const (
 	// AAdd is floating point addition.
@@ -94,7 +95,7 @@ func (o AOp) IsTrans() bool { return o == ARcp || o == ARsq }
 func (o AOp) Unary() bool { return o == AMov || o == ARcp || o == ARsq }
 
 // OperandKind classifies ALU operand storage.
-type OperandKind int
+type OperandKind uint8
 
 const (
 	// KNone marks an absent operand or a PV-only destination (rendered
@@ -117,10 +118,12 @@ const (
 )
 
 // Operand is one ALU operand: a storage kind, register index and channel.
+// The fields are as narrow as the encodings they model, so an operand
+// is four bytes and a compiled program costs little to keep.
 type Operand struct {
 	Kind  OperandKind
-	Index int // register number for KGPR/KTemp
-	Chan  int // channel 0..3 (x..w)
+	Chan  int8  // channel 0..3 (x..w)
+	Index int16 // register number for KGPR/KTemp, element for KConst
 }
 
 var chanNames = [4]string{"x", "y", "z", "w"}
@@ -164,23 +167,27 @@ type Bundle struct {
 
 // Fetch is one texture-sample or global-read instruction in a TEX clause.
 type Fetch struct {
-	Dst       int  // destination GPR
-	Coord     int  // GPR holding the (x, y) coordinate / linear id
-	Resource  int  // input resource index
-	Global    bool // true for uncached global memory reads
-	ElemBytes int  // bytes fetched per thread (4 for float, 16 for float4)
+	Dst       int16 // destination GPR
+	Coord     int16 // GPR holding the (x, y) coordinate / linear id
+	Resource  int16 // input resource index
+	Global    bool  // true for uncached global memory reads
+	ElemBytes uint8 // bytes fetched per thread (4 for float, 16 for float4)
 }
 
 // Export is one output write in an export clause.
 type Export struct {
-	Target    int  // color buffer / output buffer index
-	Src       int  // source GPR
-	Global    bool // true for global memory writes, false for streaming stores
-	ElemBytes int  // bytes stored per thread
+	Target    int16 // color buffer / output buffer index
+	Src       int16 // source GPR
+	Global    bool  // true for global memory writes, false for streaming stores
+	ElemBytes uint8 // bytes stored per thread
 }
 
+// MaxIndex is the largest register, resource or constant index the
+// narrow instruction fields encode.
+const MaxIndex = math.MaxInt16
+
 // ClauseKind discriminates clause types.
-type ClauseKind int
+type ClauseKind uint8
 
 const (
 	// ClauseTEX groups fetch instructions.
@@ -208,36 +215,74 @@ func (k ClauseKind) String() string {
 	return "?"
 }
 
-// Clause is one control-flow clause. Exactly one of Fetches, Bundles or
-// Exports is populated, according to Kind.
+// Clause is one control-flow clause: a kind and a range of its kind's
+// program-wide slab. A TEX clause's instructions are Fetches[Start:
+// Start+N], an ALU clause's Bundles[...], an EXP or MEM clause's
+// Exports[...]. The clauses of one slab cover it in order, each
+// starting where the previous one ended.
 type Clause struct {
-	Kind    ClauseKind
-	Fetches []Fetch
-	Bundles []Bundle
-	Exports []Export
+	Kind  ClauseKind
+	Start int32 // index of the clause's first instruction in its slab
+	N     int32 // instruction count
 }
 
 // Len returns the clause's instruction count in its native unit (fetches,
 // bundles, or exports).
-func (c *Clause) Len() int {
-	switch c.Kind {
-	case ClauseTEX:
-		return len(c.Fetches)
-	case ClauseALU:
-		return len(c.Bundles)
-	default:
-		return len(c.Exports)
-	}
-}
+func (c Clause) Len() int { return int(c.N) }
 
-// Program is a compiled kernel: its clause sequence plus the resource
-// footprint the hardware scheduler cares about.
+// Program is a compiled kernel: its clause sequence, the three slabs
+// the clauses index, and the resource footprint the hardware scheduler
+// cares about.
 type Program struct {
 	Name     string
 	Mode     il.ShaderMode
 	Type     il.DataType
 	Clauses  []Clause
-	GPRCount int // peak general-purpose registers per thread
+	Fetches  []Fetch  // every TEX clause's fetches, in clause order
+	Bundles  []Bundle // every ALU clause's bundles, in clause order
+	Exports  []Export // every EXP and MEM clause's exports, in clause order
+	GPRCount int      // peak general-purpose registers per thread
+}
+
+// FetchesOf returns a TEX clause's fetches, capped at their length.
+func (p *Program) FetchesOf(c Clause) []Fetch {
+	e := c.Start + c.N
+	return p.Fetches[c.Start:e:e]
+}
+
+// BundlesOf returns an ALU clause's bundles, capped at their length.
+func (p *Program) BundlesOf(c Clause) []Bundle {
+	e := c.Start + c.N
+	return p.Bundles[c.Start:e:e]
+}
+
+// ExportsOf returns an EXP or MEM clause's exports, capped at their
+// length.
+func (p *Program) ExportsOf(c Clause) []Export {
+	e := c.Start + c.N
+	return p.Exports[c.Start:e:e]
+}
+
+// AddTEX appends a TEX clause holding fs and returns p.
+func (p *Program) AddTEX(fs ...Fetch) *Program {
+	p.Clauses = append(p.Clauses, Clause{Kind: ClauseTEX, Start: int32(len(p.Fetches)), N: int32(len(fs))})
+	p.Fetches = append(p.Fetches, fs...)
+	return p
+}
+
+// AddALU appends an ALU clause holding bs and returns p.
+func (p *Program) AddALU(bs ...Bundle) *Program {
+	p.Clauses = append(p.Clauses, Clause{Kind: ClauseALU, Start: int32(len(p.Bundles)), N: int32(len(bs))})
+	p.Bundles = append(p.Bundles, bs...)
+	return p
+}
+
+// AddExports appends an export clause of kind (ClauseEXP or ClauseMEM)
+// holding es and returns p.
+func (p *Program) AddExports(kind ClauseKind, es ...Export) *Program {
+	p.Clauses = append(p.Clauses, Clause{Kind: kind, Start: int32(len(p.Exports)), N: int32(len(es))})
+	p.Exports = append(p.Exports, es...)
+	return p
 }
 
 // Stats summarises a program the way the StreamKernelAnalyzer would.
@@ -262,17 +307,16 @@ func (p *Program) Stats() Stats {
 	var s Stats
 	s.GPRs = p.GPRCount
 	scalar := 0
-	for i := range p.Clauses {
-		c := &p.Clauses[i]
+	for _, c := range p.Clauses {
 		switch c.Kind {
 		case ClauseTEX:
 			s.TEXClauses++
-			s.FetchOps += len(c.Fetches)
-			s.GPRWrites += len(c.Fetches)
+			s.FetchOps += c.Len()
+			s.GPRWrites += c.Len()
 		case ClauseALU:
 			s.ALUClauses++
-			s.ALUBundles += len(c.Bundles)
-			for _, b := range c.Bundles {
+			s.ALUBundles += c.Len()
+			for _, b := range p.BundlesOf(c) {
 				scalar += len(b.Ops)
 				for _, op := range b.Ops {
 					if op.Dst.Kind == KGPR {
@@ -281,7 +325,7 @@ func (p *Program) Stats() Stats {
 				}
 			}
 		default:
-			s.ExportOps += len(c.Exports)
+			s.ExportOps += c.Len()
 		}
 	}
 	if s.ALUBundles > 0 {
@@ -295,68 +339,87 @@ func (p *Program) Stats() Stats {
 	return s
 }
 
-// Validate checks structural invariants: clause payloads match their kind,
-// slot occupancy is unique per bundle, at most one transcendental op per
-// bundle, and operand channels are in range.
+// Validate checks structural invariants: each slab is covered in order
+// by the non-empty clauses of its kind, slot occupancy is unique per
+// bundle, at most one transcendental op per bundle, and operand
+// channels are in range.
 func (p *Program) Validate() error {
-	for ci := range p.Clauses {
-		c := &p.Clauses[ci]
+	// next is where the next clause of each slab must start: fetches,
+	// bundles, exports.
+	var next [3]int32
+	sizes := [3]int{len(p.Fetches), len(p.Bundles), len(p.Exports)}
+	for ci, c := range p.Clauses {
+		var slab int
 		switch c.Kind {
 		case ClauseTEX:
-			if len(c.Bundles) != 0 || len(c.Exports) != 0 {
-				return fmt.Errorf("isa: clause %d: TEX clause with non-fetch payload", ci)
-			}
-			if len(c.Fetches) == 0 {
-				return fmt.Errorf("isa: clause %d: empty TEX clause", ci)
-			}
+			slab = 0
 		case ClauseALU:
-			if len(c.Fetches) != 0 || len(c.Exports) != 0 {
-				return fmt.Errorf("isa: clause %d: ALU clause with non-ALU payload", ci)
+			slab = 1
+		case ClauseEXP, ClauseMEM:
+			slab = 2
+		default:
+			return fmt.Errorf("isa: clause %d: unknown kind %d", ci, c.Kind)
+		}
+		if c.N <= 0 {
+			if slab == 2 {
+				return fmt.Errorf("isa: clause %d: empty export clause", ci)
 			}
-			if len(c.Bundles) == 0 {
-				return fmt.Errorf("isa: clause %d: empty ALU clause", ci)
-			}
-			for bi, b := range c.Bundles {
-				var seen [NumSlots]bool
-				for _, op := range b.Ops {
-					if op.Slot < 0 || op.Slot >= NumSlots {
-						return fmt.Errorf("isa: clause %d bundle %d: bad slot %d", ci, bi, op.Slot)
-					}
-					if seen[op.Slot] {
-						return fmt.Errorf("isa: clause %d bundle %d: slot %s used twice", ci, bi, op.Slot)
-					}
-					seen[op.Slot] = true
-					if op.Op.IsTrans() && op.Slot != SlotT {
-						return fmt.Errorf("isa: clause %d bundle %d: transcendental %v outside slot t", ci, bi, op.Op)
-					}
-					for _, o := range []Operand{op.Dst, op.Src0, op.Src1} {
-						if o.Chan < 0 || o.Chan > 3 {
-							return fmt.Errorf("isa: clause %d bundle %d: channel %d out of range", ci, bi, o.Chan)
-						}
-					}
-				}
-				if len(b.Ops) == 0 {
-					return fmt.Errorf("isa: clause %d bundle %d: empty bundle", ci, bi)
+			return fmt.Errorf("isa: clause %d: empty %s clause", ci, c.Kind)
+		}
+		if c.Start != next[slab] || int(c.Start)+int(c.N) > sizes[slab] {
+			return fmt.Errorf("isa: clause %d: %s range [%d,%d) does not continue its slab at %d of %d",
+				ci, c.Kind, c.Start, int(c.Start)+int(c.N), next[slab], sizes[slab])
+		}
+		next[slab] += c.N
+		switch c.Kind {
+		case ClauseALU:
+			for bi, b := range p.BundlesOf(c) {
+				if err := b.validate(); err != nil {
+					return fmt.Errorf("isa: clause %d bundle %d: %w", ci, bi, err)
 				}
 			}
 		case ClauseEXP, ClauseMEM:
-			if len(c.Fetches) != 0 || len(c.Bundles) != 0 {
-				return fmt.Errorf("isa: clause %d: export clause with non-export payload", ci)
-			}
-			if len(c.Exports) == 0 {
-				return fmt.Errorf("isa: clause %d: empty export clause", ci)
-			}
-			for _, e := range c.Exports {
+			for _, e := range p.ExportsOf(c) {
 				if (c.Kind == ClauseMEM) != e.Global {
 					return fmt.Errorf("isa: clause %d: export global flag disagrees with clause kind", ci)
 				}
 			}
-		default:
-			return fmt.Errorf("isa: clause %d: unknown kind %d", ci, c.Kind)
+		}
+	}
+	for slab, n := range next {
+		if int(n) != sizes[slab] {
+			return fmt.Errorf("isa: %d of %d %s instructions belong to no clause",
+				sizes[slab]-int(n), sizes[slab], [3]string{"fetch", "ALU", "export"}[slab])
 		}
 	}
 	if p.GPRCount < 0 {
 		return fmt.Errorf("isa: negative GPR count")
+	}
+	return nil
+}
+
+// validate checks one bundle: non-empty, each slot used once, a
+// transcendental only in slot t, every operand channel in 0..3.
+func (b Bundle) validate() error {
+	if len(b.Ops) == 0 {
+		return fmt.Errorf("empty bundle")
+	}
+	var seen [NumSlots]bool
+	for _, op := range b.Ops {
+		if op.Slot < 0 || op.Slot >= NumSlots {
+			return fmt.Errorf("bad slot %d", op.Slot)
+		}
+		if seen[op.Slot] {
+			return fmt.Errorf("slot %s used twice", op.Slot)
+		}
+		seen[op.Slot] = true
+		if op.Op.IsTrans() && op.Slot != SlotT {
+			return fmt.Errorf("transcendental %v outside slot t", op.Op)
+		}
+		// As unsigned bytes a negative channel reads above 3 too.
+		if c := max(uint8(op.Dst.Chan), uint8(op.Src0.Chan), uint8(op.Src1.Chan)); c > 3 {
+			return fmt.Errorf("channel %d out of range", int8(c))
+		}
 	}
 	return nil
 }
@@ -367,16 +430,15 @@ func Disassemble(p *Program) string {
 	fmt.Fprintf(&b, "; -------- Disassembly: %s (%s, %s) --------\n", p.Name, p.Mode, p.Type)
 	addr := 16 // pretend clause bodies start at instruction word 16
 	instr := 0
-	for ci := range p.Clauses {
-		c := &p.Clauses[ci]
+	for ci, c := range p.Clauses {
 		switch c.Kind {
 		case ClauseTEX:
 			valid := ""
 			if p.Mode == il.Pixel {
 				valid = " VALID_PIX"
 			}
-			fmt.Fprintf(&b, "%02d TEX: ADDR(%d) CNT(%d)%s\n", ci, addr, len(c.Fetches), valid)
-			for _, f := range c.Fetches {
+			fmt.Fprintf(&b, "%02d TEX: ADDR(%d) CNT(%d)%s\n", ci, addr, c.Len(), valid)
+			for _, f := range p.FetchesOf(c) {
 				mnem := "SAMPLE"
 				if f.Global {
 					mnem = "VFETCH"
@@ -384,10 +446,10 @@ func Disassemble(p *Program) string {
 				fmt.Fprintf(&b, "%6d  %s R%d, R%d.xyxx, t%d, s0  UNNORM(XYZW)\n", instr, mnem, f.Dst, f.Coord, f.Resource)
 				instr++
 			}
-			addr += len(c.Fetches) * 2
+			addr += c.Len() * 2
 		case ClauseALU:
-			fmt.Fprintf(&b, "%02d ALU: ADDR(%d) CNT(%d)\n", ci, addr, len(c.Bundles))
-			for _, bu := range c.Bundles {
+			fmt.Fprintf(&b, "%02d ALU: ADDR(%d) CNT(%d)\n", ci, addr, c.Len())
+			for _, bu := range p.BundlesOf(c) {
 				for oi, op := range bu.Ops {
 					prefix := "       "
 					if oi == 0 {
@@ -401,13 +463,13 @@ func Disassemble(p *Program) string {
 				}
 				instr++
 			}
-			addr += len(c.Bundles)
+			addr += c.Len()
 		case ClauseEXP:
-			for _, e := range c.Exports {
+			for _, e := range p.ExportsOf(c) {
 				fmt.Fprintf(&b, "%02d EXP_DONE: PIX%d, R%d\n", ci, e.Target, e.Src)
 			}
 		case ClauseMEM:
-			for _, e := range c.Exports {
+			for _, e := range p.ExportsOf(c) {
 				fmt.Fprintf(&b, "%02d MEM_EXPORT_WRITE: RAT(%d), R%d\n", ci, e.Target, e.Src)
 			}
 		}

@@ -3,6 +3,7 @@ package isa
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"amdgpubench/internal/il"
 )
@@ -11,35 +12,29 @@ func scalarOp(slot Slot, op AOp, dst, a, b Operand) ScalarOp {
 	return ScalarOp{Slot: slot, Op: op, Dst: dst, Src0: a, Src1: b}
 }
 
-func gpr(i, c int) Operand  { return Operand{Kind: KGPR, Index: i, Chan: c} }
-func pv(c int) Operand      { return Operand{Kind: KPV, Chan: c} }
-func temp(i, c int) Operand { return Operand{Kind: KTemp, Index: i, Chan: c} }
-func none() Operand         { return Operand{Kind: KNone} }
+func gpr(i int16, c int8) Operand  { return Operand{Kind: KGPR, Index: i, Chan: c} }
+func pv(c int8) Operand            { return Operand{Kind: KPV, Chan: c} }
+func temp(i int16, c int8) Operand { return Operand{Kind: KTemp, Index: i, Chan: c} }
+func none() Operand                { return Operand{Kind: KNone} }
 
 func sampleProgram() *Program {
-	return &Program{
-		Name: "fig2", Mode: il.Pixel, Type: il.Float4, GPRCount: 4,
-		Clauses: []Clause{
-			{Kind: ClauseTEX, Fetches: []Fetch{
-				{Dst: 1, Coord: 0, Resource: 0, ElemBytes: 16},
-				{Dst: 2, Coord: 0, Resource: 1, ElemBytes: 16},
-				{Dst: 3, Coord: 0, Resource: 2, ElemBytes: 16},
-			}},
-			{Kind: ClauseALU, Bundles: []Bundle{
-				{Ops: []ScalarOp{
-					scalarOp(SlotX, AAdd, none(), gpr(1, 3), gpr(2, 3)),
-					scalarOp(SlotY, AAdd, none(), gpr(1, 2), gpr(2, 2)),
-					scalarOp(SlotZ, AAdd, none(), gpr(1, 1), gpr(2, 1)),
-					scalarOp(SlotW, AAdd, none(), gpr(1, 0), gpr(2, 0)),
-				}},
-				{Ops: []ScalarOp{
-					scalarOp(SlotX, AAdd, temp(1, 0), gpr(3, 3), pv(0)),
-					scalarOp(SlotY, AAdd, temp(1, 1), gpr(3, 2), pv(1)),
-				}},
-			}},
-			{Kind: ClauseEXP, Exports: []Export{{Target: 0, Src: 0, ElemBytes: 16}}},
-		},
-	}
+	p := &Program{Name: "fig2", Mode: il.Pixel, Type: il.Float4, GPRCount: 4}
+	return p.AddTEX(
+		Fetch{Dst: 1, Coord: 0, Resource: 0, ElemBytes: 16},
+		Fetch{Dst: 2, Coord: 0, Resource: 1, ElemBytes: 16},
+		Fetch{Dst: 3, Coord: 0, Resource: 2, ElemBytes: 16},
+	).AddALU(
+		Bundle{Ops: []ScalarOp{
+			scalarOp(SlotX, AAdd, none(), gpr(1, 3), gpr(2, 3)),
+			scalarOp(SlotY, AAdd, none(), gpr(1, 2), gpr(2, 2)),
+			scalarOp(SlotZ, AAdd, none(), gpr(1, 1), gpr(2, 1)),
+			scalarOp(SlotW, AAdd, none(), gpr(1, 0), gpr(2, 0)),
+		}},
+		Bundle{Ops: []ScalarOp{
+			scalarOp(SlotX, AAdd, temp(1, 0), gpr(3, 3), pv(0)),
+			scalarOp(SlotY, AAdd, temp(1, 1), gpr(3, 2), pv(1)),
+		}},
+	).AddExports(ClauseEXP, Export{Target: 0, Src: 0, ElemBytes: 16})
 }
 
 func TestValidateAcceptsSample(t *testing.T) {
@@ -48,17 +43,37 @@ func TestValidateAcceptsSample(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsMixedPayloads: a clause whose kind names another
+// kind's slab, or whose range leaves its own slab, is rejected.
 func TestValidateRejectsMixedPayloads(t *testing.T) {
 	p := sampleProgram()
-	p.Clauses[0].Bundles = p.Clauses[1].Bundles
+	p.Clauses[0].Kind = ClauseALU // the TEX clause's range read as bundles
 	if err := p.Validate(); err == nil {
-		t.Fatal("TEX clause with bundles accepted")
+		t.Fatal("TEX clause over the bundle slab accepted")
+	}
+	p = sampleProgram()
+	p.Clauses[0].N++
+	if err := p.Validate(); err == nil || !strings.Contains(err.Error(), "does not continue its slab") {
+		t.Fatalf("TEX clause past the fetch slab: got %v", err)
+	}
+	// Two TEX clauses that cover the slab out of order: the slab order
+	// is the clause order (sim reads the fetch schedule off the slab).
+	p = sampleProgram()
+	p.Clauses[0] = Clause{Kind: ClauseTEX, Start: 1, N: 2}
+	p.Clauses = append(p.Clauses, Clause{Kind: ClauseTEX, Start: 0, N: 1})
+	if err := p.Validate(); err == nil || !strings.Contains(err.Error(), "does not continue its slab") {
+		t.Fatalf("TEX clauses out of slab order: got %v", err)
+	}
+	p = sampleProgram()
+	p.Fetches = append(p.Fetches, Fetch{Dst: 1})
+	if err := p.Validate(); err == nil || !strings.Contains(err.Error(), "belong to no clause") {
+		t.Fatalf("fetch outside every clause: got %v", err)
 	}
 }
 
 func TestValidateRejectsDuplicateSlot(t *testing.T) {
 	p := sampleProgram()
-	ops := p.Clauses[1].Bundles[0].Ops
+	ops := p.BundlesOf(p.Clauses[1])[0].Ops
 	ops[1].Slot = ops[0].Slot
 	if err := p.Validate(); err == nil {
 		t.Fatal("duplicate slot accepted")
@@ -67,7 +82,7 @@ func TestValidateRejectsDuplicateSlot(t *testing.T) {
 
 func TestValidateRejectsEmptyClause(t *testing.T) {
 	p := sampleProgram()
-	p.Clauses[1].Bundles = nil
+	p.Clauses[1].N = 0
 	if err := p.Validate(); err == nil {
 		t.Fatal("empty ALU clause accepted")
 	}
@@ -75,7 +90,7 @@ func TestValidateRejectsEmptyClause(t *testing.T) {
 
 func TestValidateRejectsBadChannel(t *testing.T) {
 	p := sampleProgram()
-	p.Clauses[1].Bundles[0].Ops[0].Src0.Chan = 5
+	p.Bundles[0].Ops[0].Src0.Chan = 5
 	if err := p.Validate(); err == nil {
 		t.Fatal("out-of-range channel accepted")
 	}
@@ -83,7 +98,7 @@ func TestValidateRejectsBadChannel(t *testing.T) {
 
 func TestValidateRejectsGlobalFlagMismatch(t *testing.T) {
 	p := sampleProgram()
-	p.Clauses[2].Exports[0].Global = true // EXP clause with a global write
+	p.Exports[0].Global = true // EXP clause with a global write
 	if err := p.Validate(); err == nil {
 		t.Fatal("EXP clause with global export accepted")
 	}
@@ -167,13 +182,9 @@ func TestClauseLen(t *testing.T) {
 }
 
 func TestMemExportDisassembly(t *testing.T) {
-	p := &Program{
-		Name: "gw", Mode: il.Compute, Type: il.Float, GPRCount: 2,
-		Clauses: []Clause{
-			{Kind: ClauseTEX, Fetches: []Fetch{{Dst: 1, Coord: 0, Resource: 0, Global: true, ElemBytes: 4}}},
-			{Kind: ClauseMEM, Exports: []Export{{Target: 0, Src: 1, Global: true, ElemBytes: 4}}},
-		},
-	}
+	p := (&Program{Name: "gw", Mode: il.Compute, Type: il.Float, GPRCount: 2}).
+		AddTEX(Fetch{Dst: 1, Coord: 0, Resource: 0, Global: true, ElemBytes: 4}).
+		AddExports(ClauseMEM, Export{Target: 0, Src: 1, Global: true, ElemBytes: 4})
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -183,5 +194,28 @@ func TestMemExportDisassembly(t *testing.T) {
 	}
 	if !strings.Contains(dis, "MEM_EXPORT_WRITE: RAT(0), R1") {
 		t.Errorf("global write not rendered as MEM_EXPORT:\n%s", dis)
+	}
+}
+
+// TestLayoutSizes pins the compact instruction layout a compiled
+// program is kept in: narrow fields, and clauses as a kind plus a range
+// of a program-wide slab. A Batch=1 chase slot (a TEX clause of one
+// fetch, an ALU clause of one one-op bundle) costs 12+8+12+24+14 = 70
+// bytes of slabs.
+func TestLayoutSizes(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		got, max uintptr
+	}{
+		{"Operand", unsafe.Sizeof(Operand{}), 4},
+		{"ScalarOp", unsafe.Sizeof(ScalarOp{}), 14},
+		{"Fetch", unsafe.Sizeof(Fetch{}), 8},
+		{"Export", unsafe.Sizeof(Export{}), 6},
+		{"Clause", unsafe.Sizeof(Clause{}), 12},
+		{"Bundle", unsafe.Sizeof(Bundle{}), 24},
+	} {
+		if c.got > c.max {
+			t.Errorf("isa.%s is %d bytes, want <= %d", c.name, c.got, c.max)
+		}
 	}
 }

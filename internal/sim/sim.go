@@ -166,20 +166,14 @@ func TraceConfigFor(cfg Config) (cache.TraceConfig, bool) {
 func fetchSchedule(p *isa.Program) []int {
 	var seq []int
 	identity := true
-	for i := range p.Clauses {
-		c := &p.Clauses[i]
-		if c.Kind != isa.ClauseTEX {
+	for _, f := range p.Fetches {
+		if f.Global {
 			continue
 		}
-		for _, f := range c.Fetches {
-			if f.Global {
-				continue
-			}
-			if f.Resource != len(seq) {
-				identity = false
-			}
-			seq = append(seq, f.Resource)
+		if int(f.Resource) != len(seq) {
+			identity = false
 		}
+		seq = append(seq, int(f.Resource))
 	}
 	if identity {
 		return nil
@@ -363,15 +357,9 @@ func Run(cfg Config) (Result, error) {
 // instructions and the element size of the program's fetches.
 func textureFootprint(p *isa.Program) (n, elemBytes int) {
 	elemBytes = p.Type.Bytes()
-	for i := range p.Clauses {
-		c := &p.Clauses[i]
-		if c.Kind != isa.ClauseTEX {
-			continue
-		}
-		for _, f := range c.Fetches {
-			if !f.Global {
-				n++
-			}
+	for _, f := range p.Fetches {
+		if !f.Global {
+			n++
 		}
 	}
 	return n, elemBytes
@@ -418,25 +406,25 @@ func buildSteps(cfg Config, dram *mem.DRAM, trace cache.TraceStats, steps []step
 			(1-missesPerFetch)*float64(spec.TexHitLatency))
 	}
 
-	for i := range cfg.Prog.Clauses {
-		c := &cfg.Prog.Clauses[i]
+	prog := cfg.Prog
+	for _, c := range prog.Clauses {
 		var s step
 		switch c.Kind {
 		case isa.ClauseALU:
-			s.aluOcc = uint64(len(c.Bundles) * spec.CyclesPerALUBundle() * aluPenalty)
+			s.aluOcc = uint64(c.Len() * spec.CyclesPerALUBundle() * aluPenalty)
 		case isa.ClauseTEX:
-			for _, f := range c.Fetches {
+			for _, f := range prog.FetchesOf(c) {
 				if f.Global {
 					// Uncached global read: address issue through the
 					// texture units, traffic through DRAM.
-					bytes := spec.WavefrontSize * f.ElemBytes
+					bytes := spec.WavefrontSize * int(f.ElemBytes)
 					s.texOcc += 4
 					s.memOcc += dram.GlobalReadCycles(bytes)
 					if dram.ReadLatency > s.latency {
 						s.latency = dram.ReadLatency
 					}
 				} else {
-					s.texOcc += uint64(spec.FetchIssueCycles(f.ElemBytes))
+					s.texOcc += uint64(spec.FetchIssueCycles(int(f.ElemBytes)))
 					s.l2Occ += l2OccPerFetch
 					s.memOcc += memOccPerFetch
 					s.isFill = true
@@ -446,14 +434,14 @@ func buildSteps(cfg Config, dram *mem.DRAM, trace cache.TraceStats, steps []step
 				}
 			}
 		case isa.ClauseEXP:
-			for _, e := range c.Exports {
-				bytes := spec.WavefrontSize * e.ElemBytes
+			for _, e := range prog.ExportsOf(c) {
+				bytes := spec.WavefrontSize * int(e.ElemBytes)
 				s.expOcc += uint64(spec.StreamStoreCycles)
 				s.memOcc += writeCycles(dram, bytes, cfg.Ablate.NoBurstWrites)
 			}
 		case isa.ClauseMEM:
-			for _, e := range c.Exports {
-				bytes := spec.WavefrontSize * e.ElemBytes
+			for _, e := range prog.ExportsOf(c) {
+				bytes := spec.WavefrontSize * int(e.ElemBytes)
 				s.memOcc += writeCycles(dram, bytes, cfg.Ablate.NoBurstWrites)
 			}
 		}
