@@ -155,16 +155,17 @@ func repeatedSweep(b *testing.B, disableCache bool) {
 func BenchmarkFig7RepeatedSweepCached(b *testing.B)   { repeatedSweep(b, false) }
 func BenchmarkFig7RepeatedSweepUncached(b *testing.B) { repeatedSweep(b, true) }
 
-// incrementalSweep is the dense-sweep replay workload the prefix-snapshot
-// store exists for: one trace family replayed at every input count from 1
-// to 24 — the shape of Fig. 11's input sweep — through the pipeline's
-// Replay stage. Cold (pipeline disabled) pays the full quadratic stream,
-// replaying 1+2+...+24 = 300 input-units from scratch; Reuse resumes the
-// family's snapshot at every point and replays only the 24 deltas. The
-// figures are bit-identical either way (the cursor identity tests prove
-// it); the ns/op gap is the incremental win, and the prefix-hit-rate
-// metric lands in BENCH_<sha>.json so a snapshot-store regression shows
-// up next to the time it costs.
+// incrementalSweep is the dense-sweep replay workload: one trace family
+// replayed at every input count from 1 to 24 — the shape of Fig. 11's
+// input sweep — through the pipeline's Replay stage. Cold (pipeline
+// disabled) computes every point; each identity-scheduled point replays
+// one surface and scales it (cache.OneSurface), so Cold replays 24
+// surfaces. Reuse stores the family once, at one input, and serves the
+// other 23 points from that entry, so it replays one surface; it fails
+// if a pipeline records more than one replay miss. The figures are
+// bit-identical either way; the replay-hit-rate metric (from
+// pipeline.replay.*) lands in BENCH_<sha>.json so a store regression
+// shows up next to the time it costs.
 func incrementalSweep(b *testing.B, disabled bool) {
 	base := cache.TraceConfig{
 		Spec:          device.Lookup(device.RV770),
@@ -186,11 +187,16 @@ func incrementalSweep(b *testing.B, disabled bool) {
 			}
 		}
 		snap := p.Metrics().Snapshot()
-		hits += snap.Get("pipeline.replay-prefix.hits")
-		lookups += snap.Get("pipeline.replay-prefix.hits") + snap.Get("pipeline.replay-prefix.misses")
+		misses := snap.Get("pipeline.replay.misses")
+		if !disabled && misses > 1 {
+			b.Fatalf("a 1..%d input sweep of one family recorded %d replay misses, want 1", maxInputs, misses)
+		}
+		h := snap.Get("pipeline.replay.hits") + snap.Get("pipeline.replay.coalesced")
+		hits += h
+		lookups += h + misses
 	}
 	if lookups > 0 {
-		b.ReportMetric(float64(hits)/float64(lookups), "prefix-hit-rate")
+		b.ReportMetric(float64(hits)/float64(lookups), "replay-hit-rate")
 	}
 }
 

@@ -7,11 +7,11 @@ import (
 	"amdgpubench/internal/raster"
 )
 
-// Replay's allocations are a fixed, small setup cost — the cursor, the
-// two cache models, the open-row tracker and the precomputed run table —
+// Replay's allocations are a fixed, small setup cost — the two cache
+// models, the open-row tracker and the precomputed run table —
 // independent of how many fetches the replay streams. The budget pins
 // that: a regression that allocates per access or per wavefront blows
-// straight through it.
+// straight through it, and so does one that allocates per input.
 func TestReplayAllocs(t *testing.T) {
 	cfg := TraceConfig{
 		Spec:          device.Lookup(device.RV770),
@@ -22,25 +22,31 @@ func TestReplayAllocs(t *testing.T) {
 		NumInputs:     8,
 		ResidentWaves: 16,
 	}
-	if _, err := Replay(cfg); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := Replay(cfg); err != nil {
+	allocsAt := func(n int) float64 {
+		c := cfg
+		c.NumInputs = n
+		if _, err := Replay(c); err != nil {
 			t.Fatal(err)
 		}
-	})
-	// The cursor, 3 Cache structs, 3 tag arrays and the run table.
-	if allocs > 8 {
-		t.Errorf("Replay allocates %.1f objects/op, want <= 8 (fixed setup only)", allocs)
+		return testing.AllocsPerRun(10, func() {
+			if _, err := Replay(c); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	// 3 Cache structs, 3 tag arrays and the run table.
+	allocs := allocsAt(8)
+	if allocs > 7 {
+		t.Errorf("Replay allocates %.1f objects/op, want <= 7 (fixed setup only)", allocs)
+	}
+	if one, many := allocsAt(1), allocsAt(64); many > one {
+		t.Errorf("Replay at 64 inputs allocates %.1f objects/op, more than %.1f at 1", many, one)
 	}
 }
 
-// The replay-cursor fast path — clone a stored prefix snapshot, advance
-// it by one input — is what every warm sweep point pays. Its allocations
-// are the clone's fixed state copies (cursor struct, three Cache structs,
-// three tag arrays); the Advance itself must allocate nothing, however
-// many fetches the delta streams.
+// The full walk (a FetchRes arena here) streams every slot through the
+// same caches and run table: replaying more slots must allocate nothing
+// more, however many fetches they stream.
 func TestCursorAdvanceAllocs(t *testing.T) {
 	cfg := TraceConfig{
 		Spec:          device.Lookup(device.RV770),
@@ -49,38 +55,25 @@ func TestCursorAdvanceAllocs(t *testing.T) {
 		H:             256,
 		ElemBytes:     4,
 		ResidentWaves: 16,
+		FetchRes:      make([]int, 64),
 	}
-	cur, err := NewCursor(cfg)
-	if err != nil {
-		t.Fatal(err)
+	for s := range cfg.FetchRes {
+		cfg.FetchRes[s] = s % 5
 	}
-	if err := cur.Advance(8); err != nil {
-		t.Fatal(err)
+	allocsAt := func(n int) float64 {
+		c := cfg
+		c.NumInputs = n
+		return testing.AllocsPerRun(10, func() {
+			st, err := Replay(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.FetchExecs != n*c.ResidentWaves {
+				t.Fatalf("walk of %d slots recorded %d fetches", n, st.FetchExecs)
+			}
+		})
 	}
-
-	n := 8
-	allocs := testing.AllocsPerRun(10, func() {
-		n++
-		clone := cur.Clone()
-		if err := clone.Advance(n); err != nil {
-			t.Fatal(err)
-		}
-		if clone.Stats().FetchExecs == 0 {
-			t.Fatal("advanced clone recorded no fetches")
-		}
-	})
-	if allocs > 7 {
-		t.Errorf("clone+advance allocates %.1f objects/op, want <= 7 (clone state only)", allocs)
-	}
-
-	// Advance alone, with no clone, is allocation-free.
-	allocs = testing.AllocsPerRun(10, func() {
-		n++
-		if err := cur.Advance(n); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 0 {
-		t.Errorf("Advance allocates %.1f objects/op, want 0", allocs)
+	if one, many := allocsAt(1), allocsAt(64); many > one {
+		t.Errorf("walking 64 slots allocates %.1f objects/op, more than %.1f for 1", many, one)
 	}
 }

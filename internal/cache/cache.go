@@ -122,14 +122,3 @@ func (c *Cache) AccessRange(addr uint64, size int) (hits, misses int) {
 	}
 	return hits, misses
 }
-
-// Clone returns an independent copy of the cache: same geometry, same
-// resident lines. Replay cursors snapshot their cache
-// state through it — advancing the clone leaves the original untouched,
-// which is what lets one stored snapshot serve many sweep points.
-func (c *Cache) Clone() *Cache {
-	dup := *c
-	dup.tags = make([]uint64, len(c.tags))
-	copy(dup.tags, c.tags)
-	return &dup
-}

@@ -7,7 +7,7 @@ import (
 	"amdgpubench/internal/raster"
 )
 
-// cursorCase is one replay shape and the inner-loop path NewCursor must
+// cursorCase is one replay shape and the inner-loop path laneRuns must
 // pick for it.
 type cursorCase struct {
 	cfg TraceConfig
@@ -16,16 +16,28 @@ type cursorCase struct {
 	lineRuns bool
 }
 
+// oddLineSpec is an RV770 with 96 B lines (a 12 KiB 4-way L1, a 96 KiB
+// 16-way L2): a line that does not divide 2^32, so identity-scheduled
+// surfaces do not share one line partition and replay by the full walk.
+func oddLineSpec() device.Spec {
+	s := device.Lookup(device.RV770)
+	s.L1LineBytes, s.L1CacheBytes, s.L1Ways = 96, 12<<10, 4
+	s.L2CacheBytes, s.L2Ways = 96<<10, 16
+	return s
+}
+
 // cursorConfigs covers the replay shapes the suite actually sweeps:
 // pixel tiles and both compute blocks, float and float4, tiled and
 // linear layouts, pow2 and the padding-heavy odd domain, and a packed
 // FetchRes arena. The packed schedule revisits surfaces the way the
 // hierarchy-dissection chase kernels do; each 64x64 float surface is
 // 16KB, the RV770's L1 size, so its surfaces also conflict in L1 sets.
-// Every suite shape takes the run path, so the last two cases are the
+// Every suite shape takes the run path, so the last three cases are the
 // fallback's only coverage: a packed arena whose surfaces are not
 // line-aligned (40x24 one-byte elements pad to 960 B, 7.5 of the RV870's
-// 128 B lines), and a 12-byte element that does not divide the line.
+// 128 B lines), a 12-byte element that does not divide the line, and a
+// 96 B line, which also keeps identity-scheduled replays on the full
+// walk.
 func cursorConfigs(t *testing.T) []cursorCase {
 	t.Helper()
 	block, err := raster.ComputeOrder(4, 16)
@@ -42,6 +54,7 @@ func cursorConfigs(t *testing.T) []cursorCase {
 		{TraceConfig{Spec: device.Lookup(device.RV870), Order: raster.PixelOrder(), W: 40, H: 24, ElemBytes: 1, ResidentWaves: 6,
 			FetchRes: []int{0, 1, 2, 1, 3, 0, 4, 2, 1}}, false},
 		{TraceConfig{Spec: device.Lookup(device.RV770), Order: raster.PixelOrder(), W: 96, H: 40, ElemBytes: 12, ResidentWaves: 8}, false},
+		{TraceConfig{Spec: oddLineSpec(), Order: raster.PixelOrder(), W: 256, H: 256, ElemBytes: 4, ResidentWaves: 16}, false},
 	}
 }
 
@@ -49,13 +62,14 @@ func cursorConfigs(t *testing.T) []cursorCase {
 // run path wherever it is exact, the per-lane loop everywhere else.
 func TestCursorPath(t *testing.T) {
 	for _, c := range cursorConfigs(t) {
-		cur, err := NewCursor(c.cfg)
+		l1 := mustNew(t, c.cfg.Spec.L1CacheBytes, c.cfg.Spec.L1LineBytes, c.cfg.Spec.L1Ways)
+		_, lineRuns, _, err := laneRuns(c.cfg, l1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cur.lineRuns != c.lineRuns {
+		if lineRuns != c.lineRuns {
 			t.Errorf("%v %dx%d %dB (FetchRes %v): lineRuns = %v, want %v",
-				c.cfg.Order, c.cfg.W, c.cfg.H, c.cfg.ElemBytes, c.cfg.FetchRes != nil, cur.lineRuns, c.lineRuns)
+				c.cfg.Order, c.cfg.W, c.cfg.H, c.cfg.ElemBytes, c.cfg.FetchRes != nil, lineRuns, c.lineRuns)
 		}
 	}
 }
@@ -65,7 +79,8 @@ func TestCursorPath(t *testing.T) {
 // as padding (FirstWave), and an empty domain divided by zero in the
 // raster walk. A surface past 4 GiB would overlap the next identity
 // surface and overflow a run's uint32 offset. Each must be an error,
-// never a panic or wrong stats.
+// never a panic or wrong stats — from Replay, which walks one surface of
+// this identity-scheduled config, and from the full walk alike.
 func TestNewCursorRejectsInvalidGeometry(t *testing.T) {
 	ok := cursorConfigs(t)[0].cfg
 	ok.NumInputs = 4
@@ -85,92 +100,59 @@ func TestNewCursorRejectsInvalidGeometry(t *testing.T) {
 		if st, err := Replay(cfg); err == nil {
 			t.Errorf("%s: Replay = %+v, want an error", tc.name, st)
 		}
+		if st, err := walk(cfg); err == nil {
+			t.Errorf("%s: full walk = %+v, want an error", tc.name, st)
+		}
 	}
 	if _, err := Replay(ok); err != nil {
 		t.Fatalf("unedited config: %v", err)
 	}
 }
 
-// TestCursorMatchesReplay is the incremental-replay identity at its
-// root: advancing a cursor one input at a time through N inputs must
-// produce, at every intermediate count, statistics bit-identical to a
-// cold one-shot Replay of that count. This is what entitles the
-// pipeline's prefix-snapshot store to serve sweep point N+1 from point
-// N's state.
+// TestCursorMatchesReplay is the one-surface identity at its root: at
+// every input count from 0 to 9, Replay's statistics must be
+// bit-identical to the full walk of every slot. Identity-scheduled
+// shapes with a line that divides 2^32 take the one-surface path, and
+// the rest must not: on a FetchRes arena and on a 96 B line, scaling one
+// surface would be wrong, which the test shows too.
 func TestCursorMatchesReplay(t *testing.T) {
 	for _, c := range cursorConfigs(t) {
 		cfg := c.cfg
-		cur, err := NewCursor(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		scalable := cfg.FetchRes == nil && cfg.Spec.L1LineBytes != 96
+		inexact := false
 		for n := 0; n <= 9; n++ {
-			if err := cur.Advance(n); err != nil {
-				t.Fatal(err)
-			}
 			cfg.NumInputs = n
-			want, err := Replay(cfg)
+			got, err := Replay(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := cur.Stats(); got != want {
-				t.Fatalf("%v at %d inputs: incremental %+v != one-shot %+v", cfg.Order, n, got, want)
+			want, err := walk(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("%v at %d inputs: Replay %+v != full walk %+v", cfg.Order, n, got, want)
+			}
+			one, copies := OneSurface(cfg)
+			if split := copies > 1; split != (scalable && n > 1) {
+				t.Fatalf("%v at %d inputs (FetchRes %v, %d B lines): OneSurface copies = %d",
+					cfg.Order, n, cfg.FetchRes != nil, cfg.Spec.L1LineBytes, copies)
+			}
+			if copies > 1 && one.NumInputs != 1 {
+				t.Fatalf("OneSurface kept %d inputs", one.NumInputs)
+			}
+			if n > 1 && !scalable {
+				one.NumInputs = 1
+				st, err := walk(one)
+				if err != nil {
+					t.Fatal(err)
+				}
+				inexact = inexact || st.Scale(n) != want
 			}
 		}
-	}
-}
-
-// TestCursorCloneIsIndependent pins the snapshot contract: advancing a
-// clone must not disturb the original, and two clones advanced to the
-// same depth agree with each other and with a cold replay.
-func TestCursorCloneIsIndependent(t *testing.T) {
-	cfg := cursorConfigs(t)[0].cfg
-	cur, err := NewCursor(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cur.Advance(3); err != nil {
-		t.Fatal(err)
-	}
-	before := cur.Stats()
-
-	a, b := cur.Clone(), cur.Clone()
-	if err := a.Advance(8); err != nil {
-		t.Fatal(err)
-	}
-	if got := cur.Stats(); got != before {
-		t.Fatalf("advancing a clone mutated the original: %+v != %+v", got, before)
-	}
-	if err := b.Advance(8); err != nil {
-		t.Fatal(err)
-	}
-	if a.Stats() != b.Stats() {
-		t.Fatalf("sibling clones disagree: %+v != %+v", a.Stats(), b.Stats())
-	}
-	cfg.NumInputs = 8
-	want, err := Replay(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Stats() != want {
-		t.Fatalf("clone-resumed stats %+v != cold replay %+v", a.Stats(), want)
-	}
-}
-
-// TestCursorRefusesRewind: the caches cannot forget a replayed prefix,
-// so a rewind must be an explicit error, not silently wrong statistics.
-func TestCursorRefusesRewind(t *testing.T) {
-	cur, err := NewCursor(cursorConfigs(t)[0].cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cur.Advance(5); err != nil {
-		t.Fatal(err)
-	}
-	if err := cur.Advance(4); err == nil {
-		t.Fatal("Advance(4) after Advance(5) succeeded, want rewind error")
-	}
-	if err := cur.Advance(5); err != nil {
-		t.Fatalf("Advance to the current position must be a no-op, got %v", err)
+		if !scalable && !inexact {
+			t.Errorf("%v (FetchRes %v, %d B lines): scaling one surface matched the full walk at every count; the shape does not show why it takes the full walk",
+				cfg.Order, cfg.FetchRes != nil, cfg.Spec.L1LineBytes)
+		}
 	}
 }

@@ -108,22 +108,3 @@ func (s TraceStats) DRAMBytesPerFetch() float64 {
 	}
 	return float64(s.DRAMBytes) / float64(s.FetchExecs)
 }
-
-// Replay runs the resident set's fetch streams through a fresh L1 model
-// with the device's geometry and returns aggregate statistics. The
-// interleaving mirrors clause switching: each wavefront issues one TEX
-// clause (up to MaxFetchesPerTEXClause fetches), then the SIMD switches to
-// the next resident wavefront, round-robin, until all inputs are fetched.
-// It is a one-shot Cursor run from a cold cache straight to NumInputs;
-// sweeps that revisit the same stream at growing input counts resume a
-// snapshotted Cursor instead (the pipeline's prefix-snapshot store).
-func Replay(cfg TraceConfig) (TraceStats, error) {
-	cur, err := NewCursor(cfg)
-	if err != nil {
-		return TraceStats{}, err
-	}
-	if err := cur.Advance(cfg.NumInputs); err != nil {
-		return TraceStats{}, err
-	}
-	return cur.Stats(), nil
-}

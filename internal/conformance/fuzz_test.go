@@ -72,22 +72,34 @@ func FuzzCompileDifferential(f *testing.F) {
 // residency, walk orders, layouts and fetch schedules without ever
 // leaving the valid range. Bits 0-7 are width-1, 8-15 height-1, 16-21
 // inputs-1, 22 linear layout, 23 a packed FetchRes schedule, 24-28
-// waves-1, 29-30 the element size and 48-63 the first wave; the order is
-// geom>>32 and the device geom>>40, each modulo its list. Bits 22, 23
-// and 29 were added later and are clear in the older seeds, which
-// therefore decode as before.
+// waves-1, 29-30 the element size, 31 the odd-line device and 48-63 the
+// first wave; the order is geom>>32 and the device geom>>40, each modulo
+// its list. Bits 22, 23, 29 and 31 were added later and are clear in the
+// older seeds, which therefore decode as before.
 //
 // Bit 30 alone selects float4 (16 B) over float (4 B); with bit 29 the
 // pair selects 12 B over 1 B instead. A 12-byte fetch straddles lines
-// (the cursor's per-lane fallback), and a 1-byte packed arena on the
+// (the replay's per-lane fallback), and a 1-byte packed arena on the
 // RV870's 128 B lines is not line-aligned when it pads to an odd number
 // of 8x8 tiles (the fallback again).
+//
+// Bit 31 replaces the device with the odd-line one: an RV770 with 96 B
+// lines (a 12 KiB 4-way L1, a 96 KiB 16-way L2). A line that does not
+// divide 2^32 keeps identity-scheduled replays on the full walk, so the
+// fuzzer checks that walk, not only the one-surface path.
 func replayConfigFromBits(geom uint64) cache.TraceConfig {
 	specs := device.All()
+	odd := device.Lookup(device.RV770)
+	odd.L1LineBytes, odd.L1CacheBytes, odd.L1Ways = 96, 12<<10, 4
+	odd.L2CacheBytes, odd.L2Ways = 96<<10, 16
+	spec := specs[(geom>>40)%uint64(len(specs))]
+	if geom&(1<<31) != 0 {
+		spec = odd
+	}
 	orders := []raster.Order{raster.PixelOrder(), raster.Naive64x1(), raster.Block4x16()}
 	elems := []int{4, 1, 16, 12}
 	cfg := cache.TraceConfig{
-		Spec:          specs[(geom>>40)%uint64(len(specs))],
+		Spec:          spec,
 		Order:         orders[(geom>>32)%uint64(len(orders))],
 		W:             int(1 + geom&0xFF),
 		H:             int(1 + (geom>>8)&0xFF),
@@ -183,6 +195,13 @@ func seedCorpora() map[string][]string {
 		// Fuzz-found: 12-byte fetches straddling lines once broke the
 		// conservation check's one-line-per-lane bound.
 		corpusEntry(uint64(0x0003_0100_6304_0FE6)),
+		corpusEntry(uint64(0x0000_0000_673F_2F3F)), // identity schedule, 64 inputs of 12-byte elements
+		corpusEntry(uint64(0x0000_0000_8F07_3F3F)), // 96 B lines: identity schedule on the full walk
+		corpusEntry(uint64(0x0000_0001_CF03_0F7F)), // 96 B lines, float4 naive walk
+		// 96 B lines with 12-byte elements: 96 is a multiple of 12 but
+		// 2^32 is not, so identity surfaces' fetches straddle lines, which
+		// the conservation check once bounded at one line per lane.
+		corpusEntry(uint64(0x0000_0000_E701_3F3F)),
 	}
 	return m
 }

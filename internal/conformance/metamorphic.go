@@ -191,8 +191,11 @@ func CheckDomainLinearity(k *il.Kernel, spec device.Spec, lo, hi float64) error 
 // miss count times line size, and the replay executes exactly one fetch
 // per (input resource, resident wavefront) pair with at most a
 // wavefront's worth of lane accesses each — one line touch per lane when
-// the element size divides the line (lane offsets are element-aligned),
-// else as many as the lines one element can straddle.
+// the element size divides the line and every fetch address is
+// element-aligned (lane offsets always are; a packed arena's bases are
+// multiples of the surface size, identity bases of 2^32, which a 12-byte
+// element does not divide), else as many as the lines one element can
+// straddle.
 func CheckReplayConservation(cfg cache.TraceConfig) error {
 	st, err := cache.Replay(cfg)
 	if err != nil {
@@ -217,7 +220,7 @@ func CheckReplayConservation(cfg cache.TraceConfig) error {
 		return fail("DRAMBytes %d != L2Misses %d x line %d", st.DRAMBytes, st.L2Misses, cfg.Spec.L1LineBytes)
 	}
 	span, line := 1, cfg.Spec.L1LineBytes
-	if e := cfg.ElemBytes; e > 0 && line%e != 0 {
+	if e := cfg.ElemBytes; e > 0 && (line%e != 0 || cfg.FetchRes == nil && (1<<32)%uint64(e) != 0) {
 		span = 1 + (e+line-2)/line // 1 + ceil((e-1)/line)
 	}
 	if st.Accesses > st.FetchExecs*raster.WavefrontSize*span {
@@ -234,10 +237,11 @@ func CheckReplayConservation(cfg cache.TraceConfig) error {
 // the exported cache and raster API: fresh cache.New models, every
 // resident wavefront's lanes walked in issue order for every fetch slot,
 // and one L1 AccessRange per fetching lane, refilled through the L2 and
-// the open-row tracker on a miss. The cursor folds lanes into line runs
-// where that is exact; this oracle never does, so a mis-folded run (a
-// wrong count, or runs taken where surface bases are not line-aligned)
-// shows up as a differing field.
+// the open-row tracker on a miss. Replay folds lanes into line runs
+// where that is exact, and replays one surface for an identity schedule
+// of many; this oracle does neither, so a mis-folded run (a wrong count,
+// or runs taken where surface bases are not line-aligned) or a wrongly
+// scaled surface shows up as a differing field.
 func CheckReplayMatchesLanes(cfg cache.TraceConfig) error {
 	got, err := cache.Replay(cfg)
 	if err != nil {

@@ -94,7 +94,7 @@ func TestReplayConservation(t *testing.T) {
 	}
 }
 
-// TestReplayMatchesLanes: the cursor's statistics equal the lane-by-lane
+// TestReplayMatchesLanes: Replay's statistics equal the lane-by-lane
 // oracle's on every sweep geometry, on linear layouts, and on packed
 // FetchRes arenas both line-aligned (the run path) and not (the per-lane
 // fallback), as well as on a 12-byte element that straddles lines.

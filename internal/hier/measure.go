@@ -88,7 +88,7 @@ func probePoint(spec device.Spec, p Probe, x float64) (core.KernelPoint, error) 
 // SuiteMeasurer measures each batch of probes on spec as one sweep of
 // the suite's resilient sweep runner, so the batch's probes run on the
 // suite's workers at once, through the same staged pipeline (artifact
-// stores, replay-prefix snapshots, retries, launch accounting) the
+// stores, retries, launch accounting) the
 // campaign scheduler uses: `amdmb infer` exercises the exact path the
 // figures are built on, and a synthetic spec gets it too. A failed
 // probe fails the batch, with the first failed probe's name.

@@ -14,9 +14,10 @@
 // compile artifacts by the kernel's identity (il.Sealed.ID: a
 // generated kernel's source digest, any other kernel's structural hash)
 // plus the device architecture, its clause limits and the compiler
-// options; replay artifacts by the fetch
-// signature of the ISA program, the raster order, the domain and the
-// cache geometry (plus cache-relevant ablations). Each store coalesces
+// options; replay artifacts by the fetch signature of the ISA program,
+// the raster order, the domain and the cache geometry (plus
+// cache-relevant ablations), an identity-scheduled replay at one input
+// whatever its input count (see Replay). Each store coalesces
 // concurrent computations of the same key (singleflight), so a worker
 // pool sweeping hundreds of points never computes the same artifact
 // twice at the same time. Every stage carries hit/miss/latency counters
@@ -65,7 +66,9 @@ import (
 type Options struct {
 	// Disabled turns memoization off: every stage recomputes every
 	// artifact. Results are bit-identical either way; the flag exists
-	// for baselines and cache-vs-recompute benchmarks.
+	// for baselines and cache-vs-recompute benchmarks. A disabled
+	// Replay still walks one surface of an identity-scheduled trace:
+	// that is cache.Replay's own arithmetic, not a store.
 	Disabled bool
 	// PersistDir, when non-empty, attaches the persistent on-disk tier
 	// under the Simulate store (see persist.go): results missing in
@@ -76,18 +79,14 @@ type Options struct {
 	PersistDir string
 }
 
-// Entry bounds per LRU store.
-// The replay-family store keeps the deepest resumable replay cursor per
-// trace-prefix family, cloned to seed later points of a dense input
-// sweep. Each of its entries holds three cache models (the L2's tag
-// array dominates: 16KB on RV670, 32KB on RV770) and a line-run table of
-// up to 16KB, so its bound of 64 caps snapshot state at a few MB.
+// Entry bounds per LRU store. A replay entry is one TraceStats, and an
+// identity-scheduled replay is stored once per family, at one input (see
+// Replay), so the replay bound counts families, not sweep points.
 const (
-	defaultSealEntries           = 4096
-	defaultCompileEntries        = 4096
-	defaultReplayEntries         = 1024
-	defaultSimulateEntries       = 8192
-	defaultReplaySnapshotEntries = 64
+	defaultSealEntries     = 4096
+	defaultCompileEntries  = 4096
+	defaultReplayEntries   = 1024
+	defaultSimulateEntries = 8192
 )
 
 // Pipeline stages launches and memoizes their artifacts. It is safe for
@@ -100,12 +99,6 @@ type Pipeline struct {
 	compile  *store[compileKey, *isa.Program]
 	replay   *store[replayKey, cache.TraceStats]
 	simulate *store[simulateKey, sim.Result]
-
-	// snapshots resumes replays incrementally: per trace-prefix family it
-	// keeps the deepest replay cursor, so adjacent points of an
-	// input-count sweep replay only their delta (see snapshot.go).
-	snapshots *store[replayKey, *prefixSlot]
-	prefix    prefixCounters
 
 	// The Trace stage is a pure derivation with nothing worth storing;
 	// it keeps plain counters, and so do the builds of deferred seals,
@@ -135,8 +128,6 @@ func New(opts Options) *Pipeline {
 	p.seals = newStore[generateKey, *il.Sealed]("seal", reg, defaultSealEntries, opts.Disabled)
 	p.compile = newStore[compileKey, *isa.Program]("compile", reg, defaultCompileEntries, opts.Disabled)
 	p.replay = newStore[replayKey, cache.TraceStats]("replay", reg, defaultReplayEntries, opts.Disabled)
-	p.snapshots = newStore[replayKey, *prefixSlot]("replay-family", reg, defaultReplaySnapshotEntries, opts.Disabled)
-	p.prefix = newPrefixCounters(reg)
 	p.simulate = newStore[simulateKey, sim.Result]("simulate", reg, defaultSimulateEntries, opts.Disabled)
 	if opts.PersistDir != "" && !opts.Disabled {
 		t := newPersistTier(opts.PersistDir, reg)
@@ -349,9 +340,8 @@ type replayKey struct {
 	maxFetchesTEX           int
 	// fetchSeq digests a non-identity fetch schedule (cache.TraceConfig.
 	// FetchRes): hierarchy-dissection kernels that revisit surfaces get
-	// their own replay identity — and their own prefix-snapshot family —
-	// per schedule. Zero for the identity schedule, so every pre-existing
-	// replay key is unchanged.
+	// their own replay identity per schedule. Zero for the identity
+	// schedule, so every pre-existing replay key is unchanged.
 	fetchSeq [sha256.Size]byte
 }
 
@@ -389,15 +379,17 @@ func replayKeyFor(tc cache.TraceConfig) replayKey {
 // Replay runs the trace through the cache model, memoized on the fetch
 // signature, raster order, domain and cache geometry. Kernels that share
 // a fetch trace — the whole ALU:Fetch ratio sweep of Fig. 7, say, where
-// only the ALU op count varies — share one replay artifact. Misses
-// compute incrementally: a dense input-count sweep resumes the family's
-// prefix snapshot and replays only the delta (see snapshot.go), which is
-// bit-identical to a cold replay because the N-input stream is a strict
-// prefix of the N+1-input stream.
+// only the ALU op count varies — share one replay artifact. An
+// identity-scheduled replay of N inputs is N copies of its one-surface
+// replay (cache.OneSurface), so it is keyed and stored at one input and
+// scaled on return: the points of an input-count sweep (Figs. 7, 11 and
+// 16) that differ only in how many inputs they fetch share one entry.
 func (p *Pipeline) Replay(tc cache.TraceConfig) (cache.TraceStats, error) {
-	return p.replay.get(replayKeyFor(tc), func() (cache.TraceStats, error) {
-		return p.replayIncremental(tc)
+	one, copies := cache.OneSurface(tc)
+	st, err := p.replay.get(replayKeyFor(one), func() (cache.TraceStats, error) {
+		return cache.Replay(one)
 	})
+	return st.Scale(copies), err
 }
 
 // ---- Stage 5: Simulate ----
@@ -506,7 +498,6 @@ func (p *Pipeline) HitRate() float64 {
 		{p.seals.hits, p.seals.coalesced, p.seals.misses},
 		{p.compile.hits, p.compile.coalesced, p.compile.misses},
 		{p.replay.hits, p.replay.coalesced, p.replay.misses},
-		{p.prefix.hits, nil, p.prefix.misses}, // a replay never waits on another
 		{p.simulate.hits, p.simulate.coalesced, p.simulate.misses},
 	} {
 		h := c[0].Load() + c[1].Load()
