@@ -78,7 +78,7 @@ func TestCompileAllocs(t *testing.T) {
 		}
 		sk := il.Seal(k)
 		sealed := testing.AllocsPerRun(20, func() {
-			if _, err := ilc.CompileSealed(sk, spec, ilc.Options{}); err != nil {
+			if _, err := ilc.CompileSealed(sk, ilc.TargetOf(spec), ilc.Options{}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -122,7 +122,7 @@ func TestChaseProgramBytes(t *testing.T) {
 	}
 	sk := il.Seal(k)
 	bytes := bytesPerRun(5, func() {
-		if _, err := ilc.CompileSealed(sk, device.Lookup(device.RV770), ilc.Options{}); err != nil {
+		if _, err := ilc.CompileSealed(sk, ilc.TargetOf(device.Lookup(device.RV770)), ilc.Options{}); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -98,7 +98,7 @@ func CheckGPRsMatchReference(k *il.Kernel, spec device.Spec, opts Options) error
 	}
 	s := new(scratch)
 	vals := s.collectValues(k)
-	clauses := s.formClauses(k, spec, vals)
+	clauses := s.formClauses(k, TargetOf(spec), vals)
 	s.assignLocations(k, vals, clauses, opts)
 	first, last := s.scheduleTimes(k, clauses)
 	ref := slices.Clone(vals)
@@ -118,5 +118,8 @@ func CheckGPRsMatchReference(k *il.Kernel, spec device.Spec, opts Options) error
 // CompileFresh is CompileWith on a new scratch that no other compile has
 // used or will use: the oracle for a compile on a reused scratch.
 func CompileFresh(k *il.Kernel, spec device.Spec, opts Options) (*isa.Program, error) {
-	return new(scratch).compile(k, k.Validate(), spec, opts)
+	if err := check(k.Mode, k.Validate(), spec); err != nil {
+		return nil, err
+	}
+	return new(scratch).compile(k, TargetOf(spec), opts)
 }

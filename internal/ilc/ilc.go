@@ -21,6 +21,7 @@ package ilc
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sort"
 
@@ -152,6 +153,23 @@ type Options struct {
 	NoClauseTemps bool
 }
 
+// Target is what the compiler reads of a device: the clause limits. Two
+// devices with one Target lower every kernel to the same program; compute
+// support is the only other spec field ilc reads, and only to reject a
+// kernel (Check), never to shape a program.
+type Target struct {
+	MaxFetchesPerTEXClause int // fetches per TEX clause
+	MaxSlotsPerALUClause   int // bundles per ALU clause
+}
+
+// TargetOf returns the device's compiler target.
+func TargetOf(spec device.Spec) Target {
+	return Target{
+		MaxFetchesPerTEXClause: spec.MaxFetchesPerTEXClause,
+		MaxSlotsPerALUClause:   spec.MaxSlotsPerALUClause,
+	}
+}
+
 // Compile lowers an IL kernel to an ISA program for the given device.
 func Compile(k *il.Kernel, spec device.Spec) (*isa.Program, error) {
 	return CompileWith(k, spec, Options{})
@@ -185,25 +203,34 @@ func check(mode il.ShaderMode, invalid error, spec device.Spec) error {
 
 // CompileWith lowers an IL kernel with explicit compiler options.
 func CompileWith(k *il.Kernel, spec device.Spec, opts Options) (*isa.Program, error) {
-	return compile(k, k.Validate(), spec, opts)
+	if err := check(k.Mode, k.Validate(), spec); err != nil {
+		return nil, err
+	}
+	return compile(k, TargetOf(spec), opts)
 }
 
-// CompileSealed is CompileWith for a sealed kernel: it reads the seal's
-// memoized Validate result, so a kernel compiled for several devices or
-// option sets is validated once. A deferred seal builds its code here
-// first; a failed build is the error.
-func CompileSealed(k *il.Sealed, spec device.Spec, opts Options) (*isa.Program, error) {
+// CompileSealed lowers a sealed kernel for a compiler target. It reads
+// the seal's memoized Validate result, so a kernel compiled for several
+// targets or option sets is validated once. A deferred seal builds its
+// code here first; a failed build is the error. A target carries no
+// device, so CompileSealed does not check compute support: the caller
+// runs Check on the device it launches on, and sim.Run refuses a compute
+// program on a card without compute mode.
+func CompileSealed(k *il.Sealed, t Target, opts Options) (*isa.Program, error) {
 	kern, err := k.Kernel()
 	if err != nil {
 		return nil, err
 	}
-	return compile(kern, k.Validate(), spec, opts)
+	if err := k.Validate(); err != nil {
+		return nil, fmt.Errorf("ilc: %w", err)
+	}
+	return compile(kern, t, opts)
 }
 
 // compile runs the passes on a scratch from the free list.
-func compile(k *il.Kernel, invalid error, spec device.Spec, opts Options) (*isa.Program, error) {
+func compile(k *il.Kernel, t Target, opts Options) (*isa.Program, error) {
 	s := scratches.get()
-	prog, err := s.compile(k, invalid, spec, opts)
+	prog, err := s.compile(k, t, opts)
 	scratches.put(s)
 	return prog, err
 }
@@ -215,15 +242,16 @@ func compile(k *il.Kernel, invalid error, spec device.Spec, opts Options) (*isa.
 // slabs, copying the staged payloads in, so nothing a compile returns
 // points into its scratch.
 type scratch struct {
-	vals       []value
-	counts     []int // per-value use counts
-	uses       []int // the slab every value's uses is carved from
-	clauses    []clauseDraft
-	arena      []bundleDraft // every ALU clause's bundles
-	pos        []pos         // posFirst, then posLast
-	times      []int         // first, then last schedule times
-	ivs        byDef
-	live, free regHeap
+	vals    []value
+	counts  []int // per-value use counts
+	uses    []int // the slab every value's uses is carved from
+	clauses []clauseDraft
+	arena   []bundleDraft // every ALU clause's bundles
+	pos     []pos         // posFirst, then posLast
+	times   []int         // first, then last schedule times
+	ivs     byDef
+	live    regHeap
+	free    regSet
 	// emit stages each clause's payload here before appending it.
 	fetches []isa.Fetch
 	bundles []isa.Bundle
@@ -274,13 +302,10 @@ func zeroed[S ~[]E, E any](s S, n int) S {
 	return s
 }
 
-// compile checks k and lowers it on this scratch.
-func (s *scratch) compile(k *il.Kernel, invalid error, spec device.Spec, opts Options) (*isa.Program, error) {
-	if err := check(k.Mode, invalid, spec); err != nil {
-		return nil, err
-	}
+// compile lowers a valid k for t on this scratch.
+func (s *scratch) compile(k *il.Kernel, t Target, opts Options) (*isa.Program, error) {
 	vals := s.collectValues(k)
-	clauses := s.formClauses(k, spec, vals)
+	clauses := s.formClauses(k, t, vals)
 	s.assignLocations(k, vals, clauses, opts)
 	first, last := s.scheduleTimes(k, clauses)
 	gprCount := s.allocateGPRs(k, vals, first, last)
@@ -338,7 +363,7 @@ func (s *scratch) collectValues(k *il.Kernel) []value {
 // vector lane, so the bundle arena is sized once up front; the clause
 // drafts grow by append, so a reused scratch keeps room for the most
 // clauses a kernel has needed, not one per instruction.
-func (s *scratch) formClauses(k *il.Kernel, spec device.Spec, vals []value) []clauseDraft {
+func (s *scratch) formClauses(k *il.Kernel, t Target, vals []value) []clauseDraft {
 	clauses := s.clauses[:0]
 	vector := k.Type == il.Float4
 	maxBundles := 0
@@ -363,8 +388,8 @@ func (s *scratch) formClauses(k *il.Kernel, spec device.Spec, vals []value) []cl
 			for j < len(k.Code) && k.Code[j].Op.IsFetch() {
 				j++
 			}
-			for s := i; s < j; s += spec.MaxFetchesPerTEXClause {
-				e := min(s+spec.MaxFetchesPerTEXClause, j)
+			for s := i; s < j; s += t.MaxFetchesPerTEXClause {
+				e := min(s+t.MaxFetchesPerTEXClause, j)
 				clauses = append(clauses, clauseDraft{kind: isa.ClauseTEX, from: s, to: e})
 			}
 			i = j
@@ -378,8 +403,8 @@ func (s *scratch) formClauses(k *il.Kernel, spec device.Spec, vals []value) []cl
 			bundles := arena[start:]
 			// Split the packed run into clauses at the slot limit and
 			// record final positions.
-			for s := 0; s < len(bundles); s += spec.MaxSlotsPerALUClause {
-				e := min(s+spec.MaxSlotsPerALUClause, len(bundles))
+			for s := 0; s < len(bundles); s += t.MaxSlotsPerALUClause {
+				e := min(s+t.MaxSlotsPerALUClause, len(bundles))
 				cd := clauseDraft{kind: isa.ClauseALU, bundles: bundles[s:e]}
 				ci := len(clauses)
 				for bi := range cd.bundles {
@@ -688,24 +713,21 @@ func (s *scratch) allocateGPRs(k *il.Kernel, vals []value, first, last []int) in
 	s.ivs = ivs
 	sort.Sort(&s.ivs)
 
-	// The live set is a min-heap on end and the free list a min-heap on
-	// register number. Expiry pops exactly the intervals a scan of the
-	// whole live set would remove, and the smallest freed register is
-	// reused, so the numbering does not depend on either heap's order.
-	// Every register handed out is live or free, so the count is next.
+	// The live set is a min-heap on end and the free registers a bitset.
+	// Expiry pops exactly the intervals a scan of the whole live set
+	// would remove, and the smallest freed register is reused, so the
+	// numbering does not depend on the heap's order. Every register
+	// handed out is live or free, so the count is next.
 	live, free := s.live[:0], s.free[:0]
 	next := 0
 	for _, iv := range ivs {
 		// Expire intervals that ended at or before this definition; their
 		// registers are read before the new value is written.
 		for len(live) > 0 && live[0].key <= iv.def {
-			reg := live.pop()
-			free.push(reg, reg)
+			free.add(live.pop())
 		}
-		var reg int
-		if len(free) > 0 {
-			reg = free.pop()
-		} else {
+		reg := free.takeMin()
+		if reg < 0 {
 			reg = next
 			next++
 		}
@@ -738,6 +760,33 @@ type byDef []interval
 func (b *byDef) Len() int           { return len(*b) }
 func (b *byDef) Less(i, j int) bool { return (*b)[i].def < (*b)[j].def }
 func (b *byDef) Swap(i, j int)      { (*b)[i], (*b)[j] = (*b)[j], (*b)[i] }
+
+// regSet is a set of register numbers, one bit each. It grows to the
+// highest register added: a kernel may number registers past
+// isa.MaxIndex before compile's range check rejects it. Emptied by
+// reslicing to zero words, it reads empty again as add appends zeros.
+type regSet []uint64
+
+func (r *regSet) add(reg int) {
+	w := reg / 64
+	for len(*r) <= w {
+		*r = append(*r, 0)
+	}
+	(*r)[w] |= 1 << (reg % 64)
+}
+
+// takeMin removes the smallest register from the set and returns it, or
+// returns -1 when the set is empty.
+func (r regSet) takeMin() int {
+	for w, word := range r {
+		if word != 0 {
+			b := bits.TrailingZeros64(word)
+			r[w] = word &^ (1 << b)
+			return w*64 + b
+		}
+	}
+	return -1
+}
 
 // regHeap is a binary min-heap of registers ordered by key.
 type regHeap []struct{ key, reg int }

@@ -53,7 +53,7 @@ func TestInvalidKernelRejectedEverywhere(t *testing.T) {
 			return err
 		}},
 		{"compile sealed", "ilc: " + why, func() error {
-			_, err := ilc.CompileSealed(il.Seal(bad), spec, ilc.Options{})
+			_, err := ilc.CompileSealed(il.Seal(bad), ilc.TargetOf(spec), ilc.Options{})
 			return err
 		}},
 		{"pipeline compile", "ilc: " + why, func() error {

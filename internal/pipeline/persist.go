@@ -126,7 +126,7 @@ func persistKeyFor(model string, k simulateKey) persistKey {
 	le := binary.LittleEndian
 	b := le.AppendUint64(buf[:0], uint64(len(model)))
 	b = append(b, model...)
-	prog := k.src.hash()
+	prog := programDigest(k.src, k.spec)
 	b = append(b, prog[:]...)
 	s := k.spec
 	for _, v := range [...]int{

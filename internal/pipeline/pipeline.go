@@ -241,43 +241,38 @@ func sourceID(g Generator, p kerngen.Params) [sha256.Size]byte {
 
 // compileKey is the content address of a compiled program: the kernel's
 // identity (il.Sealed.ID — a generated kernel's source digest, any other
-// kernel's structural hash), the device architecture, the spec
-// fields the compiler actually reads (clause limits, compute support),
-// and the compiler options. Unrelated spec differences — clocks, cache
-// sizes — do not fragment the store.
+// kernel's structural hash), the compiler target (ilc.Target: the clause
+// limits, all the compiler reads of a device) and the compiler options.
+// The card is not in it: every built-in card has one target, so a pixel
+// kernel compiles once for all three. Compute support is checked against
+// the launch's own spec before the lookup (compileAt), so a card's
+// compute error is never shared or served from another card's entry.
 type compileKey struct {
-	kernel          [sha256.Size]byte
-	arch            device.Arch
-	supportsCompute bool
-	maxFetchesTEX   int
-	maxSlotsALU     int
-	opts            ilc.Options
+	kernel [sha256.Size]byte
+	target ilc.Target
+	opts   ilc.Options
 }
 
 // compileKeyFor builds the compile key; the Simulate key embeds it.
 func compileKeyFor(k *il.Sealed, spec device.Spec, opts ilc.Options) compileKey {
-	return compileKey{
-		kernel:          k.ID(),
-		arch:            spec.Arch,
-		supportsCompute: spec.SupportsCompute,
-		maxFetchesTEX:   spec.MaxFetchesPerTEXClause,
-		maxSlotsALU:     spec.MaxSlotsPerALUClause,
-		opts:            opts,
-	}
+	return compileKey{kernel: k.ID(), target: ilc.TargetOf(spec), opts: opts}
 }
 
-// hash folds the whole key into one digest — the program's content
-// address, carried by persistent-tier keys. Every non-hash field is packed
-// into a fixed-width binary trailer with explicit writes; nothing here
-// goes through reflection or text formatting.
-func (k compileKey) hash() [sha256.Size]byte {
+// programDigest folds a launch's compile key, with the card's arch and
+// compute support, into the one digest persistent-tier keys carry. The
+// card fields repeat what the rest of a persisted key holds; they stay
+// in the encoding so records written when the compile key carried them
+// still hit. Every field is packed into a fixed-width binary trailer
+// with explicit writes; nothing here goes through reflection or text
+// formatting.
+func programDigest(k compileKey, spec device.Spec) [sha256.Size]byte {
 	var buf [sha256.Size + 3*8 + 3]byte
 	copy(buf[:], k.kernel[:])
 	le := binary.LittleEndian
-	le.PutUint64(buf[sha256.Size:], uint64(k.arch))
-	le.PutUint64(buf[sha256.Size+8:], uint64(int64(k.maxFetchesTEX)))
-	le.PutUint64(buf[sha256.Size+16:], uint64(int64(k.maxSlotsALU)))
-	buf[sha256.Size+24] = boolByte(k.supportsCompute)
+	le.PutUint64(buf[sha256.Size:], uint64(spec.Arch))
+	le.PutUint64(buf[sha256.Size+8:], uint64(int64(k.target.MaxFetchesPerTEXClause)))
+	le.PutUint64(buf[sha256.Size+16:], uint64(int64(k.target.MaxSlotsPerALUClause)))
+	buf[sha256.Size+24] = boolByte(spec.SupportsCompute)
 	buf[sha256.Size+25] = boolByte(k.opts.NoPVForwarding)
 	buf[sha256.Size+26] = boolByte(k.opts.NoClauseTemps)
 	return sha256.Sum256(buf[:])
@@ -291,20 +286,26 @@ func boolByte(b bool) byte {
 }
 
 // Compile lowers an IL kernel for a device, memoized on the kernel's
-// identity plus the compile-relevant device parameters and options. The
-// returned program is shared and immutable. A store hit builds and
-// hashes nothing: the key starts from the seal's identity.
+// identity, the device's compiler target and the options: cards that
+// share a target share one program. The kernel is checked against spec
+// first (ilc.Check: validity and compute support), so a card that cannot
+// run it fails with its own name before any lookup. The returned program
+// is shared and immutable. A store hit builds and hashes nothing: the
+// key starts from the seal's identity.
 func (p *Pipeline) Compile(k *il.Sealed, spec device.Spec, opts ilc.Options) (*isa.Program, error) {
 	return p.compileAt(compileKeyFor(k, spec, opts), k, spec)
 }
 
 // compileAt is Compile with the key built. The compiler reads the sealed
 // kernel's memoized Validate result, so compiling one kernel for several
-// devices or option sets validates it once; a miss on a deferred seal
+// targets or option sets validates it once; a miss on a deferred seal
 // builds its code first.
 func (p *Pipeline) compileAt(key compileKey, k *il.Sealed, spec device.Spec) (*isa.Program, error) {
+	if err := ilc.Check(k, spec); err != nil {
+		return nil, err
+	}
 	return p.compile.get(key, func() (*isa.Program, error) {
-		return ilc.CompileSealed(k, spec, key.opts)
+		return ilc.CompileSealed(k, key.target, key.opts)
 	})
 }
 

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 
@@ -139,16 +140,98 @@ func TestCompileMemoizedByContent(t *testing.T) {
 	if p3 == p1 {
 		t.Error("ablated compile must not be served from the unablated artifact")
 	}
-	// Different architecture too.
+	// The compiler reads only the target of a card, and RV770 and RV870
+	// share one, so a pixel kernel compiles once for both.
 	p4, err := p.Compile(k1, device.Lookup(device.RV870), ilc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p4 == p1 {
-		t.Error("different arch must not share compiled artifacts")
+	if p4 != p1 {
+		t.Error("cards with one compiler target must share the compiled artifact")
 	}
-	if h, m := p.compile.hits.Load(), p.compile.misses.Load(); h != 1 || m != 3 {
-		t.Errorf("compile counters = %d hits / %d misses, want 1/3", h, m)
+	// A spec with other clause limits is another target.
+	fewerFetches, fewerSlots := spec, spec
+	fewerFetches.MaxFetchesPerTEXClause = 4
+	fewerSlots.MaxSlotsPerALUClause = 64
+	for _, custom := range []device.Spec{fewerFetches, fewerSlots} {
+		p5, err := p.Compile(k1, custom, ilc.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p5 == p1 {
+			t.Errorf("target %+v must not share the RV770 artifact", ilc.TargetOf(custom))
+		}
+	}
+	if h, m := p.compile.hits.Load(), p.compile.misses.Load(); h != 2 || m != 4 {
+		t.Errorf("compile counters = %d hits / %d misses, want 2/4", h, m)
+	}
+}
+
+// computeKernel generates a compute-mode kernel, which RV670 cannot run.
+func computeKernel(t *testing.T, p *Pipeline) *il.Sealed {
+	t.Helper()
+	params := testParams()
+	params.Mode, params.OutSpace = il.Compute, il.GlobalSpace
+	k, err := p.Generate(GenALUFetch, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k
+}
+
+// TestComputeCheckedPerCard: RV670 shares its compiler target with
+// RV770, but compute support is checked on the launch's own spec before
+// the store lookup. An RV670 compute compile fails naming RV670, before
+// and after RV770 fills the shared entry, and touches no entry RV770
+// then reads.
+func TestComputeCheckedPerCard(t *testing.T) {
+	p := New(Options{})
+	k := computeKernel(t, p)
+	rv670, rv770 := device.Lookup(device.RV670), device.Lookup(device.RV770)
+	if ilc.TargetOf(rv670) != ilc.TargetOf(rv770) {
+		t.Fatal("test wants RV670 and RV770 to share a compiler target")
+	}
+	refused := func() {
+		t.Helper()
+		_, err := p.Compile(k, rv670, ilc.Options{})
+		if err == nil || !strings.Contains(err.Error(), "RV670 does not support compute") {
+			t.Errorf("RV670 compute compile: error %v, want one naming RV670", err)
+		}
+	}
+	refused()
+	prog, err := p.Compile(k, rv770, ilc.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused()
+	again, err := p.Compile(k, rv770, ilc.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != prog {
+		t.Error("RV770 compute program not served from the store after RV670's refusal")
+	}
+	if h, m := p.compile.hits.Load(), p.compile.misses.Load(); h != 1 || m != 1 {
+		t.Errorf("compile counters = %d hits / %d misses, want 1/1: RV670 must not reach the store", h, m)
+	}
+}
+
+// TestSimRefusesSharedComputeProgram: a compute program compiled for
+// RV770's target is refused by the simulator on RV670's spec, whatever
+// store it came from.
+func TestSimRefusesSharedComputeProgram(t *testing.T) {
+	p := New(Options{})
+	prog, err := p.Compile(computeKernel(t, p), device.Lookup(device.RV770), ilc.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	order, err := raster.ComputeOrder(64, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = sim.Run(sim.Config{Spec: device.Lookup(device.RV670), Prog: prog, Order: order, W: 256, H: 256, Iterations: 1})
+	if err == nil || !strings.Contains(err.Error(), "sim: RV670 does not support compute") {
+		t.Errorf("sim.Run on RV670: error %v, want one naming RV670", err)
 	}
 }
 
