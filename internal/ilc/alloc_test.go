@@ -179,8 +179,8 @@ var ablations = []ilc.Options{
 	{NoPVForwarding: true, NoClauseTemps: true},
 }
 
-// checkGPRs asserts the heap scan numbers k's registers exactly as the
-// reference scan does, under every ablation.
+// checkGPRs asserts the bucket scan numbers k's registers exactly as
+// the reference scan does, under every ablation.
 func checkGPRs(t *testing.T, k *il.Kernel, spec device.Spec) {
 	t.Helper()
 	for _, opts := range ablations {
@@ -191,7 +191,7 @@ func checkGPRs(t *testing.T, k *il.Kernel, spec device.Spec) {
 }
 
 // TestGPRAllocationMatchesReference guards the register hand-out order,
-// not just the goldens' subset of it: the heap scan and the plain
+// not just the goldens' subset of it: the bucket scan and the plain
 // reference scan must place every value in the same register and report
 // the same count on every registry figure's kernels, on generated
 // conformance kernels and on the RV770 dissection's probe schedule.
@@ -240,5 +240,20 @@ func TestGPRAllocationMatchesReference(t *testing.T) {
 		if types[il.Float] == 0 || types[il.Float4] == 0 {
 			t.Fatalf("probe schedule covers %v, want both float and float4", types)
 		}
+	})
+}
+
+// FuzzGPRAllocationMatchesReference runs the register oracle on
+// generated kernels addressed by (seed, spec selector). Seed 1 is the
+// first conformance kernel whose numbering goes wrong when a definition
+// does not drain its own end bucket again; no registry kernel catches
+// that.
+func FuzzGPRAllocationMatchesReference(f *testing.F) {
+	for seed := uint64(0); seed <= 4; seed++ {
+		f.Add(seed, seed)
+	}
+	f.Fuzz(func(t *testing.T, seed, sel uint64) {
+		k := conformance.RandomKernel(rand.New(rand.NewSource(int64(seed))))
+		checkGPRs(t, k, conformance.SpecFor(k, uint8(sel)))
 	})
 }

@@ -250,7 +250,8 @@ type scratch struct {
 	pos     []pos         // posFirst, then posLast
 	times   []int         // first, then last schedule times
 	ivs     byDef
-	live    regHeap
+	heads   []int // live registers by interval end, +1 (0 is empty)
+	link    []int // the next register in a bucket, +1, by register
 	free    regSet
 	// emit stages each clause's payload here before appending it.
 	fetches []isa.Fetch
@@ -690,6 +691,7 @@ func (s *scratch) allocateGPRs(k *il.Kernel, vals []value, first, last []int) in
 	}
 
 	ivs := append(s.ivs[:0], interval{vi: -1, def: -1, end: lastFetch})
+	maxEnd := lastFetch
 	for vi := range vals {
 		v := &vals[vi]
 		if v.def < 0 || !v.needGPR {
@@ -703,6 +705,7 @@ func (s *scratch) allocateGPRs(k *il.Kernel, vals []value, first, last []int) in
 			}
 		}
 		ivs = append(ivs, interval{vi: vi, def: def, end: end})
+		maxEnd = max(maxEnd, end)
 	}
 	// Sort by definition time: the packer may have reordered execution
 	// relative to IL order. Ties are real (ops packed in one bundle share
@@ -713,32 +716,44 @@ func (s *scratch) allocateGPRs(k *il.Kernel, vals []value, first, last []int) in
 	s.ivs = ivs
 	sort.Sort(&s.ivs)
 
-	// The live set is a min-heap on end and the free registers a bitset.
-	// Expiry pops exactly the intervals a scan of the whole live set
-	// would remove, and the smallest freed register is reused, so the
-	// numbering does not depend on the heap's order. Every register
-	// handed out is live or free, so the count is next.
-	live, free := s.live[:0], s.free[:0]
-	next := 0
+	// Live registers wait in buckets by interval end, heads[end+1] (the
+	// coordinate register ends at -1 when nothing is fetched), each a
+	// list linked through link; the free registers are a bitset.
+	// Definitions arrive in time order, so draining every bucket up to a
+	// definition's own before it expires exactly the intervals a scan of
+	// the whole live set would remove. That bucket is drained again at
+	// the next definition: an interval may end where it is defined. The
+	// smallest freed register is reused, so the numbering does not
+	// depend on a bucket's order. Every register handed out is live or
+	// free, so the count is next. Ends are sized from the intervals, not
+	// the code: a float4 transcendental spans four bundles.
+	s.heads = zeroed(s.heads, maxEnd+2)
+	heads, link, free := s.heads, s.link[:0], s.free[:0]
+	next, drained := 0, 0
 	for _, iv := range ivs {
 		// Expire intervals that ended at or before this definition; their
 		// registers are read before the new value is written.
-		for len(live) > 0 && live[0].key <= iv.def {
-			free.add(live.pop())
+		for b := drained; b <= iv.def+1; b++ {
+			for r := heads[b]; r > 0; r = link[r-1] {
+				free.add(r - 1)
+			}
+			heads[b] = 0
 		}
+		drained = iv.def + 1
 		reg := free.takeMin()
 		if reg < 0 {
 			reg = next
 			next++
+			link = append(link, 0)
 		}
-		live.push(iv.end, reg)
+		link[reg], heads[iv.end+1] = heads[iv.end+1], reg+1
 		if iv.vi >= 0 {
 			// Scalar values occupy the x channel regardless of issue slot
 			// (the destination write mask is slot-independent).
 			vals[iv.vi].loc = location{kind: locGPR, idx: reg, chn: 0, slot: vals[iv.vi].loc.slot}
 		}
 	}
-	s.live, s.free = live, free
+	s.link, s.free = link, free
 	return next
 }
 
@@ -786,46 +801,6 @@ func (r regSet) takeMin() int {
 		}
 	}
 	return -1
-}
-
-// regHeap is a binary min-heap of registers ordered by key.
-type regHeap []struct{ key, reg int }
-
-func (h *regHeap) push(key, reg int) {
-	*h = append(*h, struct{ key, reg int }{key, reg})
-	s := *h
-	for i := len(s) - 1; i > 0; {
-		p := (i - 1) / 2
-		if s[p].key <= s[i].key {
-			break
-		}
-		s[i], s[p] = s[p], s[i]
-		i = p
-	}
-}
-
-// pop removes the entry with the smallest key and returns its register.
-func (h *regHeap) pop() int {
-	s := *h
-	top, last := s[0].reg, len(s)-1
-	s[0] = s[last]
-	s = s[:last]
-	for i := 0; ; {
-		c := 2*i + 1
-		if c >= last {
-			break
-		}
-		if c+1 < last && s[c+1].key < s[c].key {
-			c++
-		}
-		if s[i].key <= s[c].key {
-			break
-		}
-		s[i], s[c] = s[c], s[i]
-		i = c
-	}
-	*h = s
-	return top
 }
 
 // srcOperand renders the location of a source value as an ISA operand for

@@ -73,7 +73,7 @@ import (
 const (
 	segmentDir    = "simulate"
 	segmentExt    = ".seg"
-	recordVersion = 2
+	recordVersion = 3
 	recordHeader  = 8      // length, checksum
 	resultBytes   = 15 * 8 // encodeResult's fields
 	recordPayload = 1 + sha256.Size + resultBytes
@@ -120,14 +120,15 @@ func newPersistTier(dir string, reg *obs.Registry) *persistTier {
 // persistKeyFor derives the record key for a simulate key under a model
 // fingerprint. Every field is written at a fixed width (the model with
 // its length), so the encoding is injective; nothing goes through
-// reflection or text.
+// reflection or text. The compile key's target is two of the spec's
+// fields, so only its kernel identity and options are written apart.
 func persistKeyFor(model string, k simulateKey) persistKey {
 	var buf [512]byte // room for all of it with a 64-digit model
 	le := binary.LittleEndian
 	b := le.AppendUint64(buf[:0], uint64(len(model)))
 	b = append(b, model...)
-	prog := programDigest(k.src, k.spec)
-	b = append(b, prog[:]...)
+	b = append(b, k.src.kernel[:]...)
+	b = append(b, boolByte(k.src.opts.NoPVForwarding), boolByte(k.src.opts.NoClauseTemps))
 	s := k.spec
 	for _, v := range [...]int{
 		int(s.Arch), s.ALUs, s.TextureUnits, s.SIMDEngines, s.CoreClockMHz,

@@ -258,26 +258,6 @@ func compileKeyFor(k *il.Sealed, spec device.Spec, opts ilc.Options) compileKey 
 	return compileKey{kernel: k.ID(), target: ilc.TargetOf(spec), opts: opts}
 }
 
-// programDigest folds a launch's compile key, with the card's arch and
-// compute support, into the one digest persistent-tier keys carry. The
-// card fields repeat what the rest of a persisted key holds; they stay
-// in the encoding so records written when the compile key carried them
-// still hit. Every field is packed into a fixed-width binary trailer
-// with explicit writes; nothing here goes through reflection or text
-// formatting.
-func programDigest(k compileKey, spec device.Spec) [sha256.Size]byte {
-	var buf [sha256.Size + 3*8 + 3]byte
-	copy(buf[:], k.kernel[:])
-	le := binary.LittleEndian
-	le.PutUint64(buf[sha256.Size:], uint64(spec.Arch))
-	le.PutUint64(buf[sha256.Size+8:], uint64(int64(k.target.MaxFetchesPerTEXClause)))
-	le.PutUint64(buf[sha256.Size+16:], uint64(int64(k.target.MaxSlotsPerALUClause)))
-	buf[sha256.Size+24] = boolByte(spec.SupportsCompute)
-	buf[sha256.Size+25] = boolByte(k.opts.NoPVForwarding)
-	buf[sha256.Size+26] = boolByte(k.opts.NoClauseTemps)
-	return sha256.Sum256(buf[:])
-}
-
 func boolByte(b bool) byte {
 	if b {
 		return 1
