@@ -38,9 +38,9 @@
 // and internal/hier; `amdmb infer -h` lists its flags.
 //
 // The soak subcommand runs seeded adversarial stress campaigns —
-// generated kernels under fault injection, kill/resume cycles and
-// cache churn, with continuous invariant oracles and
-// crash-torture of child amdmb processes; see soak.go and
+// generated kernels under fault injection and kill/resume cycles, with
+// continuous invariant oracles and crash-torture of child amdmb
+// processes; see soak.go and
 // internal/soak. `amdmb soak -h` lists its flags.
 //
 // Flags:

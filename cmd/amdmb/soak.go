@@ -20,7 +20,7 @@ import (
 // harness that SIGKILLs child amdmb sweeps and verifies clean resume.
 //
 //	amdmb soak -seed 42 -steps 20 -faults 'seed=9;transient:prob=0.2' \
-//	           -kill-every 3 -churn 2 -bundles out/bundles
+//	           -kill-every 3 -bundles out/bundles
 //	amdmb soak -plan 5 -seed 42          # print the campaign plan, run nothing
 //	amdmb soak -replay out/bundles/step004_determinism
 //	amdmb soak -torture 3                # SIGKILL/resume torture via child amdmb
@@ -36,7 +36,6 @@ type soakCLI struct {
 	kernels   int
 	faults    string
 	killEvery int
-	churn     int
 	workers   int
 	retries   int
 	maxDomain int
@@ -64,7 +63,6 @@ func runSoak(argv []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&c.kernels, "kernels", 0, "sweep width per step (0 = 4)")
 	fs.StringVar(&c.faults, "faults", "", "deterministic fault-injection plan (see -faults on the main command)")
 	fs.IntVar(&c.killEvery, "kill-every", 0, "make every Nth step a kill/resume cycle (0 = off)")
-	fs.IntVar(&c.churn, "churn", 0, "goroutines churning the artifact caches during each sweep (0 = off)")
 	fs.IntVar(&c.workers, "workers", 0, "sweep parallelism (0 = GOMAXPROCS)")
 	fs.IntVar(&c.retries, "retries", 0, "retry attempts for transient launch failures (0 = 2)")
 	fs.IntVar(&c.maxDomain, "max-domain", 0, "clamp every sweep domain to at most NxN (0 = no clamp)")
@@ -99,7 +97,6 @@ func runSoak(argv []string, stdout, stderr io.Writer) int {
 		KernelsPerStep: c.kernels,
 		Faults:         plan,
 		KillEvery:      c.killEvery,
-		ChurnWorkers:   c.churn,
 		Workers:        c.workers,
 		Retries:        c.retries,
 		MaxDomain:      c.maxDomain,
@@ -131,7 +128,7 @@ func (c *soakCLI) runCampaign(cfg soak.Config) int {
 	}
 	fmt.Fprintf(c.out, "soak: seed=%d steps=%d points=%d failures=%d kills=%d launches=%d violations=%d\n",
 		rep.Seed, rep.Steps, rep.Points, rep.Failures, rep.Kills, rep.Launches, len(rep.Violations))
-	fmt.Fprintf(c.errOut, "soak: %v elapsed, %d kernels churned\n", rep.Elapsed.Round(time.Millisecond), rep.Churned)
+	fmt.Fprintf(c.errOut, "soak: %v elapsed\n", rep.Elapsed.Round(time.Millisecond))
 	if rep.Ok() {
 		return 0
 	}

@@ -19,7 +19,7 @@ import (
 func TestSoakCampaignSmoke(t *testing.T) {
 	code, out, stderr := runCLI(t, "soak",
 		"-seed", "7", "-steps", "2", "-kernels", "2",
-		"-faults", "seed=5;transient:prob=0.2", "-kill-every", "2", "-churn", "1")
+		"-faults", "seed=5;transient:prob=0.2", "-kill-every", "2")
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s\nstdout: %s", code, stderr, out)
 	}

@@ -10,8 +10,10 @@
 // kernel's source plus its launch shape: the second point is a store
 // hit, or waits on the first one's in-flight simulation. Sharing
 // below the launch (Fig. 8's kernels are Fig. 7's compute kernels under
-// a different block shape) is the compile store's. The
-// pipeline.simulate.hits and pipeline.compile.hits counters report both.
+// a different block shape) is the seal's: both figures get one seal
+// from the pipeline's seal store, and the seal keeps its compiled
+// program. The pipeline.simulate.hits and pipeline.compile.hits
+// counters report both.
 //
 // Durability is not this package's business either: with a PersistDir
 // every launch result lands in the pipeline's persistent tier, so a

@@ -87,8 +87,8 @@ func TestPlanInvariants(t *testing.T) {
 
 // TestCompileSharingIsThePipelineStores pins where cross-figure sharing
 // below the launch shows up: fig8's kernels are fig7's compute kernels,
-// so running both on one cached suite hits the compile store more often
-// than running each on its own suite.
+// so running both on one cached suite hits the compiled programs on
+// their shared seals more often than running each on its own suite.
 func TestCompileSharingIsThePipelineStores(t *testing.T) {
 	hits := func(names ...string) int64 {
 		s := testSuite()

@@ -20,8 +20,9 @@ import (
 // status polling, figure retrieval and cancellation. Everything that
 // makes the daemon's multiplexing work is already below this layer: the
 // pipeline's content-addressed stores dedup artifacts ACROSS concurrent
-// jobs (two clients sweeping overlapping figures compile and simulate
-// shared points once), and per-job contexts cancel one campaign without
+// jobs (two clients sweeping overlapping figures share each generated
+// kernel's seal, and with it the compiled program, and simulate shared
+// points once), and per-job contexts cancel one campaign without
 // touching its neighbors (Plan.RunCtx / core.Suite.RunKernelPoints).
 //
 // Job metrics, on the suite's shared registry:

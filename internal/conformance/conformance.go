@@ -89,8 +89,8 @@ func CheckKernel(k *il.Kernel, spec device.Spec) error {
 }
 
 // CheckRoundTrip asserts Assemble -> Parse is structurally lossless: the
-// reparsed kernel's content hash (il.Kernel.Hash, the compile store's
-// cache key) must equal the original's, and the assembly text must be a
+// reparsed kernel's content hash (il.Kernel.Hash, an eager seal's
+// identity) must equal the original's, and the assembly text must be a
 // fixpoint. A violation means the cache could conflate or split kernels.
 func CheckRoundTrip(k *il.Kernel) error {
 	txt := il.Assemble(k)
@@ -161,8 +161,8 @@ func CheckCompileDifferential(k *il.Kernel, spec device.Spec) error {
 	return nil
 }
 
-// CheckPipelineIdentity asserts the content-addressed compile store is
-// invisible in results: a store hit must return the identical artifact,
+// CheckPipelineIdentity asserts the program memoized on a seal is
+// invisible in results: a memo hit must return the identical artifact,
 // and a caching pipeline must produce the same program as a cache-disabled
 // one.
 func CheckPipelineIdentity(k *il.Kernel, spec device.Spec) error {
@@ -178,7 +178,7 @@ func CheckPipelineIdentity(k *il.Kernel, spec device.Spec) error {
 		return &Divergence{Oracle: "pipeline", Detail: fmt.Sprintf("cached recompile failed: %v", err), Kernel: k}
 	}
 	if p1 != p1b {
-		return &Divergence{Oracle: "pipeline", Detail: "compile store hit returned a different artifact", Kernel: k}
+		return &Divergence{Oracle: "pipeline", Detail: "compile memo hit returned a different artifact", Kernel: k}
 	}
 	p2, err := uncached.Compile(sk, spec, ilc.Options{})
 	if err != nil {

@@ -599,7 +599,7 @@ func TestCancelDuringBackoffStopsRetrying(t *testing.T) {
 // TestWarmRerunCompilesNothing reruns a small bundle of figures on a
 // fresh suite over the persistent tier the first run filled. The tier
 // is keyed on the source, so every launch is served from disk without a
-// compile-store lookup, and the figures are byte-identical.
+// compile lookup, and the figures are byte-identical.
 func TestWarmRerunCompilesNothing(t *testing.T) {
 	dir := t.TempDir()
 	bundle := func(s *Suite) string {

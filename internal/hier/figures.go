@@ -30,10 +30,14 @@ var lineRoundsGrid = []int{16, 32, 64, 128, 256}
 // sweep.
 var strideWaysGrid = []int{1, 2, 4, 8, 16}
 
+// pointSink collects a figure's probe points. It seals each distinct
+// probe once, so the cards that run it share one seal and with it one
+// compiled program per compiler target.
 type pointSink struct {
-	s   *core.Suite
-	pts []core.KernelPoint
-	err error
+	s     *core.Suite
+	seals map[Probe]*il.Sealed
+	pts   []core.KernelPoint
+	err   error
 }
 
 // add plans one probe point: x is the plotted abscissa, conv maps the
@@ -42,11 +46,17 @@ func (ps *pointSink) add(spec device.Spec, p Probe, x float64, conv func(Env, Pr
 	if ps.err != nil {
 		return
 	}
-	pt, err := probePoint(spec, p, x)
-	if err != nil {
-		ps.err = err
-		return
+	k, ok := ps.seals[p]
+	if !ok {
+		raw, err := p.Kernel()
+		if err != nil {
+			ps.err = err
+			return
+		}
+		k = il.Seal(raw)
+		ps.seals[p] = k
 	}
+	pt := probePoint(spec, k, p, x)
 	env := EnvFor(spec, ps.s.Iterations)
 	pt.Plot = func(r core.Run) (float64, float64) { return x, conv(env, p, r) }
 	ps.pts = append(ps.pts, pt)
@@ -67,7 +77,7 @@ func LatencyLadderSpec(s *core.Suite) (core.FigureSpec, error) {
 		Title:  "Memory hierarchy latency ladder (chase, float4)",
 		XLabel: "footprint KB", YLabel: "cycles/fetch",
 	}
-	ps := &pointSink{s: s}
+	ps := &pointSink{s: s, seals: map[Probe]*il.Sealed{}}
 	for _, spec := range device.All() {
 		for _, kb := range footprintGridKB {
 			p := Probe{Type: il.Float4, SurfaceBytes: float4Quantum, Surfaces: kb, Rounds: lineRoundsLo, Batch: 1}
@@ -85,7 +95,7 @@ func WorkingSetSpec(s *core.Suite) (core.FigureSpec, error) {
 		Title:  "Working-set bandwidth (batched fetch, float4)",
 		XLabel: "footprint KB", YLabel: "GB/s",
 	}
-	ps := &pointSink{s: s}
+	ps := &pointSink{s: s, seals: map[Probe]*il.Sealed{}}
 	for _, spec := range device.All() {
 		for _, kb := range footprintGridKB {
 			p := Probe{Type: il.Float4, SurfaceBytes: float4Quantum, Surfaces: kb, Rounds: 2, Batch: 8}
@@ -105,7 +115,7 @@ func LineBlendSpec(s *core.Suite) (core.FigureSpec, error) {
 		Title:  "Cold-miss blend decay (hot chase, float4, 2 surfaces)",
 		XLabel: "rounds", YLabel: "cycles/fetch",
 	}
-	ps := &pointSink{s: s}
+	ps := &pointSink{s: s, seals: map[Probe]*il.Sealed{}}
 	for _, spec := range device.All() {
 		for _, r := range lineRoundsGrid {
 			p := Probe{Type: il.Float4, SurfaceBytes: float4Quantum, Surfaces: 2, Rounds: r, Batch: 1}
@@ -124,7 +134,7 @@ func StrideResonanceSpec(s *core.Suite) (core.FigureSpec, error) {
 		Title:  "Stride resonance: conflict set vs candidate ways (float)",
 		XLabel: "candidate ways", YLabel: "cycles/fetch",
 	}
-	ps := &pointSink{s: s}
+	ps := &pointSink{s: s, seals: map[Probe]*il.Sealed{}}
 	for _, spec := range device.All() {
 		for _, w := range strideWaysGrid {
 			gap := spec.L1CacheBytes / w

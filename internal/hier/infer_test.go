@@ -22,8 +22,7 @@ import (
 const inferIters = 100
 
 // inferSuite is the suite the inference tests measure through. Parallel
-// subtests share it, so probe kernels compiled for one spec are compile
-// store hits on every spec with the same clause limits.
+// subtests share it and its artifact stores.
 func inferSuite() *core.Suite {
 	s := core.NewSuite()
 	s.Iterations = inferIters

@@ -65,24 +65,21 @@ func (e Env) FetchedBytes(p Probe) float64 {
 // cross-check the probe schedule.
 type Measurer func([]Probe) ([]float64, error)
 
-// probePoint plans one probe on spec as a suite sweep point: the shared
-// builder of the hierarchy figures and SuiteMeasurer. The point's domain
-// is the probe's surface geometry, so no plan clamp may shrink it, and
-// it names its device only when spec is not a built-in table entry.
-func probePoint(spec device.Spec, p Probe, x float64) (core.KernelPoint, error) {
-	k, err := p.Kernel()
-	if err != nil {
-		return core.KernelPoint{}, err
-	}
+// probePoint plans probe p, sealed as k, on spec as a suite sweep
+// point: the shared builder of the hierarchy figures and SuiteMeasurer.
+// The point's domain is the probe's surface geometry, so no plan clamp
+// may shrink it, and it names its device only when spec is not a
+// built-in table entry.
+func probePoint(spec device.Spec, k *il.Sealed, p Probe, x float64) core.KernelPoint {
 	pt := core.KernelPoint{
 		Card: core.Card{Arch: spec.Arch, Mode: il.Pixel, Type: p.Type},
-		X:    x, K: il.Seal(k), W: p.Width(), H: p.Height(),
+		X:    x, K: k, W: p.Width(), H: p.Height(),
 		ExactDomain: true,
 	}
 	if !slices.Contains(device.All(), spec) {
 		pt.Device = &spec
 	}
-	return pt, nil
+	return pt
 }
 
 // SuiteMeasurer measures each batch of probes on spec as one sweep of
@@ -97,11 +94,11 @@ func SuiteMeasurer(s *core.Suite, spec device.Spec) Measurer {
 	return func(ps []Probe) ([]float64, error) {
 		pts := make([]core.KernelPoint, len(ps))
 		for i, p := range ps {
-			pt, err := probePoint(spec, p, float64(p.FootprintBytes()))
+			k, err := p.Kernel()
 			if err != nil {
 				return nil, err
 			}
-			pts[i] = pt
+			pts[i] = probePoint(spec, il.Seal(k), p, float64(p.FootprintBytes()))
 		}
 		runs, err := s.RunKernelPoints(context.Background(), pts, core.SweepOptions{})
 		if err != nil {

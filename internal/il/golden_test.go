@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -133,7 +135,7 @@ func TestBinaryDeterministic(t *testing.T) {
 
 // TestHashDistinguishesKernels checks the structural hash separates
 // kernels that differ in exactly one field — the collision-safety property
-// the compile cache's correctness rests on.
+// the simulate store's correctness rests on for eager seals.
 func TestHashDistinguishesKernels(t *testing.T) {
 	base := goldenPixel()
 	baseHash := base.Hash()
@@ -196,5 +198,52 @@ func TestSealedComputesOnce(t *testing.T) {
 	}
 	if k.Validate() == nil {
 		t.Fatal("precondition broken: the mutated kernel still validates")
+	}
+}
+
+// TestMemoOncePerKey: concurrent Memo calls of one key on one seal
+// compute once, and every other caller is a hit that sees the value;
+// another key, another value type or another seal computes its own.
+func TestMemoOncePerKey(t *testing.T) {
+	s := Seal(goldenPixel())
+	var computes, misses atomic.Int32
+	var wg sync.WaitGroup
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			v, hit, err := Memo(s, 1, func() (string, error) { computes.Add(1); return "one", nil })
+			if v != "one" || err != nil {
+				t.Errorf("Memo = %q, %v; want one", v, err)
+			}
+			if !hit {
+				misses.Add(1)
+			}
+		}()
+	}
+	wg.Wait()
+	if computes.Load() != 1 || misses.Load() != 1 {
+		t.Errorf("%d computes and %d misses for one key, want 1 and 1", computes.Load(), misses.Load())
+	}
+	for _, c := range []struct {
+		name string
+		memo func() (bool, error)
+	}{
+		{"another key", func() (bool, error) {
+			_, hit, err := Memo(s, 2, func() (string, error) { return "two", nil })
+			return hit, err
+		}},
+		{"another value type", func() (bool, error) {
+			_, hit, err := Memo(s, 1, func() (int, error) { return 1, nil })
+			return hit, err
+		}},
+		{"another seal", func() (bool, error) {
+			_, hit, err := Memo(Seal(goldenPixel()), 1, func() (string, error) { return "one", nil })
+			return hit, err
+		}},
+	} {
+		if hit, err := c.memo(); hit || err != nil {
+			t.Errorf("%s: hit %v, err %v; want a fresh compute", c.name, hit, err)
+		}
 	}
 }

@@ -55,10 +55,11 @@ func (k *Kernel) AppendBinary(dst []byte) []byte {
 }
 
 // Hash returns the kernel's structural content address: the SHA-256 of its
-// canonical binary encoding. It is the compile pipeline's cache key — two
-// kernels share a hash exactly when Assemble would render them to identical
-// text, but computing it does no text serialization and, in steady state,
-// no allocation.
+// canonical binary encoding. It is an eager seal's identity, the start
+// of the pipeline's simulate and persist keys — two kernels share a hash
+// exactly when Assemble would render them to identical text, but
+// computing it does no text serialization and, in steady state, no
+// allocation.
 func (k *Kernel) Hash() [sha256.Size]byte {
 	bp := encodeBufPool.Get().(*[]byte)
 	b := k.AppendBinary((*bp)[:0])
@@ -69,11 +70,10 @@ func (k *Kernel) Hash() [sha256.Size]byte {
 }
 
 // Sealed is a kernel frozen for the launch path: the kernel plus its
-// identity, structural hash and Validate result, each computed once. A
-// sweep launches one kernel many times (every card, every retry, every
-// warm rerun of a figure), and the pipeline's compile and simulate keys
-// start from the identity while every module load starts from Validate,
-// so a sealed kernel pays for each once instead of once per launch.
+// identity, structural hash, Validate result and compiled programs
+// (Memo), each computed once. A sweep launches one kernel many times
+// (every card, every retry, every warm rerun of a figure), so a sealed
+// kernel pays for each once instead of once per launch.
 //
 // A seal is eager or deferred. Seal and SealValid wrap a kernel already
 // built; its identity is its content hash. SealDeferred wraps a kernel
@@ -102,6 +102,43 @@ type Sealed struct {
 	hash      [sha256.Size]byte
 	validOnce sync.Once
 	validErr  error
+
+	memoMu sync.Mutex
+	memos  []any // one *memo[K, V] per Memo key
+}
+
+type memo[K comparable, V any] struct {
+	key  K
+	once sync.Once
+	val  V
+	err  error
+}
+
+// Memo returns what compute derives from the seal under key, computing
+// it once per key however many goroutines ask; hit reports that this
+// call did not compute. The value and its error live as long as the
+// seal, so compute must be a pure function of the seal and key. The
+// pipeline keeps compiled programs here, keyed by target and options.
+func Memo[K comparable, V any](s *Sealed, key K, compute func() (V, error)) (v V, hit bool, err error) {
+	s.memoMu.Lock()
+	var m *memo[K, V]
+	for _, x := range s.memos {
+		if e, ok := x.(*memo[K, V]); ok && e.key == key {
+			m = e
+			break
+		}
+	}
+	if m == nil {
+		m = &memo[K, V]{key: key}
+		s.memos = append(s.memos, m)
+	}
+	s.memoMu.Unlock()
+	hit = true
+	m.once.Do(func() {
+		hit = false
+		m.val, m.err = compute()
+	})
+	return m.val, hit, m.err
 }
 
 // Seal wraps a kernel its builder has finished with. Callers seal once,

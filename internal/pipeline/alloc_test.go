@@ -7,7 +7,7 @@ import (
 	"amdgpubench/internal/ilc"
 )
 
-// A compile-store hit is the common case of every sweep point after the
+// A compile hit is the common case of every sweep point after the
 // first: it must do no serialization and essentially no allocation. The
 // budget admits only the memoization closure itself.
 func TestCompileHitAllocs(t *testing.T) {
@@ -18,7 +18,7 @@ func TestCompileHitAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := p.Compile(k, spec, ilc.Options{}); err != nil {
-		t.Fatal(err) // populate the store; everything after this is a hit
+		t.Fatal(err) // fill the seal's memo; everything after this is a hit
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		if _, err := p.Compile(k, spec, ilc.Options{}); err != nil {
@@ -51,7 +51,7 @@ func TestWarmSimulateLookupAllocs(t *testing.T) {
 	p2 := New(Options{PersistDir: dir})
 	l = persistConfig(t, p2)
 	key := simulateKey{
-		src: compileKeyFor(l.k, l.cfg.Spec, ilc.Options{}), spec: l.cfg.Spec,
+		kernel: l.k.ID(), spec: l.cfg.Spec,
 		order: l.cfg.Order, w: l.cfg.W, h: l.cfg.H, iterations: l.cfg.Iterations,
 	}
 	if _, ok := p2.simulate.tierLoad(key); !ok {
@@ -59,7 +59,7 @@ func TestWarmSimulateLookupAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
 		k := key
-		k.src = compileKeyFor(l.k, l.cfg.Spec, ilc.Options{})
+		k.kernel = l.k.ID()
 		if _, ok := p2.simulate.tierLoad(k); !ok {
 			t.Fatal("index hit became a miss")
 		}

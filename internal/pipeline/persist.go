@@ -46,8 +46,8 @@ import (
 // result served from disk is bit-identical to the freshly computed one
 // and figures match byte for byte. A record of another version is
 // skipped: a miss. The key is the SHA-256 of a fixed binary encoding of
-// the simulate key (persistKeyFor): the model fingerprint, the compile
-// key's digest and every launch-shape field.
+// the simulate key (persistKeyFor): the model fingerprint, the kernel's
+// identity, the compiler options and every launch-shape field.
 //
 // Visibility: when the tier opens it reads every segment once into an
 // in-memory index, and load is a map lookup. Records another process
@@ -120,15 +120,15 @@ func newPersistTier(dir string, reg *obs.Registry) *persistTier {
 // persistKeyFor derives the record key for a simulate key under a model
 // fingerprint. Every field is written at a fixed width (the model with
 // its length), so the encoding is injective; nothing goes through
-// reflection or text. The compile key's target is two of the spec's
-// fields, so only its kernel identity and options are written apart.
+// reflection or text. The compiler target is two of the spec's fields,
+// so it needs no bytes of its own.
 func persistKeyFor(model string, k simulateKey) persistKey {
 	var buf [512]byte // room for all of it with a 64-digit model
 	le := binary.LittleEndian
 	b := le.AppendUint64(buf[:0], uint64(len(model)))
 	b = append(b, model...)
-	b = append(b, k.src.kernel[:]...)
-	b = append(b, boolByte(k.src.opts.NoPVForwarding), boolByte(k.src.opts.NoClauseTemps))
+	b = append(b, k.kernel[:]...)
+	b = append(b, boolByte(k.opts.NoPVForwarding), boolByte(k.opts.NoClauseTemps))
 	s := k.spec
 	for _, v := range [...]int{
 		int(s.Arch), s.ALUs, s.TextureUnits, s.SIMDEngines, s.CoreClockMHz,

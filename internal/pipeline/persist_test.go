@@ -9,7 +9,6 @@ import (
 
 	"amdgpubench/internal/device"
 	"amdgpubench/internal/il"
-	"amdgpubench/internal/ilc"
 	"amdgpubench/internal/kerngen"
 	"amdgpubench/internal/obs"
 	"amdgpubench/internal/raster"
@@ -151,8 +150,8 @@ func TestPersistTierCorruptEntryIsMiss(t *testing.T) {
 // syntheticKey is the i-th of a set of distinct simulate keys.
 func syntheticKey(i int) simulateKey {
 	return simulateKey{
-		src:  compileKey{kernel: [32]byte{byte(i), byte(i >> 8)}},
-		spec: device.Lookup(device.RV770), order: raster.PixelOrder(),
+		kernel: [32]byte{byte(i), byte(i >> 8)},
+		spec:   device.Lookup(device.RV770), order: raster.PixelOrder(),
 		w: 64, h: 64, iterations: 1,
 	}
 }
@@ -455,8 +454,8 @@ func TestPersistKeyCoversEveryField(t *testing.T) {
 		"h":          func(k *simulateKey) { k.h++ },
 		"iterations": func(k *simulateKey) { k.iterations++ },
 		"watchdog":   func(k *simulateKey) { k.watchdog++ },
-		"program":    func(k *simulateKey) { k.src.kernel[31] ^= 1 },
-		"compiler":   func(k *simulateKey) { k.src.opts.NoClauseTemps = true },
+		"program":    func(k *simulateKey) { k.kernel[31] ^= 1 },
+		"compiler":   func(k *simulateKey) { k.opts.NoClauseTemps = true },
 	} {
 		k := base
 		mut(&k)
@@ -528,7 +527,7 @@ func TestPersistKeyCarriesModelFingerprint(t *testing.T) {
 	// Two binaries with different models never share an entry, however
 	// equal the launch.
 	l := persistConfig(t, New(Options{}))
-	k := simulateKey{src: compileKeyFor(l.k, l.cfg.Spec, ilc.Options{}), spec: l.cfg.Spec, order: l.cfg.Order, w: l.cfg.W, h: l.cfg.H}
+	k := simulateKey{kernel: l.k.ID(), spec: l.cfg.Spec, order: l.cfg.Order, w: l.cfg.W, h: l.cfg.H}
 	if persistKeyFor(modelFingerprint(), k) == persistKeyFor("another model", k) {
 		t.Error("entries of different models share a key")
 	}

@@ -8,23 +8,23 @@
 //	Replay   (cache)    trace signature   -> cache replay statistics
 //	Simulate (sim)      program + replay  -> timing result
 //
-// Generate, Compile, Replay and Simulate artifacts are memoized in
-// bounded LRU stores keyed by content: generated kernels' deferred seals
-// by (generator, params), each seal building its code at most once;
-// compile artifacts by the kernel's identity (il.Sealed.ID: a
-// generated kernel's source digest, any other kernel's structural hash)
-// plus the device architecture, its clause limits and the compiler
-// options; replay artifacts by the fetch signature of the ISA program,
-// the raster order, the domain and the cache geometry (plus
-// cache-relevant ablations), an identity-scheduled replay at one input
-// whatever its input count (see Replay). Each store coalesces
-// concurrent computations of the same key (singleflight), so a worker
-// pool sweeping hundreds of points never computes the same artifact
-// twice at the same time. Every stage carries hit/miss/latency counters
-// in the pipeline's metrics registry, surfaced by `amdmb -metrics`.
+// Generate, Replay and Simulate artifacts are memoized in bounded LRU
+// stores keyed by content: generated kernels' deferred seals by
+// (generator, params), each seal building its code at most once; replay
+// artifacts by the fetch signature of the ISA program, the raster order,
+// the domain and the cache geometry (plus cache-relevant ablations), an
+// identity-scheduled replay at one input whatever its input count (see
+// Replay). A compiled program lives on its seal (see Compile). Each memo
+// coalesces concurrent computations of the same key (singleflight), so a
+// worker pool sweeping hundreds of points never computes the same
+// artifact twice at the same time. Every stage carries hit/miss/latency
+// counters in the pipeline's metrics registry, surfaced by `amdmb
+// -metrics`.
 //
-// The Simulate key is a function of the source alone — the compile key
-// plus the launch shape — so Simulate looks its result up first and runs
+// The Simulate key is a function of the source alone — the kernel's
+// identity (il.Sealed.ID: a generated kernel's source digest, any other
+// kernel's structural hash), the compiler options and the launch
+// shape — so Simulate looks its result up first and runs
 // Generate's build, Compile, Trace and Replay only on a miss: a launch
 // served from memory or from the persistent tier below it builds no
 // kernel, compiles nothing, derives no trace and touches no replay
@@ -81,10 +81,10 @@ type Options struct {
 
 // Entry bounds per LRU store. A replay entry is one TraceStats, and an
 // identity-scheduled replay is stored once per family, at one input (see
-// Replay), so the replay bound counts families, not sweep points.
+// Replay), so the replay bound counts families, not sweep points. The
+// seal bound also bounds generated kernels' compiled programs.
 const (
 	defaultSealEntries     = 4096
-	defaultCompileEntries  = 4096
 	defaultReplayEntries   = 1024
 	defaultSimulateEntries = 8192
 )
@@ -96,7 +96,7 @@ type Pipeline struct {
 	metrics  *obs.Registry
 
 	seals    *store[generateKey, *il.Sealed]
-	compile  *store[compileKey, *isa.Program]
+	compile  stats // the programs live on their seals (Compile)
 	replay   *store[replayKey, cache.TraceStats]
 	simulate *store[simulateKey, sim.Result]
 
@@ -126,7 +126,7 @@ func New(opts Options) *Pipeline {
 		simBypassNS: reg.Counter("pipeline.simulate.bypass_ns"),
 	}
 	p.seals = newStore[generateKey, *il.Sealed]("seal", reg, defaultSealEntries, opts.Disabled)
-	p.compile = newStore[compileKey, *isa.Program]("compile", reg, defaultCompileEntries, opts.Disabled)
+	p.compile = newStats("compile", reg)
 	p.replay = newStore[replayKey, cache.TraceStats]("replay", reg, defaultReplayEntries, opts.Disabled)
 	p.simulate = newStore[simulateKey, sim.Result]("simulate", reg, defaultSimulateEntries, opts.Disabled)
 	if opts.PersistDir != "" && !opts.Disabled {
@@ -185,7 +185,7 @@ type generateKey struct {
 // Generate returns the named kerngen generator's kernel for params as a
 // deferred seal, without building it. The parameters are checked and
 // defaulted here, so a bad one fails now, with the generator's error;
-// the code is built on first need (a compile-store miss, functional
+// the code is built on first need (a compile miss, functional
 // execution, the content hash), once per seal, and counted as
 // pipeline.generate.misses. The seal's identity is sourceID of the
 // settled parameters, so a launch served from the simulate store or the
@@ -239,23 +239,12 @@ func sourceID(g Generator, p kerngen.Params) [sha256.Size]byte {
 
 // ---- Stage 2: Compile ----
 
-// compileKey is the content address of a compiled program: the kernel's
-// identity (il.Sealed.ID — a generated kernel's source digest, any other
-// kernel's structural hash), the compiler target (ilc.Target: the clause
-// limits, all the compiler reads of a device) and the compiler options.
-// The card is not in it: every built-in card has one target, so a pixel
-// kernel compiles once for all three. Compute support is checked against
-// the launch's own spec before the lookup (compileAt), so a card's
-// compute error is never shared or served from another card's entry.
+// compileKey keys a seal's programs: the compiler target (ilc.Target,
+// all the compiler reads of a device) and options. Every built-in card
+// has one target, so a pixel kernel compiles once for all three.
 type compileKey struct {
-	kernel [sha256.Size]byte
 	target ilc.Target
 	opts   ilc.Options
-}
-
-// compileKeyFor builds the compile key; the Simulate key embeds it.
-func compileKeyFor(k *il.Sealed, spec device.Spec, opts ilc.Options) compileKey {
-	return compileKey{kernel: k.ID(), target: ilc.TargetOf(spec), opts: opts}
 }
 
 func boolByte(b bool) byte {
@@ -265,28 +254,33 @@ func boolByte(b bool) byte {
 	return 0
 }
 
-// Compile lowers an IL kernel for a device, memoized on the kernel's
-// identity, the device's compiler target and the options: cards that
-// share a target share one program. The kernel is checked against spec
-// first (ilc.Check: validity and compute support), so a card that cannot
-// run it fails with its own name before any lookup. The returned program
-// is shared and immutable. A store hit builds and hashes nothing: the
-// key starts from the seal's identity.
+// Compile lowers an IL kernel for a device, memoized on the seal by the
+// device's compiler target and the options: cards that share a target
+// share one program, which is freed with its seal. The kernel is checked
+// against spec first (ilc.Check: validity and compute support), so a
+// card that cannot run it fails with its own name and never reaches the
+// memo. The returned program is shared and immutable. A hit builds and
+// hashes nothing; a call that waits on another's compile is a hit.
 func (p *Pipeline) Compile(k *il.Sealed, spec device.Spec, opts ilc.Options) (*isa.Program, error) {
-	return p.compileAt(compileKeyFor(k, spec, opts), k, spec)
-}
-
-// compileAt is Compile with the key built. The compiler reads the sealed
-// kernel's memoized Validate result, so compiling one kernel for several
-// targets or option sets validates it once; a miss on a deferred seal
-// builds its code first.
-func (p *Pipeline) compileAt(key compileKey, k *il.Sealed, spec device.Spec) (*isa.Program, error) {
 	if err := ilc.Check(k, spec); err != nil {
 		return nil, err
 	}
-	return p.compile.get(key, func() (*isa.Program, error) {
-		return ilc.CompileSealed(k, key.target, key.opts)
-	})
+	key := compileKey{target: ilc.TargetOf(spec), opts: opts}
+	compile := func() (*isa.Program, error) {
+		start := time.Now()
+		prog, err := ilc.CompileSealed(k, key.target, key.opts)
+		p.compile.observeCompute(time.Since(start))
+		p.compile.misses.Add(1)
+		return prog, err
+	}
+	if p.disabled {
+		return compile()
+	}
+	prog, hit, err := il.Memo(k, key, compile)
+	if hit {
+		p.compile.hits.Add(1)
+	}
+	return prog, err
 }
 
 // ---- Stage 3: Trace ----
@@ -376,11 +370,13 @@ func (p *Pipeline) Replay(tc cache.TraceConfig) (cache.TraceStats, error) {
 // ---- Stage 5: Simulate ----
 
 // simulateKey content-addresses a timing result by its source: the
-// compile key plus everything else the simulator reads, so a lookup needs
-// no compile. The full device spec participates because timing depends
-// on nearly all of it.
+// kernel's identity, the compiler options and everything else the
+// simulator reads, so a lookup needs no compile. The full device spec
+// participates because timing depends on nearly all of it; it holds the
+// compiler target too.
 type simulateKey struct {
-	src        compileKey
+	kernel     [sha256.Size]byte // il.Sealed.ID
+	opts       ilc.Options
 	spec       device.Spec
 	order      raster.Order
 	w, h       int
@@ -406,17 +402,17 @@ func (p *Pipeline) Simulate(sp obs.Span, k *il.Sealed, opts ilc.Options, cfg sim
 	xsp := sp.Child("simulate").Cat("stage")
 	defer xsp.End()
 
-	src := compileKeyFor(k, cfg.Spec, opts)
 	faulted := cfg.Hang != nil || (cfg.ClockFactor != 0 && cfg.ClockFactor != 1)
 	if p.disabled || faulted {
-		res, d, err := p.launch(xsp, src, k, cfg)
+		res, d, err := p.launch(xsp, k, opts, cfg)
 		p.simBypassNS.Add(d.Nanoseconds())
 		p.simBypassed.Add(1)
 		return res, err
 	}
 
 	key := simulateKey{
-		src:        src,
+		kernel:     k.ID(),
+		opts:       opts,
 		spec:       cfg.Spec,
 		order:      cfg.Order,
 		w:          cfg.W,
@@ -426,7 +422,7 @@ func (p *Pipeline) Simulate(sp obs.Span, k *il.Sealed, opts ilc.Options, cfg sim
 		watchdog:   cfg.Watchdog,
 	}
 	return p.simulate.getTimed(key, func() (sim.Result, time.Duration, error) {
-		return p.launch(xsp, src, k, cfg)
+		return p.launch(xsp, k, opts, cfg)
 	})
 }
 
@@ -436,7 +432,7 @@ func (p *Pipeline) Simulate(sp obs.Span, k *il.Sealed, opts ilc.Options, cfg sim
 // the simulator. The duration it returns is the simulator's alone —
 // compile, trace and replay charge their own stage counters, so the
 // stages stay disjoint.
-func (p *Pipeline) launch(sp obs.Span, src compileKey, k *il.Sealed, cfg sim.Config) (sim.Result, time.Duration, error) {
+func (p *Pipeline) launch(sp obs.Span, k *il.Sealed, opts ilc.Options, cfg sim.Config) (sim.Result, time.Duration, error) {
 	if !k.Built() {
 		gsp := sp.Child("generate").Cat("stage")
 		_, err := k.Kernel()
@@ -446,7 +442,7 @@ func (p *Pipeline) launch(sp obs.Span, src compileKey, k *il.Sealed, cfg sim.Con
 		}
 	}
 	csp := sp.Child("compile").Cat("stage")
-	prog, err := p.compileAt(src, k, cfg.Spec)
+	prog, err := p.Compile(k, cfg.Spec, opts)
 	csp.End()
 	if err != nil {
 		return sim.Result{}, 0, err

@@ -2,13 +2,16 @@ package pipeline
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"amdgpubench/internal/device"
 	"amdgpubench/internal/il"
 	"amdgpubench/internal/ilc"
+	"amdgpubench/internal/isa"
 	"amdgpubench/internal/kerngen"
 	"amdgpubench/internal/obs"
 	"amdgpubench/internal/raster"
@@ -104,6 +107,11 @@ func TestGenerateMemoized(t *testing.T) {
 	}
 }
 
+// TestCompileMemoizedByContent: a program is memoized on its seal, by
+// compiler target and options. A second seal of the same content
+// compiles its own program, equal to the first: the memo is the seal's,
+// and a kernel launched more than once (a generated kernel, a hier
+// probe on three cards) shares its seal rather than its content.
 func TestCompileMemoizedByContent(t *testing.T) {
 	p := New(Options{})
 	spec := device.Lookup(device.RV770)
@@ -125,46 +133,79 @@ func TestCompileMemoizedByContent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := p.Compile(k2, spec, ilc.Options{})
+	// The compiler reads only the target of a card, and RV770 and RV870
+	// share one, so a pixel kernel compiles once for both.
+	p2, err := p.Compile(k1, device.Lookup(device.RV870), ilc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p1 != p2 {
-		t.Error("same IL content on the same device must share one compiled artifact")
+	if p2 != p1 {
+		t.Error("cards with one compiler target must share the seal's program")
 	}
-	// Different compiler options are a different content address.
+	// Different compiler options are another program.
 	p3, err := p.Compile(k1, spec, ilc.Options{NoClauseTemps: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p3 == p1 {
-		t.Error("ablated compile must not be served from the unablated artifact")
-	}
-	// The compiler reads only the target of a card, and RV770 and RV870
-	// share one, so a pixel kernel compiles once for both.
-	p4, err := p.Compile(k1, device.Lookup(device.RV870), ilc.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p4 != p1 {
-		t.Error("cards with one compiler target must share the compiled artifact")
+		t.Error("ablated compile must not be served from the unablated program")
 	}
 	// A spec with other clause limits is another target.
 	fewerFetches, fewerSlots := spec, spec
 	fewerFetches.MaxFetchesPerTEXClause = 4
 	fewerSlots.MaxSlotsPerALUClause = 64
 	for _, custom := range []device.Spec{fewerFetches, fewerSlots} {
-		p5, err := p.Compile(k1, custom, ilc.Options{})
+		p4, err := p.Compile(k1, custom, ilc.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p5 == p1 {
-			t.Errorf("target %+v must not share the RV770 artifact", ilc.TargetOf(custom))
+		if p4 == p1 {
+			t.Errorf("target %+v must not share the RV770 program", ilc.TargetOf(custom))
 		}
 	}
-	if h, m := p.compile.hits.Load(), p.compile.misses.Load(); h != 2 || m != 4 {
-		t.Errorf("compile counters = %d hits / %d misses, want 2/4", h, m)
+	// Another seal of the same content has its own memo.
+	p5, err := p.Compile(k2, spec, ilc.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	if p5 == p1 {
+		t.Error("a second seal was served the first seal's program")
+	}
+	if a, b := isa.Disassemble(p1), isa.Disassemble(p5); a != b {
+		t.Errorf("equal kernels compiled to different programs:\n%s\n---\n%s", a, b)
+	}
+	if h, m := p.compile.hits.Load(), p.compile.misses.Load(); h != 1 || m != 5 {
+		t.Errorf("compile counters = %d hits / %d misses, want 1/5", h, m)
+	}
+}
+
+// TestCompiledProgramFreedWithSeal: nothing but the seal holds its
+// program, so once the seal is unreachable the program is collected
+// while the pipeline that compiled it lives on.
+func TestCompiledProgramFreedWithSeal(t *testing.T) {
+	p := New(Options{})
+	raw, err := kerngen.ALUFetch(testParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	freed := make(chan struct{})
+	func() {
+		prog, err := p.Compile(il.Seal(raw), device.Lookup(device.RV770), ilc.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(prog, func(*isa.Program) { close(freed) })
+	}()
+	for i := 0; i < 10; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Error("compiled program still reachable after its seal was dropped")
+	runtime.KeepAlive(p)
 }
 
 // computeKernel generates a compute-mode kernel, which RV670 cannot run.
@@ -181,7 +222,7 @@ func computeKernel(t *testing.T, p *Pipeline) *il.Sealed {
 
 // TestComputeCheckedPerCard: RV670 shares its compiler target with
 // RV770, but compute support is checked on the launch's own spec before
-// the store lookup. An RV670 compute compile fails naming RV670, before
+// the seal's memo. An RV670 compute compile fails naming RV670, before
 // and after RV770 fills the shared entry, and touches no entry RV770
 // then reads.
 func TestComputeCheckedPerCard(t *testing.T) {
@@ -209,10 +250,10 @@ func TestComputeCheckedPerCard(t *testing.T) {
 		t.Fatal(err)
 	}
 	if again != prog {
-		t.Error("RV770 compute program not served from the store after RV670's refusal")
+		t.Error("RV770 compute program not served from the memo after RV670's refusal")
 	}
 	if h, m := p.compile.hits.Load(), p.compile.misses.Load(); h != 1 || m != 1 {
-		t.Errorf("compile counters = %d hits / %d misses, want 1/1: RV670 must not reach the store", h, m)
+		t.Errorf("compile counters = %d hits / %d misses, want 1/1: RV670 must not reach the memo", h, m)
 	}
 }
 

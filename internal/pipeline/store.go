@@ -16,11 +16,6 @@ import (
 //
 // Values must be immutable once stored: every hit returns the same
 // artifact to every caller.
-//
-// Counters live in the pipeline's obs registry (resolved once at
-// construction, updated with one atomic add per event — the same cost as
-// the ad-hoc atomics they replaced), so `-metrics` and the progress
-// reporter read one set of numbers.
 type store[K comparable, V any] struct {
 	max      int
 	disabled bool
@@ -38,13 +33,31 @@ type store[K comparable, V any] struct {
 	items    map[K]*list.Element
 	inflight map[K]*call[V]
 
+	stats
+	evictions *obs.Counter
+	entries   *obs.Gauge
+}
+
+// stats are a stage's lookup counters, resolved once in the pipeline's
+// obs registry and updated with one atomic add per event, so `-metrics`
+// and the progress reporter read one set of numbers.
+type stats struct {
 	hits      *obs.Counter
 	misses    *obs.Counter
 	coalesced *obs.Counter
-	evictions *obs.Counter
 	computeNS *obs.Counter
-	entries   *obs.Gauge
 	latency   *obs.Histogram
+}
+
+func newStats(stage string, reg *obs.Registry) stats {
+	prefix := "pipeline." + stage + "."
+	return stats{
+		hits:      reg.Counter(prefix + "hits"),
+		misses:    reg.Counter(prefix + "misses"),
+		coalesced: reg.Counter(prefix + "coalesced"),
+		computeNS: reg.Counter(prefix + "compute_ns"),
+		latency:   reg.Histogram(prefix+"compute_latency_ns", obs.DefaultLatencyBuckets()),
+	}
 }
 
 type entry[K comparable, V any] struct {
@@ -67,18 +80,14 @@ func newStore[K comparable, V any](stage string, reg *obs.Registry, max int, dis
 		ll:        list.New(),
 		items:     make(map[K]*list.Element),
 		inflight:  make(map[K]*call[V]),
-		hits:      reg.Counter(prefix + "hits"),
-		misses:    reg.Counter(prefix + "misses"),
-		coalesced: reg.Counter(prefix + "coalesced"),
+		stats:     newStats(stage, reg),
 		evictions: reg.Counter(prefix + "evictions"),
-		computeNS: reg.Counter(prefix + "compute_ns"),
 		entries:   reg.Gauge(prefix + "entries"),
-		latency:   reg.Histogram(prefix+"compute_latency_ns", obs.DefaultLatencyBuckets()),
 	}
 }
 
 // observeCompute charges one miss's computation to the stage's counters.
-func (s *store[K, V]) observeCompute(d time.Duration) {
+func (s stats) observeCompute(d time.Duration) {
 	ns := d.Nanoseconds()
 	s.computeNS.Add(ns)
 	s.latency.Observe(ns)

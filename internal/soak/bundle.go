@@ -117,9 +117,6 @@ func reproCommand(cfg Config, v Violation) string {
 	if cfg.KillEvery > 0 {
 		cmd += fmt.Sprintf(" -kill-every %d", cfg.KillEvery)
 	}
-	if cfg.ChurnWorkers > 0 {
-		cmd += fmt.Sprintf(" -churn %d", cfg.ChurnWorkers)
-	}
 	if cfg.MaxDomain > 0 {
 		cmd += fmt.Sprintf(" -max-domain %d", cfg.MaxDomain)
 	}

@@ -34,8 +34,8 @@ func (v Violation) String() string {
 }
 
 // runOracles checks every oracle the step planned against its results.
-// The suite is quiescent: the sweep returned and churn is joined, so
-// counter snapshots are stable.
+// The suite is quiescent: the sweep returned, so counter snapshots are
+// stable.
 func (c *campaign) runOracles(st step, runs []core.Run) {
 	for _, o := range st.Oracles {
 		switch o {
@@ -87,7 +87,7 @@ func kernelOf(p core.KernelPoint) *il.Kernel {
 // checkDeterminism replays the step's probe point on a fresh suite with
 // the artifact caches disabled and demands a bitwise-identical Run. The
 // campaign suite is warm — its caches have served hundreds of launches
-// under churn — so this is the cached-vs-uncached identity the pipeline
+// — so this is the cached-vs-uncached identity the pipeline
 // promises, checked continuously under adversity.
 func (c *campaign) checkDeterminism(st step, runs []core.Run) {
 	if len(runs) == 0 {

@@ -1,10 +1,9 @@
 // Package soak drives adversarial stress campaigns against the whole
 // suite: seeded random kernels (the conformance generator's full IL
 // surface) pushed through the real launch pipeline under deterministic
-// fault injection, in-process kill/resume cycles, and concurrent
-// artifact-cache churn, with continuous invariant oracles checking
-// bitwise determinism, replay conservation, metrics/trace accounting
-// and resume identity after every step. An oracle
+// fault injection and in-process kill/resume cycles, with continuous
+// invariant oracles checking bitwise determinism, replay conservation,
+// metrics/trace accounting and resume identity after every step. An oracle
 // violation is shrunk to a minimal kernel (internal/conformance) and
 // written as a replayable repro bundle.
 //
@@ -31,7 +30,7 @@ import (
 )
 
 // Config parameterises a campaign. The zero value is usable: an 8-step,
-// fault-free, churn-free campaign at seed 0.
+// fault-free campaign at seed 0.
 type Config struct {
 	// Seed determines the entire campaign: kernels, fault schedule, kill
 	// ordinals, oracle probes.
@@ -53,11 +52,6 @@ type Config struct {
 	// resumed results are compared bit-for-bit against an uninterrupted
 	// reference. Zero disables.
 	KillEvery int
-	// ChurnWorkers runs that many goroutines compiling random kernels
-	// against the campaign suite's shared artifact caches while each
-	// sweep is in flight — contention the caches must absorb without
-	// changing any result. Zero disables.
-	ChurnWorkers int
 	// Workers bounds sweep parallelism (core.Suite.Workers).
 	Workers int
 	// Retries bounds transient-fault retries per point; zero means 2.

@@ -4,18 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	sched "amdgpubench/internal/campaign"
-	"amdgpubench/internal/conformance"
 	"amdgpubench/internal/core"
-	"amdgpubench/internal/il"
-	"amdgpubench/internal/ilc"
 	"amdgpubench/internal/obs"
 )
 
@@ -30,7 +25,6 @@ type Report struct {
 	Failures   int // per-point failure records (injected faults, timeouts)
 	Launches   int64
 	Kills      int // kill/resume cycles that actually interrupted a sweep
-	Churned    int64
 	Violations []Violation
 	Bundles    []string
 	Elapsed    time.Duration
@@ -52,7 +46,6 @@ type campaign struct {
 	// unit the sweep runner resolves.
 	sweptPoints int64
 	sweptFailed int64
-	churned     atomic.Int64
 }
 
 // Run executes the campaign cfg describes and returns its report. A
@@ -106,7 +99,6 @@ func Run(cfg Config) (*Report, error) {
 		}
 	}
 	c.report.Launches = c.suite.KernelLaunches()
-	c.report.Churned = c.churned.Load()
 	c.report.Elapsed = time.Since(start)
 	return c.report, nil
 }
@@ -137,9 +129,8 @@ func (c *campaign) stepViolations(i int) int {
 	return n
 }
 
-// runStep executes one step: churn up, scenario, churn down, oracles.
+// runStep executes one step: the scenario, then the oracles.
 func (c *campaign) runStep(st step) error {
-	stopChurn := c.startChurn(st.Index)
 	var (
 		runs []core.Run
 		err  error
@@ -156,7 +147,6 @@ func (c *campaign) runStep(st step) error {
 			c.sweptFailed += int64(res.Failed())
 		}
 	}
-	stopChurn()
 	if err != nil {
 		return fmt.Errorf("soak: step %d (%s): %w", st.Index, st.Scenario, err)
 	}
@@ -168,43 +158,6 @@ func (c *campaign) runStep(st step) error {
 	}
 	c.runOracles(st, runs)
 	return nil
-}
-
-// startChurn spawns cfg.ChurnWorkers goroutines compiling random
-// kernels through the campaign suite's shared pipeline, hammering the
-// artifact caches while the sweep runs. The kernels are seed-derived
-// (deterministic set per step); only scheduling varies, and no oracle
-// depends on scheduling. The returned stop joins the workers — oracles
-// run on a quiescent suite.
-func (c *campaign) startChurn(stepIdx int) (stop func()) {
-	if c.cfg.ChurnWorkers <= 0 {
-		return func() {}
-	}
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < c.cfg.ChurnWorkers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(mix(uint64(c.cfg.Seed) ^ mix(uint64(stepIdx)*31+uint64(w))))))
-			for {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				k := conformance.RandomKernel(rng)
-				spec := conformance.SpecFor(k, uint8(rng.Intn(256)))
-				if _, err := c.suite.Pipeline().Compile(il.Seal(k), spec, ilc.Options{}); err == nil {
-					c.churned.Add(1)
-				}
-			}
-		}(w)
-	}
-	return func() {
-		close(done)
-		wg.Wait()
-	}
 }
 
 // runScheduled drives a step's sweep through the campaign scheduler —

@@ -18,7 +18,7 @@ import (
 )
 
 // smokeConfig is a campaign small enough for unit tests but with every
-// adversity armed: faults, kill/resume, churn.
+// adversity armed: faults, kill/resume.
 func smokeConfig(t *testing.T) Config {
 	plan, err := fault.Parse("seed=5;transient:prob=0.2;hang:prob=0.05")
 	if err != nil {
@@ -30,7 +30,6 @@ func smokeConfig(t *testing.T) Config {
 		KernelsPerStep: 3,
 		Faults:         plan,
 		KillEvery:      2,
-		ChurnWorkers:   2,
 		Workers:        2,
 		Trace:          true,
 		MaxDomain:      48,
@@ -57,9 +56,6 @@ func TestCampaignHoldsAllOracles(t *testing.T) {
 	if rep.Kills == 0 {
 		t.Error("no kill/resume cycle interrupted a sweep")
 	}
-	if rep.Churned == 0 {
-		t.Error("churn workers compiled nothing")
-	}
 	if rep.Launches == 0 {
 		t.Error("campaign suite issued no launches")
 	}
@@ -72,7 +68,7 @@ func TestCampaignHoldsAllOracles(t *testing.T) {
 
 // TestCampaignReproducible is the acceptance criterion: the same seed
 // is the same campaign — same points, same failures, same launch count,
-// same (absent) violations — under faults, kills and churn.
+// same (absent) violations — under faults and kills.
 func TestCampaignReproducible(t *testing.T) {
 	cfg := smokeConfig(t)
 	a, err := Run(cfg)
@@ -83,10 +79,9 @@ func TestCampaignReproducible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Elapsed and Churned are wall-clock shaped; everything else must
-	// match bit for bit.
+	// Elapsed is wall-clock shaped; everything else must match bit for
+	// bit.
 	a.Elapsed, b.Elapsed = 0, 0
-	a.Churned, b.Churned = 0, 0
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same seed, different campaigns:\n a: %+v\n b: %+v", a, b)
 	}
